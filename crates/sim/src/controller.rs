@@ -1117,6 +1117,11 @@ impl MemoryController {
         self.wear.counts()
     }
 
+    /// Moves the whole journal out, leaving it empty.
+    pub(crate) fn take_journal(&mut self) -> Vec<JournalRecord> {
+        std::mem::take(&mut self.journal)
+    }
+
     /// Removes the first `n` journal records. The shard layer calls this
     /// during batched-journal compaction after folding the records into
     /// its base image; the controller itself never compacts.

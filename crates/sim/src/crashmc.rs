@@ -284,8 +284,13 @@ pub struct EnumStats {
 
 impl CrashSet {
     /// Builds the crash state for a crash at `crash_time` from the
-    /// controller's journal.
-    pub(crate) fn from_journal(journal: &[JournalRecord], crash_time: Time) -> Self {
+    /// journal records in submission (merged) order, borrowed — a
+    /// controller's journal, or a merged stream of shard journal
+    /// prefixes.
+    pub(crate) fn from_journal<'a>(
+        journal: impl IntoIterator<Item = &'a JournalRecord>,
+        crash_time: Time,
+    ) -> Self {
         // Pair ids are allocated per shard (each controller counts from
         // zero), so the same id on two shards names two unrelated pairs;
         // keying by (shard, pair) keeps their choice groups distinct.

@@ -71,6 +71,50 @@ fn slice_geometry(g: CacheGeometry, shard: usize, n: usize) -> CacheGeometry {
     }
 }
 
+/// The k-way merge of per-shard journal slices by
+/// `(submitted_at, shard_index)` described in the module docs,
+/// streamed through a [`BinaryHeap`] of per-shard cursors: O(shards)
+/// state and O(log shards) per record, never materializing the merged
+/// list. Within a shard, records come in submission order, so with one
+/// shard this is the identity traversal. Bounding each slice merges
+/// journal *prefixes* — a crash sweep's cut at one instant.
+pub(crate) struct MergedJournal<'a> {
+    /// The unvisited remainder of each shard's slice.
+    rest: Vec<&'a [JournalRecord]>,
+    heap: BinaryHeap<Reverse<(Time, usize)>>,
+}
+
+impl<'a> MergedJournal<'a> {
+    /// Merges `journals`, one slice per shard in shard order.
+    pub(crate) fn new(journals: Vec<&'a [JournalRecord]>) -> Self {
+        let heap = journals
+            .iter()
+            .enumerate()
+            .filter_map(|(s, j)| j.first().map(|rec| Reverse((rec.submitted_at, s))))
+            .collect();
+        Self {
+            rest: journals,
+            heap,
+        }
+    }
+}
+
+impl<'a> Iterator for MergedJournal<'a> {
+    type Item = &'a JournalRecord;
+
+    fn next(&mut self) -> Option<&'a JournalRecord> {
+        let Reverse((_, s)) = self.heap.pop()?;
+        let (rec, rest) = self.rest[s]
+            .split_first()
+            .expect("heap entries point at unvisited records");
+        self.rest[s] = rest;
+        if let Some(next) = rest.first() {
+            self.heap.push(Reverse((next.submitted_at, s)));
+        }
+        Some(rec)
+    }
+}
+
 /// `N` channel-sharded memory controllers behind a deterministic
 /// address interleave (see the module docs).
 #[derive(Debug)]
@@ -222,32 +266,16 @@ impl ShardedController {
         self.compacted
     }
 
-    /// Visits the live (un-compacted) journal in merged order: the
-    /// k-way merge by `(submitted_at, shard_index)` described in the
-    /// module docs, streamed through a [`BinaryHeap`] of per-shard
-    /// cursors — O(shards) state and O(log shards) per record, never
-    /// materializing the merged list. Within a shard, records are
-    /// visited in submission order, so with one shard this is the
-    /// identity traversal.
-    fn for_each_merged(&self, mut f: impl FnMut(&JournalRecord)) {
-        let mut cur: Vec<usize> = self.folded.clone();
-        let mut heap: BinaryHeap<Reverse<(Time, usize)>> = self
-            .shards
-            .iter()
-            .enumerate()
-            .filter_map(|(s, ctl)| {
-                ctl.journal()
-                    .get(cur[s])
-                    .map(|rec| Reverse((rec.submitted_at, s)))
-            })
-            .collect();
-        while let Some(Reverse((_, s))) = heap.pop() {
-            f(&self.shards[s].journal()[cur[s]]);
-            cur[s] += 1;
-            if let Some(rec) = self.shards[s].journal().get(cur[s]) {
-                heap.push(Reverse((rec.submitted_at, s)));
-            }
-        }
+    /// The live (un-compacted) journal in merged order (see
+    /// [`MergedJournal`]).
+    fn merged(&self) -> MergedJournal<'_> {
+        MergedJournal::new(
+            self.shards
+                .iter()
+                .zip(&self.folded)
+                .map(|(ctl, &folded)| &ctl.journal()[folded..])
+                .collect(),
+        )
     }
 
     /// Streams the merge keys `(submitted_at, shard)` of the live
@@ -258,15 +286,28 @@ impl ShardedController {
     /// allocation bound (the crate itself forbids the `unsafe` a
     /// counting `GlobalAlloc` needs).
     pub fn for_each_merged_key(&self, mut f: impl FnMut(Time, usize)) {
-        self.for_each_merged(|rec| f(rec.submitted_at, rec.shard));
+        self.merged().for_each(|rec| f(rec.submitted_at, rec.shard));
     }
 
-    /// The merged journal as one owned, globally-ordered record list —
-    /// what the model checker enumerates over.
-    pub(crate) fn merged_journal(&self) -> Vec<JournalRecord> {
-        let mut out = Vec::with_capacity(self.shards.iter().map(|c| c.journal_len()).sum());
-        self.for_each_merged(|rec| out.push(rec.clone()));
-        out
+    /// Each shard's live journal length — the per-shard cut a crash
+    /// sweep records when replay pauses at an instant.
+    pub(crate) fn journal_lens(&self) -> Vec<usize> {
+        self.shards.iter().map(|c| c.journal_len()).collect()
+    }
+
+    /// Moves every shard's journal out, in shard order, for a crash
+    /// sweep to cut prefixes from.
+    ///
+    /// # Panics
+    ///
+    /// Panics after journal compaction, like
+    /// [`ShardedController::crash_set`].
+    pub(crate) fn take_journals(&mut self) -> Vec<Vec<JournalRecord>> {
+        assert!(
+            self.compacted == 0,
+            "crash analysis unavailable after journal compaction"
+        );
+        self.shards.iter_mut().map(|c| c.take_journal()).collect()
     }
 
     /// Builds the NVMM image as ADR would leave it for a crash at
@@ -284,14 +325,12 @@ impl ShardedController {
             "crash-time image unavailable after journal compaction"
         );
         let mut img = self.base.clone();
-        self.for_each_merged(|rec| {
-            if let Some(t) = crash_time {
-                if rec.guaranteed_at > t {
-                    return;
-                }
+        for rec in self.merged() {
+            if crash_time.is_some_and(|t| rec.guaranteed_at > t) {
+                continue;
             }
             rec.op.apply(&mut img);
-        });
+        }
         img
     }
 
@@ -308,20 +347,17 @@ impl ShardedController {
             self.compacted == 0,
             "crash analysis unavailable after journal compaction"
         );
-        CrashSet::from_journal(&self.merged_journal(), crash_time)
+        CrashSet::from_journal(self.merged(), crash_time)
     }
 
     /// Persist windows of every live journaled write whose guarantee
     /// arrived strictly after submission, in merged order. After
     /// compaction this covers only the un-folded tail.
     pub fn persist_windows(&self) -> Vec<(Time, Time)> {
-        let mut out = Vec::new();
-        self.for_each_merged(|rec| {
-            if rec.guaranteed_at > rec.submitted_at {
-                out.push((rec.submitted_at, rec.guaranteed_at));
-            }
-        });
-        out
+        self.merged()
+            .filter(|rec| rec.guaranteed_at > rec.submitted_at)
+            .map(|rec| (rec.submitted_at, rec.guaranteed_at))
+            .collect()
     }
 
     /// Folds into the base image every journal record submitted
@@ -493,7 +529,7 @@ mod tests {
             sharded.writeback(LineAddr(i * 4), data(i), i % 3 == 0, t, &mut stats);
             t += Time::from_ns(11);
         }
-        let merged = sharded.merged_journal();
+        let merged: Vec<&JournalRecord> = sharded.merged().collect();
         assert_eq!(merged.len(), sharded.journal_len());
         for w in merged.windows(2) {
             assert!(
@@ -501,16 +537,55 @@ mod tests {
                 "merge key must be non-decreasing"
             );
         }
-        // The streaming traversal must visit the same sequence the
-        // owned list materializes. (The companion allocation-count
-        // assertion — the merge must stream through O(shards) state,
-        // never a journal-proportional buffer — lives in
-        // `tests/merge_streaming.rs`: hooking the allocator needs
-        // `unsafe`, which this crate forbids.)
+        // The public key stream must visit the same sequence. (The
+        // companion allocation-count assertion — the merge must stream
+        // through O(shards) state, never a journal-proportional buffer
+        // — lives in `tests/merge_streaming.rs`: hooking the allocator
+        // needs `unsafe`, which this crate forbids.)
         let mut visited = Vec::new();
-        sharded.for_each_merged(|rec| visited.push((rec.submitted_at, rec.shard)));
+        sharded.for_each_merged_key(|at, shard| visited.push((at, shard)));
         let keys: Vec<_> = merged.iter().map(|r| (r.submitted_at, r.shard)).collect();
         assert_eq!(visited, keys);
+    }
+
+    #[test]
+    fn bounded_merge_is_the_merge_of_journal_prefixes() {
+        let mut sharded = ShardedController::new(&cfg(3));
+        let mut stats = Stats::new(1);
+        let mut t = Time::from_ns(3);
+        let mut cuts = Vec::new();
+        for i in 0..45u64 {
+            sharded.writeback(LineAddr(i * 4), data(i), i % 2 == 0, t, &mut stats);
+            t += Time::from_ns(7);
+            if i % 9 == 4 {
+                cuts.push(sharded.journal_lens());
+            }
+        }
+        let full: Vec<JournalRecord> = sharded.merged().cloned().collect();
+        for cut in cuts {
+            let bounded: Vec<(Time, usize)> = MergedJournal::new(
+                sharded
+                    .shards
+                    .iter()
+                    .zip(&cut)
+                    .map(|(c, &n)| &c.journal()[..n])
+                    .collect(),
+            )
+            .map(|r| (r.submitted_at, r.shard))
+            .collect();
+            // The merge is by key, so a prefix of every shard merges to
+            // the subsequence of the full merge those prefixes contain.
+            let mut seen = vec![0usize; cut.len()];
+            let expect: Vec<(Time, usize)> = full
+                .iter()
+                .filter(|r| {
+                    seen[r.shard] += 1;
+                    seen[r.shard] <= cut[r.shard]
+                })
+                .map(|r| (r.submitted_at, r.shard))
+                .collect();
+            assert_eq!(bounded, expect);
+        }
     }
 
     #[test]

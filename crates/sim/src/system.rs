@@ -41,6 +41,28 @@
 //! wall-clock instant; the post-crash NVMM image is then exactly what ADR
 //! would leave behind (ready write-queue entries included, everything
 //! else lost).
+//!
+//! # Crash sweeps
+//!
+//! [`System::run_crash_sweep`] serves many [`CrashSpec::AtTime`]
+//! instants from one replay. It pauses the event loop at each instant
+//! in ascending order and records each shard's journal length there;
+//! [`CrashSweep::crash_set`] later cuts that instant's crash set from
+//! the merged journal prefixes. This is exact, not an approximation:
+//!
+//! * the `AtTime` check in the replay loop has no side effects, so
+//!   pausing and resuming replays the same event sequence as an
+//!   uninterrupted run;
+//! * the scheduler steps the core with the smallest clock, and that
+//!   minimum never decreases between scheduling points, so the first
+//!   point at or after a later instant is never before the point where
+//!   an earlier instant paused;
+//! * each shard's journal is append-only while a crash is possible
+//!   (compaction is refused), so the prefix recorded at a pause is
+//!   exactly the journal a separate crash run would end with.
+//!
+//! The sweep always replays on the direct (sequential) port; results
+//! are bit-identical at any shard worker count anyway.
 
 use crate::addr::LineAddr;
 use crate::cache::SetAssocCache;
@@ -49,7 +71,7 @@ use crate::controller::{JournalRecord, MemoryController};
 use crate::crashmc::CrashSet;
 use crate::device::WearReport;
 use crate::nvmm::NvmmImage;
-use crate::shard::ShardedController;
+use crate::shard::{MergedJournal, ShardedController};
 use crate::stats::{LatencyHist, Stats};
 use crate::telemetry::{EpochSampler, Timeline};
 use crate::time::Time;
@@ -105,6 +127,67 @@ pub struct RunOutcome {
     /// configured [`SimConfig::cell_endurance`].
     pub wear: WearReport,
 }
+
+/// The crash states of many [`CrashSpec::AtTime`] instants, taken from
+/// one paused replay ([`System::run_crash_sweep`]; see the module docs
+/// for why this equals one crash run per instant).
+#[derive(Debug)]
+pub struct CrashSweep {
+    /// The requested instants, in the caller's order.
+    instants: Vec<Time>,
+    /// Per requested instant: each shard's journal length when replay
+    /// paused there, or `None` when every trace completed first.
+    cuts: Vec<Option<Vec<usize>>>,
+    /// Every shard's journal, in shard order, as far as replay ran.
+    journals: Vec<Vec<JournalRecord>>,
+    /// The completion image, present iff some instant lies after the
+    /// run completed.
+    completed: Option<NvmmImage>,
+}
+
+impl CrashSweep {
+    /// Number of requested instants.
+    pub fn len(&self) -> usize {
+        self.instants.len()
+    }
+
+    /// Whether no instant was requested.
+    pub fn is_empty(&self) -> bool {
+        self.instants.is_empty()
+    }
+
+    /// The crash state a separate crash run at the `i`-th requested
+    /// instant reports as [`RunOutcome::crash_set`]: built from the merged
+    /// journal prefixes recorded at that instant, or `None` when the
+    /// run completed before it (see [`CrashSweep::completed_image`]).
+    pub fn crash_set(&self, i: usize) -> Option<CrashSet> {
+        let cut = self.cuts[i].as_ref()?;
+        let prefixes = self
+            .journals
+            .iter()
+            .zip(cut)
+            .map(|(journal, &n)| &journal[..n])
+            .collect();
+        Some(CrashSet::from_journal(
+            MergedJournal::new(prefixes),
+            self.instants[i],
+        ))
+    }
+
+    /// The completed run's image — what a separate crash run at an
+    /// instant after completion reports as [`RunOutcome::image`].
+    /// `None` when every instant paused the replay before completion.
+    pub fn completed_image(&self) -> Option<&NvmmImage> {
+        self.completed.as_ref()
+    }
+}
+
+/// A [`CrashSweep`] is shared by reference across the model checker's
+/// workers, each extracting its own instants' crash sets.
+const _: () = {
+    const fn assert_sync<T: Sync>() {}
+    assert_sync::<CrashSweep>()
+};
 
 /// A cached data line: payload plus the counter-atomic annotation of the
 /// store that most recently dirtied it.
@@ -915,6 +998,46 @@ impl System {
         (outcome, parity)
     }
 
+    /// Serves one [`CrashSpec::AtTime`] crash per entry of `instants`
+    /// from a single replay: the loop pauses at each instant in
+    /// ascending order (duplicates allowed) and records every shard's
+    /// journal length, and stops after the last instant — or at
+    /// completion, if an instant lies beyond it. Results are indexed in
+    /// the caller's order, and each equals a separate crash run at that
+    /// instant (see the module docs). Always replays on the direct
+    /// port, whatever [`System::with_shard_threads`] says.
+    ///
+    /// # Panics
+    ///
+    /// Panics if journal batching ([`System::with_journal_batch`]) is
+    /// enabled: compaction erases the journal prefixes a sweep cuts.
+    pub fn run_crash_sweep(mut self, instants: &[Time]) -> CrashSweep {
+        assert!(
+            self.front.journal_batch.is_none(),
+            "journal batching is completion-only: crash analysis needs the full journal"
+        );
+        let mut order: Vec<usize> = (0..instants.len()).collect();
+        order.sort_by_key(|&i| instants[i]);
+        let mut cuts = vec![None; instants.len()];
+        let mut completed = false;
+        let mut port = DirectPort::new(&mut self.controller, self.cfg.cores);
+        for i in order {
+            let crash = CrashSpec::AtTime(instants[i]);
+            if self.front.replay(&self.cfg, &mut port, crash).is_none() {
+                completed = true;
+                break;
+            }
+            cuts[i] = Some(port.controller.journal_lens());
+        }
+        let completed = completed.then(|| self.controller.build_image(None));
+        CrashSweep {
+            instants: instants.to_vec(),
+            cuts,
+            journals: self.controller.take_journals(),
+            completed,
+        }
+    }
+
     fn run_inner(mut self, crash: CrashSpec) -> (RunOutcome, ShardedController) {
         assert!(
             self.front.journal_batch.is_none() || crash == CrashSpec::None,
@@ -1337,6 +1460,48 @@ mod tests {
         assert_eq!(par.image.fingerprint(), seq.image.fingerprint());
         assert_eq!(par.stats, seq.stats);
         assert_eq!(par.image.fingerprint(), unbatched.image.fingerprint());
+    }
+
+    /// One paused replay answers every instant exactly as a separate
+    /// crash run does — unsorted and duplicated instants, one before the
+    /// first event and one after completion included.
+    #[test]
+    fn crash_sweep_matches_per_instant_runs() {
+        let cfg = SimConfig::table2(Design::Sca, 2).with_shards(4);
+        let traces = vec![busy_mixed_trace(5, 40), busy_mixed_trace(17, 40)];
+        let end = run_to_completion(cfg.clone(), traces.clone());
+        let mut instants: Vec<Time> = [900, 0, 2_500, 900, 1_700, 400]
+            .into_iter()
+            .map(Time::from_ns)
+            .collect();
+        instants.insert(1, end.stats.runtime + Time::from_ns(1));
+        let sweep = System::new(cfg.clone(), traces.clone()).run_crash_sweep(&instants);
+        assert_eq!(sweep.len(), instants.len());
+        let opts = crate::crashmc::EnumOpts::default();
+        for (i, &t) in instants.iter().enumerate() {
+            let run = System::new(cfg.clone(), traces.clone()).run(CrashSpec::AtTime(t));
+            let swept = sweep.crash_set(i);
+            assert_eq!(swept.is_some(), run.crash_set.is_some(), "at {t}");
+            match (swept, run.crash_set) {
+                (Some(a), Some(b)) => {
+                    let (ea, eb) = (a.enumerate(opts), b.enumerate(opts));
+                    assert_eq!(ea.stats, eb.stats, "at {t}");
+                    let fp = |e: &crate::crashmc::Enumeration| -> Vec<u128> {
+                        e.images.iter().map(|(_, img)| img.fingerprint()).collect()
+                    };
+                    assert_eq!(fp(&ea), fp(&eb), "at {t}");
+                }
+                _ => assert_eq!(
+                    sweep.completed_image().map(NvmmImage::fingerprint),
+                    Some(run.image.fingerprint()),
+                    "at {t}"
+                ),
+            }
+        }
+        assert_eq!(
+            sweep.completed_image().map(NvmmImage::fingerprint),
+            Some(end.image.fingerprint())
+        );
     }
 
     #[test]

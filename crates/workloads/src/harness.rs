@@ -522,11 +522,20 @@ pub struct ModelCheckReport {
     pub baseline_violation: bool,
     /// Greedily minimized failing landing-set, when any image violated.
     pub minimal: Option<MinimalViolation>,
-    /// Wall-clock nanoseconds spent on this model check (simulation,
-    /// enumeration, and recovery verification). Telemetry only: it is
-    /// deliberately ignored by `PartialEq`, so determinism assertions
-    /// comparing two reports still hold.
+    /// Wall-clock nanoseconds spent checking this crash instant:
+    /// crash-set extraction, enumeration, and recovery verification.
+    /// The shared simulation is not included — it is
+    /// [`ModelCheckReport::sweep_wall_ns`] — except on the
+    /// [`CrashSpec::None`] / [`CrashSpec::AfterEvent`] path of
+    /// [`model_check_cfg`], which simulates for this report alone.
+    /// Telemetry only: it is deliberately ignored by `PartialEq`, so
+    /// determinism assertions comparing two reports still hold.
     pub mc_wall_ns: u64,
+    /// Wall-clock nanoseconds of the one execution + crash-sweep
+    /// simulation that every report of one [`model_check_instants_cfg`]
+    /// call shares (the same value on each); 0 when no sweep ran.
+    /// Telemetry only, ignored by `PartialEq`.
+    pub sweep_wall_ns: u64,
     /// Wall-clock nanoseconds of the enumeration phase (the schedule
     /// walk, net of the fused walk's self-reported oracle share when
     /// [`ModelCheckOpts::delta_verify`] is on). Telemetry only, ignored
@@ -541,8 +550,8 @@ pub struct ModelCheckReport {
 
 impl PartialEq for ModelCheckReport {
     fn eq(&self, other: &Self) -> bool {
-        // `mc_wall_ns` is wall-clock telemetry; every semantic field
-        // participates.
+        // The `*_wall_ns` fields are wall-clock telemetry; every
+        // semantic field participates.
         self.stats == other.stats
             && self.images_checked == other.images_checked
             && self.violations == other.violations
@@ -577,27 +586,20 @@ pub fn model_check(
 /// [`model_check`] with a caller-supplied configuration. The image
 /// enumeration and recovery checks within the crash set run on
 /// [`mc_threads`] workers; the report is bit-identical to a
-/// single-threaded run for any worker count.
+/// single-threaded run for any worker count. A
+/// [`CrashSpec::AtTime`] crash is the one-instant case of
+/// [`model_check_instants_cfg`].
 pub fn model_check_cfg(
     spec: &WorkloadSpec,
     config: SimConfig,
     crash: CrashSpec,
     opts: &ModelCheckOpts,
 ) -> ModelCheckReport {
-    model_check_cfg_threads(spec, config, crash, opts, mc_threads())
-}
-
-/// [`model_check_cfg`] with an explicit worker count for the crash
-/// set's enumeration + verification loop. The parallel-over-instants
-/// driver pins this to 1 so the instants themselves carry the
-/// parallelism.
-fn model_check_cfg_threads(
-    spec: &WorkloadSpec,
-    config: SimConfig,
-    crash: CrashSpec,
-    opts: &ModelCheckOpts,
-    threads: usize,
-) -> ModelCheckReport {
+    if let CrashSpec::AtTime(t) = crash {
+        return sweep_check(spec, config, &[t], opts, 1, mc_threads())
+            .pop()
+            .expect("one report per instant");
+    }
     let started = Instant::now();
     let design = config.design;
     let integrity = IntegritySpec::from_config(&config);
@@ -606,54 +608,57 @@ fn model_check_cfg_threads(
     let trace = prepared_trace(&ex, opts);
     let out = System::new(config, vec![trace]).run(crash);
     let mut report = match out.crash_set {
-        Some(set) => {
-            check_crash_set_threads(spec, &ex, &set, key, design, integrity, opts, threads)
-        }
-        None => {
-            // Completed run: exactly one legal image.
-            let verdict = check_image(
-                spec,
-                &ex,
-                &out.image,
-                key,
-                design,
-                integrity,
-                opts.recovery_window,
-            );
-            let failed = verdict.is_err();
-            ModelCheckReport {
-                stats: nvmm_sim::EnumStats {
-                    groups: 0,
-                    groups_pruned: 0,
-                    domains: 0,
-                    masks_explored: 1,
-                    images_unique: 1,
-                    images_deduped: 0,
-                    exhaustive: true,
-                },
-                images_checked: 1,
-                violations: failed as usize,
-                baseline_violation: failed,
-                minimal: verdict.err().map(|error| MinimalViolation {
-                    landed: Vec::new(),
-                    error,
-                }),
-                mc_wall_ns: 0,
-                enumerate_wall_ns: 0,
-                verify_wall_ns: 0,
-            }
-        }
+        Some(set) => check_crash_set(spec, &ex, &set, key, design, integrity, opts),
+        None => completed_report(check_image(
+            spec,
+            &ex,
+            &out.image,
+            key,
+            design,
+            integrity,
+            opts.recovery_window,
+        )),
     };
     report.mc_wall_ns = started.elapsed().as_nanos() as u64;
     report
 }
 
-/// Model-checks `spec` at every crash instant in `instants`, fanning
-/// the instants out over [`mc_threads`] scoped workers. Each instant's
-/// job simulates its crash and checks its crash set sequentially
-/// (inner enumeration worker count pinned to 1), so the reports come
-/// back in instant order and are bit-identical to checking the
-/// instants one by one — whatever `NVMM_MC_THREADS` says.
+/// The report for a run that completed before its crash: exactly one
+/// legal image, judged by `verdict`.
+fn completed_report(verdict: Result<CrashCheckOutcome, ConsistencyError>) -> ModelCheckReport {
+    let failed = verdict.is_err();
+    ModelCheckReport {
+        stats: nvmm_sim::EnumStats {
+            groups: 0,
+            groups_pruned: 0,
+            domains: 0,
+            masks_explored: 1,
+            images_unique: 1,
+            images_deduped: 0,
+            exhaustive: true,
+        },
+        images_checked: 1,
+        violations: failed as usize,
+        baseline_violation: failed,
+        minimal: verdict.err().map(|error| MinimalViolation {
+            landed: Vec::new(),
+            error,
+        }),
+        mc_wall_ns: 0,
+        sweep_wall_ns: 0,
+        enumerate_wall_ns: 0,
+        verify_wall_ns: 0,
+    }
+}
+
+/// Model-checks `spec` at every crash instant in `instants` with one
+/// simulation: the workload executes once, one
+/// [`System::run_crash_sweep`] replay pauses at every instant, and the
+/// instants fan out over [`mc_threads`] scoped workers, each cutting
+/// its instant's crash set from the sweep and checking it sequentially
+/// (inner enumeration worker count pinned to 1). The reports come back
+/// in instant order and are bit-identical to simulating and checking
+/// the instants one by one — whatever `NVMM_MC_THREADS` says.
 pub fn model_check_instants(
     spec: &WorkloadSpec,
     design: Design,
@@ -670,8 +675,52 @@ pub fn model_check_instants_cfg(
     instants: &[Time],
     opts: &ModelCheckOpts,
 ) -> Vec<ModelCheckReport> {
-    run_parallel(mc_threads(), instants, |&t| {
-        model_check_cfg_threads(spec, config.clone(), CrashSpec::AtTime(t), opts, 1)
+    sweep_check(spec, config, instants, opts, mc_threads(), 1)
+}
+
+/// The shared body of [`model_check_instants_cfg`] and the
+/// [`CrashSpec::AtTime`] case of [`model_check_cfg`]: one execution,
+/// one crash sweep, then `outer` workers over the instants with `inner`
+/// workers inside each crash set. Each worker extracts its crash set on
+/// demand, so at most `outer` crash sets are alive at once.
+fn sweep_check(
+    spec: &WorkloadSpec,
+    config: SimConfig,
+    instants: &[Time],
+    opts: &ModelCheckOpts,
+    outer: usize,
+    inner: usize,
+) -> Vec<ModelCheckReport> {
+    let started = Instant::now();
+    let design = config.design;
+    let integrity = IntegritySpec::from_config(&config);
+    let key = config.key;
+    let ex = execute(spec, 0, spec.ops);
+    let trace = prepared_trace(&ex, opts);
+    let sweep = System::new(config, vec![trace]).run_crash_sweep(instants);
+    let sweep_wall_ns = started.elapsed().as_nanos() as u64;
+    let jobs: Vec<usize> = (0..sweep.len()).collect();
+    run_parallel(outer, &jobs, |&i| {
+        let started = Instant::now();
+        let mut report = match sweep.crash_set(i) {
+            Some(set) => {
+                check_crash_set_threads(spec, &ex, &set, key, design, integrity, opts, inner)
+            }
+            None => completed_report(check_image(
+                spec,
+                &ex,
+                sweep
+                    .completed_image()
+                    .expect("an instant without a crash set lies after completion"),
+                key,
+                design,
+                integrity,
+                opts.recovery_window,
+            )),
+        };
+        report.mc_wall_ns = started.elapsed().as_nanos() as u64;
+        report.sweep_wall_ns = sweep_wall_ns;
+        report
     })
 }
 
@@ -782,6 +831,7 @@ fn check_crash_set_threads(
         baseline_violation,
         minimal,
         mc_wall_ns: started.elapsed().as_nanos() as u64,
+        sweep_wall_ns: 0,
         enumerate_wall_ns,
         verify_wall_ns,
     }

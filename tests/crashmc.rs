@@ -8,10 +8,11 @@
 //! instants where writes are observably in flight.
 
 use nvmm::sim::config::{Design, IntegrityPolicy, SimConfig};
-use nvmm::sim::system::CrashSpec;
+use nvmm::sim::system::{CrashSpec, System};
+use nvmm::sim::{IntegritySpec, Time, Trace, TraceEvent};
 use nvmm::workloads::{
-    crash_instants, crash_instants_cfg, execute, model_check, model_check_cfg, ModelCheckOpts,
-    WorkloadKind, WorkloadSpec,
+    check_crash_set, crash_instants, crash_instants_cfg, execute, model_check, model_check_cfg,
+    model_check_instants_cfg, ModelCheckOpts, ModelCheckReport, WorkloadKind, WorkloadSpec,
 };
 
 fn opts(max_images: usize) -> ModelCheckOpts {
@@ -470,32 +471,102 @@ fn delta_verified_harness_matches_full_pass() {
     }
 }
 
-/// The parallel-over-instants driver returns, in instant order, exactly
-/// the reports the sequential per-instant loop produces — including the
-/// minimized witness on a violating configuration.
+/// The superseded per-instant path, kept as the oracle for the crash
+/// sweep: execute, simulate from time zero to the instant, check the
+/// crash set — or, when the run completes first, check its one image
+/// exactly as a crash-free model check does.
+fn per_instant_oracle(
+    spec: &WorkloadSpec,
+    cfg: &SimConfig,
+    t: Time,
+    o: &ModelCheckOpts,
+) -> ModelCheckReport {
+    let ex = execute(spec, 0, spec.ops);
+    let trace: Trace = ex
+        .pm
+        .trace()
+        .events()
+        .iter()
+        .filter(|e| {
+            !(o.strip_counter_writebacks && matches!(e, TraceEvent::CounterCacheWriteback { .. }))
+        })
+        .cloned()
+        .collect();
+    let out = System::new(cfg.clone(), vec![trace]).run(CrashSpec::AtTime(t));
+    match out.crash_set {
+        Some(set) => check_crash_set(
+            spec,
+            &ex,
+            &set,
+            cfg.key,
+            cfg.design,
+            IntegritySpec::from_config(cfg),
+            o,
+        ),
+        None => model_check_cfg(spec, cfg.clone(), CrashSpec::None, o),
+    }
+}
+
+/// The one-simulation sweep returns, in the caller's instant
+/// order, exactly the reports of a per-instant simulate-then-check loop
+/// — minimized witnesses included — for every workload under FCA, SCA,
+/// SCA+strict, SCA+strict with the injected tree bug, and SCA without
+/// counter-cache write-backs. The instants are unsorted and duplicated,
+/// and include one at time zero (before any event runs) and one after
+/// the run completes.
 #[test]
 fn model_check_instants_matches_sequential_loop() {
-    let spec = WorkloadSpec::smoke(WorkloadKind::Queue).with_ops(4);
-    let o = opts(16);
-    let instants = crash_instants(&spec, Design::Sca, &o, 4);
-    assert!(!instants.is_empty());
-    let batch = nvmm::workloads::model_check_instants(&spec, Design::Sca, &instants, &o);
-    assert_eq!(batch.len(), instants.len());
-    for (rep, &t) in batch.iter().zip(&instants) {
-        let seq = model_check(&spec, Design::Sca, CrashSpec::AtTime(t), &o);
-        assert_eq!(*rep, seq, "at {t}: batch and sequential reports diverge");
-    }
-
-    // Violating path: witnesses must agree too.
-    let o = ModelCheckOpts {
+    let strict = SimConfig::single_core(Design::Sca).with_integrity(IntegrityPolicy::Strict);
+    let stripped = ModelCheckOpts {
         strip_counter_writebacks: true,
         ..opts(16)
     };
-    let instants = crash_instants(&spec, Design::Sca, &o, 3);
-    let batch = nvmm::workloads::model_check_instants(&spec, Design::Sca, &instants, &o);
-    for (rep, &t) in batch.iter().zip(&instants) {
-        let seq = model_check(&spec, Design::Sca, CrashSpec::AtTime(t), &o);
-        assert_eq!(rep.minimal, seq.minimal, "at {t}: witnesses diverge");
-        assert_eq!(*rep, seq);
+    let rows = [
+        ("FCA", SimConfig::single_core(Design::Fca), opts(16)),
+        ("SCA", SimConfig::single_core(Design::Sca), opts(16)),
+        ("SCA+strict", strict.clone(), opts(16)),
+        ("SCA+strict+tree-bug", strict.with_tree_bug(), opts(16)),
+        (
+            "SCA w/o ccwb",
+            SimConfig::single_core(Design::Sca),
+            stripped,
+        ),
+    ];
+    let mut witnesses = 0;
+    for kind in WorkloadKind::ALL {
+        let spec = WorkloadSpec::smoke(kind).with_ops(3);
+        for (label, cfg, o) in &rows {
+            let mut instants = crash_instants_cfg(&spec, cfg.clone(), o, 3);
+            assert!(!instants.is_empty(), "{kind} under {label}: no instants");
+            instants.reverse();
+            instants.push(instants[0]);
+            instants.insert(1, Time::from_ns(1_000_000_000));
+            instants.push(Time::ZERO);
+            let batch = model_check_instants_cfg(&spec, cfg.clone(), &instants, o);
+            assert_eq!(batch.len(), instants.len());
+            for (rep, &t) in batch.iter().zip(&instants) {
+                let oracle = per_instant_oracle(&spec, cfg, t, o);
+                assert_eq!(
+                    rep.minimal, oracle.minimal,
+                    "{kind} under {label} at {t}: witnesses diverge"
+                );
+                assert_eq!(
+                    *rep, oracle,
+                    "{kind} under {label} at {t}: sweep and per-instant reports diverge"
+                );
+                witnesses += rep.minimal.is_some() as usize;
+            }
+            // The one-instant case of the same code agrees too.
+            let t = instants[0];
+            assert_eq!(
+                model_check_cfg(&spec, cfg.clone(), CrashSpec::AtTime(t), o),
+                batch[0],
+                "{kind} under {label} at {t}: model_check_cfg diverges"
+            );
+        }
     }
+    assert!(
+        witnesses > 0,
+        "no violating instant exercised the witnesses"
+    );
 }

@@ -309,6 +309,86 @@ proptest! {
     }
 }
 
+/// Enumerated image fingerprints (in enumeration order) and stats of a
+/// crash set — everything the model checker consumes from it.
+fn enumerated(set: &nvmm::sim::CrashSet) -> (Vec<u128>, nvmm::sim::EnumStats) {
+    let en = set.enumerate(nvmm::sim::EnumOpts {
+        max_images: 32,
+        ..nvmm::sim::EnumOpts::default()
+    });
+    let prints = en.images.iter().map(|(_, img)| img.fingerprint()).collect();
+    (prints, en.stats)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 8, ..ProptestConfig::default() })]
+
+    /// One crash sweep over a multi-core, multi-shard strict-integrity
+    /// run answers every instant exactly as a separate crash run does:
+    /// the min-clock pause lands on the same scheduling point and the
+    /// merged shard-journal prefixes yield the same crash set, and an
+    /// instant past the end yields the crash-free image. Instants mix
+    /// in-flight window midpoints with uniform picks across (and past)
+    /// the run, unsorted and possibly duplicated.
+    #[test]
+    fn crash_sweep_matches_per_instant_crash_runs(
+        seed in 0u64..1_000_000,
+        kind_ix in 0usize..3,
+        picks in prop::collection::vec(0u64..1_000_000, 4..8),
+    ) {
+        let kind = [WorkloadKind::HashTable, WorkloadKind::Queue, WorkloadKind::ArraySwap][kind_ix];
+        let mut spec = WorkloadSpec::smoke(kind).with_ops(4);
+        spec.seed = seed;
+        let cores = 4;
+        let cfg = SimConfig::table2(Design::Sca, cores)
+            .with_shards(2)
+            .with_integrity(IntegrityPolicy::Strict);
+        let traces = traces_for_cores(&spec, cores);
+        let end = System::new(cfg.clone(), traces.clone()).run(CrashSpec::None);
+        let windows = &end.persist_windows;
+        prop_assert!(!windows.is_empty(), "no write was ever in flight");
+        let span = end.stats.runtime.0 + end.stats.runtime.0 / 8 + 1;
+        let mut instants: Vec<Time> = picks
+            .iter()
+            .enumerate()
+            .map(|(j, &p)| {
+                if j % 2 == 0 {
+                    let (s, g) = windows[p as usize % windows.len()];
+                    Time::from_ps(s.0 + (g.0 - s.0) / 2)
+                } else {
+                    Time::from_ps(p * span / 1_000_000)
+                }
+            })
+            .collect();
+        // One instant always lies past the end, at a random position.
+        let past = end.stats.runtime + Time::from_ns(1);
+        instants.insert(picks[0] as usize % (instants.len() + 1), past);
+        let sweep = System::new(cfg.clone(), traces.clone()).run_crash_sweep(&instants);
+        prop_assert_eq!(sweep.len(), instants.len());
+        for (i, &t) in instants.iter().enumerate() {
+            let run = System::new(cfg.clone(), traces.clone())
+                .with_shard_threads(1)
+                .run(CrashSpec::AtTime(t));
+            match (sweep.crash_set(i), run.crash_set) {
+                (Some(swept), Some(single)) => {
+                    prop_assert_eq!(swept.crash_time(), t);
+                    prop_assert_eq!(enumerated(&swept), enumerated(&single), "at {}", t);
+                }
+                (None, None) => prop_assert_eq!(
+                    sweep.completed_image().map(|img| img.fingerprint()),
+                    Some(end.image.fingerprint()),
+                    "at {}", t
+                ),
+                (swept, single) => prop_assert!(
+                    false,
+                    "at {}: sweep paused = {}, crash run paused = {}",
+                    t, swept.is_some(), single.is_some()
+                ),
+            }
+        }
+    }
+}
+
 /// Cross-thread determinism over every integrity policy, pinned (the
 /// fuzz above samples; this leaves no policy to chance): each of the
 /// six non-trivial policies — and the no-integrity baseline — replays
