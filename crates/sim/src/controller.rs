@@ -158,7 +158,10 @@ impl JournalOp {
     /// `earlier` would have written — used by the model checker's
     /// shadowing prune. Same-target full-line writes of the same shape
     /// qualify; a co-located write additionally updates the in-line
-    /// counter, so only another co-located write covers it.
+    /// counter, so only another co-located write covers it. The crash
+    /// cursor answers this from a per-target index of the largest keys
+    /// (`crashmc::Cover`); this pairwise form is the reference oracle's.
+    #[cfg(test)]
     pub(crate) fn covers(&self, earlier: &JournalOp) -> bool {
         if self.target() != earlier.target() {
             return false;
@@ -1080,7 +1083,7 @@ impl MemoryController {
     /// baseline image (no in-flight entry lands) equals
     /// [`MemoryController::build_image`] for the same instant.
     pub fn crash_set(&self, crash_time: Time) -> crate::crashmc::CrashSet {
-        crate::crashmc::CrashSet::from_journal(&self.journal, crash_time)
+        crate::crashmc::CrashSet::from_journal(&[&self.journal], crash_time)
     }
 
     /// The `(submitted_at, guaranteed_at)` window of every journaled

@@ -61,13 +61,24 @@
 //! Candidate images at one crash instant differ only in which in-flight
 //! choice groups land, yet the original enumerator replayed the *whole*
 //! journal into a fresh [`NvmmImage`] per mask. `ImageOverlay` instead
-//! builds the guaranteed base image once and walks the cut schedule by
-//! applying/undoing only the ops of the groups whose cut changed. Each
-//! image cell (a data line, a co-located counter, a counter line, a MAC
-//! line, a tree node) tracks the journal indices of its currently landed
-//! writers; the visible value is always the one with the highest
-//! submission index — exactly what submission-order replay produces — so
-//! the walked image is bit-identical to the eager one at every step.
+//! starts from the set's guaranteed base image and walks the cut
+//! schedule by applying/undoing only the ops of the groups whose cut
+//! changed. Each image cell (a data line, a co-located counter, a
+//! counter line, a MAC line, a tree node) tracks its currently landed
+//! writers; the visible value is always the one with the largest merge
+//! key — exactly what merged-order replay produces — so the walked image
+//! is bit-identical to the eager one at every step.
+//!
+//! ## One base image per sweep
+//!
+//! A [`CrashSet`] stores that base image rather than the journal prefix,
+//! and a `CrashCursor` builds the sets of ascending crash instants
+//! incrementally: records are admitted as instants reach their
+//! submission, folded into one carried base image as instants reach
+//! their guarantee, and only the in-flight remainder is regrouped per
+//! instant. A model-check worker advances one cursor through its run of
+//! instants, so a crash set costs the records new since the previous
+//! instant, not the whole prefix.
 //! With [`NvmmImage::fingerprint`] maintained incrementally inside the
 //! image, one odometer step costs O(ops of the changed group) instead of
 //! O(journal length).
@@ -81,15 +92,17 @@
 //! `fig_mc_perf` baseline hold the two implementations against each
 //! other.
 
-use crate::addr::{CounterLineAddr, LineAddr, MacLineAddr, TreeNodeAddr};
+use crate::addr::{CounterLineAddr, LineAddr, MacLineAddr, NvmmTarget, TreeNodeAddr};
 use crate::controller::{JournalOp, JournalRecord};
 use crate::integrity::{AttackVerdict, DeltaVerifier, FreshnessRef, IntegritySpec};
 use crate::nvmm::NvmmImage;
-use crate::parallel::run_parallel;
+use crate::parallel::{chunk_ranges, run_parallel};
 use crate::time::Time;
 use fxhash::{FxHashMap, FxHashSet};
 use nvmm_crypto::engine::EncryptionEngine;
 use nvmm_crypto::mac::MacEngine;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::time::Instant;
 
 /// The serialized hardware mechanism that produced a write's guarantee
@@ -213,32 +226,42 @@ fn splitmix64(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// How one journaled write participates in the crash state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Fate {
-    /// Ready before the crash: in every legal image.
-    Guaranteed,
-    /// In flight: lands iff its choice group's mask bit is set.
-    Choice(usize),
-    /// In flight but shadowed by a later guaranteed write to the same
-    /// target — landing or not yields the same image, so it is fixed
-    /// (as not landing) rather than explored.
-    Pruned,
-}
+/// A journal record's place in the merged journal: `(running maximum of
+/// submitted_at over its shard's journal up to it, shard, position in
+/// that shard's journal)`. The shard journals' k-way merge always pops
+/// the head with the smallest `(submitted_at, shard)`, which orders
+/// records exactly by this key (see [`CrashCursor`]); on a journal
+/// nondecreasing in `submitted_at` the running maximum is
+/// `submitted_at` itself. A record's key depends only on the records
+/// before it in its own shard, so it never changes as prefixes grow.
+pub(crate) type MergeKey = (Time, usize, usize);
 
+/// One in-flight write of a live choice group.
 #[derive(Debug, Clone)]
 struct Entry {
+    key: MergeKey,
+    /// The choice group: lands iff this mask bit is set.
+    group: usize,
     op: JournalOp,
-    fate: Fate,
 }
 
 /// The set of NVMM images ADR permits for a crash at one instant.
 #[derive(Debug, Clone)]
 pub struct CrashSet {
     crash_time: Time,
-    /// Surviving journal prefix (submitted before the crash), in
-    /// submission order.
+    /// The guaranteed base image — the all-miss corner. Each cell holds
+    /// its guaranteed writer with the largest merge key, which is what
+    /// merged-order replay of the guaranteed writes leaves.
+    base: NvmmImage,
+    /// Journal records guaranteed at the crash instant (all in `base`).
+    guaranteed: usize,
+    /// In-flight writes of the live choice groups, in merge-key order.
+    /// Writes of pruned groups never land, so they are not kept.
     entries: Vec<Entry>,
+    /// For each cell an entry writes, the merge key of the cell's base
+    /// writer (absent: none). An entry keyed below its cell's base
+    /// writer never shows in that cell.
+    base_writers: FxHashMap<CellKey, MergeKey>,
     /// Number of active (unpruned) choice groups.
     groups: usize,
     /// Choice groups eliminated by shadow pruning.
@@ -283,117 +306,18 @@ pub struct EnumStats {
 }
 
 impl CrashSet {
-    /// Builds the crash state for a crash at `crash_time` from the
-    /// journal records in submission (merged) order, borrowed — a
-    /// controller's journal, or a merged stream of shard journal
-    /// prefixes.
-    pub(crate) fn from_journal<'a>(
-        journal: impl IntoIterator<Item = &'a JournalRecord>,
-        crash_time: Time,
-    ) -> Self {
-        // Pair ids are allocated per shard (each controller counts from
-        // zero), so the same id on two shards names two unrelated pairs;
-        // keying by (shard, pair) keeps their choice groups distinct.
-        let mut pair_groups: FxHashMap<(usize, u64), usize> = FxHashMap::default();
-        let mut entries: Vec<Entry> = Vec::new();
-        // Per provisional group: (shard, domain, guarantee point, first
-        // entry). Each shard's controller has its own pairing
-        // coordinator and queues, so (shard, domain) — not domain alone
-        // — names one serialized mechanism.
-        let mut info: Vec<(usize, Domain, Time, usize)> = Vec::new();
-        let mut max_shard = 0usize;
-        for rec in journal {
-            if rec.submitted_at > crash_time {
-                continue;
-            }
-            max_shard = max_shard.max(rec.shard);
-            let idx = entries.len();
-            let fate = if rec.guaranteed_at <= crash_time {
-                Fate::Guaranteed
-            } else {
-                let g = match rec.pair {
-                    Some(p) => *pair_groups.entry((rec.shard, p)).or_insert_with(|| {
-                        info.push((rec.shard, rec.domain, rec.guaranteed_at, idx));
-                        info.len() - 1
-                    }),
-                    None => {
-                        info.push((rec.shard, rec.domain, rec.guaranteed_at, idx));
-                        info.len() - 1
-                    }
-                };
-                Fate::Choice(g)
-            };
-            entries.push(Entry {
-                op: rec.op.clone(),
-                fate,
-            });
-        }
+    /// Builds the crash state for a crash at `crash_time` from whole
+    /// journals, one slice per shard in shard order: a fresh
+    /// [`CrashCursor`] advanced once.
+    pub(crate) fn from_journal(journals: &[&[JournalRecord]], crash_time: Time) -> Self {
+        let cut: Vec<usize> = journals.iter().map(|j| j.len()).collect();
+        CrashCursor::new(journals.to_vec()).advance(crash_time, &cut)
+    }
 
-        // Shadow prune: walking backwards, an in-flight write whose
-        // target is fully overwritten by a *later guaranteed* write
-        // cannot influence the image. A group is pruned only when every
-        // member is shadowed (a half-shadowed CA pair still matters).
-        let mut shadowed: Vec<bool> = vec![false; entries.len()];
-        let mut covered: Vec<JournalOp> = Vec::new();
-        for (i, e) in entries.iter().enumerate().rev() {
-            match e.fate {
-                Fate::Guaranteed => covered.push(e.op.clone()),
-                Fate::Choice(_) => {
-                    shadowed[i] = covered.iter().any(|later| later.covers(&e.op));
-                }
-                Fate::Pruned => unreachable!("pruning happens below"),
-            }
-        }
-        let mut group_live: Vec<bool> = vec![false; info.len()];
-        for (i, e) in entries.iter().enumerate() {
-            if let Fate::Choice(g) = e.fate {
-                if !shadowed[i] {
-                    group_live[g] = true;
-                }
-            }
-        }
-        // Renumber the live groups densely so masks stay small.
-        let mut renumber: Vec<Option<usize>> = vec![None; info.len()];
-        let mut live = 0usize;
-        for (g, &alive) in group_live.iter().enumerate() {
-            if alive {
-                renumber[g] = Some(live);
-                live += 1;
-            }
-        }
-        for e in &mut entries {
-            if let Fate::Choice(g) = e.fate {
-                e.fate = match renumber[g] {
-                    Some(n) => Fate::Choice(n),
-                    None => Fate::Pruned,
-                };
-            }
-        }
-        // Guarantee order per (shard, domain) over the surviving
-        // groups, shard-major. Ties (identical accept instants) fall
-        // back to submission order, which is the queues' FIFO order.
-        // With one shard this is exactly the four DOMAINS lists of the
-        // pre-sharding checker.
-        let domain_order = (0..=max_shard)
-            .flat_map(|s| DOMAINS.iter().map(move |&d| (s, d)))
-            .map(|(s, d)| {
-                let mut in_domain: Vec<(Time, usize, usize)> = info
-                    .iter()
-                    .enumerate()
-                    .filter(|&(_, &(gs, gd, _, _))| gs == s && gd == d)
-                    .filter_map(|(g, &(_, _, at, first))| renumber[g].map(|n| (at, first, n)))
-                    .collect();
-                in_domain.sort_unstable_by_key(|&(at, first, _)| (at, first));
-                in_domain.into_iter().map(|(_, _, n)| n).collect()
-            })
-            .collect();
-        Self {
-            crash_time,
-            entries,
-            groups: live,
-            pruned_groups: info.len() - live,
-            domain_order,
-        }
+    /// Whether `key`'s write to `cell` shows over the cell's base
+    /// writer.
+    fn beats_base(&self, cell: CellKey, key: MergeKey) -> bool {
+        self.base_writers.get(&cell).is_none_or(|&w| key > w)
     }
 
     /// The crash instant this set models.
@@ -418,18 +342,12 @@ impl CrashSet {
 
     /// Journal entries guaranteed at the crash instant.
     pub fn guaranteed_len(&self) -> usize {
-        self.entries
-            .iter()
-            .filter(|e| e.fate == Fate::Guaranteed)
-            .count()
+        self.guaranteed
     }
 
     /// In-flight journal entries still subject to choice.
     pub fn in_flight_len(&self) -> usize {
-        self.entries
-            .iter()
-            .filter(|e| matches!(e.fate, Fate::Choice(_)))
-            .count()
+        self.entries.len()
     }
 
     /// Number of legal images before dedupe: the product over domains of
@@ -489,8 +407,10 @@ impl CrashSet {
         }
     }
 
-    /// Materializes the image for one landing mask, applying surviving
-    /// writes in submission order.
+    /// Materializes the image for one landing mask: the base image with
+    /// the landed in-flight writes applied in merge-key order, each cell
+    /// keeping its largest-key writer — what merged-order replay of the
+    /// surviving writes leaves.
     ///
     /// # Panics
     ///
@@ -498,15 +418,12 @@ impl CrashSet {
     /// groups.
     pub fn image(&self, mask: &LandMask) -> NvmmImage {
         assert_eq!(mask.len(), self.groups, "mask/group arity mismatch");
-        let mut img = NvmmImage::new();
-        for e in &self.entries {
-            let lands = match e.fate {
-                Fate::Guaranteed => true,
-                Fate::Choice(g) => mask.get(g),
-                Fate::Pruned => false,
-            };
-            if lands {
-                e.op.apply(&mut img);
+        let mut img = self.base.clone();
+        for e in self.entries.iter().filter(|e| mask.get(e.group)) {
+            for cell in op_cells(&e.op) {
+                if self.beats_base(cell, e.key) {
+                    write_cell(&mut img, cell, &e.op);
+                }
             }
         }
         img
@@ -905,21 +822,6 @@ impl CutSchedule {
     }
 }
 
-/// Splits `0..n` into up to `parts` contiguous, near-equal ranges.
-fn chunk_ranges(n: usize, parts: usize) -> Vec<(usize, usize)> {
-    let parts = parts.clamp(1, n.max(1));
-    let base = n / parts;
-    let extra = n % parts;
-    let mut out = Vec::with_capacity(parts);
-    let mut start = 0;
-    for p in 0..parts {
-        let len = base + usize::from(p < extra);
-        out.push((start, start + len));
-        start += len;
-    }
-    out
-}
-
 /// The cell granularity the overlay applies and undoes writes at: one
 /// key per independently-overwritable image entry. A [`JournalOp`]
 /// touches one cell, except a co-located write (data cell plus
@@ -935,9 +837,10 @@ pub(crate) enum CellKey {
     Tree(TreeNodeAddr),
 }
 
-/// The cells `op` writes: (primary, optional co-located counter half).
-fn op_cells(op: &JournalOp) -> (CellKey, Option<CellKey>) {
-    match op {
+/// The cells `op` writes: its primary cell, then the co-located counter
+/// half or the packed MAC half, if any.
+fn op_cells(op: &JournalOp) -> impl Iterator<Item = CellKey> {
+    let (primary, second) = match op {
         JournalOp::Plain { line, .. } | JournalOp::Encrypted { line, .. } => {
             (CellKey::Data(*line), None)
         }
@@ -949,7 +852,8 @@ fn op_cells(op: &JournalOp) -> (CellKey, Option<CellKey>) {
             CellKey::Ctr(*cline),
             Some(CellKey::Mac(MacLineAddr(cline.0))),
         ),
-    }
+    };
+    std::iter::once(primary).chain(second)
 }
 
 /// Writes the `key` half of `op` into `img`. The data half of a
@@ -995,53 +899,29 @@ fn write_cell(img: &mut NvmmImage, key: CellKey, op: &JournalOp) {
     }
 }
 
-/// Restores `key` to the never-written state.
-fn clear_cell(img: &mut NvmmImage, key: CellKey) {
-    match key {
-        CellKey::Data(l) => img.remove_data(l),
-        CellKey::Co(l) => img.remove_co_located_counter(l),
-        CellKey::Ctr(c) => img.remove_counter_line(c),
-        CellKey::Mac(m) => img.remove_mac_line(m),
-        CellKey::Tree(t) => img.remove_tree_node(t),
-    }
-}
-
-/// Per-cell landing state: the guaranteed writer (if any) plus the
-/// currently landed in-flight writers, as ascending journal indices.
-/// The visible value is the writer with the highest index — the same
-/// winner submission-order replay produces.
-#[derive(Debug, Clone, Default)]
-struct CellState {
-    /// Highest guaranteed journal index writing this cell, if any.
-    base: Option<usize>,
-    /// Landed in-flight journal indices, ascending. Tiny in practice
-    /// (a cell is touched by few in-flight groups at once).
-    active: Vec<usize>,
-}
-
-impl CellState {
-    fn winner(&self) -> Option<usize> {
-        self.active.last().copied().max(self.base)
-    }
-}
-
 /// An incrementally maintained candidate image for one [`CrashSet`].
 ///
-/// Construction replays the guaranteed entries once (the base image,
-/// mask all-miss); [`ImageOverlay::goto`] then moves between cut
-/// vectors by applying/undoing only the ops of the choice groups whose
-/// cut changed, rewriting each touched cell from its new winning
-/// journal entry. [`verify_image_with`](crate::integrity::
-/// verify_image_with) and recovery read the current image through
-/// [`ImageOverlay::image`] without the base ever being cloned; a clone
-/// is taken only when a new fingerprint is retained for the result set.
+/// Construction clones the set's base image (the all-miss corner);
+/// [`ImageOverlay::goto`] then moves between cut vectors by
+/// applying/undoing only the ops of the choice groups whose cut
+/// changed. Each cell an in-flight write can show in tracks its landed
+/// writers; the visible value is the largest-key one, or the base value
+/// when none has landed — the same winner merged-order replay produces.
+/// [`verify_image_with`](crate::integrity::verify_image_with) and
+/// recovery read the current image through [`ImageOverlay::image`]; a
+/// clone is taken only when a new fingerprint is retained for the
+/// result set.
 pub(crate) struct ImageOverlay<'a> {
     set: &'a CrashSet,
     img: NvmmImage,
-    cells: Vec<CellState>,
+    /// Per cell: the landed entry indices (ascending, so ascending in
+    /// merge key) of writes that beat the cell's base writer. Tiny in
+    /// practice (a cell is touched by few in-flight groups at once).
+    landed: Vec<Vec<usize>>,
     cell_keys: Vec<CellKey>,
-    /// `(cell, journal index)` touches of each choice group, in
-    /// submission order.
+    /// `(cell, entry index)` touches of each choice group, in merge-key
+    /// order. Writes keyed below their cell's base writer never show,
+    /// so they are left out.
     group_touches: Vec<Vec<(usize, usize)>>,
     cuts: Vec<usize>,
     mask: LandMask,
@@ -1053,49 +933,25 @@ pub(crate) struct ImageOverlay<'a> {
 }
 
 impl<'a> ImageOverlay<'a> {
-    /// Builds the guaranteed base image (the all-miss corner) and the
-    /// per-cell/per-group indexes the walk needs.
+    /// Clones the base image (the all-miss corner) and builds the
+    /// per-cell/per-group indexes the walk needs, in O(in-flight
+    /// writes).
     pub(crate) fn new(set: &'a CrashSet) -> Self {
         let mut cell_ids: FxHashMap<CellKey, usize> = FxHashMap::default();
-        let mut cells: Vec<CellState> = Vec::new();
         let mut cell_keys: Vec<CellKey> = Vec::new();
         let mut group_touches: Vec<Vec<(usize, usize)>> = vec![Vec::new(); set.groups];
-        let mut img = NvmmImage::new();
-        let mut intern = |key: CellKey, cells: &mut Vec<CellState>, keys: &mut Vec<CellKey>| {
-            *cell_ids.entry(key).or_insert_with(|| {
-                cells.push(CellState::default());
-                keys.push(key);
-                cells.len() - 1
-            })
-        };
         for (i, e) in set.entries.iter().enumerate() {
-            let (a, b) = op_cells(&e.op);
-            match e.fate {
-                Fate::Guaranteed => {
-                    // Entries ascend, so the last assignment wins — the
-                    // base winner is the highest guaranteed index.
-                    let ca = intern(a, &mut cells, &mut cell_keys);
-                    cells[ca].base = Some(i);
-                    if let Some(b) = b {
-                        let cb = intern(b, &mut cells, &mut cell_keys);
-                        cells[cb].base = Some(i);
-                    }
-                    e.op.apply(&mut img);
-                }
-                Fate::Choice(g) => {
-                    let ca = intern(a, &mut cells, &mut cell_keys);
-                    group_touches[g].push((ca, i));
-                    if let Some(b) = b {
-                        let cb = intern(b, &mut cells, &mut cell_keys);
-                        group_touches[g].push((cb, i));
-                    }
-                }
-                Fate::Pruned => {}
+            for cell in op_cells(&e.op).filter(|&cell| set.beats_base(cell, e.key)) {
+                let id = *cell_ids.entry(cell).or_insert_with(|| {
+                    cell_keys.push(cell);
+                    cell_keys.len() - 1
+                });
+                group_touches[e.group].push((id, i));
             }
         }
         Self {
-            img,
-            cells,
+            img: set.base.clone(),
+            landed: vec![Vec::new(); cell_keys.len()],
             cell_keys,
             group_touches,
             cuts: vec![0; set.domain_order.len()],
@@ -1138,45 +994,41 @@ impl<'a> ImageOverlay<'a> {
         self.mask.set(g, true);
         for t in 0..self.group_touches[g].len() {
             let (cell, entry) = self.group_touches[g][t];
-            let st = &mut self.cells[cell];
-            let prev = st.winner();
-            if let Err(pos) = st.active.binary_search(&entry) {
-                st.active.insert(pos, entry);
+            let landed = &mut self.landed[cell];
+            let shows = landed.last().is_none_or(|&w| entry > w);
+            if let Err(pos) = landed.binary_search(&entry) {
+                landed.insert(pos, entry);
             }
-            if prev.is_none_or(|w| entry > w) {
-                write_cell(
-                    &mut self.img,
-                    self.cell_keys[cell],
-                    &self.set.entries[entry].op,
-                );
+            if shows {
+                let key = self.cell_keys[cell];
+                write_cell(&mut self.img, key, &self.set.entries[entry].op);
                 if self.collect_dirty {
-                    self.dirty.push(self.cell_keys[cell]);
+                    self.dirty.push(key);
                 }
             }
         }
     }
 
     /// Reverts choice group `g`: cells that lose their winning writer
-    /// are rewritten from the next-highest landed writer, or cleared
-    /// when none remains.
+    /// are rewritten from the next-highest landed writer, or restored
+    /// to their base value when none remains.
     fn undo_group(&mut self, g: usize) {
         self.mask.set(g, false);
         for t in 0..self.group_touches[g].len() {
             let (cell, entry) = self.group_touches[g][t];
-            let st = &mut self.cells[cell];
-            let was_winner = st.winner() == Some(entry);
-            if let Ok(pos) = st.active.binary_search(&entry) {
-                st.active.remove(pos);
+            let landed = &mut self.landed[cell];
+            let showed = landed.last() == Some(&entry);
+            if let Ok(pos) = landed.binary_search(&entry) {
+                landed.remove(pos);
             }
-            if was_winner {
-                match self.cells[cell].winner() {
-                    Some(w) => {
-                        write_cell(&mut self.img, self.cell_keys[cell], &self.set.entries[w].op)
-                    }
-                    None => clear_cell(&mut self.img, self.cell_keys[cell]),
+            if showed {
+                let key = self.cell_keys[cell];
+                match landed.last() {
+                    Some(&w) => write_cell(&mut self.img, key, &self.set.entries[w].op),
+                    None => self.img.copy_cell(&self.set.base, key),
                 }
                 if self.collect_dirty {
-                    self.dirty.push(self.cell_keys[cell]);
+                    self.dirty.push(key);
                 }
             }
         }
@@ -1201,6 +1053,441 @@ impl<'a> ImageOverlay<'a> {
                 }
             }
             self.cuts[d] = tgt;
+        }
+    }
+}
+
+/// Per target, the largest merge keys of the guaranteed writes that can
+/// shadow an in-flight write there ([`JournalOp::covers`]): any write
+/// covers a non-co-located one; only a co-located write covers a
+/// co-located one.
+#[derive(Debug, Clone, Copy)]
+struct Cover {
+    any: MergeKey,
+    co_located: Option<MergeKey>,
+}
+
+/// Builds the [`CrashSet`]s of a nondecreasing sequence of crash
+/// instants over one set of shard journals, carrying one guaranteed base
+/// image from each instant to the next instead of replaying the journal
+/// prefix every time.
+///
+/// [`CrashCursor::advance`] to `(t, cut)` admits the records of each
+/// shard's journal before `cut[s]` that were submitted by `t`. An
+/// admitted record guaranteed by `t` is folded into the base at once;
+/// any other waits in a min-heap on `guaranteed_at` and is folded when
+/// an instant reaches it. What the heap still holds is the instant's
+/// in-flight set; the choice groups, the shadow prune and the domain
+/// orders are derived from it alone, in merge-key order. An advance
+/// costs the newly admitted records, plus the in-flight set, plus one
+/// clone of the base image. It is exact because:
+///
+/// * a cell's base value is its guaranteed writer with the largest merge
+///   key, so the order in which writes become guaranteed is irrelevant;
+/// * a [`MergeKey`] depends only on earlier records of the same shard, so
+///   keys stay put as the prefixes grow, and ascending keys are the order
+///   the k-way merge of the prefixes produces — its heap pops the head
+///   with the smallest `(submitted_at, shard)`, which is always the head
+///   with the smallest `(running max, shard)`: a head below its shard's
+///   running maximum follows a record popped ahead of every other
+///   shard's head at the time, and their running maxima only grow;
+/// * instants and cuts are both nondecreasing, so every admitted or
+///   folded record stays admitted or folded.
+pub(crate) struct CrashCursor<'a> {
+    journals: Vec<&'a [JournalRecord]>,
+    /// Per shard: records passed so far, and the running maximum of
+    /// their `submitted_at`.
+    passed: Vec<(usize, Time)>,
+    time: Time,
+    /// Passed records submitted after `time`: a min-heap on
+    /// `(submitted_at, key)`. A shard journal is not sorted by
+    /// submission (a counter write-back goes out while an earlier data
+    /// write is still being encrypted), and a cut can hold records
+    /// submitted after its instant.
+    unsubmitted: BinaryHeap<Reverse<(Time, MergeKey)>>,
+    /// Admitted records not yet guaranteed: a min-heap on
+    /// `(guaranteed_at, key)`.
+    in_flight: BinaryHeap<Reverse<(Time, MergeKey)>>,
+    base: NvmmImage,
+    /// Merge key of each base cell's writer.
+    base_writers: FxHashMap<CellKey, MergeKey>,
+    covers: FxHashMap<NvmmTarget, Cover>,
+    guaranteed: usize,
+    /// Highest shard id among the admitted records.
+    max_shard: usize,
+}
+
+impl<'a> CrashCursor<'a> {
+    /// A cursor before any instant, over one journal slice per shard.
+    pub(crate) fn new(journals: Vec<&'a [JournalRecord]>) -> Self {
+        Self {
+            passed: vec![(0, Time::ZERO); journals.len()],
+            journals,
+            time: Time::ZERO,
+            unsubmitted: BinaryHeap::new(),
+            in_flight: BinaryHeap::new(),
+            base: NvmmImage::new(),
+            base_writers: FxHashMap::default(),
+            covers: FxHashMap::default(),
+            guaranteed: 0,
+            max_shard: 0,
+        }
+    }
+
+    fn record(&self, key: MergeKey) -> &'a JournalRecord {
+        let journal: &'a [JournalRecord] = self.journals[key.1];
+        &journal[key.2]
+    }
+
+    /// Advances to a crash at `t` over the journal prefixes `..cut[s]`
+    /// and returns that instant's crash set.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `t` or a cut is below the previous advance's.
+    pub(crate) fn advance(&mut self, t: Time, cut: &[usize]) -> CrashSet {
+        assert!(t >= self.time, "crash instants must not decrease");
+        assert_eq!(cut.len(), self.journals.len(), "one cut per shard journal");
+        self.time = t;
+        for (s, &end) in cut.iter().enumerate() {
+            let journal: &'a [JournalRecord] = self.journals[s];
+            let (start, mut running) = self.passed[s];
+            assert!(end >= start, "journal cuts must not shrink");
+            for (pos, rec) in journal[start..end].iter().enumerate() {
+                running = running.max(rec.submitted_at);
+                let key = (running, s, start + pos);
+                if rec.submitted_at <= t {
+                    self.admit(rec, key);
+                } else {
+                    self.unsubmitted.push(Reverse((rec.submitted_at, key)));
+                }
+            }
+            self.passed[s] = (end, running);
+        }
+        while let Some(&Reverse((at, key))) = self.unsubmitted.peek() {
+            if at > t {
+                break;
+            }
+            self.unsubmitted.pop();
+            self.admit(self.record(key), key);
+        }
+        while let Some(&Reverse((at, key))) = self.in_flight.peek() {
+            if at > t {
+                break;
+            }
+            self.in_flight.pop();
+            self.fold(self.record(key), key);
+        }
+        self.crash_set()
+    }
+
+    /// Takes in a record submitted by the current instant.
+    fn admit(&mut self, rec: &JournalRecord, key: MergeKey) {
+        self.max_shard = self.max_shard.max(rec.shard);
+        if rec.guaranteed_at <= self.time {
+            self.fold(rec, key);
+        } else {
+            self.in_flight.push(Reverse((rec.guaranteed_at, key)));
+        }
+    }
+
+    /// Folds a guaranteed record into the base: each cell it writes
+    /// takes its value unless a larger-key write is already there.
+    fn fold(&mut self, rec: &JournalRecord, key: MergeKey) {
+        self.guaranteed += 1;
+        for cell in op_cells(&rec.op) {
+            let writer = self.base_writers.entry(cell).or_insert(key);
+            if *writer <= key {
+                *writer = key;
+                write_cell(&mut self.base, cell, &rec.op);
+            }
+        }
+        let co_located = matches!(rec.op, JournalOp::CoLocated { .. }).then_some(key);
+        self.covers
+            .entry(rec.op.target())
+            .and_modify(|c| {
+                c.any = c.any.max(key);
+                c.co_located = c.co_located.max(co_located);
+            })
+            .or_insert(Cover {
+                any: key,
+                co_located,
+            });
+    }
+
+    /// Whether a guaranteed write later in merged order fully
+    /// overwrites `op` ([`JournalOp::covers`]) — then `op` cannot
+    /// influence any image.
+    fn shadowed(&self, op: &JournalOp, key: MergeKey) -> bool {
+        self.covers.get(&op.target()).is_some_and(|c| {
+            let later = match op {
+                JournalOp::CoLocated { .. } => c.co_located,
+                _ => Some(c.any),
+            };
+            later.is_some_and(|k| k > key)
+        })
+    }
+
+    /// The crash set at the current instant: a clone of the base plus
+    /// the choice structure of the in-flight records.
+    fn crash_set(&self) -> CrashSet {
+        let mut flight: Vec<MergeKey> = self.in_flight.iter().map(|r| r.0 .1).collect();
+        flight.sort_unstable();
+        // Pair ids are allocated per shard (each controller counts from
+        // zero), so the same id on two shards names two unrelated pairs;
+        // keying by (shard, pair) keeps their choice groups distinct.
+        let mut pair_groups: FxHashMap<(usize, u64), usize> = FxHashMap::default();
+        // Per provisional group: (shard, domain, guarantee point, first
+        // member's key). Each shard's controller has its own pairing
+        // coordinator and queues, so (shard, domain) — not domain alone
+        // — names one serialized mechanism.
+        let mut info: Vec<(usize, Domain, Time, MergeKey)> = Vec::new();
+        // A group is pruned only when every member is shadowed (a
+        // half-shadowed CA pair still matters).
+        let mut live: Vec<bool> = Vec::new();
+        let mut members: Vec<(MergeKey, usize)> = Vec::with_capacity(flight.len());
+        for &key in &flight {
+            let rec = self.record(key);
+            let mut open = || {
+                info.push((rec.shard, rec.domain, rec.guaranteed_at, key));
+                live.push(false);
+                info.len() - 1
+            };
+            let g = match rec.pair {
+                Some(p) => *pair_groups.entry((rec.shard, p)).or_insert_with(open),
+                None => open(),
+            };
+            live[g] |= !self.shadowed(&rec.op, key);
+            members.push((key, g));
+        }
+        // Renumber the live groups densely so masks stay small.
+        let mut renumber: Vec<Option<usize>> = vec![None; info.len()];
+        let mut groups = 0usize;
+        for (g, &alive) in live.iter().enumerate() {
+            if alive {
+                renumber[g] = Some(groups);
+                groups += 1;
+            }
+        }
+        let mut base_writers = FxHashMap::default();
+        let entries: Vec<Entry> = members
+            .into_iter()
+            .filter_map(|(key, g)| {
+                let group = renumber[g]?;
+                let op = self.record(key).op.clone();
+                for cell in op_cells(&op) {
+                    if let Some(&w) = self.base_writers.get(&cell) {
+                        base_writers.insert(cell, w);
+                    }
+                }
+                Some(Entry { key, group, op })
+            })
+            .collect();
+        // Guarantee order per (shard, domain) over the surviving
+        // groups, shard-major. Ties (identical accept instants) fall
+        // back to merged order, which is the queues' FIFO order. With
+        // one shard this is exactly the four DOMAINS lists of the
+        // pre-sharding checker.
+        let domain_order = (0..=self.max_shard)
+            .flat_map(|s| DOMAINS.iter().map(move |&d| (s, d)))
+            .map(|(s, d)| {
+                let mut in_domain: Vec<(Time, MergeKey, usize)> = info
+                    .iter()
+                    .enumerate()
+                    .filter(|&(_, &(gs, gd, _, _))| gs == s && gd == d)
+                    .filter_map(|(g, &(_, _, at, first))| renumber[g].map(|n| (at, first, n)))
+                    .collect();
+                in_domain.sort_unstable_by_key(|&(at, first, _)| (at, first));
+                in_domain.into_iter().map(|(_, _, n)| n).collect()
+            })
+            .collect();
+        CrashSet {
+            crash_time: self.time,
+            base: self.base.clone(),
+            guaranteed: self.guaranteed,
+            entries,
+            base_writers,
+            groups,
+            pruned_groups: info.len() - groups,
+            domain_order,
+        }
+    }
+}
+
+/// The crash-set builder the cursor replaced: one pass over the merged
+/// journal prefix that clones every record and prunes by a backward
+/// scan. Kept as the oracle the cursor's differential tests compare
+/// against.
+#[cfg(test)]
+mod reference {
+    use super::*;
+
+    /// How one journaled write participates in the crash state.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    enum Fate {
+        /// Ready before the crash: in every legal image.
+        Guaranteed,
+        /// In flight: lands iff its choice group's mask bit is set.
+        Choice(usize),
+        /// In flight but shadowed by a later guaranteed write to the
+        /// same target — fixed (as not landing) rather than explored.
+        Pruned,
+    }
+
+    #[derive(Debug, Clone)]
+    struct Entry {
+        op: JournalOp,
+        fate: Fate,
+    }
+
+    /// The old crash set: the whole surviving journal prefix, each
+    /// record tagged with its fate.
+    pub(crate) struct RefSet {
+        entries: Vec<Entry>,
+        pub(crate) groups: usize,
+        pub(crate) pruned_groups: usize,
+        pub(crate) domain_order: Vec<Vec<usize>>,
+    }
+
+    impl RefSet {
+        pub(crate) fn guaranteed_len(&self) -> usize {
+            self.entries
+                .iter()
+                .filter(|e| e.fate == Fate::Guaranteed)
+                .count()
+        }
+
+        pub(crate) fn in_flight_len(&self) -> usize {
+            self.entries
+                .iter()
+                .filter(|e| matches!(e.fate, Fate::Choice(_)))
+                .count()
+        }
+
+        /// Replays the surviving writes `mask` lands, in merged order.
+        pub(crate) fn image(&self, mask: &LandMask) -> NvmmImage {
+            let mut img = NvmmImage::new();
+            for e in &self.entries {
+                let lands = match e.fate {
+                    Fate::Guaranteed => true,
+                    Fate::Choice(g) => mask.get(g),
+                    Fate::Pruned => false,
+                };
+                if lands {
+                    e.op.apply(&mut img);
+                }
+            }
+            img
+        }
+
+        /// Builds the crash state for a crash at `crash_time` from the
+        /// journal records in submission (merged) order.
+        pub(crate) fn from_journal<'a>(
+            journal: impl IntoIterator<Item = &'a JournalRecord>,
+            crash_time: Time,
+        ) -> Self {
+            // Pair ids are allocated per shard (each controller counts from
+            // zero), so the same id on two shards names two unrelated pairs;
+            // keying by (shard, pair) keeps their choice groups distinct.
+            let mut pair_groups: FxHashMap<(usize, u64), usize> = FxHashMap::default();
+            let mut entries: Vec<Entry> = Vec::new();
+            // Per provisional group: (shard, domain, guarantee point, first
+            // entry). Each shard's controller has its own pairing
+            // coordinator and queues, so (shard, domain) — not domain alone
+            // — names one serialized mechanism.
+            let mut info: Vec<(usize, Domain, Time, usize)> = Vec::new();
+            let mut max_shard = 0usize;
+            for rec in journal {
+                if rec.submitted_at > crash_time {
+                    continue;
+                }
+                max_shard = max_shard.max(rec.shard);
+                let idx = entries.len();
+                let fate = if rec.guaranteed_at <= crash_time {
+                    Fate::Guaranteed
+                } else {
+                    let g = match rec.pair {
+                        Some(p) => *pair_groups.entry((rec.shard, p)).or_insert_with(|| {
+                            info.push((rec.shard, rec.domain, rec.guaranteed_at, idx));
+                            info.len() - 1
+                        }),
+                        None => {
+                            info.push((rec.shard, rec.domain, rec.guaranteed_at, idx));
+                            info.len() - 1
+                        }
+                    };
+                    Fate::Choice(g)
+                };
+                entries.push(Entry {
+                    op: rec.op.clone(),
+                    fate,
+                });
+            }
+
+            // Shadow prune: walking backwards, an in-flight write whose
+            // target is fully overwritten by a *later guaranteed* write
+            // cannot influence the image. A group is pruned only when every
+            // member is shadowed (a half-shadowed CA pair still matters).
+            let mut shadowed: Vec<bool> = vec![false; entries.len()];
+            let mut covered: Vec<JournalOp> = Vec::new();
+            for (i, e) in entries.iter().enumerate().rev() {
+                match e.fate {
+                    Fate::Guaranteed => covered.push(e.op.clone()),
+                    Fate::Choice(_) => {
+                        shadowed[i] = covered.iter().any(|later| later.covers(&e.op));
+                    }
+                    Fate::Pruned => unreachable!("pruning happens below"),
+                }
+            }
+            let mut group_live: Vec<bool> = vec![false; info.len()];
+            for (i, e) in entries.iter().enumerate() {
+                if let Fate::Choice(g) = e.fate {
+                    if !shadowed[i] {
+                        group_live[g] = true;
+                    }
+                }
+            }
+            // Renumber the live groups densely so masks stay small.
+            let mut renumber: Vec<Option<usize>> = vec![None; info.len()];
+            let mut live = 0usize;
+            for (g, &alive) in group_live.iter().enumerate() {
+                if alive {
+                    renumber[g] = Some(live);
+                    live += 1;
+                }
+            }
+            for e in &mut entries {
+                if let Fate::Choice(g) = e.fate {
+                    e.fate = match renumber[g] {
+                        Some(n) => Fate::Choice(n),
+                        None => Fate::Pruned,
+                    };
+                }
+            }
+            // Guarantee order per (shard, domain) over the surviving
+            // groups, shard-major. Ties (identical accept instants) fall
+            // back to submission order, which is the queues' FIFO order.
+            // With one shard this is exactly the four DOMAINS lists of the
+            // pre-sharding checker.
+            let domain_order = (0..=max_shard)
+                .flat_map(|s| DOMAINS.iter().map(move |&d| (s, d)))
+                .map(|(s, d)| {
+                    let mut in_domain: Vec<(Time, usize, usize)> = info
+                        .iter()
+                        .enumerate()
+                        .filter(|&(_, &(gs, gd, _, _))| gs == s && gd == d)
+                        .filter_map(|(g, &(_, _, at, first))| renumber[g].map(|n| (at, first, n)))
+                        .collect();
+                    in_domain.sort_unstable_by_key(|&(at, first, _)| (at, first));
+                    in_domain.into_iter().map(|(_, _, n)| n).collect()
+                })
+                .collect();
+            Self {
+                entries,
+                groups: live,
+                pruned_groups: info.len() - live,
+                domain_order,
+            }
         }
     }
 }
@@ -1670,7 +1957,7 @@ mod tests {
             let mut state = seed;
             for _ in 0..6 {
                 let t = Time(splitmix64(&mut state) % horizon_ps);
-                let set = CrashSet::from_journal(&journal, t);
+                let set = CrashSet::from_journal(&[&journal], t);
                 assert_enumerations_agree(&set, EnumOpts::default());
                 assert_enumerations_agree(&set, EnumOpts { max_images: 8, seed });
             }
@@ -1702,7 +1989,7 @@ mod tests {
             let mut state = seed ^ 0xd1f7;
             for _ in 0..3 {
                 let t = Time(splitmix64(&mut state) % horizon_ps);
-                let set = CrashSet::from_journal(&journal, t);
+                let set = CrashSet::from_journal(&[&journal], t);
                 for opts in [EnumOpts::default(), EnumOpts { max_images: 8, seed }] {
                     for policy in IntegrityPolicy::ALL {
                         let spec = IntegritySpec { policy, levels: 2 };
@@ -1786,7 +2073,7 @@ mod tests {
                 },
             },
         ];
-        let set = CrashSet::from_journal(&journal, Time::from_ns(100));
+        let set = CrashSet::from_journal(&[&journal], Time::from_ns(100));
         let spec = IntegritySpec {
             policy: IntegrityPolicy::Strict,
             levels: 2,
@@ -1806,6 +2093,133 @@ mod tests {
             }
         }
         assert!(bug_seen, "the injected dangling tree link never surfaced");
+    }
+
+    /// Asserts a cursor-built crash set equals the reference builder's
+    /// over the same journal prefixes: counts, domain orders, and the
+    /// image of every mask two cut schedules visit.
+    fn assert_matches_reference(set: &CrashSet, old: &reference::RefSet) {
+        let t = set.crash_time();
+        assert_eq!(set.group_count(), old.groups, "groups at {t}");
+        assert_eq!(set.pruned_groups(), old.pruned_groups, "pruned at {t}");
+        assert_eq!(set.domain_order, old.domain_order, "domain order at {t}");
+        assert_eq!(set.guaranteed_len(), old.guaranteed_len(), "at {t}");
+        assert_eq!(set.in_flight_len(), old.in_flight_len(), "at {t}");
+        for opts in [
+            EnumOpts::default(),
+            EnumOpts {
+                max_images: 8,
+                seed: 3,
+            },
+        ] {
+            let sched = set.cut_schedule(opts);
+            let mut cuts = Vec::new();
+            for i in 0..sched.n_masks() {
+                sched.cuts_into(i, &mut cuts);
+                let mask = set.mask_from_cuts(&cuts);
+                assert!(set.is_legal(&mask));
+                let img = set.image(&mask);
+                assert_eq!(
+                    img.fingerprint(),
+                    old.image(&mask).fingerprint(),
+                    "mask {:?} at {t}",
+                    mask.landed()
+                );
+                assert_eq!(img.fingerprint(), img.fingerprint_recompute());
+            }
+        }
+        assert_enumerations_agree(set, EnumOpts::default());
+    }
+
+    /// `synthetic_journal` dealt into two shard journals by record
+    /// shard, with a seeded third of the submission instants pulled back
+    /// by up to 30 ns: real shard journals are not sorted by submission
+    /// (a counter write-back goes out while an earlier data write is
+    /// still being encrypted).
+    fn shard_journals(seed: u64) -> Vec<Vec<JournalRecord>> {
+        let mut state = seed ^ 0x5eed;
+        let mut shards = vec![Vec::new(), Vec::new()];
+        for mut rec in synthetic_journal(seed) {
+            if splitmix64(&mut state).is_multiple_of(3) {
+                let back = splitmix64(&mut state) % 30_000;
+                rec.submitted_at = Time(rec.submitted_at.0.saturating_sub(back));
+            }
+            shards[rec.shard].push(rec);
+        }
+        shards
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+        /// One cursor advanced through sorted instants (one duplicated)
+        /// over growing cuts builds, at every instant, the crash set the
+        /// reference builder makes from the merged journal prefixes.
+        /// The cuts run 25 ns past each instant, so they hold records
+        /// submitted after it.
+        #[test]
+        fn cursor_matches_reference_on_random_journals(seed in 0u64..1_000_000) {
+            use crate::shard::MergedJournal;
+            let shards = shard_journals(seed);
+            let slices: Vec<&[JournalRecord]> = shards.iter().map(Vec::as_slice).collect();
+            let horizon_ps = shards
+                .iter()
+                .flatten()
+                .map(|r| r.guaranteed_at.0)
+                .max()
+                .unwrap_or(0)
+                + 10_000;
+            let mut state = seed ^ 0xc0de;
+            let mut instants: Vec<Time> =
+                (0..8).map(|_| Time(splitmix64(&mut state) % horizon_ps)).collect();
+            instants.push(instants[3]);
+            instants.sort_unstable();
+            let mut cursor = CrashCursor::new(slices.clone());
+            for &t in &instants {
+                let reach = t + Time::from_ns(25);
+                let cut: Vec<usize> = shards
+                    .iter()
+                    .map(|j| {
+                        let mut running = Time::ZERO;
+                        j.iter()
+                            .take_while(|r| {
+                                running = running.max(r.submitted_at);
+                                running <= reach
+                            })
+                            .count()
+                    })
+                    .collect();
+                let set = cursor.advance(t, &cut);
+                let prefixes = slices.iter().zip(&cut).map(|(j, &n)| &j[..n]).collect();
+                let old = reference::RefSet::from_journal(MergedJournal::new(prefixes), t);
+                assert_matches_reference(&set, &old);
+            }
+        }
+    }
+
+    /// Guarantees arrive out of merge order: a lower-key write to a line
+    /// guaranteed *after* a higher-key write to the same line must not
+    /// displace it from the base image, at any instant.
+    #[test]
+    fn late_guarantee_of_earlier_write_keeps_later_value() {
+        let write = |submitted_ns, guaranteed_ns, v: u8| JournalRecord {
+            submitted_at: Time::from_ns(submitted_ns),
+            guaranteed_at: Time::from_ns(guaranteed_ns),
+            pair: None,
+            domain: Domain::DataQueue,
+            shard: 0,
+            op: JournalOp::Plain {
+                line: LineAddr(1),
+                data: [v; 64],
+            },
+        };
+        let journal = vec![write(0, 500, 1), write(10, 100, 2)];
+        let mut cursor = CrashCursor::new(vec![&journal]);
+        for t in (0..800).step_by(25).map(Time::from_ns) {
+            let set = cursor.advance(t, &[journal.len()]);
+            let want = (t >= Time::from_ns(100)).then_some([2; 64]);
+            assert_eq!(set.baseline().raw_data(LineAddr(1)), want, "at {t}");
+            assert_matches_reference(&set, &reference::RefSet::from_journal(&journal, t));
+        }
     }
 
     #[test]
@@ -1851,7 +2265,7 @@ mod tests {
             },
         };
         let journal = vec![mk(0, 0), mk(0, 1), mk(1, 8), mk(1, 9)];
-        let set = CrashSet::from_journal(&journal, Time::from_ns(10));
+        let set = CrashSet::from_journal(&[&journal], Time::from_ns(10));
         assert_eq!(
             set.group_count(),
             2,

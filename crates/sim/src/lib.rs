@@ -88,7 +88,7 @@ pub use nvmm::{LineRead, NvmmImage};
 pub use parallel::{mc_threads, run_parallel};
 pub use shard::ShardedController;
 pub use stats::{LatencyHist, Stats};
-pub use system::{run_to_completion, CrashSpec, CrashSweep, RunOutcome, System};
+pub use system::{run_to_completion, CrashSpec, CrashSweep, RunOutcome, SweepCursor, System};
 pub use telemetry::{EpochSample, Timeline};
 pub use time::Time;
 pub use trace::{Trace, TraceEvent};

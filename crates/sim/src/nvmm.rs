@@ -10,6 +10,7 @@
 //! counter.
 
 use crate::addr::{CounterLineAddr, LineAddr, MacLineAddr, TreeNodeAddr};
+use crate::crashmc::CellKey;
 use crate::integrity::DigestLine;
 use fxhash::FxHashMap;
 use nvmm_crypto::counter::CounterLine;
@@ -222,6 +223,34 @@ impl NvmmImage {
     pub(crate) fn remove_tree_node(&mut self, node: TreeNodeAddr) {
         if let Some(old) = self.tree.remove(&node) {
             self.fp = self.fp.wrapping_sub(hash_tree_entry(node, &old));
+        }
+    }
+
+    /// Sets `cell` to its value in `from`, or removes it where `from`
+    /// never wrote it — how the enumeration overlay restores a cell to
+    /// its guaranteed base value.
+    pub(crate) fn copy_cell(&mut self, from: &NvmmImage, cell: CellKey) {
+        match cell {
+            CellKey::Data(l) => match from.data.get(&l) {
+                Some(&stored) => self.set_data(l, stored),
+                None => self.remove_data(l),
+            },
+            CellKey::Co(l) => match from.co_located.get(&l) {
+                Some(&ctr) => self.write_co_located_counter(l, ctr),
+                None => self.remove_co_located_counter(l),
+            },
+            CellKey::Ctr(c) => match from.counters.get(&c) {
+                Some(&cl) => self.write_counter_line(c, cl),
+                None => self.remove_counter_line(c),
+            },
+            CellKey::Mac(m) => match from.macs.get(&m) {
+                Some(&ml) => self.write_mac_line(m, ml),
+                None => self.remove_mac_line(m),
+            },
+            CellKey::Tree(t) => match from.tree.get(&t) {
+                Some(&node) => self.write_tree_node(t, node),
+                None => self.remove_tree_node(t),
+            },
         }
     }
 

@@ -53,6 +53,22 @@ pub fn run_parallel<T: Sync, R: Send>(
         .collect()
 }
 
+/// Splits `0..n` into up to `parts` contiguous, near-equal ranges, in
+/// order (the first `n % parts` ranges one longer).
+pub fn chunk_ranges(n: usize, parts: usize) -> Vec<(usize, usize)> {
+    let parts = parts.clamp(1, n.max(1));
+    let base = n / parts;
+    let extra = n % parts;
+    let mut out = Vec::with_capacity(parts);
+    let mut start = 0;
+    for p in 0..parts {
+        let len = base + usize::from(p < extra);
+        out.push((start, start + len));
+        start += len;
+    }
+    out
+}
+
 fn env_threads(var: &str) -> Option<usize> {
     std::env::var(var).ok().and_then(|v| v.parse().ok())
 }

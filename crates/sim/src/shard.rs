@@ -269,13 +269,16 @@ impl ShardedController {
     /// The live (un-compacted) journal in merged order (see
     /// [`MergedJournal`]).
     fn merged(&self) -> MergedJournal<'_> {
-        MergedJournal::new(
-            self.shards
-                .iter()
-                .zip(&self.folded)
-                .map(|(ctl, &folded)| &ctl.journal()[folded..])
-                .collect(),
-        )
+        MergedJournal::new(self.live_journals())
+    }
+
+    /// Each shard's live (un-compacted) journal, in shard order.
+    fn live_journals(&self) -> Vec<&[JournalRecord]> {
+        self.shards
+            .iter()
+            .zip(&self.folded)
+            .map(|(ctl, &folded)| &ctl.journal()[folded..])
+            .collect()
     }
 
     /// Streams the merge keys `(submitted_at, shard)` of the live
@@ -347,7 +350,7 @@ impl ShardedController {
             self.compacted == 0,
             "crash analysis unavailable after journal compaction"
         );
-        CrashSet::from_journal(self.merged(), crash_time)
+        CrashSet::from_journal(&self.live_journals(), crash_time)
     }
 
     /// Persist windows of every live journaled write whose guarantee

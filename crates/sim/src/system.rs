@@ -68,10 +68,10 @@ use crate::addr::LineAddr;
 use crate::cache::SetAssocCache;
 use crate::config::SimConfig;
 use crate::controller::{JournalRecord, MemoryController};
-use crate::crashmc::CrashSet;
+use crate::crashmc::{CrashCursor, CrashSet};
 use crate::device::WearReport;
 use crate::nvmm::NvmmImage;
-use crate::shard::{MergedJournal, ShardedController};
+use crate::shard::ShardedController;
 use crate::stats::{LatencyHist, Stats};
 use crate::telemetry::{EpochSampler, Timeline};
 use crate::time::Time;
@@ -157,21 +157,22 @@ impl CrashSweep {
     }
 
     /// The crash state a separate crash run at the `i`-th requested
-    /// instant reports as [`RunOutcome::crash_set`]: built from the merged
+    /// instant reports as [`RunOutcome::crash_set`]: built from the
     /// journal prefixes recorded at that instant, or `None` when the
     /// run completed before it (see [`CrashSweep::completed_image`]).
+    /// A fresh [`SweepCursor`] advanced once; to visit many instants,
+    /// advance one cursor through them in ascending order instead.
     pub fn crash_set(&self, i: usize) -> Option<CrashSet> {
-        let cut = self.cuts[i].as_ref()?;
-        let prefixes = self
-            .journals
-            .iter()
-            .zip(cut)
-            .map(|(journal, &n)| &journal[..n])
-            .collect();
-        Some(CrashSet::from_journal(
-            MergedJournal::new(prefixes),
-            self.instants[i],
-        ))
+        self.cursor().crash_set(i)
+    }
+
+    /// A cursor before the first instant, carrying one guaranteed base
+    /// image across the instants it visits.
+    pub fn cursor(&self) -> SweepCursor<'_> {
+        SweepCursor {
+            sweep: self,
+            cursor: CrashCursor::new(self.journals.iter().map(Vec::as_slice).collect()),
+        }
     }
 
     /// The completed run's image — what a separate crash run at an
@@ -182,8 +183,33 @@ impl CrashSweep {
     }
 }
 
+/// Builds a [`CrashSweep`]'s crash sets in ascending instant order,
+/// carrying one guaranteed base image from each instant to the next: a
+/// step costs the journal records new since the previous instant, its
+/// in-flight set, and one clone of the base image — not a replay of the
+/// whole journal prefix.
+pub struct SweepCursor<'a> {
+    sweep: &'a CrashSweep,
+    cursor: CrashCursor<'a>,
+}
+
+impl SweepCursor<'_> {
+    /// [`CrashSweep::crash_set`] for the `i`-th requested instant,
+    /// advancing the cursor there. Instants after completion return
+    /// `None` and leave the cursor where it was.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the `i`-th instant precedes an instant this cursor
+    /// already advanced to.
+    pub fn crash_set(&mut self, i: usize) -> Option<CrashSet> {
+        let cut = self.sweep.cuts[i].as_ref()?;
+        Some(self.cursor.advance(self.sweep.instants[i], cut))
+    }
+}
+
 /// A [`CrashSweep`] is shared by reference across the model checker's
-/// workers, each extracting its own instants' crash sets.
+/// workers, each advancing its own cursor over its instants.
 const _: () = {
     const fn assert_sync<T: Sync>() {}
     assert_sync::<CrashSweep>()
@@ -1064,8 +1090,13 @@ impl System {
         let (distinct, max) = self.controller.wear_summary();
         front.stats.distinct_lines_written = distinct;
         front.stats.max_line_writes = max;
-        let image = self.controller.build_image(crash_time);
+        // A crash image is its crash set's all-miss baseline, which the
+        // set already holds; only a completed run replays the journal.
         let crash_set = crash_time.map(|t| self.controller.crash_set(t));
+        let image = match &crash_set {
+            Some(set) => set.baseline(),
+            None => self.controller.build_image(None),
+        };
         let persist_windows = self.controller.persist_windows();
         let timeline = front
             .sampler

@@ -27,14 +27,16 @@ use nvmm_core::pmem::Pmem;
 use nvmm_core::recovery::RecoveredMemory;
 use nvmm_core::undo::UndoLog;
 use nvmm_crypto::mac::MacEngine;
-use nvmm_crypto::EncryptionEngine;
-use nvmm_sim::addr::ByteAddr;
+use nvmm_crypto::{EncryptionEngine, LineData};
+use nvmm_sim::addr::{ByteAddr, LineAddr};
 use nvmm_sim::config::{Design, SimConfig};
 use nvmm_sim::integrity::IntegritySpec;
-use nvmm_sim::parallel::{mc_threads, run_parallel};
+use nvmm_sim::parallel::{chunk_ranges, mc_threads, run_parallel};
 use nvmm_sim::system::{CrashSpec, RunOutcome, System};
 use nvmm_sim::time::Time;
 use nvmm_sim::trace::Trace;
+use std::collections::HashMap;
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
 /// A functionally executed workload instance for one core.
@@ -233,12 +235,12 @@ pub fn check_image(
     integrity: IntegritySpec,
     recovery_window: u64,
 ) -> Result<CrashCheckOutcome, ConsistencyError> {
-    check_image_with(
+    check_image_inner(
         spec,
         ex,
         image,
-        &EncryptionEngine::new(key),
-        &MacEngine::new(key),
+        None,
+        &Checker::new(key),
         design,
         integrity,
         recovery_window,
@@ -261,17 +263,64 @@ pub fn check_image_with(
     integrity: IntegritySpec,
     recovery_window: u64,
 ) -> Result<CrashCheckOutcome, ConsistencyError> {
+    let checker = Checker {
+        engine: engine.clone(),
+        mac_engine: mac_engine.clone(),
+        truth: GroundTruth::default(),
+    };
     check_image_inner(
         spec,
         ex,
         image,
         None,
-        engine,
-        mac_engine,
+        &checker,
         design,
         integrity,
         recovery_window,
     )
+}
+
+/// The recovery oracle's ground truth by durably committed op count:
+/// the image `execute(spec, 0, committed)` leaves. It is a pure function
+/// of `(spec, committed)`, and the images of one model check recover to
+/// few distinct counts, so each is computed once per memo.
+#[derive(Default)]
+struct GroundTruth(Mutex<HashMap<u64, Arc<LineImage>>>);
+
+/// A functional memory image, as [`Pmem`] leaves it.
+type LineImage = HashMap<LineAddr, LineData>;
+
+impl GroundTruth {
+    fn after(&self, spec: &WorkloadSpec, committed: u64) -> Arc<LineImage> {
+        if let Some(image) = self.lock().get(&committed) {
+            return Arc::clone(image);
+        }
+        let image = Arc::new(execute(spec, 0, committed as usize).pm.into_parts().1);
+        Arc::clone(self.lock().entry(committed).or_insert(image))
+    }
+
+    fn lock(&self) -> MutexGuard<'_, HashMap<u64, Arc<LineImage>>> {
+        self.0.lock().expect("ground-truth memo poisoned")
+    }
+}
+
+/// What one model-check worker reuses across every image it judges: one
+/// warmed engine pair (clones share the OTP-pad and MAC memos) and the
+/// ground-truth memo.
+struct Checker {
+    engine: EncryptionEngine,
+    mac_engine: MacEngine,
+    truth: GroundTruth,
+}
+
+impl Checker {
+    fn new(key: [u8; 16]) -> Self {
+        Self {
+            engine: EncryptionEngine::new(key),
+            mac_engine: MacEngine::new(key),
+            truth: GroundTruth::default(),
+        }
+    }
 }
 
 /// The shared body of [`check_image_with`]: when the model checker's
@@ -286,12 +335,16 @@ fn check_image_inner(
     ex: &Executed,
     image: &nvmm_sim::NvmmImage,
     precomputed: Option<&Result<(), String>>,
-    engine: &EncryptionEngine,
-    mac_engine: &MacEngine,
+    checker: &Checker,
     design: Design,
     integrity: IntegritySpec,
     recovery_window: u64,
 ) -> Result<CrashCheckOutcome, ConsistencyError> {
+    let Checker {
+        engine,
+        mac_engine,
+        truth,
+    } = checker;
     // Integrity oracle first: before recovery touches anything, every
     // cleanly-decrypting line must authenticate against its persisted
     // MAC, and (under strict) every persisted tree node against its
@@ -328,11 +381,10 @@ fn check_image_inner(
     // Replay equality: recovered bytes must match the ground-truth state
     // after exactly `committed` operations, on every line that state
     // defines (the undo log region excepted — its lifecycle differs).
-    let expected = execute(spec, 0, committed as usize);
-    let (_, image) = expected.pm.into_parts();
+    let expected = truth.after(spec, committed);
     let log_start = ex.log.valid_addr().line().0;
     let log_end = ex.log.end().line().0;
-    for (line, want) in &image {
+    for (line, want) in expected.iter() {
         if (log_start..log_end).contains(&line.0) {
             continue;
         }
@@ -397,9 +449,8 @@ pub struct ModelCheckOpts {
     /// Run the integrity oracle through the fused delta-verified walk
     /// ([`nvmm_sim::CrashSet::enumerate_verified`]) instead of
     /// re-verifying each enumerated image from scratch. Verdicts are
-    /// bit-identical either way (the differential suite pins this);
-    /// the switch — and the `NVMM_MC_DELTA=0` environment escape hatch
-    /// it is ANDed with — exists to measure and to fall back.
+    /// bit-identical either way; the switch exists so the differential
+    /// suite can hold the two paths against each other.
     pub delta_verify: bool,
 }
 
@@ -522,8 +573,10 @@ pub struct ModelCheckReport {
     pub baseline_violation: bool,
     /// Greedily minimized failing landing-set, when any image violated.
     pub minimal: Option<MinimalViolation>,
-    /// Wall-clock nanoseconds spent checking this crash instant:
-    /// crash-set extraction, enumeration, and recovery verification.
+    /// Wall-clock nanoseconds spent checking this crash instant: the
+    /// crash cursor's advance to it (the journal records new since the
+    /// worker's previous instant, the in-flight set, one clone of the
+    /// base image), enumeration, and recovery verification.
     /// The shared simulation is not included — it is
     /// [`ModelCheckReport::sweep_wall_ns`] — except on the
     /// [`CrashSpec::None`] / [`CrashSpec::AfterEvent`] path of
@@ -654,11 +707,12 @@ fn completed_report(verdict: Result<CrashCheckOutcome, ConsistencyError>) -> Mod
 /// Model-checks `spec` at every crash instant in `instants` with one
 /// simulation: the workload executes once, one
 /// [`System::run_crash_sweep`] replay pauses at every instant, and the
-/// instants fan out over [`mc_threads`] scoped workers, each cutting
-/// its instant's crash set from the sweep and checking it sequentially
-/// (inner enumeration worker count pinned to 1). The reports come back
-/// in instant order and are bit-identical to simulating and checking
-/// the instants one by one — whatever `NVMM_MC_THREADS` says.
+/// sorted instants split into contiguous runs over [`mc_threads`]
+/// scoped workers, each advancing one crash cursor through its run and
+/// checking each crash set sequentially (inner enumeration worker count
+/// pinned to 1). The reports come back in instant order and are
+/// bit-identical to simulating and checking the instants one by one —
+/// whatever `NVMM_MC_THREADS` says.
 pub fn model_check_instants(
     spec: &WorkloadSpec,
     design: Design,
@@ -680,9 +734,13 @@ pub fn model_check_instants_cfg(
 
 /// The shared body of [`model_check_instants_cfg`] and the
 /// [`CrashSpec::AtTime`] case of [`model_check_cfg`]: one execution,
-/// one crash sweep, then `outer` workers over the instants with `inner`
-/// workers inside each crash set. Each worker extracts its crash set on
-/// demand, so at most `outer` crash sets are alive at once.
+/// one crash sweep, then the instants, sorted, in up to `outer`
+/// contiguous runs on as many workers, with `inner` workers inside each
+/// crash set. A worker advances one [`nvmm_sim::SweepCursor`] through
+/// its run, so each crash set costs the journal records new since the
+/// previous instant rather than the whole prefix, and it judges every
+/// image with one [`Checker`]. At most `outer` crash sets are alive at
+/// once; reports come back in the caller's order.
 fn sweep_check(
     spec: &WorkloadSpec,
     config: SimConfig,
@@ -699,29 +757,47 @@ fn sweep_check(
     let trace = prepared_trace(&ex, opts);
     let sweep = System::new(config, vec![trace]).run_crash_sweep(instants);
     let sweep_wall_ns = started.elapsed().as_nanos() as u64;
-    let jobs: Vec<usize> = (0..sweep.len()).collect();
-    run_parallel(outer, &jobs, |&i| {
-        let started = Instant::now();
-        let mut report = match sweep.crash_set(i) {
-            Some(set) => {
-                check_crash_set_threads(spec, &ex, &set, key, design, integrity, opts, inner)
-            }
-            None => completed_report(check_image(
-                spec,
-                &ex,
-                sweep
-                    .completed_image()
-                    .expect("an instant without a crash set lies after completion"),
-                key,
-                design,
-                integrity,
-                opts.recovery_window,
-            )),
-        };
-        report.mc_wall_ns = started.elapsed().as_nanos() as u64;
-        report.sweep_wall_ns = sweep_wall_ns;
-        report
-    })
+    let mut order: Vec<usize> = (0..instants.len()).collect();
+    order.sort_by_key(|&i| instants[i]);
+    let runs = chunk_ranges(order.len(), outer);
+    let checked = run_parallel(outer, &runs, |&(start, end)| {
+        let mut cursor = sweep.cursor();
+        let checker = Checker::new(key);
+        order[start..end]
+            .iter()
+            .map(|&i| {
+                let started = Instant::now();
+                let mut report = match cursor.crash_set(i) {
+                    Some(set) => check_crash_set_threads(
+                        spec, &ex, &set, &checker, design, integrity, opts, inner,
+                    ),
+                    None => completed_report(check_image_inner(
+                        spec,
+                        &ex,
+                        sweep
+                            .completed_image()
+                            .expect("an instant without a crash set lies after completion"),
+                        None,
+                        &checker,
+                        design,
+                        integrity,
+                        opts.recovery_window,
+                    )),
+                };
+                report.mc_wall_ns = started.elapsed().as_nanos() as u64;
+                report.sweep_wall_ns = sweep_wall_ns;
+                (i, report)
+            })
+            .collect::<Vec<_>>()
+    });
+    let mut reports: Vec<Option<ModelCheckReport>> = vec![None; instants.len()];
+    for (i, report) in checked.into_iter().flatten() {
+        reports[i] = Some(report);
+    }
+    reports
+        .into_iter()
+        .map(|r| r.expect("every instant is checked once"))
+        .collect()
 }
 
 /// The checking half of [`model_check_cfg`]: verifies an
@@ -739,17 +815,27 @@ pub fn check_crash_set(
     integrity: IntegritySpec,
     opts: &ModelCheckOpts,
 ) -> ModelCheckReport {
-    check_crash_set_threads(spec, ex, set, key, design, integrity, opts, mc_threads())
+    let checker = Checker::new(key);
+    check_crash_set_threads(
+        spec,
+        ex,
+        set,
+        &checker,
+        design,
+        integrity,
+        opts,
+        mc_threads(),
+    )
 }
 
-/// [`check_crash_set`] with an explicit worker count for enumeration
-/// and image verification.
+/// [`check_crash_set`] with a caller-owned [`Checker`] and an explicit
+/// worker count for enumeration and image verification.
 #[allow(clippy::too_many_arguments)]
 fn check_crash_set_threads(
     spec: &WorkloadSpec,
     ex: &Executed,
     set: &nvmm_sim::CrashSet,
-    key: [u8; 16],
+    checker: &Checker,
     design: Design,
     integrity: IntegritySpec,
     opts: &ModelCheckOpts,
@@ -760,19 +846,13 @@ fn check_crash_set_threads(
         max_images: opts.max_images,
         seed: opts.seed,
     };
-    // One warmed engine pair per crash set: every enumerated image is
-    // decrypted under the same key, so clones of this engine share the
-    // OTP pad memo across images.
-    let engine = EncryptionEngine::new(key);
-    let mac_engine = MacEngine::new(key);
+    let (engine, mac_engine) = (&checker.engine, &checker.mac_engine);
     // The fused delta-verified walk re-judges each image from what its
-    // schedule step dirtied; `NVMM_MC_DELTA=0` (or the opts switch)
-    // falls back to full-pass verification per image. Verdicts are
-    // bit-identical either way.
-    let delta = opts.delta_verify && std::env::var("NVMM_MC_DELTA").as_deref() != Ok("0");
-    let (en, oracle_verdicts, fused_verify_ns) = if delta {
+    // schedule step dirtied; the opts switch falls back to full-pass
+    // verification per image. Verdicts are bit-identical either way.
+    let (en, oracle_verdicts, fused_verify_ns) = if opts.delta_verify {
         let (en, v, vns) =
-            set.enumerate_verified_timed(eopts, threads, integrity, &engine, &mac_engine);
+            set.enumerate_verified_timed(eopts, threads, integrity, engine, mac_engine);
         (en, Some(v), vns)
     } else {
         (set.enumerate_parallel(eopts, threads), None, 0)
@@ -789,8 +869,7 @@ fn check_crash_set_threads(
             ex,
             &en.images[i].1,
             oracle_verdicts.as_ref().map(|v| &v[i]),
-            &engine,
-            &mac_engine,
+            checker,
             design,
             integrity,
             opts.recovery_window,
@@ -815,8 +894,7 @@ fn check_crash_set_threads(
             spec,
             ex,
             set,
-            &engine,
-            &mac_engine,
+            checker,
             design,
             integrity,
             opts.recovery_window,
@@ -845,8 +923,7 @@ fn minimize_violation(
     spec: &WorkloadSpec,
     ex: &Executed,
     set: &nvmm_sim::CrashSet,
-    engine: &EncryptionEngine,
-    mac_engine: &MacEngine,
+    checker: &Checker,
     design: Design,
     integrity: IntegritySpec,
     recovery_window: u64,
@@ -858,12 +935,12 @@ fn minimize_violation(
         let mut improved = false;
         set.shrink_candidates_into(&mask, &mut candidates);
         for cand in candidates.drain(..) {
-            if let Err(e) = check_image_with(
+            if let Err(e) = check_image_inner(
                 spec,
                 ex,
                 &set.image(&cand),
-                engine,
-                mac_engine,
+                None,
+                checker,
                 design,
                 integrity,
                 recovery_window,
@@ -914,6 +991,60 @@ mod tests {
             assert_eq!(o.committed, 6);
             assert!(!o.rolled_back);
         }
+    }
+
+    /// Splitting the sorted instants into cursor runs is invisible in
+    /// the reports: `sweep_check` at 1, 2, 3 and 5 runs over unsorted,
+    /// duplicated instants (one at time zero, one after completion)
+    /// equals simulating and checking every instant on its own, under
+    /// SCA+strict with and without the injected tree bug.
+    #[test]
+    fn sweep_check_runs_match_per_instant_checks() {
+        use nvmm_sim::IntegrityPolicy;
+        let spec = WorkloadSpec::smoke(WorkloadKind::Queue).with_ops(3);
+        let opts = ModelCheckOpts {
+            max_images: 16,
+            ..ModelCheckOpts::default()
+        };
+        let strict = SimConfig::single_core(Design::Sca).with_integrity(IntegrityPolicy::Strict);
+        let mut witnesses = 0;
+        for cfg in [strict.clone(), strict.with_tree_bug()] {
+            let integrity = IntegritySpec::from_config(&cfg);
+            let mut instants = crash_instants_cfg(&spec, cfg.clone(), &opts, 6);
+            assert!(instants.len() >= 3, "too few in-flight instants");
+            instants.reverse();
+            instants.push(instants[1]);
+            instants.insert(2, Time::from_ns(1_000_000_000));
+            instants.push(Time::ZERO);
+            let ex = execute(&spec, 0, spec.ops);
+            let oracle: Vec<ModelCheckReport> = instants
+                .iter()
+                .map(|&t| {
+                    let out = System::new(cfg.clone(), vec![ex.pm.trace().clone()])
+                        .run(CrashSpec::AtTime(t));
+                    match out.crash_set {
+                        Some(set) => {
+                            check_crash_set(&spec, &ex, &set, cfg.key, cfg.design, integrity, &opts)
+                        }
+                        None => completed_report(check_image(
+                            &spec,
+                            &ex,
+                            &out.image,
+                            cfg.key,
+                            cfg.design,
+                            integrity,
+                            opts.recovery_window,
+                        )),
+                    }
+                })
+                .collect();
+            for outer in [1, 2, 3, 5] {
+                let reports = sweep_check(&spec, cfg.clone(), &instants, &opts, outer, 1);
+                assert_eq!(reports, oracle, "{outer} runs");
+            }
+            witnesses += oracle.iter().filter(|r| r.minimal.is_some()).count();
+        }
+        assert!(witnesses > 0, "the tree bug never produced a witness");
     }
 
     #[test]
