@@ -1,10 +1,11 @@
 //! Criterion benchmarks for the from-scratch crypto substrate: AES-128
-//! block encryption, per-line OTP generation, and full line
-//! encrypt/decrypt round trips.
+//! block encryption, per-line OTP generation, full line encrypt/decrypt
+//! round trips, and the write path's memo-free per-line MAC.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use nvmm_crypto::aes::Aes128;
 use nvmm_crypto::engine::EncryptionEngine;
+use nvmm_crypto::mac::MacEngine;
 use nvmm_crypto::otp::line_pad;
 use nvmm_crypto::Counter;
 use std::hint::black_box;
@@ -49,10 +50,26 @@ fn bench_engine_roundtrip(c: &mut Criterion) {
     g.finish();
 }
 
+fn bench_line_mac(c: &mut Criterion) {
+    let engine = MacEngine::new([9; 16]);
+    let line = [0x3cu8; 64];
+    let mut g = c.benchmark_group("mac");
+    g.throughput(Throughput::Bytes(64));
+    g.bench_function("line_mac_uncached", |b| {
+        let mut counter = 0u64;
+        b.iter(|| {
+            counter += 1;
+            engine.line_mac_uncached(black_box(77), Counter(counter), &line)
+        })
+    });
+    g.finish();
+}
+
 criterion_group!(
     benches,
     bench_aes_block,
     bench_line_pad,
-    bench_engine_roundtrip
+    bench_engine_roundtrip,
+    bench_line_mac
 );
 criterion_main!(benches);

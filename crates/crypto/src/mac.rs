@@ -224,7 +224,14 @@ impl MacEngine {
         tag
     }
 
-    fn line_mac_uncached(&self, addr: u64, counter: Counter, data: &[u8; LINE_BYTES]) -> Mac {
+    /// Computes the MAC of one 64-byte line like [`MacEngine::line_mac`],
+    /// without consulting or filling the memo.
+    ///
+    /// For callers whose `(addr, counter)` pairs never repeat — the
+    /// controller's writer tags each write-back under a fresh counter —
+    /// the memo could only grow, and its data hash and lock would be
+    /// pure overhead.
+    pub fn line_mac_uncached(&self, addr: u64, counter: Counter, data: &[u8; LINE_BYTES]) -> Mac {
         let mut block = [0u8; 16];
         block[..8].copy_from_slice(&addr.to_le_bytes());
         block[8..].copy_from_slice(&counter.to_bytes());
@@ -268,6 +275,18 @@ mod tests {
         let mut other = line;
         other[0] ^= 1;
         assert_ne!(clone.line_mac(0x80, Counter(9), &other), tag);
+    }
+
+    #[test]
+    fn mac_known_answer() {
+        // Pinned tag: MACs are persisted in the MAC region and feed the
+        // integrity tree's digests, so the AES kernel must not move them.
+        let tag = engine().line_mac(0x1000, Counter(7), &[0xa5u8; LINE_BYTES]);
+        assert_eq!(tag, Mac(0xe5a5_40fe_46a3_df7c));
+        assert_eq!(
+            engine().line_mac_uncached(0x1000, Counter(7), &[0xa5u8; LINE_BYTES]),
+            tag
+        );
     }
 
     #[test]

@@ -112,6 +112,25 @@ mod tests {
     }
 
     #[test]
+    fn line_pad_known_answers() {
+        // Pinned outputs: a pad is a persisted ciphertext's other half,
+        // so any change to the AES kernel or the input-block layout must
+        // show up here, not as silently different simulator digests.
+        let hex = |pad: LinePad| -> String { pad.iter().map(|b| format!("{b:02x}")).collect() };
+        let c = Aes128::new(&[7; 16]);
+        assert_eq!(
+            hex(line_pad(&c, 42, Counter(1))),
+            "2c3de84c02504c3828e0ea0bd79bd4d12e871ac8e942108e6f1e52a4a9a98ee2\
+             8b2f8da204b32854477e26f2a9ea07e11a481ac78014d5a0677d0cbbb075e400"
+        );
+        assert_eq!(
+            hex(line_pad(&c, 0x1234_5678_9abc, Counter(1 | (1 << 60)))),
+            "66a64d673b2b84fc6702233d553a76d681f37306349b06174966576fb0021cf3\
+             7dc35ce04f8b887ee1e07f8019d790b3ac6d5f1ea4a47c7a75b734e0821fe515"
+        );
+    }
+
+    #[test]
     fn xor_is_involution() {
         let c = cipher();
         let pad = line_pad(&c, 5, Counter(7));

@@ -36,6 +36,7 @@
 use crate::addr::{CounterLineAddr, LineAddr, MacLineAddr, NvmmTarget, TreeNodeAddr};
 use crate::cache::SetAssocCache;
 use crate::config::{Design, SimConfig};
+use crate::crashmc::fold_last_writers;
 use crate::device::{AccessKind, PcmDevice, WearReport, WearTracker};
 use crate::integrity::{DigestLine, IntegrityState, MetaKey};
 use crate::nvmm::NvmmImage;
@@ -113,7 +114,12 @@ pub(crate) enum JournalOp {
 }
 
 impl JournalOp {
-    /// Applies this persisted write to an image under construction.
+    /// Applies this persisted write to an image under construction, op
+    /// by op. Production folds through
+    /// [`fold_last_writers`](crate::crashmc::fold_last_writers); this is
+    /// the oracle the fold and the reference crash-set builder are held
+    /// to.
+    #[cfg(test)]
     pub(crate) fn apply(&self, img: &mut NvmmImage) {
         match self {
             JournalOp::Plain { line, data } => img.write_plain(*line, *data),
@@ -1063,17 +1069,17 @@ impl MemoryController {
 
     /// Builds the NVMM image as ADR would leave it for a crash at
     /// `crash_time` (`None` = run to completion: every journaled write
-    /// lands).
+    /// lands). Each cell takes its last guaranteed writer in journal
+    /// order.
     pub fn build_image(&self, crash_time: Option<Time>) -> NvmmImage {
         let mut img = NvmmImage::new();
-        for rec in &self.journal {
-            if let Some(t) = crash_time {
-                if rec.guaranteed_at > t {
-                    continue;
-                }
-            }
-            rec.op.apply(&mut img);
-        }
+        fold_last_writers(
+            &mut img,
+            self.journal
+                .iter()
+                .filter(|rec| crash_time.is_none_or(|t| rec.guaranteed_at <= t))
+                .map(|rec| &rec.op),
+        );
         img
     }
 
@@ -1125,24 +1131,29 @@ impl MemoryController {
         std::mem::take(&mut self.journal)
     }
 
-    /// Removes the first `n` journal records. The shard layer calls this
-    /// during batched-journal compaction after folding the records into
-    /// its base image; the controller itself never compacts.
-    pub(crate) fn drain_journal_prefix(&mut self, n: usize) {
-        self.journal.drain(..n);
+    /// The journal itself, for tests that stage journals no controller
+    /// design emits.
+    #[cfg(test)]
+    pub(crate) fn journal_mut(&mut self) -> &mut Vec<JournalRecord> {
+        &mut self.journal
     }
 
-    /// Removes and returns every journal record submitted strictly
-    /// before `watermark` — the journal is nondecreasing in
-    /// `submitted_at`, so this is a prefix. Shard worker threads ship
-    /// the prefix back to the replay front end during parallel
-    /// batched-journal compaction, which folds the merged prefixes into
-    /// the global base image
-    /// ([`crate::shard::ShardedController::fold_shipped`]).
+    /// Removes and returns the compactable journal prefix at
+    /// `watermark`: the records before the first one submitted at or
+    /// after it. The journal is not sorted by `submitted_at` (a counter
+    /// write-back can journal behind a pair whose submission includes
+    /// the pad latency), so a record submitted before `watermark` that
+    /// follows one submitted after it stays: the merge order places it
+    /// after that record. Batched-journal compaction folds these
+    /// prefixes into the shard layer's base image
+    /// ([`crate::shard::ShardedController::fold_prefixes`]), taken in
+    /// place or shipped back by shard worker threads.
     pub(crate) fn take_journal_prefix(&mut self, watermark: Time) -> Vec<JournalRecord> {
         let n = self
             .journal
-            .partition_point(|rec| rec.submitted_at < watermark);
+            .iter()
+            .position(|rec| rec.submitted_at >= watermark)
+            .unwrap_or(self.journal.len());
         self.journal.drain(..n).collect()
     }
 }

@@ -822,8 +822,9 @@ impl CutSchedule {
     }
 }
 
-/// The cell granularity the overlay applies and undoes writes at: one
-/// key per independently-overwritable image entry. A [`JournalOp`]
+/// The cell granularity images are built at — by the overlay applying
+/// and undoing writes, and by [`fold_last_writers`]: one key per
+/// independently-overwritable image entry. A [`JournalOp`]
 /// touches one cell, except a co-located write (data cell plus
 /// co-located-counter cell) and a packed-metadata write (counter-line
 /// cell plus MAC-line cell — the packed line is one write on the
@@ -896,6 +897,35 @@ fn write_cell(img: &mut NvmmImage, key: CellKey, op: &JournalOp) {
             img.write_tree_node(*node, *digests)
         }
         _ => unreachable!("journal op does not write this cell"),
+    }
+}
+
+/// Folds journal writes, given in merged order, into `img`: each cell
+/// they touch is written once, from its last writer. That is what
+/// applying the writes one after another leaves, for one image write
+/// (two entry hashes) per cell instead of per write. Cells are written
+/// in first-touch order, so the image's maps see the same insertions as
+/// they would op by op. Image construction and batched-journal
+/// compaction both go through here.
+pub(crate) fn fold_last_writers<'a>(
+    img: &mut NvmmImage,
+    ops: impl IntoIterator<Item = &'a JournalOp>,
+) {
+    let mut slot_of: FxHashMap<CellKey, usize> = FxHashMap::default();
+    let mut last: Vec<(CellKey, &JournalOp)> = Vec::new();
+    for op in ops {
+        for cell in op_cells(op) {
+            let next = last.len();
+            let slot = *slot_of.entry(cell).or_insert(next);
+            if slot == next {
+                last.push((cell, op));
+            } else {
+                last[slot].1 = op;
+            }
+        }
+    }
+    for (cell, op) in last {
+        write_cell(img, cell, op);
     }
 }
 
@@ -2131,15 +2161,20 @@ mod tests {
         assert_enumerations_agree(set, EnumOpts::default());
     }
 
-    /// `synthetic_journal` dealt into two shard journals by record
-    /// shard, with a seeded third of the submission instants pulled back
-    /// by up to 30 ns: real shard journals are not sorted by submission
-    /// (a counter write-back goes out while an earlier data write is
-    /// still being encrypted).
+    /// `synthetic_journal` dealt into two unsorted shard journals.
     fn shard_journals(seed: u64) -> Vec<Vec<JournalRecord>> {
+        deal_unsorted(synthetic_journal(seed), seed)
+    }
+
+    /// Deals `journal` into two shard journals by record shard, with a
+    /// seeded third of the submission instants pulled back by up to
+    /// 30 ns: real shard journals are not sorted by submission (a counter
+    /// write-back goes out while an earlier data write is still being
+    /// encrypted).
+    fn deal_unsorted(journal: Vec<JournalRecord>, seed: u64) -> Vec<Vec<JournalRecord>> {
         let mut state = seed ^ 0x5eed;
         let mut shards = vec![Vec::new(), Vec::new()];
-        for mut rec in synthetic_journal(seed) {
+        for mut rec in journal {
             if splitmix64(&mut state).is_multiple_of(3) {
                 let back = splitmix64(&mut state) % 30_000;
                 rec.submitted_at = Time(rec.submitted_at.0.saturating_sub(back));
@@ -2147,6 +2182,134 @@ mod tests {
             shards[rec.shard].push(rec);
         }
         shards
+    }
+
+    /// `synthetic_journal` plus, at seeded places, the writes a per-cell
+    /// fold must resolve cell by cell: a packed-metadata write and a
+    /// counter-line write to one counter line (a later counter-line write
+    /// replaces only the packed write's counter half), and an encrypted
+    /// and a co-located write to one data line (the co-located write's
+    /// counter half outlives a later encrypted write).
+    fn fold_journal(seed: u64) -> Vec<JournalRecord> {
+        use nvmm_crypto::counter::CounterLine;
+        use nvmm_crypto::mac::{Mac, MacLine};
+        use nvmm_crypto::Counter;
+        let mut journal = synthetic_journal(seed);
+        let mut state = seed ^ 0xf01d;
+        let mut counters = CounterLine::new();
+        counters.set(3, Counter(70));
+        let mut macs = MacLine::new();
+        macs.set(3, Mac(71));
+        let mut other = CounterLine::new();
+        other.set(5, Counter(72));
+        let extra = [
+            JournalOp::PackedMeta {
+                cline: CounterLineAddr(1),
+                counters,
+                macs,
+            },
+            JournalOp::CounterLine {
+                cline: CounterLineAddr(1),
+                counters: other,
+            },
+            JournalOp::Encrypted {
+                line: LineAddr(2),
+                ciphertext: [0x33; 64],
+                counter: Counter(73),
+            },
+            JournalOp::CoLocated {
+                line: LineAddr(2),
+                ciphertext: [0x44; 64],
+                counter: Counter(74),
+            },
+        ];
+        for op in extra {
+            let at = splitmix64(&mut state) as usize % (journal.len() + 1);
+            let submitted_at = journal
+                .get(at)
+                .map_or(Time::from_ns(300), |r| r.submitted_at);
+            journal.insert(
+                at,
+                JournalRecord {
+                    submitted_at,
+                    guaranteed_at: submitted_at + Time::from_ns(splitmix64(&mut state) % 400),
+                    pair: None,
+                    domain: Domain::DataQueue,
+                    shard: (splitmix64(&mut state) % 2) as usize,
+                    op,
+                },
+            );
+        }
+        journal
+    }
+
+    /// Op-by-op application of `records` to a fresh image: the fold's
+    /// oracle.
+    fn applied<'a>(records: impl IntoIterator<Item = &'a JournalRecord>) -> NvmmImage {
+        let mut img = NvmmImage::new();
+        for r in records {
+            r.op.apply(&mut img);
+        }
+        img
+    }
+
+    fn assert_same_image(got: &NvmmImage, want: &NvmmImage, what: &str) {
+        assert!(got == want, "{what}: image contents or fingerprint differ");
+        assert_eq!(got.fingerprint(), got.fingerprint_recompute(), "{what}");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+        /// Every production image build — the whole-journal fold, a
+        /// crash-time image on one controller and on two unsorted shard
+        /// journals, and batched compaction at growing watermarks — equals
+        /// applying the same records op by op in (merged) journal order.
+        #[test]
+        fn last_writer_fold_matches_sequential_apply(seed in 0u64..1_000_000) {
+            use crate::shard::{MergedJournal, ShardedController};
+            let journal = fold_journal(seed);
+            let mut folded = NvmmImage::new();
+            fold_last_writers(&mut folded, journal.iter().map(|r| &r.op));
+            assert_same_image(&folded, &applied(&journal), "full fold");
+
+            let (mut single, _) = ctl(Design::Sca);
+            *single.journal_mut() = journal.clone();
+            let shards = deal_unsorted(journal, seed);
+            let sharded = ShardedController::with_journals(shards.clone());
+            let merged = || MergedJournal::new(shards.iter().map(Vec::as_slice).collect());
+            let horizon_ps = merged().map(|r| r.guaranteed_at.0).max().unwrap_or(0) + 10_000;
+            let mut state = seed ^ 0xb17d;
+            for _ in 0..4 {
+                let t = Time(splitmix64(&mut state) % horizon_ps);
+                let landed = |r: &&JournalRecord| r.guaranteed_at <= t;
+                assert_same_image(
+                    &single.build_image(Some(t)),
+                    &applied(single.journal().iter().filter(landed)),
+                    &format!("controller image at {t}"),
+                );
+                assert_same_image(
+                    &sharded.build_image(Some(t)),
+                    &applied(merged().filter(landed)),
+                    &format!("sharded image at {t}"),
+                );
+            }
+
+            let complete = applied(merged());
+            assert_same_image(&sharded.build_image(None), &complete, "uncompacted");
+            let mut compacted = ShardedController::with_journals(shards.clone());
+            let mut watermarks: Vec<Time> =
+                (0..4).map(|_| Time(splitmix64(&mut state) % horizon_ps)).collect();
+            watermarks.sort_unstable();
+            for w in watermarks {
+                compacted.compact_through(w);
+                assert_same_image(
+                    &compacted.build_image(None),
+                    &complete,
+                    &format!("compacted through {w}"),
+                );
+            }
+            prop_assert_eq!(compacted.journal_len(), sharded.journal_len());
+        }
     }
 
     proptest! {

@@ -334,6 +334,10 @@ impl IntegrityState {
     /// Recomputes and records the MAC of `line` after a write that
     /// encrypted `plaintext` under `counter`. Returns the MAC line the
     /// slot lives in.
+    ///
+    /// Every write draws a fresh counter, so the writer never sees an
+    /// `(addr, counter)` pair twice and skips the tag memo the checkers
+    /// rely on.
     pub fn record_mac(
         &mut self,
         line: LineAddr,
@@ -341,7 +345,9 @@ impl IntegrityState {
         plaintext: &[u8; LINE_BYTES],
     ) -> MacLineAddr {
         let slot = line.mac_slot();
-        let mac = self.mac_engine.line_mac(line.0, counter, plaintext);
+        let mac = self
+            .mac_engine
+            .line_mac_uncached(line.0, counter, plaintext);
         self.mac_state
             .entry(MacLineAddr(slot.mac_line))
             .or_default()

@@ -27,18 +27,18 @@
 //!
 //! Completion-only runs over very long traces would otherwise hold one
 //! journal record per NVMM write. `ShardedController::compact_through`
-//! folds the stable merged prefix (every record submitted strictly
-//! before the live-core watermark) into a base [`NvmmImage`] and drops
-//! the records. Compaction is only sound when no crash analysis is
-//! requested: [`ShardedController::crash_set`] and crash-time
-//! [`ShardedController::build_image`] panic once records have been
-//! folded, and [`crate::system::System`] only compacts under
+//! folds the stable merged prefix (each shard's records up to its first
+//! one submitted at or after the live-core watermark) into a base
+//! [`NvmmImage`] and drops the records. Compaction is only sound when no
+//! crash analysis is requested: [`ShardedController::crash_set`] and
+//! crash-time [`ShardedController::build_image`] panic once records
+//! have been folded, and [`crate::system::System`] only compacts under
 //! [`crate::system::CrashSpec::None`].
 
 use crate::addr::{LineAddr, NvmmTarget, ShardMap};
 use crate::config::{CacheGeometry, Design, SimConfig};
 use crate::controller::{JournalRecord, MemoryController};
-use crate::crashmc::CrashSet;
+use crate::crashmc::{fold_last_writers, CrashSet};
 use crate::device::WearReport;
 use crate::nvmm::NvmmImage;
 use crate::stats::Stats;
@@ -124,8 +124,6 @@ pub struct ShardedController {
     /// Image accumulated from compacted journal records; empty until
     /// `ShardedController::compact_through` first folds something.
     base: NvmmImage,
-    /// Merge cursor per shard: records before it are folded into `base`.
-    folded: Vec<usize>,
     /// Total journal records folded into `base` so far.
     compacted: u64,
 }
@@ -150,7 +148,6 @@ impl ShardedController {
             map,
             shards,
             base: NvmmImage::new(),
-            folded: vec![0; config.shards],
             compacted: 0,
         }
     }
@@ -274,11 +271,7 @@ impl ShardedController {
 
     /// Each shard's live (un-compacted) journal, in shard order.
     fn live_journals(&self) -> Vec<&[JournalRecord]> {
-        self.shards
-            .iter()
-            .zip(&self.folded)
-            .map(|(ctl, &folded)| &ctl.journal()[folded..])
-            .collect()
+        self.shards.iter().map(|ctl| ctl.journal()).collect()
     }
 
     /// Streams the merge keys `(submitted_at, shard)` of the live
@@ -314,8 +307,8 @@ impl ShardedController {
     }
 
     /// Builds the NVMM image as ADR would leave it for a crash at
-    /// `crash_time` (`None` = run to completion), replaying the merged
-    /// journal over the compaction base.
+    /// `crash_time` (`None` = run to completion): the compaction base
+    /// with each cell's last guaranteed writer in merged order on top.
     ///
     /// # Panics
     ///
@@ -328,12 +321,12 @@ impl ShardedController {
             "crash-time image unavailable after journal compaction"
         );
         let mut img = self.base.clone();
-        for rec in self.merged() {
-            if crash_time.is_some_and(|t| rec.guaranteed_at > t) {
-                continue;
-            }
-            rec.op.apply(&mut img);
-        }
+        fold_last_writers(
+            &mut img,
+            self.merged()
+                .filter(|rec| crash_time.is_none_or(|t| rec.guaranteed_at <= t))
+                .map(|rec| &rec.op),
+        );
         img
     }
 
@@ -363,44 +356,20 @@ impl ShardedController {
             .collect()
     }
 
-    /// Folds into the base image every journal record submitted
-    /// *strictly before* `watermark` and drops it from its shard's
-    /// journal. The caller must guarantee that no future record will be
-    /// submitted before `watermark` (the replay engine passes the
-    /// minimum live-core clock): the strict inequality then makes the
-    /// folded records a stable prefix of the final merged order, so the
+    /// Folds every shard's compactable journal prefix at `watermark`
+    /// ([`MemoryController::take_journal_prefix`]) into the base image.
+    /// The caller must guarantee that no future record will be submitted
+    /// before `watermark` (the replay engine passes the minimum
+    /// live-core clock). Every folded record then precedes every
+    /// remaining and future one in the final merged order, so the
     /// completion image is unchanged.
     pub(crate) fn compact_through(&mut self, watermark: Time) {
-        let mut heap: BinaryHeap<Reverse<(Time, usize)>> = self
+        let prefixes = self
             .shards
-            .iter()
-            .enumerate()
-            .filter_map(|(s, ctl)| {
-                ctl.journal()
-                    .get(self.folded[s])
-                    .map(|rec| Reverse((rec.submitted_at, s)))
-            })
+            .iter_mut()
+            .map(|ctl| ctl.take_journal_prefix(watermark))
             .collect();
-        while let Some(&Reverse((at, s))) = heap.peek() {
-            if at >= watermark {
-                break;
-            }
-            heap.pop();
-            self.shards[s].journal()[self.folded[s]]
-                .op
-                .apply(&mut self.base);
-            self.folded[s] += 1;
-            self.compacted += 1;
-            if let Some(rec) = self.shards[s].journal().get(self.folded[s]) {
-                heap.push(Reverse((rec.submitted_at, s)));
-            }
-        }
-        for (s, folded) in self.folded.iter_mut().enumerate() {
-            if *folded > 0 {
-                self.shards[s].drain_journal_prefix(*folded);
-                *folded = 0;
-            }
-        }
+        self.fold_prefixes(prefixes);
     }
 
     /// Detaches the shard controllers so per-shard worker threads can
@@ -410,10 +379,6 @@ impl ShardedController {
     /// whole-system query panics until
     /// [`ShardedController::restore_shards`] puts the controllers back.
     pub(crate) fn take_shards(&mut self) -> Vec<MemoryController> {
-        assert!(
-            self.folded.iter().all(|&f| f == 0),
-            "folded cursors must be drained before detaching shards"
-        );
         std::mem::take(&mut self.shards)
     }
 
@@ -421,23 +386,37 @@ impl ShardedController {
     /// [`ShardedController::take_shards`], in shard order.
     pub(crate) fn restore_shards(&mut self, shards: Vec<MemoryController>) {
         assert!(self.shards.is_empty(), "shards already attached");
-        assert_eq!(shards.len(), self.folded.len(), "wrong shard count");
+        assert_eq!(shards.len(), self.map.shards(), "wrong shard count");
         self.shards = shards;
     }
 
-    /// Folds journal records shipped back from detached shard workers
-    /// into the compaction base — the parallel-replay counterpart of
-    /// [`ShardedController::compact_through`]. The records are applied
-    /// in merged order: a stable sort by `(submitted_at, shard)` equals
-    /// the k-way merge because each worker ships its shards' records in
-    /// per-shard submission order, so equal keys (same shard, same
-    /// instant) keep their relative order.
-    pub(crate) fn fold_shipped(&mut self, mut records: Vec<JournalRecord>) {
-        records.sort_by_key(|rec| (rec.submitted_at, rec.shard));
-        for rec in &records {
-            rec.op.apply(&mut self.base);
+    /// Folds per-shard journal prefixes into the compaction base:
+    /// `prefixes[s]` is shard `s`'s compactable prefix
+    /// ([`MemoryController::take_journal_prefix`]) in journal order, and
+    /// the prefixes are folded in their k-way merge order.
+    /// [`ShardedController::compact_through`] takes them in place; in a
+    /// parallel replay the shard workers take them and ship them back,
+    /// so both ports leave the same base image.
+    pub(crate) fn fold_prefixes(&mut self, prefixes: Vec<Vec<JournalRecord>>) {
+        assert_eq!(prefixes.len(), self.map.shards(), "one prefix per shard");
+        let slices = prefixes.iter().map(Vec::as_slice).collect();
+        fold_last_writers(
+            &mut self.base,
+            MergedJournal::new(slices).map(|rec| &rec.op),
+        );
+        self.compacted += prefixes.iter().map(Vec::len).sum::<usize>() as u64;
+    }
+
+    /// One SCA shard per journal, each holding that journal — for tests
+    /// that stage journals no controller design emits.
+    #[cfg(test)]
+    pub(crate) fn with_journals(journals: Vec<Vec<JournalRecord>>) -> Self {
+        let cfg = SimConfig::single_core(Design::Sca).with_shards(journals.len());
+        let mut sharded = Self::new(&cfg);
+        for (ctl, journal) in sharded.shards.iter_mut().zip(journals) {
+            *ctl.journal_mut() = journal;
         }
-        self.compacted += records.len() as u64;
+        sharded
     }
 
     /// Parity probe for the single-shard configuration: `Some(true)`
@@ -615,6 +594,94 @@ mod tests {
             reference.build_image(None).fingerprint(),
             "folding a stable prefix must not change the completion image"
         );
+    }
+
+    /// Two shard journals that are not sorted by submission, with
+    /// same-cell inversions: a later journal record submitted earlier
+    /// than its predecessor, on a data line, a counter line, and a tree
+    /// node that both shards write.
+    fn unsorted_shard_journals() -> Vec<Vec<JournalRecord>> {
+        use crate::addr::{CounterLineAddr, TreeNodeAddr};
+        use crate::controller::JournalOp;
+        use crate::crashmc::Domain;
+        use crate::integrity::DigestLine;
+        use nvmm_crypto::counter::CounterLine;
+        use nvmm_crypto::Counter;
+        let rec = |shard: usize, submitted_ns: u64, op: JournalOp| JournalRecord {
+            submitted_at: Time::from_ns(submitted_ns),
+            guaranteed_at: Time::from_ns(submitted_ns + 40),
+            pair: None,
+            domain: Domain::DataQueue,
+            shard,
+            op,
+        };
+        let plain = |line: u64, v: u8| JournalOp::Plain {
+            line: LineAddr(line),
+            data: data(v.into()),
+        };
+        let counters = |v: u64| {
+            let mut cl = CounterLine::new();
+            cl.set(1, Counter(v));
+            JournalOp::CounterLine {
+                cline: CounterLineAddr(0),
+                counters: cl,
+            }
+        };
+        let node = |v: u64| {
+            let mut d = DigestLine::new();
+            d.set(2, v);
+            JournalOp::TreeNode {
+                node: TreeNodeAddr { level: 1, index: 0 },
+                digests: d,
+            }
+        };
+        vec![
+            vec![
+                rec(0, 10, counters(1)),
+                rec(0, 30, plain(0, 1)),
+                rec(0, 20, counters(2)),
+                rec(0, 25, node(1)),
+                rec(0, 50, plain(0, 2)),
+                rec(0, 45, plain(0, 3)),
+                rec(0, 60, counters(3)),
+                rec(0, 58, counters(4)),
+            ],
+            vec![
+                rec(1, 15, node(2)),
+                rec(1, 28, plain(8, 4)),
+                rec(1, 22, node(3)),
+                rec(1, 40, node(4)),
+                rec(1, 35, plain(8, 5)),
+                rec(1, 36, node(5)),
+            ],
+        ]
+    }
+
+    #[test]
+    fn compacting_unsorted_journals_keeps_the_completion_image() {
+        let journals = unsorted_shard_journals();
+        let total: usize = journals.iter().map(Vec::len).sum();
+        let reference = ShardedController::with_journals(journals.clone()).build_image(None);
+        assert_eq!(reference.raw_data(LineAddr(0)), Some(data(3)));
+        let mut compacted = ShardedController::with_journals(journals);
+        // Records left per shard: each cut stops at the first record
+        // submitted at or after the watermark, even where later records
+        // were submitted before it.
+        for (ns, left) in [
+            (18, [7, 5]),
+            (26, [7, 5]),
+            (33, [4, 3]),
+            (38, [4, 3]),
+            (47, [4, 0]),
+            (59, [2, 0]),
+            (100, [0, 0]),
+        ] {
+            let w = Time::from_ns(ns);
+            compacted.compact_through(w);
+            assert_eq!(compacted.journal_lens(), left, "cut at {w}");
+            assert_eq!(compacted.build_image(None), reference, "compaction at {w}");
+        }
+        assert_eq!(compacted.compacted_records() as usize, total);
     }
 
     #[test]

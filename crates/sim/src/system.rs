@@ -385,7 +385,7 @@ enum ShardRequest {
     /// Epoch-barrier sync: report the cumulative statistics snapshot
     /// and the summed write-queue depths at each boundary instant.
     Sync { ends: Vec<Time> },
-    /// Ship back the journal prefix submitted strictly before the
+    /// Ship back each owned shard's compactable journal prefix at the
     /// watermark (parallel batched-journal compaction).
     Compact { watermark: Time },
 }
@@ -405,8 +405,9 @@ enum ShardReply {
         stats: Box<Stats>,
         depths: Vec<(usize, usize)>,
     },
+    /// One journal prefix per owned shard, in the worker's shard order.
     Compacted {
-        records: Vec<JournalRecord>,
+        prefixes: Vec<Vec<JournalRecord>>,
     },
 }
 
@@ -467,11 +468,11 @@ fn shard_worker(
                 });
             }
             ShardRequest::Compact { watermark } => {
-                let mut records = Vec::new();
-                for ctl in &mut shards {
-                    records.append(&mut ctl.take_journal_prefix(watermark));
-                }
-                let _ = tx.send(ShardReply::Compacted { records });
+                let prefixes = shards
+                    .iter_mut()
+                    .map(|ctl| ctl.take_journal_prefix(watermark))
+                    .collect();
+                let _ = tx.send(ShardReply::Compacted { prefixes });
             }
         }
     }
@@ -650,14 +651,19 @@ impl ControllerPort for ChannelPort<'_> {
             tx.send(ShardRequest::Compact { watermark })
                 .expect("shard worker hung up");
         }
-        let mut shipped = Vec::new();
+        // Worker `w` owns shards `w, w + threads, ...` in that order.
+        let mut shipped: Vec<Vec<JournalRecord>> = vec![Vec::new(); self.controller.map().shards()];
         for worker in 0..self.threads {
             match self.recv_payload(worker) {
-                ShardReply::Compacted { records } => shipped.extend(records),
+                ShardReply::Compacted { prefixes } => {
+                    for (i, prefix) in prefixes.into_iter().enumerate() {
+                        shipped[worker + i * self.threads] = prefix;
+                    }
+                }
                 _ => unreachable!("expected a compaction reply"),
             }
         }
-        self.controller.fold_shipped(shipped);
+        self.controller.fold_prefixes(shipped);
     }
 }
 

@@ -11,6 +11,7 @@ use crate::addr::LineAddr;
 use crate::time::Time;
 use nvmm_crypto::LineData;
 use nvmm_json::{field, FromJson, FromJsonError, Json, ToJson};
+use std::sync::Arc;
 
 /// One event in a core's execution trace, in program order.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -162,9 +163,16 @@ impl FromJson for TraceEvent {
 }
 
 /// A complete program-order trace for one core.
+///
+/// A recorded trace is a shared immutable value: the events live behind
+/// an [`Arc`], so `clone()` is O(1) and every replay of one recording
+/// reads the same storage. Appending goes through [`Arc::make_mut`],
+/// which copies only when the storage is shared, so building a trace
+/// never copies and a clone that is extended leaves the original as it
+/// was.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Trace {
-    events: Vec<TraceEvent>,
+    events: Arc<Vec<TraceEvent>>,
 }
 
 impl Trace {
@@ -175,7 +183,7 @@ impl Trace {
 
     /// Appends an event.
     pub fn push(&mut self, ev: TraceEvent) {
-        self.events.push(ev);
+        Arc::make_mut(&mut self.events).push(ev);
     }
 
     /// The recorded events in program order.
@@ -212,14 +220,14 @@ impl Trace {
 
 impl Extend<TraceEvent> for Trace {
     fn extend<T: IntoIterator<Item = TraceEvent>>(&mut self, iter: T) {
-        self.events.extend(iter);
+        Arc::make_mut(&mut self.events).extend(iter);
     }
 }
 
 impl FromIterator<TraceEvent> for Trace {
     fn from_iter<T: IntoIterator<Item = TraceEvent>>(iter: T) -> Self {
         Self {
-            events: iter.into_iter().collect(),
+            events: Arc::new(iter.into_iter().collect()),
         }
     }
 }
@@ -233,7 +241,7 @@ impl ToJson for Trace {
 impl FromJson for Trace {
     fn from_json(json: &Json) -> Result<Self, FromJsonError> {
         Ok(Self {
-            events: field(json, "events")?,
+            events: Arc::new(field(json, "events")?),
         })
     }
 }
@@ -354,6 +362,23 @@ mod tests {
         assert_eq!(t.len(), 3);
         assert_eq!(t.write_count(), 1);
         assert_eq!(t.tx_count(), 1);
+    }
+
+    #[test]
+    fn clones_share_storage_until_pushed() {
+        let mut original: Trace = (0..4).map(write).collect();
+        let mut copy = original.clone();
+        assert!(
+            std::ptr::eq(original.events(), copy.events()),
+            "a clone must share the recorded events"
+        );
+        copy.push(TraceEvent::PersistBarrier);
+        assert_eq!(original.len(), 4, "pushing to a clone leaves the original");
+        assert_eq!(copy.len(), 5);
+        assert_eq!(copy.events()[..4], *original.events());
+        original.extend([write(9)]);
+        assert_eq!(original.len(), 5);
+        assert_eq!(copy.events()[4], TraceEvent::PersistBarrier);
     }
 
     #[test]

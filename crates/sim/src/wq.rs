@@ -23,7 +23,8 @@
 use crate::addr::NvmmTarget;
 use crate::device::{AccessKind, PcmDevice};
 use crate::time::Time;
-use std::collections::{HashMap, VecDeque};
+use fxhash::FxHashMap;
+use std::collections::VecDeque;
 
 /// Receipt for a plain (non-counter-atomic) write submission.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -116,7 +117,7 @@ pub struct WriteQueues {
     /// (but present) when the integrity policy is off.
     meta: SlotQueue,
     /// Pending (not yet draining) entries eligible for coalescing.
-    pending: HashMap<NvmmTarget, Pending>,
+    pending: FxHashMap<NvmmTarget, Pending>,
     /// Next instant the pairing coordinator is free: consecutive
     /// counter-atomic pairs serialize through the ready-bit handshake
     /// (Fig. 7a dependent-write ordering).
@@ -138,7 +139,7 @@ impl WriteQueues {
             data: SlotQueue::new(data_entries),
             counter: SlotQueue::new(counter_entries),
             meta: SlotQueue::new(meta_entries),
-            pending: HashMap::new(),
+            pending: FxHashMap::default(),
             pairing_free: Time::ZERO,
             pair_overhead,
         }
