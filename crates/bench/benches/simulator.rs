@@ -1,10 +1,10 @@
 //! Criterion benchmarks for the memory-system simulator itself: how fast
-//! the trace-replay engine executes per design, and the cost of crash
-//! recovery.
+//! the trace-replay engine executes per design and, on SCA, per
+//! integrity policy, and the cost of crash recovery.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use nvmm_core::recovery::{recover_undo_log, RecoveredMemory};
-use nvmm_sim::config::{Design, SimConfig};
+use nvmm_sim::config::{Design, IntegrityPolicy, SimConfig};
 use nvmm_sim::system::{CrashSpec, System};
 use nvmm_workloads::{execute, traces_for_cores, WorkloadKind, WorkloadSpec};
 use std::hint::black_box;
@@ -28,6 +28,26 @@ fn bench_replay(c: &mut Criterion) {
             |b, &design| {
                 b.iter(|| {
                     let cfg = SimConfig::single_core(design);
+                    System::new(cfg, black_box(traces.clone())).run(CrashSpec::None)
+                })
+            },
+        );
+    }
+    // The host cost of each integrity policy's controller work: the
+    // MAC per write, the tree path per write (strict persists it in
+    // the pair, lazy keeps it dirty on chip).
+    for (name, policy) in [
+        ("none", IntegrityPolicy::None),
+        ("mac-only", IntegrityPolicy::MacOnly),
+        ("lazy", IntegrityPolicy::Lazy),
+        ("strict", IntegrityPolicy::Strict),
+    ] {
+        g.bench_with_input(
+            BenchmarkId::new(Design::Sca.label(), name),
+            &policy,
+            |b, &policy| {
+                b.iter(|| {
+                    let cfg = SimConfig::single_core(Design::Sca).with_integrity(policy);
                     System::new(cfg, black_box(traces.clone())).run(CrashSpec::None)
                 })
             },

@@ -27,8 +27,8 @@
 //! 3. The streamed ingest path (generator-backed
 //!    [`nvmm_sim::trace::TraceStream`], never materializing the event
 //!    sequence) with batched-journal compaction produces the same
-//!    stats and final NVMM image as the same stream without
-//!    compaction.
+//!    stats, wear report, latency histogram and final NVMM image as
+//!    the same stream without compaction.
 //!
 //! **Artifacts:** `target/experiments/BENCH_service.json` — rows are
 //! arrival curves (`steady`/`burst`/`diurnal` plus the `closed`-loop
@@ -279,6 +279,8 @@ fn main() {
     let (batched, _) = run_stream(demo_shards, check_ops, Some(batch));
     let (unbatched, _) = run_stream(demo_shards, check_ops, None);
     if batched.stats != unbatched.stats
+        || batched.wear != unbatched.wear
+        || batched.latency != unbatched.latency
         || batched.image.fingerprint() != unbatched.image.fingerprint()
     {
         eprintln!("FAIL: batched-journal compaction changed the streamed run's outcome");

@@ -130,29 +130,40 @@ impl<K: Eq + Hash + Copy, V> SetAssocCache<K, V> {
     pub fn insert(&mut self, key: K, value: V, dirty: bool) -> Option<Eviction<K, V>> {
         let si = self.set_index(&key);
         let tick = self.bump();
-        let ways = self.ways;
-        let set = &mut self.sets[si];
-        if let Some(w) = set.iter_mut().find(|w| w.key == key) {
+        if let Some(w) = self.sets[si].iter_mut().find(|w| w.key == key) {
             w.value = value;
             w.dirty |= dirty;
             w.used = tick;
             return None;
         }
-        let victim = if set.len() == ways {
+        self.fill(si, key, value, dirty, tick)
+    }
+
+    /// Places absent `key` in set `si` at LRU stamp `tick`, evicting the
+    /// set's least recently used line when it is full.
+    fn fill(
+        &mut self,
+        si: usize,
+        key: K,
+        value: V,
+        dirty: bool,
+        tick: u64,
+    ) -> Option<Eviction<K, V>> {
+        let ways = self.ways;
+        let set = &mut self.sets[si];
+        let victim = (set.len() == ways).then(|| {
             let (vi, _) = set
                 .iter()
                 .enumerate()
                 .min_by_key(|(_, w)| w.used)
                 .expect("set is non-empty");
             let v = set.swap_remove(vi);
-            Some(Eviction {
+            Eviction {
                 key: v.key,
                 value: v.value,
                 dirty: v.dirty,
-            })
-        } else {
-            None
-        };
+            }
+        });
         set.push(Way {
             key,
             value,
@@ -160,6 +171,24 @@ impl<K: Eq + Hash + Copy, V> SetAssocCache<K, V> {
             used: tick,
         });
         victim
+    }
+
+    /// Records a use of `key` whose dirty bit becomes `dirty` (clean =
+    /// its current value just persisted), inserting it on a miss.
+    /// Returns whether it hit, plus the victim a miss evicted. One
+    /// probe and one LRU tick: the relative LRU order, hits, victims
+    /// and dirty bits are those of a `get`, a `clean` on a clean hit,
+    /// and an `insert`.
+    pub fn touch(&mut self, key: K, value: V, dirty: bool) -> (bool, Option<Eviction<K, V>>) {
+        let si = self.set_index(&key);
+        let tick = self.bump();
+        if let Some(w) = self.sets[si].iter_mut().find(|w| w.key == key) {
+            w.value = value;
+            w.dirty = dirty;
+            w.used = tick;
+            return (true, None);
+        }
+        (false, self.fill(si, key, value, dirty, tick))
     }
 
     /// Removes `key`, returning its payload and dirty bit.
@@ -207,6 +236,7 @@ impl<K: Eq + Hash + Copy, V> SetAssocCache<K, V> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn hit_and_miss() {
@@ -314,5 +344,58 @@ mod tests {
     #[should_panic]
     fn zero_ways_rejected() {
         let _: SetAssocCache<u8, u8> = SetAssocCache::new(1, 0);
+    }
+
+    /// The metadata cache's former touch: a `get`, a `clean` on a
+    /// clean hit, and an `insert` — three probes and two LRU ticks.
+    fn touch_by_parts(
+        c: &mut SetAssocCache<u8, ()>,
+        key: u8,
+        dirty: bool,
+    ) -> (bool, Option<Eviction<u8, ()>>) {
+        let hit = c.get(&key).is_some();
+        if hit && !dirty {
+            c.clean(&key);
+        }
+        (hit, c.insert(key, (), dirty))
+    }
+
+    fn resident(c: &SetAssocCache<u8, ()>) -> Vec<(u8, bool)> {
+        let mut lines: Vec<(u8, bool)> = c.iter().map(|(k, _, d)| (*k, d)).collect();
+        lines.sort_unstable();
+        lines
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
+
+        /// `touch` is the three-call sequence it replaced: the same hits,
+        /// victims and dirty bits at every step — with plain `insert`s
+        /// and dirtying `get_mut`s from other users interleaved — and the
+        /// same LRU order afterwards, read off the order in which fresh
+        /// keys evict what is left.
+        #[test]
+        fn touch_matches_get_clean_insert(
+            steps in prop::collection::vec((0u8..24, prop::bool::ANY, 0u8..8), 1..200),
+            sets in 1usize..4,
+            ways in 1usize..5,
+        ) {
+            let mut old: SetAssocCache<u8, ()> = SetAssocCache::new(sets, ways);
+            let mut new: SetAssocCache<u8, ()> = SetAssocCache::new(sets, ways);
+            for (key, dirty, op) in steps {
+                match op {
+                    0 => prop_assert_eq!(old.insert(key, (), dirty), new.insert(key, (), dirty)),
+                    1 => prop_assert_eq!(
+                        old.get_mut(&key, dirty).is_some(),
+                        new.get_mut(&key, dirty).is_some()
+                    ),
+                    _ => prop_assert_eq!(touch_by_parts(&mut old, key, dirty), new.touch(key, (), dirty)),
+                }
+                prop_assert_eq!(resident(&old), resident(&new));
+            }
+            for fresh in 100u8..(100 + (sets * ways * 4) as u8) {
+                prop_assert_eq!(old.insert(fresh, (), false), new.insert(fresh, (), false));
+            }
+        }
     }
 }

@@ -444,6 +444,11 @@ impl FromJson for PcmTiming {
     }
 }
 
+/// The tallest integrity tree a configuration may ask for: level `l`
+/// indexes counter lines by their bits above `3 * l`, and a 64-bit
+/// counter-line index has no bits above `3 * 21`.
+pub const MAX_TREE_LEVELS: u32 = 21;
+
 /// Full system configuration (Table 2 defaults).
 #[derive(Debug, Clone, PartialEq)]
 pub struct SimConfig {
@@ -524,7 +529,8 @@ pub struct SimConfig {
     /// Height of the N-ary (arity-8) counter/integrity tree: internal
     /// levels above the counter-line leaves, root included. The default
     /// of 10 covers 8^10 counter lines — 512 GiB of data space — which
-    /// accommodates every per-core region the workloads use.
+    /// accommodates every per-core region the workloads use. At most
+    /// [`MAX_TREE_LEVELS`].
     pub tree_levels: u32,
     /// Number of channel-sharded memory controllers. Lines interleave
     /// across shards at counter-line granularity
@@ -798,7 +804,14 @@ impl FromJson for SimConfig {
             integrity: field(json, "integrity")?,
             metadata_cache: field(json, "metadata_cache")?,
             metadata_write_queue_entries: field(json, "metadata_write_queue_entries")?,
-            tree_levels: field(json, "tree_levels")?,
+            tree_levels: match field(json, "tree_levels")? {
+                n if n > MAX_TREE_LEVELS => {
+                    return Err(FromJsonError(format!(
+                        "in field `tree_levels`: {n} exceeds the maximum of {MAX_TREE_LEVELS}"
+                    )))
+                }
+                n => n,
+            },
             // Absent in configs serialized before controller sharding.
             shards: match json.get("shards") {
                 Some(s) => usize::from_json(s)
@@ -1042,6 +1055,20 @@ mod tests {
         let back = SimConfig::from_json(&without).unwrap();
         assert_eq!(back.cell_endurance, 100_000_000);
         assert_eq!(back.attack_victims, 4);
+    }
+
+    #[test]
+    fn tree_levels_limit_round_trips_and_rejects_taller_trees() {
+        let mut c = SimConfig::single_core(Design::Sca).with_integrity(IntegrityPolicy::Strict);
+        c.tree_levels = MAX_TREE_LEVELS;
+        let back = SimConfig::from_json(&Json::parse(&c.to_json().to_pretty()).unwrap()).unwrap();
+        assert_eq!(back, c);
+        c.tree_levels = MAX_TREE_LEVELS + 1;
+        let err = SimConfig::from_json(&c.to_json()).expect_err("22 levels must be rejected");
+        assert!(
+            err.0.contains("`tree_levels`"),
+            "error must name the field: {err}"
+        );
     }
 
     #[test]

@@ -37,7 +37,7 @@ use crate::addr::{CounterLineAddr, LineAddr, MacLineAddr, NvmmTarget, TreeNodeAd
 use crate::cache::SetAssocCache;
 use crate::config::{Design, SimConfig};
 use crate::crashmc::fold_last_writers;
-use crate::device::{AccessKind, PcmDevice, WearReport, WearTracker};
+use crate::device::{AccessKind, PcmDevice};
 use crate::integrity::{DigestLine, IntegrityState, MetaKey};
 use crate::nvmm::NvmmImage;
 use crate::stats::Stats;
@@ -203,8 +203,6 @@ pub struct MemoryController {
     crypto_latency: Time,
     overhead: Time,
     compress_counters: bool,
-    /// Per-target NVMM write accounting (wear tracking, §6.3.3).
-    wear: WearTracker,
     /// Stop-loss window: force a counter-line write-back after this many
     /// un-persisted bumps (None = disabled).
     stop_loss: Option<u64>,
@@ -228,6 +226,12 @@ pub struct MemoryController {
     /// Channel-shard id stamped on every journal record (0 for the
     /// single-controller pipeline).
     shard_id: usize,
+    /// The tree path of the latest integrity-tree update, kept so the
+    /// write path refills it instead of allocating.
+    path: Vec<(TreeNodeAddr, DigestLine)>,
+    /// A counter-atomic write's metadata records, kept for the same
+    /// reason; empty between writes.
+    pair_ops: Vec<JournalOp>,
 }
 
 impl MemoryController {
@@ -262,7 +266,6 @@ impl MemoryController {
             crypto_latency: config.crypto_latency,
             overhead: config.controller_overhead,
             compress_counters: config.compress_counters,
-            wear: WearTracker::new(),
             stop_loss: config.stop_loss,
             counter_lag: FxHashMap::default(),
             integrity: IntegrityState::from_config(config),
@@ -270,6 +273,8 @@ impl MemoryController {
             tree_bug_drop_dependency: config.tree_bug_drop_dependency,
             phoenix_bug_stale_epoch: config.phoenix_bug_stale_epoch,
             shard_id,
+            path: Vec::new(),
+            pair_ops: Vec::new(),
         }
     }
 
@@ -306,17 +311,6 @@ impl MemoryController {
     /// crash at or after it has an empty in-flight set.
     pub fn quiesce_time(&self) -> Time {
         self.queues.quiesce_time()
-    }
-
-    /// Wear summary over all NVMM writes: (distinct targets written,
-    /// maximum writes to any single target).
-    pub fn wear_summary(&self) -> (u64, u64) {
-        (self.wear.distinct(), self.wear.max())
-    }
-
-    /// Full wear/endurance report at the given cell endurance.
-    pub fn wear_report(&self, cell_endurance: u64) -> WearReport {
-        self.wear.report(cell_endurance)
     }
 
     /// Probes the counter cache for `cline`. On a hit returns `None`; on
@@ -361,7 +355,7 @@ impl MemoryController {
     }
 
     /// Submits a MAC-line or tree-node write to the metadata write
-    /// queue, charging stats and wear.
+    /// queue, charging stats.
     fn submit_meta_write(
         &mut self,
         target: NvmmTarget,
@@ -370,7 +364,6 @@ impl MemoryController {
     ) -> PlainReceipt {
         let receipt = self.queues.submit_plain(&mut self.device, target, t);
         stats.wear_line_writes += 1;
-        self.wear.record(target);
         if receipt.coalesced {
             stats.coalesced_metadata_writes += 1;
         } else {
@@ -403,7 +396,6 @@ impl MemoryController {
                 .queues
                 .submit_plain(&mut self.device, NvmmTarget::PackedMeta(cline), t);
             stats.wear_line_writes += 1;
-            self.wear.record(NvmmTarget::PackedMeta(cline));
             if r.coalesced {
                 stats.coalesced_packed_meta_writes += 1;
             } else {
@@ -434,7 +426,6 @@ impl MemoryController {
             .queues
             .submit_plain(&mut self.device, NvmmTarget::Counter(cline), t);
         stats.wear_line_writes += 1;
-        self.wear.record(NvmmTarget::Counter(cline));
         if rc.coalesced {
             stats.coalesced_counter_writes += 1;
         } else {
@@ -525,7 +516,6 @@ impl MemoryController {
             .queues
             .submit_plain(&mut self.device, NvmmTarget::Counter(cline), t);
         stats.wear_line_writes += 1;
-        self.wear.record(NvmmTarget::Counter(cline));
         if receipt.coalesced {
             stats.coalesced_counter_writes += 1;
         } else {
@@ -610,7 +600,6 @@ impl MemoryController {
                     .queues
                     .submit_plain(&mut self.device, NvmmTarget::Data(line), t);
                 stats.wear_line_writes += 1;
-                self.wear.record(NvmmTarget::Data(line));
                 if r.coalesced {
                     stats.coalesced_data_writes += 1;
                 } else {
@@ -641,7 +630,6 @@ impl MemoryController {
                     .queues
                     .submit_plain(&mut self.device, NvmmTarget::Data(line), t_enc);
                 stats.wear_line_writes += 1;
-                self.wear.record(NvmmTarget::Data(line)); // widened line
                 if r.coalesced {
                     stats.coalesced_data_writes += 1;
                 } else {
@@ -735,10 +723,8 @@ impl MemoryController {
             }
             stats.nvmm_data_writes += 1;
             stats.bytes_written += 64;
-            stats.wear_line_writes += 1;
-            self.wear.record(NvmmTarget::Data(line));
-            stats.wear_line_writes += 1;
-            self.wear.record(counter_target);
+            // The data half and the counter half.
+            stats.wear_line_writes += 2;
             if r.counter_coalesced {
                 if packed {
                     stats.coalesced_packed_meta_writes += 1;
@@ -763,7 +749,7 @@ impl MemoryController {
             // engine. All pair members must share one guarantee instant
             // or the ready-bit atomicity tears.
             let mut guaranteed = r.ready;
-            let mut pair_ops: Vec<JournalOp> = Vec::new();
+            let mut pair_ops = std::mem::take(&mut self.pair_ops);
             let mut bug_ops: Vec<(Time, JournalOp)> = Vec::new();
             let mut evicted: Vec<MetaKey> = Vec::new();
             if self.integrity.is_some() {
@@ -804,9 +790,10 @@ impl MemoryController {
                     // clean too — its tree is reconstructible state that
                     // never reaches NVMM.
                     let node_dirty = !in_pair && !policy.phoenix();
-                    let path = {
+                    let mut path = std::mem::take(&mut self.path);
+                    {
                         let integ = self.integrity.as_mut().expect("checked");
-                        let path = integ.update_tree_path(cline, &counters_bytes);
+                        integ.update_tree_path(cline, &counters_bytes, &mut path);
                         for (node, _) in &path {
                             let (victim, hit) = integ.touch(MetaKey::Node(*node), node_dirty);
                             if hit {
@@ -816,8 +803,7 @@ impl MemoryController {
                             }
                             evicted.extend(victim);
                         }
-                        path
-                    };
+                    }
                     if in_pair {
                         let path_len = path.len();
                         for (i, (node, digests)) in path.iter().enumerate() {
@@ -862,6 +848,7 @@ impl MemoryController {
                             integ.root_free = guaranteed;
                         }
                     }
+                    self.path = path;
                     if policy.phoenix() {
                         let seq = self
                             .integrity
@@ -932,7 +919,7 @@ impl MemoryController {
                 shard: self.shard_id,
                 op: counter_op,
             });
-            for op in pair_ops {
+            for op in pair_ops.drain(..) {
                 self.journal.push(JournalRecord {
                     submitted_at: t_enq,
                     guaranteed_at: guaranteed,
@@ -942,6 +929,7 @@ impl MemoryController {
                     op,
                 });
             }
+            self.pair_ops = pair_ops;
             // The injected bug: tree-path updates journaled outside the
             // pair, guaranteed the instant the metadata queue accepted
             // them — parents race ahead of the children they digest.
@@ -967,7 +955,6 @@ impl MemoryController {
                 .queues
                 .submit_plain(&mut self.device, NvmmTarget::Data(line), t_enq);
             stats.wear_line_writes += 1;
-            self.wear.record(NvmmTarget::Data(line));
             if r.coalesced {
                 stats.coalesced_data_writes += 1;
             } else {
@@ -1011,7 +998,8 @@ impl MemoryController {
                         // stay clean in cache; other policies leave them
                         // dirty for eviction-time persistence.
                         let node_dirty = !policy.phoenix();
-                        for (node, _) in integ.update_tree_path(cline, &counters_bytes) {
+                        integ.update_tree_path(cline, &counters_bytes, &mut self.path);
+                        for &(node, _) in &self.path {
                             let (victim, hit) = integ.touch(MetaKey::Node(node), node_dirty);
                             if hit {
                                 stats.tree_cache_hits += 1;
@@ -1072,7 +1060,7 @@ impl MemoryController {
     /// lands). Each cell takes its last guaranteed writer in journal
     /// order.
     pub fn build_image(&self, crash_time: Option<Time>) -> NvmmImage {
-        let mut img = NvmmImage::new();
+        let mut img = NvmmImage::untracked();
         fold_last_writers(
             &mut img,
             self.journal
@@ -1080,6 +1068,7 @@ impl MemoryController {
                 .filter(|rec| crash_time.is_none_or(|t| rec.guaranteed_at <= t))
                 .map(|rec| &rec.op),
         );
+        img.seal();
         img
     }
 
@@ -1118,12 +1107,6 @@ impl MemoryController {
     /// The raw journal, in submission order (for the shard merge layer).
     pub(crate) fn journal(&self) -> &[JournalRecord] {
         &self.journal
-    }
-
-    /// Per-target NVMM write counts (for the shard layer's exact wear
-    /// merge — tree nodes may be written from several shards).
-    pub(crate) fn wear(&self) -> &FxHashMap<NvmmTarget, u64> {
-        self.wear.counts()
     }
 
     /// Moves the whole journal out, leaving it empty.
@@ -1380,8 +1363,10 @@ mod tests {
     }
 
     #[test]
-    fn wear_summary_counts_targets_and_hot_spots() {
-        let (mut c, mut s) = ctl(Design::Fca);
+    fn wear_report_counts_targets_and_hot_spots() {
+        let cfg = SimConfig::single_core(Design::Fca);
+        let mut c = crate::shard::ShardedController::new(&cfg);
+        let mut s = Stats::new(1);
         // Three writes to one line, one to another.
         for t in 0..3 {
             c.writeback(
@@ -1393,14 +1378,12 @@ mod tests {
             );
         }
         c.writeback(LineAddr(900), [9; 64], false, Time::from_ns(5000), &mut s);
-        let (distinct, max) = c.wear_summary();
-        // Data lines 5 and 900 plus their counter lines (minus queue
-        // coalescing effects on the counter side).
-        assert!(
-            distinct >= 3,
-            "at least both data lines and one counter line"
-        );
-        assert!(max >= 3, "line 5 absorbed three writes (max={max})");
+        let wear = c.wear_report(cfg.cell_endurance);
+        // Data lines 5 and 900 plus their counter lines, every pair's
+        // counter half counted even when the queue coalesced it.
+        assert_eq!(wear.distinct_lines, 4);
+        assert_eq!(wear.max_line_writes, 3, "line 5 absorbed three writes");
+        assert_eq!(wear.total_writes, s.wear_line_writes);
     }
 
     fn integ_ctl(

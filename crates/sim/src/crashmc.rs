@@ -903,10 +903,12 @@ fn write_cell(img: &mut NvmmImage, key: CellKey, op: &JournalOp) {
 /// Folds journal writes, given in merged order, into `img`: each cell
 /// they touch is written once, from its last writer. That is what
 /// applying the writes one after another leaves, for one image write
-/// (two entry hashes) per cell instead of per write. Cells are written
-/// in first-touch order, so the image's maps see the same insertions as
-/// they would op by op. Image construction and batched-journal
-/// compaction both go through here.
+/// per cell instead of per write. Cells are written in first-touch
+/// order, so the image's maps see the same insertions as they would op
+/// by op. Image construction and batched-journal compaction both go
+/// through here, into untracked images: image construction seals the
+/// result once ([`NvmmImage::seal`]), and the compaction base is never
+/// fingerprinted at all.
 pub(crate) fn fold_last_writers<'a>(
     img: &mut NvmmImage,
     ops: impl IntoIterator<Item = &'a JournalOp>,

@@ -20,7 +20,6 @@
 use crate::addr::NvmmTarget;
 use crate::config::{PcmTiming, SimConfig};
 use crate::time::Time;
-use fxhash::FxHashMap;
 use nvmm_json::{field, FromJson, FromJsonError, Json, ToJson};
 
 /// Kind of device access.
@@ -117,65 +116,21 @@ impl PcmDevice {
     }
 }
 
-/// Per-line wear accounting for the PCM array.
+/// A deterministic wear/endurance summary of one run.
 ///
 /// PCM cells endure a bounded number of SET/RESET cycles (~10⁷–10⁹);
 /// a controller's write *placement* therefore matters as much as its
-/// write *count*. The tracker records every line-write *request* at
-/// line granularity across all regions (data, counter, MAC, tree,
-/// packed metadata) — including requests the write queues later
-/// coalesce — so counter-write-heavy integrity policies expose their
-/// lifetime cost, not just their bandwidth cost, and the tally stays
-/// identical across shard and thread counts.
-#[derive(Debug, Clone, Default)]
-pub struct WearTracker {
-    counts: FxHashMap<NvmmTarget, u64>,
-    total: u64,
-}
-
-impl WearTracker {
-    /// An empty tracker.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records one array write to `target`.
-    pub fn record(&mut self, target: NvmmTarget) {
-        *self.counts.entry(target).or_default() += 1;
-        self.total += 1;
-    }
-
-    /// Per-target write counts (all regions).
-    pub fn counts(&self) -> &FxHashMap<NvmmTarget, u64> {
-        &self.counts
-    }
-
-    /// Number of distinct lines ever written.
-    pub fn distinct(&self) -> u64 {
-        self.counts.len() as u64
-    }
-
-    /// Writes absorbed by the most-written line.
-    pub fn max(&self) -> u64 {
-        self.counts.values().copied().max().unwrap_or(0)
-    }
-
-    /// Total array writes across all lines.
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
-    /// Summarizes wear at the given cell endurance.
-    pub fn report(&self, cell_endurance: u64) -> WearReport {
-        WearReport::from_counts(self.counts.values().copied(), cell_endurance)
-    }
-}
-
-/// A deterministic wear/endurance summary of one run.
+/// write *count*. The report covers every line-write *request* at line
+/// granularity across all regions (data, counter, MAC, tree, packed
+/// metadata) — including requests the write queues later coalesce — so
+/// counter-write-heavy integrity policies expose their lifetime cost,
+/// not just their bandwidth cost.
 ///
-/// Produced by [`WearTracker::report`] (or merged across shards by
-/// `ShardedController::wear_report`). Every field is a pure function of
-/// the per-line write counts, so the report is byte-identical across
+/// Every request journals exactly one record, so
+/// `ShardedController::wear_report` builds the per-line counts by
+/// tallying journal targets: per compaction batch as batches fold, plus
+/// the live journals at the end of the run. Every field is a pure
+/// function of those counts, so the report is byte-identical across
 /// thread and shard counts whenever the write stream is.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WearReport {
@@ -372,16 +327,9 @@ mod tests {
     }
 
     #[test]
-    fn wear_tracker_counts_and_summarizes() {
-        let mut w = WearTracker::new();
-        for _ in 0..5 {
-            w.record(data(0));
-        }
-        w.record(data(1));
-        assert_eq!(w.distinct(), 2);
-        assert_eq!(w.max(), 5);
-        assert_eq!(w.total(), 6);
-        let r = w.report(100);
+    fn wear_report_summarizes_counts() {
+        // Five writes to one line, one to another.
+        let r = WearReport::from_counts([5, 1].into_iter(), 100);
         assert_eq!(r.distinct_lines, 2);
         assert_eq!(r.total_writes, 6);
         assert_eq!(r.max_line_writes, 5);
@@ -392,8 +340,8 @@ mod tests {
     }
 
     #[test]
-    fn wear_report_of_empty_tracker_is_inert() {
-        let r = WearTracker::new().report(1_000);
+    fn wear_report_of_no_writes_is_inert() {
+        let r = WearReport::from_counts(std::iter::empty(), 1_000);
         assert_eq!(r.distinct_lines, 0);
         assert_eq!(r.max_line_writes, 0);
         assert_eq!(r.mean_line_writes_milli, 0);
@@ -404,13 +352,7 @@ mod tests {
     #[test]
     fn wear_report_json_round_trips() {
         use nvmm_json::{FromJson, ToJson};
-        let mut w = WearTracker::new();
-        for i in 0..20 {
-            for _ in 0..=(i % 7) {
-                w.record(data(i));
-            }
-        }
-        let r = w.report(100_000_000);
+        let r = WearReport::from_counts((0..20u64).map(|i| i % 7 + 1), 100_000_000);
         let back = WearReport::from_json(&r.to_json()).expect("round trip");
         assert_eq!(back, r);
     }

@@ -59,7 +59,7 @@
 
 use crate::addr::{CounterLineAddr, LineAddr, MacLineAddr, TreeNodeAddr};
 use crate::cache::SetAssocCache;
-use crate::config::{IntegrityPolicy, SimConfig};
+use crate::config::{IntegrityPolicy, SimConfig, MAX_TREE_LEVELS};
 use crate::nvmm::{LineRead, NvmmImage};
 use fxhash::FxHashMap;
 use nvmm_crypto::counter::{CounterLine, LINE_BYTES};
@@ -152,19 +152,36 @@ fn slot_in_parent(index: u64) -> usize {
 ///
 /// # Panics
 ///
-/// Panics if `cline` lies outside the tree's coverage (its index has
-/// bits above `3 * levels`).
+/// Panics if `levels` exceeds [`MAX_TREE_LEVELS`] or `cline` lies
+/// outside the tree's coverage (its index has bits above `3 * levels`).
 pub fn tree_path(cline: CounterLineAddr, levels: u32) -> Vec<TreeNodeAddr> {
-    assert!(
-        levels == 0 || cline.0 >> (3 * levels.min(21)) == 0,
-        "counter line {cline} outside a {levels}-level tree's coverage; raise tree_levels"
-    );
+    assert_covered(cline, levels);
     (1..=levels)
         .map(|l| TreeNodeAddr {
             level: l,
             index: cline.0 >> (3 * l),
         })
         .collect()
+}
+
+/// Panics unless `cline` lies inside a `levels`-level tree.
+fn assert_covered(cline: CounterLineAddr, levels: u32) {
+    assert_height(levels);
+    assert!(
+        levels == 0 || cline.0 >> (3 * levels) == 0,
+        "counter line {cline} outside a {levels}-level tree's coverage; raise tree_levels"
+    );
+}
+
+/// Panics if a `levels`-level tree exceeds [`MAX_TREE_LEVELS`]. The
+/// integrity constructors check programmatic configs with it;
+/// [`SimConfig::from_json`] rejects taller trees itself.
+fn assert_height(levels: u32) {
+    assert!(
+        levels <= MAX_TREE_LEVELS,
+        "tree_levels {levels} exceeds the maximum of {MAX_TREE_LEVELS}: a 64-bit \
+         counter-line index covers at most {MAX_TREE_LEVELS} arity-8 levels"
+    );
 }
 
 /// The reserved tree level phoenix epoch summaries persist at. Real
@@ -240,7 +257,12 @@ impl IntegritySpec {
     }
 
     /// The spec `config` implies.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `config.tree_levels` exceeds [`MAX_TREE_LEVELS`].
     pub fn from_config(config: &SimConfig) -> Self {
+        assert_height(config.tree_levels);
         Self {
             policy: config.integrity,
             levels: config.tree_levels,
@@ -297,7 +319,8 @@ impl IntegrityState {
     /// Panics if integrity is enabled on a design without a separate
     /// counter region (unencrypted or co-located): per-line MACs bind
     /// the separate counter, and the tree's leaves *are* the counter
-    /// region.
+    /// region. Panics too if `config.tree_levels` exceeds
+    /// [`MAX_TREE_LEVELS`].
     pub fn from_config(config: &SimConfig) -> Option<Self> {
         if !config.integrity.enabled() {
             return None;
@@ -308,6 +331,7 @@ impl IntegrityState {
             config.integrity,
             config.design
         );
+        assert_height(config.tree_levels);
         Some(Self {
             policy: config.integrity,
             levels: config.tree_levels,
@@ -367,25 +391,32 @@ impl IntegrityState {
 
     /// Propagates a counter-line update through the tree: recomputes the
     /// leaf digest from `counter_line_bytes` and folds it up to the
-    /// root. Returns the updated path `(node, new content)`, leaf-most
-    /// first — the write set a strict-policy write must persist.
+    /// root. Refills `path` with the updated path `(node, new content)`,
+    /// leaf-most first — the write set a strict-policy write must
+    /// persist. The caller keeps `path` across writes, so the walk
+    /// allocates nothing once it has grown to the tree's height; the
+    /// root's own digest has no parent slot and is not computed.
     pub fn update_tree_path(
         &mut self,
         cline: CounterLineAddr,
         counter_line_bytes: &[u8; LINE_BYTES],
-    ) -> Vec<(TreeNodeAddr, DigestLine)> {
+        path: &mut Vec<(TreeNodeAddr, DigestLine)>,
+    ) {
+        assert_covered(cline, self.levels);
+        path.clear();
         let mut digest = digest64(counter_line_bytes);
         let mut index = cline.0;
-        let mut path = Vec::with_capacity(self.levels as usize);
-        for node in tree_path(cline, self.levels) {
+        for level in 0..self.levels {
+            let node = parent_of(level, index);
             let entry = self.tree_state.entry(node).or_default();
             entry.set(slot_in_parent(index), digest);
             let snap = *entry;
-            digest = digest64(&snap.to_bytes());
+            if node.level < self.levels {
+                digest = digest64(&snap.to_bytes());
+            }
             index = node.index;
             path.push((node, snap));
         }
-        path
     }
 
     /// Touches `key` in the metadata cache, marking it dirty or clean
@@ -393,16 +424,8 @@ impl IntegrityState {
     /// victim's key if the insertion evicted one the caller must
     /// persist, plus whether the touch hit.
     pub fn touch(&mut self, key: MetaKey, dirty: bool) -> (Option<MetaKey>, bool) {
-        let hit = self.cache.get(&key).is_some();
-        if hit && !dirty {
-            self.cache.clean(&key);
-        }
-        let victim = self
-            .cache
-            .insert(key, (), dirty)
-            .filter(|v| v.dirty)
-            .map(|v| v.key);
-        (victim, hit)
+        let (hit, victim) = self.cache.touch(key, (), dirty);
+        (victim.filter(|v| v.dirty).map(|v| v.key), hit)
     }
 
     /// Whether `key` is resident and dirty.
@@ -1450,8 +1473,11 @@ mod tests {
         let mut st = IntegrityState::from_config(&cfg).expect("enabled");
         let mut cl = CounterLine::new();
         cl.set(3, Counter(7));
-        let path = st.update_tree_path(CounterLineAddr(5), &cl.to_bytes());
-        assert_eq!(path.len(), st.levels() as usize);
+        let mut path = vec![(TreeNodeAddr { level: 9, index: 9 }, DigestLine::new())];
+        st.update_tree_path(CounterLineAddr(5), &cl.to_bytes(), &mut path);
+        assert_eq!(path.len(), st.levels() as usize, "the buffer is refilled");
+        let nodes: Vec<TreeNodeAddr> = path.iter().map(|(node, _)| *node).collect();
+        assert_eq!(nodes, tree_path(CounterLineAddr(5), st.levels()));
         assert_eq!(path[0].1.get(5), digest64(&cl.to_bytes()));
         // Each parent embeds the digest of the freshly updated child.
         for pair in path.windows(2) {
@@ -1506,17 +1532,57 @@ mod tests {
         IntegrityState::from_config(&cfg);
     }
 
+    /// From 22 levels a counter-line index shifts by 66 bits or more:
+    /// a release build would mask the shift and walk the wrong nodes.
+    #[test]
+    #[should_panic(expected = "tree_levels 22 exceeds the maximum of 21")]
+    fn trees_taller_than_21_levels_rejected() {
+        let mut cfg = SimConfig::single_core(crate::config::Design::Sca)
+            .with_integrity(IntegrityPolicy::Strict);
+        cfg.tree_levels = MAX_TREE_LEVELS + 1;
+        IntegrityState::from_config(&cfg);
+    }
+
+    #[test]
+    #[should_panic(expected = "tree_levels 22 exceeds the maximum of 21")]
+    fn specs_taller_than_21_levels_rejected() {
+        let mut cfg = SimConfig::single_core(crate::config::Design::Sca)
+            .with_integrity(IntegrityPolicy::Lazy);
+        cfg.tree_levels = MAX_TREE_LEVELS + 1;
+        IntegritySpec::from_config(&cfg);
+    }
+
+    #[test]
+    fn a_21_level_tree_walks_every_level_to_the_root() {
+        let mut cfg = SimConfig::single_core(crate::config::Design::Sca)
+            .with_integrity(IntegrityPolicy::Strict);
+        cfg.tree_levels = MAX_TREE_LEVELS;
+        let mut st = IntegrityState::from_config(&cfg).expect("enabled");
+        let mut path = Vec::new();
+        st.update_tree_path(CounterLineAddr(0o1234), &[1; LINE_BYTES], &mut path);
+        assert_eq!(path.len(), 21);
+        assert_eq!(
+            path[2].0,
+            TreeNodeAddr {
+                level: 3,
+                index: 0o1
+            }
+        );
+        assert!(path[3..].iter().all(|(node, _)| node.index == 0));
+    }
+
     #[test]
     fn rebuild_tree_matches_strict_path_updates() {
         let cfg = SimConfig::single_core(crate::config::Design::Sca)
             .with_integrity(IntegrityPolicy::Strict);
         let mut st = IntegrityState::from_config(&cfg).expect("enabled");
         let mut img = NvmmImage::new();
+        let mut path = Vec::new();
         for i in 0..3u64 {
             let mut cl = CounterLine::new();
             cl.set(0, Counter(i + 1));
             img.write_counter_line(CounterLineAddr(i * 9), cl);
-            st.update_tree_path(CounterLineAddr(i * 9), &cl.to_bytes());
+            st.update_tree_path(CounterLineAddr(i * 9), &cl.to_bytes(), &mut path);
         }
         let (root, rebuilt) = rebuild_tree(&img, st.levels());
         assert_eq!(

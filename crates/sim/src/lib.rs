@@ -79,7 +79,7 @@ pub use attack::{
 };
 pub use config::{Design, IntegrityPolicy, SimConfig};
 pub use crashmc::{CrashSet, CutSchedule, EnumOpts, EnumStats, Enumeration, LandMask};
-pub use device::{WearReport, WearTracker};
+pub use device::WearReport;
 pub use integrity::{
     rebuild_tree, recovery_cost, verify_image, verify_image_attack, verify_image_attack_with,
     verify_image_with, AttackVerdict, DeltaVerifier, DigestLine, FreshnessRef, IntegritySpec,

@@ -113,12 +113,14 @@ fn hash_tree_entry(addr: TreeNodeAddr, node: &DigestLine) -> u128 {
 /// hash, adjusted on every write and removal. This makes fingerprinting
 /// O(1) and makes the cost of dedupe in the crash model checker
 /// proportional to the entries *changed* between candidate images, not
-/// the image size.
+/// the image size. Images the crate builds in bulk — by folding a
+/// journal, where most cells are written several times — start
+/// untracked and are sealed once complete, so each resident entry is
+/// hashed once instead of on every write.
 ///
-/// Tests compare whole images with `==` (every region's contents and the
-/// running fingerprint); the simulator compares fingerprints.
+/// Tests compare whole images with `==` (every region's contents and
+/// [`NvmmImage::fingerprint`]); the simulator compares fingerprints.
 #[derive(Debug, Clone, Default)]
-#[cfg_attr(test, derive(PartialEq))]
 pub struct NvmmImage {
     data: FxHashMap<LineAddr, StoredLine>,
     counters: FxHashMap<CounterLineAddr, CounterLine>,
@@ -131,7 +133,24 @@ pub struct NvmmImage {
     /// region itself is the leaf level).
     tree: FxHashMap<TreeNodeAddr, DigestLine>,
     /// Incremental fingerprint: commutative fold of per-entry hashes.
+    /// Stale while `untracked`.
     fp: u128,
+    /// Whether writes and removals skip the fingerprint upkeep until
+    /// [`NvmmImage::seal`].
+    untracked: bool,
+}
+
+/// Contents and fingerprint, whether either side is tracked or not.
+#[cfg(test)]
+impl PartialEq for NvmmImage {
+    fn eq(&self, other: &Self) -> bool {
+        self.data == other.data
+            && self.counters == other.counters
+            && self.co_located == other.co_located
+            && self.macs == other.macs
+            && self.tree == other.tree
+            && self.fingerprint() == other.fingerprint()
+    }
 }
 
 impl NvmmImage {
@@ -140,12 +159,45 @@ impl NvmmImage {
         Self::default()
     }
 
-    fn set_data(&mut self, line: LineAddr, stored: StoredLine) {
-        let new = hash_data_entry(line, &stored);
-        if let Some(old) = self.data.insert(line, stored) {
-            self.fp = self.fp.wrapping_sub(hash_data_entry(line, &old));
+    /// Fresh NVMM whose writes skip the fingerprint upkeep: for images
+    /// built in bulk, which [`NvmmImage::seal`] fingerprints once done.
+    pub(crate) fn untracked() -> Self {
+        Self {
+            untracked: true,
+            ..Self::default()
         }
-        self.fp = self.fp.wrapping_add(new);
+    }
+
+    /// Fingerprints an untracked image from scratch — one hash per
+    /// resident entry — and tracks every later write and removal, so
+    /// [`NvmmImage::fingerprint`] answers in O(1) again. A no-op on a
+    /// tracked image.
+    pub(crate) fn seal(&mut self) {
+        if self.untracked {
+            self.fp = self.fingerprint_recompute();
+            self.untracked = false;
+        }
+    }
+
+    /// Moves one entry's contribution to the running fingerprint: the
+    /// `old` value's hash leaves the fold if it was resident, and the
+    /// `new` value's joins it unless the entry was removed. Nothing is
+    /// hashed while the image is untracked.
+    fn refold<V>(&mut self, hash: impl Fn(&V) -> u128, old: Option<&V>, new: Option<&V>) {
+        if self.untracked {
+            return;
+        }
+        if let Some(old) = old {
+            self.fp = self.fp.wrapping_sub(hash(old));
+        }
+        if let Some(new) = new {
+            self.fp = self.fp.wrapping_add(hash(new));
+        }
+    }
+
+    fn set_data(&mut self, line: LineAddr, stored: StoredLine) {
+        let old = self.data.insert(line, stored);
+        self.refold(|s| hash_data_entry(line, s), old.as_ref(), Some(&stored));
     }
 
     /// Persists a data line written by an unencrypted design.
@@ -187,48 +239,40 @@ impl NvmmImage {
     /// Persists only the counter half of a co-located line — the cell
     /// granularity the enumeration overlay applies/undoes at.
     pub(crate) fn write_co_located_counter(&mut self, line: LineAddr, counter: Counter) {
-        let new = hash_co_entry(line, counter);
-        if let Some(old) = self.co_located.insert(line, counter) {
-            self.fp = self.fp.wrapping_sub(hash_co_entry(line, old));
-        }
-        self.fp = self.fp.wrapping_add(new);
+        let old = self.co_located.insert(line, counter);
+        self.refold(|c| hash_co_entry(line, *c), old.as_ref(), Some(&counter));
     }
 
     /// Removes a resident data line, restoring the unwritten state. Used
     /// by the enumeration overlay when undoing an in-flight write that
     /// has no earlier writer beneath it.
     pub(crate) fn remove_data(&mut self, line: LineAddr) {
-        if let Some(old) = self.data.remove(&line) {
-            self.fp = self.fp.wrapping_sub(hash_data_entry(line, &old));
-        }
+        let old = self.data.remove(&line);
+        self.refold(|s| hash_data_entry(line, s), old.as_ref(), None);
     }
 
     /// Removes a co-located counter (overlay undo).
     pub(crate) fn remove_co_located_counter(&mut self, line: LineAddr) {
-        if let Some(old) = self.co_located.remove(&line) {
-            self.fp = self.fp.wrapping_sub(hash_co_entry(line, old));
-        }
+        let old = self.co_located.remove(&line);
+        self.refold(|c| hash_co_entry(line, *c), old.as_ref(), None);
     }
 
     /// Removes a counter-region line (overlay undo).
     pub(crate) fn remove_counter_line(&mut self, line: CounterLineAddr) {
-        if let Some(old) = self.counters.remove(&line) {
-            self.fp = self.fp.wrapping_sub(hash_counter_entry(line, &old));
-        }
+        let old = self.counters.remove(&line);
+        self.refold(|cl| hash_counter_entry(line, cl), old.as_ref(), None);
     }
 
     /// Removes a MAC-region line (overlay undo).
     pub(crate) fn remove_mac_line(&mut self, line: MacLineAddr) {
-        if let Some(old) = self.macs.remove(&line) {
-            self.fp = self.fp.wrapping_sub(hash_mac_entry(line, &old));
-        }
+        let old = self.macs.remove(&line);
+        self.refold(|ml| hash_mac_entry(line, ml), old.as_ref(), None);
     }
 
     /// Removes a persisted integrity-tree node (overlay undo).
     pub(crate) fn remove_tree_node(&mut self, node: TreeNodeAddr) {
-        if let Some(old) = self.tree.remove(&node) {
-            self.fp = self.fp.wrapping_sub(hash_tree_entry(node, &old));
-        }
+        let old = self.tree.remove(&node);
+        self.refold(|d| hash_tree_entry(node, d), old.as_ref(), None);
     }
 
     /// Sets `cell` to its value in `from`, or removes it where `from`
@@ -261,11 +305,12 @@ impl NvmmImage {
 
     /// Persists a full counter line into the counter region.
     pub fn write_counter_line(&mut self, line: CounterLineAddr, counters: CounterLine) {
-        let new = hash_counter_entry(line, &counters);
-        if let Some(old) = self.counters.insert(line, counters) {
-            self.fp = self.fp.wrapping_sub(hash_counter_entry(line, &old));
-        }
-        self.fp = self.fp.wrapping_add(new);
+        let old = self.counters.insert(line, counters);
+        self.refold(
+            |cl| hash_counter_entry(line, cl),
+            old.as_ref(),
+            Some(&counters),
+        );
     }
 
     /// The counter region's current counter line (all-zero if never
@@ -286,11 +331,8 @@ impl NvmmImage {
 
     /// Persists a full MAC line into the MAC region.
     pub fn write_mac_line(&mut self, line: MacLineAddr, macs: MacLine) {
-        let new = hash_mac_entry(line, &macs);
-        if let Some(old) = self.macs.insert(line, macs) {
-            self.fp = self.fp.wrapping_sub(hash_mac_entry(line, &old));
-        }
-        self.fp = self.fp.wrapping_add(new);
+        let old = self.macs.insert(line, macs);
+        self.refold(|ml| hash_mac_entry(line, ml), old.as_ref(), Some(&macs));
     }
 
     /// The MAC region's current MAC line (all-unwritten if never
@@ -308,11 +350,8 @@ impl NvmmImage {
 
     /// Persists an integrity-tree node.
     pub fn write_tree_node(&mut self, node: TreeNodeAddr, digests: DigestLine) {
-        let new = hash_tree_entry(node, &digests);
-        if let Some(old) = self.tree.insert(node, digests) {
-            self.fp = self.fp.wrapping_sub(hash_tree_entry(node, &old));
-        }
-        self.fp = self.fp.wrapping_add(new);
+        let old = self.tree.insert(node, digests);
+        self.refold(|d| hash_tree_entry(node, d), old.as_ref(), Some(&digests));
     }
 
     /// The persisted integrity-tree node at `node`, if any.
@@ -420,16 +459,26 @@ impl NvmmImage {
     /// that materialize identical images.
     ///
     /// The digest is an order-independent `wrapping_add` fold of
-    /// per-entry FNV-1a-128 hashes, maintained incrementally on every
-    /// write/removal — this call is O(1).
+    /// per-entry FNV-1a-128 hashes. A tracked image maintains it on
+    /// every write and removal, so this call is O(1). The crate builds
+    /// completion and crash images by folding journals into untracked
+    /// images and seals each once, with one hash per resident entry,
+    /// before handing it out — so every image a caller receives answers
+    /// in O(1) too. An image still untracked (only the crate's own
+    /// compaction base) is recomputed from scratch here.
     pub fn fingerprint(&self) -> u128 {
-        self.fp
+        if self.untracked {
+            self.fingerprint_recompute()
+        } else {
+            self.fp
+        }
     }
 
     /// Recomputes [`NvmmImage::fingerprint`] from scratch by walking
-    /// every resident entry. Always equals `fingerprint()`; kept as the
-    /// eager reference the differential tests and the `fig_mc_perf`
-    /// self-check compare the incremental fold against.
+    /// every resident entry. Always equals `fingerprint()`; it seals
+    /// untracked images, and is the eager reference the differential
+    /// tests and the `fig_mc_perf` self-check compare the incremental
+    /// fold against.
     pub fn fingerprint_recompute(&self) -> u128 {
         let mut h: u128 = 0;
         for (addr, stored) in &self.data {
@@ -460,6 +509,7 @@ impl NvmmImage {
 mod tests {
     use super::*;
     use nvmm_crypto::counter::CounterLine;
+    use proptest::prelude::*;
 
     fn engine() -> EncryptionEngine {
         EncryptionEngine::new([9; 16])
@@ -666,5 +716,76 @@ mod tests {
             img.fingerprint(),
             "tree writes must change the fingerprint"
         );
+    }
+
+    /// Applies one random write, overwrite or removal: `kind` picks the
+    /// region and the operation, `key` the entry (few keys, so most
+    /// writes overwrite), `v` the content.
+    fn apply_op(img: &mut NvmmImage, kind: u8, key: u64, v: u64) {
+        let bytes = [v as u8; 64];
+        let node = TreeNodeAddr {
+            level: 1 + (key % 3) as u32,
+            index: key,
+        };
+        match kind {
+            0 => img.write_plain(LineAddr(key), bytes),
+            1 => img.write_encrypted(LineAddr(key), bytes, Counter(v)),
+            2 => img.write_co_located(LineAddr(key), bytes, Counter(v)),
+            3 => img.write_co_located_counter(LineAddr(key), Counter(v)),
+            4 => {
+                let mut cl = CounterLine::new();
+                cl.set((v % 8) as usize, Counter(v));
+                img.write_counter_line(CounterLineAddr(key), cl);
+            }
+            5 => {
+                let mut ml = MacLine::new();
+                ml.set((v % 8) as usize, Mac(v | 1));
+                img.write_mac_line(MacLineAddr(key), ml);
+            }
+            6 => {
+                let mut d = DigestLine::new();
+                d.set((v % 8) as usize, v);
+                img.write_tree_node(node, d);
+            }
+            7 => img.remove_data(LineAddr(key)),
+            8 => img.remove_co_located_counter(LineAddr(key)),
+            9 => img.remove_counter_line(CounterLineAddr(key)),
+            10 => img.remove_mac_line(MacLineAddr(key)),
+            _ => img.remove_tree_node(node),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 128, ..ProptestConfig::default() })]
+
+        /// An image built untracked and then sealed is the image built
+        /// tracked: the same contents, and a fingerprint equal to the
+        /// incremental one and to a from-scratch recompute — before the
+        /// seal (recomputed on demand), at it, and while the sealed
+        /// image keeps changing.
+        #[test]
+        fn untracked_then_sealed_matches_tracked(
+            before in prop::collection::vec((0u8..12, 0u64..6, any::<u64>()), 0..120),
+            after in prop::collection::vec((0u8..12, 0u64..6, any::<u64>()), 0..40),
+        ) {
+            let mut tracked = NvmmImage::new();
+            let mut sealed = NvmmImage::untracked();
+            for &(kind, key, v) in &before {
+                apply_op(&mut tracked, kind, key, v);
+                apply_op(&mut sealed, kind, key, v);
+            }
+            prop_assert!(sealed == tracked);
+            sealed.seal();
+            prop_assert!(!sealed.untracked);
+            prop_assert_eq!(sealed.fp, tracked.fingerprint());
+            prop_assert_eq!(sealed.fp, tracked.fingerprint_recompute());
+            for &(kind, key, v) in &after {
+                apply_op(&mut tracked, kind, key, v);
+                apply_op(&mut sealed, kind, key, v);
+                prop_assert_eq!(sealed.fp, tracked.fp);
+                prop_assert_eq!(sealed.fp, sealed.fingerprint_recompute());
+            }
+            prop_assert!(sealed == tracked);
+        }
     }
 }

@@ -122,10 +122,26 @@ pub struct ShardedController {
     map: ShardMap,
     shards: Vec<MemoryController>,
     /// Image accumulated from compacted journal records; empty until
-    /// `ShardedController::compact_through` first folds something.
+    /// `ShardedController::compact_through` first folds something. It
+    /// is never fingerprinted itself, so it accumulates untracked.
     base: NvmmImage,
     /// Total journal records folded into `base` so far.
     compacted: u64,
+    /// Writes per NVMM target among the folded records: the compacted
+    /// half of the wear tally.
+    compacted_wear: FxHashMap<NvmmTarget, u64>,
+}
+
+/// Adds one write per record to its target's count. Every NVMM write
+/// request journals exactly one record, so tallying a run's journal is
+/// its per-line wear.
+fn tally_wear<'a>(
+    counts: &mut FxHashMap<NvmmTarget, u64>,
+    records: impl IntoIterator<Item = &'a JournalRecord>,
+) {
+    for rec in records {
+        *counts.entry(rec.op.target()).or_default() += 1;
+    }
 }
 
 impl ShardedController {
@@ -147,8 +163,9 @@ impl ShardedController {
         Self {
             map,
             shards,
-            base: NvmmImage::new(),
+            base: NvmmImage::untracked(),
             compacted: 0,
+            compacted_wear: FxHashMap::default(),
         }
     }
 
@@ -217,40 +234,17 @@ impl ShardedController {
             .unwrap_or(Time::ZERO)
     }
 
-    /// Wear summary over all NVMM writes on all shards: (distinct
-    /// targets written, maximum writes to any single target). Tree
-    /// nodes may be written from several shards, so per-target counts
-    /// are merged exactly rather than summed per shard.
-    pub fn wear_summary(&self) -> (u64, u64) {
-        if self.shards.len() == 1 {
-            return self.shards[0].wear_summary();
-        }
-        let mut merged: FxHashMap<NvmmTarget, u64> = FxHashMap::default();
-        for ctl in &self.shards {
-            for (target, count) in ctl.wear() {
-                *merged.entry(*target).or_insert(0) += count;
-            }
-        }
-        let distinct = merged.len() as u64;
-        let max = merged.values().copied().max().unwrap_or(0);
-        (distinct, max)
-    }
-
-    /// Full wear/endurance report over all shards at the given cell
-    /// endurance. Like [`ShardedController::wear_summary`], per-target
-    /// counts are merged exactly across shards first, so the report is
-    /// identical at any shard count for the same write stream.
+    /// Wear/endurance report over every NVMM write on all shards at the
+    /// given cell endurance: the compacted tally plus every live
+    /// journal's targets. Tree nodes may be written from several
+    /// shards, so per-target counts are merged exactly, and the report
+    /// is identical at any shard count for the same write stream.
     pub fn wear_report(&self, cell_endurance: u64) -> WearReport {
-        if self.shards.len() == 1 {
-            return self.shards[0].wear_report(cell_endurance);
-        }
-        let mut merged: FxHashMap<NvmmTarget, u64> = FxHashMap::default();
+        let mut counts = self.compacted_wear.clone();
         for ctl in &self.shards {
-            for (target, count) in ctl.wear() {
-                *merged.entry(*target).or_insert(0) += count;
-            }
+            tally_wear(&mut counts, ctl.journal());
         }
-        WearReport::from_counts(merged.values().copied(), cell_endurance)
+        WearReport::from_counts(counts.into_values(), cell_endurance)
     }
 
     /// Total journaled NVMM writes, including compacted records.
@@ -327,6 +321,7 @@ impl ShardedController {
                 .filter(|rec| crash_time.is_none_or(|t| rec.guaranteed_at <= t))
                 .map(|rec| &rec.op),
         );
+        img.seal();
         img
     }
 
@@ -405,6 +400,14 @@ impl ShardedController {
             MergedJournal::new(slices).map(|rec| &rec.op),
         );
         self.compacted += prefixes.iter().map(Vec::len).sum::<usize>() as u64;
+        // A batch rewrites few targets many times (a strict write's
+        // tree path ends at the one root), so it is tallied in a small
+        // map first and merged into the run's tally once per target.
+        let mut batch = FxHashMap::default();
+        tally_wear(&mut batch, prefixes.iter().flatten());
+        for (target, count) in batch {
+            *self.compacted_wear.entry(target).or_default() += count;
+        }
     }
 
     /// One SCA shard per journal, each holding that journal — for tests

@@ -98,15 +98,16 @@ pub struct Stats {
     pub coalesced_packed_meta_writes: u64,
     /// Phoenix epoch summaries persisted inside counter-atomic pairs.
     pub phoenix_epoch_writes: u64,
-    /// Line-write *requests* charged to the wear tracker — one per
-    /// architectural NVMM write across every region, counting writes
-    /// the queues later coalesce (always equals [`Stats::nvmm_writes`]
-    /// plus [`Stats::coalesced_writes`]). Counting requests rather
-    /// than drains keeps wear a conserved quantity — identical across
-    /// shard and thread counts — and makes the lifetime estimate
-    /// conservative: a cell's endurance budget should not depend on
-    /// queue-drain timing. Kept as a live counter so telemetry can
-    /// expose a per-epoch wear series.
+    /// Line-write *requests* — one per architectural NVMM write across
+    /// every region, counting writes the queues later coalesce (always
+    /// equals [`Stats::nvmm_writes`] plus [`Stats::coalesced_writes`]).
+    /// Counting requests rather than drains keeps wear a conserved
+    /// quantity — identical across shard and thread counts — and makes
+    /// the lifetime estimate conservative: a cell's endurance budget
+    /// should not depend on queue-drain timing. Kept as a live counter
+    /// so telemetry can expose a per-epoch wear series, and as the
+    /// independent total the wear report's journal tally
+    /// ([`crate::device::WearReport::total_writes`]) must equal.
     pub wear_line_writes: u64,
 }
 
@@ -208,7 +209,7 @@ impl Stats {
     /// Write-queue entries that merged into an existing same-line
     /// entry instead of costing a fresh drain, across every region.
     /// `nvmm_writes() + coalesced_writes()` is the conserved
-    /// request-level write count the wear tracker charges.
+    /// request-level write count wear is measured in.
     pub fn coalesced_writes(&self) -> u64 {
         self.coalesced_data_writes
             + self.coalesced_counter_writes

@@ -1093,9 +1093,9 @@ impl System {
             .map(|c| c.now)
             .max()
             .unwrap_or(Time::ZERO);
-        let (distinct, max) = self.controller.wear_summary();
-        front.stats.distinct_lines_written = distinct;
-        front.stats.max_line_writes = max;
+        let wear = self.controller.wear_report(self.cfg.cell_endurance);
+        front.stats.distinct_lines_written = wear.distinct_lines;
+        front.stats.max_line_writes = wear.max_line_writes;
         // A crash image is its crash set's all-miss baseline, which the
         // set already holds; only a completed run replays the journal.
         let crash_set = crash_time.map(|t| self.controller.crash_set(t));
@@ -1109,7 +1109,6 @@ impl System {
             .take()
             .map(|s| s.finish(front.stats.runtime, &front.stats, &self.controller));
         let latency = (front.latency.count() > 0).then_some(std::mem::take(&mut front.latency));
-        let wear = self.controller.wear_report(self.cfg.cell_endurance);
         let outcome = RunOutcome {
             stats: std::mem::take(&mut front.stats),
             image,

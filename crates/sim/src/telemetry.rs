@@ -84,8 +84,8 @@ pub struct EpochSample {
     pub nvmm_metadata_writes: u64,
     /// Bytes written to NVMM during the epoch.
     pub bytes_written: u64,
-    /// Array writes charged to the wear tracker during the epoch (all
-    /// regions) — the time-resolved wear series.
+    /// Line-write requests during the epoch (all regions) — the
+    /// time-resolved wear series.
     pub wear_line_writes: u64,
 }
 
@@ -475,7 +475,7 @@ mod tests {
             assert_eq!(
                 s.wear_line_writes,
                 s.nvmm_writes() + s.coalesced_writes(),
-                "every NVMM write request is charged to the wear tracker ({design:?})"
+                "every NVMM write request is charged to wear ({design:?})"
             );
         }
     }

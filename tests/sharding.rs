@@ -429,23 +429,49 @@ fn journal_batching_refuses_crash_analysis() {
         .run(CrashSpec::AtTime(Time::from_ns(500)));
 }
 
-/// The completion path with the same batching knob stays valid: the
-/// run finishes, and its final image (fingerprinted via the stats the
-/// outcome carries) matches an unbatched reference run — compaction
-/// changes journal memory, never the completion image.
+/// The completion path with the same batching knob stays valid: under
+/// no integrity, lazy and strict — whose tree nodes near the root are
+/// written from both shards, so compaction folds one cell from two
+/// journals — the batched run's whole outcome (stats, wear report,
+/// latency histogram, completion image) matches an unbatched reference
+/// on the inline port and on two shard workers. Compaction changes
+/// journal memory, never the outcome.
 #[test]
 fn journal_batching_preserves_completion_outcome() {
-    let spec = WorkloadSpec::smoke(WorkloadKind::Queue).with_ops(4);
-    let cfg = SimConfig::single_core(Design::Sca).with_shards(2);
-    let traces = traces_for_cores(&spec, cfg.cores);
-    let batched = System::new(cfg.clone(), traces.clone())
-        .with_journal_batch(4)
-        .run(CrashSpec::None);
-    let reference = System::new(cfg, traces).run(CrashSpec::None);
-    assert_eq!(
-        batched.image.fingerprint(),
-        reference.image.fingerprint(),
-        "compaction must not change the completion image"
-    );
-    assert_eq!(batched.stats.runtime, reference.stats.runtime);
+    let spec = WorkloadSpec::smoke(WorkloadKind::Queue).with_ops(8);
+    let cores = 2;
+    let traces = traces_for_cores(&spec, cores);
+    for policy in [
+        IntegrityPolicy::None,
+        IntegrityPolicy::Lazy,
+        IntegrityPolicy::Strict,
+    ] {
+        let cfg = SimConfig::table2(Design::Sca, cores)
+            .with_shards(2)
+            .with_integrity(policy);
+        let reference = System::new(cfg.clone(), traces.clone()).run(CrashSpec::None);
+        for threads in [1, 2] {
+            let batched = System::new(cfg.clone(), traces.clone())
+                .with_shard_threads(threads)
+                .with_journal_batch(4)
+                .run(CrashSpec::None);
+            let what = format!("{policy:?} threads={threads}");
+            // Persist windows cover only the un-folded journal tail.
+            assert!(
+                batched.persist_windows.len() < reference.persist_windows.len(),
+                "{what}: compaction must fire"
+            );
+            assert_eq!(batched.stats, reference.stats, "{what}: stats diverged");
+            assert_eq!(batched.wear, reference.wear, "{what}: wear diverged");
+            assert_eq!(
+                batched.latency, reference.latency,
+                "{what}: latency diverged"
+            );
+            assert_eq!(
+                batched.image.fingerprint(),
+                reference.image.fingerprint(),
+                "{what}: compaction must not change the completion image"
+            );
+        }
+    }
 }
