@@ -1,12 +1,18 @@
 //! Criterion benchmarks for the memory-system simulator itself: how fast
 //! the trace-replay engine executes per design and, on SCA, per
-//! integrity policy, and the cost of crash recovery.
+//! integrity policy, the cost of crash recovery, and the host cost of
+//! model-checking one crash set per workload.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use nvmm_core::recovery::{recover_undo_log, RecoveredMemory};
+use nvmm_crypto::EncryptionEngine;
 use nvmm_sim::config::{Design, IntegrityPolicy, SimConfig};
+use nvmm_sim::integrity::IntegritySpec;
 use nvmm_sim::system::{CrashSpec, System};
-use nvmm_workloads::{execute, traces_for_cores, WorkloadKind, WorkloadSpec};
+use nvmm_workloads::{
+    check_crash_set, crash_instants_cfg, execute, traces_for_cores, ModelCheckOpts, WorkloadKind,
+    WorkloadSpec,
+};
 use std::hint::black_box;
 
 fn bench_replay(c: &mut Criterion) {
@@ -79,12 +85,42 @@ fn bench_recovery(c: &mut Criterion) {
     let out = System::new(cfg, vec![trace]).run(CrashSpec::AfterEvent(500));
     let mut g = c.benchmark_group("recovery");
     g.sample_size(30);
+    // The view borrows the image, so the row times recovery (with a
+    // fresh engine, as after a real crash) and no image copy.
     g.bench_function("decrypt_and_rollback", |b| {
         b.iter(|| {
-            let mut mem = RecoveredMemory::new(out.image.clone(), key);
+            let mut mem = RecoveredMemory::over(&out.image, EncryptionEngine::new(key));
             recover_undo_log(black_box(&mut mem), &ex.log)
         })
     });
+    g.finish();
+}
+
+/// One row per kind: `check_crash_set` — the fused delta walk, then the
+/// recovery oracle on every enumerated image — on the middle in-flight
+/// crash set of the `mc_*` benchmark shape (SCA + strict, `smoke` with
+/// 64 transactions of 24 payload lines, default `ModelCheckOpts`), on
+/// `mc_threads()` workers. Throughput is in images judged.
+fn bench_model_check(c: &mut Criterion) {
+    let cfg = SimConfig::single_core(Design::Sca).with_integrity(IntegrityPolicy::Strict);
+    let integrity = IntegritySpec::from_config(&cfg);
+    let opts = ModelCheckOpts::default();
+    let mut g = c.benchmark_group("model_check");
+    g.sample_size(10);
+    for kind in WorkloadKind::ALL {
+        let spec = WorkloadSpec::smoke(kind)
+            .with_ops(64)
+            .with_payload_lines(24);
+        let instants = crash_instants_cfg(&spec, cfg.clone(), &opts, 40);
+        let ex = execute(&spec, 0, spec.ops);
+        let set = System::new(cfg.clone(), vec![ex.pm.trace().clone()])
+            .run(CrashSpec::AtTime(instants[instants.len() / 2]))
+            .crash_set
+            .expect("an in-flight instant leaves a crash set");
+        let check = || check_crash_set(&spec, &ex, &set, cfg.key, cfg.design, integrity, &opts);
+        g.throughput(Throughput::Elements(check().images_checked as u64));
+        g.bench_function(kind.label(), |b| b.iter(check));
+    }
     g.finish();
 }
 
@@ -92,6 +128,7 @@ criterion_group!(
     benches,
     bench_replay,
     bench_trace_generation,
-    bench_recovery
+    bench_recovery,
+    bench_model_check
 );
 criterion_main!(benches);

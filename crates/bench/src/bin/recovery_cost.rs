@@ -25,6 +25,7 @@ use nvmm_bench::sweep::{SweepCell, SweepRunner};
 use nvmm_bench::{print_table, Experiment};
 use nvmm_core::recovery::RecoveredMemory;
 use nvmm_core::txn::Mechanism;
+use nvmm_crypto::EncryptionEngine;
 use nvmm_sim::config::{Design, IntegrityPolicy, SimConfig};
 use nvmm_sim::integrity::{recovery_cost, IntegritySpec};
 use nvmm_sim::system::{CrashSpec, System};
@@ -68,7 +69,7 @@ fn main() {
                 .1;
             let (mut noop, mut armed, mut restored_total, mut points) = (0u64, 0u64, 0u64, 0u64);
             for (cell, out) in outs.iter().filter(|(c, _)| c.row == row) {
-                let mut mem = RecoveredMemory::new(out.image.clone(), key);
+                let mut mem = RecoveredMemory::over(&out.image, EncryptionEngine::new(key));
                 let report = mech.recover(&mut mem, &ex.log);
                 assert!(
                     report.reads_clean,

@@ -21,7 +21,8 @@
 use nvmm_crypto::engine::EncryptionEngine;
 use nvmm_sim::addr::{ByteAddr, LineAddr, LINE_BYTES};
 use nvmm_sim::nvmm::{LineRead, NvmmImage};
-use std::collections::{BTreeSet, HashMap};
+use std::borrow::Cow;
+use std::collections::{BTreeMap, BTreeSet};
 
 use crate::undo::UndoLog;
 
@@ -31,19 +32,25 @@ pub use crate::redo::recover_redo_log;
 ///
 /// Reads decrypt with the persisted counters and track garbling; writes
 /// (the restores performed by recovery) land in an overlay, as they would
-/// land in fresh cache lines on a real machine.
+/// land in fresh cache lines on a real machine. The image itself is
+/// never written, so the view either owns it ([`RecoveredMemory::new`],
+/// [`RecoveredMemory::with_engine`]) or borrows it
+/// ([`RecoveredMemory::over`]) — the crash model checker recovers every
+/// enumerated image in place instead of cloning it. A line recovery
+/// wrote reads from the overlay ([`RecoveredMemory::restored_lines`]);
+/// every other line reads exactly as the image decrypts it.
 #[derive(Debug)]
-pub struct RecoveredMemory {
-    image: NvmmImage,
+pub struct RecoveredMemory<'a> {
+    image: Cow<'a, NvmmImage>,
     engine: EncryptionEngine,
-    overlay: HashMap<LineAddr, [u8; 64]>,
+    overlay: BTreeMap<LineAddr, [u8; 64]>,
     garbled_touched: BTreeSet<LineAddr>,
     /// Osiris-style stop-loss search window (0 = disabled).
     recovery_window: u64,
     counters_recovered: u64,
 }
 
-impl RecoveredMemory {
+impl<'a> RecoveredMemory<'a> {
     /// Wraps a post-crash image with the system's encryption key.
     pub fn new(image: NvmmImage, key: [u8; 16]) -> Self {
         Self::with_engine(image, EncryptionEngine::new(key))
@@ -56,10 +63,21 @@ impl RecoveredMemory {
     /// shares the OTP pad memo across them instead of re-deriving the
     /// AES key schedule (and every pad) per image.
     pub fn with_engine(image: NvmmImage, engine: EncryptionEngine) -> Self {
+        Self::from_cow(Cow::Owned(image), engine)
+    }
+
+    /// [`RecoveredMemory::with_engine`] over a borrowed image: recovery
+    /// only reads the image, so checking many candidate images costs no
+    /// image copies.
+    pub fn over(image: &'a NvmmImage, engine: EncryptionEngine) -> Self {
+        Self::from_cow(Cow::Borrowed(image), engine)
+    }
+
+    fn from_cow(image: Cow<'a, NvmmImage>, engine: EncryptionEngine) -> Self {
         Self {
             image,
             engine,
-            overlay: HashMap::new(),
+            overlay: BTreeMap::new(),
             garbled_touched: BTreeSet::new(),
             recovery_window: 0,
             counters_recovered: 0,
@@ -167,6 +185,14 @@ impl RecoveredMemory {
         self.garbled_touched.is_empty()
     }
 
+    /// The lines recovery wrote so far, ascending. Each reads from the
+    /// overlay; every other line reads as the image decrypts it, so two
+    /// views over images that decrypt a line alike differ on that line
+    /// only if it is restored in one of them.
+    pub fn restored_lines(&self) -> impl Iterator<Item = LineAddr> + '_ {
+        self.overlay.keys().copied()
+    }
+
     /// The underlying image (for low-level inspection).
     pub fn image(&self) -> &NvmmImage {
         &self.image
@@ -262,7 +288,7 @@ mod tests {
     fn run_and_crash(
         design: Design,
         crash_after: Option<u64>,
-    ) -> (RecoveredMemory, UndoLog, ByteAddr) {
+    ) -> (RecoveredMemory<'static>, UndoLog, ByteAddr) {
         let (trace, log, data) = one_tx_trace();
         let cfg = SimConfig::single_core(design);
         let key = cfg.key;
@@ -339,6 +365,44 @@ mod tests {
                 return;
             }
         }
+    }
+
+    /// A view over a borrowed image recovers exactly as one owning a
+    /// copy, and lists the lines recovery wrote, ascending: the disarmed
+    /// `valid` flag and each restored region.
+    #[test]
+    fn borrowed_view_recovers_like_owned_and_lists_restores() {
+        let (trace, log, data) = one_tx_trace();
+        let cfg = SimConfig::single_core(Design::Sca);
+        let key = cfg.key;
+        let mut rolled_back = 0;
+        for k in 0..trace.len() as u64 {
+            let out = System::new(cfg.clone(), vec![trace.clone()]).run(CrashSpec::AfterEvent(k));
+            let mut owned = RecoveredMemory::new(out.image.clone(), key);
+            let mut borrowed = RecoveredMemory::over(&out.image, EncryptionEngine::new(key));
+            let report = recover_undo_log(&mut borrowed, &log);
+            assert_eq!(
+                recover_undo_log(&mut owned, &log),
+                report,
+                "crash after {k}"
+            );
+            assert_eq!(
+                owned.read_u64(data),
+                borrowed.read_u64(data),
+                "crash after {k}"
+            );
+            let restored: Vec<LineAddr> = borrowed.restored_lines().collect();
+            let mut want = Vec::new();
+            if report.rolled_back {
+                rolled_back += 1;
+                want.push(log.valid_addr().line());
+                if report.entries_restored > 0 {
+                    want.push(data.line());
+                }
+            }
+            assert_eq!(restored, want, "crash after {k}");
+        }
+        assert!(rolled_back > 0, "no crash point rolled back");
     }
 
     #[test]

@@ -99,6 +99,7 @@ use crate::nvmm::NvmmImage;
 use crate::parallel::{chunk_ranges, run_parallel};
 use crate::time::Time;
 use fxhash::{FxHashMap, FxHashSet};
+use nvmm_crypto::counter::{data_line_for, CounterSlot, COUNTERS_PER_LINE};
 use nvmm_crypto::engine::EncryptionEngine;
 use nvmm_crypto::mac::MacEngine;
 use std::cmp::Reverse;
@@ -348,6 +349,43 @@ impl CrashSet {
     /// In-flight journal entries still subject to choice.
     pub fn in_flight_len(&self) -> usize {
         self.entries.len()
+    }
+
+    /// The guaranteed base image: the all-miss corner every legal image
+    /// of the set starts from. [`CrashSet::baseline`] is a clone of it.
+    pub fn base(&self) -> &NvmmImage {
+        &self.base
+    }
+
+    /// The data lines, sorted and distinct, whose decrypted read
+    /// ([`NvmmImage::read_line`], with or without a recovery window) can
+    /// differ between the set's images. A read depends on the line's
+    /// data cell, its co-located counter and its counter line, so these
+    /// are the lines of the in-flight data and co-located writes plus
+    /// all eight lines each in-flight counter-line write covers. MAC and
+    /// tree cells do not feed the read, and a write that never shows
+    /// over its cell's base writer cannot change it. Every line outside
+    /// this list reads in every image of the set exactly as it reads in
+    /// [`CrashSet::base`].
+    pub fn in_flight_lines(&self) -> Vec<LineAddr> {
+        let mut lines = Vec::new();
+        for e in &self.entries {
+            for cell in op_cells(&e.op).filter(|&cell| self.beats_base(cell, e.key)) {
+                match cell {
+                    CellKey::Data(l) | CellKey::Co(l) => lines.push(l),
+                    CellKey::Ctr(c) => lines.extend((0..COUNTERS_PER_LINE).map(|slot| {
+                        LineAddr(data_line_for(CounterSlot {
+                            counter_line: c.0,
+                            slot,
+                        }))
+                    })),
+                    CellKey::Mac(_) | CellKey::Tree(_) => {}
+                }
+            }
+        }
+        lines.sort_unstable();
+        lines.dedup();
+        lines
     }
 
     /// Number of legal images before dedupe: the product over domains of
@@ -2059,6 +2097,45 @@ mod tests {
                                 );
                             }
                         }
+                    }
+                }
+            }
+        }
+
+        /// `in_flight_lines` covers every line whose read can move: on
+        /// random journals (whose counter-line writes cover lines the
+        /// data writes never touch), every line outside the list reads
+        /// in every enumerated image — plain and through a recovery
+        /// window — exactly as in the base image, and the list is
+        /// sorted and distinct.
+        #[test]
+        fn lines_outside_in_flight_lines_read_as_in_base(seed in 0u64..1_000_000) {
+            let engine = EncryptionEngine::new(SimConfig::single_core(Design::Sca).key);
+            let journal = synthetic_journal(seed);
+            let horizon_ps = journal
+                .iter()
+                .map(|r| r.guaranteed_at.0)
+                .max()
+                .unwrap_or(0)
+                + 10_000;
+            let mut state = seed ^ 0x1f1e;
+            for _ in 0..6 {
+                let t = Time(splitmix64(&mut state) % horizon_ps);
+                let set = CrashSet::from_journal(&[&journal], t);
+                let moving = set.in_flight_lines();
+                prop_assert!(moving.windows(2).all(|w| w[0] < w[1]));
+                let still: Vec<LineAddr> =
+                    (0..24).map(LineAddr).filter(|l| !moving.contains(l)).collect();
+                for (_, img) in set.enumerate(EnumOpts::default()).images {
+                    for &l in &still {
+                        prop_assert_eq!(
+                            img.read_line(l, &engine),
+                            set.base().read_line(l, &engine)
+                        );
+                        prop_assert_eq!(
+                            img.read_line_with_window(l, &engine, 4),
+                            set.base().read_line_with_window(l, &engine, 4)
+                        );
                     }
                 }
             }

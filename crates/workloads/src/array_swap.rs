@@ -34,11 +34,15 @@ impl ArrayLayout {
 }
 
 /// Executes `ops` swap transactions for `core`.
+///
+/// Returns the persistent context, the undo log, the op-counter cell, the
+/// layout, and the trace length at the start of each operation (where
+/// setup ends and every op begins).
 pub fn execute(
     spec: &WorkloadSpec,
     core: usize,
     ops: usize,
-) -> (Pmem, UndoLog, ByteAddr, ArrayLayout, usize) {
+) -> (Pmem, UndoLog, ByteAddr, ArrayLayout, Vec<usize>) {
     let mut s = Scaffold::new(spec, core, 2, 8);
     let slots = (spec.footprint_bytes / 8).max(HOT_SLOTS * 2);
     let base = s.plan.alloc(slots * 8, 64);
@@ -54,7 +58,6 @@ pub fn execute(
     s.pm.persist_barrier();
 
     // Everything up to here is setup, persisted before the measured ops.
-    let setup_events = s.pm.trace().len();
     for op in 0..ops as u64 {
         let i = s.rng.gen_range(0..slots);
         let j = s.rng.gen_range(0..HOT_SLOTS);
@@ -73,7 +76,7 @@ pub fn execute(
         s.pm.compute(3500);
         s.probe_reads(layout.base, layout.slots * 8, spec.read_probes);
     }
-    (s.pm, s.log, s.ops_cell, layout, setup_events)
+    (s.pm, s.log, s.ops_cell, layout, s.op_starts)
 }
 
 /// Structural check: the multiset of non-zero values across the array is

@@ -88,9 +88,9 @@ impl Mem for Txn<'_> {
 }
 
 /// Read-only adapter over [`RecoveredMemory`] for the checker.
-struct RecMem<'a>(&'a mut RecoveredMemory);
+struct RecMem<'a, 'm>(&'a mut RecoveredMemory<'m>);
 
-impl Mem for RecMem<'_> {
+impl Mem for RecMem<'_, '_> {
     fn load_u64(&mut self, a: ByteAddr) -> u64 {
         self.0.read_u64(a)
     }
@@ -299,11 +299,15 @@ fn do_insert(tx: &mut Txn<'_>, layout: &BTreeLayout, key: u64) {
 }
 
 /// Executes `ops` insert transactions for `core`.
+///
+/// Returns the persistent context, the undo log, the op-counter cell, the
+/// layout, and the trace length at the start of each operation (where
+/// setup ends and every op begins).
 pub fn execute(
     spec: &WorkloadSpec,
     core: usize,
     ops: usize,
-) -> (Pmem, UndoLog, ByteAddr, BTreeLayout, usize) {
+) -> (Pmem, UndoLog, ByteAddr, BTreeLayout, Vec<usize>) {
     // Worst case per insert: path of splits — generous bound of 24
     // logged regions of one node each.
     let mut s = Scaffold::new(spec, core, 26, NODE_BYTES);
@@ -329,7 +333,6 @@ pub fn execute(
     // order check stays exact; the footprint is set by the node pool.
     let _ = spec.footprint_bytes;
     // Everything up to here is setup, persisted before the measured ops.
-    let setup_events = s.pm.trace().len();
     for op in 0..ops as u64 {
         let key = s.rng.gen_range(1..u64::MAX);
         let (ops_cell, payload, bytes) = (s.ops_cell, s.payload_slot(op), s.payload_bytes);
@@ -351,7 +354,7 @@ pub fn execute(
             spec.read_probes,
         );
     }
-    (s.pm, s.log, s.ops_cell, layout, setup_events)
+    (s.pm, s.log, s.ops_cell, layout, s.op_starts)
 }
 
 #[allow(clippy::too_many_arguments)]

@@ -14,11 +14,22 @@
 //!    out of sync (Eq. 4);
 //! 3. reads the durable operation counter `k` and checks the workload's
 //!    structural invariants on the recovered state;
-//! 4. re-executes the first `k` operations functionally and requires the
-//!    recovered bytes to equal that ground truth on every line the
-//!    `k`-op run wrote (excluding the undo log itself, whose lifecycle
-//!    differs) — recovery must land on *exactly* the state after the
-//!    last durably committed transaction.
+//! 4. requires the recovered bytes to equal the functional state after
+//!    the first `k` operations — the last writer of each line among the
+//!    execution's own writes before op `k + 1` starts — on every line
+//!    that state defines (excluding the undo log itself, whose lifecycle
+//!    differs): recovery must land on *exactly* the state after the last
+//!    durably committed transaction.
+//!
+//! ## Delta recovery judging
+//!
+//! The images of one crash set differ only in their in-flight cells, so
+//! step 4 is judged per set, not per image (`SetJudge`): the set's base
+//! image is compared against the ground truth once per committed count,
+//! and each image then reads only the lines its set can change
+//! ([`nvmm_sim::CrashSet::in_flight_lines`]) plus the lines its recovery
+//! restored. Every other line reads as in the base, so its verdict is
+//! the base's. A lone image is the one-image set whose base is itself.
 
 use crate::spec::{WorkloadKind, WorkloadSpec};
 use crate::util::{ensure, ConsistencyError};
@@ -31,12 +42,14 @@ use nvmm_crypto::{EncryptionEngine, LineData};
 use nvmm_sim::addr::{ByteAddr, LineAddr};
 use nvmm_sim::config::{Design, SimConfig};
 use nvmm_sim::integrity::IntegritySpec;
+use nvmm_sim::nvmm::NvmmImage;
 use nvmm_sim::parallel::{chunk_ranges, mc_threads, run_parallel};
 use nvmm_sim::system::{CrashSpec, RunOutcome, System};
 use nvmm_sim::time::Time;
-use nvmm_sim::trace::Trace;
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex, MutexGuard};
+use nvmm_sim::trace::{Trace, TraceEvent};
+use std::collections::{BTreeMap, BTreeSet};
+use std::ops::Range;
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::time::Instant;
 
 /// A functionally executed workload instance for one core.
@@ -53,9 +66,14 @@ pub struct Executed {
     /// failure before the structure exists, which the workload checkers
     /// deliberately do not cover.
     pub setup_events: usize,
+    /// Trace length at the start of each executed operation: op `k`'s
+    /// transaction begins after `op_starts[k]` events. One entry per
+    /// operation executed, so the first is `setup_events`.
+    pub op_starts: Vec<usize>,
     layout: Layout,
     spec: WorkloadSpec,
     core: usize,
+    truth: GroundTruth,
 }
 
 enum Layout {
@@ -68,7 +86,7 @@ enum Layout {
 
 /// Executes `ops` operations of `spec` for `core`, functionally.
 pub fn execute(spec: &WorkloadSpec, core: usize, ops: usize) -> Executed {
-    let (pm, log, ops_cell, layout, setup_events) = match spec.kind {
+    let (pm, log, ops_cell, layout, op_starts) = match spec.kind {
         WorkloadKind::ArraySwap => {
             let (pm, log, ops_cell, l, s) = array_swap::execute(spec, core, ops);
             (pm, log, ops_cell, Layout::Array(l), s)
@@ -90,14 +108,17 @@ pub fn execute(spec: &WorkloadSpec, core: usize, ops: usize) -> Executed {
             (pm, log, ops_cell, Layout::Rb(l), s)
         }
     };
+    let setup_events = op_starts.first().copied().unwrap_or(pm.trace().len());
     Executed {
         pm,
         log,
         ops_cell,
         setup_events,
+        op_starts,
         layout,
         spec: *spec,
         core,
+        truth: GroundTruth::default(),
     }
 }
 
@@ -116,6 +137,93 @@ impl Executed {
             Layout::BTree(l) => btree::check(l, &self.spec, self.core, committed, mem),
             Layout::Rb(l) => rbtree::check(l, &self.spec, self.core, committed, mem),
         }
+    }
+
+    /// Number of operations executed.
+    fn ops(&self) -> usize {
+        self.op_starts.len()
+    }
+
+    /// The undo log's lines, which the replay-equality check skips.
+    fn log_lines(&self) -> Range<u64> {
+        self.log.valid_addr().line().0..self.log.end().line().0
+    }
+
+    /// The functional memory after the first `committed` operations,
+    /// sorted by line: the last writer of each line among the trace's
+    /// writes before op `committed + 1` starts (the whole trace once
+    /// every executed op committed). That is exactly the memory
+    /// `execute(spec, core, committed)` leaves, because that run's trace
+    /// is this trace's prefix. Memoized by `committed`.
+    ///
+    /// # Errors
+    ///
+    /// `committed` is read from a crash image, which a crash controls; a
+    /// count above the ops executed is a [`ConsistencyError`].
+    fn state_after(&self, committed: u64) -> Result<Arc<LineImage>, ConsistencyError> {
+        let ops = self.ops() as u64;
+        ensure!(
+            committed <= ops,
+            "recovered op counter {committed} exceeds issued ops {ops}"
+        );
+        Ok(self.truth.after(self, committed))
+    }
+}
+
+/// A functional memory image, sorted by line.
+type LineImage = Vec<(LineAddr, LineData)>;
+
+/// The recovery oracle's ground truth for one [`Executed`]: its states
+/// after each committed count, folded from its own trace and memoized.
+#[derive(Default)]
+struct GroundTruth {
+    /// Every `Write` of the trace as `(line, event index)`, sorted — each
+    /// line's writes in trace order. Built on first use, so executions
+    /// that are never judged do not pay for it.
+    writes: OnceLock<Vec<(LineAddr, usize)>>,
+    after: Mutex<BTreeMap<u64, Arc<LineImage>>>,
+}
+
+impl GroundTruth {
+    /// [`Executed::state_after`] for a count within the ops executed.
+    fn after(&self, ex: &Executed, committed: u64) -> Arc<LineImage> {
+        if let Some(image) = self.lock().get(&committed) {
+            return Arc::clone(image);
+        }
+        let events = ex.pm.trace().events();
+        let end = ex
+            .op_starts
+            .get(committed as usize)
+            .copied()
+            .unwrap_or(events.len());
+        let writes = self.writes.get_or_init(|| {
+            let mut writes: Vec<(LineAddr, usize)> = events
+                .iter()
+                .enumerate()
+                .filter_map(|(i, e)| match e {
+                    TraceEvent::Write { line, .. } => Some((*line, i)),
+                    _ => None,
+                })
+                .collect();
+            writes.sort_unstable();
+            writes
+        });
+        let image: LineImage = writes
+            .chunk_by(|a, b| a.0 == b.0)
+            .filter_map(|run| {
+                let before = run.partition_point(|&(_, i)| i < end);
+                let &(line, i) = run[..before].last()?;
+                match events[i] {
+                    TraceEvent::Write { data, .. } => Some((line, data)),
+                    _ => unreachable!("the write index holds only writes"),
+                }
+            })
+            .collect();
+        Arc::clone(self.lock().entry(committed).or_insert(Arc::new(image)))
+    }
+
+    fn lock(&self) -> MutexGuard<'_, BTreeMap<u64, Arc<LineImage>>> {
+        self.after.lock().expect("ground-truth memo poisoned")
     }
 }
 
@@ -195,7 +303,7 @@ pub fn crash_check_cfg(
 ///
 /// Returns a [`ConsistencyError`] exactly as [`crash_check_cfg`] does:
 /// when recovery reads a garbled line, a structural invariant fails, or
-/// the recovered bytes deviate from the replayed ground truth.
+/// the recovered bytes deviate from the ground truth folded from `ex`.
 #[allow(clippy::too_many_arguments)]
 pub fn check_recovered_image(
     spec: &WorkloadSpec,
@@ -229,7 +337,7 @@ pub fn check_recovered_image(
 pub fn check_image(
     spec: &WorkloadSpec,
     ex: &Executed,
-    image: &nvmm_sim::NvmmImage,
+    image: &NvmmImage,
     key: [u8; 16],
     design: Design,
     integrity: IntegritySpec,
@@ -241,6 +349,7 @@ pub fn check_image(
         image,
         None,
         &Checker::new(key),
+        &SetJudge::lone(image),
         design,
         integrity,
         recovery_window,
@@ -256,7 +365,7 @@ pub fn check_image(
 pub fn check_image_with(
     spec: &WorkloadSpec,
     ex: &Executed,
-    image: &nvmm_sim::NvmmImage,
+    image: &NvmmImage,
     engine: &EncryptionEngine,
     mac_engine: &MacEngine,
     design: Design,
@@ -266,7 +375,6 @@ pub fn check_image_with(
     let checker = Checker {
         engine: engine.clone(),
         mac_engine: mac_engine.clone(),
-        truth: GroundTruth::default(),
     };
     check_image_inner(
         spec,
@@ -274,43 +382,18 @@ pub fn check_image_with(
         image,
         None,
         &checker,
+        &SetJudge::lone(image),
         design,
         integrity,
         recovery_window,
     )
 }
 
-/// The recovery oracle's ground truth by durably committed op count:
-/// the image `execute(spec, 0, committed)` leaves. It is a pure function
-/// of `(spec, committed)`, and the images of one model check recover to
-/// few distinct counts, so each is computed once per memo.
-#[derive(Default)]
-struct GroundTruth(Mutex<HashMap<u64, Arc<LineImage>>>);
-
-/// A functional memory image, as [`Pmem`] leaves it.
-type LineImage = HashMap<LineAddr, LineData>;
-
-impl GroundTruth {
-    fn after(&self, spec: &WorkloadSpec, committed: u64) -> Arc<LineImage> {
-        if let Some(image) = self.lock().get(&committed) {
-            return Arc::clone(image);
-        }
-        let image = Arc::new(execute(spec, 0, committed as usize).pm.into_parts().1);
-        Arc::clone(self.lock().entry(committed).or_insert(image))
-    }
-
-    fn lock(&self) -> MutexGuard<'_, HashMap<u64, Arc<LineImage>>> {
-        self.0.lock().expect("ground-truth memo poisoned")
-    }
-}
-
 /// What one model-check worker reuses across every image it judges: one
-/// warmed engine pair (clones share the OTP-pad and MAC memos) and the
-/// ground-truth memo.
+/// warmed engine pair (clones share the OTP-pad and MAC memos).
 struct Checker {
     engine: EncryptionEngine,
     mac_engine: MacEngine,
-    truth: GroundTruth,
 }
 
 impl Checker {
@@ -318,8 +401,149 @@ impl Checker {
         Self {
             engine: EncryptionEngine::new(key),
             mac_engine: MacEngine::new(key),
-            truth: GroundTruth::default(),
         }
+    }
+}
+
+/// The replay-equality judge for the images of one crash set.
+///
+/// Every image of a set is its base image with some in-flight cells
+/// rewritten, and a line's decrypted read depends only on its own data,
+/// co-located counter and counter-line cells. So a line outside
+/// [`nvmm_sim::CrashSet::in_flight_lines`] reads in every image as it
+/// reads in the base — unless the image's recovery restored it, when it
+/// reads the restored bytes. The judge compares the base against the
+/// ground truth once per committed count ([`BaseVerdict`]) and each image
+/// only on its in-flight and restored lines; the verdict and its error
+/// string equal those of a full compare in ascending line order. Its memo
+/// is keyed by the committed count alone, so one judge serves one
+/// execution, key and recovery window.
+struct SetJudge<'s> {
+    base: &'s NvmmImage,
+    /// Sorted lines whose read can differ between the set's images.
+    in_flight: Vec<LineAddr>,
+    verdicts: Mutex<BTreeMap<u64, Arc<BaseVerdict>>>,
+}
+
+/// How the base image reads the ground truth after one committed count,
+/// on the lines outside the log range and the in-flight lines.
+struct BaseVerdict {
+    /// Lines whose bytes differ from the ground truth, ascending.
+    deviating: Vec<LineAddr>,
+    /// Lines that decrypt garbled, ascending.
+    garbled: Vec<LineAddr>,
+}
+
+impl<'s> SetJudge<'s> {
+    /// The judge of `set`'s images.
+    fn new(set: &'s nvmm_sim::CrashSet) -> Self {
+        Self::with_lines(set.base(), set.in_flight_lines())
+    }
+
+    /// The judge of a lone image: the one-image set whose base it is.
+    fn lone(image: &'s NvmmImage) -> Self {
+        Self::with_lines(image, Vec::new())
+    }
+
+    fn with_lines(base: &'s NvmmImage, in_flight: Vec<LineAddr>) -> Self {
+        Self {
+            base,
+            in_flight,
+            verdicts: Mutex::new(BTreeMap::new()),
+        }
+    }
+
+    /// The base image's [`BaseVerdict`] against `expected`, the state
+    /// after `committed` ops, memoized by `committed`.
+    fn base_verdict(
+        &self,
+        ex: &Executed,
+        committed: u64,
+        expected: &LineImage,
+        engine: &EncryptionEngine,
+        recovery_window: u64,
+    ) -> Arc<BaseVerdict> {
+        if let Some(v) = self.lock().get(&committed) {
+            return Arc::clone(v);
+        }
+        let log = ex.log_lines();
+        let mut mem =
+            RecoveredMemory::over(self.base, engine.clone()).with_recovery_window(recovery_window);
+        let mut deviating = Vec::new();
+        let mut got = [0u8; 64];
+        for (line, want) in expected {
+            if log.contains(&line.0) || self.in_flight.binary_search(line).is_ok() {
+                continue;
+            }
+            mem.read(line.byte_addr(), &mut got);
+            if got != *want {
+                deviating.push(*line);
+            }
+        }
+        let verdict = Arc::new(BaseVerdict {
+            deviating,
+            garbled: mem.garbled_lines().iter().copied().collect(),
+        });
+        Arc::clone(self.lock().entry(committed).or_insert(verdict))
+    }
+
+    fn lock(&self) -> MutexGuard<'_, BTreeMap<u64, Arc<BaseVerdict>>> {
+        self.verdicts.lock().expect("base-verdict memo poisoned")
+    }
+
+    /// Replay equality for one recovered image of the set: `mem` must
+    /// read `expected`, the state after `committed` ops, on every line
+    /// it defines outside the log. The first deviating line named is the
+    /// smallest; with none, the garbled lines read are reported.
+    fn judge(
+        &self,
+        ex: &Executed,
+        mem: &mut RecoveredMemory,
+        committed: u64,
+        expected: &LineImage,
+        engine: &EncryptionEngine,
+        recovery_window: u64,
+    ) -> Result<(), ConsistencyError> {
+        let base = self.base_verdict(ex, committed, expected, engine, recovery_window);
+        let restored: Vec<LineAddr> = mem.restored_lines().collect();
+        let unrestored = |l: &&LineAddr| restored.binary_search(l).is_err();
+        let mut deviation = base.deviating.iter().find(unrestored).copied();
+        // The lines this image may read unlike the base, ascending.
+        let mut own: Vec<LineAddr> = self.in_flight.iter().chain(&restored).copied().collect();
+        own.sort_unstable();
+        own.dedup();
+        let log = ex.log_lines();
+        let mut got = [0u8; 64];
+        for line in own {
+            if deviation.is_some_and(|d| d < line) {
+                break;
+            }
+            if log.contains(&line.0) {
+                continue;
+            }
+            let Ok(i) = expected.binary_search_by_key(&line, |&(l, _)| l) else {
+                continue;
+            };
+            mem.read(line.byte_addr(), &mut got);
+            if got != expected[i].1 {
+                deviation = Some(line);
+                break;
+            }
+        }
+        if let Some(line) = deviation {
+            ensure!(
+                false,
+                "line {line} deviates from the state after {committed} committed ops"
+            );
+        }
+        let mut garbled: BTreeSet<LineAddr> = mem.garbled_lines().clone();
+        garbled.extend(base.garbled.iter().filter(unrestored));
+        ensure!(
+            garbled.is_empty(),
+            "checker reads hit garbled lines {:?}",
+            garbled
+        );
+        Ok(())
     }
 }
 
@@ -328,23 +552,21 @@ impl Checker {
 /// [`nvmm_sim::DeltaVerifier`], its verdict arrives as `precomputed`
 /// and the full-pass oracle is skipped — the verdict (and so the
 /// wrapped error string) is bit-identical by the differential suite's
-/// guarantee, so reports cannot depend on which path ran.
+/// guarantee, so reports cannot depend on which path ran. `judge` is the
+/// judge of the crash set `image` belongs to.
 #[allow(clippy::too_many_arguments)]
 fn check_image_inner(
     spec: &WorkloadSpec,
     ex: &Executed,
-    image: &nvmm_sim::NvmmImage,
+    image: &NvmmImage,
     precomputed: Option<&Result<(), String>>,
     checker: &Checker,
+    judge: &SetJudge,
     design: Design,
     integrity: IntegritySpec,
     recovery_window: u64,
 ) -> Result<CrashCheckOutcome, ConsistencyError> {
-    let Checker {
-        engine,
-        mac_engine,
-        truth,
-    } = checker;
+    let Checker { engine, mac_engine } = checker;
     // Integrity oracle first: before recovery touches anything, every
     // cleanly-decrypting line must authenticate against its persisted
     // MAC, and (under strict) every persisted tree node against its
@@ -360,8 +582,8 @@ fn check_image_inner(
         );
     }
     let trace_events = ex.pm.trace().len() as u64;
-    let mut mem = RecoveredMemory::with_engine(image.clone(), engine.clone())
-        .with_recovery_window(recovery_window);
+    let mut mem =
+        RecoveredMemory::over(image, engine.clone()).with_recovery_window(recovery_window);
     let report = spec.mechanism.recover(&mut mem, &ex.log);
     ensure!(
         report.reads_clean,
@@ -370,36 +592,13 @@ fn check_image_inner(
     );
 
     let committed = mem.read_u64(ex.ops_cell);
-    ensure!(
-        committed <= spec.ops as u64,
-        "recovered op counter {committed} exceeds issued ops {}",
-        spec.ops
-    );
-
+    let expected = ex.state_after(committed)?;
     ex.check_structure(&mut mem, committed)?;
 
     // Replay equality: recovered bytes must match the ground-truth state
     // after exactly `committed` operations, on every line that state
     // defines (the undo log region excepted — its lifecycle differs).
-    let expected = truth.after(spec, committed);
-    let log_start = ex.log.valid_addr().line().0;
-    let log_end = ex.log.end().line().0;
-    for (line, want) in expected.iter() {
-        if (log_start..log_end).contains(&line.0) {
-            continue;
-        }
-        let mut got = [0u8; 64];
-        mem.read(line.byte_addr(), &mut got);
-        ensure!(
-            got == *want,
-            "line {line} deviates from the state after {committed} committed ops"
-        );
-    }
-    ensure!(
-        mem.all_reads_clean(),
-        "checker reads hit garbled lines {:?}",
-        mem.garbled_lines()
-    );
+    judge.judge(ex, &mut mem, committed, &expected, engine, recovery_window)?;
     Ok(CrashCheckOutcome {
         committed,
         rolled_back: report.rolled_back,
@@ -771,18 +970,22 @@ fn sweep_check(
                     Some(set) => check_crash_set_threads(
                         spec, &ex, &set, &checker, design, integrity, opts, inner,
                     ),
-                    None => completed_report(check_image_inner(
-                        spec,
-                        &ex,
-                        sweep
+                    None => {
+                        let image = sweep
                             .completed_image()
-                            .expect("an instant without a crash set lies after completion"),
-                        None,
-                        &checker,
-                        design,
-                        integrity,
-                        opts.recovery_window,
-                    )),
+                            .expect("an instant without a crash set lies after completion");
+                        completed_report(check_image_inner(
+                            spec,
+                            &ex,
+                            image,
+                            None,
+                            &checker,
+                            &SetJudge::lone(image),
+                            design,
+                            integrity,
+                            opts.recovery_window,
+                        ))
+                    }
                 };
                 report.mc_wall_ns = started.elapsed().as_nanos() as u64;
                 report.sweep_wall_ns = sweep_wall_ns;
@@ -862,6 +1065,7 @@ fn check_crash_set_threads(
     // split means the same thing on both paths.
     let enumerate_wall_ns = (started.elapsed().as_nanos() as u64).saturating_sub(fused_verify_ns);
     let verify_started = Instant::now();
+    let judge = SetJudge::new(set);
     let jobs: Vec<usize> = (0..en.images.len()).collect();
     let verdicts = run_parallel(threads, &jobs, |&i| {
         check_image_inner(
@@ -870,6 +1074,7 @@ fn check_crash_set_threads(
             &en.images[i].1,
             oracle_verdicts.as_ref().map(|v| &v[i]),
             checker,
+            &judge,
             design,
             integrity,
             opts.recovery_window,
@@ -895,6 +1100,7 @@ fn check_crash_set_threads(
             ex,
             set,
             checker,
+            &judge,
             design,
             integrity,
             opts.recovery_window,
@@ -917,13 +1123,15 @@ fn check_crash_set_threads(
 
 /// Greedy mask minimization: repeatedly step to a smaller *legal* mask
 /// (each candidate drops the last landed group of one serialization
-/// domain) while the image keeps failing, until no step fails.
+/// domain) while the image keeps failing, until no step fails. Every
+/// candidate is an image of `set`, so `judge` (the set's) serves them.
 #[allow(clippy::too_many_arguments)]
 fn minimize_violation(
     spec: &WorkloadSpec,
     ex: &Executed,
     set: &nvmm_sim::CrashSet,
     checker: &Checker,
+    judge: &SetJudge,
     design: Design,
     integrity: IntegritySpec,
     recovery_window: u64,
@@ -941,6 +1149,7 @@ fn minimize_violation(
                 &set.image(&cand),
                 None,
                 checker,
+                judge,
                 design,
                 integrity,
                 recovery_window,
@@ -1045,6 +1254,547 @@ mod tests {
             witnesses += oracle.iter().filter(|r| r.minimal.is_some()).count();
         }
         assert!(witnesses > 0, "the tree bug never produced a witness");
+    }
+
+    /// The full compare the set judge replaced, kept as its oracle:
+    /// recover a copy of the image and compare every ground-truth line
+    /// outside the log, in ascending line order.
+    #[allow(clippy::too_many_arguments)]
+    fn check_image_full(
+        spec: &WorkloadSpec,
+        ex: &Executed,
+        image: &NvmmImage,
+        oracle: &Result<(), String>,
+        engine: &EncryptionEngine,
+        design: Design,
+        recovery_window: u64,
+    ) -> Result<CrashCheckOutcome, ConsistencyError> {
+        if let Err(err) = oracle {
+            ensure!(
+                false,
+                "integrity oracle rejected the image under {design}: {err}"
+            );
+        }
+        let mut mem = RecoveredMemory::with_engine(image.clone(), engine.clone())
+            .with_recovery_window(recovery_window);
+        let report = spec.mechanism.recover(&mut mem, &ex.log);
+        ensure!(
+            report.reads_clean,
+            "recovery read garbled lines {:?} under {design}",
+            mem.garbled_lines()
+        );
+        let committed = mem.read_u64(ex.ops_cell);
+        let expected = ex.state_after(committed)?;
+        ex.check_structure(&mut mem, committed)?;
+        compare_full(&mut mem, committed, &expected, &ex.log_lines())?;
+        Ok(CrashCheckOutcome {
+            committed,
+            rolled_back: report.rolled_back,
+            trace_events: ex.pm.trace().len() as u64,
+        })
+    }
+
+    /// Replay equality the way the judge's predecessor checked it: read
+    /// every ground-truth line outside the log, ascending.
+    fn compare_full(
+        mem: &mut RecoveredMemory,
+        committed: u64,
+        expected: &LineImage,
+        log: &Range<u64>,
+    ) -> Result<(), ConsistencyError> {
+        for (line, want) in expected {
+            if log.contains(&line.0) {
+                continue;
+            }
+            let mut got = [0u8; 64];
+            mem.read(line.byte_addr(), &mut got);
+            ensure!(
+                got == *want,
+                "line {line} deviates from the state after {committed} committed ops"
+            );
+        }
+        ensure!(
+            mem.all_reads_clean(),
+            "checker reads hit garbled lines {:?}",
+            mem.garbled_lines()
+        );
+        Ok(())
+    }
+
+    /// The judge's bookkeeping on synthetic images, over a seeded sweep:
+    /// a base whose lines are unwritten, clean, garbled by a stale
+    /// counter or garbled with no data; an image that re-draws some
+    /// lines (and so every line of their counter lines, which join the
+    /// in-flight lines); restores over random lines; structure-check
+    /// reads; and a ground truth that matches or misses each line's read
+    /// on lines straddling the log's end. The judge must return the
+    /// full compare's verdict and error string every time — including
+    /// the garbled-read verdict, which real crash sets rarely reach.
+    #[test]
+    fn set_judge_matches_full_compare_on_synthetic_images() {
+        use nvmm_crypto::counter::{Counter, CounterLine};
+        use nvmm_sim::addr::CounterLineAddr;
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let ex = execute(&WorkloadSpec::smoke(WorkloadKind::Queue).with_ops(1), 0, 1);
+        let log = ex.log_lines();
+        let lines: Vec<LineAddr> = (log.end - 12..log.end + 36).map(LineAddr).collect();
+        let engine = EncryptionEngine::new([3; 16]);
+        // One random line state: data (none, or ciphertext under a
+        // counter) and the counter its slot persists; a state garbles
+        // with probability `g`.
+        let draw = |rng: &mut StdRng, g: f64| -> (Option<(LineData, u64)>, u64) {
+            let ctr = rng.gen_range(1..4u64);
+            let data = Some(([rng.gen::<u8>(); 64], ctr));
+            match (rng.gen_bool(g), rng.gen_bool(0.5)) {
+                (true, true) => (None, ctr),
+                (true, false) => (data, ctr - 1),
+                (false, true) => (None, 0),
+                (false, false) => (data, ctr),
+            }
+        };
+        let build = |states: &[(Option<(LineData, u64)>, u64)]| {
+            let mut img = NvmmImage::new();
+            let mut counters: BTreeMap<u64, CounterLine> = BTreeMap::new();
+            for (&l, (data, persisted)) in lines.iter().zip(states) {
+                if let Some((ct, ctr)) = data {
+                    img.write_encrypted(l, *ct, Counter(*ctr));
+                }
+                let slot = l.counter_slot();
+                counters
+                    .entry(slot.counter_line)
+                    .or_default()
+                    .set(slot.slot, Counter(*persisted));
+            }
+            for (c, cl) in counters {
+                img.write_counter_line(CounterLineAddr(c), cl);
+            }
+            img
+        };
+        let (mut deviations, mut garbled, mut clean) = (0, 0, 0);
+        for seed in 0..400u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let g = [0.0, 0.01, 0.1][seed as usize % 3];
+            let base_states: Vec<_> = lines.iter().map(|_| draw(&mut rng, g)).collect();
+            let mut states = base_states.clone();
+            let mut moved = BTreeSet::new();
+            for (i, l) in lines.iter().enumerate() {
+                if rng.gen_bool(0.1) {
+                    states[i] = draw(&mut rng, g);
+                    moved.extend(
+                        lines
+                            .iter()
+                            .filter(|m| m.counter_line() == l.counter_line()),
+                    );
+                }
+            }
+            let (base, image) = (build(&base_states), build(&states));
+            let judge = SetJudge::with_lines(&base, moved.into_iter().collect());
+            let mut restores: Vec<(LineAddr, LineData)> = Vec::new();
+            for &l in &lines {
+                if rng.gen_bool(0.15) {
+                    restores.push((l, [rng.gen::<u8>(); 64]));
+                }
+            }
+            let probes: Vec<LineAddr> = lines
+                .iter()
+                .copied()
+                .filter(|_| rng.gen_bool(0.05))
+                .collect();
+            let view = || {
+                let mut mem = RecoveredMemory::over(&image, engine.clone());
+                for (l, d) in &restores {
+                    mem.write(l.byte_addr(), d);
+                }
+                mem
+            };
+            // A ground truth that each line's read matches, or misses.
+            let miss = rng.gen_range(0..4) as f64 / 40.0;
+            let mut reader = view();
+            let expected: LineImage = lines
+                .iter()
+                .filter_map(|&l| {
+                    let mut want = [0u8; 64];
+                    reader.read(l.byte_addr(), &mut want);
+                    want[7] ^= rng.gen_bool(miss) as u8;
+                    rng.gen_bool(0.7).then_some((l, want))
+                })
+                .collect();
+            let [mut delta, mut full] = [view(), view()];
+            for mem in [&mut delta, &mut full] {
+                for l in &probes {
+                    mem.read_u64(l.byte_addr());
+                }
+            }
+            let got = judge.judge(&ex, &mut delta, 3, &expected, &engine, 0);
+            let want = compare_full(&mut full, 3, &expected, &log);
+            assert_eq!(got, want, "seed {seed}");
+            match want {
+                Ok(()) => clean += 1,
+                Err(e) if e.0.contains("deviates") => deviations += 1,
+                Err(_) => garbled += 1,
+            }
+        }
+        assert!(
+            clean > 20 && deviations > 20 && garbled > 20,
+            "{clean}/{deviations}/{garbled}"
+        );
+    }
+
+    /// What recovery leaves `image` reading: its restored lines, and
+    /// its bytes on `lines`.
+    fn recovered_reads(
+        spec: &WorkloadSpec,
+        ex: &Executed,
+        image: &NvmmImage,
+        engine: &EncryptionEngine,
+        recovery_window: u64,
+        lines: &[LineAddr],
+    ) -> (Vec<LineAddr>, Vec<LineData>) {
+        let mut mem =
+            RecoveredMemory::over(image, engine.clone()).with_recovery_window(recovery_window);
+        spec.mechanism.recover(&mut mem, &ex.log);
+        let reads = lines
+            .iter()
+            .map(|l| {
+                let mut got = [0u8; 64];
+                mem.read(l.byte_addr(), &mut got);
+                got
+            })
+            .collect();
+        (mem.restored_lines().collect(), reads)
+    }
+
+    /// The ground-truth fold is the functional memory re-execution
+    /// leaves: for every kind, both cores, several seeds and both
+    /// logging mechanisms, the fold after `k` ops equals the image of
+    /// `execute(spec, core, k)` for every `k` in `0..=ops`; one op start
+    /// is recorded per op executed; and a count past the ops executed is
+    /// a `ConsistencyError`, not an out-of-range index.
+    #[test]
+    fn ground_truth_fold_equals_re_execution() {
+        use nvmm_core::txn::Mechanism;
+        for kind in WorkloadKind::ALL {
+            for (seed, mechanism) in [
+                (1, Mechanism::UndoLog),
+                (7, Mechanism::UndoLog),
+                (0xdead, Mechanism::RedoLog),
+            ] {
+                let spec = WorkloadSpec::smoke(kind)
+                    .with_ops(10)
+                    .with_seed(seed)
+                    .with_mechanism(mechanism);
+                for core in [0, 1] {
+                    let ex = execute(&spec, core, spec.ops);
+                    assert_eq!(ex.ops(), spec.ops, "{kind} core {core}");
+                    assert_eq!(ex.op_starts[0], ex.setup_events, "{kind} core {core}");
+                    for k in 0..=spec.ops {
+                        let prefix = execute(&spec, core, k);
+                        assert_eq!(prefix.op_starts, ex.op_starts[..k], "{kind}/{core}/{k}");
+                        let trace = prefix.pm.trace().events();
+                        assert_eq!(
+                            trace,
+                            &ex.pm.trace().events()[..trace.len()],
+                            "{kind} core {core}: the {k}-op trace is a prefix"
+                        );
+                        let mut want: LineImage = prefix.pm.into_parts().1.into_iter().collect();
+                        want.sort_unstable_by_key(|&(l, _)| l);
+                        let got = ex.state_after(k as u64).expect("within the ops executed");
+                        assert!(
+                            *got == want,
+                            "{kind} seed {seed} core {core}: fold after {k}"
+                        );
+                    }
+                    let past = spec.ops as u64 + 1;
+                    assert_eq!(
+                        ex.state_after(past).err(),
+                        Some(ConsistencyError(format!(
+                            "recovered op counter {past} exceeds issued ops {}",
+                            spec.ops
+                        )))
+                    );
+                }
+            }
+        }
+    }
+
+    /// A crash image's op counter is crash-controlled: judged against an
+    /// execution of fewer ops than the image committed, the check fails
+    /// with a `ConsistencyError` instead of indexing past the op starts.
+    #[test]
+    fn committed_count_past_the_execution_is_an_error() {
+        let spec = WorkloadSpec::smoke(WorkloadKind::Queue);
+        let full = execute(&spec, 0, spec.ops);
+        let cfg = SimConfig::single_core(Design::Sca);
+        let out = System::new(cfg.clone(), vec![full.pm.trace().clone()]).run(CrashSpec::None);
+        let short = execute(&spec, 0, 4);
+        let err = check_recovered_image(
+            &spec,
+            &short,
+            &out,
+            cfg.key,
+            Design::Sca,
+            IntegritySpec::disabled(),
+            0,
+        )
+        .unwrap_err();
+        assert_eq!(
+            err.0,
+            format!("recovered op counter {} exceeds issued ops 4", spec.ops)
+        );
+    }
+
+    /// The ground truth follows the execution's core: correct SCA runs
+    /// on core 1 pass, crash-free and at a mid-run crash, for every kind.
+    #[test]
+    fn core_one_runs_pass_the_recovery_oracle() {
+        for kind in WorkloadKind::ALL {
+            let spec = WorkloadSpec::smoke(kind).with_ops(8);
+            let ex = execute(&spec, 1, spec.ops);
+            let cfg = SimConfig::single_core(Design::Sca);
+            let total = ex.pm.trace().len() as u64;
+            let mid = ex.setup_events as u64 + (total - ex.setup_events as u64) / 2;
+            for crash in [CrashSpec::None, CrashSpec::AfterEvent(mid)] {
+                let out = System::new(cfg.clone(), vec![ex.pm.trace().clone()]).run(crash);
+                check_recovered_image(
+                    &spec,
+                    &ex,
+                    &out,
+                    cfg.key,
+                    Design::Sca,
+                    IntegritySpec::disabled(),
+                    0,
+                )
+                .unwrap_or_else(|e| panic!("{kind} core 1, {crash:?}: {e}"));
+            }
+        }
+    }
+
+    /// With several deviating lines the error names the lowest, and the
+    /// string is the same for every fresh execution.
+    #[test]
+    fn several_deviating_lines_name_the_lowest_every_time() {
+        let spec = WorkloadSpec::smoke(WorkloadKind::HashTable);
+        let cfg = SimConfig::single_core(Design::Sca);
+        // Payload slots follow the op-counter cell, one line per op, and
+        // only replay equality reads them.
+        let payload = |ex: &Executed, op: u64| LineAddr(ex.ops_cell.line().0 + 1 + op);
+        let errors: Vec<String> = (0..4)
+            .map(|_| {
+                let ex = execute(&spec, 0, spec.ops);
+                let mut out =
+                    System::new(cfg.clone(), vec![ex.pm.trace().clone()]).run(CrashSpec::None);
+                for op in [9, 2, 5, 11] {
+                    out.image.write_plain(payload(&ex, op), [0xee; 64]);
+                }
+                let err = check_recovered_image(
+                    &spec,
+                    &ex,
+                    &out,
+                    cfg.key,
+                    Design::Sca,
+                    IntegritySpec::disabled(),
+                    0,
+                )
+                .unwrap_err();
+                assert_eq!(
+                    err.0,
+                    format!(
+                        "line {} deviates from the state after {} committed ops",
+                        payload(&ex, 2),
+                        spec.ops
+                    )
+                );
+                err.0
+            })
+            .collect();
+        assert!(errors.windows(2).all(|w| w[0] == w[1]));
+    }
+
+    /// The crash sets a differential test judges for `cfg`: one per
+    /// in-flight instant (up to eight) and one per evenly spaced
+    /// post-setup event crash (four), so designs without in-flight
+    /// windows contribute their single-image sets too.
+    fn sample_crash_sets(
+        spec: &WorkloadSpec,
+        ex: &Executed,
+        cfg: &SimConfig,
+        opts: &ModelCheckOpts,
+    ) -> Vec<nvmm_sim::CrashSet> {
+        let trace = prepared_trace(ex, opts);
+        let instants = crash_instants_cfg(spec, cfg.clone(), opts, 8);
+        let sweep = System::new(cfg.clone(), vec![trace.clone()]).run_crash_sweep(&instants);
+        let mut cursor = sweep.cursor();
+        let mut sets: Vec<_> = (0..instants.len())
+            .filter_map(|i| cursor.crash_set(i))
+            .collect();
+        let (start, total) = (ex.setup_events as u64, trace.len() as u64);
+        sets.extend((1..=4).filter_map(|k| {
+            let at = start + (total - start) * k / 5;
+            System::new(cfg.clone(), vec![trace.clone()])
+                .run(CrashSpec::AfterEvent(at))
+                .crash_set
+        }));
+        sets
+    }
+
+    /// The delta judge is the full sorted compare: on every enumerated
+    /// image of real crash sets — five kinds under SCA + strict, SCA
+    /// without its counter write-backs, the unsafe design, SCA with
+    /// stop-loss and a recovery window, and SCA with one-entry write
+    /// queues — both return the same Ok/Err
+    /// and the same error string. Besides the true ground truth, each
+    /// set is judged against ground truths with lines flipped: spread
+    /// evenly, on the in-flight lines, off them, on lines recovery
+    /// restores, and on the log. One more per image replaces the ground
+    /// truth after every count with what that image's recovery reads on
+    /// every line the execution writes, so the image reaches the
+    /// garbled-read check whenever its recovery and structure pass.
+    #[test]
+    fn set_judge_matches_full_sorted_compare() {
+        use nvmm_sim::IntegrityPolicy;
+        let mut stop_loss = SimConfig::single_core(Design::Sca);
+        stop_loss.stop_loss = Some(4);
+        // One-entry write queues keep counter write-backs in flight while
+        // the data lines they cover sit guaranteed — the only way a
+        // counter-line write outside the log moves a read here.
+        let mut narrow_queues = SimConfig::single_core(Design::Sca);
+        narrow_queues.data_write_queue_entries = 1;
+        narrow_queues.counter_write_queue_entries = 1;
+        let configs = [
+            (
+                SimConfig::single_core(Design::Sca).with_integrity(IntegrityPolicy::Strict),
+                false,
+                0,
+            ),
+            (SimConfig::single_core(Design::Sca), true, 0),
+            (SimConfig::single_core(Design::UnsafeNoAtomicity), false, 0),
+            (stop_loss, false, 4),
+            (narrow_queues, false, 0),
+        ];
+        /// A ground truth derived from the true one.
+        type Variant<'v> = Box<dyn Fn(&LineImage) -> LineImage + 'v>;
+        /// The ground truth with the lines `pick` names flipped.
+        fn flipped<'p>(
+            pick: impl Fn(usize, LineAddr) -> bool + 'p,
+        ) -> impl Fn(&LineImage) -> LineImage + 'p {
+            move |truth| {
+                let mut truth = truth.clone();
+                for (i, (l, d)) in truth.iter_mut().enumerate() {
+                    if pick(i, *l) {
+                        d[0] ^= 0x5a;
+                    }
+                }
+                truth
+            }
+        }
+        let (mut checked, mut deviations, mut garbled) = (0usize, 0usize, 0usize);
+        for kind in WorkloadKind::ALL {
+            let spec = WorkloadSpec::smoke(kind).with_ops(6).with_payload_lines(4);
+            let ex = execute(&spec, 0, spec.ops);
+            let truths: Vec<Arc<LineImage>> = (0..=spec.ops as u64)
+                .map(|c| ex.state_after(c).expect("within the ops executed"))
+                .collect();
+            let written: Vec<LineAddr> = truths[spec.ops].iter().map(|&(l, _)| l).collect();
+            let log = ex.log_lines();
+            for (cfg, strip, window) in &configs {
+                let opts = ModelCheckOpts {
+                    max_images: 64,
+                    recovery_window: *window,
+                    strip_counter_writebacks: *strip,
+                    ..ModelCheckOpts::default()
+                };
+                let integrity = IntegritySpec::from_config(cfg);
+                let checker = Checker::new(cfg.key);
+                let engine = &checker.engine;
+                for set in sample_crash_sets(&spec, &ex, cfg, &opts) {
+                    let images: Vec<NvmmImage> = set
+                        .enumerate(nvmm_sim::EnumOpts {
+                            max_images: opts.max_images,
+                            seed: opts.seed,
+                        })
+                        .images
+                        .into_iter()
+                        .map(|(_, img)| img)
+                        .collect();
+                    let oracles: Vec<Result<(), String>> = images
+                        .iter()
+                        .map(|img| {
+                            nvmm_sim::verify_image_with(img, integrity, engine, &checker.mac_engine)
+                        })
+                        .collect();
+                    let in_flight = set.in_flight_lines();
+                    let reads: Vec<_> = images
+                        .iter()
+                        .map(|img| recovered_reads(&spec, &ex, img, engine, *window, &written))
+                        .collect();
+                    let mut restored: Vec<LineAddr> =
+                        reads.iter().flat_map(|(r, _)| r.iter().copied()).collect();
+                    restored.sort_unstable();
+                    restored.dedup();
+                    let copy = |j: usize| -> LineImage {
+                        written
+                            .iter()
+                            .zip(&reads[j].1)
+                            .map(|(&l, &d)| (l, d))
+                            .collect()
+                    };
+                    let mut variants: Vec<Variant> = vec![
+                        Box::new(|t: &LineImage| t.clone()),
+                        Box::new(flipped(|i, _| i % 7 == 3)),
+                        Box::new(flipped(|i, _| i % 41 == 0)),
+                        Box::new(flipped(|_, l| in_flight.binary_search(&l).is_ok())),
+                        Box::new(flipped(|_, l| {
+                            l.0 % 3 == 0
+                                && !log.contains(&l.0)
+                                && in_flight.binary_search(&l).is_err()
+                        })),
+                        Box::new(flipped(|_, l| restored.binary_search(&l).is_ok())),
+                        Box::new(flipped(|_, l| log.contains(&l.0))),
+                    ];
+                    for j in 0..images.len() {
+                        variants.push(Box::new(move |_: &LineImage| copy(j)));
+                    }
+                    for variant in &variants {
+                        // A fresh execution whose memo holds the variant.
+                        let judged = execute(&spec, 0, spec.ops);
+                        for (c, truth) in truths.iter().enumerate() {
+                            let truth = Arc::new(variant(truth));
+                            judged.truth.lock().insert(c as u64, truth);
+                        }
+                        let judge = SetJudge::new(&set);
+                        for (img, oracle) in images.iter().zip(&oracles) {
+                            let delta = check_image_inner(
+                                &spec,
+                                &judged,
+                                img,
+                                Some(oracle),
+                                &checker,
+                                &judge,
+                                cfg.design,
+                                integrity,
+                                *window,
+                            );
+                            let full = check_image_full(
+                                &spec, &judged, img, oracle, engine, cfg.design, *window,
+                            );
+                            assert_eq!(delta, full, "{kind} under {}", cfg.design);
+                            checked += 1;
+                            match &full {
+                                Err(e) if e.0.contains("deviates") => deviations += 1,
+                                Err(e) if e.0.starts_with("checker reads hit garbled") => {
+                                    garbled += 1
+                                }
+                                _ => {}
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert!(checked > 1000, "only {checked} verdicts compared");
+        assert!(deviations > 100, "only {deviations} deviation verdicts");
+        assert!(garbled > 0, "no verdict reached the garbled-read check");
     }
 
     #[test]

@@ -51,11 +51,15 @@ impl HashLayout {
 }
 
 /// Executes `ops` insert transactions for `core`.
+///
+/// Returns the persistent context, the undo log, the op-counter cell, the
+/// layout, and the trace length at the start of each operation (where
+/// setup ends and every op begins).
 pub fn execute(
     spec: &WorkloadSpec,
     core: usize,
     ops: usize,
-) -> (Pmem, UndoLog, ByteAddr, HashLayout, usize) {
+) -> (Pmem, UndoLog, ByteAddr, HashLayout, Vec<usize>) {
     let mut s = Scaffold::new(spec, core, 3, LINE_BYTES);
     // Split the footprint: half buckets, half node pool.
     let buckets = (spec.footprint_bytes / 2 / 8).max(16);
@@ -78,7 +82,6 @@ pub fn execute(
     s.pm.persist_barrier();
 
     // Everything up to here is setup, persisted before the measured ops.
-    let setup_events = s.pm.trace().len();
     for op in 0..ops as u64 {
         let key: u64 = s.rng.gen_range(1..u64::MAX);
         let (ops_cell, payload, bytes) = (s.ops_cell, s.payload_slot(op), s.payload_bytes);
@@ -101,7 +104,7 @@ pub fn execute(
         s.pm.compute(3500);
         s.probe_reads(layout.buckets_base, layout.buckets * 8, spec.read_probes);
     }
-    (s.pm, s.log, s.ops_cell, layout, setup_events)
+    (s.pm, s.log, s.ops_cell, layout, s.op_starts)
 }
 
 /// Structural check: exactly `committed` reachable nodes, chains

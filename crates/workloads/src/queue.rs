@@ -42,11 +42,15 @@ impl QueueLayout {
 }
 
 /// Executes `ops` random en/dequeue transactions for `core`.
+///
+/// Returns the persistent context, the undo log, the op-counter cell, the
+/// layout, and the trace length at the start of each operation (where
+/// setup ends and every op begins).
 pub fn execute(
     spec: &WorkloadSpec,
     core: usize,
     ops: usize,
-) -> (Pmem, UndoLog, ByteAddr, QueueLayout, usize) {
+) -> (Pmem, UndoLog, ByteAddr, QueueLayout, Vec<usize>) {
     let mut s = Scaffold::new(spec, core, 2, LINE_BYTES);
     let capacity = (spec.footprint_bytes / LINE_BYTES).max(8);
     let meta = s.plan.alloc_lines(1);
@@ -58,7 +62,6 @@ pub fn execute(
     };
 
     // Everything up to here is setup, persisted before the measured ops.
-    let setup_events = s.pm.trace().len();
     for op in 0..ops as u64 {
         let (ops_cell, payload, bytes) = (s.ops_cell, s.payload_slot(op), s.payload_bytes);
         let want_dequeue: bool = s.rng.gen_bool(0.4);
@@ -85,7 +88,7 @@ pub fn execute(
         s.pm.compute(3500);
         s.probe_reads(layout.ring, layout.capacity * LINE_BYTES, spec.read_probes);
     }
-    (s.pm, s.log, s.ops_cell, layout, setup_events)
+    (s.pm, s.log, s.ops_cell, layout, s.op_starts)
 }
 
 /// Structural check: cursors sane, occupancy within capacity, and every

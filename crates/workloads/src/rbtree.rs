@@ -72,7 +72,7 @@ impl Mem for Txn<'_> {
     }
 }
 
-impl Mem for RecoveredMemory {
+impl Mem for RecoveredMemory<'_> {
     fn load(&mut self, a: ByteAddr) -> u64 {
         self.read_u64(a)
     }
@@ -268,11 +268,15 @@ fn do_insert(tx: &mut Txn<'_>, l: &RbLayout, k: u64, value: u64) {
 }
 
 /// Executes `ops` insert transactions for `core`.
+///
+/// Returns the persistent context, the undo log, the op-counter cell, the
+/// layout, and the trace length at the start of each operation (where
+/// setup ends and every op begins).
 pub fn execute(
     spec: &WorkloadSpec,
     core: usize,
     ops: usize,
-) -> (Pmem, UndoLog, ByteAddr, RbLayout, usize) {
+) -> (Pmem, UndoLog, ByteAddr, RbLayout, Vec<usize>) {
     // Path + sibling logging: ~3 nodes per level, depth ≤ 2·log2(n).
     let depth_bound = 2 * (64 - (spec.ops as u64 + 2).leading_zeros() as u64) + 4;
     let mut s = Scaffold::new(spec, core, 3 * depth_bound + 4, LINE_BYTES);
@@ -295,7 +299,6 @@ pub fn execute(
     // BST-order check exact. The footprint is set by the node pool.
     let _ = spec.footprint_bytes;
     // Everything up to here is setup, persisted before the measured ops.
-    let setup_events = s.pm.trace().len();
     for op in 0..ops as u64 {
         let k = s.rng.gen_range(1..u64::MAX);
         let (ops_cell, payload, bytes) = (s.ops_cell, s.payload_slot(op), s.payload_bytes);
@@ -314,7 +317,7 @@ pub fn execute(
             spec.read_probes,
         );
     }
-    (s.pm, s.log, s.ops_cell, layout, setup_events)
+    (s.pm, s.log, s.ops_cell, layout, s.op_starts)
 }
 
 fn walk<M: Mem>(

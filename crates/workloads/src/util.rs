@@ -49,14 +49,18 @@ pub(crate) struct Scaffold {
     pub rng: StdRng,
     skew: f64,
     mechanism: Mechanism,
+    /// Trace length at each [`Scaffold::begin_tx`]: where every
+    /// operation starts, in op order.
+    pub op_starts: Vec<usize>,
 }
 
 impl Scaffold {
     /// Builds the scaffold for `core`. `max_log_entries` /
     /// `max_entry_bytes` size the undo log for the workload's worst-case
     /// transaction. The arena is sized from `spec.ops` so the layout is
-    /// identical regardless of how many operations actually execute
-    /// (recovery checkers re-execute prefixes).
+    /// identical regardless of how many operations actually execute: a
+    /// `k`-op execution's trace is a prefix of any longer one, which the
+    /// recovery oracle's ground truth relies on.
     pub fn new(
         spec: &WorkloadSpec,
         core: usize,
@@ -91,6 +95,7 @@ impl Scaffold {
             rng,
             skew: spec.probe_skew,
             mechanism: spec.mechanism,
+            op_starts: Vec::new(),
         }
     }
 
@@ -100,8 +105,10 @@ impl Scaffold {
     }
 
     /// Opens transaction `op` under the spec's mechanism, pre-declaring
-    /// the ops counter mutation.
+    /// the ops counter mutation. Every workload starts each operation
+    /// here, so this is where the op boundaries are recorded.
     pub fn begin_tx(&mut self, op: u64) -> Txn<'_> {
+        self.op_starts.push(self.pm.trace().len());
         let mut tx = Txn::begin(&mut self.pm, &self.log, op, self.mechanism);
         tx.log_region(self.ops_cell, 8);
         tx
