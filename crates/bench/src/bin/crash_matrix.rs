@@ -51,7 +51,7 @@
 //! `<design>/mc_wall_ns` (checking, summed over the cell's instants).
 
 use nvmm_bench::sweep::{SweepCell, SweepRunner};
-use nvmm_bench::{print_table, Experiment};
+use nvmm_bench::{env_u64, print_table, Experiment};
 use nvmm_sim::config::{Design, IntegrityPolicy, SimConfig};
 use nvmm_sim::system::CrashSpec;
 use nvmm_workloads::{
@@ -59,13 +59,6 @@ use nvmm_workloads::{
     ModelCheckReport, WorkloadKind, WorkloadSpec,
 };
 use std::collections::BTreeMap;
-
-fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
 
 /// Aggregate of one (workload, design) cell over all its crash points.
 #[derive(Debug, Default, Clone, Copy)]

@@ -17,7 +17,7 @@
 //! does not affect, so all seven sizes replay the same trace.
 
 use nvmm_bench::sweep::{SweepCell, SweepRunner};
-use nvmm_bench::{eval_spec, geo_mean, print_table, Experiment};
+use nvmm_bench::{env_u64, eval_spec, geo_mean, print_table, Experiment};
 use nvmm_sim::config::{Design, SimConfig};
 use nvmm_workloads::WorkloadKind;
 
@@ -37,10 +37,7 @@ const FOOTPRINTS: [(u64, &str); 3] = [
 ];
 
 fn main() {
-    let ops = std::env::var("NVMM_OPS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1500);
+    let ops = env_u64("NVMM_OPS", 1500) as usize;
 
     let mut cells = Vec::new();
     for (fp, fp_label) in FOOTPRINTS {

@@ -13,7 +13,7 @@
 //! design serializes it).
 
 use nvmm_bench::sweep::{SweepCell, SweepRunner};
-use nvmm_bench::{eval_spec, geo_mean, print_table, Experiment};
+use nvmm_bench::{env_u64, eval_spec, geo_mean, print_table, Experiment};
 use nvmm_sim::config::{Design, SimConfig};
 use nvmm_workloads::WorkloadKind;
 
@@ -26,10 +26,7 @@ const POINTS: [(f64, &str); 5] = [
 ];
 
 fn main() {
-    let ops = std::env::var("NVMM_OPS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(800);
+    let ops = env_u64("NVMM_OPS", 800) as usize;
 
     let mut cells = Vec::new();
     for (axis, is_read) in [("read", true), ("write", false)] {

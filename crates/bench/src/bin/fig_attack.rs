@@ -48,7 +48,7 @@
 //! * `NVMM_SHARDS` — shard count for the cross-check re-run
 //!   (default 4; stdout only, never the artifact).
 
-use nvmm_bench::{print_table, Experiment};
+use nvmm_bench::{env_u64, print_table, Experiment};
 use nvmm_sim::attack::{expected_vulnerable, run_detection_row, AttackKind, MatrixCell};
 use nvmm_sim::config::{Design, IntegrityPolicy, SimConfig};
 use nvmm_sim::integrity::IntegritySpec;
@@ -56,13 +56,6 @@ use nvmm_sim::system::RunOutcome;
 use nvmm_sim::trace::{Trace, TraceEvent};
 use nvmm_sim::LineAddr;
 use std::time::Instant;
-
-fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
 
 const POLICIES: [IntegrityPolicy; 6] = [
     IntegrityPolicy::MacOnly,

@@ -41,7 +41,7 @@
 //! across both knobs.
 
 use nvmm_bench::sweep::{SweepCell, SweepRunner};
-use nvmm_bench::{eval_spec, geo_mean, print_table, Experiment};
+use nvmm_bench::{env_u64, eval_spec, geo_mean, print_table, Experiment};
 use nvmm_sim::config::{Design, IntegrityPolicy, SimConfig};
 use nvmm_sim::integrity::{recovery_cost, IntegritySpec};
 use nvmm_sim::system::{CrashSpec, System};
@@ -216,11 +216,7 @@ fn main() {
     // Sharding cross-check (stdout only — never in the artifact, which
     // must stay byte-identical across NVMM_SHARDS): colocated work and
     // its final image are invariant under channel sharding.
-    let shards = std::env::var("NVMM_SHARDS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .unwrap_or(1)
-        .max(1);
+    let shards = (env_u64("NVMM_SHARDS", 1) as usize).max(1);
     let spec = WorkloadSpec::smoke(WorkloadKind::HashTable).with_ops(8);
     let run = |n: usize| {
         let cfg = SimConfig::table2(Design::Sca, 1)

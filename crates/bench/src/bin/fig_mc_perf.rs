@@ -62,7 +62,7 @@
 //! in the companion `BENCH_crashmc_timing.json`, which legitimately
 //! varies run to run.
 
-use nvmm_bench::{geo_mean, print_table, Experiment};
+use nvmm_bench::{env_u64, geo_mean, print_table, Experiment};
 use nvmm_crypto::mac::MacEngine;
 use nvmm_crypto::EncryptionEngine;
 use nvmm_sim::config::{Design, IntegrityPolicy, SimConfig};
@@ -75,13 +75,6 @@ use nvmm_sim::{
 use nvmm_workloads::{crash_instants_cfg, execute, ModelCheckOpts, WorkloadKind, WorkloadSpec};
 use std::hash::{Hash, Hasher};
 use std::time::Instant;
-
-fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
 
 /// Deterministic accounting of enumerate+verify over one workload's
 /// crash sets. Every field is a pure function of the simulated state,

@@ -55,7 +55,7 @@
 //! * `NVMM_THREADS` — sweep worker threads.
 
 use nvmm_bench::sweep::{SweepCell, SweepRunner};
-use nvmm_bench::{print_table, Experiment};
+use nvmm_bench::{env_u64, print_table, Experiment};
 use nvmm_sim::config::{Design, SimConfig};
 use nvmm_sim::system::{CrashSpec, RunOutcome, System};
 use nvmm_sim::time::Time;
@@ -63,13 +63,6 @@ use nvmm_sim::trace::{TraceEvent, TraceStream};
 use nvmm_sim::LineAddr;
 use nvmm_workloads::{shape_open_loop, traces_for_cores, ArrivalCurve, WorkloadKind, WorkloadSpec};
 use std::time::Instant;
-
-fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
 
 const CORES: usize = 4;
 const SHARD_COUNTS: [usize; 3] = [1, 2, 4];

@@ -1129,8 +1129,7 @@ impl MemoryController {
     /// follows one submitted after it stays: the merge order places it
     /// after that record. Batched-journal compaction folds these
     /// prefixes into the shard layer's base image
-    /// ([`crate::shard::ShardedController::fold_prefixes`]), taken in
-    /// place or shipped back by shard worker threads.
+    /// ([`crate::shard::ShardedController::compact_through`]).
     pub(crate) fn take_journal_prefix(&mut self, watermark: Time) -> Vec<JournalRecord> {
         let n = self
             .journal
@@ -1140,17 +1139,6 @@ impl MemoryController {
         self.journal.drain(..n).collect()
     }
 }
-
-/// A [`MemoryController`] is `Send`: every piece of its state is owned
-/// or `Arc`-shared (the crypto memos), so a shard worker thread can own
-/// its controllers for the duration of a parallel replay. Each shard
-/// builds its *own* [`EncryptionEngine`]/MAC memo from the shared key,
-/// so the memo maps are contention-free per shard even though the type
-/// is thread-safe.
-const _: () = {
-    const fn assert_send<T: Send>() {}
-    assert_send::<MemoryController>()
-};
 
 #[cfg(test)]
 mod tests {

@@ -9,6 +9,8 @@
 //! outer loops — crash instants within one model check, and sampled
 //! masks within one [`crate::crashmc::CrashSet`] — and the bench sweep
 //! engine delegates to it for trace generation and simulation fan-out.
+//! Every job is independent work: a whole simulation, a crash instant or
+//! a sampled mask. A single replay runs on one thread.
 //!
 //! [`mc_threads`] is the model checker's thread-count knob:
 //! `NVMM_MC_THREADS`, defaulting to `NVMM_THREADS`, defaulting to the
@@ -85,18 +87,6 @@ pub fn mc_threads() -> usize {
                 .unwrap_or(1)
         })
         .max(1)
-}
-
-/// The intra-run shard-worker count: `NVMM_SHARD_THREADS`, clamped to
-/// at least 1. Unlike [`mc_threads`], the default is **1** — the
-/// sequential replay path — so existing single-threaded runs are
-/// untouched unless the knob is set explicitly (or a bench pins the
-/// count via `System::with_shard_threads`). Deliberately *not* chained
-/// to `NVMM_THREADS`: sweep fan-out and intra-run workers multiply, so
-/// enabling both by default would oversubscribe the host. Results are
-/// bit-identical at any value (see `docs/ARCHITECTURE.md`).
-pub fn shard_threads() -> usize {
-    env_threads("NVMM_SHARD_THREADS").unwrap_or(1).max(1)
 }
 
 #[cfg(test)]

@@ -352,48 +352,18 @@ impl ShardedController {
     }
 
     /// Folds every shard's compactable journal prefix at `watermark`
-    /// ([`MemoryController::take_journal_prefix`]) into the base image.
-    /// The caller must guarantee that no future record will be submitted
-    /// before `watermark` (the replay engine passes the minimum
-    /// live-core clock). Every folded record then precedes every
-    /// remaining and future one in the final merged order, so the
-    /// completion image is unchanged.
+    /// ([`MemoryController::take_journal_prefix`]) into the base image,
+    /// in the prefixes' k-way merge order. The caller must guarantee
+    /// that no future record will be submitted before `watermark` (the
+    /// replay engine passes the minimum live-core clock). Every folded
+    /// record then precedes every remaining and future one in the final
+    /// merged order, so the completion image is unchanged.
     pub(crate) fn compact_through(&mut self, watermark: Time) {
-        let prefixes = self
+        let prefixes: Vec<Vec<JournalRecord>> = self
             .shards
             .iter_mut()
             .map(|ctl| ctl.take_journal_prefix(watermark))
             .collect();
-        self.fold_prefixes(prefixes);
-    }
-
-    /// Detaches the shard controllers so per-shard worker threads can
-    /// own them for the duration of a parallel replay
-    /// ([`crate::system::System`] with `NVMM_SHARD_THREADS > 1`). The
-    /// remaining husk keeps the map and the compaction base; every
-    /// whole-system query panics until
-    /// [`ShardedController::restore_shards`] puts the controllers back.
-    pub(crate) fn take_shards(&mut self) -> Vec<MemoryController> {
-        std::mem::take(&mut self.shards)
-    }
-
-    /// Reattaches the controllers detached by
-    /// [`ShardedController::take_shards`], in shard order.
-    pub(crate) fn restore_shards(&mut self, shards: Vec<MemoryController>) {
-        assert!(self.shards.is_empty(), "shards already attached");
-        assert_eq!(shards.len(), self.map.shards(), "wrong shard count");
-        self.shards = shards;
-    }
-
-    /// Folds per-shard journal prefixes into the compaction base:
-    /// `prefixes[s]` is shard `s`'s compactable prefix
-    /// ([`MemoryController::take_journal_prefix`]) in journal order, and
-    /// the prefixes are folded in their k-way merge order.
-    /// [`ShardedController::compact_through`] takes them in place; in a
-    /// parallel replay the shard workers take them and ship them back,
-    /// so both ports leave the same base image.
-    pub(crate) fn fold_prefixes(&mut self, prefixes: Vec<Vec<JournalRecord>>) {
-        assert_eq!(prefixes.len(), self.map.shards(), "one prefix per shard");
         let slices = prefixes.iter().map(Vec::as_slice).collect();
         fold_last_writers(
             &mut self.base,

@@ -111,9 +111,9 @@ pub struct Stats {
     pub wear_line_writes: u64,
 }
 
-/// Field list shared by [`Stats::absorb`] and the `ToJson`/`FromJson`
-/// impls so the three cannot drift apart: every `u64` counter, with the
-/// `Time`/`Vec` fields handled explicitly at each use site.
+/// Field list shared by the `ToJson`/`FromJson` impls so the two cannot
+/// drift apart: every `u64` counter, with the `Time`/`Vec` fields
+/// handled explicitly at each use site.
 macro_rules! stats_u64_fields {
     ($m:ident) => {
         $m!(
@@ -160,31 +160,6 @@ impl Stats {
             core_runtimes: vec![Time::ZERO; cores],
             ..Self::default()
         }
-    }
-
-    /// Folds another accumulator into this one by summing every
-    /// counter and stall-time field — the deterministic merge of
-    /// per-worker statistics after a parallel shard replay. Every field
-    /// the memory controller touches is a monotone `+=` accumulator, so
-    /// summing per-worker blocks reproduces the sequential interleaving
-    /// bit for bit regardless of completion order. End-of-run fields
-    /// the replay engine *assigns* (`runtime`, `core_runtimes`,
-    /// `distinct_lines_written`, `max_line_writes`) are left untouched:
-    /// the front end sets them once, after the merge.
-    pub fn absorb(&mut self, other: &Stats) {
-        // `stats_u64_fields!` includes the two end-of-run wear fields;
-        // keep this side's values so the merge only sums accumulators.
-        let (distinct, max_writes) = (self.distinct_lines_written, self.max_line_writes);
-        macro_rules! add_u64 {
-            ($($name:ident),*) => { $( self.$name += other.$name; )* };
-        }
-        stats_u64_fields!(add_u64);
-        self.distinct_lines_written = distinct;
-        self.max_line_writes = max_writes;
-        self.barrier_stall += other.barrier_stall;
-        self.queue_full_stall += other.queue_full_stall;
-        self.pairing_stall += other.pairing_stall;
-        self.root_update_stall += other.root_update_stall;
     }
 
     /// Counter cache miss rate over all probes, or 0.0 if never probed.
@@ -478,45 +453,6 @@ mod tests {
     #[test]
     fn new_sizes_core_vector() {
         assert_eq!(Stats::new(4).core_runtimes.len(), 4);
-    }
-
-    #[test]
-    fn absorb_sums_accumulators_and_keeps_assigned_fields() {
-        let mut a = Stats {
-            nvmm_data_writes: 3,
-            pairing_stall: Time::from_ns(10),
-            barrier_stall: Time::from_ns(5),
-            distinct_lines_written: 7,
-            max_line_writes: 9,
-            runtime: Time::from_ns(100),
-            core_runtimes: vec![Time::from_ns(100)],
-            ..Stats::default()
-        };
-        let b = Stats {
-            nvmm_data_writes: 4,
-            bytes_written: 64,
-            pairing_stall: Time::from_ns(2),
-            distinct_lines_written: 99, // end-of-run field: must be ignored
-            max_line_writes: 99,
-            runtime: Time::from_ns(999),
-            ..Stats::default()
-        };
-        a.absorb(&b);
-        assert_eq!(a.nvmm_data_writes, 7);
-        assert_eq!(a.bytes_written, 64);
-        assert_eq!(a.pairing_stall, Time::from_ns(12));
-        assert_eq!(a.barrier_stall, Time::from_ns(5));
-        assert_eq!(
-            a.distinct_lines_written, 7,
-            "assigned fields keep this side"
-        );
-        assert_eq!(a.max_line_writes, 9);
-        assert_eq!(
-            a.runtime,
-            Time::from_ns(100),
-            "runtime is assigned, not summed"
-        );
-        assert_eq!(a.core_runtimes, vec![Time::from_ns(100)]);
     }
 
     #[test]

@@ -271,29 +271,8 @@ impl EpochSampler {
         }
     }
 
-    /// The next epoch boundary — the first instant at which
-    /// [`EpochSampler::observe`] would close an epoch. The parallel
-    /// replay front end uses this as its fast path: no worker sync is
-    /// needed while the stepped clock stays below it.
-    pub fn next_boundary(&self) -> Time {
-        self.epoch_start + self.epoch
-    }
-
-    /// The epoch boundaries `observe(now, ..)` would close, in order —
-    /// the instants a parallel front end must collect queue depths for
-    /// before closing the epochs from merged state.
-    pub fn boundaries_through(&self, now: Time) -> Vec<Time> {
-        let mut ends = Vec::new();
-        let mut start = self.epoch_start;
-        while now >= start + self.epoch {
-            start += self.epoch;
-            ends.push(start);
-        }
-        ends
-    }
-
-    fn close_epoch(&mut self, end: Time, stats: &Stats, depths: &dyn Fn(Time) -> (usize, usize)) {
-        let (dq, cq) = depths(end);
+    fn close_epoch(&mut self, end: Time, stats: &Stats, controller: &ShardedController) {
+        let (dq, cq) = controller.write_queue_depths(end);
         let cur = Baseline::of(stats);
         let mut sample = EpochSample {
             start: self.epoch_start,
@@ -316,23 +295,9 @@ impl EpochSampler {
     /// Advances the sampler to `now`, closing every epoch whose boundary
     /// has been reached.
     pub fn observe(&mut self, now: Time, stats: &Stats, controller: &ShardedController) {
-        self.observe_with(now, stats, &|t| controller.write_queue_depths(t));
-    }
-
-    /// Like [`EpochSampler::observe`], but reads epoch-boundary queue
-    /// depths from `depths` instead of a live controller — the parallel
-    /// replay path closes epochs from depths its synced workers
-    /// reported for exactly the boundaries in
-    /// [`EpochSampler::boundaries_through`].
-    pub fn observe_with(
-        &mut self,
-        now: Time,
-        stats: &Stats,
-        depths: &dyn Fn(Time) -> (usize, usize),
-    ) {
         while now >= self.epoch_start + self.epoch {
             let end = self.epoch_start + self.epoch;
-            self.close_epoch(end, stats, depths);
+            self.close_epoch(end, stats, controller);
         }
     }
 
@@ -340,12 +305,11 @@ impl EpochSampler {
     /// the finished timeline. Totals over the timeline reconcile exactly
     /// with the final cumulative `stats`.
     pub fn finish(mut self, now: Time, stats: &Stats, controller: &ShardedController) -> Timeline {
-        let depths = |t| controller.write_queue_depths(t);
-        self.observe_with(now, stats, &depths);
+        self.observe(now, stats, controller);
         // The trailing epoch may be partial, or zero-width when `now`
         // sits exactly on a boundary — the latter only survives elision
         // if end-of-run bookkeeping bumped counters after the boundary.
-        self.close_epoch(now, stats, &depths);
+        self.close_epoch(now, stats, controller);
         self.timeline
     }
 }

@@ -2,7 +2,7 @@
 //! (`nvmm_sim::shard::ShardedController` behind the
 //! `nvmm_sim::addr::ShardMap` interleave).
 //!
-//! The sharding refactor's contract has three parts, each pinned here:
+//! The sharding refactor's contract has four parts, each pinned here:
 //!
 //! 1. The address interleave is a *bijection* — every global line maps
 //!    to exactly one (shard, local line) and back, for any shard count
@@ -14,14 +14,20 @@
 //!    proves FCA/SCA clean over every ADR-legal image of a sharded
 //!    run, and still *catches* an injected counter-writeback bug —
 //!    the merged per-shard journal hides nothing from `crashmc`.
+//! 4. Sharded replays reproduce pinned known answers — their whole
+//!    reported outcome and completion image — under every integrity
+//!    policy, and for an open-loop strict-integrity run with and
+//!    without batched-journal compaction. Compaction itself never
+//!    changes a completion outcome (property test).
 
 use nvmm::sim::addr::{LineAddr, ShardMap};
 use nvmm::sim::config::{Design, IntegrityPolicy, SimConfig};
+use nvmm::sim::integrity::digest64;
 use nvmm::sim::system::{CrashSpec, RunOutcome, System};
 use nvmm::sim::Time;
 use nvmm::workloads::{
-    crash_instants_cfg, model_check_cfg, traces_for_cores, ModelCheckOpts, WorkloadKind,
-    WorkloadSpec,
+    crash_instants_cfg, model_check_cfg, shape_open_loop, traces_for_cores, ArrivalCurve,
+    ModelCheckOpts, WorkloadKind, WorkloadSpec,
 };
 use proptest::prelude::*;
 use std::collections::HashSet;
@@ -248,67 +254,6 @@ fn sharded_checker_still_catches_missing_counter_writebacks() {
     );
 }
 
-/// Field-by-field comparison of two run outcomes — everything a
-/// `RunOutcome` reports, including the timeline (whose epoch deltas are
-/// merged across shard workers at epoch barriers), the wear report
-/// (merged per-shard write counts), and the latency histogram.
-fn assert_outcomes_identical(a: &RunOutcome, b: &RunOutcome, what: &str) {
-    assert_eq!(a.stats, b.stats, "{what}: stats diverged");
-    assert_eq!(
-        a.image.fingerprint(),
-        b.image.fingerprint(),
-        "{what}: NVMM image diverged"
-    );
-    assert_eq!(a.crash_time, b.crash_time, "{what}: crash time diverged");
-    assert_eq!(
-        a.persist_windows, b.persist_windows,
-        "{what}: persist windows (merged journal order) diverged"
-    );
-    assert_eq!(
-        a.events_processed, b.events_processed,
-        "{what}: event count diverged"
-    );
-    assert_eq!(a.timeline, b.timeline, "{what}: telemetry diverged");
-    assert_eq!(a.latency, b.latency, "{what}: latency histogram diverged");
-    assert_eq!(a.wear, b.wear, "{what}: wear report diverged");
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 12, ..ProptestConfig::default() })]
-
-    /// Cross-thread determinism, fuzzed: for random seeds, workloads
-    /// and integrity policies, a 4-worker parallel replay produces a
-    /// `RunOutcome` identical to the sequential path — stats, image,
-    /// persist windows (the merged journal's in-flight order),
-    /// telemetry, wear, latency — along with the same single-shard
-    /// parity verdict.
-    #[test]
-    fn parallel_replay_is_deterministic(
-        seed in 0u64..1_000_000,
-        kind_ix in 0usize..3,
-        ops in 3usize..7,
-        policy_ix in 0usize..IntegrityPolicy::ALL.len(),
-    ) {
-        let kind = [WorkloadKind::HashTable, WorkloadKind::Queue, WorkloadKind::ArraySwap][kind_ix];
-        let mut spec = WorkloadSpec::smoke(kind).with_ops(ops);
-        spec.seed = seed;
-        let cores = 2;
-        let mut cfg = SimConfig::table2(Design::Sca, cores)
-            .with_shards(4)
-            .with_integrity(IntegrityPolicy::ALL[policy_ix]);
-        cfg.telemetry_epoch = Some(Time::from_ns(700));
-        let traces = traces_for_cores(&spec, cores);
-        let (base, base_parity) = System::new(cfg.clone(), traces.clone())
-            .with_shard_threads(1)
-            .run_with_parity_check(CrashSpec::None);
-        let (par, par_parity) = System::new(cfg, traces)
-            .with_shard_threads(4)
-            .run_with_parity_check(CrashSpec::None);
-        prop_assert_eq!(par_parity, base_parity, "parity probe diverged");
-        assert_outcomes_identical(&par, &base, "threads=4 vs threads=1");
-    }
-}
-
 /// Enumerated image fingerprints (in enumeration order) and stats of a
 /// crash set — everything the model checker consumes from it.
 fn enumerated(set: &nvmm::sim::CrashSet) -> (Vec<u128>, nvmm::sim::EnumStats) {
@@ -366,9 +311,7 @@ proptest! {
         let sweep = System::new(cfg.clone(), traces.clone()).run_crash_sweep(&instants);
         prop_assert_eq!(sweep.len(), instants.len());
         for (i, &t) in instants.iter().enumerate() {
-            let run = System::new(cfg.clone(), traces.clone())
-                .with_shard_threads(1)
-                .run(CrashSpec::AtTime(t));
+            let run = System::new(cfg.clone(), traces.clone()).run(CrashSpec::AtTime(t));
             match (sweep.crash_set(i), run.crash_set) {
                 (Some(swept), Some(single)) => {
                     prop_assert_eq!(swept.crash_time(), t);
@@ -386,31 +329,6 @@ proptest! {
                 ),
             }
         }
-    }
-}
-
-/// Cross-thread determinism over every integrity policy, pinned (the
-/// fuzz above samples; this leaves no policy to chance): each of the
-/// six non-trivial policies — and the no-integrity baseline — replays
-/// bit-identically with 4 shard workers.
-#[test]
-fn parallel_replay_deterministic_across_all_integrity_policies() {
-    let cores = 2;
-    let spec = WorkloadSpec::smoke(WorkloadKind::HashTable).with_ops(5);
-    let traces = traces_for_cores(&spec, cores);
-    for policy in IntegrityPolicy::ALL {
-        let mut cfg = SimConfig::table2(Design::Sca, cores)
-            .with_shards(4)
-            .with_integrity(policy);
-        cfg.telemetry_epoch = Some(Time::from_ns(600));
-        let (base, base_parity) = System::new(cfg.clone(), traces.clone())
-            .with_shard_threads(1)
-            .run_with_parity_check(CrashSpec::None);
-        let (par, par_parity) = System::new(cfg, traces.clone())
-            .with_shard_threads(4)
-            .run_with_parity_check(CrashSpec::None);
-        assert_eq!(par_parity, base_parity, "{policy:?}: parity probe diverged");
-        assert_outcomes_identical(&par, &base, &format!("{policy:?} threads=4 vs 1"));
     }
 }
 
@@ -433,9 +351,8 @@ fn journal_batching_refuses_crash_analysis() {
 /// no integrity, lazy and strict — whose tree nodes near the root are
 /// written from both shards, so compaction folds one cell from two
 /// journals — the batched run's whole outcome (stats, wear report,
-/// latency histogram, completion image) matches an unbatched reference
-/// on the inline port and on two shard workers. Compaction changes
-/// journal memory, never the outcome.
+/// latency histogram, completion image) matches an unbatched reference.
+/// Compaction changes journal memory, never the outcome.
 #[test]
 fn journal_batching_preserves_completion_outcome() {
     let spec = WorkloadSpec::smoke(WorkloadKind::Queue).with_ops(8);
@@ -450,28 +367,199 @@ fn journal_batching_preserves_completion_outcome() {
             .with_shards(2)
             .with_integrity(policy);
         let reference = System::new(cfg.clone(), traces.clone()).run(CrashSpec::None);
-        for threads in [1, 2] {
-            let batched = System::new(cfg.clone(), traces.clone())
-                .with_shard_threads(threads)
-                .with_journal_batch(4)
-                .run(CrashSpec::None);
-            let what = format!("{policy:?} threads={threads}");
-            // Persist windows cover only the un-folded journal tail.
-            assert!(
-                batched.persist_windows.len() < reference.persist_windows.len(),
-                "{what}: compaction must fire"
-            );
-            assert_eq!(batched.stats, reference.stats, "{what}: stats diverged");
-            assert_eq!(batched.wear, reference.wear, "{what}: wear diverged");
-            assert_eq!(
-                batched.latency, reference.latency,
-                "{what}: latency diverged"
-            );
-            assert_eq!(
-                batched.image.fingerprint(),
-                reference.image.fingerprint(),
-                "{what}: compaction must not change the completion image"
-            );
-        }
+        let batched = System::new(cfg, traces.clone())
+            .with_journal_batch(4)
+            .run(CrashSpec::None);
+        // Persist windows cover only the un-folded journal tail.
+        assert!(
+            batched.persist_windows.len() < reference.persist_windows.len(),
+            "{policy:?}: compaction must fire"
+        );
+        assert_eq!(batched.stats, reference.stats, "{policy:?}: stats diverged");
+        assert_eq!(batched.wear, reference.wear, "{policy:?}: wear diverged");
+        assert_eq!(
+            batched.latency, reference.latency,
+            "{policy:?}: latency diverged"
+        );
+        assert_eq!(
+            batched.image.fingerprint(),
+            reference.image.fingerprint(),
+            "{policy:?}: compaction must not change the completion image"
+        );
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 12, ..ProptestConfig::default() })]
+
+    /// Compaction, fuzzed: for random seeds, workloads, shard counts,
+    /// integrity policies, batch sizes and closed- or open-loop
+    /// arrivals, a batched completion run reports the same stats,
+    /// telemetry, wear, latency histogram and completion image as the
+    /// unbatched replay of the same traces.
+    #[test]
+    fn journal_batching_preserves_completion_outcome_fuzzed(
+        seed in 0u64..1_000_000,
+        kind_ix in 0usize..3,
+        ops in 3usize..7,
+        shards_ix in 0usize..3,
+        policy_ix in 0usize..IntegrityPolicy::ALL.len(),
+        batch in 1u64..32,
+        open_loop in proptest::bool::ANY,
+    ) {
+        let kind = [WorkloadKind::HashTable, WorkloadKind::Queue, WorkloadKind::ArraySwap][kind_ix];
+        let mut spec = WorkloadSpec::smoke(kind).with_ops(ops);
+        spec.seed = seed;
+        let cores = 2;
+        let cfg = SimConfig::table2(Design::Sca, cores)
+            .with_shards([1, 2, 4][shards_ix])
+            .with_integrity(IntegrityPolicy::ALL[policy_ix])
+            .with_telemetry_epoch(Time::from_ns(700));
+        let mut traces = traces_for_cores(&spec, cores);
+        if open_loop {
+            traces = shape_open_loop(traces, &ArrivalCurve::burst(Time::from_ns(1_500), 4));
+        }
+        let reference = System::new(cfg.clone(), traces.clone()).run(CrashSpec::None);
+        let batched = System::new(cfg, traces)
+            .with_journal_batch(batch)
+            .run(CrashSpec::None);
+        prop_assert!(batched.persist_windows.len() <= reference.persist_windows.len());
+        prop_assert_eq!(&batched.stats, &reference.stats, "stats diverged");
+        prop_assert_eq!(&batched.timeline, &reference.timeline, "telemetry diverged");
+        prop_assert_eq!(&batched.wear, &reference.wear, "wear diverged");
+        prop_assert_eq!(&batched.latency, &reference.latency, "latency diverged");
+        prop_assert_eq!(
+            batched.image.fingerprint(),
+            reference.image.fingerprint(),
+            "compaction changed the completion image"
+        );
+    }
+}
+
+/// A sharded, open-loop, strict-integrity replay: 2 cores on 4 shards,
+/// 500 ns telemetry epochs, burst arrivals (so the latency histogram
+/// fills), optionally compacting the journal every `batch` events.
+fn known_answer_system(batch: Option<u64>) -> System {
+    let cores = 2;
+    let spec = WorkloadSpec::smoke(WorkloadKind::HashTable).with_ops(8);
+    let cfg = SimConfig::table2(Design::Sca, cores)
+        .with_shards(4)
+        .with_integrity(IntegrityPolicy::Strict)
+        .with_telemetry_epoch(Time::from_ns(500));
+    let traces = shape_open_loop(
+        traces_for_cores(&spec, cores),
+        &ArrivalCurve::burst(Time::from_ns(1_500), 4),
+    );
+    let sys = System::new(cfg, traces);
+    match batch {
+        Some(events) => sys.with_journal_batch(events),
+        None => sys,
+    }
+}
+
+/// A digest over the `Debug` of everything a completion run reports
+/// besides its image.
+fn outcome_digest(out: &RunOutcome) -> u64 {
+    let reported = (
+        &out.stats,
+        &out.timeline,
+        &out.latency,
+        &out.persist_windows,
+        &out.wear,
+    );
+    digest64(format!("{reported:?}").as_bytes())
+}
+
+/// Known answers for [`known_answer_system`]: `(journal batch, outcome
+/// digest, image fingerprint)`. They were computed while a replay could
+/// also run its shard controllers on worker threads, and 1, 2 and 4
+/// workers all gave these values. Compaction leaves the persist
+/// windows of the un-folded journal tail only, so the batched digest
+/// differs; the completion image does not.
+#[rustfmt::skip]
+const KNOWN_ANSWERS: [(Option<u64>, u64, u128); 2] = [
+    (None, 0x319488f1b031e7b8, 0x57690c461cb71f13136c63c98057b43e),
+    (Some(16), 0x701afab44ab9d9e9, 0x57690c461cb71f13136c63c98057b43e),
+];
+
+#[test]
+fn sharded_open_loop_replay_matches_its_known_answers() {
+    for (batch, digest, fingerprint) in KNOWN_ANSWERS {
+        let out = known_answer_system(batch).run(CrashSpec::None);
+        assert!(
+            out.latency.is_some(),
+            "open-loop arrivals must record latency"
+        );
+        assert!(
+            out.timeline.as_ref().is_some_and(|t| !t.epochs.is_empty()),
+            "the run must span telemetry epochs"
+        );
+        let got = (outcome_digest(&out), out.image.fingerprint());
+        assert!(
+            got == (digest, fingerprint),
+            "batch {batch:?}: known answers moved; the run now gives ({:#x}, {:#x})",
+            got.0,
+            got.1
+        );
+    }
+}
+
+/// Known answers for a closed-loop sharded replay under each integrity
+/// policy: 2 cores on 4 shards, 600 ns telemetry epochs. Each entry is
+/// `(policy, outcome digest, image fingerprint)`, computed like
+/// [`KNOWN_ANSWERS`], with 1, 2 and 4 shard workers agreeing.
+#[rustfmt::skip]
+const POLICY_KNOWN_ANSWERS: [(IntegrityPolicy, u64, u128); 7] = [
+    (IntegrityPolicy::None, 0xc6315d5c0417b266, 0x9c01c76dbe2ae1544846fc1447f72dba),
+    (IntegrityPolicy::MacOnly, 0xcd49fec293a441fe, 0x59115b4928a4cadf949af2f11b27d2c4),
+    (IntegrityPolicy::Lazy, 0xdd337f2e33b4f2c2, 0x59115b4928a4cadf949af2f11b27d2c4),
+    (IntegrityPolicy::Strict, 0x2a32249c2fb34b5a, 0xba59cd2624e03c271243855b420d9d42),
+    (IntegrityPolicy::Pipelined, 0x61aef8be2be293ce, 0xba59cd2624e03c271243855b420d9d42),
+    (IntegrityPolicy::Phoenix, 0x6d92dfcaaf74976b, 0x0c7a52330e96d2d98ae460ec95f1eea6),
+    (IntegrityPolicy::Colocated, 0xe716ce027da63f65, 0x59115b4928a4cadf949af2f11b27d2c4),
+];
+
+#[test]
+fn sharded_replay_matches_its_known_answers_under_every_integrity_policy() {
+    let cores = 2;
+    let spec = WorkloadSpec::smoke(WorkloadKind::HashTable).with_ops(5);
+    let traces = traces_for_cores(&spec, cores);
+    let pinned: Vec<IntegrityPolicy> = POLICY_KNOWN_ANSWERS.iter().map(|a| a.0).collect();
+    assert_eq!(
+        pinned,
+        IntegrityPolicy::ALL,
+        "pin every integrity policy once"
+    );
+    for (policy, digest, fingerprint) in POLICY_KNOWN_ANSWERS {
+        let cfg = SimConfig::table2(Design::Sca, cores)
+            .with_shards(4)
+            .with_integrity(policy)
+            .with_telemetry_epoch(Time::from_ns(600));
+        let out = System::new(cfg, traces.clone()).run(CrashSpec::None);
+        let got = (outcome_digest(&out), out.image.fingerprint());
+        assert!(
+            got == (digest, fingerprint),
+            "{policy:?}: known answers moved; the run now gives ({:#x}, {:#x})",
+            got.0,
+            got.1
+        );
+    }
+}
+
+/// `with_shard_threads` survives only so callers that pinned the
+/// sequential replay still build: 1 changes nothing, and any other
+/// worker count is refused rather than silently ignored.
+#[test]
+#[should_panic(expected = "1 is the only shard worker count")]
+fn shard_thread_shim_refuses_worker_threads() {
+    let (batch, digest, fingerprint) = KNOWN_ANSWERS[0];
+    let pinned = known_answer_system(batch)
+        .with_shard_threads(1)
+        .run(CrashSpec::None);
+    assert_eq!(
+        (outcome_digest(&pinned), pinned.image.fingerprint()),
+        (digest, fingerprint),
+        "with_shard_threads(1) must leave the replay unchanged"
+    );
+    let _ = known_answer_system(batch).with_shard_threads(2);
 }
