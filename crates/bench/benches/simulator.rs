@@ -1,7 +1,8 @@
 //! Criterion benchmarks for the memory-system simulator itself: how fast
 //! the trace-replay engine executes per design and, on SCA, per
-//! integrity policy, the cost of crash recovery, and the host cost of
-//! model-checking one crash set per workload.
+//! integrity policy (strict also with batched-journal compaction), the
+//! cost of crash recovery, and the host cost of model-checking one crash
+//! set per workload.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use nvmm_core::recovery::{recover_undo_log, RecoveredMemory};
@@ -59,6 +60,19 @@ fn bench_replay(c: &mut Criterion) {
             },
         );
     }
+    // Strict on two shards with batched-journal compaction: the cut,
+    // the hand-off to the compaction worker and its fold.
+    let batched = format!("{}/strict-batched", Design::Sca.label());
+    g.bench_function(&batched, |b| {
+        b.iter(|| {
+            let cfg = SimConfig::single_core(Design::Sca)
+                .with_integrity(IntegrityPolicy::Strict)
+                .with_shards(2);
+            System::new(cfg, black_box(traces.clone()))
+                .with_journal_batch(64)
+                .run(CrashSpec::None)
+        })
+    });
     g.finish();
 }
 

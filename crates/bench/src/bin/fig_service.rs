@@ -39,7 +39,10 @@
 //! `cmp`s it at `NVMM_SHARDS=1` vs `4`). Wall-clock figures and the
 //! `NVMM_SHARDS`-dependent streaming-demo numbers live in the
 //! `target/experiments/BENCH_service_timing.json` companion, like
-//! `crash_matrix_timing.json`.
+//! `crash_matrix_timing.json`. It records `host_cores` (the host's
+//! available parallelism) next to `wall_ns`: the streamed demo compacts
+//! its journal on a worker thread beside replay, so its wall time
+//! depends on whether a second core is free.
 //!
 //! **Environment knobs:**
 //!
@@ -57,6 +60,7 @@
 use nvmm_bench::sweep::{SweepCell, SweepRunner};
 use nvmm_bench::{env_u64, print_table, Experiment};
 use nvmm_sim::config::{Design, SimConfig};
+use nvmm_sim::parallel::host_cores;
 use nvmm_sim::system::{CrashSpec, RunOutcome, System};
 use nvmm_sim::time::Time;
 use nvmm_sim::trace::{TraceEvent, TraceStream};
@@ -288,6 +292,7 @@ fn main() {
     let (demo, wall_ns) = run_stream(demo_shards, stream_ops, Some(batch));
     let row = format!("stream_s{demo_shards}");
     timing.insert(&row, "wall_ns", wall_ns as f64);
+    timing.insert(&row, "host_cores", host_cores() as f64);
     timing.insert(&row, "events", demo.events_processed as f64);
     timing.insert(&row, "tx", demo.stats.transactions_committed as f64);
     timing.insert(&row, "sim_tps", demo.stats.throughput_tps());

@@ -8,7 +8,7 @@
 //! every epoch; SCA lets prepare/mutate writes flow freely and pairs
 //! only the commit-stage flag writes.
 
-use nvmm_bench::summarize;
+use nvmm_bench::{env_u64, summarize};
 use nvmm_sim::config::{Design, SimConfig};
 use nvmm_sim::system::{CrashSpec, System};
 use nvmm_sim::time::Time;
@@ -16,12 +16,7 @@ use nvmm_workloads::{traces_for_cores, WorkloadKind, WorkloadSpec};
 
 fn main() {
     let spec = WorkloadSpec::smoke(WorkloadKind::Queue).with_ops(3);
-    let epoch = Time::from_ns(
-        std::env::var("NVMM_EPOCH_NS")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(250),
-    );
+    let epoch = Time::from_ns(env_u64("NVMM_EPOCH_NS", 250));
     println!("== Figs. 7/8 — one queue transaction under each design ==");
     println!("(telemetry epoch: {epoch}; override with NVMM_EPOCH_NS)");
     for design in [Design::Fca, Design::Sca, Design::Ideal] {

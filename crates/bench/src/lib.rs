@@ -43,9 +43,10 @@
 //!   epoch length on every sweep cell; the timelines land in the JSON
 //!   artifacts' `cells` entries.
 //!
-//! Every integer knob except `NVMM_THREADS`, `NVMM_MC_THREADS` and
-//! `NVMM_EPOCH_NS` is read through [`env_u64`], which stops the binary
-//! when the knob is set to something that is not an unsigned integer.
+//! Every integer knob, `NVMM_THREADS`, `NVMM_MC_THREADS` and
+//! `NVMM_EPOCH_NS` included, is read through [`env_u64`], which stops
+//! the binary when the knob is set to something that is not an unsigned
+//! integer.
 //!
 //! `fig_service` additionally honors `NVMM_SHARDS`, `NVMM_STREAM_OPS`,
 //! and `NVMM_SERVICE_BATCH` (see its binary docs); those only affect
@@ -69,30 +70,7 @@ use std::collections::BTreeMap;
 use std::path::PathBuf;
 use sweep::{SweepCell, SweepRunner};
 
-/// The unsigned integer knob `name` (e.g. `NVMM_OPS`), or `default` when
-/// it is unset.
-///
-/// # Panics
-///
-/// Panics, naming the variable and its value, when it is set but is not
-/// an unsigned integer (`NVMM_OPS=1e3`): a mistyped knob must not
-/// silently run the default.
-pub fn env_u64(name: &str, default: u64) -> u64 {
-    let value = std::env::var_os(name);
-    let value = value.as_ref().map(|v| v.to_string_lossy());
-    parse_u64_knob(name, value.as_deref(), default).unwrap_or_else(|err| panic!("{err}"))
-}
-
-/// The pure half of [`env_u64`]: `value` is the variable's contents, or
-/// `None` when it is unset.
-fn parse_u64_knob(name: &str, value: Option<&str>, default: u64) -> Result<u64, String> {
-    match value {
-        None => Ok(default),
-        Some(v) => v
-            .parse()
-            .map_err(|_| format!("{name}={v:?} is not an unsigned integer")),
-    }
-}
+pub use nvmm_sim::knob::env_u64;
 
 /// Transactions per core used by the experiments, overridable via the
 /// `NVMM_OPS` environment variable.
@@ -345,16 +323,6 @@ mod tests {
         let back = Experiment::from_json(&Json::parse(&text).unwrap()).unwrap();
         assert_eq!(back.id, e.id);
         assert_eq!(back.rows, e.rows);
-    }
-
-    #[test]
-    fn knob_parse_takes_default_value_or_fails_naming_the_knob() {
-        assert_eq!(parse_u64_knob("NVMM_OPS", None, 400), Ok(400));
-        assert_eq!(parse_u64_knob("NVMM_OPS", Some("30"), 400), Ok(30));
-        for bad in ["1e3", "", " 30", "-1", "thirty"] {
-            let err = parse_u64_knob("NVMM_OPS", Some(bad), 400).unwrap_err();
-            assert_eq!(err, format!("NVMM_OPS={bad:?} is not an unsigned integer"));
-        }
     }
 
     #[test]

@@ -36,11 +36,11 @@
 //! pricing boot-time tree rebuilds) opts in with
 //! [`SweepCell::with_kept_image`].
 
-use crate::{CellRecord, Experiment};
+use crate::{env_u64, CellRecord, Experiment};
 use nvmm_json::ToJson;
 use nvmm_sim::config::{Design, SimConfig};
 use nvmm_sim::nvmm::NvmmImage;
-use nvmm_sim::parallel::run_parallel;
+use nvmm_sim::parallel::{host_cores, run_parallel};
 use nvmm_sim::system::{CrashSpec, RunOutcome, System};
 use nvmm_sim::time::Time;
 use nvmm_sim::trace::Trace;
@@ -155,16 +155,13 @@ pub struct SweepRunner {
 impl SweepRunner {
     /// Thread count from the `NVMM_THREADS` environment variable,
     /// defaulting to the machine's available parallelism.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `NVMM_THREADS` is set but is not an unsigned integer
+    /// ([`env_u64`]).
     pub fn from_env() -> Self {
-        let threads = std::env::var("NVMM_THREADS")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or_else(|| {
-                std::thread::available_parallelism()
-                    .map(|n| n.get())
-                    .unwrap_or(1)
-            });
-        Self::with_threads(threads)
+        Self::with_threads(env_u64("NVMM_THREADS", host_cores() as u64) as usize)
     }
 
     /// An explicit thread count (clamped to at least 1). `1` runs every
@@ -181,12 +178,10 @@ impl SweepRunner {
     pub fn run(&self, mut cells: Vec<SweepCell>) -> SweepOutcomes {
         // Env-driven telemetry: cells without an explicit epoch inherit
         // NVMM_EPOCH_NS. Applied before keying so the dedupe sees it.
-        if let Some(ns) = std::env::var("NVMM_EPOCH_NS")
-            .ok()
-            .and_then(|v| v.parse::<u64>().ok())
-        {
+        let ns = env_u64("NVMM_EPOCH_NS", 0);
+        if ns > 0 {
             for cell in &mut cells {
-                if cell.cfg.telemetry_epoch.is_none() && ns > 0 {
+                if cell.cfg.telemetry_epoch.is_none() {
                     cell.cfg.telemetry_epoch = Some(Time::from_ns(ns));
                 }
             }

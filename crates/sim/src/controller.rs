@@ -1121,22 +1121,36 @@ impl MemoryController {
         &mut self.journal
     }
 
-    /// Removes and returns the compactable journal prefix at
-    /// `watermark`: the records before the first one submitted at or
-    /// after it. The journal is not sorted by `submitted_at` (a counter
-    /// write-back can journal behind a pair whose submission includes
-    /// the pad latency), so a record submitted before `watermark` that
-    /// follows one submitted after it stays: the merge order places it
-    /// after that record. Batched-journal compaction folds these
-    /// prefixes into the shard layer's base image
-    /// ([`crate::shard::ShardedController::compact_through`]).
-    pub(crate) fn take_journal_prefix(&mut self, watermark: Time) -> Vec<JournalRecord> {
+    /// Retires what no submission at or after `watermark` can reach,
+    /// for batched-journal compaction
+    /// ([`crate::shard::ShardedController::compact_through`]); the
+    /// caller guarantees every later request arrives at or after it.
+    ///
+    /// Returns the compactable journal prefix: the records before the
+    /// first one submitted at or after `watermark`. The journal is not
+    /// sorted by `submitted_at` (a counter write-back can journal behind
+    /// a pair whose submission includes the pad latency), so a record
+    /// submitted before `watermark` that follows one submitted after it
+    /// stays: the merge order places it after that record. The prefix
+    /// is the journal's own buffer; `spare`, an empty buffer, becomes
+    /// the live journal and takes the records after the cut, so nothing
+    /// before the cut is copied.
+    ///
+    /// Also drops the write queues' coalescing entries whose drain began
+    /// by `watermark` ([`WriteQueues::retire_through`]).
+    pub(crate) fn retire_through(
+        &mut self,
+        watermark: Time,
+        mut spare: Vec<JournalRecord>,
+    ) -> Vec<JournalRecord> {
+        self.queues.retire_through(watermark);
         let n = self
             .journal
             .iter()
             .position(|rec| rec.submitted_at >= watermark)
             .unwrap_or(self.journal.len());
-        self.journal.drain(..n).collect()
+        spare.extend(self.journal.drain(n..));
+        std::mem::replace(&mut self.journal, spare)
     }
 }
 

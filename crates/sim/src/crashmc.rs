@@ -219,7 +219,7 @@ impl LandMask {
 /// sampled-schedule stream ([`CutSchedule::cuts_into`]).
 const GAMMA: u64 = 0x9e37_79b9_7f4a_7c15;
 
-fn splitmix64(state: &mut u64) -> u64 {
+pub(crate) fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(GAMMA);
     let mut z = *state;
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);

@@ -62,6 +62,7 @@ pub mod controller;
 pub mod crashmc;
 pub mod device;
 pub mod integrity;
+pub mod knob;
 pub mod nvmm;
 pub mod parallel;
 pub mod shard;

@@ -14,10 +14,11 @@
 //!
 //! [`mc_threads`] is the model checker's thread-count knob:
 //! `NVMM_MC_THREADS`, defaulting to `NVMM_THREADS`, defaulting to the
-//! machine's available parallelism. Keeping it separate from
-//! `NVMM_THREADS` lets CI pin the checker while the sweep engine stays
-//! wide (and vice versa).
+//! machine's available parallelism ([`host_cores`]). Keeping it separate
+//! from `NVMM_THREADS` lets CI pin the checker while the sweep engine
+//! stays wide (and vice versa).
 
+use crate::knob::env_u64;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -71,22 +72,21 @@ pub fn chunk_ranges(n: usize, parts: usize) -> Vec<(usize, usize)> {
     out
 }
 
-fn env_threads(var: &str) -> Option<usize> {
-    std::env::var(var).ok().and_then(|v| v.parse().ok())
+/// The machine's available parallelism (1 when it cannot be read).
+pub fn host_cores() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
 /// The model checker's worker count: `NVMM_MC_THREADS` if set, else
-/// `NVMM_THREADS`, else the machine's available parallelism. Clamped to
-/// at least 1.
+/// `NVMM_THREADS`, else [`host_cores`]. Clamped to at least 1.
+///
+/// # Panics
+///
+/// Panics when either knob is set but is not an unsigned integer
+/// ([`env_u64`]).
 pub fn mc_threads() -> usize {
-    env_threads("NVMM_MC_THREADS")
-        .or_else(|| env_threads("NVMM_THREADS"))
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        })
-        .max(1)
+    let threads = env_u64("NVMM_THREADS", host_cores() as u64);
+    (env_u64("NVMM_MC_THREADS", threads) as usize).max(1)
 }
 
 #[cfg(test)]

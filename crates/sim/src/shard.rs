@@ -27,12 +27,16 @@
 //!
 //! Completion-only runs over very long traces would otherwise hold one
 //! journal record per NVMM write. `ShardedController::compact_through`
-//! folds the stable merged prefix (each shard's records up to its first
-//! one submitted at or after the live-core watermark) into a base
-//! [`NvmmImage`] and drops the records. Compaction is only sound when no
-//! crash analysis is requested: [`ShardedController::crash_set`] and
-//! crash-time [`ShardedController::build_image`] panic once records
-//! have been folded, and [`crate::system::System`] only compacts under
+//! cuts the stable merged prefix (each shard's records up to its first
+//! one submitted at or after the live-core watermark) and hands it to a
+//! compaction worker thread, which folds it into a base [`NvmmImage`]
+//! and a wear tally while replay goes on. The worker owns the base and
+//! the tally: every reader of either first waits for all handed-off
+//! batches, and a panic on the worker resurfaces on that reader.
+//! Compaction is only sound when no crash analysis is requested:
+//! [`ShardedController::crash_set`] and crash-time
+//! [`ShardedController::build_image`] panic once records have been
+//! folded, and [`crate::system::System`] only compacts under
 //! [`crate::system::CrashSpec::None`].
 
 use crate::addr::{LineAddr, NvmmTarget, ShardMap};
@@ -48,6 +52,9 @@ use nvmm_crypto::engine::EncryptionEngine;
 use nvmm_crypto::LineData;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::sync::mpsc::{self, Receiver, SyncSender};
+use std::sync::{Mutex, MutexGuard};
+use std::thread::JoinHandle;
 
 /// Divides a cache's capacity across `n` shards at set granularity,
 /// keeping at least one full set per slice. The split is exact: the
@@ -121,15 +128,12 @@ impl<'a> Iterator for MergedJournal<'a> {
 pub struct ShardedController {
     map: ShardMap,
     shards: Vec<MemoryController>,
-    /// Image accumulated from compacted journal records; empty until
-    /// `ShardedController::compact_through` first folds something. It
-    /// is never fingerprinted itself, so it accumulates untracked.
-    base: NvmmImage,
-    /// Total journal records folded into `base` so far.
+    /// Total journal records handed to compaction so far.
     compacted: u64,
-    /// Writes per NVMM target among the folded records: the compacted
-    /// half of the wear tally.
-    compacted_wear: FxHashMap<NvmmTarget, u64>,
+    /// What compaction folded, or the worker folding it. Readers wait
+    /// through a shared reference; the replay thread reaches it
+    /// without locking.
+    folding: Mutex<Folding>,
 }
 
 /// Adds one write per record to its target's count. Every NVMM write
@@ -141,6 +145,131 @@ fn tally_wear<'a>(
 ) {
     for rec in records {
         *counts.entry(rec.op.target()).or_default() += 1;
+    }
+}
+
+/// Everything compacted journal records left behind.
+#[derive(Debug)]
+struct Folded {
+    /// Image accumulated from the folded records. It is never
+    /// fingerprinted itself, so it accumulates untracked.
+    base: NvmmImage,
+    /// Writes per NVMM target among the folded records: the compacted
+    /// half of the wear tally.
+    wear: FxHashMap<NvmmTarget, u64>,
+}
+
+impl Folded {
+    fn new() -> Self {
+        Self {
+            base: NvmmImage::untracked(),
+            wear: FxHashMap::default(),
+        }
+    }
+
+    /// Folds one batch — a journal prefix per shard, in shard order —
+    /// into the base image in the prefixes' k-way merge order, and
+    /// tallies its writes.
+    fn fold(&mut self, prefixes: &[Vec<JournalRecord>]) {
+        let slices = prefixes.iter().map(Vec::as_slice).collect();
+        fold_last_writers(
+            &mut self.base,
+            MergedJournal::new(slices).map(|rec| &rec.op),
+        );
+        // A batch rewrites few targets many times (a strict write's
+        // tree path ends at the one root), so it is tallied in a small
+        // map first and merged into the run's tally once per target.
+        let mut batch = FxHashMap::default();
+        tally_wear(&mut batch, prefixes.iter().flatten());
+        for (target, count) in batch {
+            *self.wear.entry(target).or_default() += count;
+        }
+    }
+}
+
+/// Batches handed to the worker that it has not taken yet, beyond the
+/// one it folds: the replay thread blocks rather than queue more.
+const BATCH_BACKLOG: usize = 1;
+
+/// A thread that folds handed-off batches in hand-off order and sends
+/// each emptied journal buffer back.
+#[derive(Debug)]
+struct CompactionWorker {
+    batches: SyncSender<Vec<Vec<JournalRecord>>>,
+    emptied: Receiver<Vec<JournalRecord>>,
+    thread: JoinHandle<Folded>,
+}
+
+impl CompactionWorker {
+    /// Starts folding into `folded` with `fold` (production passes
+    /// [`Folded::fold`]).
+    fn spawn(mut folded: Folded, fold: fn(&mut Folded, &[Vec<JournalRecord>])) -> Self {
+        let (batches, inbox) = mpsc::sync_channel::<Vec<Vec<JournalRecord>>>(BATCH_BACKLOG);
+        let (give_back, emptied) = mpsc::channel();
+        let thread = std::thread::Builder::new()
+            .name("nvmm-compaction".into())
+            .spawn(move || {
+                for batch in inbox {
+                    fold(&mut folded, &batch);
+                    for mut buf in batch {
+                        buf.clear();
+                        // The replay thread may be gone already.
+                        let _ = give_back.send(buf);
+                    }
+                }
+                folded
+            })
+            .expect("failed to spawn the compaction worker");
+        Self {
+            batches,
+            emptied,
+            thread,
+        }
+    }
+
+    /// Closes the inbox, waits until the worker has folded every batch
+    /// in it, and moves the buffers it emptied into `spares`.
+    fn join(self, spares: &mut Vec<Vec<JournalRecord>>) -> std::thread::Result<Folded> {
+        drop(self.batches);
+        let folded = self.thread.join();
+        spares.extend(self.emptied.try_iter());
+        folded
+    }
+}
+
+/// Compaction state: the folded result, which lives on the worker
+/// while one runs.
+#[derive(Debug)]
+struct Folding {
+    worker: Option<CompactionWorker>,
+    /// Meaningful only while `worker` is `None`.
+    folded: Folded,
+    /// Emptied journal buffers, each to become a shard's live journal
+    /// at a later cut so that no live journal regrows.
+    spares: Vec<Vec<JournalRecord>>,
+}
+
+impl Folding {
+    /// Joins the worker, if one runs, and returns what it folded. A
+    /// panic on the worker resurfaces here, with its message.
+    fn settle(&mut self) -> &mut Folded {
+        if let Some(worker) = self.worker.take() {
+            self.folded = worker
+                .join(&mut self.spares)
+                .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+        }
+        &mut self.folded
+    }
+}
+
+impl Drop for Folding {
+    /// A controller dropped unread (its replay panicked, say) still
+    /// joins its worker. A worker panic is not raised again here: the
+    /// panic hook has reported it, and a drop must not panic.
+    fn drop(&mut self) {
+        if let Some(worker) = self.worker.take() {
+            let _ = worker.join(&mut self.spares);
+        }
     }
 }
 
@@ -163,9 +292,12 @@ impl ShardedController {
         Self {
             map,
             shards,
-            base: NvmmImage::untracked(),
             compacted: 0,
-            compacted_wear: FxHashMap::default(),
+            folding: Mutex::new(Folding {
+                worker: None,
+                folded: Folded::new(),
+                spares: Vec::new(),
+            }),
         }
     }
 
@@ -239,8 +371,14 @@ impl ShardedController {
     /// journal's targets. Tree nodes may be written from several
     /// shards, so per-target counts are merged exactly, and the report
     /// is identical at any shard count for the same write stream.
+    /// Waits for every batch handed to compaction.
     pub fn wear_report(&self, cell_endurance: u64) -> WearReport {
-        let mut counts = self.compacted_wear.clone();
+        let compacted = self.settled().folded.wear.clone();
+        self.wear_over(compacted, cell_endurance)
+    }
+
+    /// The wear report of the `compacted` tally plus the live journals.
+    fn wear_over(&self, mut counts: FxHashMap<NvmmTarget, u64>, cell_endurance: u64) -> WearReport {
         for ctl in &self.shards {
             tally_wear(&mut counts, ctl.journal());
         }
@@ -252,9 +390,17 @@ impl ShardedController {
         self.shards.iter().map(|c| c.journal_len()).sum::<usize>() + self.compacted as usize
     }
 
-    /// Number of journal records folded into the base image so far.
+    /// Number of journal records handed to compaction so far.
     pub fn compacted_records(&self) -> u64 {
         self.compacted
+    }
+
+    /// Waits for every batch handed to compaction; the returned guard
+    /// holds what was folded.
+    fn settled(&self) -> MutexGuard<'_, Folding> {
+        let mut folding = self.folding.lock().expect("compaction state poisoned");
+        folding.settle();
+        folding
     }
 
     /// The live (un-compacted) journal in merged order (see
@@ -301,8 +447,9 @@ impl ShardedController {
     }
 
     /// Builds the NVMM image as ADR would leave it for a crash at
-    /// `crash_time` (`None` = run to completion): the compaction base
-    /// with each cell's last guaranteed writer in merged order on top.
+    /// `crash_time` (`None` = run to completion): a copy of the
+    /// compaction base, once every handed-off batch is folded, with each
+    /// cell's last guaranteed writer in merged order on top.
     ///
     /// # Panics
     ///
@@ -314,7 +461,30 @@ impl ShardedController {
             crash_time.is_none() || self.compacted == 0,
             "crash-time image unavailable after journal compaction"
         );
-        let mut img = self.base.clone();
+        let base = self.settled().folded.base.clone();
+        self.complete(base, crash_time)
+    }
+
+    /// What a controller that is done leaves:
+    /// [`ShardedController::build_image`]`(None)` and
+    /// [`ShardedController::wear_report`], built on the compaction base
+    /// and tally themselves instead of copies. Both are left empty, so
+    /// the controller has no compacted records to answer for afterwards:
+    /// call this once, at the end.
+    pub(crate) fn take_completion(&mut self, cell_endurance: u64) -> (NvmmImage, WearReport) {
+        let folding = self.folding.get_mut().expect("compaction state poisoned");
+        folding.settle();
+        // No later cut needs the emptied buffers.
+        folding.spares = Vec::new();
+        let Folded { base, wear } = std::mem::replace(&mut folding.folded, Folded::new());
+        let wear = self.wear_over(wear, cell_endurance);
+        (self.complete(base, None), wear)
+    }
+
+    /// Lays each cell's last writer guaranteed by `crash_time` (every
+    /// writer for `None`) from the live journal over `img`, in merged
+    /// order, and seals it.
+    fn complete(&self, mut img: NvmmImage, crash_time: Option<Time>) -> NvmmImage {
         fold_last_writers(
             &mut img,
             self.merged()
@@ -351,32 +521,34 @@ impl ShardedController {
             .collect()
     }
 
-    /// Folds every shard's compactable journal prefix at `watermark`
-    /// ([`MemoryController::take_journal_prefix`]) into the base image,
-    /// in the prefixes' k-way merge order. The caller must guarantee
-    /// that no future record will be submitted before `watermark` (the
-    /// replay engine passes the minimum live-core clock). Every folded
-    /// record then precedes every remaining and future one in the final
-    /// merged order, so the completion image is unchanged.
+    /// Cuts every shard's compactable journal prefix at `watermark`
+    /// and retires its write-queue coalescing state
+    /// ([`MemoryController::retire_through`]), then hands the prefixes,
+    /// by move, to the compaction worker (started by the first call),
+    /// which folds them into the base image in their k-way merge order.
+    /// The caller must guarantee that no future request arrives before
+    /// `watermark` (the replay engine passes the minimum live-core
+    /// clock). Every folded record then precedes every remaining and
+    /// future one in the final merged order, so the completion image is
+    /// unchanged.
     pub(crate) fn compact_through(&mut self, watermark: Time) {
+        let folding = self.folding.get_mut().expect("compaction state poisoned");
+        let worker = folding.worker.get_or_insert_with(|| {
+            let folded = std::mem::replace(&mut folding.folded, Folded::new());
+            CompactionWorker::spawn(folded, Folded::fold)
+        });
+        folding.spares.extend(worker.emptied.try_iter());
         let prefixes: Vec<Vec<JournalRecord>> = self
             .shards
             .iter_mut()
-            .map(|ctl| ctl.take_journal_prefix(watermark))
+            .map(|ctl| ctl.retire_through(watermark, folding.spares.pop().unwrap_or_default()))
             .collect();
-        let slices = prefixes.iter().map(Vec::as_slice).collect();
-        fold_last_writers(
-            &mut self.base,
-            MergedJournal::new(slices).map(|rec| &rec.op),
-        );
         self.compacted += prefixes.iter().map(Vec::len).sum::<usize>() as u64;
-        // A batch rewrites few targets many times (a strict write's
-        // tree path ends at the one root), so it is tallied in a small
-        // map first and merged into the run's tally once per target.
-        let mut batch = FxHashMap::default();
-        tally_wear(&mut batch, prefixes.iter().flatten());
-        for (target, count) in batch {
-            *self.compacted_wear.entry(target).or_default() += count;
+        if worker.batches.send(prefixes).is_err() {
+            // The worker drops its inbox only by panicking; joining
+            // resurfaces that panic.
+            folding.settle();
+            unreachable!("the compaction worker stopped without a panic");
         }
     }
 
@@ -655,6 +827,65 @@ mod tests {
             assert_eq!(compacted.build_image(None), reference, "compaction at {w}");
         }
         assert_eq!(compacted.compacted_records() as usize, total);
+    }
+
+    /// A panic on the compaction worker reaches whoever next needs its
+    /// result, with the worker's own message — the reader waiting for
+    /// the base image here, or a later hand-off.
+    #[test]
+    #[should_panic(expected = "injected fold failure")]
+    fn compaction_worker_panic_resurfaces_on_the_reader() {
+        let mut sharded = ShardedController::with_journals(unsorted_shard_journals());
+        sharded.folding.get_mut().unwrap().worker =
+            Some(CompactionWorker::spawn(Folded::new(), |_, _| {
+                panic!("injected fold failure")
+            }));
+        sharded.compact_through(Time::from_ns(30));
+        sharded.compact_through(Time::from_ns(60));
+        let _ = sharded.build_image(None);
+    }
+
+    /// A cut hands each shard's journal buffer itself to the worker,
+    /// which sends it back emptied; the next cut makes it a live
+    /// journal again, capacity and all.
+    #[test]
+    fn compaction_recycles_journal_buffers() {
+        let mut sharded = ShardedController::new(&cfg(2));
+        let mut stats = Stats::new(1);
+        let mut t = Time::from_ns(2);
+        for round in 0..3u64 {
+            for i in 0..40 {
+                let line = LineAddr((round * 40 + i) % 48 * 3);
+                sharded.writeback(line, data(i), false, t, &mut stats);
+                t += Time::from_ns(13);
+            }
+            let spares = |s: &mut ShardedController| -> Vec<usize> {
+                let folding = s.folding.get_mut().unwrap();
+                folding.settle();
+                folding.spares.iter().map(Vec::capacity).collect()
+            };
+            let before = spares(&mut sharded);
+            sharded.compact_through(t);
+            let live: Vec<usize> = sharded
+                .shards
+                .iter_mut()
+                .map(|ctl| ctl.journal_mut().capacity())
+                .collect();
+            if round > 0 {
+                assert_eq!(before.len(), 2, "round {round}: both buffers came back");
+                assert!(
+                    live.iter().all(|c| before.contains(c)),
+                    "round {round}: live journals {live:?} are the returned buffers {before:?}"
+                );
+            }
+            let after = spares(&mut sharded);
+            assert_eq!(
+                after.len(),
+                2,
+                "round {round}: the worker empties both prefixes"
+            );
+        }
+        assert_eq!(sharded.journal_len(), 120);
     }
 
     #[test]

@@ -527,7 +527,10 @@ impl System {
     /// Enables batched-journal compaction: every `events` processed
     /// events, journal records submitted strictly before the slowest
     /// live core's clock are folded into a base image and dropped,
-    /// bounding journal memory on streamed service-scale runs.
+    /// bounding journal memory on streamed service-scale runs. The fold
+    /// runs on a compaction worker thread beside replay, started at the
+    /// first batch boundary; the same boundary retires the write queues'
+    /// coalescing entries that no later write can merge into.
     ///
     /// Only valid for completion runs — [`System::run`] panics if a
     /// crash is also requested, because compaction erases the in-flight
@@ -635,16 +638,24 @@ impl System {
             .map(|c| c.now)
             .max()
             .unwrap_or(Time::ZERO);
-        let wear = self.controller.wear_report(self.cfg.cell_endurance);
+        // A crash image is its crash set's all-miss baseline, which the
+        // set already holds; only a completed run replays the journal,
+        // onto the compaction base itself.
+        let endurance = self.cfg.cell_endurance;
+        let (wear, crash_set, image) = match crash_time {
+            Some(t) => {
+                let wear = self.controller.wear_report(endurance);
+                let set = self.controller.crash_set(t);
+                let image = set.baseline();
+                (wear, Some(set), image)
+            }
+            None => {
+                let (image, wear) = self.controller.take_completion(endurance);
+                (wear, None, image)
+            }
+        };
         front.stats.distinct_lines_written = wear.distinct_lines;
         front.stats.max_line_writes = wear.max_line_writes;
-        // A crash image is its crash set's all-miss baseline, which the
-        // set already holds; only a completed run replays the journal.
-        let crash_set = crash_time.map(|t| self.controller.crash_set(t));
-        let image = match &crash_set {
-            Some(set) => set.baseline(),
-            None => self.controller.build_image(None),
-        };
         let persist_windows = self.controller.persist_windows();
         let timeline = front
             .sampler

@@ -19,6 +19,9 @@
 //! draining, non-counter-atomic* entry merges into it — no new slot, no
 //! new device write. This is how SCA's counter-cache buffering shows up
 //! as reduced counter traffic when lines are written back repeatedly.
+//! Once submissions are known never to come before some instant, the
+//! entries whose drain began by then can never merge again, and
+//! [`WriteQueues::retire_through`] drops them.
 
 use crate::addr::NvmmTarget;
 use crate::device::{AccessKind, PcmDevice};
@@ -280,6 +283,15 @@ impl WriteQueues {
         }
     }
 
+    /// Drops the coalescing entries whose drain began at or before
+    /// `watermark`. The caller guarantees that every later submission
+    /// arrives at or after `watermark`; a write merges only into an
+    /// entry whose drain starts after its arrival, so none of these
+    /// could merge again, and every later receipt is unchanged.
+    pub fn retire_through(&mut self, watermark: Time) {
+        self.pending.retain(|_, p| p.drain_start > watermark);
+    }
+
     /// Data-queue occupancy at `t` (for tests and stats).
     pub fn data_occupancy(&self, t: Time) -> usize {
         self.data.occupancy_at(t)
@@ -331,6 +343,7 @@ mod tests {
     use super::*;
     use crate::addr::{CounterLineAddr, LineAddr};
     use crate::config::{Design, SimConfig};
+    use proptest::prelude::*;
 
     fn setup() -> (PcmDevice, WriteQueues) {
         let cfg = SimConfig::single_core(Design::Sca);
@@ -524,5 +537,79 @@ mod tests {
         let r = wq.submit_plain(&mut dev, data(0), Time::ZERO);
         assert_eq!(wq.data_occupancy(Time::ZERO), 1);
         assert_eq!(wq.data_occupancy(r.drained + Time::from_ns(1)), 0);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 128, ..ProptestConfig::default() })]
+        /// Retiring coalescing entries is invisible. Random plain data,
+        /// counter, packed, MAC and tree-node submissions and
+        /// counter-atomic pairs on a few targets, never before the
+        /// latest watermark, get exactly the receipts of a twin queue
+        /// that never retires. Most watermarks fall within 1 ns below
+        /// some pending entry's drain start, and the next write often
+        /// goes to that entry's target: retiring an entry a nanosecond
+        /// too late would drop one that write merges into.
+        fn retiring_behind_the_watermark_changes_no_receipt(seed in 0u64..1_000_000) {
+            use crate::addr::{MacLineAddr, TreeNodeAddr};
+            use crate::crashmc::splitmix64;
+            let mut state = seed;
+            let mut draw = move |n: u64| splitmix64(&mut state) % n;
+            let (mut dev, mut wq) = setup();
+            let (mut twin_dev, mut twin) = setup();
+            let mut now = Time::ZERO;
+            let mut watermark = Time::ZERO;
+            let mut focus = None;
+            for step in 0..300 {
+                now += Time::from_ps(draw(2_000));
+                let plain = |draw: &mut dyn FnMut(u64) -> u64| match draw(5) {
+                    0 => data(draw(4)),
+                    1 => ctr(draw(2)),
+                    2 => NvmmTarget::PackedMeta(CounterLineAddr(draw(2))),
+                    3 => NvmmTarget::Mac(MacLineAddr(draw(2))),
+                    _ => NvmmTarget::TreeNode(TreeNodeAddr { level: 1, index: draw(2) }),
+                };
+                match draw(6) {
+                    0 => {
+                        let mut starts: Vec<(Time, NvmmTarget)> = twin
+                            .pending
+                            .iter()
+                            .filter(|(_, p)| p.drain_start > watermark)
+                            .map(|(&target, p)| (p.drain_start, target))
+                            .collect();
+                        starts.sort_by_key(|&(at, _)| at);
+                        watermark = match starts.len() as u64 {
+                            0 => watermark.max(now.saturating_sub(Time::from_ps(draw(3_000)))),
+                            n => {
+                                let (at, target) = starts[draw(n) as usize];
+                                focus = Some(target);
+                                watermark.max(at.saturating_sub(Time::from_ps(draw(1_001))))
+                            }
+                        };
+                        now = now.max(watermark);
+                        wq.retire_through(watermark);
+                    }
+                    1 => {
+                        let d = data(draw(4));
+                        let c = if draw(2) == 0 {
+                            ctr(draw(2))
+                        } else {
+                            NvmmTarget::PackedMeta(CounterLineAddr(draw(2)))
+                        };
+                        let got = wq.submit_counter_atomic(&mut dev, d, c, now);
+                        let want = twin.submit_counter_atomic(&mut twin_dev, d, c, now);
+                        prop_assert_eq!(got, want, "seed {}, step {}: pair {:?}", seed, step, (d, c));
+                    }
+                    _ => {
+                        let target = match focus.take() {
+                            Some(target) if draw(2) == 0 => target,
+                            _ => plain(&mut draw),
+                        };
+                        let got = wq.submit_plain(&mut dev, target, now);
+                        let want = twin.submit_plain(&mut twin_dev, target, now);
+                        prop_assert_eq!(got, want, "seed {}, step {}: {:?}", seed, step, target);
+                    }
+                }
+            }
+        }
     }
 }
