@@ -6,7 +6,7 @@
 //! For each of the five workloads under {FCA, SCA, write-through
 //! (co-located), crash-unsafe baseline} plus the integrity designs
 //! {SCA+strict, SCA+lazy}, crash instants are harvested from the run's
-//! persist windows (`crash_instants`) — the moments where writes are
+//! persist windows (`crash_instants_cfg`) — the moments where writes are
 //! observably in flight and the enumerator has real choices. Designs
 //! whose writes persist instantly (write-through co-location, and the
 //! unsafe baseline under light traffic) expose no windows, so those

@@ -1,44 +1,35 @@
-//! Model-checker performance: eager rebuild-per-mask enumeration (the
-//! pre-overlay baseline, retained as `CrashSet::enumerate_eager`, with
-//! per-image engine construction) versus the incremental copy-on-write
-//! walk (`CrashSet::enumerate_parallel`) with warm shared engines, and
-//! versus the fused delta-verified walk (`CrashSet::enumerate_verified`)
-//! that re-judges each image from only what its schedule step dirtied.
+//! Model-checker performance: the fused delta walk
+//! (`CrashSet::enumerate_verified_timed`), which enumerates a crash
+//! set's legal images and re-judges each from only what its schedule
+//! step dirtied, against full-pass verification of the same images.
 //!
 //! For each of the five workloads under SCA with strict integrity
 //! (so the per-image verify oracle does real MAC/tree work), crash
 //! instants are harvested from the run's persist windows and each
-//! instant's crash set is enumerated **and** verified (default
-//! `EnumOpts`) three times in the same process:
+//! instant's crash set is walked (default `EnumOpts`) on
+//! `NVMM_MC_THREADS` workers and on one. The walk's own images are then
+//! judged twice:
 //!
-//! * **eager** — `enumerate_eager` builds every candidate image from
-//!   scratch by replaying the whole journal prefix, then each image is
-//!   verified with freshly constructed encryption/MAC engines — exactly
-//!   the shape of the checker before the overlay landed;
-//! * **incremental** — `enumerate_parallel` walks the mask schedule by
-//!   applying/undoing only the choice group that changed, images are
-//!   deduplicated by the O(1) incremental fingerprint, and each image
-//!   is still *fully* re-verified (with one warmed engine pair shared
-//!   across images and workers) — the shape after the overlay but
-//!   before delta verification;
-//! * **delta** — `enumerate_verified` pairs the overlay with a
-//!   `DeltaVerifier` per worker, so each step re-checks only the
-//!   lines/paths its delta dirtied and the verdict is read off the
-//!   warm verifier state.
+//! * **delta** — the walk's verdicts, read off a warm `DeltaVerifier`
+//!   per worker; the walk self-reports its verify phase (the dirty-cell
+//!   flushes plus the verdict reads, timed at the flush sites);
+//! * **full** — `verify_image_with` re-verifies every retained image
+//!   whole, with one warmed engine pair shared across images and
+//!   workers.
 //!
 //! A replay-adversary sweep rides along: `replay_sweep` (warm verifier
-//! judged against a `FreshnessRef` per image) versus per-mask
-//! `replay_verdict` (full image materialization + full attack check).
+//! judged against a `FreshnessRef` per image) versus full-pass
+//! `verify_image_attack_with` on the sweep's own images.
 //!
-//! The binary is self-checking: all paths must produce the same image
-//! count, the same fingerprints, and bit-identical verdicts — Ok/Err
-//! witness strings and attack blame included — on every image, and the
-//! delta paths must be verdict-invariant between 1 worker and
-//! `NVMM_MC_THREADS` workers. On a sampled subset the incremental
-//! fingerprint must equal a from-scratch recompute. It exits nonzero on
-//! any divergence — speed means nothing if the fast path explores a
-//! different space or judges it differently. At non-smoke sizes the
-//! verify-phase speedup is additionally gated at >= 3x geomean.
+//! The binary is self-checking: the full-pass verdicts — Ok/Err witness
+//! strings and attack blame included — must equal the walk's on every
+//! image; the walk's images, fingerprints, accounting and verdicts must
+//! be the same on 1 worker and on `NVMM_MC_THREADS` workers; and on a
+//! sampled subset the walk's incremental fingerprint must equal a
+//! from-scratch recompute. It exits nonzero on any divergence — speed
+//! means nothing if the fast path judges differently. At non-smoke
+//! sizes the verify-phase speedup (full over delta) is additionally
+//! gated at >= 3x geomean.
 //!
 //! Environment knobs:
 //!
@@ -48,17 +39,18 @@
 //!   crash sets carry more choice groups, and a larger accumulated
 //!   footprint is what the full-pass re-verification has to pay for).
 //! * `NVMM_CRASH_POINTS` — crash instants per workload (default 5).
-//! * `NVMM_MC_THREADS` — incremental/delta-path workers (defaults to
+//! * `NVMM_MC_THREADS` — walk and full-pass workers (defaults to
 //!   `NVMM_THREADS`, then available parallelism).
 //!
 //! The artifact (`target/experiments/BENCH_crashmc.json`) records only
 //! deterministic quantities — per workload `points`, `images`, `masks`,
 //! `deduped`, `violations`, and a `verdict_digest` hash over every
 //! integrity and replay verdict string — so it must be byte-identical
-//! across `NVMM_MC_THREADS` settings (CI compares it). All wall-clock
-//! rows (`eager_ns`, `incremental_ns`, `delta_ns`, the
-//! enumerate/verify splits, and the `speedup`/`fused_speedup`/
-//! `verify_speedup`/`replay_speedup` ratios with their geomeans) live
+//! across `NVMM_MC_THREADS` settings and to the committed
+//! `results/BENCH_crashmc.json` at defaults (CI compares both). All
+//! wall-clock rows (`delta_ns`, `delta_verify_ns`, `full_verify_ns`,
+//! `verify_speedup` and its geomean, `replay_sweep_ns`,
+//! `replay_full_ns`) and the `host` row (`host_cores`, `workers`) live
 //! in the companion `BENCH_crashmc_timing.json`, which legitimately
 //! varies run to run.
 
@@ -67,132 +59,70 @@ use nvmm_crypto::mac::MacEngine;
 use nvmm_crypto::EncryptionEngine;
 use nvmm_sim::config::{Design, IntegrityPolicy, SimConfig};
 use nvmm_sim::integrity::IntegritySpec;
+use nvmm_sim::parallel::host_cores;
 use nvmm_sim::system::{CrashSpec, System};
 use nvmm_sim::{
-    mc_threads, run_parallel, verify_image, verify_image_with, AttackVerdict, CrashSet, EnumOpts,
-    FreshnessRef,
+    mc_threads, run_parallel, verify_image_attack_with, verify_image_with, AttackVerdict, CrashSet,
+    EnumOpts, Enumeration, FreshnessRef, NvmmImage,
 };
 use nvmm_workloads::{crash_instants_cfg, execute, ModelCheckOpts, WorkloadKind, WorkloadSpec};
 use std::hash::{Hash, Hasher};
 use std::time::Instant;
 
-/// Deterministic accounting of enumerate+verify over one workload's
-/// crash sets. Every field is a pure function of the simulated state,
-/// so any divergence between paths is a correctness failure.
-#[derive(Debug, Default, PartialEq, Eq)]
-struct PathAgg {
+/// Deterministic accounting of one walk over a workload's crash sets.
+/// Every field is a pure function of the simulated state, so any
+/// divergence between worker counts is a correctness failure.
+#[derive(Debug, PartialEq, Eq)]
+struct WalkAgg {
     images: u64,
     masks: u64,
     deduped: u64,
     violations: u64,
 }
 
-/// One path's outcome: wall-clock split, accounting, and the full
-/// per-set fingerprint + verdict vectors the equivalence gates compare.
-struct PathOut {
-    enum_ns: u64,
+/// The fused walk over every crash set of one workload: per set, the
+/// retained images and the walk's integrity verdicts, plus the
+/// wall-clock of the whole walk and its self-reported verify share.
+struct Walk {
+    ns: u64,
     verify_ns: u64,
-    agg: PathAgg,
-    fps: Vec<Vec<u128>>,
+    sets: Vec<Enumeration>,
     verdicts: Vec<Vec<Result<(), String>>>,
 }
 
-impl PathOut {
-    fn total_ns(&self) -> u64 {
-        self.enum_ns + self.verify_ns
+impl Walk {
+    fn agg(&self) -> WalkAgg {
+        WalkAgg {
+            images: self.sets.iter().map(|en| en.images.len() as u64).sum(),
+            masks: self.sets.iter().map(|en| en.stats.masks_explored).sum(),
+            deduped: self.sets.iter().map(|en| en.stats.images_deduped).sum(),
+            violations: self
+                .verdicts
+                .iter()
+                .flatten()
+                .filter(|v| v.is_err())
+                .count() as u64,
+        }
     }
 }
 
-/// The eager baseline: rebuild every image from scratch, verify each
-/// with freshly constructed engines, sequentially.
-fn run_eager(sets: &[CrashSet], key: [u8; 16], integrity: IntegritySpec) -> PathOut {
-    let mut out = PathOut {
-        enum_ns: 0,
-        verify_ns: 0,
-        agg: PathAgg::default(),
-        fps: Vec::new(),
-        verdicts: Vec::new(),
-    };
-    for set in sets {
-        let t0 = Instant::now();
-        let en = set.enumerate_eager(EnumOpts::default());
-        out.enum_ns += t0.elapsed().as_nanos() as u64;
-        let t1 = Instant::now();
-        let vs: Vec<Result<(), String>> = en
-            .images
-            .iter()
-            .map(|(_, img)| verify_image(img, integrity, key))
-            .collect();
-        out.verify_ns += t1.elapsed().as_nanos() as u64;
-        out.agg.violations += vs.iter().filter(|v| v.is_err()).count() as u64;
-        out.agg.images += en.images.len() as u64;
-        out.agg.masks += en.stats.masks_explored;
-        out.agg.deduped += en.stats.images_deduped;
-        out.fps
-            .push(en.images.iter().map(|(_, img)| img.fingerprint()).collect());
-        out.verdicts.push(vs);
-    }
-    out
+fn fingerprints(sets: &[Enumeration]) -> Vec<Vec<u128>> {
+    sets.iter()
+        .map(|en| en.images.iter().map(|(_, img)| img.fingerprint()).collect())
+        .collect()
 }
 
-/// The incremental path: overlay walk, parallel masks, then a *full*
-/// re-verification of every image with one warmed engine pair shared
-/// across images and workers — the pre-delta checker shape.
-fn run_incremental(
-    sets: &[CrashSet],
-    key: [u8; 16],
-    integrity: IntegritySpec,
-    threads: usize,
-) -> PathOut {
-    let mut out = PathOut {
-        enum_ns: 0,
-        verify_ns: 0,
-        agg: PathAgg::default(),
-        fps: Vec::new(),
-        verdicts: Vec::new(),
-    };
+/// Walks every crash set once with the fused delta walk on `threads`
+/// workers.
+fn run_walk(sets: &[CrashSet], key: [u8; 16], integrity: IntegritySpec, threads: usize) -> Walk {
     let engine = EncryptionEngine::new(key);
     let mac_engine = MacEngine::new(key);
-    for set in sets {
-        let t0 = Instant::now();
-        let en = set.enumerate_parallel(EnumOpts::default(), threads);
-        out.enum_ns += t0.elapsed().as_nanos() as u64;
-        let t1 = Instant::now();
-        let vs = run_parallel(threads, &en.images, |(_, img)| {
-            verify_image_with(img, integrity, &engine, &mac_engine)
-        });
-        out.verify_ns += t1.elapsed().as_nanos() as u64;
-        out.agg.violations += vs.iter().filter(|v| v.is_err()).count() as u64;
-        out.agg.images += en.images.len() as u64;
-        out.agg.masks += en.stats.masks_explored;
-        out.agg.deduped += en.stats.images_deduped;
-        out.fps
-            .push(en.images.iter().map(|(_, img)| img.fingerprint()).collect());
-        out.verdicts.push(vs);
-    }
-    out
-}
-
-/// The delta path: the fused walk re-verifies only what each schedule
-/// step dirtied. The walk self-reports its verify share (the dirty-cell
-/// flushes plus verdict reads, timed at the flush sites), so the
-/// enumerate/verify split is measured directly rather than estimated by
-/// differencing two near-equal wall-clock totals.
-fn run_delta(
-    sets: &[CrashSet],
-    key: [u8; 16],
-    integrity: IntegritySpec,
-    threads: usize,
-) -> PathOut {
-    let mut out = PathOut {
-        enum_ns: 0,
+    let mut walk = Walk {
+        ns: 0,
         verify_ns: 0,
-        agg: PathAgg::default(),
-        fps: Vec::new(),
+        sets: Vec::new(),
         verdicts: Vec::new(),
     };
-    let engine = EncryptionEngine::new(key);
-    let mac_engine = MacEngine::new(key);
     let started = Instant::now();
     for set in sets {
         let (en, vs, verify_ns) = set.enumerate_verified_timed(
@@ -202,59 +132,53 @@ fn run_delta(
             &engine,
             &mac_engine,
         );
-        out.verify_ns += verify_ns;
-        out.agg.violations += vs.iter().filter(|v| v.is_err()).count() as u64;
-        out.agg.images += en.images.len() as u64;
-        out.agg.masks += en.stats.masks_explored;
-        out.agg.deduped += en.stats.images_deduped;
-        out.fps
-            .push(en.images.iter().map(|(_, img)| img.fingerprint()).collect());
-        out.verdicts.push(vs);
+        walk.verify_ns += verify_ns;
+        walk.sets.push(en);
+        walk.verdicts.push(vs);
     }
-    out.enum_ns = (started.elapsed().as_nanos() as u64).saturating_sub(out.verify_ns);
-    out
+    walk.ns = started.elapsed().as_nanos() as u64;
+    walk
 }
 
-/// The replay-adversary baseline: enumerate, then judge each retained
-/// mask with `replay_verdict` — full image materialization plus a full
-/// attack check per mask.
-fn run_replay_eager(
-    sets: &[CrashSet],
+/// Judges every image of `sets` whole with `judge` on `threads`
+/// workers, with one warmed engine pair shared across images and
+/// workers: wall-clock and verdicts, per set.
+fn full_pass<R: Send>(
+    sets: &[Enumeration],
     key: [u8; 16],
-    integrity: IntegritySpec,
-    fresh: &FreshnessRef,
-) -> (u64, Vec<Vec<AttackVerdict>>) {
+    threads: usize,
+    judge: impl Fn(&NvmmImage, &EncryptionEngine, &MacEngine) -> R + Sync,
+) -> (u64, Vec<Vec<R>>) {
     let engine = EncryptionEngine::new(key);
     let mac_engine = MacEngine::new(key);
-    let mut verdicts = Vec::new();
     let started = Instant::now();
-    for set in sets {
-        let en = set.enumerate_parallel(EnumOpts::default(), 1);
-        verdicts.push(
-            en.images
-                .iter()
-                .map(|(mask, _)| set.replay_verdict(mask, integrity, &engine, &mac_engine, fresh))
-                .collect(),
-        );
-    }
+    let verdicts = sets
+        .iter()
+        .map(|en| {
+            run_parallel(threads, &en.images, |(_, img)| {
+                judge(img, &engine, &mac_engine)
+            })
+        })
+        .collect();
     (started.elapsed().as_nanos() as u64, verdicts)
 }
 
 /// The fused replay sweep: one warm verifier per worker, judged against
-/// the freshness anchor on every retained image.
+/// the freshness anchor on every retained image. Returns its
+/// wall-clock, its images and its verdicts.
 fn run_replay_sweep(
     sets: &[CrashSet],
     key: [u8; 16],
     integrity: IntegritySpec,
     fresh: &FreshnessRef,
     threads: usize,
-) -> (u64, Vec<Vec<AttackVerdict>>) {
+) -> (u64, Vec<Enumeration>, Vec<Vec<AttackVerdict>>) {
     let engine = EncryptionEngine::new(key);
     let mac_engine = MacEngine::new(key);
-    let mut verdicts = Vec::new();
+    let (mut images, mut verdicts) = (Vec::new(), Vec::new());
     let started = Instant::now();
     for set in sets {
-        let (_, vs) = set.replay_sweep(
+        let (en, vs) = set.replay_sweep(
             EnumOpts::default(),
             threads,
             integrity,
@@ -262,9 +186,10 @@ fn run_replay_sweep(
             &mac_engine,
             fresh,
         );
+        images.push(en);
         verdicts.push(vs);
     }
-    (started.elapsed().as_nanos() as u64, verdicts)
+    (started.elapsed().as_nanos() as u64, images, verdicts)
 }
 
 /// A deterministic digest over every verdict a workload produced —
@@ -316,13 +241,12 @@ fn main() {
     );
     let mut timing = Experiment::new(
         "BENCH_crashmc_timing",
-        "enumerate+verify wall-clock per workload: eager rebuild vs incremental overlay vs fused delta verification",
+        "fused delta walk wall-clock per workload, and full-pass verification of its images",
     );
+    timing.insert("host", "host_cores", host_cores() as f64);
+    timing.insert("host", "workers", threads as f64);
     let mut failed = false;
-    let mut speedups = Vec::new();
-    let mut fused_speedups = Vec::new();
     let mut verify_speedups = Vec::new();
-    let mut replay_speedups = Vec::new();
     let mut rows = Vec::new();
 
     for kind in WorkloadKind::ALL {
@@ -353,36 +277,39 @@ fn main() {
             .image;
         let fresh = FreshnessRef::capture(&full, integrity);
 
-        let eager = run_eager(&sets, key, integrity);
-        let inc = run_incremental(&sets, key, integrity, threads);
-        let delta = run_delta(&sets, key, integrity, threads);
-        let delta_t1 = run_delta(&sets, key, integrity, 1);
-        let (replay_eager_ns, replay_eager) = run_replay_eager(&sets, key, integrity, &fresh);
-        let (replay_sweep_ns, replay_sweep) =
+        let delta = run_walk(&sets, key, integrity, threads);
+        let delta_t1 = run_walk(&sets, key, integrity, 1);
+        let (full_verify_ns, full_verdicts) = full_pass(&delta.sets, key, threads, |img, e, m| {
+            verify_image_with(img, integrity, e, m)
+        });
+        let (replay_sweep_ns, replay_images, replay_sweep) =
             run_replay_sweep(&sets, key, integrity, &fresh, threads);
-        let (_, replay_sweep_t1) = run_replay_sweep(&sets, key, integrity, &fresh, 1);
+        let (_, _, replay_sweep_t1) = run_replay_sweep(&sets, key, integrity, &fresh, 1);
+        let (replay_full_ns, replay_full) = full_pass(&replay_images, key, threads, |img, e, m| {
+            verify_image_attack_with(img, integrity, e, m, &fresh)
+        });
 
-        // Equivalence gates: same images, same fingerprints, and
-        // bit-identical verdicts (witness/blame strings included) on
-        // every path and at every worker count.
-        if eager.fps != inc.fps || eager.fps != delta.fps || eager.fps != delta_t1.fps {
+        // Equivalence gates: the walk is worker-count invariant, and its
+        // verdicts (witness/blame strings included) equal full-pass
+        // verification of its own images.
+        let fps = fingerprints(&delta.sets);
+        if fingerprints(&delta_t1.sets) != fps || fingerprints(&replay_images) != fps {
             eprintln!(
-                "FAIL: {}: enumeration paths diverge on fingerprints",
+                "FAIL: {}: walk images depend on the worker count",
                 kind.label()
             );
             failed = true;
         }
-        if eager.agg != inc.agg || eager.agg != delta.agg {
+        if delta.agg() != delta_t1.agg() {
             eprintln!(
-                "FAIL: {}: path accounting diverges (eager {:?} vs incremental {:?} vs delta {:?})",
+                "FAIL: {}: walk accounting depends on the worker count ({:?} vs {:?})",
                 kind.label(),
-                eager.agg,
-                inc.agg,
-                delta.agg
+                delta.agg(),
+                delta_t1.agg()
             );
             failed = true;
         }
-        if eager.verdicts != inc.verdicts || eager.verdicts != delta.verdicts {
+        if full_verdicts != delta.verdicts {
             eprintln!(
                 "FAIL: {}: integrity verdicts diverge between full-pass and delta verification",
                 kind.label()
@@ -396,17 +323,16 @@ fn main() {
             );
             failed = true;
         }
-        if replay_eager != replay_sweep || replay_sweep != replay_sweep_t1 {
+        if replay_full != replay_sweep || replay_sweep != replay_sweep_t1 {
             eprintln!(
-                "FAIL: {}: replay sweep verdicts diverge from per-mask replay_verdict",
+                "FAIL: {}: replay sweep verdicts diverge from full-pass attack verification",
                 kind.label()
             );
             failed = true;
         }
         // Incremental fingerprint vs from-scratch recompute on a
-        // sampled subset of the enumerated images.
-        for set in &sets {
-            let en = set.enumerate_parallel(EnumOpts::default(), 1);
+        // sampled subset of the walked images.
+        for en in &delta.sets {
             for (_, img) in en.images.iter().step_by(7) {
                 if img.fingerprint() != img.fingerprint_recompute() {
                     eprintln!(
@@ -418,77 +344,60 @@ fn main() {
             }
         }
 
-        let eager_ns = eager.total_ns();
-        let inc_ns = inc.total_ns();
-        let delta_ns = delta.total_ns();
         // Self-reported by the fused walk: time spent flushing dirty
         // cells into the verifier and reading verdicts, measured at the
         // flush sites rather than estimated by differencing totals.
         let delta_verify_ns = delta.verify_ns.max(1);
-        let speedup = eager_ns as f64 / inc_ns.max(1) as f64;
-        let fused_speedup = eager_ns as f64 / delta_ns.max(1) as f64;
-        let verify_speedup = inc.verify_ns as f64 / delta_verify_ns as f64;
-        let replay_speedup = replay_eager_ns as f64 / replay_sweep_ns.max(1) as f64;
-        speedups.push(speedup);
-        fused_speedups.push(fused_speedup);
+        let verify_speedup = full_verify_ns as f64 / delta_verify_ns as f64;
         verify_speedups.push(verify_speedup);
-        replay_speedups.push(replay_speedup);
 
+        let agg = delta.agg();
         let row = kind.label().to_string();
         exp.insert(&row, "points", sets.len() as f64);
-        exp.insert(&row, "images", delta.agg.images as f64);
-        exp.insert(&row, "masks", delta.agg.masks as f64);
-        exp.insert(&row, "deduped", delta.agg.deduped as f64);
-        exp.insert(&row, "violations", delta.agg.violations as f64);
+        exp.insert(&row, "images", agg.images as f64);
+        exp.insert(&row, "masks", agg.masks as f64);
+        exp.insert(&row, "deduped", agg.deduped as f64);
+        exp.insert(&row, "violations", agg.violations as f64);
         exp.insert(
             &row,
             "verdict_digest",
             verdict_digest(&delta.verdicts, &replay_sweep) as f64,
         );
-        timing.insert(&row, "eager_ns", eager_ns as f64);
-        timing.insert(&row, "eager_verify_ns", eager.verify_ns as f64);
-        timing.insert(&row, "incremental_ns", inc_ns as f64);
-        timing.insert(&row, "inc_enum_ns", inc.enum_ns as f64);
-        timing.insert(&row, "full_verify_ns", inc.verify_ns as f64);
-        timing.insert(&row, "delta_ns", delta_ns as f64);
+        timing.insert(&row, "delta_ns", delta.ns as f64);
         timing.insert(&row, "delta_verify_ns", delta_verify_ns as f64);
-        timing.insert(&row, "speedup", speedup);
-        timing.insert(&row, "fused_speedup", fused_speedup);
+        timing.insert(&row, "full_verify_ns", full_verify_ns as f64);
         timing.insert(&row, "verify_speedup", verify_speedup);
-        timing.insert(&row, "replay_eager_ns", replay_eager_ns as f64);
         timing.insert(&row, "replay_sweep_ns", replay_sweep_ns as f64);
-        timing.insert(&row, "replay_speedup", replay_speedup);
+        timing.insert(&row, "replay_full_ns", replay_full_ns as f64);
         rows.push((
             row,
             vec![
-                eager_ns as f64 / 1e6,
-                inc_ns as f64 / 1e6,
-                delta_ns as f64 / 1e6,
+                delta.ns as f64 / 1e6,
+                delta_verify_ns as f64 / 1e6,
+                full_verify_ns as f64 / 1e6,
                 verify_speedup,
-                fused_speedup,
-                delta.agg.images as f64,
+                agg.images as f64,
             ],
         ));
     }
 
     let headline = geo_mean(&verify_speedups);
-    timing.insert("geomean", "speedup", geo_mean(&speedups));
-    timing.insert("geomean", "fused_speedup", geo_mean(&fused_speedups));
     timing.insert("geomean", "verify_speedup", headline);
-    timing.insert("geomean", "replay_speedup", geo_mean(&replay_speedups));
     print_table(
-        "enumerate+verify: eager vs incremental vs delta",
+        "fused delta walk vs full-pass verification of its images",
         &[
-            "eager ms", "incr ms", "delta ms", "verify x", "fused x", "images",
+            "walk ms",
+            "delta verify ms",
+            "full verify ms",
+            "verify x",
+            "images",
         ],
         &rows,
     );
     println!(
-        "\ngeomean verify-phase speedup {headline:.2}x, fused {:.2}x, replay {:.2}x over {} workloads ({} workers)",
-        geo_mean(&fused_speedups),
-        geo_mean(&replay_speedups),
+        "\ngeomean verify-phase speedup {headline:.2}x over {} workloads ({threads} workers, {} host cores)",
         verify_speedups.len(),
-        threads,
+        host_cores(),
     );
 
     // ---- Verify-phase speedup gate: only meaningful with real work.

@@ -9,7 +9,7 @@
 use nvmm_bench::sweep::{SweepCell, SweepRunner};
 use nvmm_sim::config::{Design, SimConfig};
 use nvmm_sim::system::CrashSpec;
-use nvmm_workloads::{check_recovered_image, execute, WorkloadKind, WorkloadSpec};
+use nvmm_workloads::{check_image, execute, WorkloadKind, WorkloadSpec};
 
 fn main() {
     println!("== Table 1 — consistency states per transaction stage ==\n");
@@ -49,20 +49,12 @@ fn main() {
         .collect();
     let outs = SweepRunner::from_env().run(cells);
 
-    let key = SimConfig::single_core(Design::Sca).key;
+    let sca = SimConfig::single_core(Design::Sca);
     let mut ok = 0u64;
     let mut rolled_back = 0u64;
     for (cell, out) in outs.iter() {
-        let outcome = check_recovered_image(
-            &spec,
-            &ex,
-            out,
-            key,
-            Design::Sca,
-            nvmm_sim::IntegritySpec::disabled(),
-            0,
-        )
-        .unwrap_or_else(|e| panic!("crash after event {}: {e}", cell.series));
+        let outcome = check_image(&spec, &ex, &out.image, &sca, 0)
+            .unwrap_or_else(|e| panic!("crash after event {}: {e}", cell.series));
         ok += 1;
         if outcome.rolled_back {
             rolled_back += 1;

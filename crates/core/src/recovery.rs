@@ -214,7 +214,14 @@ pub struct RecoveryReport {
 /// Replays the undo-log protocol over a recovered memory.
 ///
 /// Reads the (CounterAtomic) `valid` flag; if armed, restores every
-/// logged region from its backup payload and disarms the log.
+/// logged region from its backup payload and disarms the log. The redo
+/// log shares this layout and this replay ([`recover_redo_log`]).
+///
+/// Descriptors come from a crash image, so a broken design or a forged
+/// image controls them. The restore stops at the first entry that is
+/// empty, not line-granular, runs past the log's end, or targets a
+/// range past the address space; the garbled-line tracking records any
+/// fault that produced it.
 pub fn recover_undo_log(mem: &mut RecoveredMemory, log: &UndoLog) -> RecoveryReport {
     let valid = mem.read_u64(log.valid_addr());
     if valid == 0 {
@@ -227,14 +234,15 @@ pub fn recover_undo_log(mem: &mut RecoveredMemory, log: &UndoLog) -> RecoveryRep
     let count = mem.read_u64(log.count_addr());
     let mut payload_cursor = log.payload_base().0;
     let mut restored = 0;
-    // A garbled count (possible only in broken designs) could point past
-    // the log; clamp and bounds-check rather than run away — the
-    // garbled-line tracking already records the fault.
     for i in 0..count.min(log.max_entries()) {
         let desc = log.desc_addr(i);
         let addr = mem.read_u64(desc);
         let len = mem.read_u64(ByteAddr(desc.0 + 8));
-        if len == 0 || !len.is_multiple_of(LINE_BYTES) || payload_cursor + len > log.end().0 {
+        if len == 0
+            || !len.is_multiple_of(LINE_BYTES)
+            || len > log.end().0 - payload_cursor
+            || addr.checked_add(len).is_none()
+        {
             break;
         }
         let mut payload = vec![0u8; len as usize];
@@ -403,6 +411,51 @@ mod tests {
             assert_eq!(restored, want, "crash after {k}");
         }
         assert!(rolled_back > 0, "no crash point rolled back");
+    }
+
+    /// A recovered memory over an armed log whose one descriptor is
+    /// `(addr, len)`, every line in plaintext so recovery reads clean.
+    fn forged_log(addr: u64, len: u64) -> (RecoveredMemory<'static>, UndoLog) {
+        let log = UndoLog::new(ByteAddr(4096), 8, 64);
+        let word = |v: u64| {
+            let mut line = [0u8; 64];
+            line[..8].copy_from_slice(&v.to_le_bytes());
+            line
+        };
+        let mut desc = word(addr);
+        desc[8..16].copy_from_slice(&len.to_le_bytes());
+        let mut img = NvmmImage::new();
+        img.write_plain(log.valid_addr().line(), word(1));
+        img.write_plain(log.count_addr().line(), word(1));
+        img.write_plain(log.desc_addr(0).line(), desc);
+        (RecoveredMemory::new(img, [0; 16]), log)
+    }
+
+    /// A forged descriptor stops `recover` the way other malformed
+    /// entries do, instead of overflowing: a length whose payload end
+    /// wraps the address space, and a target whose last byte does.
+    /// Nothing is copied, and the log is disarmed.
+    fn assert_forged_entries_stop(recover: fn(&mut RecoveredMemory, &UndoLog) -> RecoveryReport) {
+        for (addr, len) in [(1 << 20, u64::MAX - 63), (u64::MAX - 7, LINE_BYTES)] {
+            let (mut mem, log) = forged_log(addr, len);
+            let report = recover(&mut mem, &log);
+            let what = format!("descriptor ({addr:#x}, {len:#x})");
+            assert_eq!(report.entries_restored, 0, "{what}");
+            assert!(report.rolled_back && report.reads_clean, "{what}");
+            let restored: Vec<LineAddr> = mem.restored_lines().collect();
+            assert_eq!(restored, vec![log.valid_addr().line()], "{what}");
+            assert_eq!(mem.read_u64(log.valid_addr()), 0, "{what}");
+        }
+    }
+
+    #[test]
+    fn forged_undo_log_entries_stop_recovery() {
+        assert_forged_entries_stop(recover_undo_log);
+    }
+
+    #[test]
+    fn forged_redo_log_entries_stop_recovery() {
+        assert_forged_entries_stop(recover_redo_log);
     }
 
     #[test]

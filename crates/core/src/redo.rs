@@ -197,41 +197,16 @@ impl<'a> RedoTx<'a> {
 
 /// Replays the redo protocol over a recovered memory: if the log is
 /// armed, its staged values are (re-)applied in place and the log is
-/// retired. Idempotent — applying twice is harmless.
+/// retired. Idempotent — applying twice is harmless. The log layout is
+/// the undo log's, and copying an armed log's payload to its targets is
+/// the same replay, so this is
+/// [`recover_undo_log`](crate::recovery::recover_undo_log); the report's
+/// `rolled_back` means "rolled forward" here.
 pub fn recover_redo_log(
     mem: &mut crate::recovery::RecoveredMemory,
     log: &UndoLog,
 ) -> crate::recovery::RecoveryReport {
-    let valid = mem.read_u64(log.valid_addr());
-    if valid == 0 {
-        return crate::recovery::RecoveryReport {
-            rolled_back: false,
-            entries_restored: 0,
-            reads_clean: mem.all_reads_clean(),
-        };
-    }
-    let count = mem.read_u64(log.count_addr());
-    let mut payload_cursor = log.payload_base().0;
-    let mut applied = 0;
-    for i in 0..count.min(log.max_entries()) {
-        let desc = log.desc_addr(i);
-        let addr = mem.read_u64(desc);
-        let len = mem.read_u64(ByteAddr(desc.0 + 8));
-        if len == 0 || !len.is_multiple_of(LINE_BYTES) || payload_cursor + len > log.end().0 {
-            break;
-        }
-        let mut payload = vec![0u8; len as usize];
-        mem.read(ByteAddr(payload_cursor), &mut payload);
-        mem.write(ByteAddr(addr), &payload);
-        applied += 1;
-        payload_cursor += len;
-    }
-    mem.write(log.valid_addr(), &0u64.to_le_bytes());
-    crate::recovery::RecoveryReport {
-        rolled_back: true, // "rolled forward", strictly; the log was armed
-        entries_restored: applied,
-        reads_clean: mem.all_reads_clean(),
-    }
+    crate::recovery::recover_undo_log(mem, log)
 }
 
 #[cfg(test)]

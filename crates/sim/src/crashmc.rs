@@ -40,8 +40,8 @@
 //! pair's counter bump) landing without the earlier pair's data, which
 //! would garble a line FCA in fact protects.
 //!
-//! [`CrashSet::enumerate`] materializes the image for every legal
-//! prefix combination, with two bounds that keep the space tractable:
+//! Enumeration visits the image for every legal prefix combination,
+//! with two bounds that keep the space tractable:
 //!
 //! * **Shadow pruning** — a choice group whose every write is later
 //!   overwritten by a *guaranteed* full-line write to the same target
@@ -56,18 +56,21 @@
 //! entries coalesce to the same bytes) are deduplicated by
 //! [`NvmmImage::fingerprint`].
 //!
-//! ## Incremental copy-on-write walking
+//! ## The fused delta walk
 //!
 //! Candidate images at one crash instant differ only in which in-flight
-//! choice groups land, yet the original enumerator replayed the *whole*
-//! journal into a fresh [`NvmmImage`] per mask. `ImageOverlay` instead
-//! starts from the set's guaranteed base image and walks the cut
-//! schedule by applying/undoing only the ops of the groups whose cut
-//! changed. Each image cell (a data line, a co-located counter, a
-//! counter line, a MAC line, a tree node) tracks its currently landed
-//! writers; the visible value is always the one with the largest merge
-//! key — exactly what merged-order replay produces — so the walked image
-//! is bit-identical to the eager one at every step.
+//! choice groups land. The one production enumerator,
+//! [`CrashSet::enumerate_verified_timed`], therefore never rebuilds an
+//! image: an `ImageOverlay` starts from the set's guaranteed base image
+//! and walks the cut schedule by applying/undoing only the ops of the
+//! groups whose cut changed. Each image cell (a data line, a co-located
+//! counter, a counter line, a MAC line, a tree node) tracks its
+//! currently landed writers; the visible value is always the one with
+//! the largest merge key — exactly what merged-order replay produces —
+//! so the walked image is bit-identical to [`CrashSet::image`] of the
+//! same mask at every step. The cells each step rewrote feed a warm
+//! [`DeltaVerifier`], which re-judges only what changed, so the
+//! integrity verdict of every retained image comes out of the same walk.
 //!
 //! ## One base image per sweep
 //!
@@ -83,14 +86,14 @@
 //! image, one odometer step costs O(ops of the changed group) instead of
 //! O(journal length).
 //!
-//! [`CrashSet::enumerate_parallel`] fans the schedule out across scoped
-//! worker threads in contiguous chunks, each walked by its own overlay
-//! and deduplicated locally; chunks merge in schedule order, so the
-//! result — retained masks, images, and stats — is bit-identical to the
-//! sequential walk for any thread count. The pre-rewrite path survives
-//! as [`CrashSet::enumerate_eager`]: the differential suite and the
-//! `fig_mc_perf` baseline hold the two implementations against each
-//! other.
+//! The walk fans the schedule out across scoped worker threads in
+//! contiguous chunks, each walked by its own overlay and verifier and
+//! deduplicated locally; chunks merge in schedule order, so the result —
+//! retained masks, images, verdicts and stats — is bit-identical to the
+//! sequential walk for any thread count. [`CrashSet::enumerate`]
+//! materializes every mask's image from scratch with
+//! [`CrashSet::image`]: it is the reference the differential suite holds
+//! the walk against.
 
 use crate::addr::{CounterLineAddr, LineAddr, MacLineAddr, NvmmTarget, TreeNodeAddr};
 use crate::controller::{JournalOp, JournalRecord};
@@ -419,19 +422,12 @@ impl CrashSet {
         m
     }
 
-    /// Masks one legal step smaller than `mask`: each candidate clears
-    /// the last landed group of one domain. Greedy descent over these
-    /// stays inside the legal-image space (unlike clearing arbitrary
-    /// bits).
-    pub fn shrink_candidates(&self, mask: &LandMask) -> Vec<LandMask> {
-        let mut out = Vec::new();
-        self.shrink_candidates_into(mask, &mut out);
-        out
-    }
-
-    /// [`CrashSet::shrink_candidates`] into a caller-owned buffer, so the
-    /// greedy minimization loop reuses one allocation across its descent
-    /// instead of building a fresh `Vec` per step.
+    /// Writes into `out` (cleared first) the masks one legal step smaller
+    /// than `mask`: each candidate clears the last landed group of one
+    /// domain. Greedy descent over these stays inside the legal-image
+    /// space (unlike clearing arbitrary bits). The caller owns the
+    /// buffer, so a minimization loop reuses one allocation across its
+    /// descent.
     pub fn shrink_candidates_into(&self, mask: &LandMask, out: &mut Vec<LandMask>) {
         out.clear();
         for order in &self.domain_order {
@@ -473,38 +469,13 @@ impl CrashSet {
         self.image(&LandMask::zeros(self.groups))
     }
 
-    /// Judges `mask`'s legal post-crash image as a *wholesale replay*
-    /// against the freshness anchor `fresh` — the adversary who
-    /// recorded this legal crash image off the bus and splices it back
-    /// after the run moved on. Every mask this set admits is an image
-    /// ADR could really have left, so a freshness-anchored policy must
-    /// return [`Detected`](crate::integrity::AttackVerdict::Detected)
-    /// for each of them once the current state has advanced past
-    /// `crash_time` (the adversary-engine tests sweep this over the
-    /// enumeration).
-    pub fn replay_verdict(
-        &self,
-        mask: &LandMask,
-        spec: crate::integrity::IntegritySpec,
-        engine: &nvmm_crypto::engine::EncryptionEngine,
-        mac_engine: &nvmm_crypto::mac::MacEngine,
-        fresh: &crate::integrity::FreshnessRef,
-    ) -> crate::integrity::AttackVerdict {
-        crate::integrity::verify_image_attack_with(
-            &self.image(mask),
-            spec,
-            engine,
-            mac_engine,
-            fresh,
-        )
-    }
-
     /// The cut schedule `opts` prescribes: every legal prefix
     /// combination in odometer order (domain 0 fastest) when the space
     /// fits the cap, else the two corners followed by the seeded
-    /// splitmix64 stream. Both the incremental and the eager enumerator
-    /// walk this same schedule, so their explored masks are identical by
-    /// construction. The schedule is a *decoder*, not a table — each
+    /// splitmix64 stream. The fused walk and the reference
+    /// [`CrashSet::enumerate`] both walk this same schedule, so their
+    /// explored masks are identical by construction. The schedule is a
+    /// *decoder*, not a table — each
     /// mask's cut vector is computed on demand into a caller buffer
     /// ([`CutSchedule::cuts_into`]), so an exhaustive run over millions
     /// of legal images holds O(domains) schedule state, not
@@ -545,62 +516,13 @@ impl CrashSet {
         self.legal_images().min(opts.max_images.max(1) as u64) as usize
     }
 
-    /// Enumerates the legal post-crash images within `opts`' bounds,
-    /// single-threaded. Equivalent to
-    /// [`CrashSet::enumerate_parallel`] with one thread.
+    /// Enumerates the legal post-crash images within `opts`' bounds by
+    /// materializing a fresh image with [`CrashSet::image`] for every
+    /// mask of the cut schedule, sequentially. It is the obviously
+    /// correct reference: the model checker runs the fused walk
+    /// ([`CrashSet::enumerate_verified_timed`]), and the differential
+    /// tests hold that walk's masks, images and stats against this.
     pub fn enumerate(&self, opts: EnumOpts) -> Enumeration {
-        self.enumerate_parallel(opts, 1)
-    }
-
-    /// Enumerates the legal post-crash images within `opts`' bounds over
-    /// up to `threads` worker threads.
-    ///
-    /// The cut schedule is split into contiguous chunks, each walked by
-    /// its own `ImageOverlay` and deduplicated locally; chunks merge
-    /// in schedule order, so retained masks, images, and stats are
-    /// bit-identical to the single-threaded walk for any thread count.
-    pub fn enumerate_parallel(&self, opts: EnumOpts, threads: usize) -> Enumeration {
-        let sched = self.cut_schedule(opts);
-        let threads = threads.max(1);
-        let n = sched.n_masks;
-        let chunks = chunk_ranges(n, threads);
-        let walked: Vec<Vec<(u128, LandMask, NvmmImage)>> =
-            run_parallel(threads, &chunks, |&(start, end)| {
-                let mut overlay = ImageOverlay::new(self);
-                let mut local_seen: FxHashSet<u128> = FxHashSet::default();
-                let mut out = Vec::new();
-                let mut cuts = Vec::with_capacity(sched.n_domains());
-                for i in start..end {
-                    sched.cuts_into(i, &mut cuts);
-                    overlay.goto(&cuts);
-                    let fp = overlay.image().fingerprint();
-                    if local_seen.insert(fp) {
-                        out.push((fp, overlay.mask().clone(), overlay.image().clone()));
-                    }
-                }
-                out
-            });
-        let mut seen: FxHashSet<u128> = FxHashSet::default();
-        seen.reserve(self.seen_capacity(opts));
-        let mut images: Vec<(LandMask, NvmmImage)> = Vec::new();
-        for chunk in walked {
-            for (fp, mask, img) in chunk {
-                if seen.insert(fp) {
-                    images.push((mask, img));
-                }
-            }
-        }
-        Enumeration {
-            stats: self.stats_for(&sched, images.len()),
-            images,
-        }
-    }
-
-    /// The pre-overlay enumerator: materializes a fresh image with
-    /// [`CrashSet::image`] for every mask of the same cut schedule.
-    /// Retained as the reference implementation the differential tests
-    /// and the `fig_mc_perf` speedup baseline measure against.
-    pub fn enumerate_eager(&self, opts: EnumOpts) -> Enumeration {
         let sched = self.cut_schedule(opts);
         let mut seen: FxHashSet<u128> = FxHashSet::default();
         seen.reserve(self.seen_capacity(opts));
@@ -620,7 +542,7 @@ impl CrashSet {
         }
     }
 
-    /// The shared skeleton of [`CrashSet::enumerate_verified`] and
+    /// The shared skeleton of [`CrashSet::enumerate_verified_timed`] and
     /// [`CrashSet::replay_sweep`]: each chunk walks the schedule with a
     /// paired [`ImageOverlay`] + [`DeltaVerifier`], accumulating the
     /// cells each `goto` dirtied into a pending set and flushing them
@@ -652,7 +574,6 @@ impl CrashSet {
         type Walked<R> = Vec<(u128, LandMask, NvmmImage, R)>;
         let walked: Vec<(Walked<R>, u64)> = run_parallel(threads, &chunks, |&(start, end)| {
             let mut overlay = ImageOverlay::new(self);
-            overlay.set_collect_dirty(true);
             let mut verifier = DeltaVerifier::new(overlay.image(), spec, engine, mac_engine);
             let mut local_seen: FxHashSet<u128> = FxHashSet::default();
             let mut out = Vec::new();
@@ -723,33 +644,23 @@ impl CrashSet {
         )
     }
 
-    /// Enumerates the legal images *and* judges each against `spec`'s
-    /// integrity oracle in one fused walk, re-verifying only what each
-    /// schedule step's delta dirtied. `verdicts[i]` is the oracle's
+    /// Enumerates the legal images within `opts`' bounds over up to
+    /// `threads` workers *and* judges each against `spec`'s integrity
+    /// oracle in one fused walk, re-verifying only what each schedule
+    /// step's delta dirtied. The model checker's one enumeration path.
+    ///
+    /// The retained masks, images and stats equal
+    /// [`CrashSet::enumerate`]'s, and `verdicts[i]` is the oracle's
     /// answer for `images[i]` — Ok/Err contents bit-identical to
-    /// [`verify_image_with`](crate::integrity::verify_image_with) on
-    /// the materialized image, at any `threads`.
-    pub fn enumerate_verified(
-        &self,
-        opts: EnumOpts,
-        threads: usize,
-        spec: IntegritySpec,
-        engine: &EncryptionEngine,
-        mac_engine: &MacEngine,
-    ) -> (Enumeration, Vec<Result<(), String>>) {
-        let (en, verdicts, _) =
-            self.enumerate_verified_timed(opts, threads, spec, engine, mac_engine);
-        (en, verdicts)
-    }
-
-    /// [`CrashSet::enumerate_verified`] plus the nanoseconds the walk
-    /// spent in its verify phase (flushing dirty cells into the
-    /// [`DeltaVerifier`] and reading verdicts), summed across worker
-    /// chunks. Enumeration work — schedule decode, overlay `goto`,
-    /// fingerprint dedupe, image clones — is excluded, so the figure
-    /// isolates what incremental re-verification actually costs and is
-    /// directly comparable to a timed full-pass verify of the same
-    /// images. With `threads > 1` the sum is aggregate worker time,
+    /// [`verify_image_with`](crate::integrity::verify_image_with) on the
+    /// materialized image — at any `threads`. The third return is the
+    /// nanoseconds the walk spent in its verify phase (flushing dirty
+    /// cells into the [`DeltaVerifier`] and reading verdicts), summed
+    /// across worker chunks. Enumeration work — schedule decode, overlay
+    /// `goto`, fingerprint dedupe, image clones — is excluded, so the
+    /// figure isolates what incremental re-verification actually costs
+    /// and is directly comparable to a timed full-pass verify of the
+    /// same images. With `threads > 1` the sum is aggregate worker time,
     /// not wall clock; it belongs in timing companions, never in
     /// deterministic artifacts.
     pub fn enumerate_verified_timed(
@@ -770,10 +681,15 @@ impl CrashSet {
         )
     }
 
-    /// The sweep form of [`CrashSet::replay_verdict`]: judges every
-    /// enumerated legal image as a wholesale replay against `fresh`,
-    /// reusing one warm verifier per chunk instead of materializing and
-    /// fully re-verifying each image. `verdicts[i]` — including the
+    /// Judges every enumerated legal image as a *wholesale replay*
+    /// against the freshness anchor `fresh` — the adversary who recorded
+    /// a legal crash image off the bus and splices it back after the run
+    /// moved on. Every mask this set admits is an image ADR could really
+    /// have left, so a freshness-anchored policy must return
+    /// [`Detected`](crate::integrity::AttackVerdict::Detected) for each
+    /// of them once the current state has advanced past `crash_time`.
+    /// One warm verifier per chunk is reused instead of materializing
+    /// and fully re-verifying each image. `verdicts[i]` — including the
     /// blame string — is bit-identical to
     /// [`verify_image_attack_with`](crate::integrity::verify_image_attack_with)
     /// on `images[i]`, at any `threads`.
@@ -977,10 +893,10 @@ pub(crate) fn fold_last_writers<'a>(
 /// changed. Each cell an in-flight write can show in tracks its landed
 /// writers; the visible value is the largest-key one, or the base value
 /// when none has landed — the same winner merged-order replay produces.
-/// [`verify_image_with`](crate::integrity::verify_image_with) and
-/// recovery read the current image through [`ImageOverlay::image`]; a
-/// clone is taken only when a new fingerprint is retained for the
-/// result set.
+/// The delta verifier reads the current image through
+/// [`ImageOverlay::image`] and the cells each move changed through
+/// [`ImageOverlay::dirty`]; a clone is taken only when a new fingerprint
+/// is retained for the result set.
 pub(crate) struct ImageOverlay<'a> {
     set: &'a CrashSet,
     img: NvmmImage,
@@ -996,10 +912,9 @@ pub(crate) struct ImageOverlay<'a> {
     cuts: Vec<usize>,
     mask: LandMask,
     /// Cells whose image value was rewritten or cleared by the latest
-    /// [`ImageOverlay::goto`] (may contain duplicates). Only maintained
-    /// when `collect_dirty` is on — the delta verifier's feed.
+    /// [`ImageOverlay::goto`] (may contain duplicates) — the delta
+    /// verifier's feed.
     dirty: Vec<CellKey>,
-    collect_dirty: bool,
 }
 
 impl<'a> ImageOverlay<'a> {
@@ -1027,22 +942,12 @@ impl<'a> ImageOverlay<'a> {
             cuts: vec![0; set.domain_order.len()],
             mask: LandMask::zeros(set.groups),
             dirty: Vec::new(),
-            collect_dirty: false,
             set,
         }
     }
 
-    /// Turns dirty-cell collection on or off. While on, each
-    /// [`ImageOverlay::goto`] records the cells it rewrote or cleared,
-    /// readable through [`ImageOverlay::dirty`] until the next move.
-    pub(crate) fn set_collect_dirty(&mut self, on: bool) {
-        self.collect_dirty = on;
-        self.dirty.clear();
-    }
-
-    /// Cells the latest [`ImageOverlay::goto`] changed (duplicates
-    /// possible when several groups rewrote one cell). Empty unless
-    /// collection was enabled via [`ImageOverlay::set_collect_dirty`].
+    /// Cells the latest [`ImageOverlay::goto`] rewrote or cleared
+    /// (duplicates possible when several groups rewrote one cell).
     pub(crate) fn dirty(&self) -> &[CellKey] {
         &self.dirty
     }
@@ -1072,9 +977,7 @@ impl<'a> ImageOverlay<'a> {
             if shows {
                 let key = self.cell_keys[cell];
                 write_cell(&mut self.img, key, &self.set.entries[entry].op);
-                if self.collect_dirty {
-                    self.dirty.push(key);
-                }
+                self.dirty.push(key);
             }
         }
     }
@@ -1097,9 +1000,7 @@ impl<'a> ImageOverlay<'a> {
                     Some(&w) => write_cell(&mut self.img, key, &self.set.entries[w].op),
                     None => self.img.copy_cell(&self.set.base, key),
                 }
-                if self.collect_dirty {
-                    self.dirty.push(key);
-                }
+                self.dirty.push(key);
             }
         }
     }
@@ -1108,9 +1009,7 @@ impl<'a> ImageOverlay<'a> {
     /// groups whose domain prefix changed.
     pub(crate) fn goto(&mut self, target: &[usize]) {
         debug_assert_eq!(target.len(), self.cuts.len());
-        if self.collect_dirty {
-            self.dirty.clear();
-        }
+        self.dirty.clear();
         for (d, &tgt) in target.iter().enumerate() {
             let cur = self.cuts[d];
             if tgt > cur {
@@ -1612,9 +1511,7 @@ mod tests {
     #[test]
     fn enumerated_crash_images_replayed_after_the_run_are_caught() {
         use crate::config::IntegrityPolicy;
-        use crate::integrity::{FreshnessRef, IntegritySpec};
-        use nvmm_crypto::engine::EncryptionEngine;
-        use nvmm_crypto::mac::MacEngine;
+        use crate::integrity::verify_image_attack_with;
 
         let cfg = SimConfig::single_core(Design::Sca).with_integrity(IntegrityPolicy::Lazy);
         let mut c = MemoryController::new(&cfg);
@@ -1651,7 +1548,7 @@ mod tests {
         for t in probe_times(3_000) {
             let set = c.crash_set(t);
             for (mask, img) in set.enumerate(EnumOpts::default()).images {
-                let v = set.replay_verdict(&mask, spec, &engine, &mac_engine, &fresh);
+                let v = verify_image_attack_with(&img, spec, &engine, &mac_engine, &fresh);
                 if counter_region(&img) != full_counters {
                     assert!(
                         v.detected(),
@@ -1836,37 +1733,34 @@ mod tests {
         );
     }
 
-    /// Asserts the incremental overlay walk, the eager replay, and the
-    /// parallel walk agree exactly: same masks, same fingerprints, same
-    /// stats, in the same order.
+    /// Asserts the fused overlay walk, on one worker and on four, agrees
+    /// exactly with the reference materializer: same stats, same masks,
+    /// same fingerprints, in the same order, and every walked
+    /// fingerprint equals a from-scratch recompute.
     fn assert_enumerations_agree(set: &CrashSet, opts: EnumOpts) {
-        let eager = set.enumerate_eager(opts);
-        let inc = set.enumerate(opts);
-        assert_eq!(
-            eager.stats,
-            inc.stats,
-            "stats diverged at {}",
-            set.crash_time()
-        );
-        assert_eq!(eager.images.len(), inc.images.len());
-        for ((me, ie), (mi, ii)) in eager.images.iter().zip(inc.images.iter()) {
-            assert_eq!(me, mi, "retained masks diverged at {}", set.crash_time());
-            assert_eq!(
-                ie.fingerprint(),
-                ii.fingerprint(),
-                "images diverged for mask {:?} at {}",
-                me.landed(),
-                set.crash_time()
+        let key = SimConfig::single_core(Design::Sca).key;
+        let (engine, mac_engine) = (EncryptionEngine::new(key), MacEngine::new(key));
+        let reference = set.enumerate(opts);
+        let t = set.crash_time();
+        for threads in [1, 4] {
+            let (walk, _, _) = set.enumerate_verified_timed(
+                opts,
+                threads,
+                IntegritySpec::disabled(),
+                &engine,
+                &mac_engine,
             );
-            assert_eq!(ii.fingerprint(), ii.fingerprint_recompute());
-        }
-        for threads in [2, 5] {
-            let par = set.enumerate_parallel(opts, threads);
-            assert_eq!(par.stats, inc.stats, "{threads}-thread stats diverged");
-            assert_eq!(par.images.len(), inc.images.len());
-            for ((ma, ia), (mb, ib)) in inc.images.iter().zip(par.images.iter()) {
-                assert_eq!(ma, mb, "{threads}-thread masks diverged");
-                assert_eq!(ia.fingerprint(), ib.fingerprint());
+            assert_eq!(walk.stats, reference.stats, "{threads}-thread stats at {t}");
+            assert_eq!(walk.images.len(), reference.images.len());
+            for ((mr, ir), (mw, iw)) in reference.images.iter().zip(&walk.images) {
+                assert_eq!(mr, mw, "{threads}-thread masks diverged at {t}");
+                assert_eq!(
+                    ir.fingerprint(),
+                    iw.fingerprint(),
+                    "{threads}-thread images diverged for mask {:?} at {t}",
+                    mr.landed()
+                );
+                assert_eq!(iw.fingerprint(), iw.fingerprint_recompute());
             }
         }
     }
@@ -2065,9 +1959,9 @@ mod tests {
                         let spec = IntegritySpec { policy, levels: 2 };
                         let fresh = FreshnessRef::capture(&full, spec);
                         for threads in [1usize, 4] {
-                            let (en, verdicts) =
-                                set.enumerate_verified(opts, threads, spec, &engine, &mac_engine);
-                            let eager = set.enumerate_eager(opts);
+                            let (en, verdicts, _) = set
+                                .enumerate_verified_timed(opts, threads, spec, &engine, &mac_engine);
+                            let eager = set.enumerate(opts);
                             prop_assert_eq!(en.images.len(), eager.images.len());
                             prop_assert_eq!(en.images.len(), verdicts.len());
                             for (i, (_, img)) in en.images.iter().enumerate() {
@@ -2087,7 +1981,9 @@ mod tests {
                             for (i, (mask, img)) in en2.images.iter().enumerate() {
                                 prop_assert_eq!(
                                     &sweeps[i],
-                                    &set.replay_verdict(mask, spec, &engine, &mac_engine, &fresh)
+                                    &verify_image_attack_with(
+                                        &set.image(mask), spec, &engine, &mac_engine, &fresh,
+                                    )
                                 );
                                 prop_assert_eq!(
                                     &sweeps[i],
@@ -2187,8 +2083,8 @@ mod tests {
             policy: IntegrityPolicy::Strict,
             levels: 2,
         };
-        let (en, verdicts) =
-            set.enumerate_verified(EnumOpts::default(), 1, spec, &engine, &mac_engine);
+        let (en, verdicts, _) =
+            set.enumerate_verified_timed(EnumOpts::default(), 1, spec, &engine, &mac_engine);
         let mut bug_seen = false;
         for (i, (_, img)) in en.images.iter().enumerate() {
             let eager = verify_image_with(img, spec, &engine, &mac_engine);

@@ -4,8 +4,8 @@
 //!
 //! ## Crash checking
 //!
-//! [`crash_check`] is the executable form of the paper's correctness
-//! claim. For a given design and crash point it:
+//! [`crash_check_cfg`] is the executable form of the paper's correctness
+//! claim. For a given configuration and crash point it:
 //!
 //! 1. executes the workload functionally and replays its trace through
 //!    the timing simulator, injecting the crash;
@@ -256,7 +256,10 @@ pub struct CrashCheckOutcome {
     pub trace_events: u64,
 }
 
-/// Runs the full crash-consistency protocol for one crash point.
+/// Runs the full crash-consistency protocol for one crash point under
+/// `config`, with an Osiris-style counter-recovery window (0 =
+/// disabled). Use a window matching `config.stop_loss` to validate
+/// stop-loss recovery.
 ///
 /// # Errors
 ///
@@ -265,82 +268,36 @@ pub struct CrashCheckOutcome {
 /// from the ground-truth state after the last committed transaction —
 /// i.e. exactly when the design under test fails the paper's
 /// counter-atomicity requirement.
-pub fn crash_check(
-    spec: &WorkloadSpec,
-    design: Design,
-    crash: CrashSpec,
-) -> Result<CrashCheckOutcome, ConsistencyError> {
-    crash_check_cfg(spec, SimConfig::single_core(design), crash, 0)
-}
-
-/// [`crash_check`] with a caller-supplied configuration and an
-/// Osiris-style counter-recovery window (0 = disabled). Use a window
-/// matching `config.stop_loss` to validate stop-loss recovery.
 pub fn crash_check_cfg(
     spec: &WorkloadSpec,
     config: SimConfig,
     crash: CrashSpec,
     recovery_window: u64,
 ) -> Result<CrashCheckOutcome, ConsistencyError> {
-    let design = config.design;
-    let integrity = IntegritySpec::from_config(&config);
     let ex = execute(spec, 0, spec.ops);
-    let trace = ex.pm.trace().clone();
-    let key = config.key;
-    let out = System::new(config, vec![trace]).run(crash);
-    check_recovered_image(spec, &ex, &out, key, design, integrity, recovery_window)
+    let out = System::new(config.clone(), vec![ex.pm.trace().clone()]).run(crash);
+    check_image(spec, &ex, &out.image, &config, recovery_window)
 }
 
-/// The checking half of [`crash_check_cfg`]: given an already-executed
-/// workload and an already-simulated (possibly crashed) run, replays
-/// recovery over the surviving image and verifies consistency.
+/// The checking half of [`crash_check_cfg`]: runs the full recovery
+/// protocol, integrity oracle included, against *one* NVMM image left
+/// by a run under `config` — a simulated run's single filtered journal
+/// or a hand-forged image — for an already-executed workload.
 ///
-/// Splitting this from the simulation lets a sweep generate many crash
-/// images in parallel and replay the recovery checks over them
-/// afterwards (see the `recovery_cost` and `table1` binaries).
+/// Splitting this from the simulation lets a sweep simulate many crash
+/// points and check each image against one execution (see
+/// [`crash_sweep`] and the `table1` binary).
 ///
 /// # Errors
 ///
 /// Returns a [`ConsistencyError`] exactly as [`crash_check_cfg`] does:
 /// when recovery reads a garbled line, a structural invariant fails, or
 /// the recovered bytes deviate from the ground truth folded from `ex`.
-#[allow(clippy::too_many_arguments)]
-pub fn check_recovered_image(
-    spec: &WorkloadSpec,
-    ex: &Executed,
-    out: &RunOutcome,
-    key: [u8; 16],
-    design: Design,
-    integrity: IntegritySpec,
-    recovery_window: u64,
-) -> Result<CrashCheckOutcome, ConsistencyError> {
-    check_image(
-        spec,
-        ex,
-        &out.image,
-        key,
-        design,
-        integrity,
-        recovery_window,
-    )
-}
-
-/// The image-level core of [`check_recovered_image`]: runs the full
-/// recovery protocol against *one* NVMM image, wherever it came from —
-/// a simulated run's single filtered journal, or one member of the
-/// adversarial crash-image set the [`model_check`] enumerator explores.
-///
-/// # Errors
-///
-/// Returns a [`ConsistencyError`] exactly as [`check_recovered_image`].
-#[allow(clippy::too_many_arguments)]
 pub fn check_image(
     spec: &WorkloadSpec,
     ex: &Executed,
     image: &NvmmImage,
-    key: [u8; 16],
-    design: Design,
-    integrity: IntegritySpec,
+    config: &SimConfig,
     recovery_window: u64,
 ) -> Result<CrashCheckOutcome, ConsistencyError> {
     check_image_inner(
@@ -348,43 +305,10 @@ pub fn check_image(
         ex,
         image,
         None,
-        &Checker::new(key),
+        &Checker::new(config.key),
         &SetJudge::lone(image),
-        design,
-        integrity,
-        recovery_window,
-    )
-}
-
-/// [`check_image`] with caller-supplied engines. The model checker
-/// verifies every enumerated image of a crash set against the same key;
-/// sharing one warmed [`EncryptionEngine`] (whose OTP pad memo persists
-/// across candidate images) avoids re-deriving the AES key schedule and
-/// re-computing identical pads per image.
-#[allow(clippy::too_many_arguments)]
-pub fn check_image_with(
-    spec: &WorkloadSpec,
-    ex: &Executed,
-    image: &NvmmImage,
-    engine: &EncryptionEngine,
-    mac_engine: &MacEngine,
-    design: Design,
-    integrity: IntegritySpec,
-    recovery_window: u64,
-) -> Result<CrashCheckOutcome, ConsistencyError> {
-    let checker = Checker {
-        engine: engine.clone(),
-        mac_engine: mac_engine.clone(),
-    };
-    check_image_inner(
-        spec,
-        ex,
-        image,
-        None,
-        &checker,
-        &SetJudge::lone(image),
-        design,
-        integrity,
+        config.design,
+        IntegritySpec::from_config(config),
         recovery_window,
     )
 }
@@ -547,13 +471,14 @@ impl<'s> SetJudge<'s> {
     }
 }
 
-/// The shared body of [`check_image_with`]: when the model checker's
-/// delta-verified walk already judged the image with a warm
+/// The shared body of [`check_image`] and the model checker: when the
+/// fused walk already judged the image with a warm
 /// [`nvmm_sim::DeltaVerifier`], its verdict arrives as `precomputed`
 /// and the full-pass oracle is skipped — the verdict (and so the
 /// wrapped error string) is bit-identical by the differential suite's
-/// guarantee, so reports cannot depend on which path ran. `judge` is the
-/// judge of the crash set `image` belongs to.
+/// guarantee. Lone images and minimization candidates pass `None` and
+/// take the full pass. `judge` is the judge of the crash set `image`
+/// belongs to.
 #[allow(clippy::too_many_arguments)]
 fn check_image_inner(
     spec: &WorkloadSpec,
@@ -607,11 +532,12 @@ fn check_image_inner(
 }
 
 /// Sweeps `points` evenly spaced crash points across the post-setup
-/// portion of the trace, returning the first failure (if any) with its
-/// crash point.
+/// portion of the trace under `config`, returning the first failure (if
+/// any) with its crash point. The workload executes once; each point is
+/// simulated and its image judged against that one execution.
 pub fn crash_sweep(
     spec: &WorkloadSpec,
-    design: Design,
+    config: SimConfig,
     points: u64,
 ) -> Result<Vec<CrashCheckOutcome>, (u64, ConsistencyError)> {
     let ex = execute(spec, 0, spec.ops);
@@ -621,10 +547,9 @@ pub fn crash_sweep(
     let mut outcomes = Vec::new();
     let mut k = start;
     while k < total {
-        match crash_check(spec, design, CrashSpec::AfterEvent(k)) {
-            Ok(o) => outcomes.push(o),
-            Err(e) => return Err((k, e)),
-        }
+        let out =
+            System::new(config.clone(), vec![ex.pm.trace().clone()]).run(CrashSpec::AfterEvent(k));
+        outcomes.push(check_image(spec, &ex, &out.image, &config, 0).map_err(|e| (k, e))?);
         k += step;
     }
     Ok(outcomes)
@@ -645,12 +570,6 @@ pub struct ModelCheckOpts {
     /// simulation — the positive-control bug: an SCA program that
     /// forgets the flush must yield at least one violating image.
     pub strip_counter_writebacks: bool,
-    /// Run the integrity oracle through the fused delta-verified walk
-    /// ([`nvmm_sim::CrashSet::enumerate_verified`]) instead of
-    /// re-verifying each enumerated image from scratch. Verdicts are
-    /// bit-identical either way; the switch exists so the differential
-    /// suite can hold the two paths against each other.
-    pub delta_verify: bool,
 }
 
 impl Default for ModelCheckOpts {
@@ -660,7 +579,6 @@ impl Default for ModelCheckOpts {
             seed: 0xadc0_ffee,
             recovery_window: 0,
             strip_counter_writebacks: false,
-            delta_verify: true,
         }
     }
 }
@@ -682,25 +600,15 @@ fn prepared_trace(ex: &Executed, opts: &ModelCheckOpts) -> Trace {
 }
 
 /// Crash instants at which at least one write is observably in flight,
-/// harvested from a completed (crash-free) run's persist windows: the
-/// midpoint of each post-setup window, deduplicated and evenly thinned
-/// to at most `limit`. Event-aligned crash points almost always fall
-/// outside the in-flight windows (the core clock trails the controller
-/// pipeline), so these are the instants where adversarial enumeration
-/// actually has choices to explore; feed them to [`model_check`] as
-/// [`CrashSpec::AtTime`]. Instants inside the setup phase are excluded
-/// for the same reason crash sweeps skip it: the checkers deliberately
-/// do not model a crash before the structure exists.
-pub fn crash_instants(
-    spec: &WorkloadSpec,
-    design: Design,
-    opts: &ModelCheckOpts,
-    limit: usize,
-) -> Vec<Time> {
-    crash_instants_cfg(spec, SimConfig::single_core(design), opts, limit)
-}
-
-/// [`crash_instants`] with a caller-supplied configuration.
+/// harvested from a completed (crash-free) run's persist windows under
+/// `config`: the midpoint of each post-setup window, deduplicated and
+/// evenly thinned to at most `limit`. Event-aligned crash points almost
+/// always fall outside the in-flight windows (the core clock trails the
+/// controller pipeline), so these are the instants where adversarial
+/// enumeration actually has choices to explore; feed them to
+/// [`model_check_instants_cfg`]. Instants inside the setup phase are
+/// excluded for the same reason crash sweeps skip it: the checkers
+/// deliberately do not model a crash before the structure exists.
 pub fn crash_instants_cfg(
     spec: &WorkloadSpec,
     config: SimConfig,
@@ -767,8 +675,8 @@ pub struct ModelCheckReport {
     pub images_checked: usize,
     /// Images on which the recovery protocol failed.
     pub violations: usize,
-    /// Whether the all-miss baseline (the image [`crash_check`] would
-    /// test) is itself a violation.
+    /// Whether the all-miss baseline (the image [`crash_check_cfg`]
+    /// would test) is itself a violation.
     pub baseline_violation: bool,
     /// Greedily minimized failing landing-set, when any image violated.
     pub minimal: Option<MinimalViolation>,
@@ -789,14 +697,13 @@ pub struct ModelCheckReport {
     /// Telemetry only, ignored by `PartialEq`.
     pub sweep_wall_ns: u64,
     /// Wall-clock nanoseconds of the enumeration phase (the schedule
-    /// walk, net of the fused walk's self-reported oracle share when
-    /// [`ModelCheckOpts::delta_verify`] is on). Telemetry only, ignored
-    /// by `PartialEq` like [`ModelCheckReport::mc_wall_ns`].
+    /// walk, net of the fused walk's self-reported oracle share).
+    /// Telemetry only, ignored by `PartialEq` like
+    /// [`ModelCheckReport::mc_wall_ns`].
     pub enumerate_wall_ns: u64,
     /// Nanoseconds of the verification phase: recovery protocol replay
-    /// plus the integrity oracle — the fused walk's measured verify
-    /// share when the delta walk is on, the full-pass re-verification
-    /// otherwise. Telemetry only, ignored by `PartialEq`.
+    /// plus the fused walk's measured integrity-oracle share. Telemetry
+    /// only, ignored by `PartialEq`.
     pub verify_wall_ns: u64,
 }
 
@@ -821,26 +728,15 @@ impl ModelCheckReport {
     }
 }
 
-/// Model-checks one crash instant: enumerates every ADR-legal post-crash
-/// image within `opts`' bounds and runs the full recovery protocol
-/// ([`check_image`]) over each. Where [`crash_check`] samples the single
-/// pessimistic image, this is the paper's universal claim made
-/// executable: *no* legal image may fail recovery.
-pub fn model_check(
-    spec: &WorkloadSpec,
-    design: Design,
-    crash: CrashSpec,
-    opts: &ModelCheckOpts,
-) -> ModelCheckReport {
-    model_check_cfg(spec, SimConfig::single_core(design), crash, opts)
-}
-
-/// [`model_check`] with a caller-supplied configuration. The image
+/// Model-checks one crash point under `config`: enumerates every
+/// ADR-legal post-crash image within `opts`' bounds and runs the full
+/// recovery protocol over each. Where [`crash_check_cfg`] samples the
+/// single pessimistic image, this is the paper's universal claim made
+/// executable: *no* legal image may fail recovery. The image
 /// enumeration and recovery checks within the crash set run on
 /// [`mc_threads`] workers; the report is bit-identical to a
-/// single-threaded run for any worker count. A
-/// [`CrashSpec::AtTime`] crash is the one-instant case of
-/// [`model_check_instants_cfg`].
+/// single-threaded run for any worker count. A [`CrashSpec::AtTime`]
+/// crash is the one-instant case of [`model_check_instants_cfg`].
 pub fn model_check_cfg(
     spec: &WorkloadSpec,
     config: SimConfig,
@@ -853,21 +749,16 @@ pub fn model_check_cfg(
             .expect("one report per instant");
     }
     let started = Instant::now();
-    let design = config.design;
     let integrity = IntegritySpec::from_config(&config);
-    let key = config.key;
     let ex = execute(spec, 0, spec.ops);
-    let trace = prepared_trace(&ex, opts);
-    let out = System::new(config, vec![trace]).run(crash);
+    let out = System::new(config.clone(), vec![prepared_trace(&ex, opts)]).run(crash);
     let mut report = match out.crash_set {
-        Some(set) => check_crash_set(spec, &ex, &set, key, design, integrity, opts),
+        Some(set) => check_crash_set(spec, &ex, &set, config.key, config.design, integrity, opts),
         None => completed_report(check_image(
             spec,
             &ex,
             &out.image,
-            key,
-            design,
-            integrity,
+            &config,
             opts.recovery_window,
         )),
     };
@@ -903,8 +794,8 @@ fn completed_report(verdict: Result<CrashCheckOutcome, ConsistencyError>) -> Mod
     }
 }
 
-/// Model-checks `spec` at every crash instant in `instants` with one
-/// simulation: the workload executes once, one
+/// Model-checks `spec` under `config` at every crash instant in
+/// `instants` with one simulation: the workload executes once, one
 /// [`System::run_crash_sweep`] replay pauses at every instant, and the
 /// sorted instants split into contiguous runs over [`mc_threads`]
 /// scoped workers, each advancing one crash cursor through its run and
@@ -912,16 +803,6 @@ fn completed_report(verdict: Result<CrashCheckOutcome, ConsistencyError>) -> Mod
 /// pinned to 1). The reports come back in instant order and are
 /// bit-identical to simulating and checking the instants one by one —
 /// whatever `NVMM_MC_THREADS` says.
-pub fn model_check_instants(
-    spec: &WorkloadSpec,
-    design: Design,
-    instants: &[Time],
-    opts: &ModelCheckOpts,
-) -> Vec<ModelCheckReport> {
-    model_check_instants_cfg(spec, SimConfig::single_core(design), instants, opts)
-}
-
-/// [`model_check_instants`] with a caller-supplied configuration.
 pub fn model_check_instants_cfg(
     spec: &WorkloadSpec,
     config: SimConfig,
@@ -1049,20 +930,16 @@ fn check_crash_set_threads(
         max_images: opts.max_images,
         seed: opts.seed,
     };
-    let (engine, mac_engine) = (&checker.engine, &checker.mac_engine);
-    // The fused delta-verified walk re-judges each image from what its
-    // schedule step dirtied; the opts switch falls back to full-pass
-    // verification per image. Verdicts are bit-identical either way.
-    let (en, oracle_verdicts, fused_verify_ns) = if opts.delta_verify {
-        let (en, v, vns) =
-            set.enumerate_verified_timed(eopts, threads, integrity, engine, mac_engine);
-        (en, Some(v), vns)
-    } else {
-        (set.enumerate_parallel(eopts, threads), None, 0)
-    };
-    // The fused walk interleaves oracle work with enumeration; its
-    // self-reported verify share moves to the verify bucket so the
-    // split means the same thing on both paths.
+    // The fused walk re-judges each image's integrity from what its
+    // schedule step dirtied, interleaved with enumeration; its
+    // self-reported verify share moves to the verify bucket.
+    let (en, oracle_verdicts, fused_verify_ns) = set.enumerate_verified_timed(
+        eopts,
+        threads,
+        integrity,
+        &checker.engine,
+        &checker.mac_engine,
+    );
     let enumerate_wall_ns = (started.elapsed().as_nanos() as u64).saturating_sub(fused_verify_ns);
     let verify_started = Instant::now();
     let judge = SetJudge::new(set);
@@ -1072,7 +949,7 @@ fn check_crash_set_threads(
             spec,
             ex,
             &en.images[i].1,
-            oracle_verdicts.as_ref().map(|v| &v[i]),
+            Some(&oracle_verdicts[i]),
             checker,
             &judge,
             design,
@@ -1195,8 +1072,13 @@ mod tests {
     fn no_crash_check_passes_for_all_kinds_under_sca() {
         for kind in WorkloadKind::ALL {
             let spec = WorkloadSpec::smoke(kind).with_ops(6);
-            let o = crash_check(&spec, Design::Sca, CrashSpec::None)
-                .unwrap_or_else(|e| panic!("{kind}: {e}"));
+            let o = crash_check_cfg(
+                &spec,
+                SimConfig::single_core(Design::Sca),
+                CrashSpec::None,
+                0,
+            )
+            .unwrap_or_else(|e| panic!("{kind}: {e}"));
             assert_eq!(o.committed, 6);
             assert!(!o.rolled_back);
         }
@@ -1239,9 +1121,7 @@ mod tests {
                             &spec,
                             &ex,
                             &out.image,
-                            cfg.key,
-                            cfg.design,
-                            integrity,
+                            &cfg,
                             opts.recovery_window,
                         )),
                     }
@@ -1528,16 +1408,7 @@ mod tests {
         let cfg = SimConfig::single_core(Design::Sca);
         let out = System::new(cfg.clone(), vec![full.pm.trace().clone()]).run(CrashSpec::None);
         let short = execute(&spec, 0, 4);
-        let err = check_recovered_image(
-            &spec,
-            &short,
-            &out,
-            cfg.key,
-            Design::Sca,
-            IntegritySpec::disabled(),
-            0,
-        )
-        .unwrap_err();
+        let err = check_image(&spec, &short, &out.image, &cfg, 0).unwrap_err();
         assert_eq!(
             err.0,
             format!("recovered op counter {} exceeds issued ops 4", spec.ops)
@@ -1556,16 +1427,8 @@ mod tests {
             let mid = ex.setup_events as u64 + (total - ex.setup_events as u64) / 2;
             for crash in [CrashSpec::None, CrashSpec::AfterEvent(mid)] {
                 let out = System::new(cfg.clone(), vec![ex.pm.trace().clone()]).run(crash);
-                check_recovered_image(
-                    &spec,
-                    &ex,
-                    &out,
-                    cfg.key,
-                    Design::Sca,
-                    IntegritySpec::disabled(),
-                    0,
-                )
-                .unwrap_or_else(|e| panic!("{kind} core 1, {crash:?}: {e}"));
+                check_image(&spec, &ex, &out.image, &cfg, 0)
+                    .unwrap_or_else(|e| panic!("{kind} core 1, {crash:?}: {e}"));
             }
         }
     }
@@ -1587,16 +1450,7 @@ mod tests {
                 for op in [9, 2, 5, 11] {
                     out.image.write_plain(payload(&ex, op), [0xee; 64]);
                 }
-                let err = check_recovered_image(
-                    &spec,
-                    &ex,
-                    &out,
-                    cfg.key,
-                    Design::Sca,
-                    IntegritySpec::disabled(),
-                    0,
-                )
-                .unwrap_err();
+                let err = check_image(&spec, &ex, &out.image, &cfg, 0).unwrap_err();
                 assert_eq!(
                     err.0,
                     format!(

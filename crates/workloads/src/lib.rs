@@ -26,9 +26,9 @@
 //! # Examples
 //!
 //! ```
-//! use nvmm_workloads::harness::{crash_check, run_timed};
+//! use nvmm_workloads::harness::{crash_check_cfg, run_timed};
 //! use nvmm_workloads::spec::{WorkloadKind, WorkloadSpec};
-//! use nvmm_sim::config::Design;
+//! use nvmm_sim::config::{Design, SimConfig};
 //! use nvmm_sim::system::CrashSpec;
 //!
 //! let spec = WorkloadSpec::smoke(WorkloadKind::Queue);
@@ -38,7 +38,8 @@
 //! assert!(out.stats.runtime > nvmm_sim::Time::ZERO);
 //!
 //! // Crash run: recovery after an arbitrary mid-run power failure.
-//! let outcome = crash_check(&spec, Design::Sca, CrashSpec::AfterEvent(50)).unwrap();
+//! let sca = SimConfig::single_core(Design::Sca);
+//! let outcome = crash_check_cfg(&spec, sca, CrashSpec::AfterEvent(50), 0).unwrap();
 //! assert!(outcome.committed <= spec.ops as u64);
 //! ```
 
@@ -57,10 +58,9 @@ mod util;
 
 pub use arrival::{shape_open_loop, ArrivalCurve, ArrivalModel};
 pub use harness::{
-    check_crash_set, check_image, check_image_with, check_recovered_image, crash_check,
-    crash_check_cfg, crash_instants, crash_instants_cfg, crash_sweep, execute, model_check,
-    model_check_cfg, model_check_instants, model_check_instants_cfg, run_timed, traces_for_cores,
-    CrashCheckOutcome, Executed, MinimalViolation, ModelCheckOpts, ModelCheckReport,
+    check_crash_set, check_image, crash_check_cfg, crash_instants_cfg, crash_sweep, execute,
+    model_check_cfg, model_check_instants_cfg, run_timed, traces_for_cores, CrashCheckOutcome,
+    Executed, MinimalViolation, ModelCheckOpts, ModelCheckReport,
 };
 pub use spec::{WorkloadKind, WorkloadSpec};
 pub use util::ConsistencyError;

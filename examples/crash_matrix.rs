@@ -9,7 +9,7 @@
 //! cargo run --release --example crash_matrix
 //! ```
 
-use nvmm::sim::config::Design;
+use nvmm::sim::config::{Design, SimConfig};
 use nvmm::workloads::{crash_sweep, WorkloadKind, WorkloadSpec};
 
 fn main() {
@@ -32,7 +32,7 @@ fn main() {
         let spec = WorkloadSpec::smoke(kind).with_ops(8);
         print!("{:<10}", kind.label());
         for design in designs {
-            let cell = match crash_sweep(&spec, design, 25) {
+            let cell = match crash_sweep(&spec, SimConfig::single_core(design), 25) {
                 Ok(points) => format!("OK ({} points)", points.len()),
                 Err((k, _)) => {
                     if design == Design::UnsafeNoAtomicity {

@@ -9,9 +9,9 @@
 //! cargo run --release --example kv_store
 //! ```
 
-use nvmm::sim::config::Design;
+use nvmm::sim::config::{Design, SimConfig};
 use nvmm::sim::system::CrashSpec;
-use nvmm::workloads::{crash_check, run_timed, WorkloadKind, WorkloadSpec};
+use nvmm::workloads::{crash_check_cfg, run_timed, WorkloadKind, WorkloadSpec};
 use rand::{Rng, SeedableRng};
 
 fn main() {
@@ -21,10 +21,11 @@ fn main() {
     //    recover each time.
     println!("== crash/recover the KV store at random points (SCA) ==");
     let mut rng = rand::rngs::StdRng::seed_from_u64(2026);
-    let probe = crash_check(&spec, Design::Sca, CrashSpec::None).expect("baseline run");
+    let sca = SimConfig::single_core(Design::Sca);
+    let probe = crash_check_cfg(&spec, sca.clone(), CrashSpec::None, 0).expect("baseline run");
     for _ in 0..10 {
         let k = rng.gen_range(0..probe.trace_events);
-        let outcome = crash_check(&spec, Design::Sca, CrashSpec::AfterEvent(k))
+        let outcome = crash_check_cfg(&spec, sca.clone(), CrashSpec::AfterEvent(k), 0)
             .expect("SCA must always recover consistently");
         println!(
             "  crash after event {k:>6}: {} / {} inserts durable{}",

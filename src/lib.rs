@@ -22,14 +22,15 @@
 //! # Quick start
 //!
 //! ```
-//! use nvmm::sim::config::Design;
+//! use nvmm::sim::config::{Design, SimConfig};
 //! use nvmm::sim::system::CrashSpec;
-//! use nvmm::workloads::{crash_check, WorkloadKind, WorkloadSpec};
+//! use nvmm::workloads::{crash_check_cfg, WorkloadKind, WorkloadSpec};
 //!
 //! // Run a persistent hash table under selective counter-atomicity,
 //! // pull the power mid-run, and verify recovery.
 //! let spec = WorkloadSpec::smoke(WorkloadKind::HashTable);
-//! let outcome = crash_check(&spec, Design::Sca, CrashSpec::AfterEvent(120)).unwrap();
+//! let sca = SimConfig::single_core(Design::Sca);
+//! let outcome = crash_check_cfg(&spec, sca, CrashSpec::AfterEvent(120), 0).unwrap();
 //! println!("{} transactions survived the crash", outcome.committed);
 //! ```
 //!

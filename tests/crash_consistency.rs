@@ -7,9 +7,9 @@
 //! rollback, structural invariants, and replay-equality against the
 //! ground-truth state after the last durable commit.
 
-use nvmm::sim::config::Design;
+use nvmm::sim::config::{Design, SimConfig};
 use nvmm::sim::system::CrashSpec;
-use nvmm::workloads::{crash_check, crash_sweep, execute, WorkloadKind, WorkloadSpec};
+use nvmm::workloads::{crash_check_cfg, crash_sweep, execute, WorkloadKind, WorkloadSpec};
 
 /// Designs that must survive every crash point.
 const SAFE_DESIGNS: [Design; 4] = [
@@ -24,7 +24,7 @@ fn safe_designs_survive_dense_crash_sweeps_on_every_workload() {
     for kind in WorkloadKind::ALL {
         let spec = WorkloadSpec::smoke(kind).with_ops(8);
         for design in SAFE_DESIGNS {
-            if let Err((k, e)) = crash_sweep(&spec, design, 30) {
+            if let Err((k, e)) = crash_sweep(&spec, SimConfig::single_core(design), 30) {
                 panic!("{kind} under {design}: crash after event {k} broke consistency: {e}");
             }
         }
@@ -36,7 +36,7 @@ fn unsafe_design_fails_somewhere_on_every_workload() {
     for kind in WorkloadKind::ALL {
         let spec = WorkloadSpec::smoke(kind).with_ops(8);
         assert!(
-            crash_sweep(&spec, Design::UnsafeNoAtomicity, 40).is_err(),
+            crash_sweep(&spec, SimConfig::single_core(Design::UnsafeNoAtomicity), 40).is_err(),
             "{kind}: encryption without counter-atomicity must exhibit the Fig. 4 failure"
         );
     }
@@ -47,11 +47,12 @@ fn every_single_event_crash_point_is_safe_under_sca_for_queue() {
     // Exhaustive (not sampled) sweep on one workload: every event
     // boundary in the whole trace.
     let spec = WorkloadSpec::smoke(WorkloadKind::Queue).with_ops(6);
+    let sca = SimConfig::single_core(Design::Sca);
     let ex = execute(&spec, 0, spec.ops);
     let total = ex.pm.trace().len() as u64;
     let start = ex.setup_events as u64;
     for k in start..total {
-        crash_check(&spec, Design::Sca, CrashSpec::AfterEvent(k))
+        crash_check_cfg(&spec, sca.clone(), CrashSpec::AfterEvent(k), 0)
             .unwrap_or_else(|e| panic!("crash after event {k}/{total}: {e}"));
     }
 }
@@ -60,7 +61,8 @@ fn every_single_event_crash_point_is_safe_under_sca_for_queue() {
 fn committed_transactions_are_durable() {
     // Crash strictly after the whole run: everything must be present.
     let spec = WorkloadSpec::smoke(WorkloadKind::BTree).with_ops(10);
-    let outcome = crash_check(&spec, Design::Sca, CrashSpec::None).expect("consistent");
+    let sca = SimConfig::single_core(Design::Sca);
+    let outcome = crash_check_cfg(&spec, sca, CrashSpec::None, 0).expect("consistent");
     assert_eq!(
         outcome.committed, 10,
         "all commits must be durable with no crash"
@@ -71,13 +73,14 @@ fn committed_transactions_are_durable() {
 #[test]
 fn recovered_commit_counts_are_monotonic_in_crash_point() {
     let spec = WorkloadSpec::smoke(WorkloadKind::HashTable).with_ops(8);
+    let sca = SimConfig::single_core(Design::Sca);
     let ex = execute(&spec, 0, spec.ops);
     let total = ex.pm.trace().len() as u64;
     let mut last = 0;
     let mut k = ex.setup_events as u64;
     while k < total {
         let outcome =
-            crash_check(&spec, Design::Sca, CrashSpec::AfterEvent(k)).expect("consistent");
+            crash_check_cfg(&spec, sca.clone(), CrashSpec::AfterEvent(k), 0).expect("consistent");
         assert!(
             outcome.committed >= last,
             "durable commits went backwards ({last} -> {}) at crash point {k}",
@@ -87,8 +90,8 @@ fn recovered_commit_counts_are_monotonic_in_crash_point() {
         k += 7;
     }
     // Crashing after the very last event must see every commit durable.
-    let final_outcome =
-        crash_check(&spec, Design::Sca, CrashSpec::AfterEvent(total - 1)).expect("consistent");
+    let final_outcome = crash_check_cfg(&spec, sca.clone(), CrashSpec::AfterEvent(total - 1), 0)
+        .expect("consistent");
     assert!(
         final_outcome.committed >= last,
         "monotonicity holds to the end"
@@ -102,12 +105,14 @@ fn recovered_commit_counts_are_monotonic_in_crash_point() {
 #[test]
 fn crash_at_wall_clock_times_is_also_safe() {
     let spec = WorkloadSpec::smoke(WorkloadKind::RbTree).with_ops(6);
+    let sca = SimConfig::single_core(Design::Sca);
     // Sample wall-clock instants instead of event indexes.
     for ns in [1_000u64, 5_000, 20_000, 50_000, 100_000] {
-        crash_check(
+        crash_check_cfg(
             &spec,
-            Design::Sca,
+            sca.clone(),
             CrashSpec::AtTime(nvmm::sim::Time::from_ns(ns)),
+            0,
         )
         .unwrap_or_else(|e| panic!("crash at {ns}ns: {e}"));
     }
@@ -119,7 +124,7 @@ fn different_seeds_still_recover() {
         let spec = WorkloadSpec::smoke(WorkloadKind::ArraySwap)
             .with_ops(6)
             .with_seed(seed);
-        if let Err((k, e)) = crash_sweep(&spec, Design::Sca, 12) {
+        if let Err((k, e)) = crash_sweep(&spec, SimConfig::single_core(Design::Sca), 12) {
             panic!("seed {seed}: crash after event {k}: {e}");
         }
     }
@@ -130,7 +135,7 @@ fn larger_payloads_still_recover() {
     let spec = WorkloadSpec::smoke(WorkloadKind::Queue)
         .with_ops(4)
         .with_payload_lines(8);
-    if let Err((k, e)) = crash_sweep(&spec, Design::Sca, 15) {
+    if let Err((k, e)) = crash_sweep(&spec, SimConfig::single_core(Design::Sca), 15) {
         panic!("8-line payload: crash after event {k}: {e}");
     }
 }
@@ -146,7 +151,7 @@ fn redo_logging_is_also_crash_safe_on_every_workload() {
             .with_ops(8)
             .with_mechanism(Mechanism::RedoLog);
         for design in [Design::Sca, Design::Fca] {
-            if let Err((k, e)) = crash_sweep(&spec, design, 25) {
+            if let Err((k, e)) = crash_sweep(&spec, SimConfig::single_core(design), 25) {
                 panic!("{kind} redo under {design}: crash after event {k}: {e}");
             }
         }
@@ -161,7 +166,7 @@ fn redo_logging_without_atomicity_is_unsafe_too() {
         let spec = WorkloadSpec::smoke(kind)
             .with_ops(8)
             .with_mechanism(Mechanism::RedoLog);
-        if crash_sweep(&spec, Design::UnsafeNoAtomicity, 40).is_err() {
+        if crash_sweep(&spec, SimConfig::single_core(Design::UnsafeNoAtomicity), 40).is_err() {
             failures += 1;
         }
     }
@@ -180,12 +185,13 @@ fn redo_can_roll_forward_past_the_crash_point() {
     let spec = WorkloadSpec::smoke(WorkloadKind::Queue)
         .with_ops(6)
         .with_mechanism(Mechanism::RedoLog);
+    let sca = SimConfig::single_core(Design::Sca);
     let ex = execute(&spec, 0, spec.ops);
     let total = ex.pm.trace().len() as u64;
     let mut rolled_forward = false;
     for k in (ex.setup_events as u64..total).step_by(3) {
         let outcome =
-            crash_check(&spec, Design::Sca, CrashSpec::AfterEvent(k)).expect("consistent");
+            crash_check_cfg(&spec, sca.clone(), CrashSpec::AfterEvent(k), 0).expect("consistent");
         if outcome.rolled_back && outcome.committed > 0 {
             rolled_forward = true;
         }

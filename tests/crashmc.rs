@@ -1,5 +1,5 @@
 //! Integration tests for the adversarial crash-image model checker
-//! (`nvmm_sim::crashmc` + `nvmm_workloads::model_check`).
+//! (`nvmm_sim::crashmc` + `nvmm_workloads::model_check_cfg`).
 //!
 //! The paper's claim is universal: *no* NVMM image ADR can legally
 //! leave behind may fail recovery under a counter-atomic design. The
@@ -7,12 +7,15 @@
 //! per crash point; these tests enumerate the whole legal image set at
 //! instants where writes are observably in flight.
 
+use nvmm::crypto::mac::MacEngine;
+use nvmm::crypto::EncryptionEngine;
 use nvmm::sim::config::{Design, IntegrityPolicy, SimConfig};
 use nvmm::sim::system::{CrashSpec, System};
-use nvmm::sim::{IntegritySpec, Time, Trace, TraceEvent};
+use nvmm::sim::{EnumOpts, IntegritySpec, LandMask, Time, Trace, TraceEvent};
 use nvmm::workloads::{
-    check_crash_set, crash_instants, crash_instants_cfg, execute, model_check, model_check_cfg,
-    model_check_instants_cfg, ModelCheckOpts, ModelCheckReport, WorkloadKind, WorkloadSpec,
+    check_crash_set, check_image, crash_instants_cfg, execute, model_check_cfg,
+    model_check_instants_cfg, Executed, ModelCheckOpts, ModelCheckReport, WorkloadKind,
+    WorkloadSpec,
 };
 
 fn opts(max_images: usize) -> ModelCheckOpts {
@@ -31,15 +34,16 @@ fn safe_designs_have_no_violating_images() {
     for kind in WorkloadKind::ALL {
         let spec = WorkloadSpec::smoke(kind).with_ops(4);
         for design in [Design::Fca, Design::Sca] {
+            let cfg = SimConfig::single_core(design);
             let o = opts(32);
-            let instants = crash_instants(&spec, design, &o, 6);
+            let instants = crash_instants_cfg(&spec, cfg.clone(), &o, 6);
             assert!(
                 !instants.is_empty(),
                 "{kind} under {design}: no in-flight instants found"
             );
             let mut explored_choice = false;
             for &t in &instants {
-                let rep = model_check(&spec, design, CrashSpec::AtTime(t), &o);
+                let rep = model_check_cfg(&spec, cfg.clone(), CrashSpec::AtTime(t), &o);
                 explored_choice |= rep.stats.groups > 0;
                 assert!(
                     rep.clean(),
@@ -68,12 +72,13 @@ fn missing_counter_writeback_yields_violating_images() {
         max_images: 32,
         ..ModelCheckOpts::default()
     };
-    let instants = crash_instants(&spec, Design::Sca, &o, 8);
+    let sca = SimConfig::single_core(Design::Sca);
+    let instants = crash_instants_cfg(&spec, sca.clone(), &o, 8);
     assert!(!instants.is_empty());
     let mut violations = 0;
     let mut minimal_seen = false;
     for &t in &instants {
-        let rep = model_check(&spec, Design::Sca, CrashSpec::AtTime(t), &o);
+        let rep = model_check_cfg(&spec, sca.clone(), CrashSpec::AtTime(t), &o);
         violations += rep.violations;
         if let Some(m) = rep.minimal {
             minimal_seen = true;
@@ -105,16 +110,12 @@ fn unsafe_design_fails_model_check() {
     let total = ex.pm.trace().len() as u64;
     let start = ex.setup_events as u64;
     let o = opts(32);
+    let cfg = SimConfig::single_core(Design::UnsafeNoAtomicity);
     let step = ((total - start) / 20).max(1);
     let mut violations = 0;
     let mut k = start;
     while k < total {
-        let rep = model_check(
-            &spec,
-            Design::UnsafeNoAtomicity,
-            CrashSpec::AfterEvent(k),
-            &o,
-        );
+        let rep = model_check_cfg(&spec, cfg.clone(), CrashSpec::AfterEvent(k), &o);
         violations += rep.violations;
         k += step;
     }
@@ -130,11 +131,12 @@ fn unsafe_design_fails_model_check() {
 fn model_check_is_deterministic_for_fixed_seed_and_bound() {
     let spec = WorkloadSpec::smoke(WorkloadKind::BTree).with_ops(4);
     let o = opts(16);
-    let instants = crash_instants(&spec, Design::Fca, &o, 3);
+    let fca = SimConfig::single_core(Design::Fca);
+    let instants = crash_instants_cfg(&spec, fca.clone(), &o, 3);
     assert!(!instants.is_empty());
     for &t in &instants {
-        let a = model_check(&spec, Design::Fca, CrashSpec::AtTime(t), &o);
-        let b = model_check(&spec, Design::Fca, CrashSpec::AtTime(t), &o);
+        let a = model_check_cfg(&spec, fca.clone(), CrashSpec::AtTime(t), &o);
+        let b = model_check_cfg(&spec, fca.clone(), CrashSpec::AtTime(t), &o);
         assert_eq!(a, b, "identical inputs must yield identical reports");
     }
     // The violating path is deterministic too (minimization included).
@@ -142,10 +144,11 @@ fn model_check_is_deterministic_for_fixed_seed_and_bound() {
         strip_counter_writebacks: true,
         ..opts(16)
     };
-    let instants = crash_instants(&spec, Design::Sca, &o, 2);
+    let sca = SimConfig::single_core(Design::Sca);
+    let instants = crash_instants_cfg(&spec, sca.clone(), &o, 2);
     for &t in &instants {
-        let a = model_check(&spec, Design::Sca, CrashSpec::AtTime(t), &o);
-        let b = model_check(&spec, Design::Sca, CrashSpec::AtTime(t), &o);
+        let a = model_check_cfg(&spec, sca.clone(), CrashSpec::AtTime(t), &o);
+        let b = model_check_cfg(&spec, sca.clone(), CrashSpec::AtTime(t), &o);
         assert_eq!(a, b);
     }
 }
@@ -334,141 +337,177 @@ fn injected_tree_ordering_bug_is_caught() {
 #[test]
 fn completed_run_has_single_clean_image() {
     let spec = WorkloadSpec::smoke(WorkloadKind::HashTable).with_ops(4);
-    let rep = model_check(&spec, Design::Sca, CrashSpec::None, &opts(32));
+    let sca = SimConfig::single_core(Design::Sca);
+    let rep = model_check_cfg(&spec, sca, CrashSpec::None, &opts(32));
     assert!(rep.clean());
     assert_eq!(rep.images_checked, 1);
     assert!(rep.stats.exhaustive);
     assert_eq!(rep.stats.groups, 0);
 }
 
-/// Differential acceptance for the incremental rewrite: across all five
-/// workloads, at every harvested in-flight instant, the incremental
-/// copy-on-write enumeration (sequential and multi-threaded) must
-/// produce the same stats, landing masks, fingerprints, and per-image
-/// recovery verdicts as the retained eager rebuild-per-mask path —
-/// with the warm shared engines agreeing with per-image fresh engines.
+/// Differential acceptance for the fused walk: across all five
+/// workloads under SCA with strict integrity, at every harvested
+/// in-flight instant, the fused delta walk on one worker and on four
+/// must produce the same stats, landing masks and fingerprints as the
+/// reference materializer `CrashSet::enumerate`, and every walked
+/// fingerprint must equal a from-scratch recompute. The crash set's
+/// model check — warm shared engines and the walk's delta verdicts —
+/// must also count exactly the violations that full-pass `check_image`
+/// with fresh per-image engines finds on the reference images.
 #[test]
 fn incremental_enumeration_matches_eager_on_all_workloads() {
-    use nvmm::crypto::mac::MacEngine;
-    use nvmm::crypto::EncryptionEngine;
-    use nvmm::sim::integrity::IntegritySpec;
-    use nvmm::sim::system::System;
-    use nvmm::sim::EnumOpts;
-    use nvmm::workloads::{check_image, check_image_with};
-
     for kind in WorkloadKind::ALL {
         let spec = WorkloadSpec::smoke(kind).with_ops(4);
         let cfg = SimConfig::single_core(Design::Sca).with_integrity(IntegrityPolicy::Strict);
         let integrity = IntegritySpec::from_config(&cfg);
-        let key = cfg.key;
         let ex = execute(&spec, 0, spec.ops);
-        let trace = ex.pm.trace().clone();
         let o = opts(32);
         let instants = crash_instants_cfg(&spec, cfg.clone(), &o, 4);
         assert!(!instants.is_empty(), "{kind}: no in-flight instants");
-        let engine = EncryptionEngine::new(key);
-        let mac_engine = MacEngine::new(key);
+        let engine = EncryptionEngine::new(cfg.key);
+        let mac_engine = MacEngine::new(cfg.key);
         for &t in &instants {
-            let Some(set) = System::new(cfg.clone(), vec![trace.clone()])
+            let Some(set) = System::new(cfg.clone(), vec![ex.pm.trace().clone()])
                 .run(CrashSpec::AtTime(t))
                 .crash_set
             else {
                 continue;
             };
-            let eopts = EnumOpts {
-                max_images: o.max_images,
-                seed: o.seed,
-            };
-            let eager = set.enumerate_eager(eopts);
+            let eopts = enum_opts(&o);
+            let reference = set.enumerate(eopts);
             for threads in [1, 4] {
-                let inc = set.enumerate_parallel(eopts, threads);
-                assert_eq!(eager.stats, inc.stats, "{kind} at {t} ({threads} threads)");
-                assert_eq!(
-                    eager.images.len(),
-                    inc.images.len(),
-                    "{kind} at {t} ({threads} threads)"
-                );
-                for (i, ((em, ei), (im, ii))) in
-                    eager.images.iter().zip(inc.images.iter()).enumerate()
+                let (walk, _, _) =
+                    set.enumerate_verified_timed(eopts, threads, integrity, &engine, &mac_engine);
+                let what = format!("{kind} at {t} ({threads} threads)");
+                assert_eq!(reference.stats, walk.stats, "{what}");
+                assert_eq!(reference.images.len(), walk.images.len(), "{what}");
+                for (i, ((rm, ri), (wm, wi))) in
+                    reference.images.iter().zip(&walk.images).enumerate()
                 {
-                    assert_eq!(em.landed(), im.landed(), "{kind} at {t} image {i}: mask");
+                    assert_eq!(rm.landed(), wm.landed(), "{what} image {i}: mask");
                     assert_eq!(
-                        ei.fingerprint(),
-                        ii.fingerprint(),
-                        "{kind} at {t} image {i}: fingerprint"
+                        ri.fingerprint(),
+                        wi.fingerprint(),
+                        "{what} image {i}: fingerprint"
                     );
                     assert_eq!(
-                        ii.fingerprint(),
-                        ii.fingerprint_recompute(),
-                        "{kind} at {t} image {i}: incremental fingerprint drifted"
+                        wi.fingerprint(),
+                        wi.fingerprint_recompute(),
+                        "{what} image {i}: incremental fingerprint drifted"
                     );
                 }
             }
-            // Recovery verdicts: warm shared engines vs fresh per-image
-            // engines must agree on every enumerated image.
-            for (i, (_, img)) in eager.images.iter().enumerate() {
-                let fresh = check_image(&spec, &ex, img, key, Design::Sca, integrity, 0);
-                let warm = check_image_with(
-                    &spec,
-                    &ex,
-                    img,
-                    &engine,
-                    &mac_engine,
-                    Design::Sca,
-                    integrity,
-                    0,
-                );
-                assert_eq!(fresh, warm, "{kind} at {t} image {i}: verdicts diverge");
-            }
+            let report = check_crash_set(&spec, &ex, &set, cfg.key, cfg.design, integrity, &o);
+            let fresh: Vec<_> = reference
+                .images
+                .iter()
+                .map(|(_, img)| check_image(&spec, &ex, img, &cfg, 0))
+                .collect();
+            assert_eq!(report.images_checked, fresh.len(), "{kind} at {t}");
+            assert_eq!(
+                report.violations,
+                fresh.iter().filter(|v| v.is_err()).count(),
+                "{kind} at {t}: warm and fresh verdicts diverge"
+            );
         }
     }
 }
 
-/// The fused delta-verified walk, reached through the public harness,
-/// must be observationally identical to full-pass verification: same
-/// report (violations, stats, minimized witness) for every workload and
-/// policy — including on a violating configuration, where the blamed
-/// witness must match too. The worker-count dimension comes from the CI
-/// matrix, which runs this suite under `NVMM_MC_THREADS=1` and `=4`.
+/// The harness's verdicts are full-pass verdicts: for Queue and B-Tree
+/// under SCA with strict, phoenix and colocated integrity, with and
+/// without counter-cache write-backs, `model_check_cfg`'s stats, image
+/// count, violation count and baseline verdict equal a recount that
+/// judges every image of the crash set's fused walk with full-pass
+/// `check_image` (fresh engines, the whole integrity oracle), and its
+/// minimized witness is an image `check_image` rejects with the same
+/// error. The worker-count dimension comes from the CI matrix, which
+/// runs this suite under `NVMM_MC_THREADS=1`, `=3` and `=4`.
 #[test]
-fn delta_verified_harness_matches_full_pass() {
+fn model_check_matches_full_pass_recount() {
+    let mut witnesses = 0;
     for kind in [WorkloadKind::Queue, WorkloadKind::BTree] {
         let spec = WorkloadSpec::smoke(kind).with_ops(4);
+        let ex = execute(&spec, 0, spec.ops);
         for policy in [
             IntegrityPolicy::Strict,
             IntegrityPolicy::Phoenix,
             IntegrityPolicy::Colocated,
         ] {
             let cfg = SimConfig::single_core(Design::Sca).with_integrity(policy);
+            let integrity = IntegritySpec::from_config(&cfg);
+            let engine = EncryptionEngine::new(cfg.key);
+            let mac_engine = MacEngine::new(cfg.key);
             for strip in [false, true] {
-                let delta_opts = ModelCheckOpts {
+                let o = ModelCheckOpts {
                     strip_counter_writebacks: strip,
                     ..opts(16)
                 };
-                let full_opts = ModelCheckOpts {
-                    delta_verify: false,
-                    ..delta_opts
-                };
-                assert!(delta_opts.delta_verify, "delta walk must be the default");
-                let instants = crash_instants_cfg(&spec, cfg.clone(), &delta_opts, 3);
-                for &t in &instants {
-                    let full =
-                        model_check_cfg(&spec, cfg.clone(), CrashSpec::AtTime(t), &full_opts);
-                    let delta =
-                        model_check_cfg(&spec, cfg.clone(), CrashSpec::AtTime(t), &delta_opts);
-                    assert_eq!(
-                        full, delta,
-                        "{kind}/{policy:?} strip={strip} at {t}: delta and full-pass \
-                         harness reports diverge"
+                for t in crash_instants_cfg(&spec, cfg.clone(), &o, 3) {
+                    let what = format!("{kind}/{policy:?} strip={strip} at {t}");
+                    let rep = model_check_cfg(&spec, cfg.clone(), CrashSpec::AtTime(t), &o);
+                    let set = System::new(cfg.clone(), vec![prepared_trace(&ex, &o)])
+                        .run(CrashSpec::AtTime(t))
+                        .crash_set
+                        .expect("an in-flight instant interrupts the run");
+                    let (walk, _, _) = set.enumerate_verified_timed(
+                        enum_opts(&o),
+                        1,
+                        integrity,
+                        &engine,
+                        &mac_engine,
                     );
+                    let full: Vec<_> = walk
+                        .images
+                        .iter()
+                        .map(|(_, img)| check_image(&spec, &ex, img, &cfg, o.recovery_window))
+                        .collect();
+                    assert_eq!(rep.stats, walk.stats, "{what}");
+                    assert_eq!(rep.images_checked, full.len(), "{what}");
                     assert_eq!(
-                        full.minimal, delta.minimal,
-                        "{kind}/{policy:?} strip={strip} at {t}: witnesses diverge"
+                        rep.violations,
+                        full.iter().filter(|v| v.is_err()).count(),
+                        "{what}"
                     );
+                    assert_eq!(rep.baseline_violation, full[0].is_err(), "{what}");
+                    if let Some(m) = &rep.minimal {
+                        let mut mask = LandMask::zeros(set.group_count());
+                        for &g in &m.landed {
+                            mask.set(g, true);
+                        }
+                        assert_eq!(
+                            check_image(&spec, &ex, &set.image(&mask), &cfg, o.recovery_window),
+                            Err(m.error.clone()),
+                            "{what}: the witness"
+                        );
+                        witnesses += 1;
+                    }
                 }
             }
         }
     }
+    assert!(witnesses > 0, "no violating instant exercised the witness");
+}
+
+/// The model-check bounds as enumeration options.
+fn enum_opts(o: &ModelCheckOpts) -> EnumOpts {
+    EnumOpts {
+        max_images: o.max_images,
+        seed: o.seed,
+    }
+}
+
+/// The workload trace as a model check under `o` replays it: without
+/// counter-cache write-backs when `o` strips them.
+fn prepared_trace(ex: &Executed, o: &ModelCheckOpts) -> Trace {
+    ex.pm
+        .trace()
+        .events()
+        .iter()
+        .filter(|e| {
+            !(o.strip_counter_writebacks && matches!(e, TraceEvent::CounterCacheWriteback { .. }))
+        })
+        .cloned()
+        .collect()
 }
 
 /// The superseded per-instant path, kept as the oracle for the crash
@@ -482,17 +521,7 @@ fn per_instant_oracle(
     o: &ModelCheckOpts,
 ) -> ModelCheckReport {
     let ex = execute(spec, 0, spec.ops);
-    let trace: Trace = ex
-        .pm
-        .trace()
-        .events()
-        .iter()
-        .filter(|e| {
-            !(o.strip_counter_writebacks && matches!(e, TraceEvent::CounterCacheWriteback { .. }))
-        })
-        .cloned()
-        .collect();
-    let out = System::new(cfg.clone(), vec![trace]).run(CrashSpec::AtTime(t));
+    let out = System::new(cfg.clone(), vec![prepared_trace(&ex, o)]).run(CrashSpec::AtTime(t));
     match out.crash_set {
         Some(set) => check_crash_set(
             spec,

@@ -2,10 +2,11 @@
 //! workload parameters and random crash points; selective
 //! counter-atomicity must recover a consistent state every time.
 
-use nvmm::sim::config::Design;
+use nvmm::sim::config::{Design, SimConfig};
 use nvmm::sim::system::CrashSpec;
 use nvmm::workloads::{
-    crash_check, crash_instants, execute, model_check, ModelCheckOpts, WorkloadKind, WorkloadSpec,
+    crash_check_cfg, crash_instants_cfg, execute, model_check_cfg, ModelCheckOpts, WorkloadKind,
+    WorkloadSpec,
 };
 use proptest::prelude::*;
 
@@ -50,7 +51,8 @@ proptest! {
             .with_payload_lines(payload_lines);
         // Crash at the chosen fraction of the post-setup trace.
         let k = crash_point(&spec, crash_frac);
-        let outcome = crash_check(&spec, Design::Sca, CrashSpec::AfterEvent(k));
+        let sca = SimConfig::single_core(Design::Sca);
+        let outcome = crash_check_cfg(&spec, sca, CrashSpec::AfterEvent(k), 0);
         prop_assert!(outcome.is_ok(), "crash after event {}: {}", k, outcome.unwrap_err());
         let outcome = outcome.unwrap();
         prop_assert!(outcome.committed <= 5);
@@ -65,7 +67,8 @@ proptest! {
     ) {
         let spec = WorkloadSpec::smoke(kind).with_ops(4).with_seed(seed);
         let k = crash_point(&spec, crash_frac);
-        let outcome = crash_check(&spec, Design::Fca, CrashSpec::AfterEvent(k));
+        let fca = SimConfig::single_core(Design::Fca);
+        let outcome = crash_check_cfg(&spec, fca, CrashSpec::AfterEvent(k), 0);
         prop_assert!(outcome.is_ok(), "crash after event {}: {}", k, outcome.unwrap_err());
     }
 
@@ -77,7 +80,8 @@ proptest! {
     ) {
         let spec = WorkloadSpec::smoke(kind).with_ops(4);
         let k = crash_point(&spec, crash_frac);
-        let outcome = crash_check(&spec, Design::CoLocated, CrashSpec::AfterEvent(k));
+        let co_located = SimConfig::single_core(Design::CoLocated);
+        let outcome = crash_check_cfg(&spec, co_located, CrashSpec::AfterEvent(k), 0);
         prop_assert!(outcome.is_ok(), "crash after event {}: {}", k, outcome.unwrap_err());
     }
 }
@@ -88,7 +92,7 @@ proptest! {
     /// The model-checked form of the central guarantee: for any
     /// workload, seed, and *in-flight* crash instant, every NVMM image
     /// ADR can legally leave behind recovers under SCA — not just the
-    /// pessimistic one `crash_check` samples. A failure reports the
+    /// pessimistic one `crash_check_cfg` samples. A failure reports the
     /// greedily minimized landing-set (the vendored proptest cannot
     /// shrink, so minimization happens inside the checker).
     #[test]
@@ -99,10 +103,11 @@ proptest! {
     ) {
         let spec = WorkloadSpec::smoke(kind).with_ops(4).with_seed(seed);
         let opts = ModelCheckOpts { max_images: 32, ..ModelCheckOpts::default() };
-        let instants = crash_instants(&spec, Design::Sca, &opts, 0);
+        let sca = SimConfig::single_core(Design::Sca);
+        let instants = crash_instants_cfg(&spec, sca.clone(), &opts, 0);
         prop_assume!(!instants.is_empty());
         let t = instants[((pick * instants.len() as f64) as usize).min(instants.len() - 1)];
-        let rep = model_check(&spec, Design::Sca, CrashSpec::AtTime(t), &opts);
+        let rep = model_check_cfg(&spec, sca, CrashSpec::AtTime(t), &opts);
         prop_assert!(
             rep.clean(),
             "{} images violated of {} at {t} (minimal landing-set: {:?})",
@@ -120,10 +125,11 @@ proptest! {
     ) {
         let spec = WorkloadSpec::smoke(kind).with_ops(4).with_seed(seed);
         let opts = ModelCheckOpts { max_images: 32, ..ModelCheckOpts::default() };
-        let instants = crash_instants(&spec, Design::Fca, &opts, 0);
+        let fca = SimConfig::single_core(Design::Fca);
+        let instants = crash_instants_cfg(&spec, fca.clone(), &opts, 0);
         prop_assume!(!instants.is_empty());
         let t = instants[((pick * instants.len() as f64) as usize).min(instants.len() - 1)];
-        let rep = model_check(&spec, Design::Fca, CrashSpec::AtTime(t), &opts);
+        let rep = model_check_cfg(&spec, fca, CrashSpec::AtTime(t), &opts);
         prop_assert!(
             rep.clean(),
             "{} images violated of {} at {t} (minimal landing-set: {:?})",
@@ -149,7 +155,8 @@ fn array_swap_setup_boundary_crash_recovers_co_located() {
     let spec = WorkloadSpec::smoke(WorkloadKind::ArraySwap).with_ops(4);
     let k = crash_point(&spec, 0.0);
     assert_eq!(k, execute(&spec, 0, spec.ops).setup_events as u64);
-    let outcome = crash_check(&spec, Design::CoLocated, CrashSpec::AfterEvent(k))
+    let co_located = SimConfig::single_core(Design::CoLocated);
+    let outcome = crash_check_cfg(&spec, co_located, CrashSpec::AfterEvent(k), 0)
         .expect("setup-boundary crash must recover");
     assert_eq!(outcome.committed, 0, "nothing committed at the boundary");
 }
@@ -163,7 +170,8 @@ fn array_swap_setup_boundary_crash_recovers_fca_seed_zero() {
         .with_ops(4)
         .with_seed(0);
     let k = crash_point(&spec, 0.0);
-    let outcome = crash_check(&spec, Design::Fca, CrashSpec::AfterEvent(k))
+    let fca = SimConfig::single_core(Design::Fca);
+    let outcome = crash_check_cfg(&spec, fca, CrashSpec::AfterEvent(k), 0)
         .expect("setup-boundary crash must recover");
     assert_eq!(outcome.committed, 0);
 }
@@ -171,14 +179,15 @@ fn array_swap_setup_boundary_crash_recovers_fca_seed_zero() {
 /// `crash_frac = 1.0` audit: the fraction maps to `AfterEvent(total)`,
 /// which never fires (`events_processed` can only reach `total`), so the
 /// run completes, recovery sees the final image, and every operation is
-/// durably committed. Both `crash_check` and `crash_sweep` (whose grid
+/// durably committed. Both `crash_check_cfg` and `crash_sweep` (whose grid
 /// stops strictly before `total`) treat this edge consistently.
 #[test]
 fn crash_frac_one_is_a_completed_run() {
     let spec = WorkloadSpec::smoke(WorkloadKind::ArraySwap).with_ops(4);
     let total = execute(&spec, 0, spec.ops).pm.trace().len() as u64;
     assert_eq!(crash_point(&spec, 1.0), total);
-    let outcome = crash_check(&spec, Design::Sca, CrashSpec::AfterEvent(total))
+    let sca = SimConfig::single_core(Design::Sca);
+    let outcome = crash_check_cfg(&spec, sca, CrashSpec::AfterEvent(total), 0)
         .expect("a completed run must recover");
     assert_eq!(
         outcome.committed, spec.ops as u64,
