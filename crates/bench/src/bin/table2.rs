@@ -23,7 +23,9 @@ fn main() {
         cfg.counter_cache.capacity_bytes >> 20,
         cfg.counter_cache.ways
     );
-    println!("Data read queue       : {} entries", cfg.read_queue_entries);
+    // Demand reads go straight to the device with priority over
+    // writes (see `nvmm_sim::device`); no read queue bounds them.
+    println!("Data read queue       : not modelled (paper: 32 entries)");
     println!(
         "Data write queue      : {} entries",
         cfg.data_write_queue_entries

@@ -37,7 +37,6 @@
 //! [`SweepCell::with_kept_image`].
 
 use crate::{env_u64, CellRecord, Experiment};
-use nvmm_json::ToJson;
 use nvmm_sim::config::{Design, SimConfig};
 use nvmm_sim::nvmm::NvmmImage;
 use nvmm_sim::parallel::{host_cores, run_parallel};
@@ -116,32 +115,18 @@ impl SweepCell {
         self
     }
 
-    /// Stable key fragment for the arrival shape.
-    fn shape_key(&self) -> String {
-        match &self.shape {
-            Some(curve) => curve.to_json().to_compact(),
-            None => "closed".to_string(),
-        }
-    }
-
     /// Trace-cache key: one functional execution (plus shaping) per
-    /// unique value.
-    fn trace_key(&self) -> (String, usize, String) {
-        (
-            self.spec.to_json().to_compact(),
-            self.cfg.cores,
-            self.shape_key(),
-        )
+    /// unique value. The derived `Debug` forms show every field, so
+    /// equal keys mean equal inputs.
+    fn trace_key(&self) -> String {
+        format!("{:?}|{}|{:?}", self.spec, self.cfg.cores, self.shape)
     }
 
     /// Sim-dedupe key: one simulation per unique value.
     fn sim_key(&self) -> String {
         format!(
-            "{}|{}|{:?}|{}",
-            self.spec.to_json().to_compact(),
-            self.cfg.to_json().to_compact(),
-            self.crash,
-            self.shape_key()
+            "{:?}|{:?}|{:?}|{:?}",
+            self.spec, self.cfg, self.crash, self.shape
         )
     }
 }
@@ -189,7 +174,7 @@ impl SweepRunner {
 
         // Phase 1: functional execution of each unique
         // (spec, cores, shape).
-        let mut trace_index: HashMap<(String, usize, String), usize> = HashMap::new();
+        let mut trace_index: HashMap<String, usize> = HashMap::new();
         let mut trace_jobs: Vec<(WorkloadSpec, usize, Option<ArrivalCurve>)> = Vec::new();
         for cell in &cells {
             trace_index.entry(cell.trace_key()).or_insert_with(|| {

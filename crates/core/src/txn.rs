@@ -49,25 +49,6 @@ impl std::fmt::Display for Mechanism {
     }
 }
 
-impl nvmm_json::ToJson for Mechanism {
-    /// A `Mechanism` serializes as its label, `"undo"` or `"redo"`.
-    fn to_json(&self) -> nvmm_json::Json {
-        nvmm_json::Json::Str(self.label().to_string())
-    }
-}
-
-impl nvmm_json::FromJson for Mechanism {
-    fn from_json(json: &nvmm_json::Json) -> Result<Self, nvmm_json::FromJsonError> {
-        match json.as_str() {
-            Some("undo") => Ok(Mechanism::UndoLog),
-            Some("redo") => Ok(Mechanism::RedoLog),
-            _ => Err(nvmm_json::FromJsonError(format!(
-                "unknown mechanism {json}"
-            ))),
-        }
-    }
-}
-
 /// A transaction under either mechanism, with one API.
 #[derive(Debug)]
 pub enum Txn<'a> {

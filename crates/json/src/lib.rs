@@ -1,33 +1,33 @@
 //! # nvmm-json
 //!
 //! A small, self-contained JSON representation used for the repo's
-//! experiment artifacts (`target/experiments/*.json`), configuration
-//! round-trips and telemetry timelines.
+//! experiment artifacts (`target/experiments/*.json`) and the
+//! benchmark's result lines.
 //!
 //! The crates-io registry is not reachable from the environments this
 //! reproduction is built in, so instead of `serde`/`serde_json` the
-//! workspace carries this ~600-line substitute: a [`Json`] tree, a
+//! workspace carries this substitute: a [`Json`] tree, a
 //! recursive-descent parser ([`Json::parse`]), a compact and a pretty
-//! printer, and the [`ToJson`]/[`FromJson`] conversion traits the other
-//! crates implement for their artifact types.
+//! printer, and the [`ToJson`] trait the artifact types implement.
+//! Artifacts are write-only: nothing converts a parsed tree back into a
+//! typed value.
 //!
 //! Integers are kept exact: the tree distinguishes [`Json::U64`],
-//! [`Json::I64`] and [`Json::F64`], so a `u64` counter survives a
-//! round-trip bit-for-bit even above 2^53. Object member order is
-//! preserved (members are a `Vec`, not a map), which keeps emitted
-//! artifacts deterministic.
+//! [`Json::I64`] and [`Json::F64`], so a `u64` counter is written
+//! bit-for-bit even above 2^53. Object member order is preserved
+//! (members are a `Vec`, not a map), which keeps emitted artifacts
+//! deterministic.
 //!
 //! # Examples
 //!
 //! ```
-//! use nvmm_json::{FromJson, Json, ToJson};
+//! use nvmm_json::{Json, ToJson};
 //!
 //! let j = Json::parse(r#"{"runtime": 125, "label": "SCA"}"#).unwrap();
 //! assert_eq!(j.get("runtime").and_then(Json::as_u64), Some(125));
 //!
 //! let v: Vec<u64> = vec![1, 2, 3];
-//! let back = Vec::<u64>::from_json(&v.to_json()).unwrap();
-//! assert_eq!(back, v);
+//! assert_eq!(v.to_json().to_compact(), "[1,2,3]");
 //! ```
 
 #![forbid(unsafe_code)]
@@ -72,25 +72,6 @@ impl Json {
         match *self {
             Json::U64(v) => Some(v),
             Json::I64(v) => u64::try_from(v).ok(),
-            _ => None,
-        }
-    }
-
-    /// This value as an `i64`, if it is an integer in range.
-    pub fn as_i64(&self) -> Option<i64> {
-        match *self {
-            Json::I64(v) => Some(v),
-            Json::U64(v) => i64::try_from(v).ok(),
-            _ => None,
-        }
-    }
-
-    /// This value as an `f64`, if it is any kind of number.
-    pub fn as_f64(&self) -> Option<f64> {
-        match *self {
-            Json::F64(v) => Some(v),
-            Json::U64(v) => Some(v as f64),
-            Json::I64(v) => Some(v as f64),
             _ => None,
         }
     }
@@ -181,12 +162,14 @@ impl Json {
     ///
     /// # Errors
     ///
-    /// Returns a [`ParseError`] (with a byte offset) on malformed input
-    /// or trailing garbage.
+    /// Returns a [`ParseError`] (with a byte offset) on malformed input,
+    /// trailing garbage, or arrays and objects nested deeper than
+    /// [`MAX_DEPTH`].
     pub fn parse(text: &str) -> Result<Json, ParseError> {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -195,12 +178,6 @@ impl Json {
             return Err(p.err("trailing characters after document"));
         }
         Ok(v)
-    }
-}
-
-impl fmt::Display for Json {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.to_compact())
     }
 }
 
@@ -267,6 +244,12 @@ fn write_seq<T>(
     out.push(close);
 }
 
+/// The deepest nesting of arrays and objects [`Json::parse`] accepts.
+/// The parser recurses once per level, so without a bound a few
+/// kilobytes of `[` would overflow the stack and abort the process;
+/// every artifact this workspace writes nests at most six levels deep.
+pub const MAX_DEPTH: usize = 128;
+
 /// An error from [`Json::parse`], carrying the byte offset it occurred at.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParseError {
@@ -291,6 +274,8 @@ impl std::error::Error for ParseError {}
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open around `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -335,11 +320,25 @@ impl<'a> Parser<'a> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(self.err("expected a JSON value")),
         }
+    }
+
+    /// Parses one array or object with `parse`, one level deeper.
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Json, ParseError>,
+    ) -> Result<Json, ParseError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn array(&mut self) -> Result<Json, ParseError> {
@@ -514,50 +513,10 @@ impl<'a> Parser<'a> {
     }
 }
 
-/// An error converting a [`Json`] tree into a typed value.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FromJsonError(pub String);
-
-impl FromJsonError {
-    /// Builds an error for a missing or mistyped field.
-    pub fn field(name: &str) -> Self {
-        FromJsonError(format!("missing or mistyped field `{name}`"))
-    }
-}
-
-impl fmt::Display for FromJsonError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "JSON conversion error: {}", self.0)
-    }
-}
-
-impl std::error::Error for FromJsonError {}
-
 /// Conversion of a typed value into a [`Json`] tree.
 pub trait ToJson {
     /// Converts `self` into a JSON tree.
     fn to_json(&self) -> Json;
-}
-
-/// Conversion of a [`Json`] tree back into a typed value.
-pub trait FromJson: Sized {
-    /// Converts a JSON tree into `Self`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FromJsonError`] when the tree's shape does not match.
-    fn from_json(json: &Json) -> Result<Self, FromJsonError>;
-}
-
-/// Fetches and converts an object field in one step; the conventional
-/// building block for hand-written [`FromJson`] impls.
-///
-/// # Errors
-///
-/// Returns [`FromJsonError`] when the field is absent or mistyped.
-pub fn field<T: FromJson>(json: &Json, name: &str) -> Result<T, FromJsonError> {
-    T::from_json(json.get(name).ok_or_else(|| FromJsonError::field(name))?)
-        .map_err(|e| FromJsonError(format!("in field `{name}`: {}", e.0)))
 }
 
 macro_rules! impl_json_uint {
@@ -567,41 +526,10 @@ macro_rules! impl_json_uint {
                 Json::U64(*self as u64)
             }
         }
-        impl FromJson for $t {
-            fn from_json(json: &Json) -> Result<Self, FromJsonError> {
-                let v = json.as_u64().ok_or_else(|| {
-                    FromJsonError(format!("expected unsigned integer, got {json}"))
-                })?;
-                <$t>::try_from(v)
-                    .map_err(|_| FromJsonError(format!("{v} out of range for {}", stringify!($t))))
-            }
-        }
     )*};
 }
 
-impl_json_uint!(u8, u16, u32, u64, usize);
-
-macro_rules! impl_json_int {
-    ($($t:ty),*) => {$(
-        impl ToJson for $t {
-            fn to_json(&self) -> Json {
-                let v = *self as i64;
-                if v >= 0 { Json::U64(v as u64) } else { Json::I64(v) }
-            }
-        }
-        impl FromJson for $t {
-            fn from_json(json: &Json) -> Result<Self, FromJsonError> {
-                let v = json
-                    .as_i64()
-                    .ok_or_else(|| FromJsonError(format!("expected integer, got {json}")))?;
-                <$t>::try_from(v)
-                    .map_err(|_| FromJsonError(format!("{v} out of range for {}", stringify!($t))))
-            }
-        }
-    )*};
-}
-
-impl_json_int!(i8, i16, i32, i64, isize);
+impl_json_uint!(u64, usize);
 
 impl ToJson for f64 {
     fn to_json(&self) -> Json {
@@ -609,43 +537,9 @@ impl ToJson for f64 {
     }
 }
 
-impl FromJson for f64 {
-    fn from_json(json: &Json) -> Result<Self, FromJsonError> {
-        json.as_f64()
-            .ok_or_else(|| FromJsonError(format!("expected number, got {json}")))
-    }
-}
-
-impl ToJson for bool {
-    fn to_json(&self) -> Json {
-        Json::Bool(*self)
-    }
-}
-
-impl FromJson for bool {
-    fn from_json(json: &Json) -> Result<Self, FromJsonError> {
-        json.as_bool()
-            .ok_or_else(|| FromJsonError(format!("expected bool, got {json}")))
-    }
-}
-
 impl ToJson for String {
     fn to_json(&self) -> Json {
         Json::Str(self.clone())
-    }
-}
-
-impl FromJson for String {
-    fn from_json(json: &Json) -> Result<Self, FromJsonError> {
-        json.as_str()
-            .map(str::to_string)
-            .ok_or_else(|| FromJsonError(format!("expected string, got {json}")))
-    }
-}
-
-impl ToJson for &str {
-    fn to_json(&self) -> Json {
-        Json::Str((*self).to_string())
     }
 }
 
@@ -658,66 +552,15 @@ impl<T: ToJson> ToJson for Option<T> {
     }
 }
 
-impl<T: FromJson> FromJson for Option<T> {
-    fn from_json(json: &Json) -> Result<Self, FromJsonError> {
-        match json {
-            Json::Null => Ok(None),
-            other => T::from_json(other).map(Some),
-        }
-    }
-}
-
 impl<T: ToJson> ToJson for Vec<T> {
     fn to_json(&self) -> Json {
         Json::Arr(self.iter().map(ToJson::to_json).collect())
     }
 }
 
-impl<T: FromJson> FromJson for Vec<T> {
-    fn from_json(json: &Json) -> Result<Self, FromJsonError> {
-        json.as_arr()
-            .ok_or_else(|| FromJsonError(format!("expected array, got {json}")))?
-            .iter()
-            .map(T::from_json)
-            .collect()
-    }
-}
-
-impl<T: ToJson, const N: usize> ToJson for [T; N] {
-    fn to_json(&self) -> Json {
-        Json::Arr(self.iter().map(ToJson::to_json).collect())
-    }
-}
-
-impl<T: FromJson, const N: usize> FromJson for [T; N] {
-    fn from_json(json: &Json) -> Result<Self, FromJsonError> {
-        let v: Vec<T> = Vec::from_json(json)?;
-        if v.len() != N {
-            return Err(FromJsonError(format!(
-                "expected array of length {N}, got {}",
-                v.len()
-            )));
-        }
-        let mut iter = v.into_iter();
-        Ok(std::array::from_fn(|_| {
-            iter.next().expect("length checked above")
-        }))
-    }
-}
-
 impl<V: ToJson> ToJson for BTreeMap<String, V> {
     fn to_json(&self) -> Json {
         Json::Obj(self.iter().map(|(k, v)| (k.clone(), v.to_json())).collect())
-    }
-}
-
-impl<V: FromJson> FromJson for BTreeMap<String, V> {
-    fn from_json(json: &Json) -> Result<Self, FromJsonError> {
-        json.as_obj()
-            .ok_or_else(|| FromJsonError(format!("expected object, got {json}")))?
-            .iter()
-            .map(|(k, v)| Ok((k.clone(), V::from_json(v)?)))
-            .collect()
     }
 }
 
@@ -755,6 +598,19 @@ mod tests {
         assert!(Json::parse("1 2").is_err());
         assert!(Json::parse("\"unterminated").is_err());
         assert!(Json::parse("nul").is_err());
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let nest = |open: &str, close: &str, n: usize| open.repeat(n) + "0" + &close.repeat(n);
+        assert!(Json::parse(&nest("[", "]", MAX_DEPTH)).is_ok());
+        assert!(Json::parse(&nest(r#"{"k":"#, "}", MAX_DEPTH)).is_ok());
+        let err = Json::parse(&nest("[", "]", MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(err.offset, MAX_DEPTH, "the first bracket past the bound");
+        assert!(Json::parse(&nest(r#"{"k":"#, "}", MAX_DEPTH + 1)).is_err());
+        // Far past any stack: an error, not a stack-overflow abort.
+        assert!(Json::parse(&"[".repeat(100_000)).is_err());
+        assert!(Json::parse(&r#"{"k":"#.repeat(100_000)).is_err());
     }
 
     #[test]
@@ -810,41 +666,5 @@ mod tests {
             .map(|(k, _)| k.as_str())
             .collect();
         assert_eq!(keys, ["z", "a"]);
-    }
-
-    #[test]
-    fn typed_roundtrips() {
-        let xs: Vec<u64> = vec![0, 1, u64::MAX];
-        assert_eq!(Vec::<u64>::from_json(&xs.to_json()).unwrap(), xs);
-
-        let arr: [u8; 4] = [1, 2, 3, 4];
-        assert_eq!(<[u8; 4]>::from_json(&arr.to_json()).unwrap(), arr);
-
-        let opt: Option<u32> = None;
-        assert_eq!(Option::<u32>::from_json(&opt.to_json()).unwrap(), opt);
-
-        let neg: i64 = -12;
-        assert_eq!(i64::from_json(&neg.to_json()).unwrap(), neg);
-
-        let mut map = BTreeMap::new();
-        map.insert("k".to_string(), 1.5f64);
-        assert_eq!(
-            BTreeMap::<String, f64>::from_json(&map.to_json()).unwrap(),
-            map
-        );
-    }
-
-    #[test]
-    fn field_helper_reports_name() {
-        let j = Json::parse(r#"{"present": 3}"#).unwrap();
-        assert_eq!(field::<u64>(&j, "present").unwrap(), 3);
-        let err = field::<u64>(&j, "absent").unwrap_err();
-        assert!(err.0.contains("absent"));
-    }
-
-    #[test]
-    fn wrong_length_array_rejected() {
-        let j = Json::parse("[1, 2, 3]").unwrap();
-        assert!(<[u8; 4]>::from_json(&j).is_err());
     }
 }

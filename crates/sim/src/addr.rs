@@ -64,19 +64,6 @@ impl std::fmt::Display for LineAddr {
     }
 }
 
-impl nvmm_json::ToJson for LineAddr {
-    /// A `LineAddr` serializes as its raw line index.
-    fn to_json(&self) -> nvmm_json::Json {
-        nvmm_json::Json::U64(self.0)
-    }
-}
-
-impl nvmm_json::FromJson for LineAddr {
-    fn from_json(json: &nvmm_json::Json) -> Result<Self, nvmm_json::FromJsonError> {
-        u64::from_json(json).map(LineAddr)
-    }
-}
-
 /// A cache-line-granular address in the counter region (counter line
 /// index). One counter line packs counters for eight consecutive data
 /// lines.

@@ -2,7 +2,6 @@
 //! design under evaluation.
 
 use crate::time::Time;
-use nvmm_json::{field, FromJson, FromJsonError, Json, ToJson};
 
 /// The six evaluated designs (paper §6.1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -114,38 +113,6 @@ impl Design {
 impl std::fmt::Display for Design {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.label())
-    }
-}
-
-impl ToJson for Design {
-    /// A `Design` serializes as its variant name (not the display label,
-    /// which contains spaces and slashes).
-    fn to_json(&self) -> Json {
-        let name = match self {
-            Design::NoEncryption => "NoEncryption",
-            Design::Ideal => "Ideal",
-            Design::CoLocated => "CoLocated",
-            Design::CoLocatedCounterCache => "CoLocatedCounterCache",
-            Design::Fca => "Fca",
-            Design::Sca => "Sca",
-            Design::UnsafeNoAtomicity => "UnsafeNoAtomicity",
-        };
-        Json::Str(name.to_string())
-    }
-}
-
-impl FromJson for Design {
-    fn from_json(json: &Json) -> Result<Self, FromJsonError> {
-        match json.as_str() {
-            Some("NoEncryption") => Ok(Design::NoEncryption),
-            Some("Ideal") => Ok(Design::Ideal),
-            Some("CoLocated") => Ok(Design::CoLocated),
-            Some("CoLocatedCounterCache") => Ok(Design::CoLocatedCounterCache),
-            Some("Fca") => Ok(Design::Fca),
-            Some("Sca") => Ok(Design::Sca),
-            Some("UnsafeNoAtomicity") => Ok(Design::UnsafeNoAtomicity),
-            _ => Err(FromJsonError(format!("unknown design {json}"))),
-        }
     }
 }
 
@@ -275,37 +242,6 @@ impl std::fmt::Display for IntegrityPolicy {
     }
 }
 
-impl ToJson for IntegrityPolicy {
-    /// An `IntegrityPolicy` serializes as its variant name.
-    fn to_json(&self) -> Json {
-        let name = match self {
-            IntegrityPolicy::None => "None",
-            IntegrityPolicy::MacOnly => "MacOnly",
-            IntegrityPolicy::Lazy => "Lazy",
-            IntegrityPolicy::Strict => "Strict",
-            IntegrityPolicy::Pipelined => "Pipelined",
-            IntegrityPolicy::Phoenix => "Phoenix",
-            IntegrityPolicy::Colocated => "Colocated",
-        };
-        Json::Str(name.to_string())
-    }
-}
-
-impl FromJson for IntegrityPolicy {
-    fn from_json(json: &Json) -> Result<Self, FromJsonError> {
-        match json.as_str() {
-            Some("None") => Ok(IntegrityPolicy::None),
-            Some("MacOnly") => Ok(IntegrityPolicy::MacOnly),
-            Some("Lazy") => Ok(IntegrityPolicy::Lazy),
-            Some("Strict") => Ok(IntegrityPolicy::Strict),
-            Some("Pipelined") => Ok(IntegrityPolicy::Pipelined),
-            Some("Phoenix") => Ok(IntegrityPolicy::Phoenix),
-            Some("Colocated") => Ok(IntegrityPolicy::Colocated),
-            _ => Err(FromJsonError(format!("unknown integrity policy {json}"))),
-        }
-    }
-}
-
 /// Geometry of one set-associative cache.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheGeometry {
@@ -337,26 +273,6 @@ impl CacheGeometry {
             self.ways
         );
         lines / self.ways
-    }
-}
-
-impl ToJson for CacheGeometry {
-    fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("capacity_bytes".to_string(), self.capacity_bytes.to_json()),
-            ("ways".to_string(), self.ways.to_json()),
-            ("latency".to_string(), self.latency.to_json()),
-        ])
-    }
-}
-
-impl FromJson for CacheGeometry {
-    fn from_json(json: &Json) -> Result<Self, FromJsonError> {
-        Ok(Self {
-            capacity_bytes: field(json, "capacity_bytes")?,
-            ways: field(json, "ways")?,
-            latency: field(json, "latency")?,
-        })
     }
 }
 
@@ -418,32 +334,6 @@ impl PcmTiming {
     }
 }
 
-impl ToJson for PcmTiming {
-    fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("t_rcd".to_string(), self.t_rcd.to_json()),
-            ("t_cl".to_string(), self.t_cl.to_json()),
-            ("t_cwd".to_string(), self.t_cwd.to_json()),
-            ("t_faw".to_string(), self.t_faw.to_json()),
-            ("t_wtr".to_string(), self.t_wtr.to_json()),
-            ("t_wr".to_string(), self.t_wr.to_json()),
-        ])
-    }
-}
-
-impl FromJson for PcmTiming {
-    fn from_json(json: &Json) -> Result<Self, FromJsonError> {
-        Ok(Self {
-            t_rcd: field(json, "t_rcd")?,
-            t_cl: field(json, "t_cl")?,
-            t_cwd: field(json, "t_cwd")?,
-            t_faw: field(json, "t_faw")?,
-            t_wtr: field(json, "t_wtr")?,
-            t_wr: field(json, "t_wr")?,
-        })
-    }
-}
-
 /// The tallest integrity tree a configuration may ask for: level `l`
 /// indexes counter lines by their bits above `3 * l`, and a 64-bit
 /// counter-line index has no bits above `3 * 21`.
@@ -464,8 +354,6 @@ pub struct SimConfig {
     pub l2: CacheGeometry,
     /// Shared counter cache: 1 MB *per core*, 16-way (Table 2).
     pub counter_cache: CacheGeometry,
-    /// Data read queue capacity (32).
-    pub read_queue_entries: usize,
     /// Data write queue capacity (64).
     pub data_write_queue_entries: usize,
     /// Counter write queue capacity (16).
@@ -508,10 +396,6 @@ pub struct SimConfig {
     pub stop_loss: Option<u64>,
     /// AES-128 key for the encryption engine.
     pub key: [u8; 16],
-    /// When true, the replay engine asserts that every demand read
-    /// returns exactly the bytes the functional execution produced — an
-    /// end-to-end check of caches, forwarding, and encryption.
-    pub verify_reads: bool,
     /// When set, the run records a [`Timeline`](crate::telemetry::Timeline)
     /// of per-epoch telemetry samples with this epoch length; `None`
     /// (the default) records nothing and pays nothing.
@@ -597,7 +481,6 @@ impl SimConfig {
                 ways: 16,
                 latency: Time::from_ns(1),
             },
-            read_queue_entries: 32,
             data_write_queue_entries: 64,
             counter_write_queue_entries: 16,
             pcm: PcmTiming::paper_pcm(),
@@ -609,7 +492,6 @@ impl SimConfig {
             compress_counters: false,
             stop_loss: None,
             key: *b"nvmm-sim aes key",
-            verify_reads: false,
             telemetry_epoch: None,
             integrity: IntegrityPolicy::None,
             metadata_cache: CacheGeometry {
@@ -706,155 +588,6 @@ impl SimConfig {
     }
 }
 
-impl ToJson for SimConfig {
-    fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("design".to_string(), self.design.to_json()),
-            ("cores".to_string(), self.cores.to_json()),
-            ("l1".to_string(), self.l1.to_json()),
-            ("l2".to_string(), self.l2.to_json()),
-            ("counter_cache".to_string(), self.counter_cache.to_json()),
-            (
-                "read_queue_entries".to_string(),
-                self.read_queue_entries.to_json(),
-            ),
-            (
-                "data_write_queue_entries".to_string(),
-                self.data_write_queue_entries.to_json(),
-            ),
-            (
-                "counter_write_queue_entries".to_string(),
-                self.counter_write_queue_entries.to_json(),
-            ),
-            ("pcm".to_string(), self.pcm.to_json()),
-            ("banks".to_string(), self.banks.to_json()),
-            ("bus_transfer".to_string(), self.bus_transfer.to_json()),
-            ("crypto_latency".to_string(), self.crypto_latency.to_json()),
-            (
-                "ca_pair_overhead".to_string(),
-                self.ca_pair_overhead.to_json(),
-            ),
-            (
-                "controller_overhead".to_string(),
-                self.controller_overhead.to_json(),
-            ),
-            (
-                "compress_counters".to_string(),
-                self.compress_counters.to_json(),
-            ),
-            ("stop_loss".to_string(), self.stop_loss.to_json()),
-            ("key".to_string(), self.key.to_json()),
-            ("verify_reads".to_string(), self.verify_reads.to_json()),
-            (
-                "telemetry_epoch".to_string(),
-                self.telemetry_epoch.to_json(),
-            ),
-            ("integrity".to_string(), self.integrity.to_json()),
-            ("metadata_cache".to_string(), self.metadata_cache.to_json()),
-            (
-                "metadata_write_queue_entries".to_string(),
-                self.metadata_write_queue_entries.to_json(),
-            ),
-            ("tree_levels".to_string(), self.tree_levels.to_json()),
-            ("shards".to_string(), self.shards.to_json()),
-            (
-                "tree_bug_parent_first".to_string(),
-                self.tree_bug_parent_first.to_json(),
-            ),
-            (
-                "tree_bug_drop_dependency".to_string(),
-                self.tree_bug_drop_dependency.to_json(),
-            ),
-            (
-                "phoenix_bug_stale_epoch".to_string(),
-                self.phoenix_bug_stale_epoch.to_json(),
-            ),
-            (
-                "phoenix_epoch_every".to_string(),
-                self.phoenix_epoch_every.to_json(),
-            ),
-            ("cell_endurance".to_string(), self.cell_endurance.to_json()),
-            ("attack_victims".to_string(), self.attack_victims.to_json()),
-        ])
-    }
-}
-
-impl FromJson for SimConfig {
-    fn from_json(json: &Json) -> Result<Self, FromJsonError> {
-        Ok(Self {
-            design: field(json, "design")?,
-            cores: field(json, "cores")?,
-            l1: field(json, "l1")?,
-            l2: field(json, "l2")?,
-            counter_cache: field(json, "counter_cache")?,
-            read_queue_entries: field(json, "read_queue_entries")?,
-            data_write_queue_entries: field(json, "data_write_queue_entries")?,
-            counter_write_queue_entries: field(json, "counter_write_queue_entries")?,
-            pcm: field(json, "pcm")?,
-            banks: field(json, "banks")?,
-            bus_transfer: field(json, "bus_transfer")?,
-            crypto_latency: field(json, "crypto_latency")?,
-            ca_pair_overhead: field(json, "ca_pair_overhead")?,
-            controller_overhead: field(json, "controller_overhead")?,
-            compress_counters: field(json, "compress_counters")?,
-            stop_loss: field(json, "stop_loss")?,
-            key: field(json, "key")?,
-            verify_reads: field(json, "verify_reads")?,
-            telemetry_epoch: field(json, "telemetry_epoch")?,
-            integrity: field(json, "integrity")?,
-            metadata_cache: field(json, "metadata_cache")?,
-            metadata_write_queue_entries: field(json, "metadata_write_queue_entries")?,
-            tree_levels: match field(json, "tree_levels")? {
-                n if n > MAX_TREE_LEVELS => {
-                    return Err(FromJsonError(format!(
-                        "in field `tree_levels`: {n} exceeds the maximum of {MAX_TREE_LEVELS}"
-                    )))
-                }
-                n => n,
-            },
-            // Absent in configs serialized before controller sharding.
-            shards: match json.get("shards") {
-                Some(s) => usize::from_json(s)
-                    .map_err(|e| FromJsonError(format!("in field `shards`: {}", e.0)))?,
-                None => 1,
-            },
-            tree_bug_parent_first: field(json, "tree_bug_parent_first")?,
-            // The three fields below are absent in configs serialized
-            // before the pipelined/phoenix/colocated policies.
-            tree_bug_drop_dependency: match json.get("tree_bug_drop_dependency") {
-                Some(v) => bool::from_json(v).map_err(|e| {
-                    FromJsonError(format!("in field `tree_bug_drop_dependency`: {}", e.0))
-                })?,
-                None => false,
-            },
-            phoenix_bug_stale_epoch: match json.get("phoenix_bug_stale_epoch") {
-                Some(v) => bool::from_json(v).map_err(|e| {
-                    FromJsonError(format!("in field `phoenix_bug_stale_epoch`: {}", e.0))
-                })?,
-                None => false,
-            },
-            phoenix_epoch_every: match json.get("phoenix_epoch_every") {
-                Some(v) => u64::from_json(v).map_err(|e| {
-                    FromJsonError(format!("in field `phoenix_epoch_every`: {}", e.0))
-                })?,
-                None => 4,
-            },
-            // The two fields below are absent in configs serialized
-            // before the adversary/wear subsystem.
-            cell_endurance: match json.get("cell_endurance") {
-                Some(v) => u64::from_json(v)
-                    .map_err(|e| FromJsonError(format!("in field `cell_endurance`: {}", e.0)))?,
-                None => 100_000_000,
-            },
-            attack_victims: match json.get("attack_victims") {
-                Some(v) => u64::from_json(v)
-                    .map_err(|e| FromJsonError(format!("in field `attack_victims`: {}", e.0)))?,
-                None => 4,
-            },
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -868,6 +601,9 @@ mod tests {
         assert_eq!(c.data_write_queue_entries, 64);
         assert_eq!(c.counter_write_queue_entries, 16);
         assert_eq!(c.pcm.t_wr, Time::from_ns(300));
+        assert_eq!(c.shards, 1);
+        assert_eq!(c.cell_endurance, 100_000_000);
+        assert_eq!(c.attack_victims, 4);
     }
 
     #[test]
@@ -915,36 +651,6 @@ mod tests {
     }
 
     #[test]
-    fn config_json_roundtrip() {
-        let mut c = SimConfig::table2(Design::Fca, 2)
-            .with_counter_cache_bytes(512 * 1024)
-            .with_telemetry_epoch(Time::from_ns(500))
-            .with_integrity(IntegrityPolicy::Lazy)
-            .with_tree_bug();
-        c.tree_levels = 6;
-        c.metadata_write_queue_entries = 8;
-        let text = c.to_json().to_pretty();
-        let back = SimConfig::from_json(&Json::parse(&text).unwrap()).unwrap();
-        assert_eq!(back, c);
-    }
-
-    #[test]
-    fn design_json_roundtrip_all() {
-        for d in Design::ALL {
-            assert_eq!(Design::from_json(&d.to_json()).unwrap(), d);
-        }
-        assert!(Design::from_json(&Json::Str("Bogus".to_string())).is_err());
-    }
-
-    #[test]
-    fn integrity_policy_json_roundtrip_all() {
-        for p in IntegrityPolicy::ALL {
-            assert_eq!(IntegrityPolicy::from_json(&p.to_json()).unwrap(), p);
-        }
-        assert!(IntegrityPolicy::from_json(&Json::Str("Bogus".to_string())).is_err());
-    }
-
-    #[test]
     fn integrity_policy_predicates() {
         assert!(!IntegrityPolicy::None.enabled());
         assert!(IntegrityPolicy::MacOnly.enabled());
@@ -975,24 +681,6 @@ mod tests {
     }
 
     #[test]
-    fn shards_default_roundtrip_and_back_compat() {
-        let c = SimConfig::single_core(Design::Sca);
-        assert_eq!(c.shards, 1);
-        let c4 = SimConfig::table2(Design::Sca, 2).with_shards(4);
-        let text = c4.to_json().to_pretty();
-        let back = SimConfig::from_json(&Json::parse(&text).unwrap()).unwrap();
-        assert_eq!(back, c4);
-        // Configs serialized before sharding existed have no `shards`
-        // key and must parse as a single controller.
-        let mut without = c.to_json();
-        if let Json::Obj(fields) = &mut without {
-            fields.retain(|(k, _)| k != "shards");
-        }
-        let back = SimConfig::from_json(&without).unwrap();
-        assert_eq!(back.shards, 1);
-    }
-
-    #[test]
     #[should_panic]
     fn zero_shards_rejected_by_builder() {
         let _ = SimConfig::single_core(Design::Sca).with_shards(0);
@@ -1008,67 +696,6 @@ mod tests {
         assert_eq!(c.phoenix_epoch_every, 4);
         assert_eq!(c.metadata_cache.capacity_bytes, 256 * 1024);
         assert_eq!(c.tree_levels, 10);
-    }
-
-    #[test]
-    fn policy_bug_fields_default_and_back_compat() {
-        let c = SimConfig::single_core(Design::Sca)
-            .with_integrity(IntegrityPolicy::Pipelined)
-            .with_pipeline_bug()
-            .with_phoenix_bug();
-        let text = c.to_json().to_pretty();
-        let back = SimConfig::from_json(&Json::parse(&text).unwrap()).unwrap();
-        assert_eq!(back, c);
-        // Configs serialized before the new policies existed have none
-        // of the three new keys and must parse with their defaults.
-        let mut without = SimConfig::single_core(Design::Sca).to_json();
-        if let Json::Obj(fields) = &mut without {
-            fields.retain(|(k, _)| {
-                k != "tree_bug_drop_dependency"
-                    && k != "phoenix_bug_stale_epoch"
-                    && k != "phoenix_epoch_every"
-            });
-        }
-        let back = SimConfig::from_json(&without).unwrap();
-        assert!(!back.tree_bug_drop_dependency);
-        assert!(!back.phoenix_bug_stale_epoch);
-        assert_eq!(back.phoenix_epoch_every, 4);
-    }
-
-    #[test]
-    fn attack_and_wear_knobs_default_roundtrip_and_back_compat() {
-        let c = SimConfig::single_core(Design::Sca);
-        assert_eq!(c.cell_endurance, 100_000_000);
-        assert_eq!(c.attack_victims, 4);
-        let tuned = SimConfig::table2(Design::Sca, 2)
-            .with_cell_endurance(10_000_000)
-            .with_attack_victims(9);
-        let text = tuned.to_json().to_pretty();
-        let back = SimConfig::from_json(&Json::parse(&text).unwrap()).unwrap();
-        assert_eq!(back, tuned);
-        // Configs serialized before the adversary/wear subsystem have
-        // neither key and must parse with the defaults.
-        let mut without = c.to_json();
-        if let Json::Obj(fields) = &mut without {
-            fields.retain(|(k, _)| k != "cell_endurance" && k != "attack_victims");
-        }
-        let back = SimConfig::from_json(&without).unwrap();
-        assert_eq!(back.cell_endurance, 100_000_000);
-        assert_eq!(back.attack_victims, 4);
-    }
-
-    #[test]
-    fn tree_levels_limit_round_trips_and_rejects_taller_trees() {
-        let mut c = SimConfig::single_core(Design::Sca).with_integrity(IntegrityPolicy::Strict);
-        c.tree_levels = MAX_TREE_LEVELS;
-        let back = SimConfig::from_json(&Json::parse(&c.to_json().to_pretty()).unwrap()).unwrap();
-        assert_eq!(back, c);
-        c.tree_levels = MAX_TREE_LEVELS + 1;
-        let err = SimConfig::from_json(&c.to_json()).expect_err("22 levels must be rejected");
-        assert!(
-            err.0.contains("`tree_levels`"),
-            "error must name the field: {err}"
-        );
     }
 
     #[test]

@@ -20,7 +20,6 @@
 use crate::addr::NvmmTarget;
 use crate::config::{PcmTiming, SimConfig};
 use crate::time::Time;
-use nvmm_json::{field, FromJson, FromJsonError, Json, ToJson};
 
 /// Kind of device access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -191,40 +190,6 @@ impl WearReport {
     }
 }
 
-impl ToJson for WearReport {
-    fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("distinct_lines".to_string(), self.distinct_lines.to_json()),
-            ("total_writes".to_string(), self.total_writes.to_json()),
-            (
-                "max_line_writes".to_string(),
-                self.max_line_writes.to_json(),
-            ),
-            (
-                "mean_line_writes_milli".to_string(),
-                self.mean_line_writes_milli.to_json(),
-            ),
-            ("histogram".to_string(), self.histogram.to_json()),
-            ("cell_endurance".to_string(), self.cell_endurance.to_json()),
-            ("lifetime_runs".to_string(), self.lifetime_runs.to_json()),
-        ])
-    }
-}
-
-impl FromJson for WearReport {
-    fn from_json(json: &Json) -> Result<Self, FromJsonError> {
-        Ok(Self {
-            distinct_lines: field(json, "distinct_lines")?,
-            total_writes: field(json, "total_writes")?,
-            max_line_writes: field(json, "max_line_writes")?,
-            mean_line_writes_milli: field(json, "mean_line_writes_milli")?,
-            histogram: field(json, "histogram")?,
-            cell_endurance: field(json, "cell_endurance")?,
-            lifetime_runs: field(json, "lifetime_runs")?,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -347,13 +312,5 @@ mod tests {
         assert_eq!(r.mean_line_writes_milli, 0);
         assert!(r.histogram.is_empty());
         assert_eq!(r.lifetime_runs, 1_000);
-    }
-
-    #[test]
-    fn wear_report_json_round_trips() {
-        use nvmm_json::{FromJson, ToJson};
-        let r = WearReport::from_counts((0..20u64).map(|i| i % 7 + 1), 100_000_000);
-        let back = WearReport::from_json(&r.to_json()).expect("round trip");
-        assert_eq!(back, r);
     }
 }

@@ -174,8 +174,8 @@ fn assert_covered(cline: CounterLineAddr, levels: u32) {
 }
 
 /// Panics if a `levels`-level tree exceeds [`MAX_TREE_LEVELS`]. The
-/// integrity constructors check programmatic configs with it;
-/// [`SimConfig::from_json`] rejects taller trees itself.
+/// integrity constructors ([`IntegritySpec::from_config`] and
+/// [`IntegrityState::from_config`]) check every config with it.
 fn assert_height(levels: u32) {
     assert!(
         levels <= MAX_TREE_LEVELS,

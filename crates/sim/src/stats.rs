@@ -5,7 +5,7 @@
 //! (Fig. 14), and counter-cache miss rates (Fig. 15).
 
 use crate::time::Time;
-use nvmm_json::{field, FromJson, FromJsonError, Json, ToJson};
+use nvmm_json::{Json, ToJson};
 
 /// Counters accumulated over one simulation run.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -111,9 +111,10 @@ pub struct Stats {
     pub wear_line_writes: u64,
 }
 
-/// Field list shared by the `ToJson`/`FromJson` impls so the two cannot
-/// drift apart: every `u64` counter, with the `Time`/`Vec` fields
-/// handled explicitly at each use site.
+/// Every `u64` counter of [`Stats`], in the order the `ToJson` impl
+/// writes them after the `Time`/`Vec` fields it handles explicitly.
+/// The `to_json_writes_every_field_under_its_own_key` test fails when a
+/// field is added to [`Stats`] but not written.
 macro_rules! stats_u64_fields {
     ($m:ident) => {
         $m!(
@@ -326,42 +327,6 @@ impl LatencyHist {
     }
 }
 
-impl ToJson for LatencyHist {
-    fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            (
-                "buckets".to_string(),
-                Json::Arr(
-                    self.buckets
-                        .iter()
-                        .map(|&(b, n)| Json::Arr(vec![(b as u64).to_json(), n.to_json()]))
-                        .collect(),
-                ),
-            ),
-            ("count".to_string(), self.count.to_json()),
-            ("max".to_string(), self.max.to_json()),
-        ])
-    }
-}
-
-impl FromJson for LatencyHist {
-    fn from_json(json: &Json) -> Result<Self, FromJsonError> {
-        let pairs: Vec<Vec<u64>> = field(json, "buckets")?;
-        let mut buckets = Vec::with_capacity(pairs.len());
-        for p in pairs {
-            if p.len() != 2 {
-                return Err(FromJsonError("bucket pair must have 2 elements".into()));
-            }
-            buckets.push((p[0] as u32, p[1]));
-        }
-        Ok(Self {
-            buckets,
-            count: field(json, "count")?,
-            max: field(json, "max")?,
-        })
-    }
-}
-
 impl ToJson for Stats {
     fn to_json(&self) -> Json {
         let mut members = vec![
@@ -385,27 +350,6 @@ impl ToJson for Stats {
         }
         stats_u64_fields!(push_u64);
         Json::Obj(members)
-    }
-}
-
-impl FromJson for Stats {
-    fn from_json(json: &Json) -> Result<Self, FromJsonError> {
-        let mut stats = Stats {
-            runtime: field(json, "runtime")?,
-            core_runtimes: field(json, "core_runtimes")?,
-            barrier_stall: field(json, "barrier_stall")?,
-            queue_full_stall: field(json, "queue_full_stall")?,
-            pairing_stall: field(json, "pairing_stall")?,
-            root_update_stall: field(json, "root_update_stall")?,
-            ..Stats::default()
-        };
-        macro_rules! read_u64 {
-            ($($name:ident),*) => {
-                $( stats.$name = field(json, stringify!($name))?; )*
-            };
-        }
-        stats_u64_fields!(read_u64);
-        Ok(stats)
     }
 }
 
@@ -507,59 +451,64 @@ mod tests {
     }
 
     #[test]
-    fn latency_hist_json_roundtrip() {
-        let mut h = LatencyHist::new();
-        for v in [0u64, 1, 31, 32, 1000, 123_456_789] {
-            h.record(v);
+    fn to_json_writes_every_field_under_its_own_key() {
+        // One list names each field once: it builds an exhaustive
+        // literal (a new field does not compile until it is listed) and
+        // the value expected under that field's key. Distinct values
+        // catch a field written under another's key.
+        macro_rules! literal_and_expected {
+            ($($name:ident: $value:expr),* $(,)?) => {{
+                let s = Stats { $($name: $value),* };
+                let expected: Vec<(String, Json)> =
+                    vec![$((stringify!($name).to_string(), s.$name.to_json())),*];
+                (s, expected)
+            }};
         }
-        let back =
-            LatencyHist::from_json(&Json::parse(&h.to_json().to_compact()).unwrap()).unwrap();
-        assert_eq!(back, h);
-    }
-
-    #[test]
-    fn json_roundtrip_preserves_every_field() {
-        let s = Stats {
-            runtime: Time::from_ns(123),
-            core_runtimes: vec![Time::from_ns(120), Time::from_ns(123)],
-            nvmm_reads: 1,
-            nvmm_data_writes: 2,
-            nvmm_counter_writes: 3,
-            nvmm_counter_reads: 4,
-            bytes_written: 5,
-            counter_cache_hits: 6,
-            counter_cache_misses: 7,
-            l1_hits: 8,
-            l1_misses: 9,
-            l2_hits: 10,
-            l2_misses: 11,
-            barrier_stall: Time::from_ns(12),
-            queue_full_stall: Time::from_ns(13),
-            counter_atomic_writes: 14,
-            plain_writes: 15,
-            pairing_stalls: 16,
-            pairing_stall: Time::from_ns(17),
-            coalesced_data_writes: 18,
-            coalesced_counter_writes: 19,
-            transactions_committed: 20,
-            counter_cache_writebacks: 21,
-            distinct_lines_written: 22,
-            max_line_writes: 23,
-            counter_cache_evictions: 24,
-            tree_cache_hits: 25,
-            tree_cache_misses: 26,
-            tree_cache_evictions: 27,
-            nvmm_metadata_writes: 28,
-            coalesced_metadata_writes: 29,
-            root_update_stalls: 30,
-            root_update_stall: Time::from_ns(31),
-            root_update_overlaps: 32,
-            nvmm_packed_meta_writes: 33,
-            coalesced_packed_meta_writes: 34,
-            phoenix_epoch_writes: 35,
-            wear_line_writes: 36,
+        let (s, mut expected) = literal_and_expected!(
+            runtime: Time(1),
+            core_runtimes: vec![Time(2), Time(3)],
+            nvmm_reads: 4,
+            nvmm_data_writes: 5,
+            nvmm_counter_writes: 6,
+            nvmm_counter_reads: 7,
+            bytes_written: 8,
+            counter_cache_hits: 9,
+            counter_cache_misses: 10,
+            l1_hits: 11,
+            l1_misses: 12,
+            l2_hits: 13,
+            l2_misses: 14,
+            barrier_stall: Time(15),
+            queue_full_stall: Time(16),
+            counter_atomic_writes: 17,
+            plain_writes: 18,
+            pairing_stalls: 19,
+            pairing_stall: Time(20),
+            coalesced_data_writes: 21,
+            coalesced_counter_writes: 22,
+            transactions_committed: 23,
+            counter_cache_writebacks: 24,
+            distinct_lines_written: 25,
+            max_line_writes: 26,
+            counter_cache_evictions: 27,
+            tree_cache_hits: 28,
+            tree_cache_misses: 29,
+            tree_cache_evictions: 30,
+            nvmm_metadata_writes: 31,
+            coalesced_metadata_writes: 32,
+            root_update_stalls: 33,
+            root_update_stall: Time(34),
+            root_update_overlaps: 35,
+            nvmm_packed_meta_writes: 36,
+            coalesced_packed_meta_writes: 37,
+            phoenix_epoch_writes: 38,
+            wear_line_writes: 39,
+        );
+        let Json::Obj(mut written) = s.to_json() else {
+            panic!("Stats must be written as an object");
         };
-        let back = Stats::from_json(&Json::parse(&s.to_json().to_compact()).unwrap()).unwrap();
-        assert_eq!(back, s);
+        written.sort_by(|a, b| a.0.cmp(&b.0));
+        expected.sort_by(|a, b| a.0.cmp(&b.0));
+        assert_eq!(written, expected);
     }
 }

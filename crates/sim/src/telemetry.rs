@@ -26,12 +26,14 @@
 use crate::shard::ShardedController;
 use crate::stats::Stats;
 use crate::time::Time;
-use nvmm_json::{field, FromJson, FromJsonError, Json, ToJson};
+use nvmm_json::{Json, ToJson};
 
-/// Field list shared by [`EpochSample`]'s JSON impls, delta computation
-/// and reconciliation totals, so none of them can drift: every `u64`
-/// field that is a *delta of a cumulative [`Stats`] counter* over the
-/// epoch. Queue depths and the time bounds are handled explicitly.
+/// Field list shared by [`EpochSample`]'s JSON writer, delta
+/// computation and reconciliation totals, so none of them can drift:
+/// every `u64` field that is a *delta of a cumulative [`Stats`] counter*
+/// over the epoch. Queue depths and the time bounds are handled
+/// explicitly. The `sample_to_json_writes_every_field_under_its_own_key`
+/// test fails when a field is added to [`EpochSample`] but not written.
 macro_rules! epoch_delta_fields {
     ($m:ident) => {
         $m!(
@@ -136,25 +138,6 @@ impl ToJson for EpochSample {
     }
 }
 
-impl FromJson for EpochSample {
-    fn from_json(json: &Json) -> Result<Self, FromJsonError> {
-        let mut sample = EpochSample {
-            start: field(json, "start")?,
-            end: field(json, "end")?,
-            data_queue_depth: field(json, "data_queue_depth")?,
-            counter_queue_depth: field(json, "counter_queue_depth")?,
-            ..EpochSample::default()
-        };
-        macro_rules! read_delta {
-            ($($name:ident),*) => {
-                $( sample.$name = field(json, stringify!($name))?; )*
-            };
-        }
-        epoch_delta_fields!(read_delta);
-        Ok(sample)
-    }
-}
-
 /// The full per-epoch record of one run.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Timeline {
@@ -172,22 +155,6 @@ impl Timeline {
     pub fn total(&self, f: impl Fn(&EpochSample) -> u64) -> u64 {
         self.epochs.iter().map(f).sum()
     }
-
-    /// Largest data/counter write-queue depth seen at any boundary.
-    pub fn peak_queue_depths(&self) -> (u64, u64) {
-        (
-            self.epochs
-                .iter()
-                .map(|e| e.data_queue_depth)
-                .max()
-                .unwrap_or(0),
-            self.epochs
-                .iter()
-                .map(|e| e.counter_queue_depth)
-                .max()
-                .unwrap_or(0),
-        )
-    }
 }
 
 impl ToJson for Timeline {
@@ -196,15 +163,6 @@ impl ToJson for Timeline {
             ("epoch".to_string(), self.epoch.to_json()),
             ("epochs".to_string(), self.epochs.to_json()),
         ])
-    }
-}
-
-impl FromJson for Timeline {
-    fn from_json(json: &Json) -> Result<Self, FromJsonError> {
-        Ok(Self {
-            epoch: field(json, "epoch")?,
-            epochs: field(json, "epochs")?,
-        })
     }
 }
 
@@ -572,12 +530,52 @@ mod tests {
     }
 
     #[test]
-    fn sample_and_timeline_json_roundtrip() {
-        let out = run_to_completion(telemetry_cfg(Design::Fca, 150), vec![busy_trace(20)]);
-        let tl = out.timeline.unwrap();
-        let text = tl.to_json().to_pretty();
-        let back = Timeline::from_json(&Json::parse(&text).unwrap()).unwrap();
-        assert_eq!(back, tl);
+    fn sample_to_json_writes_every_field_under_its_own_key() {
+        // As `Stats`' writer test: an exhaustive literal with a distinct
+        // value per field, each expected under its own key.
+        macro_rules! literal_and_expected {
+            ($($name:ident: $value:expr),* $(,)?) => {{
+                let e = EpochSample { $($name: $value),* };
+                let expected: Vec<(String, Json)> =
+                    vec![$((stringify!($name).to_string(), e.$name.to_json())),*];
+                (e, expected)
+            }};
+        }
+        let (e, mut expected) = literal_and_expected!(
+            start: Time(1),
+            end: Time(2),
+            data_queue_depth: 3,
+            counter_queue_depth: 4,
+            nvmm_data_writes: 5,
+            nvmm_counter_writes: 6,
+            coalesced_data_writes: 7,
+            coalesced_counter_writes: 8,
+            pairing_stalls: 9,
+            counter_cache_hits: 10,
+            counter_cache_misses: 11,
+            counter_cache_evictions: 12,
+            counter_cache_writebacks: 13,
+            nvmm_metadata_writes: 14,
+            bytes_written: 15,
+            wear_line_writes: 16,
+        );
+        let Json::Obj(mut written) = e.to_json() else {
+            panic!("an epoch sample must be written as an object");
+        };
+        written.sort_by(|a, b| a.0.cmp(&b.0));
+        expected.sort_by(|a, b| a.0.cmp(&b.0));
+        assert_eq!(written, expected);
+        let tl = Timeline {
+            epoch: Time(17),
+            epochs: vec![e],
+        };
+        assert_eq!(
+            tl.to_json(),
+            Json::Obj(vec![
+                ("epoch".to_string(), Json::U64(17)),
+                ("epochs".to_string(), Json::Arr(vec![e.to_json()])),
+            ])
+        );
     }
 
     #[test]

@@ -90,12 +90,6 @@ impl nvmm_json::ToJson for Time {
     }
 }
 
-impl nvmm_json::FromJson for Time {
-    fn from_json(json: &nvmm_json::Json) -> Result<Self, nvmm_json::FromJsonError> {
-        u64::from_json(json).map(Time)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -10,7 +10,6 @@
 use crate::addr::LineAddr;
 use crate::time::Time;
 use nvmm_crypto::LineData;
-use nvmm_json::{field, FromJson, FromJsonError, Json, ToJson};
 use std::sync::Arc;
 
 /// One event in a core's execution trace, in program order.
@@ -73,93 +72,6 @@ pub enum TraceEvent {
         /// Absolute arrival instant.
         at: Time,
     },
-}
-
-impl ToJson for TraceEvent {
-    /// Events serialize as `{"<variant>": {fields...}}` (or a bare
-    /// string for fieldless variants), mirroring serde's externally
-    /// tagged enum layout.
-    fn to_json(&self) -> Json {
-        let tagged = |tag: &str, fields: Vec<(String, Json)>| {
-            Json::Obj(vec![(tag.to_string(), Json::Obj(fields))])
-        };
-        match self {
-            TraceEvent::Read { line } => tagged("Read", vec![("line".to_string(), line.to_json())]),
-            TraceEvent::Write {
-                line,
-                data,
-                counter_atomic,
-            } => tagged(
-                "Write",
-                vec![
-                    ("line".to_string(), line.to_json()),
-                    ("data".to_string(), data.to_json()),
-                    ("counter_atomic".to_string(), counter_atomic.to_json()),
-                ],
-            ),
-            TraceEvent::Clwb { line } => tagged("Clwb", vec![("line".to_string(), line.to_json())]),
-            TraceEvent::CounterCacheWriteback { line } => tagged(
-                "CounterCacheWriteback",
-                vec![("line".to_string(), line.to_json())],
-            ),
-            TraceEvent::PersistBarrier => Json::Str("PersistBarrier".to_string()),
-            TraceEvent::Compute { duration } => tagged(
-                "Compute",
-                vec![("duration".to_string(), duration.to_json())],
-            ),
-            TraceEvent::TxCommit { id } => {
-                tagged("TxCommit", vec![("id".to_string(), id.to_json())])
-            }
-            TraceEvent::WaitUntil { at } => {
-                tagged("WaitUntil", vec![("at".to_string(), at.to_json())])
-            }
-        }
-    }
-}
-
-impl FromJson for TraceEvent {
-    fn from_json(json: &Json) -> Result<Self, FromJsonError> {
-        if json.as_str() == Some("PersistBarrier") {
-            return Ok(TraceEvent::PersistBarrier);
-        }
-        let members = json
-            .as_obj()
-            .ok_or_else(|| FromJsonError(format!("expected trace event, got {json}")))?;
-        let (tag, body) = match members {
-            [(tag, body)] => (tag.as_str(), body),
-            _ => {
-                return Err(FromJsonError(
-                    "trace event must have exactly one tag".to_string(),
-                ))
-            }
-        };
-        match tag {
-            "Read" => Ok(TraceEvent::Read {
-                line: field(body, "line")?,
-            }),
-            "Write" => Ok(TraceEvent::Write {
-                line: field(body, "line")?,
-                data: field(body, "data")?,
-                counter_atomic: field(body, "counter_atomic")?,
-            }),
-            "Clwb" => Ok(TraceEvent::Clwb {
-                line: field(body, "line")?,
-            }),
-            "CounterCacheWriteback" => Ok(TraceEvent::CounterCacheWriteback {
-                line: field(body, "line")?,
-            }),
-            "Compute" => Ok(TraceEvent::Compute {
-                duration: field(body, "duration")?,
-            }),
-            "TxCommit" => Ok(TraceEvent::TxCommit {
-                id: field(body, "id")?,
-            }),
-            "WaitUntil" => Ok(TraceEvent::WaitUntil {
-                at: field(body, "at")?,
-            }),
-            other => Err(FromJsonError(format!("unknown trace event `{other}`"))),
-        }
-    }
 }
 
 /// A complete program-order trace for one core.
@@ -229,20 +141,6 @@ impl FromIterator<TraceEvent> for Trace {
         Self {
             events: Arc::new(iter.into_iter().collect()),
         }
-    }
-}
-
-impl ToJson for Trace {
-    fn to_json(&self) -> Json {
-        Json::Obj(vec![("events".to_string(), self.events.to_json())])
-    }
-}
-
-impl FromJson for Trace {
-    fn from_json(json: &Json) -> Result<Self, FromJsonError> {
-        Ok(Self {
-            events: Arc::new(field(json, "events")?),
-        })
     }
 }
 
@@ -385,26 +283,6 @@ mod tests {
     fn collect_from_iterator() {
         let t: Trace = (0..5).map(write).collect();
         assert_eq!(t.write_count(), 5);
-    }
-
-    #[test]
-    fn json_roundtrip() {
-        let mut t = Trace::new();
-        t.push(write(3));
-        t.push(TraceEvent::Read { line: LineAddr(9) });
-        t.push(TraceEvent::Clwb { line: LineAddr(3) });
-        t.push(TraceEvent::CounterCacheWriteback { line: LineAddr(3) });
-        t.push(TraceEvent::PersistBarrier);
-        t.push(TraceEvent::Compute {
-            duration: Time::from_ns(10),
-        });
-        t.push(TraceEvent::TxCommit { id: 5 });
-        t.push(TraceEvent::WaitUntil {
-            at: Time::from_ns(77),
-        });
-        let text = t.to_json().to_compact();
-        let back = Trace::from_json(&Json::parse(&text).unwrap()).unwrap();
-        assert_eq!(back, t);
     }
 
     #[test]

@@ -25,7 +25,6 @@
 //! All models preserve the configured mean gap, and per-core arrival
 //! schedules are phase-staggered so cores do not arrive in lockstep.
 
-use nvmm_json::{field, FromJson, FromJsonError, Json, ToJson};
 use nvmm_sim::time::Time;
 use nvmm_sim::trace::{Trace, TraceEvent};
 
@@ -114,36 +113,6 @@ impl ArrivalCurve {
             }
         };
         Time(ticks)
-    }
-}
-
-impl ToJson for ArrivalCurve {
-    fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            (
-                "model".to_string(),
-                Json::Str(self.model.label().to_string()),
-            ),
-            ("mean_gap".to_string(), self.mean_gap.to_json()),
-            ("phase_txs".to_string(), self.phase_txs.to_json()),
-        ])
-    }
-}
-
-impl FromJson for ArrivalCurve {
-    fn from_json(json: &Json) -> Result<Self, FromJsonError> {
-        let model: String = field(json, "model")?;
-        let model = match model.as_str() {
-            "steady" => ArrivalModel::Steady,
-            "burst" => ArrivalModel::Burst,
-            "diurnal" => ArrivalModel::Diurnal,
-            other => return Err(FromJsonError(format!("unknown arrival model `{other}`"))),
-        };
-        Ok(Self {
-            model,
-            mean_gap: field(json, "mean_gap")?,
-            phase_txs: field(json, "phase_txs")?,
-        })
     }
 }
 
@@ -288,19 +257,5 @@ mod tests {
         let first0 = arrivals(&shaped[0])[0];
         let first1 = arrivals(&shaped[1])[0];
         assert_eq!(first1 - first0, Time::from_ns(50), "half-gap stagger");
-    }
-
-    #[test]
-    fn json_roundtrip() {
-        for curve in [
-            ArrivalCurve::steady(Time::from_ns(200)),
-            ArrivalCurve::burst(Time::from_ns(100), 32),
-            ArrivalCurve::diurnal(Time::from_ns(400), 64),
-        ] {
-            let back =
-                ArrivalCurve::from_json(&Json::parse(&curve.to_json().to_compact()).unwrap())
-                    .unwrap();
-            assert_eq!(back, curve);
-        }
     }
 }

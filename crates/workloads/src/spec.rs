@@ -8,7 +8,6 @@
 //! committed at each transaction").
 
 use nvmm_core::txn::Mechanism;
-use nvmm_json::{field, FromJson, FromJsonError, Json, ToJson};
 
 /// The five persistent data-structure workloads of §6.2.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -50,22 +49,6 @@ impl WorkloadKind {
 impl std::fmt::Display for WorkloadKind {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.label())
-    }
-}
-
-impl ToJson for WorkloadKind {
-    /// A `WorkloadKind` serializes as its figure label (e.g. `"B-Tree"`).
-    fn to_json(&self) -> Json {
-        Json::Str(self.label().to_string())
-    }
-}
-
-impl FromJson for WorkloadKind {
-    fn from_json(json: &Json) -> Result<Self, FromJsonError> {
-        WorkloadKind::ALL
-            .into_iter()
-            .find(|k| Some(k.label()) == json.as_str())
-            .ok_or_else(|| FromJsonError(format!("unknown workload kind {json}")))
     }
 }
 
@@ -170,39 +153,6 @@ impl WorkloadSpec {
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
         self
-    }
-}
-
-impl ToJson for WorkloadSpec {
-    fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("kind".to_string(), self.kind.to_json()),
-            ("ops".to_string(), self.ops.to_json()),
-            (
-                "footprint_bytes".to_string(),
-                self.footprint_bytes.to_json(),
-            ),
-            ("payload_lines".to_string(), self.payload_lines.to_json()),
-            ("read_probes".to_string(), self.read_probes.to_json()),
-            ("mechanism".to_string(), self.mechanism.to_json()),
-            ("probe_skew".to_string(), self.probe_skew.to_json()),
-            ("seed".to_string(), self.seed.to_json()),
-        ])
-    }
-}
-
-impl FromJson for WorkloadSpec {
-    fn from_json(json: &Json) -> Result<Self, FromJsonError> {
-        Ok(Self {
-            kind: field(json, "kind")?,
-            ops: field(json, "ops")?,
-            footprint_bytes: field(json, "footprint_bytes")?,
-            payload_lines: field(json, "payload_lines")?,
-            read_probes: field(json, "read_probes")?,
-            mechanism: field(json, "mechanism")?,
-            probe_skew: field(json, "probe_skew")?,
-            seed: field(json, "seed")?,
-        })
     }
 }
 
