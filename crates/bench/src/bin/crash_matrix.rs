@@ -26,9 +26,9 @@
 //! Environment knobs, on top of the crate-wide ones:
 //!
 //! * `NVMM_MC_IMAGES` — landing masks materialized per crash instant
-//!   (default 64; exhaustive when the legal space fits).
-//! * `NVMM_MC_SEED` — seed for sampling beyond the bound (default
-//!   `0xadc0ffee`). Fixed seed + fixed bound ⇒ bit-identical results.
+//!   (default 64; exhaustive when the legal space fits). Sampling
+//!   beyond the bound uses `ModelCheckOpts::default().seed`, so a
+//!   fixed bound gives bit-identical results.
 //! * `NVMM_CRASH_POINTS` — crash instants checked per cell (default 6).
 //! * `NVMM_OPS` — transactions per workload (default 6 here; the
 //!   model check simulates each cell once, then checks every instant's
@@ -157,7 +157,6 @@ fn main() {
     let points = env_u64("NVMM_CRASH_POINTS", 6) as usize;
     let opts = ModelCheckOpts {
         max_images: env_u64("NVMM_MC_IMAGES", 64) as usize,
-        seed: env_u64("NVMM_MC_SEED", ModelCheckOpts::default().seed),
         ..ModelCheckOpts::default()
     };
     let columns = columns();

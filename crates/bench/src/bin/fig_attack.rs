@@ -13,6 +13,11 @@
 //! wear report ([`nvmm_sim::device::WearReport`]) that metadata-heavy
 //! policies inflate.
 //!
+//! The stale snapshot is taken halfway through the run
+//! (`SNAPSHOT_FRAC_MILLI`), each forgery tampers with at most
+//! `nvmm_sim::attack::ATTACK_VICTIMS` lines, and the lifetime estimate
+//! assumes `nvmm_sim::device::CELL_ENDURANCE` writes per cell.
+//!
 //! **Self-checks (exit nonzero on failure):**
 //!
 //! 1. The matrix equals the literature's prediction exactly:
@@ -39,17 +44,13 @@
 //! **Environment knobs:**
 //!
 //! * `NVMM_OPS` — rewrite rounds × lines budget (default 400).
-//! * `NVMM_ATTACK_VICTIMS` — max lines each forgery tampers with
-//!   (default 4).
-//! * `NVMM_ATTACK_FRAC_MILLI` — stale-snapshot instant in thousandths
-//!   of the runtime (default 500).
-//! * `NVMM_ENDURANCE` — per-cell write endurance for the lifetime
-//!   estimate (default 100_000_000).
 //! * `NVMM_SHARDS` — shard count for the cross-check re-run
 //!   (default 4; stdout only, never the artifact).
 
 use nvmm_bench::{env_u64, print_table, Experiment};
-use nvmm_sim::attack::{expected_vulnerable, run_detection_row, AttackKind, MatrixCell};
+use nvmm_sim::attack::{
+    expected_vulnerable, run_detection_row, AttackKind, MatrixCell, ATTACK_VICTIMS,
+};
 use nvmm_sim::config::{Design, IntegrityPolicy, SimConfig};
 use nvmm_sim::integrity::IntegritySpec;
 use nvmm_sim::system::RunOutcome;
@@ -86,12 +87,13 @@ fn rewrite_trace(lines: u64, rounds: u64) -> Trace {
     t
 }
 
-fn attack_cfg(policy: IntegrityPolicy, shards: usize, victims: u64, endurance: u64) -> SimConfig {
+/// Where the stale snapshot is taken, in thousandths of the runtime.
+const SNAPSHOT_FRAC_MILLI: u64 = 500;
+
+fn attack_cfg(policy: IntegrityPolicy, shards: usize) -> SimConfig {
     let mut cfg = SimConfig::single_core(Design::Sca)
         .with_integrity(policy)
-        .with_shards(shards)
-        .with_attack_victims(victims)
-        .with_cell_endurance(endurance);
+        .with_shards(shards);
     // Summaries on every counter pair, so the phoenix freshness
     // register always has a persisted sequence to regress from.
     cfg.phoenix_epoch_every = 1;
@@ -109,9 +111,6 @@ fn verdict_bits(row: &[MatrixCell]) -> VerdictBits {
 
 fn main() {
     let ops = env_u64("NVMM_OPS", 400);
-    let victims = env_u64("NVMM_ATTACK_VICTIMS", 4);
-    let frac_milli = env_u64("NVMM_ATTACK_FRAC_MILLI", 500).clamp(1, 999);
-    let endurance = env_u64("NVMM_ENDURANCE", 100_000_000).max(1);
     let shards = (env_u64("NVMM_SHARDS", 4) as usize).max(1);
     let mut failed = false;
 
@@ -121,8 +120,8 @@ fn main() {
     let rounds = (ops / lines).max(2);
     let traces = vec![rewrite_trace(lines, rounds)];
     println!(
-        "workload: {rounds} rewrite rounds over {lines} lines, snapshot at {frac_milli}/1000, \
-         <= {victims} victims per forgery"
+        "workload: {rounds} rewrite rounds over {lines} lines, snapshot at \
+         {SNAPSHOT_FRAC_MILLI}/1000, <= {ATTACK_VICTIMS} victims per forgery"
     );
 
     let mut exp = Experiment::new(
@@ -138,10 +137,10 @@ fn main() {
     let mut baseline: Vec<(IntegrityPolicy, VerdictBits, RunOutcome)> = Vec::new();
 
     for policy in POLICIES {
-        let cfg = attack_cfg(policy, 1, victims, endurance);
+        let cfg = attack_cfg(policy, 1);
         let spec = IntegritySpec::from_config(&cfg);
         let started = Instant::now();
-        let (row, outcome) = run_detection_row(&cfg, &traces, frac_milli);
+        let (row, outcome) = run_detection_row(&cfg, &traces, SNAPSHOT_FRAC_MILLI);
         timing.insert(
             policy.label(),
             "wall_ns",
@@ -260,8 +259,8 @@ fn main() {
     // ---- Self-check 4: the matrix and wear are shard-invariant. ----
     if shards > 1 {
         for (policy, bits, out1) in &baseline {
-            let cfg = attack_cfg(*policy, shards, victims, endurance);
-            let (row, out_n) = run_detection_row(&cfg, &traces, frac_milli);
+            let cfg = attack_cfg(*policy, shards);
+            let (row, out_n) = run_detection_row(&cfg, &traces, SNAPSHOT_FRAC_MILLI);
             if verdict_bits(&row) != *bits {
                 eprintln!("FAIL: shards={shards} changed {policy}'s detection row");
                 failed = true;

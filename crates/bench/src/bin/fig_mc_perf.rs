@@ -13,13 +13,13 @@
 //! * **delta** — the walk's verdicts, read off a warm `DeltaVerifier`
 //!   per worker; the walk self-reports its verify phase (the dirty-cell
 //!   flushes plus the verdict reads, timed at the flush sites);
-//! * **full** — `verify_image_with` re-verifies every retained image
+//! * **full** — `verify_image` re-verifies every retained image
 //!   whole, with one warmed engine pair shared across images and
 //!   workers.
 //!
 //! A replay-adversary sweep rides along: `replay_sweep` (warm verifier
 //! judged against a `FreshnessRef` per image) versus full-pass
-//! `verify_image_attack_with` on the sweep's own images.
+//! `verify_image_attack` on the sweep's own images.
 //!
 //! The binary is self-checking: the full-pass verdicts — Ok/Err witness
 //! strings and attack blame included — must equal the walk's on every
@@ -33,11 +33,8 @@
 //!
 //! Environment knobs:
 //!
-//! * `NVMM_OPS` — transactions per workload (default 16).
-//! * `NVMM_PAYLOAD_LINES` — cache lines written per transaction
-//!   (default 24; denser transactions leave more writes in flight, so
-//!   crash sets carry more choice groups, and a larger accumulated
-//!   footprint is what the full-pass re-verification has to pay for).
+//! * `NVMM_OPS` — transactions per workload (default 16), each writing
+//!   24 cache lines (`PAYLOAD_LINES`).
 //! * `NVMM_CRASH_POINTS` — crash instants per workload (default 5).
 //! * `NVMM_MC_THREADS` — walk and full-pass workers (defaults to
 //!   `NVMM_THREADS`, then available parallelism).
@@ -62,8 +59,8 @@ use nvmm_sim::integrity::IntegritySpec;
 use nvmm_sim::parallel::host_cores;
 use nvmm_sim::system::{CrashSpec, System};
 use nvmm_sim::{
-    mc_threads, run_parallel, verify_image_attack_with, verify_image_with, AttackVerdict, CrashSet,
-    EnumOpts, Enumeration, FreshnessRef, NvmmImage,
+    mc_threads, run_parallel, verify_image, verify_image_attack, AttackVerdict, CrashSet, EnumOpts,
+    Enumeration, FreshnessRef, NvmmImage,
 };
 use nvmm_workloads::{crash_instants_cfg, execute, ModelCheckOpts, WorkloadKind, WorkloadSpec};
 use std::hash::{Hash, Hasher};
@@ -218,6 +215,10 @@ fn verdict_digest(verdicts: &[Vec<Result<(), String>>], replays: &[Vec<AttackVer
     h.finish()
 }
 
+/// Cache lines each transaction writes: dense transactions leave more
+/// writes in flight and a larger footprint for full-pass verification.
+const PAYLOAD_LINES: usize = 24;
+
 fn main() {
     // Defaults are sized so the verified footprint dominates each
     // schedule step's delta: the verify-phase comparison is about
@@ -227,7 +228,6 @@ fn main() {
     // full run in seconds while leaving the speedup well clear of its
     // gate; CI smoke shrinks below the gate threshold and self-skips.
     let ops = env_u64("NVMM_OPS", 16) as usize;
-    let payload = env_u64("NVMM_PAYLOAD_LINES", 24) as usize;
     let points = env_u64("NVMM_CRASH_POINTS", 5) as usize;
     let threads = mc_threads();
     let cfg = SimConfig::single_core(Design::Sca).with_integrity(IntegrityPolicy::Strict);
@@ -252,7 +252,7 @@ fn main() {
     for kind in WorkloadKind::ALL {
         let spec = WorkloadSpec::smoke(kind)
             .with_ops(ops)
-            .with_payload_lines(payload);
+            .with_payload_lines(PAYLOAD_LINES);
         let ex = execute(&spec, 0, spec.ops);
         let trace = ex.pm.trace().clone();
         let instants = crash_instants_cfg(&spec, cfg.clone(), &mc_opts, points);
@@ -280,13 +280,13 @@ fn main() {
         let delta = run_walk(&sets, key, integrity, threads);
         let delta_t1 = run_walk(&sets, key, integrity, 1);
         let (full_verify_ns, full_verdicts) = full_pass(&delta.sets, key, threads, |img, e, m| {
-            verify_image_with(img, integrity, e, m)
+            verify_image(img, integrity, e, m)
         });
         let (replay_sweep_ns, replay_images, replay_sweep) =
             run_replay_sweep(&sets, key, integrity, &fresh, threads);
         let (_, _, replay_sweep_t1) = run_replay_sweep(&sets, key, integrity, &fresh, 1);
         let (replay_full_ns, replay_full) = full_pass(&replay_images, key, threads, |img, e, m| {
-            verify_image_attack_with(img, integrity, e, m, &fresh)
+            verify_image_attack(img, integrity, e, m, &fresh)
         });
 
         // Equivalence gates: the walk is worker-count invariant, and its

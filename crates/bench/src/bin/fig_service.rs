@@ -18,10 +18,8 @@
 //!
 //! **Self-checks (exit nonzero on failure):**
 //!
-//! 1. At shards=1 the merged-journal paths are bit-identical to the
-//!    pre-refactor single-controller paths
-//!    ([`System::run_with_parity_check`]), and the sweep-engine outcome
-//!    equals a direct replay of the same shaped traces.
+//! 1. At shards=1 the sweep-engine outcome equals a direct replay
+//!    ([`System::run`]) of the same shaped traces.
 //! 2. Shards=4 sustains strictly higher steady-curve throughput than
 //!    shards=1.
 //! 3. The streamed ingest path (generator-backed
@@ -229,19 +227,9 @@ fn main() {
         &table,
     );
 
-    // ---- Self-check 1: shards=1 parity with the pre-refactor path. ----
+    // ---- Self-check 1: the sweep engine equals a direct replay. ----
     let shaped = shape_open_loop(traces_for_cores(&spec, CORES), &curves[0]);
-    let (direct, parity) =
-        System::new(service_cfg(1), shaped).run_with_parity_check(CrashSpec::None);
-    match parity {
-        Some(true) => {
-            println!("parity: shards=1 merged journal identical to single-controller paths")
-        }
-        other => {
-            eprintln!("FAIL: shards=1 parity probe returned {other:?}");
-            failed = true;
-        }
-    }
+    let direct = System::new(service_cfg(1), shaped).run(CrashSpec::None);
     let swept = outs.get("steady", "s1");
     if swept.stats != direct.stats {
         eprintln!("FAIL: sweep-engine outcome diverges from direct replay at shards=1");
@@ -320,5 +308,8 @@ fn main() {
     if failed {
         std::process::exit(1);
     }
-    println!("fig_service self-checks clean: parity, sharded speedup, compaction equivalence");
+    println!(
+        "fig_service self-checks clean: sweep matches direct replay, sharded speedup, \
+         compaction equivalence"
+    );
 }

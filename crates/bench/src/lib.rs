@@ -5,25 +5,26 @@
 //!
 //! | binary      | reproduces |
 //! |-------------|------------|
-//! | `table1`    | Table 1 — consistency states per transaction stage |
-//! | `table2`    | Table 2 — system configuration |
-//! | `timelines` | Figs. 7/8 — write timelines under FCA vs SCA |
+//! | `table1`    | Table 1 — consistency states per transaction stage (stdout only) |
+//! | `table2`    | Table 2 — system configuration (stdout only) |
+//! | `timelines` | Figs. 7/8 — write timelines under FCA vs SCA (stdout only) |
 //! | `fig12`     | Fig. 12 — single-core runtime by design |
 //! | `fig13`     | Fig. 13 — multi-core throughput scaling |
 //! | `fig14`     | Fig. 14 — NVMM write traffic |
 //! | `fig15`     | Fig. 15 — counter-cache size sensitivity |
 //! | `fig16`     | Fig. 16 — transaction-size sensitivity |
 //! | `fig17`     | Fig. 17 — NVM latency sensitivity |
-//! | `overhead`  | §6.3.7 — hardware overhead accounting |
+//! | `overhead`  | §6.3.7 — hardware overhead accounting (stdout only) |
 //! | `crash_matrix` | adversarial crash-image model check: five workloads × designs (including SCA+strict / SCA+lazy integrity) over every ADR-legal image (self-checking; no paper figure) |
 //! | `fig_integrity` | integrity-policy cost: runtime and metadata write amplification of mac-only / lazy / strict on top of SCA (self-checking; no paper figure) |
-//! | `fig_mc_perf` | model-checker throughput: eager rebuild-per-mask enumeration vs the incremental copy-on-write walk with parallel verification (self-checking; no paper figure) |
+//! | `fig_mc_perf` | model-checker throughput: the fused delta walk (enumeration plus incremental re-verification) vs full-pass verification of the same images, on one worker and on `NVMM_MC_THREADS` (self-checking; no paper figure) |
 //! | `fig_service` | open-loop service throughput and p50/p95/p99/p999 arrival-to-commit tails: steady/burst/diurnal arrival curves over 1–4 controller shards, plus a generator-backed streamed-ingest demo with batched journaling (self-checking; no paper figure) |
 //! | `fig_attack` | adversarial detection matrix — six integrity policies × {replay, counter-rollback, torn-write, split-replay} judged against per-policy freshness anchors, with `mac-only × {replay, counter-rollback}` the only permitted misses — plus each policy's wear report and lifetime estimate (self-checking; no paper figure) |
 //!
 //! Run e.g. `cargo run --release -p nvmm-bench --bin fig12`. Each binary
-//! prints a human-readable table and writes machine-readable JSON to
-//! `target/experiments/` — the plotted `rows` plus a `cells` array
+//! prints a human-readable table. All but the four stdout-only ones also
+//! write machine-readable JSON to `target/experiments/<id>.json` — the
+//! plotted `rows` plus a `cells` array
 //! carrying the full [`Stats`] (and optional
 //! [`nvmm_sim::telemetry::Timeline`]) behind every number.
 //!
@@ -51,9 +52,8 @@
 //! `fig_service` additionally honors `NVMM_SHARDS`, `NVMM_STREAM_OPS`,
 //! and `NVMM_SERVICE_BATCH` (see its binary docs); those only affect
 //! its `*_timing.json` companion, never the main artifact. `fig_attack`
-//! honors `NVMM_ATTACK_VICTIMS`, `NVMM_ATTACK_FRAC_MILLI`,
-//! `NVMM_ENDURANCE`, and `NVMM_SHARDS` (the last sizes its runtime
-//! cross-check only — its artifact is likewise knob-invariant).
+//! honors `NVMM_SHARDS`, which sizes its runtime cross-check only — its
+//! artifact is likewise knob-invariant.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -413,6 +413,11 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                     self.escape(&mut out)?;
                 }
+                Some(b) if b < 0x20 => {
+                    return Err(self.err(&format!(
+                        "raw control character U+{b:04X} in string (escape it)"
+                    )))
+                }
                 _ => return Err(self.err("unterminated string")),
             }
         }
@@ -470,30 +475,34 @@ impl<'a> Parser<'a> {
         Ok(v)
     }
 
+    /// Scans one number in RFC 8259's grammar,
+    /// `-?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?`: a leading zero
+    /// stands alone, and a point or an exponent mark needs a digit after.
     fn number(&mut self) -> Result<Json, ParseError> {
         let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        while matches!(self.peek(), Some(b'0'..=b'9')) {
-            self.pos += 1;
+        let malformed = ParseError {
+            offset: start,
+            message: "malformed number".to_string(),
+        };
+        self.pos += usize::from(self.peek() == Some(b'-'));
+        let int = self.digits();
+        if int == 0 || (int > 1 && self.bytes[self.pos - int] == b'0') {
+            return Err(malformed);
         }
         let mut float = false;
         if self.peek() == Some(b'.') {
             float = true;
             self.pos += 1;
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
+            if self.digits() == 0 {
+                return Err(malformed);
             }
         }
         if matches!(self.peek(), Some(b'e' | b'E')) {
             float = true;
             self.pos += 1;
-            if matches!(self.peek(), Some(b'+' | b'-')) {
-                self.pos += 1;
-            }
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
+            self.pos += usize::from(matches!(self.peek(), Some(b'+' | b'-')));
+            if self.digits() == 0 {
+                return Err(malformed);
             }
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos])
@@ -506,10 +515,16 @@ impl<'a> Parser<'a> {
                 return Ok(Json::I64(v));
             }
         }
-        text.parse::<f64>().map(Json::F64).map_err(|_| ParseError {
-            offset: start,
-            message: "malformed number".to_string(),
-        })
+        text.parse::<f64>().map(Json::F64).map_err(|_| malformed)
+    }
+
+    /// Consumes a run of ASCII digits and returns its length.
+    fn digits(&mut self) -> usize {
+        let start = self.pos;
+        while matches!(self.peek(), Some(b'0'..=b'9')) {
+            self.pos += 1;
+        }
+        self.pos - start
     }
 }
 
@@ -598,6 +613,31 @@ mod tests {
         assert!(Json::parse("1 2").is_err());
         assert!(Json::parse("\"unterminated").is_err());
         assert!(Json::parse("nul").is_err());
+    }
+
+    #[test]
+    fn numbers_follow_the_rfc_grammar() {
+        for ok in ["0", "-0", "10", "0.5", "-0.5", "1e5", "1E+5", "2.5e-3"] {
+            assert!(Json::parse(ok).is_ok(), "{ok}");
+        }
+        for bad in ["01", "00", "-01", "1.", "-.5", "1.e5", "1e", "1e+", "-"] {
+            let err = Json::parse(bad).expect_err(bad);
+            assert_eq!((err.offset, err.message.as_str()), (0, "malformed number"));
+        }
+        let err = Json::parse("[1, 01]").unwrap_err();
+        assert_eq!((err.offset, err.message.as_str()), (4, "malformed number"));
+    }
+
+    #[test]
+    fn raw_control_characters_in_strings_are_named() {
+        let err = Json::parse("\"a\tb\"").unwrap_err();
+        assert_eq!(err.offset, 2);
+        assert_eq!(
+            err.message,
+            "raw control character U+0009 in string (escape it)"
+        );
+        let err = Json::parse("{\"k\u{1}\": 1}").unwrap_err();
+        assert!(err.message.contains("U+0001"), "{err}");
     }
 
     #[test]

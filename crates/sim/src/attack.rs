@@ -31,7 +31,7 @@
 
 use crate::addr::{CounterLineAddr, LineAddr, MacLineAddr};
 use crate::config::SimConfig;
-use crate::integrity::{verify_image_attack_with, AttackVerdict, FreshnessRef, IntegritySpec};
+use crate::integrity::{verify_image_attack, AttackVerdict, FreshnessRef, IntegritySpec};
 use crate::nvmm::NvmmImage;
 use crate::system::{CrashSpec, RunOutcome, System};
 use crate::time::Time;
@@ -244,6 +244,11 @@ pub fn expected_vulnerable(spec: IntegritySpec, kind: AttackKind) -> bool {
         && matches!(kind, AttackKind::Replay | AttackKind::CounterRollback)
 }
 
+/// Maximum data lines [`run_detection_row`] splices per synthesized
+/// attack. Bounds witness size; replay attacks substitute the whole
+/// stale image regardless.
+pub const ATTACK_VICTIMS: u64 = 4;
+
 /// Runs `cfg`'s policy through every attack class: snapshots the run
 /// at `frac_milli`/1000 of its runtime, captures the freshness anchor
 /// from the completed image, forges each attack, and judges it.
@@ -262,15 +267,15 @@ pub fn run_detection_row(
     let mac_engine = MacEngine::new(cfg.key);
     let mut row = Vec::with_capacity(AttackKind::ALL.len());
     for kind in AttackKind::ALL {
-        let forged = synthesize(kind, &pair.stale, &pair.latest, cfg.attack_victims)
-            .unwrap_or_else(|| {
+        let forged =
+            synthesize(kind, &pair.stale, &pair.latest, ATTACK_VICTIMS).unwrap_or_else(|| {
                 panic!(
                     "vacuous {kind} attack: no line rewritten between the snapshot \
                      at {} and completion — lengthen the trace or raise frac_milli",
                     pair.stale_at
                 )
             });
-        let verdict = verify_image_attack_with(&forged.image, spec, &engine, &mac_engine, &fresh);
+        let verdict = verify_image_attack(&forged.image, spec, &engine, &mac_engine, &fresh);
         row.push(MatrixCell {
             attack: kind,
             verdict,

@@ -448,15 +448,6 @@ pub struct SimConfig {
     /// counter-atomic pair on a shard carries an epoch summary of its
     /// counter line (1 = every pair). Ignored by other policies.
     pub phoenix_epoch_every: u64,
-    /// PCM cell endurance — writes one cell survives before wearing out
-    /// (default 10⁸, mid-range for PCM). Only interprets the wear
-    /// tracker's counts ([`crate::device::WearReport::lifetime_runs`]);
-    /// it never changes simulated behavior.
-    pub cell_endurance: u64,
-    /// Maximum data lines the adversary engine (`crate::attack`)
-    /// splices per synthesized attack. Bounds witness size; replay
-    /// attacks substitute the whole stale image regardless.
-    pub attack_victims: u64,
 }
 
 impl SimConfig {
@@ -506,8 +497,6 @@ impl SimConfig {
             tree_bug_drop_dependency: false,
             phoenix_bug_stale_epoch: false,
             phoenix_epoch_every: 4,
-            cell_endurance: 100_000_000,
-            attack_victims: 4,
         }
     }
 
@@ -567,25 +556,6 @@ impl SimConfig {
         self.shards = shards;
         self
     }
-
-    /// Selects the PCM cell endurance used by wear reports
-    /// (see [`SimConfig::cell_endurance`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `endurance` is zero.
-    pub fn with_cell_endurance(mut self, endurance: u64) -> Self {
-        assert!(endurance >= 1, "cell endurance must be positive");
-        self.cell_endurance = endurance;
-        self
-    }
-
-    /// Selects the adversary engine's per-attack victim budget
-    /// (see [`SimConfig::attack_victims`]).
-    pub fn with_attack_victims(mut self, victims: u64) -> Self {
-        self.attack_victims = victims;
-        self
-    }
 }
 
 #[cfg(test)]
@@ -602,8 +572,8 @@ mod tests {
         assert_eq!(c.counter_write_queue_entries, 16);
         assert_eq!(c.pcm.t_wr, Time::from_ns(300));
         assert_eq!(c.shards, 1);
-        assert_eq!(c.cell_endurance, 100_000_000);
-        assert_eq!(c.attack_victims, 4);
+        assert_eq!(crate::device::CELL_ENDURANCE, 100_000_000);
+        assert_eq!(crate::attack::ATTACK_VICTIMS, 4);
     }
 
     #[test]
@@ -696,11 +666,5 @@ mod tests {
         assert_eq!(c.phoenix_epoch_every, 4);
         assert_eq!(c.metadata_cache.capacity_bytes, 256 * 1024);
         assert_eq!(c.tree_levels, 10);
-    }
-
-    #[test]
-    #[should_panic]
-    fn zero_endurance_rejected_by_builder() {
-        let _ = SimConfig::single_core(Design::Sca).with_cell_endurance(0);
     }
 }

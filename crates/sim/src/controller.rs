@@ -2,9 +2,10 @@
 //! complex, and the persistence journal from which post-crash NVMM images
 //! are built.
 //!
-//! One controller is shared by all cores (it sits in front of the single
-//! NVMM channel). The controller implements the read and write datapaths
-//! of all evaluated designs:
+//! One controller sits in front of one NVMM channel; it is a shard of
+//! [`crate::shard::ShardedController`], the complex every core shares
+//! and the only controller the rest of the crate drives. The controller implements
+//! the read and write datapaths of all evaluated designs:
 //!
 //! * **NoEncryption** — plain reads/writes.
 //! * **Co-located** (±counter cache) — 72-byte lines on a 72-bit bus;
@@ -21,24 +22,27 @@
 //! which it was *submitted* to the write-queue complex and the time at
 //! which ADR *guarantees* it (acceptance for plain writes, pair-ready for
 //! counter-atomic writes). A post-crash image is the journal filtered by
-//! `guaranteed_at <= crash_time`, applied in submission order — exactly
+//! `guaranteed_at <= crash_time`, applied in journal order — exactly
 //! the set of entries the paper's ADR drain would persist (§5.2.2 "Steps
-//! During a System Failure").
+//! During a System Failure"). Journal order is not sorted by submission:
+//! a counter write-back can journal behind a pair whose submission
+//! waited for the pad.
 //!
 //! The window between submission and guarantee is where ADR makes *no*
 //! promise either way: a crash inside it may or may not have latched the
-//! entry. [`MemoryController::crash_set`] surfaces that in-flight set
-//! (with counter-atomic pairs grouped so they toggle together) for the
-//! [`crate::crashmc`] model checker, which enumerates every image the
-//! hardware could legally leave behind instead of the single
-//! everything-lost image [`MemoryController::build_image`] picks.
+//! entry. [`crate::shard::ShardedController::crash_set`] surfaces that
+//! in-flight set (with counter-atomic pairs grouped so they toggle
+//! together) for the [`crate::crashmc`] model checker, which enumerates
+//! every image the hardware could legally leave behind; the set's
+//! all-miss [`baseline`](crate::crashmc::CrashSet::baseline) is the
+//! single everything-lost image.
 
 use crate::addr::{CounterLineAddr, LineAddr, MacLineAddr, NvmmTarget, TreeNodeAddr};
 use crate::cache::SetAssocCache;
 use crate::config::{Design, SimConfig};
-use crate::crashmc::fold_last_writers;
 use crate::device::{AccessKind, PcmDevice};
 use crate::integrity::{DigestLine, IntegrityState, MetaKey};
+#[cfg(test)]
 use crate::nvmm::NvmmImage;
 use crate::stats::Stats;
 use crate::time::Time;
@@ -181,9 +185,10 @@ impl JournalOp {
     }
 }
 
-/// The shared memory controller.
+/// One channel's memory controller: a shard of
+/// [`ShardedController`](crate::shard::ShardedController).
 #[derive(Debug)]
-pub struct MemoryController {
+pub(crate) struct MemoryController {
     design: Design,
     device: PcmDevice,
     queues: WriteQueues,
@@ -223,8 +228,7 @@ pub struct MemoryController {
     /// pair with an instant guarantee, so a crash can persist a summary
     /// claiming counter state that never landed.
     phoenix_bug_stale_epoch: bool,
-    /// Channel-shard id stamped on every journal record (0 for the
-    /// single-controller pipeline).
+    /// Channel-shard id stamped on every journal record.
     shard_id: usize,
     /// The tree path of the latest integrity-tree update, kept so the
     /// write path refills it instead of allocating.
@@ -235,15 +239,9 @@ pub struct MemoryController {
 }
 
 impl MemoryController {
-    /// Builds the controller described by `config`.
-    pub fn new(config: &SimConfig) -> Self {
-        Self::new_shard(config, 0)
-    }
-
-    /// Builds one shard of a channel-sharded controller complex:
-    /// identical to [`MemoryController::new`] except that journal
-    /// records carry `shard_id`.
-    pub(crate) fn new_shard(config: &SimConfig, shard_id: usize) -> Self {
+    /// Builds the controller `config` describes as channel shard
+    /// `shard_id`, whose id every journal record carries.
+    pub(crate) fn new(config: &SimConfig, shard_id: usize) -> Self {
         let counter_cache = config
             .design
             .has_counter_cache()
@@ -278,11 +276,6 @@ impl MemoryController {
         }
     }
 
-    /// The design this controller implements.
-    pub fn design(&self) -> Design {
-        self.design
-    }
-
     fn current_counter_line(&self, cline: CounterLineAddr) -> CounterLine {
         self.counter_state.get(&cline).copied().unwrap_or_default()
     }
@@ -299,7 +292,7 @@ impl MemoryController {
 
     /// Instantaneous (data, counter) write-queue occupancy at `t` — the
     /// quantity the telemetry sampler records at each epoch boundary.
-    pub fn write_queue_depths(&self, t: Time) -> (usize, usize) {
+    pub(crate) fn write_queue_depths(&self, t: Time) -> (usize, usize) {
         (
             self.queues.data_occupancy(t),
             self.queues.counter_occupancy(t),
@@ -309,7 +302,7 @@ impl MemoryController {
     /// The instant the write-queue complex is fully drained and the
     /// pairing coordinator idle (see [`WriteQueues::quiesce_time`]): a
     /// crash at or after it has an empty in-flight set.
-    pub fn quiesce_time(&self) -> Time {
+    pub(crate) fn quiesce_time(&self) -> Time {
         self.queues.quiesce_time()
     }
 
@@ -538,7 +531,7 @@ impl MemoryController {
 
     /// Services an LLC demand read miss issued at `t`. Returns the
     /// completion time and the line's plaintext payload.
-    pub fn read(&mut self, line: LineAddr, t: Time, stats: &mut Stats) -> (Time, LineData) {
+    pub(crate) fn read(&mut self, line: LineAddr, t: Time, stats: &mut Stats) -> (Time, LineData) {
         stats.nvmm_reads += 1;
         let payload = self.below_llc.get(&line).copied().unwrap_or([0; 64]);
         let issue = t + self.overhead;
@@ -580,7 +573,7 @@ impl MemoryController {
     /// Accepts a write-back (eviction or `clwb`) of `line` carrying
     /// `data`, annotated counter-atomic or not. Returns the time at which
     /// the write's durability is guaranteed by ADR.
-    pub fn writeback(
+    pub(crate) fn writeback(
         &mut self,
         line: LineAddr,
         data: LineData,
@@ -1035,7 +1028,7 @@ impl MemoryController {
     /// `counter_cache_writeback()` for the counter line covering `line`
     /// (§4.3): flushes the dirty counter line to the (ready) counter
     /// write queue without invalidating it. Returns the guarantee time.
-    pub fn counter_writeback(&mut self, line: LineAddr, t: Time, stats: &mut Stats) -> Time {
+    pub(crate) fn counter_writeback(&mut self, line: LineAddr, t: Time, stats: &mut Stats) -> Time {
         stats.counter_cache_writebacks += 1;
         if !self.design.honors_counter_cache_writeback() {
             return t;
@@ -1055,56 +1048,17 @@ impl MemoryController {
         guaranteed
     }
 
-    /// Builds the NVMM image as ADR would leave it for a crash at
-    /// `crash_time` (`None` = run to completion: every journaled write
-    /// lands). Each cell takes its last guaranteed writer in journal
-    /// order.
-    pub fn build_image(&self, crash_time: Option<Time>) -> NvmmImage {
-        let mut img = NvmmImage::untracked();
-        fold_last_writers(
-            &mut img,
-            self.journal
-                .iter()
-                .filter(|rec| crash_time.is_none_or(|t| rec.guaranteed_at <= t))
-                .map(|rec| &rec.op),
-        );
-        img.seal();
-        img
-    }
-
-    /// The full crash state at `crash_time` for the model checker: every
-    /// guaranteed write plus the in-flight choice groups whose landing
-    /// ADR leaves undefined (see [`crate::crashmc`]). The crash set's
-    /// baseline image (no in-flight entry lands) equals
-    /// [`MemoryController::build_image`] for the same instant.
-    pub fn crash_set(&self, crash_time: Time) -> crate::crashmc::CrashSet {
-        crate::crashmc::CrashSet::from_journal(&[&self.journal], crash_time)
-    }
-
-    /// The `(submitted_at, guaranteed_at)` window of every journaled
-    /// write whose guarantee arrived strictly after its submission — the
-    /// instants at which a crash leaves that write's landing undefined
-    /// under ADR. Zero-width windows (plain writes accepted immediately)
-    /// are omitted: no crash instant can observe them in flight.
-    pub fn persist_windows(&self) -> Vec<(Time, Time)> {
-        self.journal
-            .iter()
-            .filter(|r| r.guaranteed_at > r.submitted_at)
-            .map(|r| (r.submitted_at, r.guaranteed_at))
-            .collect()
-    }
-
     /// The controller's encryption engine (for recovery decryption).
-    pub fn engine(&self) -> &EncryptionEngine {
+    pub(crate) fn engine(&self) -> &EncryptionEngine {
         &self.engine
     }
 
-    /// Number of journaled NVMM writes (for tests).
-    pub fn journal_len(&self) -> usize {
+    /// Number of journaled NVMM writes.
+    pub(crate) fn journal_len(&self) -> usize {
         self.journal.len()
     }
 
-    /// The raw journal, in submission order (for the shard merge layer).
+    /// The raw journal, in journal order (for the shard merge layer).
     pub(crate) fn journal(&self) -> &[JournalRecord] {
         &self.journal
     }
@@ -1157,11 +1111,22 @@ impl MemoryController {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::integrity::IntegritySpec;
     use crate::nvmm::LineRead;
+    use crate::shard::ShardedController;
+    use nvmm_crypto::mac::MacEngine;
 
-    fn ctl(design: Design) -> (MemoryController, Stats) {
+    /// A one-shard controller complex: the datapaths under test, reached
+    /// the way the replay engine reaches them.
+    fn ctl(design: Design) -> (ShardedController, Stats) {
         let cfg = SimConfig::single_core(design);
-        (MemoryController::new(&cfg), Stats::new(1))
+        (ShardedController::new(&cfg), Stats::new(1))
+    }
+
+    /// [`crate::integrity::verify_image`] with fresh engines for `key`.
+    fn verify(img: &NvmmImage, spec: IntegritySpec, key: [u8; 16]) -> Result<(), String> {
+        let (engine, mac_engine) = (EncryptionEngine::new(key), MacEngine::new(key));
+        crate::integrity::verify_image(img, spec, &engine, &mac_engine)
     }
 
     #[test]
@@ -1169,7 +1134,7 @@ mod tests {
         let (mut c, mut s) = ctl(Design::NoEncryption);
         let data = [7u8; 64];
         let g = c.writeback(LineAddr(1), data, false, Time::ZERO, &mut s);
-        let img = c.build_image(Some(g));
+        let img = c.crash_set(g).baseline();
         assert_eq!(
             img.read_line(LineAddr(1), c.engine()),
             LineRead::Clean(data)
@@ -1183,13 +1148,15 @@ mod tests {
         let data = [9u8; 64];
         let g = c.writeback(LineAddr(2), data, false, Time::ZERO, &mut s);
         // Any crash at/after the guarantee sees a decryptable line.
-        let img = c.build_image(Some(g));
+        let img = c.crash_set(g).baseline();
         assert_eq!(
             img.read_line(LineAddr(2), c.engine()),
             LineRead::Clean(data)
         );
         // Before the guarantee: line simply absent (neither half landed).
-        let img = c.build_image(Some(Time::ZERO.saturating_sub(Time::from_ps(1))));
+        let img = c
+            .crash_set(Time::ZERO.saturating_sub(Time::from_ps(1)))
+            .baseline();
         assert!(img.read_line(LineAddr(2), c.engine()).is_clean());
         assert_eq!(s.bytes_written, 72);
     }
@@ -1199,7 +1166,7 @@ mod tests {
         let (mut c, mut s) = ctl(Design::Fca);
         let data = [3u8; 64];
         let g = c.writeback(LineAddr(5), data, false, Time::from_ns(10), &mut s);
-        let img = c.build_image(Some(g));
+        let img = c.crash_set(g).baseline();
         assert_eq!(
             img.read_line(LineAddr(5), c.engine()),
             LineRead::Clean(data)
@@ -1219,7 +1186,7 @@ mod tests {
         // either fully absent or fully decryptable — never garbled.
         for ps in 0..200 {
             let t = Time::from_ps(ps * 200);
-            let img = c.build_image(Some(t));
+            let img = c.crash_set(t).baseline();
             assert!(
                 img.read_line(LineAddr(6), c.engine()).is_clean(),
                 "crash at {t} must not observe a half-persisted pair (guarantee at {g})"
@@ -1234,7 +1201,7 @@ mod tests {
         let (mut c, mut s) = ctl(Design::Sca);
         let data = [8u8; 64];
         let g = c.writeback(LineAddr(7), data, false, Time::ZERO, &mut s);
-        let img = c.build_image(Some(g + Time::from_ns(1000)));
+        let img = c.crash_set(g + Time::from_ns(1000)).baseline();
         let r = img.read_line(LineAddr(7), c.engine());
         assert!(
             !r.is_clean(),
@@ -1249,7 +1216,7 @@ mod tests {
         let data = [8u8; 64];
         c.writeback(LineAddr(7), data, false, Time::ZERO, &mut s);
         let g = c.counter_writeback(LineAddr(7), Time::from_ns(100), &mut s);
-        let img = c.build_image(Some(g));
+        let img = c.crash_set(g).baseline();
         assert_eq!(
             img.read_line(LineAddr(7), c.engine()),
             LineRead::Clean(data)
@@ -1262,7 +1229,7 @@ mod tests {
         let data = [1u8; 64];
         c.writeback(LineAddr(9), data, true, Time::from_ns(5), &mut s);
         for ns in 0..600 {
-            let img = c.build_image(Some(Time::from_ns(ns)));
+            let img = c.crash_set(Time::from_ns(ns)).baseline();
             assert!(img.read_line(LineAddr(9), c.engine()).is_clean());
         }
         assert_eq!(s.counter_atomic_writes, 1);
@@ -1274,7 +1241,7 @@ mod tests {
         let data = [2u8; 64];
         c.writeback(LineAddr(3), data, true, Time::ZERO, &mut s);
         let g = c.counter_writeback(LineAddr(3), Time::from_ns(100), &mut s);
-        let img = c.build_image(Some(g + Time::from_ns(1_000_000)));
+        let img = c.crash_set(g + Time::from_ns(1_000_000)).baseline();
         assert!(
             !img.read_line(LineAddr(3), c.engine()).is_clean(),
             "unsafe design persists no counters, even for annotated writes"
@@ -1339,7 +1306,7 @@ mod tests {
     fn compressed_counters_charge_less_traffic() {
         let mut cfg = SimConfig::single_core(Design::Sca);
         cfg.compress_counters = true;
-        let mut c = MemoryController::new(&cfg);
+        let mut c = ShardedController::new(&cfg);
         let mut s = Stats::new(1);
         c.writeback(LineAddr(1), [1; 64], false, Time::ZERO, &mut s);
         let before = s.bytes_written;
@@ -1367,7 +1334,7 @@ mod tests {
     #[test]
     fn wear_report_counts_targets_and_hot_spots() {
         let cfg = SimConfig::single_core(Design::Fca);
-        let mut c = crate::shard::ShardedController::new(&cfg);
+        let mut c = ShardedController::new(&cfg);
         let mut s = Stats::new(1);
         // Three writes to one line, one to another.
         for t in 0..3 {
@@ -1380,7 +1347,7 @@ mod tests {
             );
         }
         c.writeback(LineAddr(900), [9; 64], false, Time::from_ns(5000), &mut s);
-        let wear = c.wear_report(cfg.cell_endurance);
+        let wear = c.wear_report();
         // Data lines 5 and 900 plus their counter lines, every pair's
         // counter half counted even when the queue coalesced it.
         assert_eq!(wear.distinct_lines, 4);
@@ -1390,16 +1357,11 @@ mod tests {
 
     fn integ_ctl(
         policy: crate::config::IntegrityPolicy,
-    ) -> (
-        MemoryController,
-        Stats,
-        [u8; 16],
-        crate::integrity::IntegritySpec,
-    ) {
+    ) -> (ShardedController, Stats, [u8; 16], IntegritySpec) {
         let cfg = SimConfig::single_core(Design::Sca).with_integrity(policy);
-        let spec = crate::integrity::IntegritySpec::from_config(&cfg);
+        let spec = IntegritySpec::from_config(&cfg);
         let key = cfg.key;
-        (MemoryController::new(&cfg), Stats::new(1), key, spec)
+        (ShardedController::new(&cfg), Stats::new(1), key, spec)
     }
 
     #[test]
@@ -1409,11 +1371,10 @@ mod tests {
         let data = [5u8; 64];
         let g = c.writeback(LineAddr(12), data, false, Time::ZERO, &mut s);
         for ns in 0..800 {
-            let img = c.build_image(Some(Time::from_ns(ns)));
-            crate::integrity::verify_image(&img, spec, key)
-                .unwrap_or_else(|e| panic!("crash at {ns}ns: {e}"));
+            let img = c.crash_set(Time::from_ns(ns)).baseline();
+            verify(&img, spec, key).unwrap_or_else(|e| panic!("crash at {ns}ns: {e}"));
         }
-        let img = c.build_image(Some(g));
+        let img = c.crash_set(g).baseline();
         assert_eq!(
             img.read_line(LineAddr(12), c.engine()),
             LineRead::Clean(data)
@@ -1446,11 +1407,10 @@ mod tests {
         // At every crash instant the image passes the MAC oracle: the
         // counter and its MAC only ever persist together.
         for ns in 0..800 {
-            let img = c.build_image(Some(Time::from_ns(ns)));
-            crate::integrity::verify_image(&img, spec, key)
-                .unwrap_or_else(|e| panic!("crash at {ns}ns: {e}"));
+            let img = c.crash_set(Time::from_ns(ns)).baseline();
+            verify(&img, spec, key).unwrap_or_else(|e| panic!("crash at {ns}ns: {e}"));
         }
-        let img = c.build_image(Some(g));
+        let img = c.crash_set(g).baseline();
         assert_eq!(
             img.read_line(LineAddr(3), c.engine()),
             LineRead::Clean(data)
@@ -1462,9 +1422,9 @@ mod tests {
         use crate::config::IntegrityPolicy;
         let (mut c, mut s, key, spec) = integ_ctl(IntegrityPolicy::MacOnly);
         c.writeback(LineAddr(4), [9; 64], true, Time::ZERO, &mut s);
-        let img = c.build_image(None);
+        let img = c.build_image();
         assert_eq!(img.tree_nodes().count(), 0);
-        assert!(crate::integrity::verify_image(&img, spec, key).is_ok());
+        assert!(verify(&img, spec, key).is_ok());
     }
 
     #[test]
@@ -1473,16 +1433,15 @@ mod tests {
         let cfg = SimConfig::single_core(Design::Sca)
             .with_integrity(IntegrityPolicy::Strict)
             .with_tree_bug();
-        let spec = crate::integrity::IntegritySpec::from_config(&cfg);
+        let spec = IntegritySpec::from_config(&cfg);
         let key = cfg.key;
-        let mut c = MemoryController::new(&cfg);
+        let mut c = ShardedController::new(&cfg);
         let mut s = Stats::new(1);
         let g = c.writeback(LineAddr(12), [5; 64], false, Time::ZERO, &mut s);
         // Just before the pair's guarantee the eagerly-persisted tree
         // nodes are on NVMM but the counter line they digest is not.
-        let img = c.build_image(Some(g.saturating_sub(Time::from_ps(1))));
-        let err = crate::integrity::verify_image(&img, spec, key)
-            .expect_err("parent-first ordering must be flagged");
+        let img = c.crash_set(g.saturating_sub(Time::from_ps(1))).baseline();
+        let err = verify(&img, spec, key).expect_err("parent-first ordering must be flagged");
         assert!(err.contains("never persisted"), "{err}");
     }
 
@@ -1491,7 +1450,7 @@ mod tests {
         let (mut c, mut s) = ctl(Design::Fca);
         c.writeback(LineAddr(8), [1; 64], false, Time::ZERO, &mut s);
         c.writeback(LineAddr(8), [2; 64], false, Time::from_ns(1), &mut s);
-        let img = c.build_image(None);
+        let img = c.build_image();
         assert_eq!(
             img.read_line(LineAddr(8), c.engine()),
             LineRead::Clean([2; 64])
@@ -1507,9 +1466,8 @@ mod tests {
         c.writeback(LineAddr(12), [5; 64], false, Time::ZERO, &mut s);
         c.writeback(LineAddr(13), [6; 64], false, Time::from_ps(1), &mut s);
         for ns in 0..1200 {
-            let img = c.build_image(Some(Time::from_ns(ns)));
-            crate::integrity::verify_image(&img, spec, key)
-                .unwrap_or_else(|e| panic!("crash at {ns}ns: {e}"));
+            let img = c.crash_set(Time::from_ns(ns)).baseline();
+            verify(&img, spec, key).unwrap_or_else(|e| panic!("crash at {ns}ns: {e}"));
         }
         assert_eq!(s.root_update_stalls, 0, "pipelined never stalls the root");
         // Same journal shape as strict: the guarantee is identical,
@@ -1546,11 +1504,10 @@ mod tests {
         assert_eq!(s.nvmm_counter_writes, 0, "no separate counter write");
         assert_eq!(s.nvmm_metadata_writes, 0, "no separate MAC write");
         for ns in 0..800 {
-            let img = c.build_image(Some(Time::from_ns(ns)));
-            crate::integrity::verify_image(&img, spec, key)
-                .unwrap_or_else(|e| panic!("crash at {ns}ns: {e}"));
+            let img = c.crash_set(Time::from_ns(ns)).baseline();
+            verify(&img, spec, key).unwrap_or_else(|e| panic!("crash at {ns}ns: {e}"));
         }
-        let img = c.build_image(Some(g));
+        let img = c.crash_set(g).baseline();
         assert_eq!(
             img.read_line(LineAddr(9), c.engine()),
             LineRead::Clean(data)
@@ -1583,9 +1540,9 @@ mod tests {
     fn phoenix_persists_only_epoch_summaries() {
         use crate::config::IntegrityPolicy;
         let cfg = SimConfig::single_core(Design::Sca).with_integrity(IntegrityPolicy::Phoenix);
-        let spec = crate::integrity::IntegritySpec::from_config(&cfg);
+        let spec = IntegritySpec::from_config(&cfg);
         let key = cfg.key;
-        let mut c = MemoryController::new(&cfg);
+        let mut c = ShardedController::new(&cfg);
         let mut s = Stats::new(1);
         for i in 0..8u64 {
             c.writeback(
@@ -1597,11 +1554,10 @@ mod tests {
             );
         }
         for ns in 0..2000 {
-            let img = c.build_image(Some(Time::from_ns(ns)));
-            crate::integrity::verify_image(&img, spec, key)
-                .unwrap_or_else(|e| panic!("crash at {ns}ns: {e}"));
+            let img = c.crash_set(Time::from_ns(ns)).baseline();
+            verify(&img, spec, key).unwrap_or_else(|e| panic!("crash at {ns}ns: {e}"));
         }
-        let img = c.build_image(None);
+        let img = c.build_image();
         assert!(
             img.tree_nodes()
                 .all(|(n, _)| n.level == crate::integrity::PHOENIX_SUMMARY_LEVEL),
@@ -1619,16 +1575,15 @@ mod tests {
         let cfg = SimConfig::single_core(Design::Sca)
             .with_integrity(IntegrityPolicy::Pipelined)
             .with_pipeline_bug();
-        let spec = crate::integrity::IntegritySpec::from_config(&cfg);
+        let spec = IntegritySpec::from_config(&cfg);
         let key = cfg.key;
-        let mut c = MemoryController::new(&cfg);
+        let mut c = ShardedController::new(&cfg);
         let mut s = Stats::new(1);
         let g = c.writeback(LineAddr(12), [5; 64], false, Time::ZERO, &mut s);
         // Just before the pair's guarantee the dropped-dependency root
         // is on NVMM but the children it digests are not.
-        let img = c.build_image(Some(g.saturating_sub(Time::from_ps(1))));
-        let err = crate::integrity::verify_image(&img, spec, key)
-            .expect_err("the dropped root dependency must be flagged");
+        let img = c.crash_set(g.saturating_sub(Time::from_ps(1))).baseline();
+        let err = verify(&img, spec, key).expect_err("the dropped root dependency must be flagged");
         assert!(
             err.contains("never persisted") || err.contains("ahead of child"),
             "{err}"
@@ -1642,16 +1597,15 @@ mod tests {
             .with_integrity(IntegrityPolicy::Phoenix)
             .with_phoenix_bug();
         cfg.phoenix_epoch_every = 1;
-        let spec = crate::integrity::IntegritySpec::from_config(&cfg);
+        let spec = IntegritySpec::from_config(&cfg);
         let key = cfg.key;
-        let mut c = MemoryController::new(&cfg);
+        let mut c = ShardedController::new(&cfg);
         let mut s = Stats::new(1);
         let g = c.writeback(LineAddr(12), [5; 64], true, Time::ZERO, &mut s);
         // Just before the pair's guarantee the eagerly-journaled epoch
         // summary claims a counter line that never landed.
-        let img = c.build_image(Some(g.saturating_sub(Time::from_ps(1))));
-        let err = crate::integrity::verify_image(&img, spec, key)
-            .expect_err("the stale epoch summary must be flagged");
+        let img = c.crash_set(g.saturating_sub(Time::from_ps(1))).baseline();
+        let err = verify(&img, spec, key).expect_err("the stale epoch summary must be flagged");
         assert!(err.contains("stale epoch"), "{err}");
     }
 }

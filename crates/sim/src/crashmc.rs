@@ -11,9 +11,9 @@
 //!   makes no promise: the entry may or may not have latched when power
 //!   failed, so both outcomes are legal.
 //!
-//! [`build_image`](crate::controller::MemoryController::build_image)
-//! picks one point of that space (no in-flight entry lands — the most
-//! pessimistic drain). A [`CrashSet`] instead exposes every *choice
+//! A [`CrashSet`]'s [`baseline`](CrashSet::baseline) is one point of
+//! that space (no in-flight entry lands — the most pessimistic drain),
+//! and the crash image a run reports. The set exposes every *choice
 //! group*: the data and counter records of one counter-atomic write
 //! share a group — the ready-bit pairing of §5.2.2 means they land
 //! atomically or not at all (FCA pairs never tear) — while each
@@ -463,8 +463,10 @@ impl CrashSet {
         img
     }
 
-    /// The ADR-pessimistic baseline (no in-flight entry lands) —
-    /// identical to `MemoryController::build_image(Some(crash_time))`.
+    /// The ADR-pessimistic baseline (no in-flight entry lands): every
+    /// write guaranteed by `crash_time`, each cell keeping its last
+    /// writer in merged journal order. This is the crash image
+    /// [`crate::system::RunOutcome::image`] reports.
     pub fn baseline(&self) -> NvmmImage {
         self.image(&LandMask::zeros(self.groups))
     }
@@ -652,7 +654,7 @@ impl CrashSet {
     /// The retained masks, images and stats equal
     /// [`CrashSet::enumerate`]'s, and `verdicts[i]` is the oracle's
     /// answer for `images[i]` — Ok/Err contents bit-identical to
-    /// [`verify_image_with`](crate::integrity::verify_image_with) on the
+    /// [`verify_image`](crate::integrity::verify_image) on the
     /// materialized image — at any `threads`. The third return is the
     /// nanoseconds the walk spent in its verify phase (flushing dirty
     /// cells into the [`DeltaVerifier`] and reading verdicts), summed
@@ -691,7 +693,7 @@ impl CrashSet {
     /// One warm verifier per chunk is reused instead of materializing
     /// and fully re-verifying each image. `verdicts[i]` — including the
     /// blame string — is bit-identical to
-    /// [`verify_image_attack_with`](crate::integrity::verify_image_attack_with)
+    /// [`verify_image_attack`](crate::integrity::verify_image_attack)
     /// on `images[i]`, at any `threads`.
     pub fn replay_sweep(
         &self,
@@ -1466,14 +1468,15 @@ mod tests {
     use super::*;
     use crate::addr::LineAddr;
     use crate::config::{Design, SimConfig};
-    use crate::controller::MemoryController;
     use crate::nvmm::LineRead;
+    use crate::shard::ShardedController;
     use crate::stats::Stats;
     use proptest::prelude::*;
 
-    fn ctl(design: Design) -> (MemoryController, Stats) {
+    /// A one-shard controller complex for `design`.
+    fn ctl(design: Design) -> (ShardedController, Stats) {
         let cfg = SimConfig::single_core(design);
-        (MemoryController::new(&cfg), Stats::new(1))
+        (ShardedController::new(&cfg), Stats::new(1))
     }
 
     /// Crash instants straddling every journal transition for `c`.
@@ -1481,25 +1484,41 @@ mod tests {
         (0..horizon_ns).step_by(7).map(Time::from_ns)
     }
 
+    /// The records of `c`'s one shard guaranteed by `t`, applied op by
+    /// op in journal order: the crash-image oracle.
+    fn guaranteed_by(c: &ShardedController, t: Time) -> NvmmImage {
+        applied(c.live_journals()[0].iter().filter(|r| r.guaranteed_at <= t))
+    }
+
+    /// For every design, on the journals the controller itself writes —
+    /// counter-atomic and plain writes, counter write-backs, and an
+    /// integrity policy's metadata where the design supports one — the
+    /// all-miss baseline at every instant is the records guaranteed by
+    /// then, applied op by op.
     #[test]
-    fn baseline_matches_build_image_at_every_instant() {
-        let (mut c, mut s) = ctl(Design::Fca);
-        for i in 0..6u64 {
-            c.writeback(
-                LineAddr(i),
-                [i as u8; 64],
-                false,
-                Time::from_ns(i * 40),
-                &mut s,
-            );
-        }
-        for t in probe_times(2_000) {
-            let set = c.crash_set(t);
-            assert_eq!(
-                set.baseline().fingerprint(),
-                c.build_image(Some(t)).fingerprint(),
-                "all-miss mask must reproduce the single filtered journal at {t}"
-            );
+    fn baseline_matches_guaranteed_records_at_every_instant() {
+        use crate::config::IntegrityPolicy;
+        for design in Design::ALL {
+            let mut cfg = SimConfig::single_core(design);
+            if design.encrypted() && !design.co_located() {
+                cfg = cfg.with_integrity(IntegrityPolicy::Strict);
+            }
+            let mut c = ShardedController::new(&cfg);
+            let mut s = Stats::new(1);
+            for i in 0..8u64 {
+                let t = Time::from_ns(i * 40);
+                c.writeback(LineAddr(i % 5), [i as u8; 64], i % 3 == 0, t, &mut s);
+                if i % 4 == 1 {
+                    c.counter_writeback(LineAddr(i % 5), t + Time::from_ns(5), &mut s);
+                }
+            }
+            for t in probe_times(2_000) {
+                assert_same_image(
+                    &c.crash_set(t).baseline(),
+                    &guaranteed_by(&c, t),
+                    &format!("{design:?} baseline at {t}"),
+                );
+            }
         }
     }
 
@@ -1511,10 +1530,10 @@ mod tests {
     #[test]
     fn enumerated_crash_images_replayed_after_the_run_are_caught() {
         use crate::config::IntegrityPolicy;
-        use crate::integrity::verify_image_attack_with;
+        use crate::integrity::verify_image_attack;
 
         let cfg = SimConfig::single_core(Design::Sca).with_integrity(IntegrityPolicy::Lazy);
-        let mut c = MemoryController::new(&cfg);
+        let mut c = ShardedController::new(&cfg);
         let mut s = Stats::new(1);
         for round in 0..2u64 {
             for i in 0..4u64 {
@@ -1527,7 +1546,7 @@ mod tests {
                 );
             }
         }
-        let full = c.build_image(None);
+        let full = c.build_image();
         let spec = IntegritySpec {
             policy: IntegrityPolicy::Lazy,
             levels: cfg.tree_levels,
@@ -1548,7 +1567,7 @@ mod tests {
         for t in probe_times(3_000) {
             let set = c.crash_set(t);
             for (mask, img) in set.enumerate(EnumOpts::default()).images {
-                let v = verify_image_attack_with(&img, spec, &engine, &mac_engine, &fresh);
+                let v = verify_image_attack(&img, spec, &engine, &mac_engine, &fresh);
                 if counter_region(&img) != full_counters {
                     assert!(
                         v.detected(),
@@ -1647,7 +1666,7 @@ mod tests {
         assert_eq!(e.images.len(), 1);
         assert_eq!(
             e.images[0].1.fingerprint(),
-            c.build_image(None).fingerprint(),
+            c.build_image().fingerprint(),
             "the single image is the everything-landed journal"
         );
     }
@@ -1935,15 +1954,12 @@ mod tests {
         #[test]
         fn delta_verdicts_match_full_verifiers_on_random_journals(seed in 0u64..1_000_000) {
             use crate::config::IntegrityPolicy;
-            use crate::integrity::{verify_image_attack_with, verify_image_with};
+            use crate::integrity::{verify_image, verify_image_attack};
             let cfg = SimConfig::single_core(Design::Sca);
             let engine = EncryptionEngine::new(cfg.key);
             let mac_engine = MacEngine::new(cfg.key);
             let journal = synthetic_journal(seed);
-            let mut full = NvmmImage::new();
-            for r in &journal {
-                r.op.apply(&mut full);
-            }
+            let full = applied(&journal);
             let horizon_ps = journal
                 .iter()
                 .map(|r| r.guaranteed_at.0)
@@ -1971,7 +1987,7 @@ mod tests {
                                 );
                                 prop_assert_eq!(
                                     &verdicts[i],
-                                    &verify_image_with(img, spec, &engine, &mac_engine)
+                                    &verify_image(img, spec, &engine, &mac_engine)
                                 );
                             }
                             let (en2, sweeps) = set.replay_sweep(
@@ -1981,13 +1997,13 @@ mod tests {
                             for (i, (mask, img)) in en2.images.iter().enumerate() {
                                 prop_assert_eq!(
                                     &sweeps[i],
-                                    &verify_image_attack_with(
+                                    &verify_image_attack(
                                         &set.image(mask), spec, &engine, &mac_engine, &fresh,
                                     )
                                 );
                                 prop_assert_eq!(
                                     &sweeps[i],
-                                    &verify_image_attack_with(
+                                    &verify_image_attack(
                                         img, spec, &engine, &mac_engine, &fresh,
                                     )
                                 );
@@ -2045,7 +2061,7 @@ mod tests {
     #[test]
     fn injected_tree_bug_blames_same_witness_incrementally() {
         use crate::config::IntegrityPolicy;
-        use crate::integrity::{verify_image_with, DigestLine};
+        use crate::integrity::{verify_image, DigestLine};
 
         let cfg = SimConfig::single_core(Design::Sca);
         let engine = EncryptionEngine::new(cfg.key);
@@ -2087,7 +2103,7 @@ mod tests {
             set.enumerate_verified_timed(EnumOpts::default(), 1, spec, &engine, &mac_engine);
         let mut bug_seen = false;
         for (i, (_, img)) in en.images.iter().enumerate() {
-            let eager = verify_image_with(img, spec, &engine, &mac_engine);
+            let eager = verify_image(img, spec, &engine, &mac_engine);
             assert_eq!(verdicts[i], eager, "incremental/full witness divergence");
             if let Err(e) = &verdicts[i] {
                 assert!(
@@ -2236,9 +2252,10 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
         /// Every production image build — the whole-journal fold, a
-        /// crash-time image on one controller and on two unsorted shard
-        /// journals, and batched compaction at growing watermarks — equals
-        /// applying the same records op by op in (merged) journal order.
+        /// crash image (a crash set's baseline) on one controller and on
+        /// two unsorted shard journals, and batched compaction at growing
+        /// watermarks — equals applying the same records op by op in
+        /// (merged) journal order.
         #[test]
         fn last_writer_fold_matches_sequential_apply(seed in 0u64..1_000_000) {
             use crate::shard::{MergedJournal, ShardedController};
@@ -2247,8 +2264,7 @@ mod tests {
             fold_last_writers(&mut folded, journal.iter().map(|r| &r.op));
             assert_same_image(&folded, &applied(&journal), "full fold");
 
-            let (mut single, _) = ctl(Design::Sca);
-            *single.journal_mut() = journal.clone();
+            let single = ShardedController::with_journals(vec![journal.clone()]);
             let shards = deal_unsorted(journal, seed);
             let sharded = ShardedController::with_journals(shards.clone());
             let merged = || MergedJournal::new(shards.iter().map(Vec::as_slice).collect());
@@ -2258,19 +2274,19 @@ mod tests {
                 let t = Time(splitmix64(&mut state) % horizon_ps);
                 let landed = |r: &&JournalRecord| r.guaranteed_at <= t;
                 assert_same_image(
-                    &single.build_image(Some(t)),
-                    &applied(single.journal().iter().filter(landed)),
+                    &single.crash_set(t).baseline(),
+                    &guaranteed_by(&single, t),
                     &format!("controller image at {t}"),
                 );
                 assert_same_image(
-                    &sharded.build_image(Some(t)),
+                    &sharded.crash_set(t).baseline(),
                     &applied(merged().filter(landed)),
                     &format!("sharded image at {t}"),
                 );
             }
 
             let complete = applied(merged());
-            assert_same_image(&sharded.build_image(None), &complete, "uncompacted");
+            assert_same_image(&sharded.build_image(), &complete, "uncompacted");
             let mut compacted = ShardedController::with_journals(shards.clone());
             let mut watermarks: Vec<Time> =
                 (0..4).map(|_| Time(splitmix64(&mut state) % horizon_ps)).collect();
@@ -2278,7 +2294,7 @@ mod tests {
             for w in watermarks {
                 compacted.compact_through(w);
                 assert_same_image(
-                    &compacted.build_image(None),
+                    &compacted.build_image(),
                     &complete,
                     &format!("compacted through {w}"),
                 );

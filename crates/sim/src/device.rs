@@ -115,6 +115,12 @@ impl PcmDevice {
     }
 }
 
+/// PCM cell endurance behind every [`WearReport::lifetime_runs`]: the
+/// writes one cell survives before wearing out (10⁸, mid-range for
+/// PCM). It only interprets the wear tally and never changes simulated
+/// behavior.
+pub const CELL_ENDURANCE: u64 = 100_000_000;
+
 /// A deterministic wear/endurance summary of one run.
 ///
 /// PCM cells endure a bounded number of SET/RESET cycles (~10⁷–10⁹);
@@ -146,7 +152,8 @@ pub struct WearReport {
     /// count falls in `[2^i, 2^(i+1))`. Trimmed to the last non-empty
     /// bucket.
     pub histogram: Vec<u64>,
-    /// The cell endurance (writes per cell) the lifetime estimate uses.
+    /// The cell endurance (writes per cell) the lifetime estimate uses:
+    /// [`CELL_ENDURANCE`].
     pub cell_endurance: u64,
     /// Lifetime estimate: how many times this workload could repeat
     /// before the hottest line exceeds `cell_endurance` (without wear
@@ -156,7 +163,7 @@ pub struct WearReport {
 
 impl WearReport {
     /// Builds a report from raw per-line write counts.
-    pub fn from_counts(counts: impl Iterator<Item = u64>, cell_endurance: u64) -> Self {
+    pub fn from_counts(counts: impl Iterator<Item = u64>) -> Self {
         let mut distinct = 0u64;
         let mut total = 0u64;
         let mut max = 0u64;
@@ -184,8 +191,8 @@ impl WearReport {
             max_line_writes: max,
             mean_line_writes_milli: mean_milli,
             histogram,
-            cell_endurance,
-            lifetime_runs: cell_endurance / max.max(1),
+            cell_endurance: CELL_ENDURANCE,
+            lifetime_runs: CELL_ENDURANCE / max.max(1),
         }
     }
 }
@@ -294,23 +301,23 @@ mod tests {
     #[test]
     fn wear_report_summarizes_counts() {
         // Five writes to one line, one to another.
-        let r = WearReport::from_counts([5, 1].into_iter(), 100);
+        let r = WearReport::from_counts([5, 1].into_iter());
         assert_eq!(r.distinct_lines, 2);
         assert_eq!(r.total_writes, 6);
         assert_eq!(r.max_line_writes, 5);
         assert_eq!(r.mean_line_writes_milli, 3000);
         // 1 line in [1,2), 1 line in [4,8).
         assert_eq!(r.histogram, vec![1, 0, 1]);
-        assert_eq!(r.lifetime_runs, 20);
+        assert_eq!(r.lifetime_runs, CELL_ENDURANCE / 5);
     }
 
     #[test]
     fn wear_report_of_no_writes_is_inert() {
-        let r = WearReport::from_counts(std::iter::empty(), 1_000);
+        let r = WearReport::from_counts(std::iter::empty());
         assert_eq!(r.distinct_lines, 0);
         assert_eq!(r.max_line_writes, 0);
         assert_eq!(r.mean_line_writes_milli, 0);
         assert!(r.histogram.is_empty());
-        assert_eq!(r.lifetime_runs, 1_000);
+        assert_eq!(r.lifetime_runs, CELL_ENDURANCE);
     }
 }

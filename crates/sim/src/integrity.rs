@@ -54,8 +54,10 @@
 //! * `mac-only` — no tree at all; the bound on replay is per-line.
 //!
 //! [`verify_image`] is the post-crash oracle the model checker runs on
-//! every enumerated image; [`rebuild_tree`] is the lazy-policy recovery
-//! path whose cost the recovery figures report.
+//! every enumerated image; [`reconstruct_tree`] is the one fold of the
+//! tree from its counter leaves: the lazy and phoenix recovery path
+//! whose cost [`recovery_cost`] reports, and the root the freshness
+//! checks compare.
 
 use crate::addr::{CounterLineAddr, LineAddr, MacLineAddr, TreeNodeAddr};
 use crate::cache::SetAssocCache;
@@ -453,39 +455,16 @@ impl IntegrityState {
 }
 
 /// Rebuilds the integrity tree bottom-up from an image's persisted
-/// counter lines — the lazy policy's recovery path (stale or missing
-/// interior nodes are simply recomputed). Returns the root node and the
-/// number of nodes rebuilt.
-pub fn rebuild_tree(img: &NvmmImage, levels: u32) -> (DigestLine, usize) {
-    let mut level: FxHashMap<u64, DigestLine> = FxHashMap::default();
-    for (cline, counters) in img.counter_lines() {
-        let parent = parent_of(0, cline.0);
-        level
-            .entry(parent.index)
-            .or_default()
-            .set(slot_in_parent(cline.0), digest64(&counters.to_bytes()));
-    }
-    let mut rebuilt = level.len();
-    for _ in 2..=levels.max(1) {
-        let mut next: FxHashMap<u64, DigestLine> = FxHashMap::default();
-        for (index, node) in &level {
-            next.entry(index >> 3)
-                .or_default()
-                .set(slot_in_parent(*index), digest64(&node.to_bytes()));
-        }
-        rebuilt += next.len();
-        level = next;
-    }
-    (level.get(&0).copied().unwrap_or_default(), rebuilt)
-}
-
-/// Phoenix recovery: materializes the *entire* interior node set from
-/// an image's persisted counter lines, sorted by `(level, index)`.
-/// Depends only on the counter region, so running it on its own output
-/// image is a fixpoint: re-deriving the tree from the same leaves
-/// reproduces it node for node (the property the recovery proptests
-/// pin down). The root, when present, equals [`rebuild_tree`]'s.
+/// counter lines — the lazy and phoenix recovery path (stale or missing
+/// interior nodes are simply recomputed): the *entire* interior node
+/// set, sorted by `(level, index)`. A node exists iff it has a present
+/// child, and a zero-level tree folds as one level. Depends only on the
+/// counter region, so running it on its own output image is a fixpoint:
+/// re-deriving the tree from the same leaves reproduces it node for
+/// node (the property the recovery proptests pin down). The root is
+/// the top-level node with index 0.
 pub fn reconstruct_tree(img: &NvmmImage, levels: u32) -> Vec<(TreeNodeAddr, DigestLine)> {
+    let levels = levels.max(1);
     // Sorting the leaves once makes every subsequent level's child list
     // sorted by construction (a parent's index is its child's `>> 3`),
     // so each level folds contiguous runs of its predecessor in place
@@ -517,6 +496,20 @@ pub fn reconstruct_tree(img: &NvmmImage, levels: u32) -> Vec<(TreeNodeAddr, Dige
         std::mem::swap(&mut cur, &mut next);
     }
     out
+}
+
+/// The root of the tree [`reconstruct_tree`] rebuilds from `img`: its
+/// top-level node with index 0, or all-zero digests when the image has
+/// no counter lines.
+fn tree_root(img: &NvmmImage, levels: u32) -> DigestLine {
+    let nodes = reconstruct_tree(img, levels);
+    let root = TreeNodeAddr {
+        level: levels.max(1),
+        index: 0,
+    };
+    nodes
+        .binary_search_by_key(&root, |&(node, _)| node)
+        .map_or_else(|_| DigestLine::new(), |i| nodes[i].1)
 }
 
 /// Folds a child list sorted by index into its parent nodes, appending
@@ -559,24 +552,16 @@ fn fold_sorted_children(
 /// * **Epoch summaries** (phoenix): every persisted summary's claimed
 ///   counter-line sum must be at or below what the image's counter
 ///   region persisted — a higher claim means the summary outran its
-///   pair (a stale epoch). The full interior set is then
-///   [`reconstruct_tree`]'d so recovery cost stays honest.
-/// * **Tree** (lazy): interior nodes are rebuilt from the leaves
-///   ([`rebuild_tree`]), so persisted interiors are ignored; the
-///   rebuild is still exercised here so recovery cost stays honest.
-pub fn verify_image(img: &NvmmImage, spec: IntegritySpec, key: [u8; 16]) -> Result<(), String> {
-    if !spec.policy.enabled() {
-        return Ok(());
-    }
-    verify_image_with(img, spec, &EncryptionEngine::new(key), &MacEngine::new(key))
-}
-
-/// [`verify_image`] with caller-supplied engines. The crash model
-/// checker verifies hundreds of candidate images against one key;
-/// passing one warmed [`EncryptionEngine`] (whose OTP memo persists
-/// across images) instead of re-deriving AES key schedules per image is
-/// one of its hot-path wins.
-pub fn verify_image_with(
+///   pair (a stale epoch).
+/// * **Tree** (lazy): nothing — recovery rebuilds interior nodes from
+///   the leaves ([`reconstruct_tree`]), so persisted interiors are never
+///   trusted.
+///
+/// The engines are the caller's: the crash model checker verifies
+/// hundreds of candidate images against one key, and one warmed
+/// [`EncryptionEngine`] (whose OTP memo persists across images) saves
+/// re-deriving AES key schedules per image.
+pub fn verify_image(
     img: &NvmmImage,
     spec: IntegritySpec,
     engine: &EncryptionEngine,
@@ -617,9 +602,6 @@ pub fn verify_image_with(
                 return Err(err);
             }
         }
-        let _ = reconstruct_tree(img, spec.levels);
-    } else if spec.policy.has_tree() {
-        let _ = rebuild_tree(img, spec.levels);
     }
     Ok(())
 }
@@ -824,7 +806,7 @@ impl FreshnessRef {
     /// tampers with.
     pub fn capture(img: &NvmmImage, spec: IntegritySpec) -> Self {
         let root = if spec.policy.has_tree() {
-            rebuild_tree(img, spec.levels).0
+            tree_root(img, spec.levels)
         } else {
             DigestLine::new()
         };
@@ -844,29 +826,12 @@ impl FreshnessRef {
 
 /// The adversary oracle: judges a (possibly tampered) post-crash image
 /// against both the in-image invariants ([`verify_image`]) and the
-/// policy's freshness anchor `fresh`. See [`verify_image_attack_with`]
-/// for the per-policy check order.
-pub fn verify_image_attack(
-    img: &NvmmImage,
-    spec: IntegritySpec,
-    key: [u8; 16],
-    fresh: &FreshnessRef,
-) -> AttackVerdict {
-    verify_image_attack_with(
-        img,
-        spec,
-        &EncryptionEngine::new(key),
-        &MacEngine::new(key),
-        fresh,
-    )
-}
-
-/// [`verify_image_attack`] with caller-supplied engines (the detection
-/// matrix judges dozens of attacked images under one key).
+/// policy's freshness anchor `fresh`, with the caller's engines (the
+/// detection matrix judges dozens of attacked images under one key).
 ///
 /// Check order:
 ///
-/// 1. **In-image invariants** — [`verify_image_with`]: MAC mismatches
+/// 1. **In-image invariants** — [`verify_image`]: MAC mismatches
 ///    (torn writes, split replays, any incoherent splice), tree
 ///    parent/child ordering (strict, pipelined), stale phoenix epoch
 ///    claims. Any error is a detection; its message is the blame.
@@ -883,7 +848,7 @@ pub fn verify_image_attack(
 /// An honest image judged against its own [`FreshnessRef`] is always
 /// [`AttackVerdict::Undetected`] (no false positives); the soundness
 /// proptest pins this down across policies and crash times.
-pub fn verify_image_attack_with(
+pub fn verify_image_attack(
     img: &NvmmImage,
     spec: IntegritySpec,
     engine: &EncryptionEngine,
@@ -893,7 +858,7 @@ pub fn verify_image_attack_with(
     if !spec.policy.enabled() {
         return AttackVerdict::Undetected;
     }
-    if let Err(blame) = verify_image_with(img, spec, engine, mac_engine) {
+    if let Err(blame) = verify_image(img, spec, engine, mac_engine) {
         return AttackVerdict::Detected { blame };
     }
     if spec.policy.phoenix() {
@@ -907,8 +872,7 @@ pub fn verify_image_attack_with(
             }
         }
     } else if spec.policy.has_tree() {
-        let (root, _) = rebuild_tree(img, spec.levels);
-        if root != fresh.root {
+        if tree_root(img, spec.levels) != fresh.root {
             return AttackVerdict::Detected {
                 blame: root_freshness_blame(),
             };
@@ -954,8 +918,8 @@ fn counter_rollback_blame(got: u128, want: u128) -> String {
     )
 }
 
-/// The incremental post-crash integrity oracle: [`verify_image_with`]'s
-/// verdict — and [`verify_image_attack_with`]'s — maintained as live
+/// The incremental post-crash integrity oracle: [`verify_image`]'s
+/// verdict — and [`verify_image_attack`]'s — maintained as live
 /// state over an image that changes a few cells at a time.
 ///
 /// The crash model checker walks its cut schedule with an overlay that
@@ -977,7 +941,7 @@ fn counter_rollback_blame(got: u128, want: u128) -> String {
 ///
 /// Check outcomes live in `BTreeMap`s keyed by the sorted positions
 /// the eager pass sweeps, so the *first* failing check — the witness
-/// [`verify_image_with`] reports — is the smallest key present; and
+/// [`verify_image`] reports — is the smallest key present; and
 /// both paths call the same check functions (`mac_check`,
 /// `tree_link_check`, `phoenix_node_check`), so verdict and blame
 /// strings are bit-identical by construction. The differential
@@ -998,7 +962,7 @@ pub struct DeltaVerifier {
     summaries: FxHashMap<TreeNodeAddr, (CounterLineAddr, u64, u64)>,
     /// Reverse index: which summary nodes claim each counter line.
     claims: FxHashMap<CounterLineAddr, Vec<TreeNodeAddr>>,
-    /// Per-level node maps of [`rebuild_tree`]'s bottom-up fold
+    /// Per-level node maps of [`reconstruct_tree`]'s bottom-up fold
     /// (`acc[0]` holds level-1 nodes), maintained by dirty-path
     /// propagation when the policy consults the rebuilt root
     /// (lazy/strict/pipelined freshness). Empty otherwise.
@@ -1182,7 +1146,7 @@ impl DeltaVerifier {
         }
     }
 
-    /// The current image's [`verify_image_with`] verdict: the smallest
+    /// The current image's [`verify_image`] verdict: the smallest
     /// failing key of the eager sweep's first failing phase.
     pub fn verdict(&self) -> Result<(), String> {
         if !self.spec.policy.enabled() {
@@ -1203,7 +1167,7 @@ impl DeltaVerifier {
         Ok(())
     }
 
-    /// The current image's [`verify_image_attack_with`] verdict against
+    /// The current image's [`verify_image_attack`] verdict against
     /// `fresh`, from the incrementally maintained freshness state (the
     /// accumulated root, summary sequence numbers, and counter sum).
     pub fn attack_verdict(&self, fresh: &FreshnessRef) -> AttackVerdict {
@@ -1242,8 +1206,8 @@ impl DeltaVerifier {
         AttackVerdict::Undetected
     }
 
-    /// The accumulator's current root — equal to
-    /// `rebuild_tree(img, spec.levels).0` for the notified image.
+    /// The accumulator's current root — equal to `tree_root` of the
+    /// notified image.
     fn root(&self) -> DigestLine {
         self.acc
             .last()
@@ -1356,7 +1320,7 @@ impl DeltaVerifier {
 
     /// Propagates `cline`'s (possibly cleared) leaf digest up the root
     /// accumulator, removing nodes whose last child vanished — exactly
-    /// [`rebuild_tree`]'s presence rule (a node exists iff it has a
+    /// [`reconstruct_tree`]'s presence rule (a node exists iff it has a
     /// present child; [`digest64`] never yields the reserved 0).
     fn propagate_leaf(&mut self, img: &NvmmImage, cline: CounterLineAddr) {
         let mut value = if img.counter_line_present(cline) {
@@ -1401,16 +1365,14 @@ impl DeltaVerifier {
 ///
 /// * **phoenix** — the full interior set ([`reconstruct_tree`]): the
 ///   tree is never persisted, so recovery rebuilds all of it.
-/// * **lazy** — the same bottom-up rebuild ([`rebuild_tree`]): stale
-///   persisted interiors can't be trusted after a crash.
+/// * **lazy** — the same rebuild: stale persisted interiors can't be
+///   trusted after a crash.
 /// * **strict/pipelined** — `0`: every persisted node verified against
 ///   its children already; the tree is usable as-is.
 /// * **mac-only/colocated/none** — `0`: there is no tree.
 pub fn recovery_cost(img: &NvmmImage, spec: IntegritySpec) -> u64 {
-    if spec.policy.phoenix() {
+    if spec.policy.has_tree() && !spec.policy.persists_path_in_pair() {
         reconstruct_tree(img, spec.levels).len() as u64
-    } else if spec.policy.has_tree() && !spec.policy.persists_path_in_pair() {
-        rebuild_tree(img, spec.levels).1 as u64
     } else {
         0
     }
@@ -1572,7 +1534,7 @@ mod tests {
     }
 
     #[test]
-    fn rebuild_tree_matches_strict_path_updates() {
+    fn reconstruct_tree_matches_strict_path_updates() {
         let cfg = SimConfig::single_core(crate::config::Design::Sca)
             .with_integrity(IntegrityPolicy::Strict);
         let mut st = IntegrityState::from_config(&cfg).expect("enabled");
@@ -1584,45 +1546,46 @@ mod tests {
             img.write_counter_line(CounterLineAddr(i * 9), cl);
             st.update_tree_path(CounterLineAddr(i * 9), &cl.to_bytes(), &mut path);
         }
-        let (root, rebuilt) = rebuild_tree(&img, st.levels());
+        let nodes = reconstruct_tree(&img, st.levels());
         assert_eq!(
-            root,
+            tree_root(&img, st.levels()),
             st.tree_snapshot(TreeNodeAddr {
                 level: st.levels(),
                 index: 0
             }),
             "a full rebuild from leaves must reproduce the strict root"
         );
-        assert!(rebuilt >= st.levels() as usize);
+        assert!(nodes.len() >= st.levels() as usize);
     }
 
+    /// Known answers for the tree fold on one counter image, recorded
+    /// from the hash-map fold `reconstruct_tree` replaced: the root's
+    /// digest and the node count at levels 0–3. Counter lines 0, 9 and
+    /// 70 have level-1 parents 0, 1 and 8, so below three levels the top
+    /// level holds several nodes and the root is the first of them, and
+    /// a zero-level tree folds as one level. Nodes come sorted by
+    /// `(level, index)` and, once the tree covers every line, end at the
+    /// root.
     #[test]
-    fn reconstruct_tree_agrees_with_rebuild_root() {
-        let mut img = NvmmImage::new();
-        for i in [0u64, 3, 9, 70] {
-            let mut cl = CounterLine::new();
-            cl.set((i % 8) as usize, Counter(i + 1));
-            img.write_counter_line(CounterLineAddr(i), cl);
+    fn reconstruct_tree_known_answers() {
+        let img = counter_image(&[(0, 0, 3), (9, 1, 2), (70, 2, 8)]);
+        for (levels, root_digest, count) in [
+            (0, 0x444e_f208_9d2e_23f0, 3),
+            (1, 0x444e_f208_9d2e_23f0, 3),
+            (2, 0xffa4_85f6_b296_6258, 5),
+            (3, 0x81ff_87d7_d92e_862f, 6),
+        ] {
+            let nodes = reconstruct_tree(&img, levels);
+            assert!(nodes.windows(2).all(|w| w[0].0 < w[1].0), "levels {levels}");
+            let root = tree_root(&img, levels);
+            assert_eq!(digest64(&root.to_bytes()), root_digest, "levels {levels}");
+            assert_eq!(nodes.len(), count, "levels {levels}");
         }
-        let levels = 4;
-        let nodes = reconstruct_tree(&img, levels);
-        // Sorted by (level, index), one entry per touched interior node.
-        assert!(nodes
-            .windows(2)
-            .all(|w| (w[0].0.level, w[0].0.index) < (w[1].0.level, w[1].0.index)));
-        let (root, rebuilt) = rebuild_tree(&img, levels);
-        assert_eq!(nodes.len(), rebuilt);
-        let last = nodes.last().expect("non-empty");
-        assert_eq!(
-            last.0,
-            TreeNodeAddr {
-                level: levels,
-                index: 0
-            }
-        );
-        assert_eq!(last.1, root, "reconstruction reaches the same root");
-        // Empty image: nothing to reconstruct.
-        assert!(reconstruct_tree(&NvmmImage::new(), levels).is_empty());
+        let last = reconstruct_tree(&img, 3).last().map(|&(node, _)| node);
+        assert_eq!(last, Some(TreeNodeAddr { level: 3, index: 0 }));
+        // Empty image: nothing to reconstruct, and an all-zero root.
+        assert!(reconstruct_tree(&NvmmImage::new(), 3).is_empty());
+        assert_eq!(tree_root(&NvmmImage::new(), 3), DigestLine::new());
     }
 
     #[test]
@@ -1673,6 +1636,17 @@ mod tests {
         assert_eq!(st.phoenix_epoch(a), Some(2));
     }
 
+    /// [`verify_image`] with fresh engines for `key`.
+    fn verify(img: &NvmmImage, spec: IntegritySpec, key: [u8; 16]) -> Result<(), String> {
+        verify_image(img, spec, &EncryptionEngine::new(key), &MacEngine::new(key))
+    }
+
+    /// [`verify_image_attack`] with fresh engines for the all-zero key.
+    fn attack(img: &NvmmImage, spec: IntegritySpec, fresh: &FreshnessRef) -> AttackVerdict {
+        let (engine, mac_engine) = (EncryptionEngine::new([0; 16]), MacEngine::new([0; 16]));
+        verify_image_attack(img, spec, &engine, &mac_engine, fresh)
+    }
+
     #[test]
     fn verify_flags_stale_phoenix_epoch() {
         let spec = IntegritySpec {
@@ -1685,23 +1659,23 @@ mod tests {
         cl.set(2, Counter(9));
         let (node, d) = phoenix_summary(CounterLineAddr(3), &cl, 1);
         img.write_tree_node(node, d);
-        let err = verify_image(&img, spec, [0; 16]).expect_err("must flag");
+        let err = verify(&img, spec, [0; 16]).expect_err("must flag");
         assert!(err.contains("stale epoch"), "{err}");
         // Counter line persisted but older than the claim.
         let mut stale = CounterLine::new();
         stale.set(2, Counter(4));
         img.write_counter_line(CounterLineAddr(3), stale);
-        let err = verify_image(&img, spec, [0; 16]).expect_err("must flag");
+        let err = verify(&img, spec, [0; 16]).expect_err("must flag");
         assert!(
             err.contains("stale epoch") && err.contains("ahead of"),
             "{err}"
         );
         // Counter line at (or past) the claim: the epoch is fresh.
         img.write_counter_line(CounterLineAddr(3), cl);
-        assert!(verify_image(&img, spec, [0; 16]).is_ok());
+        assert!(verify(&img, spec, [0; 16]).is_ok());
         // Phoenix never writes real interior nodes; finding one is a bug.
         img.write_tree_node(TreeNodeAddr { level: 1, index: 0 }, DigestLine::new());
-        let err = verify_image(&img, spec, [0; 16]).expect_err("must flag");
+        let err = verify(&img, spec, [0; 16]).expect_err("must flag");
         assert!(err.contains("never writes the tree"), "{err}");
     }
 
@@ -1712,8 +1686,8 @@ mod tests {
             policy: IntegrityPolicy::Strict,
             levels: 4,
         };
-        assert!(verify_image(&img, spec, [0; 16]).is_ok());
-        assert!(verify_image(&img, IntegritySpec::disabled(), [0; 16]).is_ok());
+        assert!(verify(&img, spec, [0; 16]).is_ok());
+        assert!(verify(&img, IntegritySpec::disabled(), [0; 16]).is_ok());
     }
 
     #[test]
@@ -1726,7 +1700,7 @@ mod tests {
             policy: IntegrityPolicy::Strict,
             levels: 4,
         };
-        let err = verify_image(&img, spec, [0; 16]).expect_err("must flag");
+        let err = verify(&img, spec, [0; 16]).expect_err("must flag");
         assert!(err.contains("never persisted"), "{err}");
     }
 
@@ -1743,7 +1717,7 @@ mod tests {
             policy: IntegrityPolicy::Strict,
             levels: 4,
         };
-        let err = verify_image(&img, spec, [0; 16]).expect_err("must flag");
+        let err = verify(&img, spec, [0; 16]).expect_err("must flag");
         assert!(err.contains("ahead of child"), "{err}");
     }
 
@@ -1762,7 +1736,7 @@ mod tests {
             policy: IntegrityPolicy::MacOnly,
             levels: 0,
         };
-        let err = verify_image(&img, spec, key).expect_err("no MAC persisted");
+        let err = verify(&img, spec, key).expect_err("no MAC persisted");
         assert!(err.contains("MAC mismatch"), "{err}");
         // Persist the matching MAC: the image verifies.
         let m = MacEngine::new(key).line_mac(5, w.counter, &[7; 64]);
@@ -1770,7 +1744,7 @@ mod tests {
         let mut ml = MacLine::new();
         ml.set(ms.slot, m);
         img.write_mac_line(MacLineAddr(ms.mac_line), ml);
-        assert!(verify_image(&img, spec, key).is_ok());
+        assert!(verify(&img, spec, key).is_ok());
     }
 
     #[test]
@@ -1786,7 +1760,7 @@ mod tests {
             policy: IntegrityPolicy::MacOnly,
             levels: 0,
         };
-        assert!(verify_image(&img, spec, key).is_ok());
+        assert!(verify(&img, spec, key).is_ok());
     }
 
     /// A small counter-region image: `pairs` of (counter line, slot,
@@ -1810,7 +1784,7 @@ mod tests {
             let spec = IntegritySpec { policy, levels: 4 };
             let fresh = FreshnessRef::capture(&img, spec);
             assert_eq!(
-                verify_image_attack(&img, spec, [0; 16], &fresh),
+                attack(&img, spec, &fresh),
                 AttackVerdict::Undetected,
                 "false positive under {policy}"
             );
@@ -1828,7 +1802,7 @@ mod tests {
         ] {
             let spec = IntegritySpec { policy, levels: 4 };
             let fresh = FreshnessRef::capture(&latest, spec);
-            let v = verify_image_attack(&stale, spec, [0; 16], &fresh);
+            let v = attack(&stale, spec, &fresh);
             assert!(v.detected(), "{policy} missed the rollback");
             assert!(v.blame().unwrap().contains("root"), "{v:?}");
         }
@@ -1844,7 +1818,7 @@ mod tests {
         };
         let fresh = FreshnessRef::capture(&latest, spec);
         assert_eq!(
-            verify_image_attack(&stale, spec, [0; 16], &fresh),
+            attack(&stale, spec, &fresh),
             AttackVerdict::Undetected,
             "a coherent stale image must sail past mac-only"
         );
@@ -1872,8 +1846,8 @@ mod tests {
         stale.write_counter_line(CounterLineAddr(0), old);
         let (node, d) = phoenix_summary(CounterLineAddr(0), &old, 1);
         stale.write_tree_node(node, d);
-        assert!(verify_image(&stale, spec, [0; 16]).is_ok());
-        let v = verify_image_attack(&stale, spec, [0; 16], &fresh);
+        assert!(verify(&stale, spec, [0; 16]).is_ok());
+        let v = attack(&stale, spec, &fresh);
         assert!(v.detected());
         assert!(v.blame().unwrap().contains("epoch regression"), "{v:?}");
     }
@@ -1887,7 +1861,7 @@ mod tests {
             levels: 0,
         };
         let fresh = FreshnessRef::capture(&latest, spec);
-        let v = verify_image_attack(&stale, spec, [0; 16], &fresh);
+        let v = attack(&stale, spec, &fresh);
         assert!(v.detected());
         assert!(v.blame().unwrap().contains("counter rollback"), "{v:?}");
     }
@@ -1899,7 +1873,6 @@ mod tests {
         let phoenix = at(IntegrityPolicy::Phoenix);
         let lazy = at(IntegrityPolicy::Lazy);
         assert_eq!(phoenix, reconstruct_tree(&img, 4).len() as u64);
-        assert_eq!(lazy, rebuild_tree(&img, 4).1 as u64);
         assert_eq!(phoenix, lazy, "same interior set, different trust model");
         assert!(phoenix > 0);
         for free in [

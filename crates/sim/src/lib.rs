@@ -58,7 +58,7 @@ pub mod addr;
 pub mod attack;
 pub mod cache;
 pub mod config;
-pub mod controller;
+mod controller;
 pub mod crashmc;
 pub mod device;
 pub mod integrity;
@@ -82,8 +82,8 @@ pub use config::{Design, IntegrityPolicy, SimConfig};
 pub use crashmc::{CrashSet, CutSchedule, EnumOpts, EnumStats, Enumeration, LandMask};
 pub use device::WearReport;
 pub use integrity::{
-    rebuild_tree, recovery_cost, verify_image, verify_image_attack, verify_image_attack_with,
-    verify_image_with, AttackVerdict, DeltaVerifier, DigestLine, FreshnessRef, IntegritySpec,
+    recovery_cost, verify_image, verify_image_attack, AttackVerdict, DeltaVerifier, DigestLine,
+    FreshnessRef, IntegritySpec,
 };
 pub use nvmm::{LineRead, NvmmImage};
 pub use parallel::{mc_threads, run_parallel};

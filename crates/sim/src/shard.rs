@@ -2,7 +2,7 @@
 //!
 //! The paper evaluates a single memory controller; service-scale load
 //! (ROADMAP open item 3) needs several independent channels. A
-//! [`ShardedController`] owns `N` [`MemoryController`] shards — each
+//! [`ShardedController`] owns `N` memory-controller shards — each
 //! with its own write-queue complex, pairing coordinator, counter-cache
 //! slice, integrity-metadata queue, and banked PCM device — behind the
 //! deterministic [`ShardMap`] interleave: a line, its counter line, and
@@ -16,9 +16,9 @@
 //! windows — are answered over the *merged* journal: a k-way merge that
 //! repeatedly pops the front record with the smallest
 //! `(submitted_at, shard_index)` key. The merge never reorders records
-//! within a shard, so with one shard it is the identity and every
-//! derived artifact is bit-identical to the pre-sharding pipeline. The
-//! model checker sees `(shard, domain)` serialization domains
+//! within a shard, so with one shard it is the identity: the shard's
+//! journal in order, even where that order is not sorted by submission.
+//! The model checker sees `(shard, domain)` serialization domains
 //! ([`crate::crashmc`]), so per-channel drain order stays prefix-closed
 //! while cross-channel landings interleave freely — exactly ADR's
 //! guarantee when each channel has its own residual-energy drain.
@@ -34,13 +34,12 @@
 //! the tally: every reader of either first waits for all handed-off
 //! batches, and a panic on the worker resurfaces on that reader.
 //! Compaction is only sound when no crash analysis is requested:
-//! [`ShardedController::crash_set`] and crash-time
-//! [`ShardedController::build_image`] panic once records have been
+//! [`ShardedController::crash_set`] panics once records have been
 //! folded, and [`crate::system::System`] only compacts under
 //! [`crate::system::CrashSpec::None`].
 
 use crate::addr::{LineAddr, NvmmTarget, ShardMap};
-use crate::config::{CacheGeometry, Design, SimConfig};
+use crate::config::{CacheGeometry, SimConfig};
 use crate::controller::{JournalRecord, MemoryController};
 use crate::crashmc::{fold_last_writers, CrashSet};
 use crate::device::WearReport;
@@ -286,7 +285,7 @@ impl ShardedController {
                 let mut cfg = config.clone();
                 cfg.counter_cache = slice_geometry(config.counter_cache, s, config.shards);
                 cfg.metadata_cache = slice_geometry(config.metadata_cache, s, config.shards);
-                MemoryController::new_shard(&cfg, s)
+                MemoryController::new(&cfg, s)
             })
             .collect();
         Self {
@@ -299,21 +298,6 @@ impl ShardedController {
                 spares: Vec::new(),
             }),
         }
-    }
-
-    /// Number of channel shards.
-    pub fn shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// The address-interleaving map.
-    pub fn map(&self) -> ShardMap {
-        self.map
-    }
-
-    /// The design every shard implements.
-    pub fn design(&self) -> Design {
-        self.shards[0].design()
     }
 
     /// The encryption engine (identical across shards — one key).
@@ -366,23 +350,22 @@ impl ShardedController {
             .unwrap_or(Time::ZERO)
     }
 
-    /// Wear/endurance report over every NVMM write on all shards at the
-    /// given cell endurance: the compacted tally plus every live
-    /// journal's targets. Tree nodes may be written from several
-    /// shards, so per-target counts are merged exactly, and the report
-    /// is identical at any shard count for the same write stream.
-    /// Waits for every batch handed to compaction.
-    pub fn wear_report(&self, cell_endurance: u64) -> WearReport {
+    /// Wear/endurance report over every NVMM write on all shards: the
+    /// compacted tally plus every live journal's targets. Tree nodes may
+    /// be written from several shards, so per-target counts are merged
+    /// exactly, and the report is identical at any shard count for the
+    /// same write stream. Waits for every batch handed to compaction.
+    pub fn wear_report(&self) -> WearReport {
         let compacted = self.settled().folded.wear.clone();
-        self.wear_over(compacted, cell_endurance)
+        self.wear_over(compacted)
     }
 
     /// The wear report of the `compacted` tally plus the live journals.
-    fn wear_over(&self, mut counts: FxHashMap<NvmmTarget, u64>, cell_endurance: u64) -> WearReport {
+    fn wear_over(&self, mut counts: FxHashMap<NvmmTarget, u64>) -> WearReport {
         for ctl in &self.shards {
             tally_wear(&mut counts, ctl.journal());
         }
-        WearReport::from_counts(counts.into_values(), cell_endurance)
+        WearReport::from_counts(counts.into_values())
     }
 
     /// Total journaled NVMM writes, including compacted records.
@@ -410,7 +393,7 @@ impl ShardedController {
     }
 
     /// Each shard's live (un-compacted) journal, in shard order.
-    fn live_journals(&self) -> Vec<&[JournalRecord]> {
+    pub(crate) fn live_journals(&self) -> Vec<&[JournalRecord]> {
         self.shards.iter().map(|ctl| ctl.journal()).collect()
     }
 
@@ -446,51 +429,36 @@ impl ShardedController {
         self.shards.iter_mut().map(|c| c.take_journal()).collect()
     }
 
-    /// Builds the NVMM image as ADR would leave it for a crash at
-    /// `crash_time` (`None` = run to completion): a copy of the
-    /// compaction base, once every handed-off batch is folded, with each
-    /// cell's last guaranteed writer in merged order on top.
-    ///
-    /// # Panics
-    ///
-    /// Panics when a crash time is given after compaction has folded
-    /// records away: the folded prefix can no longer be filtered by
-    /// guarantee instant.
-    pub fn build_image(&self, crash_time: Option<Time>) -> NvmmImage {
-        assert!(
-            crash_time.is_none() || self.compacted == 0,
-            "crash-time image unavailable after journal compaction"
-        );
+    /// Builds the NVMM image a run that completes here leaves: a copy of
+    /// the compaction base, once every handed-off batch is folded, with
+    /// each cell's last writer in merged order on top. The image of a
+    /// crash at `t` is [`ShardedController::crash_set`]`(t)`'s
+    /// [`baseline`](CrashSet::baseline).
+    pub fn build_image(&self) -> NvmmImage {
         let base = self.settled().folded.base.clone();
-        self.complete(base, crash_time)
+        self.complete(base)
     }
 
     /// What a controller that is done leaves:
-    /// [`ShardedController::build_image`]`(None)` and
+    /// [`ShardedController::build_image`] and
     /// [`ShardedController::wear_report`], built on the compaction base
     /// and tally themselves instead of copies. Both are left empty, so
     /// the controller has no compacted records to answer for afterwards:
     /// call this once, at the end.
-    pub(crate) fn take_completion(&mut self, cell_endurance: u64) -> (NvmmImage, WearReport) {
+    pub(crate) fn take_completion(&mut self) -> (NvmmImage, WearReport) {
         let folding = self.folding.get_mut().expect("compaction state poisoned");
         folding.settle();
         // No later cut needs the emptied buffers.
         folding.spares = Vec::new();
         let Folded { base, wear } = std::mem::replace(&mut folding.folded, Folded::new());
-        let wear = self.wear_over(wear, cell_endurance);
-        (self.complete(base, None), wear)
+        let wear = self.wear_over(wear);
+        (self.complete(base), wear)
     }
 
-    /// Lays each cell's last writer guaranteed by `crash_time` (every
-    /// writer for `None`) from the live journal over `img`, in merged
-    /// order, and seals it.
-    fn complete(&self, mut img: NvmmImage, crash_time: Option<Time>) -> NvmmImage {
-        fold_last_writers(
-            &mut img,
-            self.merged()
-                .filter(|rec| crash_time.is_none_or(|t| rec.guaranteed_at <= t))
-                .map(|rec| &rec.op),
-        );
+    /// Lays each cell's last writer from the live journal over `img`, in
+    /// merged order, and seals it.
+    fn complete(&self, mut img: NvmmImage) -> NvmmImage {
+        fold_last_writers(&mut img, self.merged().map(|rec| &rec.op));
         img.seal();
         img
     }
@@ -523,7 +491,7 @@ impl ShardedController {
 
     /// Cuts every shard's compactable journal prefix at `watermark`
     /// and retires its write-queue coalescing state
-    /// ([`MemoryController::retire_through`]), then hands the prefixes,
+    /// (`MemoryController::retire_through`), then hands the prefixes,
     /// by move, to the compaction worker (started by the first call),
     /// which folds them into the base image in their k-way merge order.
     /// The caller must guarantee that no future request arrives before
@@ -556,34 +524,19 @@ impl ShardedController {
     /// that stage journals no controller design emits.
     #[cfg(test)]
     pub(crate) fn with_journals(journals: Vec<Vec<JournalRecord>>) -> Self {
-        let cfg = SimConfig::single_core(Design::Sca).with_shards(journals.len());
+        let cfg = SimConfig::single_core(crate::config::Design::Sca).with_shards(journals.len());
         let mut sharded = Self::new(&cfg);
         for (ctl, journal) in sharded.shards.iter_mut().zip(journals) {
             *ctl.journal_mut() = journal;
         }
         sharded
     }
-
-    /// Parity probe for the single-shard configuration: `Some(true)`
-    /// when the merged-journal image and persist windows are identical
-    /// to shard 0's pre-refactor direct paths. `None` when the check
-    /// does not apply (several shards, or compaction dropped records).
-    pub fn merged_matches_single(&self) -> Option<bool> {
-        if self.shards.len() != 1 || self.compacted != 0 {
-            return None;
-        }
-        let direct = self.shards[0].build_image(None);
-        let merged = self.build_image(None);
-        Some(
-            direct.fingerprint() == merged.fingerprint()
-                && self.shards[0].persist_windows() == self.persist_windows(),
-        )
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::Design;
     use nvmm_crypto::LineData;
 
     fn cfg(shards: usize) -> SimConfig {
@@ -594,11 +547,26 @@ mod tests {
         [i as u8; 64]
     }
 
+    /// The keys a journal traversal visits, in order.
+    fn keys<'a>(
+        records: impl IntoIterator<Item = &'a JournalRecord>,
+    ) -> Vec<(Time, Time, Option<u64>, usize)> {
+        records
+            .into_iter()
+            .map(|r| (r.submitted_at, r.guaranteed_at, r.pair, r.shard))
+            .collect()
+    }
+
+    /// At one shard every request reaches one controller with the same
+    /// guarantee instants and stats as a direct drive, and the merge is
+    /// the identity traversal, also where that controller's journal is
+    /// not sorted by submission: the merged order and the persist
+    /// windows are the journal's own order and in-flight filter.
     #[test]
     fn single_shard_matches_direct_controller_paths() {
         let cfg1 = cfg(1);
         let mut sharded = ShardedController::new(&cfg1);
-        let mut direct = MemoryController::new(&cfg1);
+        let mut direct = MemoryController::new(&cfg1, 0);
         let mut s1 = Stats::new(1);
         let mut s2 = Stats::new(1);
         let mut t = Time::from_ns(10);
@@ -610,12 +578,26 @@ mod tests {
             t += Time::from_ns(17);
         }
         assert_eq!(s1, s2, "stats must match at shards=1");
-        assert_eq!(
-            sharded.build_image(None).fingerprint(),
-            direct.build_image(None).fingerprint()
+        assert_eq!(keys(sharded.merged()), keys(direct.journal()));
+        // Persist line 195's dirty counter line while a pair to another
+        // counter line is still being encrypted: the counter write-back
+        // journals behind the pair but was submitted before it.
+        sharded.writeback(LineAddr(1000), data(1), true, t, &mut s1);
+        sharded.counter_writeback(LineAddr(195), t + Time::from_ns(1), &mut s1);
+        let journal = sharded.shards[0].journal();
+        assert!(
+            journal
+                .windows(2)
+                .any(|w| w[1].submitted_at < w[0].submitted_at),
+            "the journal must not be sorted by submission"
         );
-        assert_eq!(sharded.persist_windows(), direct.persist_windows());
-        assert_eq!(sharded.merged_matches_single(), Some(true));
+        assert_eq!(keys(sharded.merged()), keys(journal));
+        let windows: Vec<(Time, Time)> = journal
+            .iter()
+            .filter(|r| r.guaranteed_at > r.submitted_at)
+            .map(|r| (r.submitted_at, r.guaranteed_at))
+            .collect();
+        assert_eq!(sharded.persist_windows(), windows);
     }
 
     #[test]
@@ -735,8 +717,8 @@ mod tests {
         assert!(compacted.compacted_records() > 0, "compaction must fire");
         assert_eq!(compacted.journal_len(), reference.journal_len());
         assert_eq!(
-            compacted.build_image(None).fingerprint(),
-            reference.build_image(None).fingerprint(),
+            compacted.build_image().fingerprint(),
+            reference.build_image().fingerprint(),
             "folding a stable prefix must not change the completion image"
         );
     }
@@ -806,7 +788,7 @@ mod tests {
     fn compacting_unsorted_journals_keeps_the_completion_image() {
         let journals = unsorted_shard_journals();
         let total: usize = journals.iter().map(Vec::len).sum();
-        let reference = ShardedController::with_journals(journals.clone()).build_image(None);
+        let reference = ShardedController::with_journals(journals.clone()).build_image();
         assert_eq!(reference.raw_data(LineAddr(0)), Some(data(3)));
         let mut compacted = ShardedController::with_journals(journals);
         // Records left per shard: each cut stops at the first record
@@ -824,7 +806,7 @@ mod tests {
             let w = Time::from_ns(ns);
             compacted.compact_through(w);
             assert_eq!(compacted.journal_lens(), left, "cut at {w}");
-            assert_eq!(compacted.build_image(None), reference, "compaction at {w}");
+            assert_eq!(compacted.build_image(), reference, "compaction at {w}");
         }
         assert_eq!(compacted.compacted_records() as usize, total);
     }
@@ -842,7 +824,7 @@ mod tests {
             }));
         sharded.compact_through(Time::from_ns(30));
         sharded.compact_through(Time::from_ns(60));
-        let _ = sharded.build_image(None);
+        let _ = sharded.build_image();
     }
 
     /// A cut hands each shard's journal buffer itself to the worker,

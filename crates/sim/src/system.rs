@@ -91,8 +91,7 @@ pub struct RunOutcome {
     /// at least one core executed a [`TraceEvent::WaitUntil`] arrival
     /// gate and then committed a transaction (open-loop replay).
     pub latency: Option<LatencyHist>,
-    /// Per-line wear/endurance report over all shards, at the
-    /// configured [`SimConfig::cell_endurance`].
+    /// Per-line wear/endurance report over all shards.
     pub wear: WearReport,
 }
 
@@ -563,20 +562,57 @@ impl System {
     ///
     /// Panics if journal batching ([`System::with_journal_batch`]) is
     /// combined with a crash spec other than [`CrashSpec::None`].
-    pub fn run(self, crash: CrashSpec) -> RunOutcome {
-        self.run_inner(crash).0
-    }
+    pub fn run(mut self, crash: CrashSpec) -> RunOutcome {
+        assert!(
+            self.front.journal_batch.is_none() || crash == CrashSpec::None,
+            "journal batching is completion-only: crash analysis needs the full journal"
+        );
+        let crash_time = self.front.replay(&self.cfg, &mut self.controller, crash);
 
-    /// Like [`System::run`], but additionally reports the single-shard
-    /// parity probe: `Some(true)` when the merged-journal image and
-    /// persist windows are bit-identical to the inner controller's
-    /// pre-sharding direct paths (`None` when the probe does not apply:
-    /// several shards, or compaction). `fig_service` asserts this on
-    /// its shards=1 cells.
-    pub fn run_with_parity_check(self, crash: CrashSpec) -> (RunOutcome, Option<bool>) {
-        let (outcome, controller) = self.run_inner(crash);
-        let parity = controller.merged_matches_single();
-        (outcome, parity)
+        let front = &mut self.front;
+        for (i, core) in front.cores.iter().enumerate() {
+            front.stats.core_runtimes[i] = core.now;
+        }
+        front.stats.runtime = front
+            .cores
+            .iter()
+            .map(|c| c.now)
+            .max()
+            .unwrap_or(Time::ZERO);
+        // A crash image is its crash set's all-miss baseline, which the
+        // set already holds; only a completed run replays the journal,
+        // onto the compaction base itself.
+        let (wear, crash_set, image) = match crash_time {
+            Some(t) => {
+                let wear = self.controller.wear_report();
+                let set = self.controller.crash_set(t);
+                let image = set.baseline();
+                (wear, Some(set), image)
+            }
+            None => {
+                let (image, wear) = self.controller.take_completion();
+                (wear, None, image)
+            }
+        };
+        front.stats.distinct_lines_written = wear.distinct_lines;
+        front.stats.max_line_writes = wear.max_line_writes;
+        let persist_windows = self.controller.persist_windows();
+        let timeline = front
+            .sampler
+            .take()
+            .map(|s| s.finish(front.stats.runtime, &front.stats, &self.controller));
+        let latency = (front.latency.count() > 0).then_some(std::mem::take(&mut front.latency));
+        RunOutcome {
+            stats: std::mem::take(&mut front.stats),
+            image,
+            crash_time,
+            crash_set,
+            persist_windows,
+            events_processed: front.events_processed,
+            timeline,
+            latency,
+            wear,
+        }
     }
 
     /// Serves one [`CrashSpec::AtTime`] crash per entry of `instants`
@@ -612,68 +648,13 @@ impl System {
             }
             cuts[i] = Some(self.controller.journal_lens());
         }
-        let completed = completed.then(|| self.controller.build_image(None));
+        let completed = completed.then(|| self.controller.build_image());
         CrashSweep {
             instants: instants.to_vec(),
             cuts,
             journals: self.controller.take_journals(),
             completed,
         }
-    }
-
-    fn run_inner(mut self, crash: CrashSpec) -> (RunOutcome, ShardedController) {
-        assert!(
-            self.front.journal_batch.is_none() || crash == CrashSpec::None,
-            "journal batching is completion-only: crash analysis needs the full journal"
-        );
-        let crash_time = self.front.replay(&self.cfg, &mut self.controller, crash);
-
-        let front = &mut self.front;
-        for (i, core) in front.cores.iter().enumerate() {
-            front.stats.core_runtimes[i] = core.now;
-        }
-        front.stats.runtime = front
-            .cores
-            .iter()
-            .map(|c| c.now)
-            .max()
-            .unwrap_or(Time::ZERO);
-        // A crash image is its crash set's all-miss baseline, which the
-        // set already holds; only a completed run replays the journal,
-        // onto the compaction base itself.
-        let endurance = self.cfg.cell_endurance;
-        let (wear, crash_set, image) = match crash_time {
-            Some(t) => {
-                let wear = self.controller.wear_report(endurance);
-                let set = self.controller.crash_set(t);
-                let image = set.baseline();
-                (wear, Some(set), image)
-            }
-            None => {
-                let (image, wear) = self.controller.take_completion(endurance);
-                (wear, None, image)
-            }
-        };
-        front.stats.distinct_lines_written = wear.distinct_lines;
-        front.stats.max_line_writes = wear.max_line_writes;
-        let persist_windows = self.controller.persist_windows();
-        let timeline = front
-            .sampler
-            .take()
-            .map(|s| s.finish(front.stats.runtime, &front.stats, &self.controller));
-        let latency = (front.latency.count() > 0).then_some(std::mem::take(&mut front.latency));
-        let outcome = RunOutcome {
-            stats: std::mem::take(&mut front.stats),
-            image,
-            crash_time,
-            crash_set,
-            persist_windows,
-            events_processed: front.events_processed,
-            timeline,
-            latency,
-            wear,
-        };
-        (outcome, self.controller)
     }
 }
 

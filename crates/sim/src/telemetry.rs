@@ -29,7 +29,7 @@ use crate::time::Time;
 use nvmm_json::{Json, ToJson};
 
 /// Field list shared by [`EpochSample`]'s JSON writer, delta
-/// computation and reconciliation totals, so none of them can drift:
+/// computation and idle test, so none of them can drift:
 /// every `u64` field that is a *delta of a cumulative [`Stats`] counter*
 /// over the epoch. Queue depths and the time bounds are handled
 /// explicitly. The `sample_to_json_writes_every_field_under_its_own_key`
@@ -166,34 +166,6 @@ impl ToJson for Timeline {
     }
 }
 
-/// Cumulative counter values at the last closed epoch boundary.
-#[derive(Debug, Clone, Copy, Default)]
-struct Baseline {
-    nvmm_data_writes: u64,
-    nvmm_counter_writes: u64,
-    coalesced_data_writes: u64,
-    coalesced_counter_writes: u64,
-    pairing_stalls: u64,
-    counter_cache_hits: u64,
-    counter_cache_misses: u64,
-    counter_cache_evictions: u64,
-    counter_cache_writebacks: u64,
-    nvmm_metadata_writes: u64,
-    bytes_written: u64,
-    wear_line_writes: u64,
-}
-
-impl Baseline {
-    fn of(stats: &Stats) -> Self {
-        let mut b = Baseline::default();
-        macro_rules! copy {
-            ($($name:ident),*) => { $( b.$name = stats.$name; )* };
-        }
-        epoch_delta_fields!(copy);
-        b
-    }
-}
-
 /// The sampler the replay engine drives while telemetry is enabled.
 ///
 /// [`observe`](EpochSampler::observe) is called after every trace event
@@ -206,7 +178,9 @@ impl Baseline {
 pub struct EpochSampler {
     epoch: Time,
     epoch_start: Time,
-    last: Baseline,
+    /// The cumulative [`Stats`] value of every delta field at the last
+    /// closed epoch boundary.
+    last: EpochSample,
     timeline: Timeline,
 }
 
@@ -221,7 +195,7 @@ impl EpochSampler {
         Self {
             epoch,
             epoch_start: Time::ZERO,
-            last: Baseline::default(),
+            last: EpochSample::default(),
             timeline: Timeline {
                 epoch,
                 epochs: Vec::new(),
@@ -231,7 +205,6 @@ impl EpochSampler {
 
     fn close_epoch(&mut self, end: Time, stats: &Stats, controller: &ShardedController) {
         let (dq, cq) = controller.write_queue_depths(end);
-        let cur = Baseline::of(stats);
         let mut sample = EpochSample {
             start: self.epoch_start,
             end,
@@ -240,13 +213,15 @@ impl EpochSampler {
             ..EpochSample::default()
         };
         macro_rules! delta {
-            ($($name:ident),*) => { $( sample.$name = cur.$name - self.last.$name; )* };
+            ($($name:ident),*) => { $(
+                sample.$name = stats.$name - self.last.$name;
+                self.last.$name = stats.$name;
+            )* };
         }
         epoch_delta_fields!(delta);
         if !sample.is_idle() {
             self.timeline.epochs.push(sample);
         }
-        self.last = cur;
         self.epoch_start = end;
     }
 

@@ -498,7 +498,7 @@ fn check_image_inner(
     // persisted children.
     let oracle = match precomputed {
         Some(v) => v.clone(),
-        None => nvmm_sim::verify_image_with(image, integrity, engine, mac_engine),
+        None => nvmm_sim::verify_image(image, integrity, engine, mac_engine),
     };
     if let Err(err) = oracle {
         ensure!(
@@ -1574,7 +1574,7 @@ mod tests {
                     let oracles: Vec<Result<(), String>> = images
                         .iter()
                         .map(|img| {
-                            nvmm_sim::verify_image_with(img, integrity, engine, &checker.mac_engine)
+                            nvmm_sim::verify_image(img, integrity, engine, &checker.mac_engine)
                         })
                         .collect();
                     let in_flight = set.in_flight_lines();

@@ -13,12 +13,14 @@
 //! reference never trips the oracle, across policies, crash fractions,
 //! and workload shapes.
 
+use nvmm::crypto::{EncryptionEngine, MacEngine};
 use nvmm::sim::addr::LineAddr;
 use nvmm::sim::attack::{
     expected_vulnerable, run_detection_row, snapshot_pair, victim_lines, AttackKind,
 };
 use nvmm::sim::config::{Design, IntegrityPolicy, SimConfig};
 use nvmm::sim::integrity::{verify_image_attack, AttackVerdict, FreshnessRef, IntegritySpec};
+use nvmm::sim::nvmm::NvmmImage;
 use nvmm::sim::trace::{Trace, TraceEvent};
 use proptest::prelude::*;
 
@@ -30,6 +32,18 @@ const ENABLED: [IntegrityPolicy; 6] = [
     IntegrityPolicy::Phoenix,
     IntegrityPolicy::Colocated,
 ];
+
+/// The adversary oracle on `img` with engines for `cfg`'s key.
+fn judge(cfg: &SimConfig, img: &NvmmImage, fresh: &FreshnessRef) -> AttackVerdict {
+    let (engine, mac_engine) = (EncryptionEngine::new(cfg.key), MacEngine::new(cfg.key));
+    verify_image_attack(
+        img,
+        IntegritySpec::from_config(cfg),
+        &engine,
+        &mac_engine,
+        fresh,
+    )
+}
 
 /// `rounds` counter-atomic rewrites over `lines` distinct lines, each
 /// round writing distinct content — the rewindable workload every
@@ -162,10 +176,7 @@ fn mac_only_replay_really_rewinds_state() {
     let fresh = FreshnessRef::capture(&pair.latest, spec);
     // The stale image — genuinely old data — passes every check
     // mac-only performs. That is the attack, demonstrated end to end.
-    assert_eq!(
-        verify_image_attack(&pair.stale, spec, cfg.key, &fresh),
-        AttackVerdict::Undetected
-    );
+    assert_eq!(judge(&cfg, &pair.stale, &fresh), AttackVerdict::Undetected);
 }
 
 proptest! {
@@ -188,7 +199,7 @@ proptest! {
             let pair = snapshot_pair(&cfg, &traces, frac_milli);
             for img in [&pair.latest, &pair.stale] {
                 let fresh = FreshnessRef::capture(img, spec);
-                let v = verify_image_attack(img, spec, cfg.key, &fresh);
+                let v = judge(&cfg, img, &fresh);
                 prop_assert_eq!(
                     v.clone(),
                     AttackVerdict::Undetected,

@@ -196,20 +196,21 @@ proptest! {
         prop_assert!(q >= last_ready, "quiesce cannot precede the last ready bit");
     }
 
-    /// The ready-bit pairing rule, end to end: drive the controller with
-    /// random counter-atomic write sequences, crash at random instants,
-    /// and enumerate every legal image — no image may expose a data line
-    /// whose counter half is missing (a half-persisted pair).
+    /// The ready-bit pairing rule, end to end: drive a one-shard
+    /// controller complex with random counter-atomic write sequences,
+    /// crash at random instants, and enumerate every legal image — no
+    /// image may expose a data line whose counter half is missing (a
+    /// half-persisted pair).
     #[test]
     fn fca_random_sequences_never_expose_half_pair(
         writes in proptest::collection::vec((0u64..24, 0u64..200), 1..24),
         crash_ns in 0u64..4000,
     ) {
-        use nvmm::sim::controller::MemoryController;
         use nvmm::sim::crashmc::EnumOpts;
+        use nvmm::sim::shard::ShardedController;
         use nvmm::sim::stats::Stats;
         let cfg = SimConfig::single_core(Design::Fca);
-        let mut c = MemoryController::new(&cfg);
+        let mut c = ShardedController::new(&cfg);
         let mut s = Stats::new(1);
         let mut t = Time::ZERO;
         let mut latest: std::collections::HashMap<u64, u8> = std::collections::HashMap::new();
