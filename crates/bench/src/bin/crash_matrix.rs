@@ -295,7 +295,7 @@ fn main() {
             .find(|(label, _)| label == series)
             .map(|(_, cfg)| cfg.design)
             .expect("matrix series is a column label");
-        let safe = design.enforces_counter_atomicity() || design.write_through();
+        let safe = design.enforces_counter_atomicity() || design.co_located();
         if safe && agg.violations > 0 {
             eprintln!(
                 "FAIL: {row} under {series}: {} violating images",

@@ -79,15 +79,6 @@ impl Design {
         matches!(self, Design::Fca)
     }
 
-    /// Whether counter state persists write-through with the data — the
-    /// co-located designs carry data and counter in one 72-byte line, so
-    /// a crash can never strand a counter update behind its ciphertext.
-    /// The crash-image model checker (`crash_matrix`) uses this to label
-    /// the write-through column of its design matrix.
-    pub fn write_through(self) -> bool {
-        self.co_located()
-    }
-
     /// Whether `counter_cache_writeback()` flushes dirty counter lines to
     /// the (ADR-protected) counter write queue. `Ideal` ignores it — by
     /// definition it pays *no* counter-atomicity cost, trading away crash
@@ -188,13 +179,6 @@ impl IntegrityPolicy {
                 | IntegrityPolicy::Pipelined
                 | IntegrityPolicy::Phoenix
         )
-    }
-
-    /// Whether every write persists its tree path leaf-to-root,
-    /// counter-atomically (which also forces the write itself to be
-    /// counter-atomic).
-    pub fn strict(self) -> bool {
-        matches!(self, IntegrityPolicy::Strict)
     }
 
     /// Whether every write carries its dirty tree path inside its
@@ -626,13 +610,11 @@ mod tests {
         assert!(IntegrityPolicy::MacOnly.enabled());
         assert!(!IntegrityPolicy::MacOnly.has_tree());
         assert!(IntegrityPolicy::Lazy.has_tree());
-        assert!(!IntegrityPolicy::Lazy.strict());
+        assert!(!IntegrityPolicy::Lazy.serializes_root());
         assert!(IntegrityPolicy::Strict.has_tree());
-        assert!(IntegrityPolicy::Strict.strict());
         // Pipelined shares strict's in-pair path persistence but not
         // its root serialization.
         assert!(IntegrityPolicy::Pipelined.has_tree());
-        assert!(!IntegrityPolicy::Pipelined.strict());
         assert!(IntegrityPolicy::Pipelined.persists_path_in_pair());
         assert!(IntegrityPolicy::Strict.persists_path_in_pair());
         assert!(!IntegrityPolicy::Pipelined.serializes_root());

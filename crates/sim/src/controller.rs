@@ -39,7 +39,8 @@
 
 use crate::addr::{CounterLineAddr, LineAddr, MacLineAddr, NvmmTarget, TreeNodeAddr};
 use crate::cache::SetAssocCache;
-use crate::config::{Design, SimConfig};
+use crate::config::{Design, IntegrityPolicy, SimConfig};
+use crate::crashmc::Domain;
 use crate::device::{AccessKind, PcmDevice};
 use crate::integrity::{DigestLine, IntegrityState, MetaKey};
 #[cfg(test)]
@@ -51,7 +52,7 @@ use fxhash::FxHashMap;
 use nvmm_crypto::counter::CounterLine;
 use nvmm_crypto::engine::EncryptionEngine;
 use nvmm_crypto::mac::MacLine;
-use nvmm_crypto::LineData;
+use nvmm_crypto::{Counter, LineData};
 
 /// One persisted NVMM write, with the instant it entered the write-queue
 /// complex and the instant ADR vouches for it.
@@ -69,7 +70,7 @@ pub(crate) struct JournalRecord {
     /// The serialization domain whose mechanism produced
     /// `guaranteed_at`; in-flight landings are prefix-closed within a
     /// domain (see [`crate::crashmc`]).
-    pub(crate) domain: crate::crashmc::Domain,
+    pub(crate) domain: Domain,
     /// The channel shard whose controller owns the write. Each shard
     /// has its own queues and pairing coordinator, so the model
     /// checker's serialization domains are (shard, domain) pairs; a
@@ -87,12 +88,12 @@ pub(crate) enum JournalOp {
     Encrypted {
         line: LineAddr,
         ciphertext: LineData,
-        counter: nvmm_crypto::Counter,
+        counter: Counter,
     },
     CoLocated {
         line: LineAddr,
         ciphertext: LineData,
-        counter: nvmm_crypto::Counter,
+        counter: Counter,
     },
     CounterLine {
         cline: CounterLineAddr,
@@ -230,10 +231,11 @@ pub(crate) struct MemoryController {
     phoenix_bug_stale_epoch: bool,
     /// Channel-shard id stamped on every journal record.
     shard_id: usize,
-    /// The tree path of the latest integrity-tree update, kept so the
-    /// write path refills it instead of allocating.
+    /// The tree path of the latest integrity-tree update, leaf-most
+    /// first, kept so the write path refills it instead of allocating;
+    /// always empty under a policy without a tree.
     path: Vec<(TreeNodeAddr, DigestLine)>,
-    /// A counter-atomic write's metadata records, kept for the same
+    /// A counter-atomic write's journal records, kept for the same
     /// reason; empty between writes.
     pair_ops: Vec<JournalOp>,
 }
@@ -276,6 +278,14 @@ impl MemoryController {
         }
     }
 
+    /// The integrity policy in force: [`IntegrityPolicy::None`] when
+    /// integrity is off.
+    fn policy(&self) -> IntegrityPolicy {
+        self.integrity
+            .as_ref()
+            .map_or(IntegrityPolicy::None, IntegrityState::policy)
+    }
+
     fn current_counter_line(&self, cline: CounterLineAddr) -> CounterLine {
         self.counter_state.get(&cline).copied().unwrap_or_default()
     }
@@ -306,6 +316,82 @@ impl MemoryController {
         self.queues.quiesce_time()
     }
 
+    /// Charges one write request for `target`: a line of wear, then the
+    /// coalesced count when the queue merged it into a pending entry,
+    /// or else the write count and the bytes that reach the device — 72
+    /// for a co-located data line, the counter line's (possibly
+    /// compressed) size, and that size plus the MAC half for a packed
+    /// line.
+    fn charge(&self, target: NvmmTarget, coalesced: bool, stats: &mut Stats) {
+        stats.wear_line_writes += 1;
+        let (written, merged) = match target {
+            NvmmTarget::Data(_) => (
+                &mut stats.nvmm_data_writes,
+                &mut stats.coalesced_data_writes,
+            ),
+            NvmmTarget::Counter(_) => (
+                &mut stats.nvmm_counter_writes,
+                &mut stats.coalesced_counter_writes,
+            ),
+            NvmmTarget::Mac(_) | NvmmTarget::TreeNode(_) => (
+                &mut stats.nvmm_metadata_writes,
+                &mut stats.coalesced_metadata_writes,
+            ),
+            NvmmTarget::PackedMeta(_) => (
+                &mut stats.nvmm_packed_meta_writes,
+                &mut stats.coalesced_packed_meta_writes,
+            ),
+        };
+        if coalesced {
+            *merged += 1;
+            return;
+        }
+        *written += 1;
+        stats.bytes_written += match target {
+            NvmmTarget::Data(_) if self.design.co_located() => 72,
+            NvmmTarget::Counter(cline) => self.counter_line_cost(cline),
+            NvmmTarget::PackedMeta(cline) => self.counter_line_cost(cline) + 64,
+            _ => 64,
+        };
+    }
+
+    /// Submits a plain write of `target` to its queue at `t` and charges
+    /// it.
+    fn submit(&mut self, target: NvmmTarget, t: Time, stats: &mut Stats) -> PlainReceipt {
+        let receipt = self.queues.submit_plain(&mut self.device, target, t);
+        self.charge(target, receipt.coalesced, stats);
+        receipt
+    }
+
+    /// Journals a write submitted at `submitted` that ADR vouches for at
+    /// `guaranteed`, in counter-atomic pair `pair` if it has one.
+    fn append(
+        &mut self,
+        submitted: Time,
+        guaranteed: Time,
+        pair: Option<u64>,
+        domain: Domain,
+        op: JournalOp,
+    ) {
+        self.journal.push(JournalRecord {
+            submitted_at: submitted,
+            guaranteed_at: guaranteed,
+            pair,
+            domain,
+            shard: self.shard_id,
+            op,
+        });
+    }
+
+    /// Submits the write `op` describes on its own and journals it in
+    /// `domain`; ADR vouches for it once its queue accepts it. Returns
+    /// that instant.
+    fn write_plain(&mut self, op: JournalOp, domain: Domain, t: Time, stats: &mut Stats) -> Time {
+        let accepted = self.submit(op.target(), t, stats).accepted;
+        self.append(t, accepted, None, domain, op);
+        accepted
+    }
+
     /// Probes the counter cache for `cline`. On a hit returns `None`; on
     /// a miss fills the line (possibly writing back a dirty victim) and
     /// returns the time at which the counter arrives from NVMM.
@@ -323,6 +409,7 @@ impl MemoryController {
             return None;
         }
         stats.counter_cache_misses += 1;
+        let victim = cache.insert(cline, (), false);
         // Fill from NVMM: one counter-region read (§5.2.1). Co-located
         // designs take the counter from the widened data line instead.
         let fill_done = if self.design.co_located() {
@@ -333,145 +420,71 @@ impl MemoryController {
                 .schedule(NvmmTarget::Counter(cline), AccessKind::Read, t)
                 .done
         };
-        if let Some(victim) =
-            self.counter_cache
-                .as_mut()
-                .expect("probed above")
-                .insert(cline, (), false)
-        {
-            if victim.dirty {
-                stats.counter_cache_evictions += 1;
-                self.persist_counter_line(victim.key, t, stats);
-            }
+        if let Some(victim) = victim.filter(|v| v.dirty) {
+            stats.counter_cache_evictions += 1;
+            self.write_counter_line(victim.key, self.mac_dirty(victim.key), t, stats);
         }
         Some(fill_done)
     }
 
-    /// Submits a MAC-line or tree-node write to the metadata write
-    /// queue, charging stats.
-    fn submit_meta_write(
-        &mut self,
-        target: NvmmTarget,
-        t: Time,
-        stats: &mut Stats,
-    ) -> PlainReceipt {
-        let receipt = self.queues.submit_plain(&mut self.device, target, t);
-        stats.wear_line_writes += 1;
-        if receipt.coalesced {
-            stats.coalesced_metadata_writes += 1;
-        } else {
-            stats.nvmm_metadata_writes += 1;
-            stats.bytes_written += 64;
-        }
-        receipt
+    /// Whether `cline`'s MAC line is dirty on chip, so the counter line
+    /// must persist together with it.
+    fn mac_dirty(&self, cline: CounterLineAddr) -> bool {
+        self.integrity
+            .as_ref()
+            .is_some_and(|i| i.is_dirty(MetaKey::Mac(MacLineAddr(cline.0))))
     }
 
-    /// Persists `cline` together with its MAC line as one atomic unit
-    /// (shared pair id, common guarantee instant). The MAC binds the
-    /// counter, so recovery must see both halves from the same snapshot
-    /// — persisting them apart would manufacture MAC violations out of
-    /// a perfectly legal crash. Cleans both cached copies.
-    fn flush_counter_mac_pair(
+    /// Persists `cline`'s current counters: the one counter-line write,
+    /// for counter-cache evictions, `counter_cache_writeback`, stop-loss
+    /// flushes and MAC-line evictions. With `with_mac` its MAC line goes
+    /// too, as one packed line under colocated and otherwise as a pair
+    /// sharing one guarantee instant. The MAC binds the counter, so
+    /// recovery must see both halves from the same snapshot — persisting
+    /// them apart would manufacture MAC violations out of a perfectly
+    /// legal crash. Cleans the cached copies and returns the guarantee
+    /// time.
+    fn write_counter_line(
         &mut self,
         cline: CounterLineAddr,
+        with_mac: bool,
         t: Time,
         stats: &mut Stats,
     ) -> Time {
+        let counters = self.current_counter_line(cline);
         let mline = MacLineAddr(cline.0);
-        if self
-            .integrity
-            .as_ref()
-            .is_some_and(|i| i.policy().packed_meta())
-        {
-            // Colocated: the two halves are one packed line — a single
-            // write, atomic by construction, no pair id needed.
-            let r = self
-                .queues
-                .submit_plain(&mut self.device, NvmmTarget::PackedMeta(cline), t);
-            stats.wear_line_writes += 1;
-            if r.coalesced {
-                stats.coalesced_packed_meta_writes += 1;
-            } else {
-                stats.nvmm_packed_meta_writes += 1;
-                stats.bytes_written += self.counter_line_cost(cline) + 64;
-            }
-            let integ = self.integrity.as_mut().expect("checked above");
-            integ.clean(MetaKey::Mac(mline));
-            let macs = integ.mac_snapshot(mline);
-            self.journal.push(JournalRecord {
-                submitted_at: t,
-                guaranteed_at: r.accepted,
-                pair: None,
-                domain: crate::crashmc::Domain::CounterQueue,
-                shard: self.shard_id,
-                op: JournalOp::PackedMeta {
+        let macs = self.integrity.as_mut().filter(|_| with_mac).map(|i| {
+            i.clean(MetaKey::Mac(mline));
+            i.mac_snapshot(mline)
+        });
+        let domain = Domain::CounterQueue;
+        let guaranteed = match macs {
+            None => self.write_plain(JournalOp::CounterLine { cline, counters }, domain, t, stats),
+            Some(macs) if self.policy().packed_meta() => {
+                let op = JournalOp::PackedMeta {
                     cline,
-                    counters: self.current_counter_line(cline),
+                    counters,
                     macs,
-                },
-            });
-            if let Some(cache) = self.counter_cache.as_mut() {
-                cache.clean(&cline);
+                };
+                self.write_plain(op, domain, t, stats)
             }
-            return r.accepted;
-        }
-        let rc = self
-            .queues
-            .submit_plain(&mut self.device, NvmmTarget::Counter(cline), t);
-        stats.wear_line_writes += 1;
-        if rc.coalesced {
-            stats.coalesced_counter_writes += 1;
-        } else {
-            stats.nvmm_counter_writes += 1;
-            stats.bytes_written += self.counter_line_cost(cline);
-        }
-        let rm = self.submit_meta_write(NvmmTarget::Mac(mline), t, stats);
-        let guaranteed = rc.accepted.max(rm.accepted);
-        let pair = Some(self.next_pair);
-        self.next_pair += 1;
-        let integ = self.integrity.as_mut().expect("integrity enabled");
-        integ.clean(MetaKey::Mac(mline));
-        let macs = integ.mac_snapshot(mline);
-        self.journal.push(JournalRecord {
-            submitted_at: t,
-            guaranteed_at: guaranteed,
-            pair,
-            domain: crate::crashmc::Domain::CounterQueue,
-            shard: self.shard_id,
-            op: JournalOp::CounterLine {
-                cline,
-                counters: self.current_counter_line(cline),
-            },
-        });
-        self.journal.push(JournalRecord {
-            submitted_at: t,
-            guaranteed_at: guaranteed,
-            pair,
-            domain: crate::crashmc::Domain::CounterQueue,
-            shard: self.shard_id,
-            op: JournalOp::MacLine { mline, macs },
-        });
+            Some(macs) => {
+                let rc = self.submit(NvmmTarget::Counter(cline), t, stats);
+                let rm = self.submit(NvmmTarget::Mac(mline), t, stats);
+                let guaranteed = rc.accepted.max(rm.accepted);
+                let pair = Some(self.next_pair);
+                self.next_pair += 1;
+                let counter_op = JournalOp::CounterLine { cline, counters };
+                self.append(t, guaranteed, pair, domain, counter_op);
+                let mac_op = JournalOp::MacLine { mline, macs };
+                self.append(t, guaranteed, pair, domain, mac_op);
+                guaranteed
+            }
+        };
         if let Some(cache) = self.counter_cache.as_mut() {
             cache.clean(&cline);
         }
         guaranteed
-    }
-
-    /// Persists `cline` by whatever mechanism the configuration
-    /// requires: alone when integrity is off or its MAC line is clean,
-    /// atomically with the MAC line otherwise. Returns the guarantee
-    /// time; the caller still owns the counter cache's dirty bit when
-    /// the plain path is taken.
-    fn persist_counter_line(&mut self, cline: CounterLineAddr, t: Time, stats: &mut Stats) -> Time {
-        let mac_dirty = self
-            .integrity
-            .as_ref()
-            .is_some_and(|i| i.is_dirty(MetaKey::Mac(MacLineAddr(cline.0))));
-        if mac_dirty {
-            self.flush_counter_mac_pair(cline, t, stats)
-        } else {
-            self.write_counter_line(cline, t, stats)
-        }
     }
 
     /// Persists a dirty metadata-cache victim: a MAC line drags its
@@ -481,52 +494,18 @@ impl MemoryController {
         stats.tree_cache_evictions += 1;
         match key {
             MetaKey::Mac(mline) => {
-                self.flush_counter_mac_pair(CounterLineAddr(mline.0), t, stats);
+                self.write_counter_line(CounterLineAddr(mline.0), true, t, stats);
             }
             MetaKey::Node(node) => {
-                let r = self.submit_meta_write(NvmmTarget::TreeNode(node), t, stats);
                 let digests = self
                     .integrity
                     .as_ref()
-                    .expect("integrity enabled")
+                    .expect("only integrity caches tree nodes")
                     .tree_snapshot(node);
-                self.journal.push(JournalRecord {
-                    submitted_at: t,
-                    guaranteed_at: r.accepted,
-                    pair: None,
-                    domain: crate::crashmc::Domain::MetadataQueue,
-                    shard: self.shard_id,
-                    op: JournalOp::TreeNode { node, digests },
-                });
+                let op = JournalOp::TreeNode { node, digests };
+                self.write_plain(op, Domain::MetadataQueue, t, stats);
             }
         }
-    }
-
-    /// Submits a counter-line write (eviction or explicit writeback);
-    /// always ready on acceptance. Returns the guarantee time.
-    fn write_counter_line(&mut self, cline: CounterLineAddr, t: Time, stats: &mut Stats) -> Time {
-        let receipt = self
-            .queues
-            .submit_plain(&mut self.device, NvmmTarget::Counter(cline), t);
-        stats.wear_line_writes += 1;
-        if receipt.coalesced {
-            stats.coalesced_counter_writes += 1;
-        } else {
-            stats.nvmm_counter_writes += 1;
-            stats.bytes_written += self.counter_line_cost(cline);
-        }
-        self.journal.push(JournalRecord {
-            submitted_at: t,
-            guaranteed_at: receipt.accepted,
-            pair: None,
-            domain: crate::crashmc::Domain::CounterQueue,
-            shard: self.shard_id,
-            op: JournalOp::CounterLine {
-                cline,
-                counters: self.current_counter_line(cline),
-            },
-        });
-        receipt.accepted
     }
 
     /// Services an LLC demand read miss issued at `t`. Returns the
@@ -589,59 +568,21 @@ impl MemoryController {
         }
         match self.design {
             Design::NoEncryption => {
-                let r = self
-                    .queues
-                    .submit_plain(&mut self.device, NvmmTarget::Data(line), t);
-                stats.wear_line_writes += 1;
-                if r.coalesced {
-                    stats.coalesced_data_writes += 1;
-                } else {
-                    stats.nvmm_data_writes += 1;
-                    stats.bytes_written += 64;
-                }
-                self.journal.push(JournalRecord {
-                    submitted_at: t,
-                    guaranteed_at: r.accepted,
-                    pair: None,
-                    domain: crate::crashmc::Domain::DataQueue,
-                    shard: self.shard_id,
-                    op: JournalOp::Plain { line, data },
-                });
-                r.accepted
+                self.write_plain(JournalOp::Plain { line, data }, Domain::DataQueue, t, stats)
             }
             Design::CoLocated | Design::CoLocatedCounterCache => {
                 let enc = self.engine.encrypt(line.0, &data);
-                if self.design == Design::CoLocatedCounterCache {
-                    // Keep the counter cache warm for future reads; the
-                    // counter itself travels with the line.
-                    if let Some(cache) = self.counter_cache.as_mut() {
-                        cache.insert(line.counter_line(), (), false);
-                    }
+                // A counter cache, when there is one, stays warm for
+                // future reads; the counter itself travels with the line.
+                if let Some(cache) = self.counter_cache.as_mut() {
+                    cache.insert(line.counter_line(), (), false);
                 }
-                let t_enc = t + self.crypto_latency;
-                let r = self
-                    .queues
-                    .submit_plain(&mut self.device, NvmmTarget::Data(line), t_enc);
-                stats.wear_line_writes += 1;
-                if r.coalesced {
-                    stats.coalesced_data_writes += 1;
-                } else {
-                    stats.nvmm_data_writes += 1;
-                    stats.bytes_written += 72;
-                }
-                self.journal.push(JournalRecord {
-                    submitted_at: t_enc,
-                    guaranteed_at: r.accepted,
-                    pair: None,
-                    domain: crate::crashmc::Domain::DataQueue,
-                    shard: self.shard_id,
-                    op: JournalOp::CoLocated {
-                        line,
-                        ciphertext: enc.ciphertext,
-                        counter: enc.counter,
-                    },
-                });
-                r.accepted
+                let op = JournalOp::CoLocated {
+                    line,
+                    ciphertext: enc.ciphertext,
+                    counter: enc.counter,
+                };
+                self.write_plain(op, Domain::DataQueue, t + self.crypto_latency, stats)
             }
             Design::Ideal | Design::Fca | Design::Sca | Design::UnsafeNoAtomicity => {
                 self.writeback_separate(line, data, counter_atomic, t, stats)
@@ -664,17 +605,11 @@ impl MemoryController {
         // standard per-line minor-counter scheme — consecutive values
         // keep counter lines compressible and, with stop-loss, make the
         // post-crash candidate window bounded).
-        let current = self.current_counter_line(cline).get(slot);
-        let counter = current.bump();
+        let counters = self.counter_state.entry(cline).or_default();
+        let counter = counters.get(slot).bump();
+        counters.set(slot, counter);
+        let counters = *counters;
         let ciphertext = self.engine.encrypt_with(line.0, &data, counter);
-        let enc = nvmm_crypto::EncryptedWrite {
-            ciphertext,
-            counter,
-        };
-        self.counter_state
-            .entry(cline)
-            .or_default()
-            .set(slot, enc.counter);
         let t_enq = t + self.crypto_latency;
 
         // Counter cache bookkeeping: write probes fill on miss without
@@ -682,347 +617,231 @@ impl MemoryController {
         // encryption immediately; the fill is background traffic).
         let _ = self.probe_counter_cache(cline, t, stats);
 
+        let policy = self.policy();
         let enforce_ca = counter_atomic && self.design.enforces_counter_atomicity()
             || self.design.all_writes_counter_atomic()
             // Path-in-pair integrity (strict, pipelined) makes every
             // write counter-atomic: the leaf-to-root tree update only
             // stays consistent if the counter it digests lands with it.
-            || self
-                .integrity
-                .as_ref()
-                .is_some_and(|i| i.policy().persists_path_in_pair());
-        // Colocated: the pair's counter half is the packed
-        // (counter, MAC) line — one metadata write instead of two.
-        let packed = self
-            .integrity
-            .as_ref()
-            .is_some_and(|i| i.policy().packed_meta());
+            || policy.persists_path_in_pair();
 
-        if enforce_ca {
-            let counter_target = if packed {
-                NvmmTarget::PackedMeta(cline)
-            } else {
-                NvmmTarget::Counter(cline)
-            };
-            let r = self.queues.submit_counter_atomic(
-                &mut self.device,
-                NvmmTarget::Data(line),
-                counter_target,
-                t_enq,
-            );
-            if r.pairing_wait > Time::ZERO {
-                stats.pairing_stalls += 1;
-                stats.pairing_stall += r.pairing_wait;
+        // One metadata update per write: the new MAC, the refolded tree
+        // path, and one touch of both in the metadata cache. A
+        // counter-atomic write persists its MAC line with the pair, so
+        // the cached copy is clean; the path nodes are clean when the
+        // path rides the pair too, and under phoenix, whose tree is
+        // reconstructible state that never reaches NVMM. Otherwise they
+        // stay dirty on chip beside the dirty counter and reach NVMM with
+        // the counter's own flush or on eviction.
+        let mut evicted = Vec::new();
+        if let Some(integ) = self.integrity.as_mut() {
+            let mline = integ.record_mac(line, counter, &data);
+            if policy.has_tree() {
+                integ.update_tree_path(cline, &counters.to_bytes(), &mut self.path);
             }
-            stats.nvmm_data_writes += 1;
-            stats.bytes_written += 64;
-            // The data half and the counter half.
-            stats.wear_line_writes += 2;
-            if r.counter_coalesced {
-                if packed {
-                    stats.coalesced_packed_meta_writes += 1;
-                } else {
-                    stats.coalesced_counter_writes += 1;
-                }
-            } else if packed {
-                stats.nvmm_packed_meta_writes += 1;
-                stats.bytes_written += self.counter_line_cost(cline) + 64;
-            } else {
-                stats.nvmm_counter_writes += 1;
-                stats.bytes_written += self.counter_line_cost(cline);
-            }
-            // The pair persisted this counter line's current snapshot;
-            // the cached copy is clean.
-            if let Some(cache) = self.counter_cache.as_mut() {
-                cache.clean(&cline);
-            }
-            // Integrity metadata rides the pair: the MAC line always;
-            // the leaf-to-root tree path too under strict, where the
-            // guarantee additionally serializes through the root-update
-            // engine. All pair members must share one guarantee instant
-            // or the ready-bit atomicity tears.
-            let mut guaranteed = r.ready;
-            let mut pair_ops = std::mem::take(&mut self.pair_ops);
-            let mut bug_ops: Vec<(Time, JournalOp)> = Vec::new();
-            let mut evicted: Vec<MetaKey> = Vec::new();
-            if self.integrity.is_some() {
-                let policy = self.integrity.as_ref().expect("checked").policy();
-                let mline =
-                    self.integrity
-                        .as_mut()
-                        .expect("checked")
-                        .record_mac(line, enc.counter, &data);
-                if !packed {
-                    let rm = self.submit_meta_write(NvmmTarget::Mac(mline), t_enq, stats);
-                    guaranteed = guaranteed.max(rm.accepted);
-                }
-                let counters_bytes = self.current_counter_line(cline).to_bytes();
-                {
-                    let integ = self.integrity.as_mut().expect("checked");
-                    if !packed {
-                        pair_ops.push(JournalOp::MacLine {
-                            mline,
-                            macs: integ.mac_snapshot(mline),
-                        });
-                    }
-                    // Packed or separate, the MAC line's cached copy just
-                    // persisted with the pair: resident and clean.
-                    let (victim, hit) = integ.touch(MetaKey::Mac(mline), false);
-                    if hit {
-                        stats.tree_cache_hits += 1;
-                    } else {
-                        stats.tree_cache_misses += 1;
-                    }
-                    evicted.extend(victim);
-                }
-                if policy.has_tree() {
-                    let in_pair = policy.persists_path_in_pair();
-                    // Strict/pipelined persist the path with the pair, so
-                    // the cached nodes stay clean; lazy leaves them dirty
-                    // for eviction-time persistence; phoenix keeps them
-                    // clean too — its tree is reconstructible state that
-                    // never reaches NVMM.
-                    let node_dirty = !in_pair && !policy.phoenix();
-                    let mut path = std::mem::take(&mut self.path);
-                    {
-                        let integ = self.integrity.as_mut().expect("checked");
-                        integ.update_tree_path(cline, &counters_bytes, &mut path);
-                        for (node, _) in &path {
-                            let (victim, hit) = integ.touch(MetaKey::Node(*node), node_dirty);
-                            if hit {
-                                stats.tree_cache_hits += 1;
-                            } else {
-                                stats.tree_cache_misses += 1;
-                            }
-                            evicted.extend(victim);
-                        }
-                    }
-                    if in_pair {
-                        let path_len = path.len();
-                        for (i, (node, digests)) in path.iter().enumerate() {
-                            let rn =
-                                self.submit_meta_write(NvmmTarget::TreeNode(*node), t_enq, stats);
-                            let op = JournalOp::TreeNode {
-                                node: *node,
-                                digests: *digests,
-                            };
-                            let bugged = self.tree_bug_parent_first
-                                || (self.tree_bug_drop_dependency && i + 1 == path_len);
-                            if bugged {
-                                bug_ops.push((rn.accepted, op));
-                            } else {
-                                guaranteed = guaranteed.max(rn.accepted);
-                                pair_ops.push(op);
-                            }
-                        }
-                        if policy.serializes_root() {
-                            if !self.tree_bug_parent_first {
-                                let integ = self.integrity.as_mut().expect("checked");
-                                if integ.root_free > guaranteed {
-                                    stats.root_update_stalls += 1;
-                                    stats.root_update_stall += integ.root_free - guaranteed;
-                                    guaranteed = integ.root_free;
-                                }
-                                guaranteed += self.crypto_latency;
-                                integ.root_free = guaranteed;
-                            }
-                        } else if !self.tree_bug_drop_dependency {
-                            // Pipelined: in-cache dependency tracking
-                            // (Freij et al.) only clamps this pair's
-                            // guarantee to never run ahead of the previous
-                            // pair's — root writes overlap instead of
-                            // serializing through the root engine, so no
-                            // crypto latency is added and no stall taken.
-                            let integ = self.integrity.as_mut().expect("checked");
-                            if integ.root_free > guaranteed {
-                                stats.root_update_overlaps += 1;
-                                guaranteed = integ.root_free;
-                            }
-                            integ.root_free = guaranteed;
-                        }
-                    }
-                    self.path = path;
-                    if policy.phoenix() {
-                        let seq = self
-                            .integrity
-                            .as_mut()
-                            .expect("checked")
-                            .phoenix_epoch(cline);
-                        if let Some(seq) = seq {
-                            let counters = self.current_counter_line(cline);
-                            let (node, digests) =
-                                crate::integrity::phoenix_summary(cline, &counters, seq);
-                            let rs =
-                                self.submit_meta_write(NvmmTarget::TreeNode(node), t_enq, stats);
-                            stats.phoenix_epoch_writes += 1;
-                            let op = JournalOp::TreeNode { node, digests };
-                            if self.phoenix_bug_stale_epoch {
-                                bug_ops.push((rs.accepted, op));
-                            } else {
-                                guaranteed = guaranteed.max(rs.accepted);
-                                pair_ops.push(op);
-                            }
-                        }
-                    }
-                }
-            }
-            let pair = Some(self.next_pair);
-            self.next_pair += 1;
-            self.journal.push(JournalRecord {
-                submitted_at: t_enq,
-                guaranteed_at: guaranteed,
-                pair,
-                domain: crate::crashmc::Domain::Pairing,
-                shard: self.shard_id,
-                op: JournalOp::Encrypted {
-                    line,
-                    ciphertext: enc.ciphertext,
-                    counter: enc.counter,
-                },
-            });
-            let counter_op = if self
-                .integrity
-                .as_ref()
-                .is_some_and(|i| i.policy().packed_meta())
-            {
-                // Colocated (SecPM): the counter and MAC ride one packed
-                // metadata line, so the pair journals a single record
-                // covering both cells.
-                let macs = self
-                    .integrity
-                    .as_ref()
-                    .expect("checked")
-                    .mac_snapshot(MacLineAddr(cline.0));
-                JournalOp::PackedMeta {
-                    cline,
-                    counters: self.current_counter_line(cline),
-                    macs,
-                }
-            } else {
-                JournalOp::CounterLine {
-                    cline,
-                    counters: self.current_counter_line(cline),
-                }
-            };
-            self.journal.push(JournalRecord {
-                submitted_at: t_enq,
-                guaranteed_at: guaranteed,
-                pair,
-                domain: crate::crashmc::Domain::Pairing,
-                shard: self.shard_id,
-                op: counter_op,
-            });
-            for op in pair_ops.drain(..) {
-                self.journal.push(JournalRecord {
-                    submitted_at: t_enq,
-                    guaranteed_at: guaranteed,
-                    pair,
-                    domain: crate::crashmc::Domain::Pairing,
-                    shard: self.shard_id,
-                    op,
-                });
-            }
-            self.pair_ops = pair_ops;
-            // The injected bug: tree-path updates journaled outside the
-            // pair, guaranteed the instant the metadata queue accepted
-            // them — parents race ahead of the children they digest.
-            for (g, op) in bug_ops {
-                self.journal.push(JournalRecord {
-                    submitted_at: t_enq,
-                    guaranteed_at: g,
-                    pair: None,
-                    domain: crate::crashmc::Domain::MetadataQueue,
-                    shard: self.shard_id,
-                    op,
-                });
-            }
-            for key in evicted {
-                self.persist_meta_eviction(key, t_enq, stats);
-            }
-            guaranteed
+            let node_dirty = !policy.persists_path_in_pair() && !policy.phoenix();
+            evicted = self.touch_meta(mline, !enforce_ca, node_dirty, stats);
+        }
+
+        let guaranteed = if enforce_ca {
+            self.persist_pair(line, ciphertext, counter, t_enq, stats)
         } else {
             // Plain data write; the counter stays dirty on chip until a
             // counter_cache_writeback or an eviction (§4.2's reordering
             // window).
-            let r = self
-                .queues
-                .submit_plain(&mut self.device, NvmmTarget::Data(line), t_enq);
-            stats.wear_line_writes += 1;
-            if r.coalesced {
-                stats.coalesced_data_writes += 1;
-            } else {
-                stats.nvmm_data_writes += 1;
-                stats.bytes_written += 64;
-            }
             if let Some(cache) = self.counter_cache.as_mut() {
                 cache.get_mut(&cline, true);
             }
-            self.journal.push(JournalRecord {
-                submitted_at: t_enq,
-                guaranteed_at: r.accepted,
-                pair: None,
-                domain: crate::crashmc::Domain::DataQueue,
-                shard: self.shard_id,
-                op: JournalOp::Encrypted {
-                    line,
-                    ciphertext: enc.ciphertext,
-                    counter: enc.counter,
-                },
-            });
-            // Integrity metadata stays dirty on chip alongside the dirty
-            // counter: the MAC line (and, under lazy, the tree path)
-            // reaches NVMM with the counter's own flush or on eviction.
-            if self.integrity.is_some() {
-                let policy = self.integrity.as_ref().expect("checked").policy();
-                let counters_bytes = self.current_counter_line(cline).to_bytes();
-                let mut evicted: Vec<MetaKey> = Vec::new();
-                {
-                    let integ = self.integrity.as_mut().expect("checked");
-                    let mline = integ.record_mac(line, enc.counter, &data);
-                    let (victim, hit) = integ.touch(MetaKey::Mac(mline), true);
-                    if hit {
-                        stats.tree_cache_hits += 1;
-                    } else {
-                        stats.tree_cache_misses += 1;
-                    }
-                    evicted.extend(victim);
-                    if policy.has_tree() {
-                        // Phoenix never persists the tree, so its nodes
-                        // stay clean in cache; other policies leave them
-                        // dirty for eviction-time persistence.
-                        let node_dirty = !policy.phoenix();
-                        integ.update_tree_path(cline, &counters_bytes, &mut self.path);
-                        for &(node, _) in &self.path {
-                            let (victim, hit) = integ.touch(MetaKey::Node(node), node_dirty);
-                            if hit {
-                                stats.tree_cache_hits += 1;
-                            } else {
-                                stats.tree_cache_misses += 1;
-                            }
-                            evicted.extend(victim);
-                        }
-                    }
-                }
-                for key in evicted {
-                    self.persist_meta_eviction(key, t_enq, stats);
-                }
-            }
-            // Stop-loss (Osiris-style): after `n` un-persisted counter
-            // bumps on this counter line, force a write-back so the
-            // post-crash candidate window stays bounded.
-            if let Some(n) = self.stop_loss {
-                let lag = self.counter_lag.entry(cline).or_default();
-                *lag += 1;
-                if *lag >= n {
-                    *lag = 0;
-                    self.persist_counter_line(cline, r.accepted, stats);
-                    if let Some(cache) = self.counter_cache.as_mut() {
-                        cache.clean(&cline);
-                    }
-                }
-            }
-            r.accepted
+            let op = JournalOp::Encrypted {
+                line,
+                ciphertext,
+                counter,
+            };
+            self.write_plain(op, Domain::DataQueue, t_enq, stats)
+        };
+        for key in evicted {
+            self.persist_meta_eviction(key, t_enq, stats);
         }
+        // Stop-loss (Osiris-style): after `n` un-persisted counter bumps
+        // on this counter line, force a write-back so the post-crash
+        // candidate window stays bounded.
+        if let Some(n) = self.stop_loss.filter(|_| !enforce_ca) {
+            let lag = self.counter_lag.entry(cline).or_default();
+            *lag += 1;
+            if *lag >= n {
+                *lag = 0;
+                self.write_counter_line(cline, self.mac_dirty(cline), guaranteed, stats);
+            }
+        }
+        guaranteed
+    }
+
+    /// Touches a write's MAC line, then the tree path it just refolded
+    /// (empty without a tree), in the metadata cache, marking each dirty
+    /// or clean and charging each probe. Returns the dirty victims, which
+    /// the caller persists once the write is journaled.
+    fn touch_meta(
+        &mut self,
+        mline: MacLineAddr,
+        mac_dirty: bool,
+        node_dirty: bool,
+        stats: &mut Stats,
+    ) -> Vec<MetaKey> {
+        let mut evicted = Vec::new();
+        let Some(integ) = self.integrity.as_mut() else {
+            return evicted;
+        };
+        let path = self
+            .path
+            .iter()
+            .map(|&(n, _)| (MetaKey::Node(n), node_dirty));
+        for (key, dirty) in std::iter::once((MetaKey::Mac(mline), mac_dirty)).chain(path) {
+            let (victim, hit) = integ.touch(key, dirty);
+            if hit {
+                stats.tree_cache_hits += 1;
+            } else {
+                stats.tree_cache_misses += 1;
+            }
+            evicted.extend(victim);
+        }
+        evicted
+    }
+
+    /// Persists a counter-atomic write as one ready-bit pair (§5.2.2):
+    /// the data line and its counter line — the packed counter+MAC line
+    /// under colocated — enter the paired queues together, and the
+    /// integrity metadata rides the pair: the MAC line, the tree path
+    /// under strict and pipelined, and a due epoch summary under
+    /// phoenix. Every member shares the returned guarantee instant, or
+    /// the ready-bit atomicity tears.
+    fn persist_pair(
+        &mut self,
+        line: LineAddr,
+        ciphertext: LineData,
+        counter: Counter,
+        t: Time,
+        stats: &mut Stats,
+    ) -> Time {
+        let policy = self.policy();
+        let (cline, mline) = (line.counter_line(), line.mac_line());
+        let counters = self.current_counter_line(cline);
+        let counter_target = if policy.packed_meta() {
+            NvmmTarget::PackedMeta(cline)
+        } else {
+            NvmmTarget::Counter(cline)
+        };
+        let r = self.queues.submit_counter_atomic(
+            &mut self.device,
+            NvmmTarget::Data(line),
+            counter_target,
+            t,
+        );
+        if r.pairing_wait > Time::ZERO {
+            stats.pairing_stalls += 1;
+            stats.pairing_stall += r.pairing_wait;
+        }
+        self.charge(NvmmTarget::Data(line), false, stats);
+        self.charge(counter_target, r.counter_coalesced, stats);
+        // The pair persists this counter line's current snapshot; the
+        // cached copy is clean.
+        if let Some(cache) = self.counter_cache.as_mut() {
+            cache.clean(&cline);
+        }
+
+        let mut guaranteed = r.ready;
+        let mut members = std::mem::take(&mut self.pair_ops);
+        // Members an injected bug journals outside the pair, each
+        // guaranteed the instant the metadata queue accepted it.
+        let mut escaped: Vec<(Time, JournalOp)> = Vec::new();
+        members.push(JournalOp::Encrypted {
+            line,
+            ciphertext,
+            counter,
+        });
+        let macs = self.integrity.as_ref().map(|i| i.mac_snapshot(mline));
+        members.push(match macs {
+            Some(macs) if policy.packed_meta() => JournalOp::PackedMeta {
+                cline,
+                counters,
+                macs,
+            },
+            _ => JournalOp::CounterLine { cline, counters },
+        });
+        if let Some(macs) = macs.filter(|_| !policy.packed_meta()) {
+            let accepted = self.submit(NvmmTarget::Mac(mline), t, stats).accepted;
+            guaranteed = guaranteed.max(accepted);
+            members.push(JournalOp::MacLine { mline, macs });
+        }
+
+        if policy.persists_path_in_pair() {
+            let path = std::mem::take(&mut self.path);
+            for (i, &(node, digests)) in path.iter().enumerate() {
+                let accepted = self.submit(NvmmTarget::TreeNode(node), t, stats).accepted;
+                let op = JournalOp::TreeNode { node, digests };
+                // Parent-first escapes the whole path; a dropped
+                // dependency escapes its root.
+                if self.tree_bug_parent_first
+                    || (self.tree_bug_drop_dependency && i + 1 == path.len())
+                {
+                    escaped.push((accepted, op));
+                } else {
+                    guaranteed = guaranteed.max(accepted);
+                    members.push(op);
+                }
+            }
+            self.path = path;
+            if let Some(integ) = self.integrity.as_mut() {
+                if policy.serializes_root() {
+                    // Strict: root updates serialize through the
+                    // root-update engine.
+                    if !self.tree_bug_parent_first {
+                        if integ.root_free > guaranteed {
+                            stats.root_update_stalls += 1;
+                            stats.root_update_stall += integ.root_free - guaranteed;
+                            guaranteed = integ.root_free;
+                        }
+                        guaranteed += self.crypto_latency;
+                        integ.root_free = guaranteed;
+                    }
+                } else if !self.tree_bug_drop_dependency {
+                    // Pipelined: in-cache dependency tracking (Freij et
+                    // al.) only clamps this pair's guarantee to never run
+                    // ahead of the previous pair's — root writes overlap
+                    // instead of serializing through the root engine, so
+                    // no crypto latency is added and no stall taken.
+                    if integ.root_free > guaranteed {
+                        stats.root_update_overlaps += 1;
+                        guaranteed = integ.root_free;
+                    }
+                    integ.root_free = guaranteed;
+                }
+            }
+        }
+
+        let phoenix = self.integrity.as_mut().filter(|_| policy.phoenix());
+        if let Some(seq) = phoenix.and_then(|i| i.phoenix_epoch(cline)) {
+            let (node, digests) = crate::integrity::phoenix_summary(cline, &counters, seq);
+            let accepted = self.submit(NvmmTarget::TreeNode(node), t, stats).accepted;
+            stats.phoenix_epoch_writes += 1;
+            let op = JournalOp::TreeNode { node, digests };
+            if self.phoenix_bug_stale_epoch {
+                escaped.push((accepted, op));
+            } else {
+                guaranteed = guaranteed.max(accepted);
+                members.push(op);
+            }
+        }
+
+        let pair = Some(self.next_pair);
+        self.next_pair += 1;
+        for op in members.drain(..) {
+            self.append(t, guaranteed, pair, Domain::Pairing, op);
+        }
+        self.pair_ops = members;
+        for (accepted, op) in escaped {
+            self.append(t, accepted, None, Domain::MetadataQueue, op);
+        }
+        guaranteed
     }
 
     /// `counter_cache_writeback()` for the counter line covering `line`
@@ -1030,22 +849,15 @@ impl MemoryController {
     /// write queue without invalidating it. Returns the guarantee time.
     pub(crate) fn counter_writeback(&mut self, line: LineAddr, t: Time, stats: &mut Stats) -> Time {
         stats.counter_cache_writebacks += 1;
-        if !self.design.honors_counter_cache_writeback() {
-            return t;
-        }
         let cline = line.counter_line();
         let dirty = self
             .counter_cache
             .as_ref()
             .is_some_and(|c| c.is_dirty(&cline));
-        if !dirty {
+        if !self.design.honors_counter_cache_writeback() || !dirty {
             return t;
         }
-        let guaranteed = self.persist_counter_line(cline, t, stats);
-        if let Some(cache) = self.counter_cache.as_mut() {
-            cache.clean(&cline);
-        }
-        guaranteed
+        self.write_counter_line(cline, self.mac_dirty(cline), t, stats)
     }
 
     /// The controller's encryption engine (for recovery decryption).

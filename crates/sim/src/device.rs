@@ -152,12 +152,9 @@ pub struct WearReport {
     /// count falls in `[2^i, 2^(i+1))`. Trimmed to the last non-empty
     /// bucket.
     pub histogram: Vec<u64>,
-    /// The cell endurance (writes per cell) the lifetime estimate uses:
-    /// [`CELL_ENDURANCE`].
-    pub cell_endurance: u64,
     /// Lifetime estimate: how many times this workload could repeat
-    /// before the hottest line exceeds `cell_endurance` (without wear
-    /// leveling). `cell_endurance` itself when nothing was written.
+    /// before the hottest line exceeds [`CELL_ENDURANCE`] writes (without
+    /// wear leveling). `CELL_ENDURANCE` itself when nothing was written.
     pub lifetime_runs: u64,
 }
 
@@ -191,7 +188,6 @@ impl WearReport {
             max_line_writes: max,
             mean_line_writes_milli: mean_milli,
             histogram,
-            cell_endurance: CELL_ENDURANCE,
             lifetime_runs: CELL_ENDURANCE / max.max(1),
         }
     }

@@ -276,7 +276,7 @@ impl IntegritySpec {
 /// tree node. Presence/dirtiness lives in the cache; values live in
 /// [`IntegrityState`]'s architectural maps.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum MetaKey {
+pub(crate) enum MetaKey {
     /// A MAC line.
     Mac(MacLineAddr),
     /// An internal integrity-tree node.
@@ -290,7 +290,7 @@ pub enum MetaKey {
 /// write datapath; journaling of the resulting NVMM writes stays in the
 /// controller.
 #[derive(Debug)]
-pub struct IntegrityState {
+pub(crate) struct IntegrityState {
     policy: IntegrityPolicy,
     levels: u32,
     mac_engine: MacEngine,
@@ -323,7 +323,7 @@ impl IntegrityState {
     /// the separate counter, and the tree's leaves *are* the counter
     /// region. Panics too if `config.tree_levels` exceeds
     /// [`MAX_TREE_LEVELS`].
-    pub fn from_config(config: &SimConfig) -> Option<Self> {
+    pub(crate) fn from_config(config: &SimConfig) -> Option<Self> {
         if !config.integrity.enabled() {
             return None;
         }
@@ -348,13 +348,8 @@ impl IntegrityState {
     }
 
     /// The policy this state implements.
-    pub fn policy(&self) -> IntegrityPolicy {
+    pub(crate) fn policy(&self) -> IntegrityPolicy {
         self.policy
-    }
-
-    /// Tree height in internal levels.
-    pub fn levels(&self) -> u32 {
-        self.levels
     }
 
     /// Recomputes and records the MAC of `line` after a write that
@@ -364,7 +359,7 @@ impl IntegrityState {
     /// Every write draws a fresh counter, so the writer never sees an
     /// `(addr, counter)` pair twice and skips the tag memo the checkers
     /// rely on.
-    pub fn record_mac(
+    pub(crate) fn record_mac(
         &mut self,
         line: LineAddr,
         counter: Counter,
@@ -382,12 +377,12 @@ impl IntegrityState {
     }
 
     /// The architecturally latest content of a MAC line.
-    pub fn mac_snapshot(&self, mline: MacLineAddr) -> MacLine {
+    pub(crate) fn mac_snapshot(&self, mline: MacLineAddr) -> MacLine {
         self.mac_state.get(&mline).copied().unwrap_or_default()
     }
 
     /// The architecturally latest content of a tree node.
-    pub fn tree_snapshot(&self, node: TreeNodeAddr) -> DigestLine {
+    pub(crate) fn tree_snapshot(&self, node: TreeNodeAddr) -> DigestLine {
         self.tree_state.get(&node).copied().unwrap_or_default()
     }
 
@@ -398,7 +393,7 @@ impl IntegrityState {
     /// persist. The caller keeps `path` across writes, so the walk
     /// allocates nothing once it has grown to the tree's height; the
     /// root's own digest has no parent slot and is not computed.
-    pub fn update_tree_path(
+    pub(crate) fn update_tree_path(
         &mut self,
         cline: CounterLineAddr,
         counter_line_bytes: &[u8; LINE_BYTES],
@@ -425,25 +420,25 @@ impl IntegrityState {
     /// (clean = the current value just persisted). Returns the dirty
     /// victim's key if the insertion evicted one the caller must
     /// persist, plus whether the touch hit.
-    pub fn touch(&mut self, key: MetaKey, dirty: bool) -> (Option<MetaKey>, bool) {
+    pub(crate) fn touch(&mut self, key: MetaKey, dirty: bool) -> (Option<MetaKey>, bool) {
         let (hit, victim) = self.cache.touch(key, (), dirty);
         (victim.filter(|v| v.dirty).map(|v| v.key), hit)
     }
 
     /// Whether `key` is resident and dirty.
-    pub fn is_dirty(&self, key: MetaKey) -> bool {
+    pub(crate) fn is_dirty(&self, key: MetaKey) -> bool {
         self.cache.is_dirty(&key)
     }
 
     /// Clears `key`'s dirty bit after its current value persisted.
-    pub fn clean(&mut self, key: MetaKey) {
+    pub(crate) fn clean(&mut self, key: MetaKey) {
         self.cache.clean(&key);
     }
 
     /// Counts one counter-atomic pair against `cline`'s phoenix epoch;
     /// returns `Some(seq)` when this pair must carry an epoch summary
     /// (every `phoenix_epoch_every`-th pair, `seq` starting at 1).
-    pub fn phoenix_epoch(&mut self, cline: CounterLineAddr) -> Option<u64> {
+    pub(crate) fn phoenix_epoch(&mut self, cline: CounterLineAddr) -> Option<u64> {
         let count = self.phoenix_pairs.entry(cline).or_insert(0);
         *count += 1;
         if (*count).is_multiple_of(self.phoenix_epoch_every) {
@@ -1437,9 +1432,10 @@ mod tests {
         cl.set(3, Counter(7));
         let mut path = vec![(TreeNodeAddr { level: 9, index: 9 }, DigestLine::new())];
         st.update_tree_path(CounterLineAddr(5), &cl.to_bytes(), &mut path);
-        assert_eq!(path.len(), st.levels() as usize, "the buffer is refilled");
+        let levels = cfg.tree_levels;
+        assert_eq!(path.len(), levels as usize, "the buffer is refilled");
         let nodes: Vec<TreeNodeAddr> = path.iter().map(|(node, _)| *node).collect();
-        assert_eq!(nodes, tree_path(CounterLineAddr(5), st.levels()));
+        assert_eq!(nodes, tree_path(CounterLineAddr(5), levels));
         assert_eq!(path[0].1.get(5), digest64(&cl.to_bytes()));
         // Each parent embeds the digest of the freshly updated child.
         for pair in path.windows(2) {
@@ -1546,16 +1542,17 @@ mod tests {
             img.write_counter_line(CounterLineAddr(i * 9), cl);
             st.update_tree_path(CounterLineAddr(i * 9), &cl.to_bytes(), &mut path);
         }
-        let nodes = reconstruct_tree(&img, st.levels());
+        let levels = cfg.tree_levels;
+        let nodes = reconstruct_tree(&img, levels);
         assert_eq!(
-            tree_root(&img, st.levels()),
+            tree_root(&img, levels),
             st.tree_snapshot(TreeNodeAddr {
-                level: st.levels(),
+                level: levels,
                 index: 0
             }),
             "a full rebuild from leaves must reproduce the strict root"
         );
-        assert!(nodes.len() >= st.levels() as usize);
+        assert!(nodes.len() >= levels as usize);
     }
 
     /// Known answers for the tree fold on one counter image, recorded

@@ -40,7 +40,9 @@ pub struct Stats {
     pub l2_misses: u64,
     /// Cumulative core time spent waiting in `persist_barrier`.
     pub barrier_stall: Time,
-    /// Cumulative core time spent waiting for write-queue space.
+    /// Never charged: always zero. No core waits for write-queue space.
+    /// A full queue delays the write's ADR guarantee instead, and that
+    /// delay shows up in `barrier_stall`.
     pub queue_full_stall: Time,
     /// Writes that were annotated (and enforced as) counter-atomic.
     pub counter_atomic_writes: u64,

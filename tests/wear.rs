@@ -6,12 +6,15 @@
 //! histogram — together with a digest of the run's whole `Stats` and
 //! its completion-image fingerprint, for every design without
 //! integrity, SCA under each of the six integrity policies, the three
-//! injected bugs, two stop-loss configurations and a tiny-cache row
-//! whose counter and metadata caches evict, at one and two shards.
-//! The values were computed before wear moved from a per-request
-//! tracker to the journal tally; each row also checks that tally
-//! against `Stats::wear_line_writes`, the independent per-request
-//! count.
+//! injected bugs, two stop-loss configurations, a tiny-cache row whose
+//! counter and metadata caches evict, and three rows with compressed
+//! counter lines (SCA, FCA, and SCA under the packed colocated policy,
+//! whose `bytes_written` the compression lowers), at one and two
+//! shards. The values were computed before wear moved from a
+//! per-request tracker to the journal tally (the compression rows
+//! before the controller's write path was rebuilt around one
+//! submission and charge); each row also checks that tally against
+//! `Stats::wear_line_writes`, the independent per-request count.
 
 use nvmm::sim::config::{Design, IntegrityPolicy, SimConfig};
 use nvmm::sim::integrity::digest64;
@@ -36,6 +39,10 @@ type Row = (
 /// The configuration behind each row label.
 fn config(label: &str) -> SimConfig {
     let sca = |policy| SimConfig::table2(Design::Sca, CORES).with_integrity(policy);
+    let compressed = |mut cfg: SimConfig| {
+        cfg.compress_counters = true;
+        cfg
+    };
     if let Some(design) = Design::ALL.iter().find(|d| d.label() == label) {
         return SimConfig::table2(*design, CORES);
     }
@@ -49,6 +56,9 @@ fn config(label: &str) -> SimConfig {
         "sca+strict+tree-bug" => sca(IntegrityPolicy::Strict).with_tree_bug(),
         "sca+pipelined+pipeline-bug" => sca(IntegrityPolicy::Pipelined).with_pipeline_bug(),
         "sca+phoenix+phoenix-bug" => sca(IntegrityPolicy::Phoenix).with_phoenix_bug(),
+        "sca+compress" => compressed(SimConfig::table2(Design::Sca, CORES)),
+        "fca+compress" => compressed(SimConfig::table2(Design::Fca, CORES)),
+        "sca+colocated+compress" => compressed(sca(IntegrityPolicy::Colocated)),
         "unsafe+stop-loss" => {
             let mut cfg = SimConfig::table2(Design::UnsafeNoAtomicity, CORES);
             cfg.stop_loss = Some(4);
@@ -121,6 +131,12 @@ const KNOWN: &[Row] = &[
     ("sca+lazy+stop-loss", 2, 94, 396, 31, &[56, 2, 22, 10, 4], 0x68bf833a8ba843ec, 0x117c813721987b509a94131ffece62db),
     ("sca+lazy+tiny-caches", 1, 111, 587, 45, &[58, 5, 25, 17, 2, 4], 0x104cc17f79764d98, 0xf38f04ad4aa912ba489ecd48d708f23b),
     ("sca+lazy+tiny-caches", 2, 121, 1176, 74, &[61, 5, 26, 15, 2, 5, 7], 0x8259789d06083be8, 0x655ff52fe45db1433f293651898754e8),
+    ("sca+compress", 1, 73, 248, 19, &[46, 1, 18, 6, 2], 0x3fb5b4b13a853f85, 0x44aefee1030870b25aeef17514dd85f),
+    ("sca+compress", 2, 73, 248, 19, &[46, 1, 18, 6, 2], 0x48b33923e0c537f9, 0x44aefee1030870b25aeef17514dd85f),
+    ("fca+compress", 1, 73, 296, 43, &[46, 1, 18, 6, 0, 2], 0x6027bbb65eeb1973, 0x44aefee1030870b25aeef17514dd85f),
+    ("fca+compress", 2, 73, 296, 43, &[46, 1, 18, 6, 0, 2], 0xdcda9b91cfd19685, 0x44aefee1030870b25aeef17514dd85f),
+    ("sca+colocated+compress", 1, 73, 248, 19, &[46, 1, 18, 6, 2], 0xa739eadb82c06f2b, 0x117c813721987b509a94131ffece62db),
+    ("sca+colocated+compress", 2, 73, 248, 19, &[46, 1, 18, 6, 2], 0x9592aed0378481e3, 0x117c813721987b509a94131ffece62db),
 ];
 
 #[test]
@@ -140,6 +156,9 @@ fn wear_reports_match_their_known_answers() {
             "unsafe+stop-loss",
             "sca+lazy+stop-loss",
             "sca+lazy+tiny-caches",
+            "sca+compress",
+            "fca+compress",
+            "sca+colocated+compress",
         ]
         .map(String::from),
     );
