@@ -17,14 +17,14 @@
 //!   whole, with one warmed engine pair shared across images and
 //!   workers.
 //!
-//! A replay-adversary sweep rides along: `replay_sweep` (warm verifier
-//! judged against a `FreshnessRef` per image) versus full-pass
-//! `verify_image_attack` on the sweep's own images.
+//! A replay adversary rides along: full-pass `verify_image_attack`
+//! judges every image of the walk as a wholesale splice-back against
+//! the completed run's `FreshnessRef`.
 //!
 //! The binary is self-checking: the full-pass verdicts — Ok/Err witness
-//! strings and attack blame included — must equal the walk's on every
-//! image; the walk's images, fingerprints, accounting and verdicts must
-//! be the same on 1 worker and on `NVMM_MC_THREADS` workers; and on a
+//! strings included — must equal the walk's on every image; the walk's
+//! images, fingerprints, accounting and verdicts must be the same on 1
+//! worker and on `NVMM_MC_THREADS` workers; and on a
 //! sampled subset the walk's incremental fingerprint must equal a
 //! from-scratch recompute. It exits nonzero on any divergence — speed
 //! means nothing if the fast path judges differently. At non-smoke
@@ -46,10 +46,9 @@
 //! across `NVMM_MC_THREADS` settings and to the committed
 //! `results/BENCH_crashmc.json` at defaults (CI compares both). All
 //! wall-clock rows (`delta_ns`, `delta_verify_ns`, `full_verify_ns`,
-//! `verify_speedup` and its geomean, `replay_sweep_ns`,
-//! `replay_full_ns`) and the `host` row (`host_cores`, `workers`) live
-//! in the companion `BENCH_crashmc_timing.json`, which legitimately
-//! varies run to run.
+//! `verify_speedup` and its geomean, `replay_full_ns`) and the `host`
+//! row (`host_cores`, `workers`) live in the companion
+//! `BENCH_crashmc_timing.json`, which legitimately varies run to run.
 
 use nvmm_bench::{env_u64, geo_mean, print_table, Experiment};
 use nvmm_crypto::mac::MacEngine;
@@ -160,35 +159,6 @@ fn full_pass<R: Send>(
     (started.elapsed().as_nanos() as u64, verdicts)
 }
 
-/// The fused replay sweep: one warm verifier per worker, judged against
-/// the freshness anchor on every retained image. Returns its
-/// wall-clock, its images and its verdicts.
-fn run_replay_sweep(
-    sets: &[CrashSet],
-    key: [u8; 16],
-    integrity: IntegritySpec,
-    fresh: &FreshnessRef,
-    threads: usize,
-) -> (u64, Vec<Enumeration>, Vec<Vec<AttackVerdict>>) {
-    let engine = EncryptionEngine::new(key);
-    let mac_engine = MacEngine::new(key);
-    let (mut images, mut verdicts) = (Vec::new(), Vec::new());
-    let started = Instant::now();
-    for set in sets {
-        let (en, vs) = set.replay_sweep(
-            EnumOpts::default(),
-            threads,
-            integrity,
-            &engine,
-            &mac_engine,
-            fresh,
-        );
-        images.push(en);
-        verdicts.push(vs);
-    }
-    (started.elapsed().as_nanos() as u64, images, verdicts)
-}
-
 /// A deterministic digest over every verdict a workload produced —
 /// integrity Ok/Err strings and replay attack verdicts — so the main
 /// artifact pins the *content* of the verdicts, not just their counts.
@@ -282,18 +252,14 @@ fn main() {
         let (full_verify_ns, full_verdicts) = full_pass(&delta.sets, key, threads, |img, e, m| {
             verify_image(img, integrity, e, m)
         });
-        let (replay_sweep_ns, replay_images, replay_sweep) =
-            run_replay_sweep(&sets, key, integrity, &fresh, threads);
-        let (_, _, replay_sweep_t1) = run_replay_sweep(&sets, key, integrity, &fresh, 1);
-        let (replay_full_ns, replay_full) = full_pass(&replay_images, key, threads, |img, e, m| {
+        let (replay_full_ns, replay_full) = full_pass(&delta.sets, key, threads, |img, e, m| {
             verify_image_attack(img, integrity, e, m, &fresh)
         });
 
         // Equivalence gates: the walk is worker-count invariant, and its
-        // verdicts (witness/blame strings included) equal full-pass
+        // verdicts (witness strings included) equal full-pass
         // verification of its own images.
-        let fps = fingerprints(&delta.sets);
-        if fingerprints(&delta_t1.sets) != fps || fingerprints(&replay_images) != fps {
+        if fingerprints(&delta_t1.sets) != fingerprints(&delta.sets) {
             eprintln!(
                 "FAIL: {}: walk images depend on the worker count",
                 kind.label()
@@ -319,13 +285,6 @@ fn main() {
         if delta.verdicts != delta_t1.verdicts {
             eprintln!(
                 "FAIL: {}: delta verdicts depend on the worker count",
-                kind.label()
-            );
-            failed = true;
-        }
-        if replay_full != replay_sweep || replay_sweep != replay_sweep_t1 {
-            eprintln!(
-                "FAIL: {}: replay sweep verdicts diverge from full-pass attack verification",
                 kind.label()
             );
             failed = true;
@@ -361,13 +320,12 @@ fn main() {
         exp.insert(
             &row,
             "verdict_digest",
-            verdict_digest(&delta.verdicts, &replay_sweep) as f64,
+            verdict_digest(&delta.verdicts, &replay_full) as f64,
         );
         timing.insert(&row, "delta_ns", delta.ns as f64);
         timing.insert(&row, "delta_verify_ns", delta_verify_ns as f64);
         timing.insert(&row, "full_verify_ns", full_verify_ns as f64);
         timing.insert(&row, "verify_speedup", verify_speedup);
-        timing.insert(&row, "replay_sweep_ns", replay_sweep_ns as f64);
         timing.insert(&row, "replay_full_ns", replay_full_ns as f64);
         rows.push((
             row,

@@ -61,13 +61,11 @@
 pub mod sweep;
 
 use nvmm_json::{Json, ToJson};
-use nvmm_sim::config::Design;
 use nvmm_sim::stats::Stats;
 use nvmm_sim::telemetry::Timeline;
 use nvmm_workloads::{WorkloadKind, WorkloadSpec};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
-use sweep::{SweepCell, SweepRunner};
 
 pub use nvmm_sim::knob::env_u64;
 
@@ -80,48 +78,6 @@ pub fn experiment_ops() -> usize {
 /// The evaluation-default spec with the experiment op count applied.
 pub fn eval_spec(kind: WorkloadKind) -> WorkloadSpec {
     WorkloadSpec::evaluation_default(kind).with_ops(experiment_ops())
-}
-
-/// Runs `design` and `baseline` as one deduplicated two-cell sweep and
-/// returns `f(design outcome) / f(baseline outcome)`.
-///
-/// The sweep's trace cache and sim dedupe mean the workload is executed
-/// functionally once and, when `design == baseline`, simulated once —
-/// earlier revisions re-simulated the baseline on every call.
-fn normalized(
-    spec: &WorkloadSpec,
-    design: (Design, usize),
-    baseline: (Design, usize),
-    f: impl Fn(&Stats) -> f64,
-) -> f64 {
-    let cells = vec![
-        SweepCell::eval("cell", "design", spec, design.0, design.1),
-        SweepCell::eval("cell", "baseline", spec, baseline.0, baseline.1),
-    ];
-    let outs = SweepRunner::from_env().run(cells);
-    f(&outs.outcome(0).stats) / f(&outs.outcome(1).stats)
-}
-
-/// Runtime of `design` normalized to `baseline` for the same spec
-/// (single core). Lower is better — the paper's Fig. 12/16 metric.
-pub fn normalized_runtime(spec: &WorkloadSpec, design: Design, baseline: Design) -> f64 {
-    normalized(spec, (design, 1), (baseline, 1), |s| s.runtime.0 as f64)
-}
-
-/// Total transactions/second of `design` at `cores`, normalized to the
-/// single-core `NoEncryption` rate — the paper's Fig. 13 metric.
-pub fn normalized_throughput(spec: &WorkloadSpec, design: Design, cores: usize) -> f64 {
-    normalized(spec, (design, cores), (Design::NoEncryption, 1), |s| {
-        s.throughput_tps()
-    })
-}
-
-/// Bytes written to NVMM by `design`, normalized to `NoEncryption` —
-/// the paper's Fig. 14 metric.
-pub fn normalized_write_traffic(spec: &WorkloadSpec, design: Design) -> f64 {
-    normalized(spec, (design, 1), (Design::NoEncryption, 1), |s| {
-        s.bytes_written as f64
-    })
 }
 
 /// One fully resolved sweep cell in an experiment artifact: the metric
@@ -286,12 +242,5 @@ mod tests {
             e.to_json().to_compact(),
             r#"{"id":"test","metric":"unitless","rows":{"row":{"series":1.5}},"cells":[]}"#
         );
-    }
-
-    #[test]
-    fn normalized_runtime_of_baseline_is_one() {
-        let spec = WorkloadSpec::smoke(WorkloadKind::Queue);
-        let r = normalized_runtime(&spec, Design::NoEncryption, Design::NoEncryption);
-        assert!((r - 1.0).abs() < 1e-12);
     }
 }

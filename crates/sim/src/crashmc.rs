@@ -69,7 +69,7 @@
 //! the largest merge key — exactly what merged-order replay produces —
 //! so the walked image is bit-identical to [`CrashSet::image`] of the
 //! same mask at every step. The cells each step rewrote feed a warm
-//! [`DeltaVerifier`], which re-judges only what changed, so the
+//! `DeltaVerifier`, which re-judges only what changed, so the
 //! integrity verdict of every retained image comes out of the same walk.
 //!
 //! ## One base image per sweep
@@ -97,7 +97,7 @@
 
 use crate::addr::{CounterLineAddr, LineAddr, MacLineAddr, NvmmTarget, TreeNodeAddr};
 use crate::controller::{JournalOp, JournalRecord};
-use crate::integrity::{AttackVerdict, DeltaVerifier, FreshnessRef, IntegritySpec};
+use crate::integrity::{DeltaVerifier, IntegritySpec};
 use crate::nvmm::NvmmImage;
 use crate::parallel::{chunk_ranges, run_parallel};
 use crate::time::Time;
@@ -544,37 +544,50 @@ impl CrashSet {
         }
     }
 
-    /// The shared skeleton of [`CrashSet::enumerate_verified_timed`] and
-    /// [`CrashSet::replay_sweep`]: each chunk walks the schedule with a
-    /// paired [`ImageOverlay`] + [`DeltaVerifier`], accumulating the
-    /// cells each `goto` dirtied into a pending set and flushing them
-    /// into the verifier only when a fingerprint is newly retained —
-    /// most schedule steps land on already-seen images whose verdict
-    /// is never read, so their re-checks would be pure waste. The
-    /// deferral is sound because every re-check is a pure function of
-    /// the *current* image state: as long as each cell that changed
-    /// since the last flush is replayed once before `eval`, the
-    /// verifier converges to the same state in any flush order.
-    /// Chunks merge in schedule order, so images *and* verdicts are
-    /// bit-identical to a single-threaded walk (and to the eager
-    /// full-pass verifiers) for any thread count. The third return is
-    /// the summed nanoseconds the chunks spent flushing and evaluating
-    /// (the verify phase), so callers can report the enumerate/verify
-    /// split without differencing two noisy wall-clock totals.
-    fn walk_verified<R: Send>(
+    /// Enumerates the legal images within `opts`' bounds over up to
+    /// `threads` workers *and* judges each against `spec`'s integrity
+    /// oracle in one fused walk, re-verifying only what each schedule
+    /// step's delta dirtied. The model checker's one enumeration path.
+    ///
+    /// Each chunk walks the schedule with a paired `ImageOverlay` and
+    /// `DeltaVerifier`, accumulating the cells each `goto` dirtied into
+    /// a pending set and flushing them into the verifier only when a
+    /// fingerprint is newly retained — most schedule steps land on
+    /// already-seen images whose verdict is never read, so their
+    /// re-checks would be pure waste. The deferral is sound because
+    /// every re-check is a pure function of the *current* image state:
+    /// as long as each cell that changed since the last flush is
+    /// replayed once before the verdict is read, the verifier converges
+    /// to the same state in any flush order.
+    ///
+    /// The retained masks, images and stats equal
+    /// [`CrashSet::enumerate`]'s, and `verdicts[i]` is the oracle's
+    /// answer for `images[i]` — Ok/Err contents bit-identical to
+    /// [`verify_image`](crate::integrity::verify_image) on the
+    /// materialized image — at any `threads`, because chunks merge in
+    /// schedule order. The third return is the nanoseconds the walk
+    /// spent in its verify phase (flushing dirty cells into the
+    /// verifier and reading verdicts), summed across worker chunks.
+    /// Enumeration work — schedule decode, overlay `goto`, fingerprint
+    /// dedupe, image clones — is excluded, so the figure isolates what
+    /// incremental re-verification actually costs and is directly
+    /// comparable to a timed full-pass verify of the same images. With
+    /// `threads > 1` the sum is aggregate worker time, not wall clock;
+    /// it belongs in timing companions, never in deterministic
+    /// artifacts.
+    pub fn enumerate_verified_timed(
         &self,
         opts: EnumOpts,
         threads: usize,
         spec: IntegritySpec,
         engine: &EncryptionEngine,
         mac_engine: &MacEngine,
-        eval: impl Fn(&DeltaVerifier) -> R + Sync,
-    ) -> (Enumeration, Vec<R>, u64) {
+    ) -> (Enumeration, Vec<Result<(), String>>, u64) {
         let sched = self.cut_schedule(opts);
         let threads = threads.max(1);
         let chunks = chunk_ranges(sched.n_masks(), threads);
-        type Walked<R> = Vec<(u128, LandMask, NvmmImage, R)>;
-        let walked: Vec<(Walked<R>, u64)> = run_parallel(threads, &chunks, |&(start, end)| {
+        type Walked = Vec<(u128, LandMask, NvmmImage, Result<(), String>)>;
+        let walked: Vec<(Walked, u64)> = run_parallel(threads, &chunks, |&(start, end)| {
             let mut overlay = ImageOverlay::new(self);
             let mut verifier = DeltaVerifier::new(overlay.image(), spec, engine, mac_engine);
             let mut local_seen: FxHashSet<u128> = FxHashSet::default();
@@ -604,18 +617,11 @@ impl CrashSet {
                 if local_seen.insert(fp) {
                     let t0 = Instant::now();
                     for &cell in &pending {
-                        match cell {
-                            CellKey::Data(l) | CellKey::Co(l) => {
-                                verifier.data_changed(overlay.image(), l)
-                            }
-                            CellKey::Ctr(c) => verifier.counter_changed(overlay.image(), c),
-                            CellKey::Mac(m) => verifier.mac_changed(overlay.image(), m),
-                            CellKey::Tree(t) => verifier.tree_changed(overlay.image(), t),
-                        }
+                        verifier.changed(overlay.image(), cell);
                     }
                     pending.clear();
                     pending_set.clear();
-                    let verdict = eval(&verifier);
+                    let verdict = verifier.verdict();
                     verify_ns += t0.elapsed().as_nanos() as u64;
                     out.push((fp, overlay.mask().clone(), overlay.image().clone(), verdict));
                 }
@@ -625,14 +631,14 @@ impl CrashSet {
         let mut seen: FxHashSet<u128> = FxHashSet::default();
         seen.reserve(self.seen_capacity(opts));
         let mut images: Vec<(LandMask, NvmmImage)> = Vec::new();
-        let mut verdicts: Vec<R> = Vec::new();
+        let mut verdicts: Vec<Result<(), String>> = Vec::new();
         let mut verify_ns: u64 = 0;
         for (chunk, chunk_ns) in walked {
             verify_ns += chunk_ns;
-            for (fp, mask, img, r) in chunk {
+            for (fp, mask, img, verdict) in chunk {
                 if seen.insert(fp) {
                     images.push((mask, img));
-                    verdicts.push(r);
+                    verdicts.push(verdict);
                 }
             }
         }
@@ -644,70 +650,6 @@ impl CrashSet {
             verdicts,
             verify_ns,
         )
-    }
-
-    /// Enumerates the legal images within `opts`' bounds over up to
-    /// `threads` workers *and* judges each against `spec`'s integrity
-    /// oracle in one fused walk, re-verifying only what each schedule
-    /// step's delta dirtied. The model checker's one enumeration path.
-    ///
-    /// The retained masks, images and stats equal
-    /// [`CrashSet::enumerate`]'s, and `verdicts[i]` is the oracle's
-    /// answer for `images[i]` — Ok/Err contents bit-identical to
-    /// [`verify_image`](crate::integrity::verify_image) on the
-    /// materialized image — at any `threads`. The third return is the
-    /// nanoseconds the walk spent in its verify phase (flushing dirty
-    /// cells into the [`DeltaVerifier`] and reading verdicts), summed
-    /// across worker chunks. Enumeration work — schedule decode, overlay
-    /// `goto`, fingerprint dedupe, image clones — is excluded, so the
-    /// figure isolates what incremental re-verification actually costs
-    /// and is directly comparable to a timed full-pass verify of the
-    /// same images. With `threads > 1` the sum is aggregate worker time,
-    /// not wall clock; it belongs in timing companions, never in
-    /// deterministic artifacts.
-    pub fn enumerate_verified_timed(
-        &self,
-        opts: EnumOpts,
-        threads: usize,
-        spec: IntegritySpec,
-        engine: &EncryptionEngine,
-        mac_engine: &MacEngine,
-    ) -> (Enumeration, Vec<Result<(), String>>, u64) {
-        self.walk_verified(
-            opts,
-            threads,
-            spec,
-            engine,
-            mac_engine,
-            DeltaVerifier::verdict,
-        )
-    }
-
-    /// Judges every enumerated legal image as a *wholesale replay*
-    /// against the freshness anchor `fresh` — the adversary who recorded
-    /// a legal crash image off the bus and splices it back after the run
-    /// moved on. Every mask this set admits is an image ADR could really
-    /// have left, so a freshness-anchored policy must return
-    /// [`Detected`](crate::integrity::AttackVerdict::Detected) for each
-    /// of them once the current state has advanced past `crash_time`.
-    /// One warm verifier per chunk is reused instead of materializing
-    /// and fully re-verifying each image. `verdicts[i]` — including the
-    /// blame string — is bit-identical to
-    /// [`verify_image_attack`](crate::integrity::verify_image_attack)
-    /// on `images[i]`, at any `threads`.
-    pub fn replay_sweep(
-        &self,
-        opts: EnumOpts,
-        threads: usize,
-        spec: IntegritySpec,
-        engine: &EncryptionEngine,
-        mac_engine: &MacEngine,
-        fresh: &FreshnessRef,
-    ) -> (Enumeration, Vec<AttackVerdict>) {
-        let (en, verdicts, _) = self.walk_verified(opts, threads, spec, engine, mac_engine, |v| {
-            v.attack_verdict(fresh)
-        });
-        (en, verdicts)
     }
 }
 
@@ -1523,35 +1465,22 @@ mod tests {
     }
 
     /// The replay adversary gets to pick *any* legal crash image off
-    /// the enumeration, not just the ADR baseline. Under a
-    /// freshness-anchored policy, every such image whose counter
-    /// region lags the completed run must come back `Detected` when
-    /// replayed against the final freshness reference.
+    /// the enumeration, not just the ADR baseline, and splices it back
+    /// after the run completed. What replaying a *stale* one (its
+    /// counter region lags the completed run's) proves depends on the
+    /// policy's freshness anchor:
+    ///
+    /// * lazy, strict, pipelined and colocated anchor every counter
+    ///   write (the rebuilt root, the monotone counter sum), so they
+    ///   catch every stale image;
+    /// * mac-only has no anchor and catches none;
+    /// * phoenix anchors freshness per epoch, so it catches exactly the
+    ///   stale images whose epoch-summary region lags too.
     #[test]
     fn enumerated_crash_images_replayed_after_the_run_are_caught() {
         use crate::config::IntegrityPolicy;
-        use crate::integrity::verify_image_attack;
+        use crate::integrity::{verify_image_attack, FreshnessRef, PHOENIX_SUMMARY_LEVEL};
 
-        let cfg = SimConfig::single_core(Design::Sca).with_integrity(IntegrityPolicy::Lazy);
-        let mut c = ShardedController::new(&cfg);
-        let mut s = Stats::new(1);
-        for round in 0..2u64 {
-            for i in 0..4u64 {
-                c.writeback(
-                    LineAddr(i),
-                    [(1 + round * 4 + i) as u8; 64],
-                    true,
-                    Time::from_ns(round * 1_000 + i * 50),
-                    &mut s,
-                );
-            }
-        }
-        let full = c.build_image();
-        let spec = IntegritySpec {
-            policy: IntegrityPolicy::Lazy,
-            levels: cfg.tree_levels,
-        };
-        let fresh = FreshnessRef::capture(&full, spec);
         let counter_region = |img: &NvmmImage| {
             let mut v: Vec<_> = img
                 .counter_lines()
@@ -1560,25 +1489,65 @@ mod tests {
             v.sort_unstable_by_key(|&(a, _)| a);
             v
         };
-        let full_counters = counter_region(&full);
-        let engine = EncryptionEngine::new(cfg.key);
-        let mac_engine = MacEngine::new(cfg.key);
-        let mut stale_caught = 0u64;
-        for t in probe_times(3_000) {
-            let set = c.crash_set(t);
-            for (mask, img) in set.enumerate(EnumOpts::default()).images {
-                let v = verify_image_attack(&img, spec, &engine, &mac_engine, &fresh);
-                if counter_region(&img) != full_counters {
-                    assert!(
-                        v.detected(),
-                        "stale legal image at {t}, mask {:?}, escaped the root check",
-                        mask.landed()
-                    );
-                    stale_caught += 1;
+        let summary_region = |img: &NvmmImage| {
+            let mut v: Vec<_> = img
+                .tree_nodes()
+                .filter(|(node, _)| node.level == PHOENIX_SUMMARY_LEVEL)
+                .collect();
+            v.sort_unstable_by_key(|&(node, _)| node);
+            v
+        };
+        for design in [Design::Sca, Design::Fca] {
+            for policy in IntegrityPolicy::ALL.into_iter().filter(|p| p.enabled()) {
+                for epoch in [1, 4] {
+                    let mut cfg = SimConfig::single_core(design).with_integrity(policy);
+                    cfg.phoenix_epoch_every = epoch;
+                    let mut c = ShardedController::new(&cfg);
+                    let mut s = Stats::new(1);
+                    for round in 0..3u64 {
+                        for i in 0..6u64 {
+                            let (line, t) =
+                                (LineAddr(i * 3), Time::from_ns(round * 1_000 + i * 50));
+                            let data = [(1 + round * 6 + i) as u8; 64];
+                            c.writeback(line, data, i % 2 == 0, t, &mut s);
+                            if i % 3 == 2 {
+                                c.counter_writeback(line, t + Time::from_ns(5), &mut s);
+                            }
+                        }
+                    }
+                    let full = c.build_image();
+                    let (full_counters, full_summaries) =
+                        (counter_region(&full), summary_region(&full));
+                    let spec = IntegritySpec::from_config(&cfg);
+                    let fresh = FreshnessRef::capture(&full, spec);
+                    let engine = EncryptionEngine::new(cfg.key);
+                    let mac_engine = MacEngine::new(cfg.key);
+                    let mut stale = 0u64;
+                    for t in probe_times(4_000) {
+                        for (mask, img) in c.crash_set(t).enumerate(EnumOpts::default()).images {
+                            if counter_region(&img) == full_counters {
+                                continue;
+                            }
+                            stale += 1;
+                            let caught = match policy {
+                                IntegrityPolicy::MacOnly => false,
+                                IntegrityPolicy::Phoenix => summary_region(&img) != full_summaries,
+                                _ => true,
+                            };
+                            assert_eq!(
+                                verify_image_attack(&img, spec, &engine, &mac_engine, &fresh)
+                                    .detected(),
+                                caught,
+                                "{design:?}/{policy}/epoch {epoch}: stale legal image at {t}, \
+                                 mask {:?}",
+                                mask.landed()
+                            );
+                        }
+                    }
+                    assert!(stale > 0, "{design:?}/{policy}: no stale legal image");
                 }
             }
         }
-        assert!(stale_caught > 0, "sweep never produced a stale legal image");
     }
 
     #[test]
@@ -1946,20 +1915,18 @@ mod tests {
             }
         }
 
-        /// The tentpole differential: the fused delta-verified walk must
-        /// reproduce the retained full-pass verifiers *exactly* — same
-        /// retained images, same Ok/Err verdict strings, same attack
-        /// verdicts including blame — across every policy, exhaustive
-        /// and sampled schedules, and thread counts.
+        /// The fused delta-verified walk must reproduce the full-pass
+        /// verifier *exactly* — same retained images, same Ok/Err
+        /// verdict strings — across every policy, exhaustive and
+        /// sampled schedules, and thread counts.
         #[test]
         fn delta_verdicts_match_full_verifiers_on_random_journals(seed in 0u64..1_000_000) {
             use crate::config::IntegrityPolicy;
-            use crate::integrity::{verify_image, verify_image_attack};
+            use crate::integrity::verify_image;
             let cfg = SimConfig::single_core(Design::Sca);
             let engine = EncryptionEngine::new(cfg.key);
             let mac_engine = MacEngine::new(cfg.key);
             let journal = synthetic_journal(seed);
-            let full = applied(&journal);
             let horizon_ps = journal
                 .iter()
                 .map(|r| r.guaranteed_at.0)
@@ -1973,7 +1940,6 @@ mod tests {
                 for opts in [EnumOpts::default(), EnumOpts { max_images: 8, seed }] {
                     for policy in IntegrityPolicy::ALL {
                         let spec = IntegritySpec { policy, levels: 2 };
-                        let fresh = FreshnessRef::capture(&full, spec);
                         for threads in [1usize, 4] {
                             let (en, verdicts, _) = set
                                 .enumerate_verified_timed(opts, threads, spec, &engine, &mac_engine);
@@ -1988,24 +1954,6 @@ mod tests {
                                 prop_assert_eq!(
                                     &verdicts[i],
                                     &verify_image(img, spec, &engine, &mac_engine)
-                                );
-                            }
-                            let (en2, sweeps) = set.replay_sweep(
-                                opts, threads, spec, &engine, &mac_engine, &fresh,
-                            );
-                            prop_assert_eq!(en2.images.len(), sweeps.len());
-                            for (i, (mask, img)) in en2.images.iter().enumerate() {
-                                prop_assert_eq!(
-                                    &sweeps[i],
-                                    &verify_image_attack(
-                                        &set.image(mask), spec, &engine, &mac_engine, &fresh,
-                                    )
-                                );
-                                prop_assert_eq!(
-                                    &sweeps[i],
-                                    &verify_image_attack(
-                                        img, spec, &engine, &mac_engine, &fresh,
-                                    )
                                 );
                             }
                         }

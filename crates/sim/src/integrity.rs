@@ -62,12 +62,14 @@
 use crate::addr::{CounterLineAddr, LineAddr, MacLineAddr, TreeNodeAddr};
 use crate::cache::SetAssocCache;
 use crate::config::{IntegrityPolicy, SimConfig, MAX_TREE_LEVELS};
+use crate::crashmc::CellKey;
 use crate::nvmm::{LineRead, NvmmImage};
 use fxhash::FxHashMap;
 use nvmm_crypto::counter::{CounterLine, LINE_BYTES};
 use nvmm_crypto::engine::EncryptionEngine;
 use nvmm_crypto::mac::{MacEngine, MacLine};
 use nvmm_crypto::Counter;
+use std::collections::BTreeMap;
 
 /// Children per tree node: one 64-byte node packs eight 8-byte digests,
 /// mirroring the counter region's eight-counters-per-line packing.
@@ -639,8 +641,20 @@ fn tree_link_check(
     slot: usize,
     digest: u64,
 ) -> Option<String> {
-    let child_index = node.index * TREE_ARITY as u64 + slot as u64;
-    let actual = if node.level == 1 {
+    // A forged node at level 0, or past the last index whose children
+    // are addressable, has no child to name; `base + slot` cannot
+    // overflow once the multiply did not.
+    let (Some(child_level), Some(base)) = (
+        node.level.checked_sub(1),
+        node.index.checked_mul(TREE_ARITY as u64),
+    ) else {
+        return Some(format!(
+            "tree node {node} slot {slot} names no child: the node lies \
+             outside the tree's address space"
+        ));
+    };
+    let child_index = base + slot as u64;
+    let actual = if child_level == 0 {
         let cline = CounterLineAddr(child_index);
         if !img.counter_line_present(cline) {
             return Some(format!(
@@ -651,7 +665,7 @@ fn tree_link_check(
         digest64(&img.counter_line(cline).to_bytes())
     } else {
         let child = TreeNodeAddr {
-            level: node.level - 1,
+            level: child_level,
             index: child_index,
         };
         match img.tree_node(child) {
@@ -862,74 +876,51 @@ pub fn verify_image_attack(
             let seen = got.get(&cline).copied().unwrap_or(0);
             if seen < want {
                 return AttackVerdict::Detected {
-                    blame: epoch_regression_blame(cline, seen, want),
+                    blame: format!(
+                        "epoch regression: {cline}'s latest persisted summary is #{seen}, \
+                         but the recovery register recorded #{want}"
+                    ),
                 };
             }
         }
     } else if spec.policy.has_tree() {
         if tree_root(img, spec.levels) != fresh.root {
             return AttackVerdict::Detected {
-                blame: root_freshness_blame(),
+                blame: "root freshness: the root rebuilt from the persisted counter \
+                        region does not match the NV root register (replayed or \
+                        rolled-back counters)"
+                    .to_string(),
             };
         }
     } else if spec.policy.packed_meta() {
-        let got = image_counter_sum(img);
-        if got < fresh.counter_sum {
+        let (got, want) = (image_counter_sum(img), fresh.counter_sum);
+        if got < want {
             return AttackVerdict::Detected {
-                blame: counter_rollback_blame(got, fresh.counter_sum),
+                blame: format!(
+                    "counter rollback: persisted counter sum {got:#x} fell behind \
+                     the monotone write-counter register's {want:#x}"
+                ),
             };
         }
     }
     AttackVerdict::Undetected
 }
 
-/// The phoenix freshness blame: a counter line's latest persisted
-/// summary regressed below the recovery register's. Shared by the
-/// eager oracle and [`DeltaVerifier::attack_verdict`].
-fn epoch_regression_blame(cline: CounterLineAddr, seen: u64, want: u64) -> String {
-    format!(
-        "epoch regression: {cline}'s latest persisted summary is #{seen}, \
-         but the recovery register recorded #{want}"
-    )
-}
-
-/// The lazy/strict/pipelined freshness blame: the rebuilt root does
-/// not match the NV root register. Shared by the eager oracle and
-/// [`DeltaVerifier::attack_verdict`].
-fn root_freshness_blame() -> String {
-    "root freshness: the root rebuilt from the persisted counter \
-     region does not match the NV root register (replayed or \
-     rolled-back counters)"
-        .to_string()
-}
-
-/// The colocated freshness blame: the persisted counter sum fell
-/// behind the monotone write-counter register. Shared by the eager
-/// oracle and [`DeltaVerifier::attack_verdict`].
-fn counter_rollback_blame(got: u128, want: u128) -> String {
-    format!(
-        "counter rollback: persisted counter sum {got:#x} fell behind \
-         the monotone write-counter register's {want:#x}"
-    )
-}
-
 /// The incremental post-crash integrity oracle: [`verify_image`]'s
-/// verdict — and [`verify_image_attack`]'s — maintained as live
-/// state over an image that changes a few cells at a time.
+/// verdict maintained as live state over an image that changes a few
+/// cells at a time.
 ///
 /// The crash model checker walks its cut schedule with an overlay that
 /// rewrites only the cells whose winning journal write changed between
 /// consecutive masks. `DeltaVerifier` mirrors that walk: the checker
-/// pairs every overlay apply/undo with a change notification
-/// ([`DeltaVerifier::data_changed`] and friends), and the verifier
+/// pairs every overlay apply/undo with a [`DeltaVerifier::changed`]
+/// notification in the overlay's own cell vocabulary, and the verifier
 /// re-runs exactly the checks that cell feeds:
 ///
 /// * a data or co-located-counter cell → that line's MAC check;
 /// * a counter line → the MAC checks of the eight data lines it
-///   covers, its level-1 parent link (strict/pipelined), the epoch
-///   summaries claiming it (phoenix), its leaf digest in the
-///   incremental root accumulator (the lazy/strict/pipelined
-///   freshness root), and the monotone counter sum (colocated);
+///   covers, its level-1 parent link (strict/pipelined), and the epoch
+///   summaries claiming it (phoenix);
 /// * a MAC line → the MAC checks of its eight data lines;
 /// * a tree node → its own child links plus its parent's link to it
 ///   (strict/pipelined), or its summary decode and claim (phoenix).
@@ -941,31 +932,22 @@ fn counter_rollback_blame(got: u128, want: u128) -> String {
 /// `tree_link_check`, `phoenix_node_check`), so verdict and blame
 /// strings are bit-identical by construction. The differential
 /// proptests in `crashmc` pin this across all six policies.
-pub struct DeltaVerifier {
+pub(crate) struct DeltaVerifier {
     spec: IntegritySpec,
     engine: EncryptionEngine,
     mac_engine: MacEngine,
     /// Failing MAC checks, keyed by line — ascending `LineAddr` is the
     /// eager sweep's visit order.
-    mac_errors: std::collections::BTreeMap<LineAddr, String>,
+    mac_errors: BTreeMap<LineAddr, String>,
     /// Failing strict/pipelined link checks, keyed by (parent, slot) —
     /// `(level, index, slot)` ascending is the eager sweep's order.
-    link_errors: std::collections::BTreeMap<(TreeNodeAddr, usize), String>,
+    link_errors: BTreeMap<(TreeNodeAddr, usize), String>,
     /// Failing phoenix per-node checks (interior-node and stale-epoch).
-    phoenix_errors: std::collections::BTreeMap<TreeNodeAddr, String>,
+    phoenix_errors: BTreeMap<TreeNodeAddr, String>,
     /// Decoded epoch summary per persisted summary node (phoenix).
     summaries: FxHashMap<TreeNodeAddr, (CounterLineAddr, u64, u64)>,
     /// Reverse index: which summary nodes claim each counter line.
     claims: FxHashMap<CounterLineAddr, Vec<TreeNodeAddr>>,
-    /// Per-level node maps of [`reconstruct_tree`]'s bottom-up fold
-    /// (`acc[0]` holds level-1 nodes), maintained by dirty-path
-    /// propagation when the policy consults the rebuilt root
-    /// (lazy/strict/pipelined freshness). Empty otherwise.
-    acc: Vec<FxHashMap<u64, DigestLine>>,
-    /// Running [`image_counter_sum`] (colocated freshness).
-    counter_sum: u128,
-    /// Each present counter line's contribution to `counter_sum`.
-    cline_sums: FxHashMap<CounterLineAddr, u128>,
     /// Last-processed counter-line contents per counter cell. A
     /// counter rewrite slot-diffs against this so only the covered
     /// lines whose counter value actually changed re-run their MAC
@@ -989,29 +971,21 @@ impl DeltaVerifier {
     /// Builds the verifier's state with one full pass over `img` — the
     /// walk's base image. Engines are cloned (their memoization tables
     /// are shared, so a warm engine stays warm).
-    pub fn new(
+    pub(crate) fn new(
         img: &NvmmImage,
         spec: IntegritySpec,
         engine: &EncryptionEngine,
         mac_engine: &MacEngine,
     ) -> Self {
-        let track_root = spec.policy.has_tree() && !spec.policy.phoenix();
         let mut v = Self {
             spec,
             engine: engine.clone(),
             mac_engine: mac_engine.clone(),
-            mac_errors: std::collections::BTreeMap::new(),
-            link_errors: std::collections::BTreeMap::new(),
-            phoenix_errors: std::collections::BTreeMap::new(),
+            mac_errors: BTreeMap::new(),
+            link_errors: BTreeMap::new(),
+            phoenix_errors: BTreeMap::new(),
             summaries: FxHashMap::default(),
             claims: FxHashMap::default(),
-            acc: if track_root {
-                vec![FxHashMap::default(); spec.levels.max(1) as usize]
-            } else {
-                Vec::new()
-            },
-            counter_sum: 0,
-            cline_sums: FxHashMap::default(),
             ctr_cache: FxHashMap::default(),
             mac_cache: FxHashMap::default(),
             tree_cache: FxHashMap::default(),
@@ -1022,203 +996,95 @@ impl DeltaVerifier {
         for line in img.data_line_addrs() {
             v.recheck_line(img, line);
         }
-        if spec.policy.persists_path_in_pair() {
-            for (node, _) in img.tree_nodes() {
+        for (node, _) in img.tree_nodes() {
+            if spec.policy.persists_path_in_pair() {
                 v.recheck_node_slots(img, node);
-            }
-        }
-        if spec.policy.phoenix() {
-            for (node, _) in img.tree_nodes() {
+            } else if spec.policy.phoenix() {
                 v.recheck_phoenix_node(img, node);
-            }
-        }
-        let clines: Vec<CounterLineAddr> = img.counter_lines().map(|(cline, _)| cline).collect();
-        for cline in clines {
-            if track_root {
-                v.propagate_leaf(img, cline);
-            }
-            if spec.policy.packed_meta() {
-                v.update_counter_sum(img, cline);
             }
         }
         v
     }
 
-    /// Re-runs the checks a rewritten (or cleared) data cell feeds —
-    /// also the notification for a co-located counter cell, which
-    /// feeds the same line's MAC check and nothing else.
-    pub fn data_changed(&mut self, img: &NvmmImage, line: LineAddr) {
+    /// Re-runs the checks a rewritten (or cleared) cell of `img` feeds.
+    pub(crate) fn changed(&mut self, img: &NvmmImage, cell: CellKey) {
         if !self.spec.policy.enabled() {
             return;
         }
-        self.recheck_line(img, line);
-    }
-
-    /// Re-runs the checks a rewritten (or cleared) counter-line cell
-    /// feeds: the eight covered lines' MACs, the level-1 parent link,
-    /// the claiming epoch summaries, the root accumulator's dirty
-    /// path, and the counter sum.
-    pub fn counter_changed(&mut self, img: &NvmmImage, cline: CounterLineAddr) {
-        if !self.spec.policy.enabled() {
-            return;
-        }
-        // A counter line past `u64::MAX / 8` covers no addressable data
-        // line, so there is no MAC to re-check.
-        let cur = img.counter_line(cline);
-        let old = self.ctr_cache.insert(cline, cur);
-        if let Some(base) = cline.0.checked_mul(TREE_ARITY as u64) {
-            for slot in 0..TREE_ARITY {
+        match cell {
+            // A co-located counter feeds its line's MAC check and
+            // nothing else, like the data cell itself.
+            CellKey::Data(line) | CellKey::Co(line) => self.recheck_line(img, line),
+            CellKey::Ctr(cline) => {
+                let cur = img.counter_line(cline);
+                let old = self.ctr_cache.insert(cline, cur);
                 // Only the per-slot counter value feeds a covered
                 // line's decrypt + MAC check, so unchanged slots keep
                 // their verdict.
-                if old.is_none_or(|o| o.get(slot) != cur.get(slot)) {
-                    self.recheck_line(img, LineAddr(base + slot as u64));
+                self.recheck_covered(img, cline.0, |slot| {
+                    old.is_none_or(|o| o.get(slot) != cur.get(slot))
+                });
+                if self.spec.policy.persists_path_in_pair() {
+                    let parent = parent_of(0, cline.0);
+                    self.recheck_slot(img, parent, slot_in_parent(cline.0));
+                }
+                // Only phoenix records claims.
+                for &node in self.claims.get(&cline).into_iter().flatten() {
+                    let (claimed, claim, seq) = self.summaries[&node];
+                    debug_assert_eq!(claimed, cline);
+                    let outcome = phoenix_claim_check(img, claimed, claim, seq);
+                    record(&mut self.phoenix_errors, node, outcome);
                 }
             }
-        }
-        if self.spec.policy.persists_path_in_pair() {
-            let parent = parent_of(0, cline.0);
-            self.recheck_slot(img, parent, slot_in_parent(cline.0));
-        }
-        if self.spec.policy.phoenix() {
-            let claimants = self.claims.get(&cline).cloned().unwrap_or_default();
-            for node in claimants {
-                let (claimed, claim, seq) = self.summaries[&node];
-                debug_assert_eq!(claimed, cline);
-                match phoenix_claim_check(img, claimed, claim, seq) {
-                    Some(err) => {
-                        self.phoenix_errors.insert(node, err);
-                    }
-                    None => {
-                        self.phoenix_errors.remove(&node);
-                    }
-                }
-            }
-        }
-        if !self.acc.is_empty() {
-            self.propagate_leaf(img, cline);
-        }
-        if self.spec.policy.packed_meta() {
-            self.update_counter_sum(img, cline);
-        }
-    }
-
-    /// Re-runs the MAC checks of the eight data lines a rewritten (or
-    /// cleared) MAC-line cell guards.
-    pub fn mac_changed(&mut self, img: &NvmmImage, mline: MacLineAddr) {
-        if !self.spec.policy.enabled() {
-            return;
-        }
-        let cur = img.mac_line(mline);
-        let old = self.mac_cache.insert(mline, cur);
-        if let Some(base) = mline.0.checked_mul(TREE_ARITY as u64) {
-            for slot in 0..TREE_ARITY {
+            CellKey::Mac(mline) => {
+                let cur = img.mac_line(mline);
+                let old = self.mac_cache.insert(mline, cur);
                 // Only the per-slot persisted tag feeds a covered
                 // line's MAC check.
-                if old.is_none_or(|o| o.get(slot) != cur.get(slot)) {
-                    self.recheck_line(img, LineAddr(base + slot as u64));
+                self.recheck_covered(img, mline.0, |slot| {
+                    old.is_none_or(|o| o.get(slot) != cur.get(slot))
+                });
+            }
+            CellKey::Tree(node) => {
+                if self.spec.policy.persists_path_in_pair() {
+                    self.recheck_node_slots(img, node);
+                    if node.level != u32::MAX {
+                        let parent = parent_of(node.level, node.index);
+                        self.recheck_slot(img, parent, slot_in_parent(node.index));
+                    }
+                } else if self.spec.policy.phoenix() {
+                    self.recheck_phoenix_node(img, node);
                 }
             }
-        }
-    }
-
-    /// Re-runs the checks a rewritten (or cleared) tree-node cell
-    /// feeds: the node's own child links and its parent's link to it
-    /// (strict/pipelined), or its summary decode and claim (phoenix).
-    pub fn tree_changed(&mut self, img: &NvmmImage, node: TreeNodeAddr) {
-        if !self.spec.policy.enabled() {
-            return;
-        }
-        if self.spec.policy.persists_path_in_pair() {
-            self.recheck_node_slots(img, node);
-            if node.level != u32::MAX {
-                let parent = parent_of(node.level, node.index);
-                self.recheck_slot(img, parent, slot_in_parent(node.index));
-            }
-        }
-        if self.spec.policy.phoenix() {
-            self.recheck_phoenix_node(img, node);
         }
     }
 
     /// The current image's [`verify_image`] verdict: the smallest
-    /// failing key of the eager sweep's first failing phase.
-    pub fn verdict(&self) -> Result<(), String> {
-        if !self.spec.policy.enabled() {
-            return Ok(());
+    /// failing key of the eager sweep's first failing phase. Link and
+    /// phoenix outcomes are recorded only under the policies whose
+    /// sweep runs those checks.
+    pub(crate) fn verdict(&self) -> Result<(), String> {
+        let first = self.mac_errors.values().next();
+        let first = first.or_else(|| self.link_errors.values().next());
+        match first.or_else(|| self.phoenix_errors.values().next()) {
+            Some(err) => Err(err.clone()),
+            None => Ok(()),
         }
-        if let Some((_, err)) = self.mac_errors.iter().next() {
-            return Err(err.clone());
-        }
-        if self.spec.policy.persists_path_in_pair() {
-            if let Some((_, err)) = self.link_errors.iter().next() {
-                return Err(err.clone());
-            }
-        } else if self.spec.policy.phoenix() {
-            if let Some((_, err)) = self.phoenix_errors.iter().next() {
-                return Err(err.clone());
-            }
-        }
-        Ok(())
-    }
-
-    /// The current image's [`verify_image_attack`] verdict against
-    /// `fresh`, from the incrementally maintained freshness state (the
-    /// accumulated root, summary sequence numbers, and counter sum).
-    pub fn attack_verdict(&self, fresh: &FreshnessRef) -> AttackVerdict {
-        if !self.spec.policy.enabled() {
-            return AttackVerdict::Undetected;
-        }
-        if let Err(blame) = self.verdict() {
-            return AttackVerdict::Detected { blame };
-        }
-        if self.spec.policy.phoenix() {
-            for &(cline, want) in &fresh.phoenix_seqs {
-                let seen = self
-                    .summaries
-                    .values()
-                    .filter(|&&(claimed, _, _)| claimed == cline)
-                    .map(|&(_, _, seq)| seq)
-                    .max()
-                    .unwrap_or(0);
-                if seen < want {
-                    return AttackVerdict::Detected {
-                        blame: epoch_regression_blame(cline, seen, want),
-                    };
-                }
-            }
-        } else if self.spec.policy.has_tree() {
-            if self.root() != fresh.root {
-                return AttackVerdict::Detected {
-                    blame: root_freshness_blame(),
-                };
-            }
-        } else if self.spec.policy.packed_meta() && self.counter_sum < fresh.counter_sum {
-            return AttackVerdict::Detected {
-                blame: counter_rollback_blame(self.counter_sum, fresh.counter_sum),
-            };
-        }
-        AttackVerdict::Undetected
-    }
-
-    /// The accumulator's current root — equal to `tree_root` of the
-    /// notified image.
-    fn root(&self) -> DigestLine {
-        self.acc
-            .last()
-            .and_then(|top| top.get(&0))
-            .copied()
-            .unwrap_or_default()
     }
 
     /// Recomputes one line's MAC check and records the outcome.
     fn recheck_line(&mut self, img: &NvmmImage, line: LineAddr) {
-        match mac_check(img, line, &self.engine, &self.mac_engine) {
-            Some(err) => {
-                self.mac_errors.insert(line, err);
-            }
-            None => {
-                self.mac_errors.remove(&line);
+        let outcome = mac_check(img, line, &self.engine, &self.mac_engine);
+        record(&mut self.mac_errors, line, outcome);
+    }
+
+    /// Re-checks the data lines metadata line `index` covers whose slot
+    /// `moved`. A line past `u64::MAX / 8` covers no addressable data
+    /// line, so there is no MAC to re-check.
+    fn recheck_covered(&mut self, img: &NvmmImage, index: u64, moved: impl Fn(usize) -> bool) {
+        if let Some(base) = index.checked_mul(TREE_ARITY as u64) {
+            for slot in (0..TREE_ARITY).filter(|&slot| moved(slot)) {
+                self.recheck_line(img, LineAddr(base + slot as u64));
             }
         }
     }
@@ -1229,57 +1095,23 @@ impl DeltaVerifier {
     /// re-run the slot through [`DeltaVerifier::recheck_slot`]).
     fn recheck_node_slots(&mut self, img: &NvmmImage, node: TreeNodeAddr) {
         let cur = img.tree_node(node);
-        let old = self.tree_cache.insert(node, cur);
-        match cur {
-            Some(digests) => {
-                for (slot, digest) in digests.iter() {
-                    if let Some(Some(o)) = old {
-                        if o.get(slot) == digest {
-                            continue;
-                        }
-                    }
-                    let outcome = if digest != 0 {
-                        tree_link_check(img, node, slot, digest)
-                    } else {
-                        None
-                    };
-                    match outcome {
-                        Some(err) => {
-                            self.link_errors.insert((node, slot), err);
-                        }
-                        None => {
-                            self.link_errors.remove(&(node, slot));
-                        }
-                    }
-                }
-            }
-            None => {
-                for slot in 0..TREE_ARITY {
-                    self.link_errors.remove(&(node, slot));
-                }
+        let old = self.tree_cache.insert(node, cur).flatten();
+        for slot in 0..TREE_ARITY {
+            if cur.is_none() || old.map(|o| o.get(slot)) != cur.map(|c| c.get(slot)) {
+                self.recheck_slot(img, node, slot);
             }
         }
     }
 
-    /// Recomputes the single link check `(node, slot)` — the parent's
-    /// view of one child that changed underneath it.
+    /// Recomputes the single link check `(node, slot)` — also the
+    /// parent's view of one child that changed underneath it.
     fn recheck_slot(&mut self, img: &NvmmImage, node: TreeNodeAddr, slot: usize) {
-        let outcome = img.tree_node(node).and_then(|digests| {
-            let digest = digests.get(slot);
-            if digest != 0 {
-                tree_link_check(img, node, slot, digest)
-            } else {
-                None
-            }
-        });
-        match outcome {
-            Some(err) => {
-                self.link_errors.insert((node, slot), err);
-            }
-            None => {
-                self.link_errors.remove(&(node, slot));
-            }
-        }
+        let outcome = img
+            .tree_node(node)
+            .map(|digests| digests.get(slot))
+            .filter(|&digest| digest != 0)
+            .and_then(|digest| tree_link_check(img, node, slot, digest));
+        record(&mut self.link_errors, (node, slot), outcome);
     }
 
     /// Re-decodes one persisted node as a phoenix summary, refreshing
@@ -1290,68 +1122,29 @@ impl DeltaVerifier {
                 list.retain(|&n| n != node);
             }
         }
-        self.phoenix_errors.remove(&node);
         let Some(digests) = img.tree_node(node) else {
+            self.phoenix_errors.remove(&node);
             return;
         };
-        match decode_phoenix_summary(node, &digests) {
-            Some((cline, claim, seq)) => {
-                self.summaries.insert(node, (cline, claim, seq));
-                self.claims.entry(cline).or_default().push(node);
-                if let Some(err) = phoenix_claim_check(img, cline, claim, seq) {
-                    self.phoenix_errors.insert(node, err);
-                }
-            }
-            None => {
-                self.phoenix_errors.insert(
-                    node,
-                    phoenix_node_check(img, node, &digests).expect(
-                        "a node that fails to decode as a summary is an interior-node violation",
-                    ),
-                );
-            }
+        if let Some((cline, claim, seq)) = decode_phoenix_summary(node, &digests) {
+            self.summaries.insert(node, (cline, claim, seq));
+            self.claims.entry(cline).or_default().push(node);
         }
+        let outcome = phoenix_node_check(img, node, &digests);
+        record(&mut self.phoenix_errors, node, outcome);
     }
+}
 
-    /// Propagates `cline`'s (possibly cleared) leaf digest up the root
-    /// accumulator, removing nodes whose last child vanished — exactly
-    /// [`reconstruct_tree`]'s presence rule (a node exists iff it has a
-    /// present child; [`digest64`] never yields the reserved 0).
-    fn propagate_leaf(&mut self, img: &NvmmImage, cline: CounterLineAddr) {
-        let mut value = if img.counter_line_present(cline) {
-            digest64(&img.counter_line(cline).to_bytes())
-        } else {
-            0
-        };
-        let mut index = cline.0 >> 3;
-        let mut slot = slot_in_parent(cline.0);
-        for level in 0..self.acc.len() {
-            let map = &mut self.acc[level];
-            let node = map.entry(index).or_default();
-            node.set(slot, value);
-            if node.iter().all(|(_, d)| d == 0) {
-                map.remove(&index);
-                value = 0;
-            } else {
-                value = digest64(&node.to_bytes());
-            }
-            slot = slot_in_parent(index);
-            index >>= 3;
+/// Records one check's outcome under `key`: a failure replaces the
+/// key's earlier one, a pass clears it.
+fn record<K: Ord>(errors: &mut BTreeMap<K, String>, key: K, outcome: Option<String>) {
+    match outcome {
+        Some(err) => {
+            errors.insert(key, err);
         }
-    }
-
-    /// Replaces `cline`'s contribution to the running counter sum.
-    fn update_counter_sum(&mut self, img: &NvmmImage, cline: CounterLineAddr) {
-        let old = self.cline_sums.remove(&cline).unwrap_or(0);
-        let new = if img.counter_line_present(cline) {
-            let counters = img.counter_line(cline);
-            let sum = (0..TREE_ARITY).fold(0u128, |acc, slot| acc + counters.get(slot).0 as u128);
-            self.cline_sums.insert(cline, sum);
-            sum
-        } else {
-            0
-        };
-        self.counter_sum = self.counter_sum - old + new;
+        None => {
+            errors.remove(&key);
+        }
     }
 }
 
@@ -1377,6 +1170,8 @@ pub fn recovery_cost(img: &NvmmImage, spec: IntegritySpec) -> u64 {
 mod tests {
     use super::*;
     use nvmm_crypto::counter::CounterLine;
+    use nvmm_crypto::mac::Mac;
+    use proptest::prelude::*;
 
     #[test]
     fn digest_is_deterministic_and_never_reserved() {
@@ -1861,6 +1656,74 @@ mod tests {
         let v = attack(&stale, spec, &fresh);
         assert!(v.detected());
         assert!(v.blame().unwrap().contains("counter rollback"), "{v:?}");
+    }
+
+    /// A forged image drawn from `seed`: random data, counter and MAC
+    /// cells, plus tree nodes at levels and indices an attacker can
+    /// write but no honest run persists — level 0, the phoenix summary
+    /// level and its neighbour, and indices whose children overflow.
+    fn forged_image(seed: u64) -> NvmmImage {
+        const LEVELS: [u32; 7] = [0, 1, 2, 3, 21, u32::MAX - 1, u32::MAX];
+        const NEAR: [u64; 3] = [0, u64::MAX / 8, u64::MAX];
+        let mut state = seed;
+        let mut rng = move || crate::crashmc::splitmix64(&mut state);
+        let mut img = NvmmImage::new();
+        for _ in 0..rng() % 6 {
+            let line = LineAddr(rng() % 16);
+            img.write_encrypted(line, [rng() as u8; LINE_BYTES], Counter(rng() % 4));
+        }
+        for _ in 0..rng() % 4 {
+            let mut counters = CounterLine::new();
+            counters.set((rng() % 8) as usize, Counter(rng() % 4));
+            let near = NEAR[(rng() % 3) as usize];
+            img.write_counter_line(CounterLineAddr(near ^ (rng() % 2)), counters);
+        }
+        for _ in 0..rng() % 3 {
+            let mut macs = MacLine::new();
+            macs.set((rng() % 8) as usize, Mac(rng()));
+            img.write_mac_line(MacLineAddr(rng() % 2), macs);
+        }
+        for _ in 0..1 + rng() % 4 {
+            let near = NEAR[(rng() % 3) as usize];
+            let node = TreeNodeAddr {
+                level: LEVELS[(rng() % 7) as usize],
+                index: near.wrapping_add(rng() % 3).wrapping_sub(1),
+            };
+            let mut digests = DigestLine::new();
+            for slot in 0..TREE_ARITY {
+                if rng() % 2 == 0 {
+                    digests.set(slot, rng());
+                }
+            }
+            img.write_tree_node(node, digests);
+        }
+        img
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+
+        /// Every oracle returns a verdict on a forged image under every
+        /// policy — none panics on a node that names no child — and the
+        /// delta verifier's base pass agrees with the full pass.
+        fn forged_images_get_a_verdict_under_every_policy(
+            seed in 0u64..1_000_000,
+            levels in 0u32..5,
+        ) {
+            let img = forged_image(seed);
+            let (engine, mac_engine) = (EncryptionEngine::new([0; 16]), MacEngine::new([0; 16]));
+            let honest = counter_image(&[(0, 0, 3)]);
+            for policy in IntegrityPolicy::ALL {
+                let spec = IntegritySpec { policy, levels };
+                let full = verify_image(&img, spec, &engine, &mac_engine);
+                let delta = DeltaVerifier::new(&img, spec, &engine, &mac_engine).verdict();
+                prop_assert_eq!(delta, full, "seed {} under {}", seed, policy);
+                for anchor in [&img, &honest] {
+                    let fresh = FreshnessRef::capture(anchor, spec);
+                    verify_image_attack(&img, spec, &engine, &mac_engine, &fresh);
+                }
+            }
+        }
     }
 
     #[test]

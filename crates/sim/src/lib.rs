@@ -82,8 +82,8 @@ pub use config::{Design, IntegrityPolicy, SimConfig};
 pub use crashmc::{CrashSet, CutSchedule, EnumOpts, EnumStats, Enumeration, LandMask};
 pub use device::WearReport;
 pub use integrity::{
-    recovery_cost, verify_image, verify_image_attack, AttackVerdict, DeltaVerifier, DigestLine,
-    FreshnessRef, IntegritySpec,
+    recovery_cost, verify_image, verify_image_attack, AttackVerdict, DigestLine, FreshnessRef,
+    IntegritySpec,
 };
 pub use nvmm::{LineRead, NvmmImage};
 pub use parallel::{mc_threads, run_parallel};

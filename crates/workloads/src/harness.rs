@@ -473,7 +473,7 @@ impl<'s> SetJudge<'s> {
 
 /// The shared body of [`check_image`] and the model checker: when the
 /// fused walk already judged the image with a warm
-/// [`nvmm_sim::DeltaVerifier`], its verdict arrives as `precomputed`
+/// `DeltaVerifier`, its verdict arrives as `precomputed`
 /// and the full-pass oracle is skipped — the verdict (and so the
 /// wrapped error string) is bit-identical by the differential suite's
 /// guarantee. Lone images and minimization candidates pass `None` and

@@ -14,12 +14,14 @@
 //! and workload shapes.
 
 use nvmm::crypto::{EncryptionEngine, MacEngine};
-use nvmm::sim::addr::LineAddr;
+use nvmm::sim::addr::{LineAddr, TreeNodeAddr};
 use nvmm::sim::attack::{
     expected_vulnerable, run_detection_row, snapshot_pair, victim_lines, AttackKind,
 };
 use nvmm::sim::config::{Design, IntegrityPolicy, SimConfig};
-use nvmm::sim::integrity::{verify_image_attack, AttackVerdict, FreshnessRef, IntegritySpec};
+use nvmm::sim::integrity::{
+    verify_image, verify_image_attack, AttackVerdict, DigestLine, FreshnessRef, IntegritySpec,
+};
 use nvmm::sim::nvmm::NvmmImage;
 use nvmm::sim::trace::{Trace, TraceEvent};
 use proptest::prelude::*;
@@ -177,6 +179,38 @@ fn mac_only_replay_really_rewinds_state() {
     // The stale image — genuinely old data — passes every check
     // mac-only performs. That is the attack, demonstrated end to end.
     assert_eq!(judge(&cfg, &pair.stale, &fresh), AttackVerdict::Undetected);
+}
+
+/// A forged tree node that names no child — one at level 0, one past
+/// the last index whose eight children are addressable — is a strict
+/// violation naming the node and slot, not an overflow.
+#[test]
+fn forged_tree_nodes_without_children_are_violations() {
+    let cfg = attack_cfg(IntegrityPolicy::Strict);
+    let spec = IntegritySpec::from_config(&cfg);
+    let (engine, mac_engine) = (EncryptionEngine::new(cfg.key), MacEngine::new(cfg.key));
+    for node in [
+        TreeNodeAddr { level: 0, index: 3 },
+        TreeNodeAddr {
+            level: 2,
+            index: u64::MAX / 8 + 1,
+        },
+    ] {
+        let mut digests = DigestLine::new();
+        digests.set(5, 0x1234);
+        let mut img = NvmmImage::new();
+        img.write_tree_node(node, digests);
+        let want = format!(
+            "tree node {node} slot 5 names no child: the node lies outside \
+             the tree's address space"
+        );
+        assert_eq!(
+            verify_image(&img, spec, &engine, &mac_engine),
+            Err(want.clone())
+        );
+        let fresh = FreshnessRef::capture(&img, spec);
+        assert_eq!(judge(&cfg, &img, &fresh).blame(), Some(want.as_str()));
+    }
 }
 
 proptest! {
