@@ -2,7 +2,7 @@
 //! the trace-replay engine executes per design and, on SCA, per
 //! integrity policy (strict also with batched-journal compaction), the
 //! cost of crash recovery, and the host cost of model-checking one crash
-//! set per workload.
+//! set per workload and of building a sweep's crash sets.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use nvmm_core::recovery::{recover_undo_log, RecoveredMemory};
@@ -10,9 +10,10 @@ use nvmm_crypto::EncryptionEngine;
 use nvmm_sim::config::{Design, IntegrityPolicy, SimConfig};
 use nvmm_sim::integrity::IntegritySpec;
 use nvmm_sim::system::{CrashSpec, System};
+use nvmm_sim::time::Time;
 use nvmm_workloads::{
-    check_crash_set, crash_instants_cfg, execute, traces_for_cores, ModelCheckOpts, WorkloadKind,
-    WorkloadSpec,
+    check_crash_set, crash_instants_cfg, execute, traces_for_cores, Executed, ModelCheckOpts,
+    WorkloadKind, WorkloadSpec,
 };
 use std::hint::black_box;
 
@@ -110,23 +111,31 @@ fn bench_recovery(c: &mut Criterion) {
     g.finish();
 }
 
-/// One row per kind: `check_crash_set` — the fused delta walk, then the
-/// recovery oracle on every enumerated image — on the middle in-flight
-/// crash set of the `mc_*` benchmark shape (SCA + strict, `smoke` with
-/// 64 transactions of 24 payload lines, default `ModelCheckOpts`), on
-/// `mc_threads()` workers. Throughput is in images judged.
-fn bench_model_check(c: &mut Criterion) {
+/// The `mc_*` benchmark shape for `kind`: SCA + strict, `smoke` with 64
+/// transactions of 24 payload lines, executed once, and its 40
+/// in-flight crash instants under default `ModelCheckOpts`.
+fn mc_shape(kind: WorkloadKind) -> (SimConfig, WorkloadSpec, Executed, Vec<Time>) {
     let cfg = SimConfig::single_core(Design::Sca).with_integrity(IntegrityPolicy::Strict);
-    let integrity = IntegritySpec::from_config(&cfg);
+    let spec = WorkloadSpec::smoke(kind)
+        .with_ops(64)
+        .with_payload_lines(24);
+    let instants = crash_instants_cfg(&spec, cfg.clone(), &ModelCheckOpts::default(), 40);
+    let ex = execute(&spec, 0, spec.ops);
+    (cfg, spec, ex, instants)
+}
+
+/// One row per kind: `check_crash_set` — the fused delta walk, judging
+/// the recovery oracle on every retained image in place — on the middle
+/// in-flight crash set of the `mc_*` shape, with default
+/// `ModelCheckOpts`, on `mc_threads()` workers. Throughput is in images
+/// judged.
+fn bench_model_check(c: &mut Criterion) {
     let opts = ModelCheckOpts::default();
     let mut g = c.benchmark_group("model_check");
     g.sample_size(10);
     for kind in WorkloadKind::ALL {
-        let spec = WorkloadSpec::smoke(kind)
-            .with_ops(64)
-            .with_payload_lines(24);
-        let instants = crash_instants_cfg(&spec, cfg.clone(), &opts, 40);
-        let ex = execute(&spec, 0, spec.ops);
+        let (cfg, spec, ex, instants) = mc_shape(kind);
+        let integrity = IntegritySpec::from_config(&cfg);
         let set = System::new(cfg.clone(), vec![ex.pm.trace().clone()])
             .run(CrashSpec::AtTime(instants[instants.len() / 2]))
             .crash_set
@@ -138,11 +147,37 @@ fn bench_model_check(c: &mut Criterion) {
     g.finish();
 }
 
+/// One row per kind: one crash cursor advanced through all 40 instants
+/// of the `mc_*` shape, building each instant's crash set from the
+/// journal records new since the previous one — what each model-check
+/// worker does before it walks a set. The sweep is simulated once,
+/// outside the timing. Throughput is in crash sets built.
+fn bench_crash_cursor(c: &mut Criterion) {
+    let mut g = c.benchmark_group("crash_cursor");
+    g.sample_size(10);
+    for kind in WorkloadKind::ALL {
+        let (cfg, _, ex, instants) = mc_shape(kind);
+        let sweep = System::new(cfg, vec![ex.pm.trace().clone()]).run_crash_sweep(&instants);
+        g.throughput(Throughput::Elements(sweep.len() as u64));
+        g.bench_function(kind.label(), |b| {
+            b.iter(|| {
+                let mut cursor = black_box(&sweep).cursor();
+                (0..sweep.len())
+                    .filter_map(|i| cursor.crash_set(i))
+                    .map(|set| set.in_flight_len())
+                    .sum::<usize>()
+            })
+        });
+    }
+    g.finish();
+}
+
 criterion_group!(
     benches,
     bench_replay,
     bench_trace_generation,
     bench_recovery,
-    bench_model_check
+    bench_model_check,
+    bench_crash_cursor
 );
 criterion_main!(benches);

@@ -223,9 +223,10 @@ fn main() {
         timing.insert(row, &format!("{series}/mc_wall_ns"), agg.wall_ns as f64);
         timing.insert(row, &format!("{series}/sweep_wall_ns"), agg.sweep_ns as f64);
         // The enumerate/verify split attributes regressions to the
-        // schedule walk vs the per-image recovery replay without
-        // re-profiling (the delta walk folds the integrity oracle into
-        // the enumerate term).
+        // schedule walk vs the oracles it runs on each retained image
+        // without re-profiling: the delta integrity verifier and the
+        // recovery judge are both timed inside the walk and counted in
+        // the verify term.
         timing.insert(
             row,
             &format!("{series}/enumerate_wall_ns"),

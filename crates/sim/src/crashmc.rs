@@ -60,7 +60,7 @@
 //!
 //! Candidate images at one crash instant differ only in which in-flight
 //! choice groups land. The one production enumerator,
-//! [`CrashSet::enumerate_verified_timed`], therefore never rebuilds an
+//! [`CrashSet::walk_verified`], therefore never rebuilds an
 //! image: an `ImageOverlay` starts from the set's guaranteed base image
 //! and walks the cut schedule by applying/undoing only the ops of the
 //! groups whose cut changed. Each image cell (a data line, a co-located
@@ -71,6 +71,11 @@
 //! same mask at every step. The cells each step rewrote feed a warm
 //! `DeltaVerifier`, which re-judges only what changed, so the
 //! integrity verdict of every retained image comes out of the same walk.
+//! The walk hands each retained image, with its mask and verdict, to a
+//! caller's visitor where the overlay holds it, so the model checker
+//! judges recovery in place and no image is cloned per retained mask;
+//! [`CrashSet::enumerate_verified_timed`] is the same walk with a
+//! visitor that copies the images out.
 //!
 //! ## One base image per sweep
 //!
@@ -81,7 +86,9 @@
 //! their guarantee, and only the in-flight remainder is regrouped per
 //! instant. A model-check worker advances one cursor through its run of
 //! instants, so a crash set costs the records new since the previous
-//! instant, not the whole prefix.
+//! instant, not the whole prefix. An advance writes each base cell its
+//! folds changed once, from the cell's final writer, however many of
+//! its records folded there.
 //! With [`NvmmImage::fingerprint`] maintained incrementally inside the
 //! image, one odometer step costs O(ops of the changed group) instead of
 //! O(journal length).
@@ -89,8 +96,10 @@
 //! The walk fans the schedule out across scoped worker threads in
 //! contiguous chunks, each walked by its own overlay and verifier and
 //! deduplicated locally; chunks merge in schedule order, so the result —
-//! retained masks, images, verdicts and stats — is bit-identical to the
-//! sequential walk for any thread count. [`CrashSet::enumerate`]
+//! retained masks, visitor results, verdicts and stats — is
+//! bit-identical to the sequential walk for any thread count (an image
+//! retained by two chunks is visited in both, and the merge keeps the
+//! first). [`CrashSet::enumerate`]
 //! materializes every mask's image from scratch with
 //! [`CrashSet::image`]: it is the reference the differential suite holds
 //! the walk against.
@@ -522,8 +531,8 @@ impl CrashSet {
     /// materializing a fresh image with [`CrashSet::image`] for every
     /// mask of the cut schedule, sequentially. It is the obviously
     /// correct reference: the model checker runs the fused walk
-    /// ([`CrashSet::enumerate_verified_timed`]), and the differential
-    /// tests hold that walk's masks, images and stats against this.
+    /// ([`CrashSet::walk_verified`]), and the differential tests hold
+    /// that walk's masks, images and stats against this.
     pub fn enumerate(&self, opts: EnumOpts) -> Enumeration {
         let sched = self.cut_schedule(opts);
         let mut seen: FxHashSet<u128> = FxHashSet::default();
@@ -544,10 +553,10 @@ impl CrashSet {
         }
     }
 
-    /// Enumerates the legal images within `opts`' bounds over up to
-    /// `threads` workers *and* judges each against `spec`'s integrity
-    /// oracle in one fused walk, re-verifying only what each schedule
-    /// step's delta dirtied. The model checker's one enumeration path.
+    /// Walks the legal images within `opts`' bounds over up to `threads`
+    /// workers, judges each against `spec`'s integrity oracle, and hands
+    /// every retained image to `visit` where the walk left it. The model
+    /// checker's one enumeration path.
     ///
     /// Each chunk walks the schedule with a paired `ImageOverlay` and
     /// `DeltaVerifier`, accumulating the cells each `goto` dirtied into
@@ -558,36 +567,39 @@ impl CrashSet {
     /// every re-check is a pure function of the *current* image state:
     /// as long as each cell that changed since the last flush is
     /// replayed once before the verdict is read, the verifier converges
-    /// to the same state in any flush order.
+    /// to the same state in any flush order. For each image its chunk
+    /// retains, the walk calls `visit(mask, image, verdict)` on the
+    /// overlay's own mask and image — no copy — and keeps the result.
     ///
-    /// The retained masks, images and stats equal
-    /// [`CrashSet::enumerate`]'s, and `verdicts[i]` is the oracle's
-    /// answer for `images[i]` — Ok/Err contents bit-identical to
+    /// Chunks merge in schedule order, keeping an image retained by two
+    /// chunks once, from the first (`visit` ran in both). So the retained
+    /// images and the stats equal [`CrashSet::enumerate`]'s, and the
+    /// returned `i`-th result is `visit` of its `i`-th image — with a
+    /// verdict bit-identical to
     /// [`verify_image`](crate::integrity::verify_image) on the
-    /// materialized image — at any `threads`, because chunks merge in
-    /// schedule order. The third return is the nanoseconds the walk
-    /// spent in its verify phase (flushing dirty cells into the
-    /// verifier and reading verdicts), summed across worker chunks.
-    /// Enumeration work — schedule decode, overlay `goto`, fingerprint
-    /// dedupe, image clones — is excluded, so the figure isolates what
-    /// incremental re-verification actually costs and is directly
-    /// comparable to a timed full-pass verify of the same images. With
-    /// `threads > 1` the sum is aggregate worker time, not wall clock;
-    /// it belongs in timing companions, never in deterministic
-    /// artifacts.
-    pub fn enumerate_verified_timed(
+    /// materialized image — at any `threads`. Result 0 is the all-miss
+    /// corner. The third return is the nanoseconds the walk spent in its
+    /// verify phase (flushing dirty cells into the verifier and reading
+    /// verdicts), summed across worker chunks. Enumeration work —
+    /// schedule decode, overlay `goto`, fingerprint dedupe — and `visit`
+    /// are excluded, so the figure isolates what incremental
+    /// re-verification costs and is directly comparable to a timed
+    /// full-pass verify of the same images. With `threads > 1` the sum is
+    /// aggregate worker time, not wall clock; it belongs in timing
+    /// companions, never in deterministic artifacts.
+    pub fn walk_verified<T: Send>(
         &self,
         opts: EnumOpts,
         threads: usize,
         spec: IntegritySpec,
         engine: &EncryptionEngine,
         mac_engine: &MacEngine,
-    ) -> (Enumeration, Vec<Result<(), String>>, u64) {
+        visit: impl Fn(&LandMask, &NvmmImage, &Result<(), String>) -> T + Sync,
+    ) -> (EnumStats, Vec<T>, u64) {
         let sched = self.cut_schedule(opts);
         let threads = threads.max(1);
         let chunks = chunk_ranges(sched.n_masks(), threads);
-        type Walked = Vec<(u128, LandMask, NvmmImage, Result<(), String>)>;
-        let walked: Vec<(Walked, u64)> = run_parallel(threads, &chunks, |&(start, end)| {
+        let walked: Vec<(Vec<(u128, T)>, u64)> = run_parallel(threads, &chunks, |&(start, end)| {
             let mut overlay = ImageOverlay::new(self);
             let mut verifier = DeltaVerifier::new(overlay.image(), spec, engine, mac_engine);
             let mut local_seen: FxHashSet<u128> = FxHashSet::default();
@@ -623,33 +635,50 @@ impl CrashSet {
                     pending_set.clear();
                     let verdict = verifier.verdict();
                     verify_ns += t0.elapsed().as_nanos() as u64;
-                    out.push((fp, overlay.mask().clone(), overlay.image().clone(), verdict));
+                    out.push((fp, visit(overlay.mask(), overlay.image(), &verdict)));
                 }
             }
             (out, verify_ns)
         });
         let mut seen: FxHashSet<u128> = FxHashSet::default();
         seen.reserve(self.seen_capacity(opts));
-        let mut images: Vec<(LandMask, NvmmImage)> = Vec::new();
-        let mut verdicts: Vec<Result<(), String>> = Vec::new();
+        let mut kept: Vec<T> = Vec::new();
         let mut verify_ns: u64 = 0;
         for (chunk, chunk_ns) in walked {
             verify_ns += chunk_ns;
-            for (fp, mask, img, verdict) in chunk {
-                if seen.insert(fp) {
-                    images.push((mask, img));
-                    verdicts.push(verdict);
-                }
-            }
+            kept.extend(
+                chunk
+                    .into_iter()
+                    .filter_map(|(fp, visited)| seen.insert(fp).then_some(visited)),
+            );
         }
-        (
-            Enumeration {
-                stats: self.stats_for(&sched, images.len()),
-                images,
-            },
-            verdicts,
-            verify_ns,
-        )
+        (self.stats_for(&sched, kept.len()), kept, verify_ns)
+    }
+
+    /// [`CrashSet::walk_verified`] with a visitor that copies out every
+    /// retained image: the enumeration ([`CrashSet::enumerate`]'s masks,
+    /// images and stats), each image's integrity verdict, and the walk's
+    /// verify nanoseconds. The model checker judges images in place
+    /// instead; this serves the tests and the timing binaries that need
+    /// the images themselves.
+    pub fn enumerate_verified_timed(
+        &self,
+        opts: EnumOpts,
+        threads: usize,
+        spec: IntegritySpec,
+        engine: &EncryptionEngine,
+        mac_engine: &MacEngine,
+    ) -> (Enumeration, Vec<Result<(), String>>, u64) {
+        let (stats, walked, verify_ns) = self.walk_verified(
+            opts,
+            threads,
+            spec,
+            engine,
+            mac_engine,
+            |mask, img, verdict| ((mask.clone(), img.clone()), verdict.clone()),
+        );
+        let (images, verdicts) = walked.into_iter().unzip();
+        (Enumeration { images, stats }, verdicts, verify_ns)
     }
 }
 
@@ -839,8 +868,8 @@ pub(crate) fn fold_last_writers<'a>(
 /// when none has landed — the same winner merged-order replay produces.
 /// The delta verifier reads the current image through
 /// [`ImageOverlay::image`] and the cells each move changed through
-/// [`ImageOverlay::dirty`]; a clone is taken only when a new fingerprint
-/// is retained for the result set.
+/// [`ImageOverlay::dirty`], and the walk's visitor judges each newly
+/// retained image right there: no image is cloned per retained mask.
 pub(crate) struct ImageOverlay<'a> {
     set: &'a CrashSet,
     img: NvmmImage,
@@ -989,14 +1018,21 @@ struct Cover {
 /// shard's journal before `cut[s]` that were submitted by `t`. An
 /// admitted record guaranteed by `t` is folded into the base at once;
 /// any other waits in a min-heap on `guaranteed_at` and is folded when
-/// an instant reaches it. What the heap still holds is the instant's
-/// in-flight set; the choice groups, the shadow prune and the domain
-/// orders are derived from it alone, in merge-key order. An advance
-/// costs the newly admitted records, plus the in-flight set, plus one
+/// an instant reaches it. A fold only moves its cells' base writers;
+/// the advance then writes each cell whose writer moved once, from its
+/// final writer, in the order the folds first moved them. What the heap
+/// still holds is the instant's in-flight set; the choice groups, the
+/// shadow prune and the domain orders are derived from it alone, in
+/// merge-key order. An advance costs the newly admitted records, plus
+/// one write per changed base cell, plus the in-flight set, plus one
 /// clone of the base image. It is exact because:
 ///
 /// * a cell's base value is its guaranteed writer with the largest merge
-///   key, so the order in which writes become guaranteed is irrelevant;
+///   key, so the order in which writes become guaranteed is irrelevant,
+///   and writing a cell once from its final writer leaves what writing
+///   it at every fold would; cells are written in the order they first
+///   moved, and a cell new to the base moves at its first fold, so the
+///   image's maps see the same insertions in the same order;
 /// * a [`MergeKey`] depends only on earlier records of the same shard, so
 ///   keys stay put as the prefixes grow, and ascending keys are the order
 ///   the k-way merge of the prefixes produces — its heap pops the head
@@ -1024,6 +1060,11 @@ pub(crate) struct CrashCursor<'a> {
     base: NvmmImage,
     /// Merge key of each base cell's writer.
     base_writers: FxHashMap<CellKey, MergeKey>,
+    /// Base cells whose writer moved in the current advance, in the
+    /// order they first moved, and the same cells as a set: written out
+    /// once each before the advance returns.
+    moved: Vec<CellKey>,
+    moved_set: FxHashSet<CellKey>,
     covers: FxHashMap<NvmmTarget, Cover>,
     guaranteed: usize,
     /// Highest shard id among the admitted records.
@@ -1041,6 +1082,8 @@ impl<'a> CrashCursor<'a> {
             in_flight: BinaryHeap::new(),
             base: NvmmImage::new(),
             base_writers: FxHashMap::default(),
+            moved: Vec::new(),
+            moved_set: FxHashSet::default(),
             covers: FxHashMap::default(),
             guaranteed: 0,
             max_shard: 0,
@@ -1091,6 +1134,11 @@ impl<'a> CrashCursor<'a> {
             self.in_flight.pop();
             self.fold(self.record(key), key);
         }
+        for cell in std::mem::take(&mut self.moved) {
+            let op = &self.record(self.base_writers[&cell]).op;
+            write_cell(&mut self.base, cell, op);
+        }
+        self.moved_set.clear();
         self.crash_set()
     }
 
@@ -1105,14 +1153,17 @@ impl<'a> CrashCursor<'a> {
     }
 
     /// Folds a guaranteed record into the base: each cell it writes
-    /// takes its value unless a larger-key write is already there.
+    /// takes it as writer unless a larger-key write is already there,
+    /// and waits for [`CrashCursor::advance`] to write its value.
     fn fold(&mut self, rec: &JournalRecord, key: MergeKey) {
         self.guaranteed += 1;
         for cell in op_cells(&rec.op) {
             let writer = self.base_writers.entry(cell).or_insert(key);
             if *writer <= key {
                 *writer = key;
-                write_cell(&mut self.base, cell, &rec.op);
+                if self.moved_set.insert(cell) {
+                    self.moved.push(cell);
+                }
             }
         }
         let co_located = matches!(rec.op, JournalOp::CoLocated { .. }).then_some(key);
@@ -2300,7 +2351,9 @@ mod tests {
 
     /// Guarantees arrive out of merge order: a lower-key write to a line
     /// guaranteed *after* a higher-key write to the same line must not
-    /// displace it from the base image, at any instant.
+    /// displace it from the base image, at any instant — whether the
+    /// cursor passes the two guarantees in separate advances or in one,
+    /// where both writers of the line fold, the higher key first.
     #[test]
     fn late_guarantee_of_earlier_write_keeps_later_value() {
         let write = |submitted_ns, guaranteed_ns, v: u8| JournalRecord {
@@ -2315,12 +2368,14 @@ mod tests {
             },
         };
         let journal = vec![write(0, 500, 1), write(10, 100, 2)];
-        let mut cursor = CrashCursor::new(vec![&journal]);
-        for t in (0..800).step_by(25).map(Time::from_ns) {
-            let set = cursor.advance(t, &[journal.len()]);
-            let want = (t >= Time::from_ns(100)).then_some([2; 64]);
-            assert_eq!(set.baseline().raw_data(LineAddr(1)), want, "at {t}");
-            assert_matches_reference(&set, &reference::RefSet::from_journal(&journal, t));
+        for instants in [(0..800).step_by(25).collect(), vec![0, 600]] {
+            let mut cursor = CrashCursor::new(vec![&journal]);
+            for t in instants.into_iter().map(Time::from_ns) {
+                let set = cursor.advance(t, &[journal.len()]);
+                let want = (t >= Time::from_ns(100)).then_some([2; 64]);
+                assert_eq!(set.baseline().raw_data(LineAddr(1)), want, "at {t}");
+                assert_matches_reference(&set, &reference::RefSet::from_journal(&journal, t));
+            }
         }
     }
 

@@ -152,9 +152,9 @@ impl CrashSweep {
 
 /// Builds a [`CrashSweep`]'s crash sets in ascending instant order,
 /// carrying one guaranteed base image from each instant to the next: a
-/// step costs the journal records new since the previous instant, its
-/// in-flight set, and one clone of the base image — not a replay of the
-/// whole journal prefix.
+/// step costs the journal records new since the previous instant, one
+/// write per base cell they changed, its in-flight set, and one clone
+/// of the base image — not a replay of the whole journal prefix.
 pub struct SweepCursor<'a> {
     sweep: &'a CrashSweep,
     cursor: CrashCursor<'a>,

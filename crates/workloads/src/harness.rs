@@ -30,6 +30,13 @@
 //! ([`nvmm_sim::CrashSet::in_flight_lines`]) plus the lines its recovery
 //! restored. Every other line reads as in the base, so its verdict is
 //! the base's. A lone image is the one-image set whose base is itself.
+//!
+//! The model checker judges each image inside the fused walk
+//! ([`nvmm_sim::CrashSet::walk_verified`]), on the walk's own overlay
+//! image and with the walk's integrity verdict, so no image is copied
+//! to be judged; with several workers the judge runs in the walk's chunk
+//! workers, which share the set's judge. Only witness minimization
+//! materializes images, one per candidate mask.
 
 use crate::spec::{WorkloadKind, WorkloadSpec};
 use crate::util::{ensure, ConsistencyError};
@@ -682,8 +689,9 @@ pub struct ModelCheckReport {
     pub minimal: Option<MinimalViolation>,
     /// Wall-clock nanoseconds spent checking this crash instant: the
     /// crash cursor's advance to it (the journal records new since the
-    /// worker's previous instant, the in-flight set, one clone of the
-    /// base image), enumeration, and recovery verification.
+    /// worker's previous instant, one write per base cell they changed,
+    /// the in-flight set, one clone of the base image), the fused walk
+    /// with both oracles inside it, and witness minimization.
     /// The shared simulation is not included — it is
     /// [`ModelCheckReport::sweep_wall_ns`] — except on the
     /// [`CrashSpec::None`] / [`CrashSpec::AfterEvent`] path of
@@ -696,14 +704,20 @@ pub struct ModelCheckReport {
     /// call shares (the same value on each); 0 when no sweep ran.
     /// Telemetry only, ignored by `PartialEq`.
     pub sweep_wall_ns: u64,
-    /// Wall-clock nanoseconds of the enumeration phase (the schedule
-    /// walk, net of the fused walk's self-reported oracle share).
+    /// Wall-clock nanoseconds of the enumeration phase: the fused walk
+    /// (schedule decode, overlay moves, fingerprint dedupe, chunk merge)
+    /// and its judge's set-up, net of [`ModelCheckReport::verify_wall_ns`]
+    /// — the walk minus its oracles. With several workers that subtrahend
+    /// is aggregate worker time, so the difference saturates at 0.
     /// Telemetry only, ignored by `PartialEq` like
     /// [`ModelCheckReport::mc_wall_ns`].
     pub enumerate_wall_ns: u64,
-    /// Nanoseconds of the verification phase: recovery protocol replay
-    /// plus the fused walk's measured integrity-oracle share. Telemetry
-    /// only, ignored by `PartialEq`.
+    /// Nanoseconds of the verification phase: the two oracles the fused
+    /// walk runs on each retained image, the delta integrity verifier and
+    /// the recovery judge (recovery replay, structure check and replay
+    /// equality), each timed inside the walk and summed over its workers.
+    /// Witness minimization is not included. Telemetry only, ignored by
+    /// `PartialEq`.
     pub verify_wall_ns: u64,
 }
 
@@ -888,7 +902,9 @@ fn sweep_check(
 /// already-captured crash state against an already-executed workload.
 /// Split out so a sweep can simulate many crash cells in parallel and
 /// replay the enumerated checks afterwards (see the `crash_matrix`
-/// binary).
+/// binary). The fused walk runs on [`mc_threads`] workers and each judges
+/// the images its chunk retains in place, sharing one judge of the set;
+/// the report is bit-identical at any worker count.
 #[allow(clippy::too_many_arguments)]
 pub fn check_crash_set(
     spec: &WorkloadSpec,
@@ -913,7 +929,7 @@ pub fn check_crash_set(
 }
 
 /// [`check_crash_set`] with a caller-owned [`Checker`] and an explicit
-/// worker count for enumeration and image verification.
+/// worker count for the fused walk, which enumerates and judges.
 #[allow(clippy::too_many_arguments)]
 fn check_crash_set_threads(
     spec: &WorkloadSpec,
@@ -930,46 +946,45 @@ fn check_crash_set_threads(
         max_images: opts.max_images,
         seed: opts.seed,
     };
-    // The fused walk re-judges each image's integrity from what its
-    // schedule step dirtied, interleaved with enumeration; its
-    // self-reported verify share moves to the verify bucket.
-    let (en, oracle_verdicts, fused_verify_ns) = set.enumerate_verified_timed(
+    let judge = SetJudge::new(set);
+    // Each retained image is judged where the walk leaves it, with the
+    // walk's integrity verdict; only a failing image's mask is kept.
+    let (stats, judged, walk_verify_ns) = set.walk_verified(
         eopts,
         threads,
         integrity,
         &checker.engine,
         &checker.mac_engine,
+        |mask, image, oracle| {
+            let t0 = Instant::now();
+            let failure = check_image_inner(
+                spec,
+                ex,
+                image,
+                Some(oracle),
+                checker,
+                &judge,
+                design,
+                integrity,
+                opts.recovery_window,
+            )
+            .err()
+            .map(|error| (mask.clone(), error));
+            (failure, t0.elapsed().as_nanos() as u64)
+        },
     );
-    let enumerate_wall_ns = (started.elapsed().as_nanos() as u64).saturating_sub(fused_verify_ns);
-    let verify_started = Instant::now();
-    let judge = SetJudge::new(set);
-    let jobs: Vec<usize> = (0..en.images.len()).collect();
-    let verdicts = run_parallel(threads, &jobs, |&i| {
-        check_image_inner(
-            spec,
-            ex,
-            &en.images[i].1,
-            Some(&oracle_verdicts[i]),
-            checker,
-            &judge,
-            design,
-            integrity,
-            opts.recovery_window,
-        )
-    });
-    let verify_wall_ns = verify_started.elapsed().as_nanos() as u64 + fused_verify_ns;
+    // Both oracles ran inside the walk; their shares, summed over its
+    // workers like the walk's own, make up the verify term.
+    let verify_wall_ns = walk_verify_ns + judged.iter().map(|&(_, ns)| ns).sum::<u64>();
+    let enumerate_wall_ns = (started.elapsed().as_nanos() as u64).saturating_sub(verify_wall_ns);
+    let images_checked = judged.len();
+    // Result 0 is always the all-miss baseline.
+    let baseline_violation = judged.first().is_some_and(|(failure, _)| failure.is_some());
     let mut violations = 0usize;
-    let mut baseline_violation = false;
     let mut first_fail: Option<(nvmm_sim::LandMask, ConsistencyError)> = None;
-    for (i, verdict) in verdicts.into_iter().enumerate() {
-        if let Err(error) = verdict {
-            violations += 1;
-            // `images[0]` is always the all-miss baseline.
-            baseline_violation |= i == 0;
-            if first_fail.is_none() {
-                first_fail = Some((en.images[i].0.clone(), error));
-            }
-        }
+    for failure in judged.into_iter().filter_map(|(failure, _)| failure) {
+        violations += 1;
+        first_fail.get_or_insert(failure);
     }
     let minimal = first_fail.map(|(mask, error)| {
         minimize_violation(
@@ -986,8 +1001,8 @@ fn check_crash_set_threads(
         )
     });
     ModelCheckReport {
-        stats: en.stats,
-        images_checked: en.images.len(),
+        stats,
+        images_checked,
         violations,
         baseline_violation,
         minimal,
@@ -1133,6 +1148,74 @@ mod tests {
             }
             witnesses += oracle.iter().filter(|r| r.minimal.is_some()).count();
         }
+        assert!(witnesses > 0, "the tree bug never produced a witness");
+    }
+
+    /// The judge runs inside the fused walk, in its chunk workers, which
+    /// share the set's judge: under SCA + strict, with and without the
+    /// injected tree bug, `check_crash_set_threads` at 1, 2, 3 and 4
+    /// workers gives one report, `minimal` included. A 16-mask sample of
+    /// a large legal space repeats fingerprints, so chunks retain images
+    /// another chunk retained too. The image, violation and baseline
+    /// counts equal a per-image `check_image` recount over the reference
+    /// `CrashSet::enumerate`.
+    #[test]
+    fn in_walk_judge_reports_alike_at_any_worker_count() {
+        use nvmm_sim::IntegrityPolicy;
+        let spec = WorkloadSpec::smoke(WorkloadKind::HashTable)
+            .with_ops(8)
+            .with_payload_lines(24);
+        let opts = ModelCheckOpts {
+            max_images: 16,
+            ..ModelCheckOpts::default()
+        };
+        let eopts = nvmm_sim::EnumOpts {
+            max_images: opts.max_images,
+            seed: opts.seed,
+        };
+        let ex = execute(&spec, 0, spec.ops);
+        let strict = SimConfig::single_core(Design::Sca).with_integrity(IntegrityPolicy::Strict);
+        let (mut sets, mut deduped, mut witnesses) = (0, 0, 0);
+        for cfg in [strict.clone(), strict.with_tree_bug()] {
+            let integrity = IntegritySpec::from_config(&cfg);
+            let checker = Checker::new(cfg.key);
+            let instants = crash_instants_cfg(&spec, cfg.clone(), &opts, 12);
+            let sweep =
+                System::new(cfg.clone(), vec![ex.pm.trace().clone()]).run_crash_sweep(&instants);
+            let mut cursor = sweep.cursor();
+            let crash_sets = (0..instants.len()).filter_map(|i| cursor.crash_set(i));
+            for set in crash_sets.filter(|set| set.legal_images() > 16) {
+                let reports: Vec<ModelCheckReport> = (1..=4)
+                    .map(|threads| {
+                        check_crash_set_threads(
+                            &spec, &ex, &set, &checker, cfg.design, integrity, &opts, threads,
+                        )
+                    })
+                    .collect();
+                let t = set.crash_time();
+                for (threads, report) in (2..).zip(&reports[1..]) {
+                    assert_eq!(*report, reports[0], "{threads} workers at {t}");
+                }
+                let fresh: Vec<_> = set
+                    .enumerate(eopts)
+                    .images
+                    .iter()
+                    .map(|(_, img)| check_image(&spec, &ex, img, &cfg, opts.recovery_window))
+                    .collect();
+                assert_eq!(reports[0].images_checked, fresh.len(), "at {t}");
+                assert_eq!(
+                    reports[0].violations,
+                    fresh.iter().filter(|v| v.is_err()).count(),
+                    "at {t}"
+                );
+                assert_eq!(reports[0].baseline_violation, fresh[0].is_err(), "at {t}");
+                sets += 1;
+                deduped += reports[0].stats.images_deduped;
+                witnesses += usize::from(reports[0].minimal.is_some());
+            }
+        }
+        assert!(sets > 0, "no crash set with a large legal space");
+        assert!(deduped > 0, "no sampled fingerprint repeated");
         assert!(witnesses > 0, "the tree bug never produced a witness");
     }
 
