@@ -5,8 +5,9 @@
 //!
 //! For each of the five workloads under SCA with strict integrity
 //! (so the per-image verify oracle does real MAC/tree work), crash
-//! instants are harvested from the run's persist windows and each
-//! instant's crash set is walked (default `EnumOpts`) on
+//! instants are harvested from the run's persist windows, one paused
+//! replay (`System::run_crash_sweep`) yields every instant's crash set,
+//! and each is walked (default `EnumOpts`) on
 //! `NVMM_MC_THREADS` workers and on one. The walk's own images are then
 //! judged twice:
 //!
@@ -226,13 +227,12 @@ fn main() {
         let ex = execute(&spec, 0, spec.ops);
         let trace = ex.pm.trace().clone();
         let instants = crash_instants_cfg(&spec, cfg.clone(), &mc_opts, points);
-        let sets: Vec<CrashSet> = instants
-            .iter()
-            .filter_map(|&t| {
-                System::new(cfg.clone(), vec![trace.clone()])
-                    .run(CrashSpec::AtTime(t))
-                    .crash_set
-            })
+        // One replay pauses at every (ascending) instant; one cursor
+        // builds their crash sets in order.
+        let sweep = System::new(cfg.clone(), vec![trace.clone()]).run_crash_sweep(&instants);
+        let mut cursor = sweep.cursor();
+        let sets: Vec<CrashSet> = (0..instants.len())
+            .filter_map(|i| cursor.crash_set(i))
             .collect();
         if sets.is_empty() {
             eprintln!("FAIL: {} exposed no in-flight crash sets", kind.label());

@@ -9,9 +9,8 @@
 //! logging's tiny recovery time (restore at most one transaction's
 //! regions) versus its runtime logging cost.
 //!
-//! The crash simulations (one per crash point) are independent, so they
-//! run as a parallel sweep; the recovery replays over the surviving
-//! images run sequentially afterwards.
+//! Each crash point is its own simulation of the workload's one
+//! execution, and recovery replays over the surviving image at once.
 //!
 //! A final section prices the *integrity* half of boot: for each
 //! integrity policy, the tree nodes [`recovery_cost`] must recompute
@@ -21,7 +20,6 @@
 //! (self-checked: phoenix > strict). These land in the artifact as
 //! `integrity/<policy>` rows.
 
-use nvmm_bench::sweep::{SweepCell, SweepRunner};
 use nvmm_bench::{print_table, Experiment};
 use nvmm_core::recovery::RecoveredMemory;
 use nvmm_core::txn::Mechanism;
@@ -32,50 +30,26 @@ use nvmm_sim::system::{CrashSpec, System};
 use nvmm_workloads::{execute, traces_for_cores, WorkloadKind, WorkloadSpec};
 
 fn main() {
-    // Phase 1: enumerate every (mechanism, workload, crash point) cell.
-    let mut cells = Vec::new();
-    let mut executed = Vec::new();
+    // Phase 1: crash every workload at evenly spaced post-setup events
+    // under SCA and replay recovery over each crash image.
+    let cfg = SimConfig::single_core(Design::Sca);
+    let engine = EncryptionEngine::new(cfg.key);
+    let mut exp = Experiment::new("recovery_cost", "recovery work per crash point (SCA)");
     for mech in Mechanism::ALL {
+        let mut rows = Vec::new();
         for kind in WorkloadKind::ALL {
             let spec = WorkloadSpec::smoke(kind).with_ops(10).with_mechanism(mech);
             let ex = execute(&spec, 0, spec.ops);
             let total = ex.pm.trace().len() as u64;
             let start = ex.setup_events as u64;
             let row = format!("{mech}/{}", kind.label());
-            let mut k = start;
-            while k < total {
-                cells.push(
-                    SweepCell::eval(&row, &format!("{k}"), &spec, Design::Sca, 1)
-                        .with_crash(CrashSpec::AfterEvent(k)),
-                );
-                k += (total - start) / 40 + 1;
-            }
-            executed.push((row, ex));
-        }
-    }
-    let outs = SweepRunner::from_env().run(cells);
-    let key = SimConfig::single_core(Design::Sca).key;
-
-    // Phase 2: replay recovery over each crash image, sequentially.
-    let mut exp = Experiment::new("recovery_cost", "recovery work per crash point (SCA)");
-    for mech in Mechanism::ALL {
-        let mut rows = Vec::new();
-        for kind in WorkloadKind::ALL {
-            let row = format!("{mech}/{}", kind.label());
-            let ex = &executed
-                .iter()
-                .find(|(r, _)| *r == row)
-                .expect("executed workload")
-                .1;
             let (mut noop, mut armed, mut restored_total, mut points) = (0u64, 0u64, 0u64, 0u64);
-            for (cell, out) in outs.iter().filter(|(c, _)| c.row == row) {
-                let mut mem = RecoveredMemory::over(&out.image, EncryptionEngine::new(key));
+            for k in (start..total).step_by(((total - start) / 40 + 1) as usize) {
+                let out = System::new(cfg.clone(), vec![ex.pm.trace().clone()])
+                    .run(CrashSpec::AfterEvent(k));
+                let mut mem = RecoveredMemory::over(&out.image, engine.clone());
                 let report = mech.recover(&mut mem, &ex.log);
-                assert!(
-                    report.reads_clean,
-                    "{row}: garbled recovery at event {}",
-                    cell.series
-                );
+                assert!(report.reads_clean, "{row}: garbled recovery at event {k}");
                 if report.rolled_back {
                     armed += 1;
                     restored_total += report.entries_restored as u64;
@@ -107,7 +81,7 @@ fn main() {
     println!("crash-point-independent work, while the runtime cost (logging +");
     println!("counter writebacks) is paid on every transaction.");
 
-    // Phase 3: the integrity side of boot. Crash one workload at a few
+    // Phase 2: the integrity side of boot. Crash one workload at a few
     // instants under each policy and count the tree nodes recovery must
     // recompute from each surviving image before reads can be served.
     let spec = WorkloadSpec::smoke(WorkloadKind::HashTable).with_ops(10);

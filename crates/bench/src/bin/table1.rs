@@ -6,10 +6,8 @@
 //! (backup vs in-place) recovery can trust, and whether the stage's
 //! writes needed counter-atomicity.
 
-use nvmm_bench::sweep::{SweepCell, SweepRunner};
 use nvmm_sim::config::{Design, SimConfig};
-use nvmm_sim::system::CrashSpec;
-use nvmm_workloads::{check_image, execute, WorkloadKind, WorkloadSpec};
+use nvmm_workloads::{crash_sweep, execute, WorkloadKind, WorkloadSpec};
 
 fn main() {
     println!("== Table 1 — consistency states per transaction stage ==\n");
@@ -35,34 +33,17 @@ fn main() {
     // the table demands it) — recovery must always land on a consistent
     // state. (Crashes *inside* setup model a failure before the
     // structure exists, which the workload checkers deliberately do not
-    // cover — see `Executed::setup_events`.) The per-point crash
-    // simulations fan out in parallel; the recovery checks replay over
-    // the surviving images sequentially.
+    // cover — see `Executed::setup_events`.) With one point per
+    // post-setup event, the sweep's step is 1.
     let spec = WorkloadSpec::smoke(WorkloadKind::HashTable).with_ops(8);
     let ex = execute(&spec, 0, spec.ops);
-    let total = ex.pm.trace().len() as u64;
-    let cells = (ex.setup_events as u64..total)
-        .map(|k| {
-            SweepCell::eval("SCA", &format!("{k}"), &spec, Design::Sca, 1)
-                .with_crash(CrashSpec::AfterEvent(k))
-        })
-        .collect();
-    let outs = SweepRunner::from_env().run(cells);
-
-    let sca = SimConfig::single_core(Design::Sca);
-    let mut ok = 0u64;
-    let mut rolled_back = 0u64;
-    for (cell, out) in outs.iter() {
-        let outcome = check_image(&spec, &ex, &out.image, &sca, 0)
-            .unwrap_or_else(|e| panic!("crash after event {}: {e}", cell.series));
-        ok += 1;
-        if outcome.rolled_back {
-            rolled_back += 1;
-        }
-    }
-    let swept = total - ex.setup_events as u64;
+    let swept = (ex.pm.trace().len() - ex.setup_events) as u64;
+    let outcomes = crash_sweep(&spec, SimConfig::single_core(Design::Sca), swept)
+        .unwrap_or_else(|(k, e)| panic!("crash after event {k}: {e}"));
+    let rolled_back = outcomes.iter().filter(|o| o.rolled_back).count();
     println!(
-        "\nempirical check: {ok}/{swept} post-setup crash points recovered consistently under SCA"
+        "\nempirical check: {}/{swept} post-setup crash points recovered consistently under SCA",
+        outcomes.len()
     );
     println!("({rolled_back} rolled an in-flight transaction back; the rest committed or idle)");
 }

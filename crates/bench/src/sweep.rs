@@ -1,7 +1,7 @@
 //! The parallel sweep engine behind every figure binary.
 //!
 //! An experiment is a grid of **cells** — (workload × design × cores ×
-//! config-override), optionally with a crash point. Running a grid
+//! config-override), each simulated to completion. Running a grid
 //! naively costs far more than it needs to: figure binaries normalize
 //! against baselines (so the same baseline simulation is demanded many
 //! times), and every simulation of the same spec re-executes the
@@ -10,7 +10,7 @@
 //!
 //! 1. **Trace cache** — one functional execution per unique
 //!    (spec, cores), shared by every design/override simulated on it.
-//! 2. **Sim dedupe** — one simulation per unique (spec, config, crash);
+//! 2. **Sim dedupe** — one simulation per unique (spec, config, shape);
 //!    cells demanding the same run (e.g. a design cell and the baseline
 //!    it normalizes against) share one [`RunOutcome`].
 //!
@@ -27,14 +27,16 @@
 //! an explicit epoch, and the timelines land in the experiment artifact
 //! next to each cell's stats.
 //!
-//! Memory: completed-run (`CrashSpec::None`) outcomes have their NVMM
-//! image dropped before being retained — most figures never consume
-//! it, and a large grid would otherwise hold every image live at once.
-//! Crash cells keep theirs: post-crash recovery is exactly what their
-//! consumers (`table1`, `recovery_cost`) need the image for. A
-//! completion cell that *does* need its image (e.g. `fig_integrity`
-//! pricing boot-time tree rebuilds) opts in with
-//! [`SweepCell::with_kept_image`].
+//! Memory: outcomes have their final NVMM image dropped before being
+//! retained — most figures never consume it, and a large grid would
+//! otherwise hold every image live at once. A cell that *does* need its
+//! image (e.g. `fig_integrity` pricing boot-time tree rebuilds) opts in
+//! with [`SweepCell::with_kept_image`].
+//!
+//! Crash experiments do not run here: they need one execution to judge
+//! every crash image against, so they call the workload harness
+//! (`table1` through `crash_sweep`) or build their own crash runs
+//! (`recovery_cost`).
 
 use crate::{env_u64, CellRecord, Experiment};
 use nvmm_sim::config::{Design, SimConfig};
@@ -59,14 +61,11 @@ pub struct SweepCell {
     /// Full simulator configuration, including the design and any
     /// overrides; `cfg.cores` is the core count simulated.
     pub cfg: SimConfig,
-    /// Crash injection for this cell (`CrashSpec::None` = run to
-    /// completion).
-    pub crash: CrashSpec,
     /// Open-loop arrival shaping applied to the generated traces
     /// (`None` = closed-loop replay, the paper's methodology).
     pub shape: Option<ArrivalCurve>,
-    /// Retain the final NVMM image even for a completed run (crash
-    /// cells always keep theirs).
+    /// Retain the final NVMM image (see the module docs on image
+    /// dropping).
     pub keep_image: bool,
 }
 
@@ -78,7 +77,6 @@ impl SweepCell {
             series: series.to_string(),
             spec: *spec,
             cfg,
-            crash: CrashSpec::None,
             shape: None,
             keep_image: false,
         }
@@ -96,14 +94,8 @@ impl SweepCell {
         Self::new(row, series, spec, SimConfig::table2(design, cores))
     }
 
-    /// Returns the cell with a crash point.
-    pub fn with_crash(mut self, crash: CrashSpec) -> Self {
-        self.crash = crash;
-        self
-    }
-
-    /// Returns the cell with its completion image retained (see the
-    /// module docs on image dropping).
+    /// Returns the cell with its final image retained (see the module
+    /// docs on image dropping).
     pub fn with_kept_image(mut self) -> Self {
         self.keep_image = true;
         self
@@ -124,10 +116,7 @@ impl SweepCell {
 
     /// Sim-dedupe key: one simulation per unique value.
     fn sim_key(&self) -> String {
-        format!(
-            "{:?}|{:?}|{:?}|{:?}",
-            self.spec, self.cfg, self.crash, self.shape
-        )
+        format!("{:?}|{:?}|{:?}", self.spec, self.cfg, self.shape)
     }
 }
 
@@ -158,7 +147,7 @@ impl SweepRunner {
     }
 
     /// Runs the grid: generates each unique trace set once, simulates
-    /// each unique (spec, config, crash) once, and returns the outcomes
+    /// each unique (spec, config, shape) once, and returns the outcomes
     /// aligned with `cells` — deterministic for any thread count.
     pub fn run(&self, mut cells: Vec<SweepCell>) -> SweepOutcomes {
         // Env-driven telemetry: cells without an explicit epoch inherit
@@ -190,7 +179,7 @@ impl SweepRunner {
             })
         });
 
-        // Phase 2: one simulation per unique (spec, config, crash).
+        // Phase 2: one simulation per unique (spec, config, shape).
         let mut sim_index: HashMap<String, usize> = HashMap::new();
         let mut sim_jobs: Vec<usize> = Vec::new(); // representative cell index
         for (i, cell) in cells.iter().enumerate() {
@@ -214,10 +203,10 @@ impl SweepRunner {
         let unique: Vec<Arc<RunOutcome>> = run_parallel(self.threads, &sim_jobs, |&(ci, keep)| {
             let cell = &cells[ci];
             let t = &traces[trace_index[&cell.trace_key()]];
-            let mut out = System::new(cell.cfg.clone(), (**t).clone()).run(cell.crash);
-            if cell.crash == CrashSpec::None && !keep {
-                // No consumer reads this completed run's image; drop it
-                // so big grids don't hold every image live at once.
+            let mut out = System::new(cell.cfg.clone(), (**t).clone()).run(CrashSpec::None);
+            if !keep {
+                // No consumer reads this run's image; drop it so big
+                // grids don't hold every image live at once.
                 out.image = NvmmImage::new();
             }
             Arc::new(out)
@@ -359,23 +348,11 @@ mod tests {
     }
 
     #[test]
-    fn completed_runs_drop_images_crash_runs_keep_them() {
+    fn images_drop_without_the_opt_in() {
         let spec = WorkloadSpec::smoke(WorkloadKind::ArraySwap);
-        let cells = vec![
-            SweepCell::eval("a", "done", &spec, Design::Sca, 1),
-            SweepCell::eval("a", "crash", &spec, Design::Sca, 1)
-                .with_crash(CrashSpec::AfterEvent(40)),
-        ];
-        let outs = SweepRunner::with_threads(1).run(cells);
-        assert_eq!(
-            outs.get("a", "done").image.data_lines(),
-            0,
-            "completed image dropped"
-        );
-        assert!(
-            outs.get("a", "crash").image.data_lines() > 0,
-            "crash image retained"
-        );
+        let cell = SweepCell::eval("a", "done", &spec, Design::Sca, 1);
+        let outs = SweepRunner::with_threads(1).run(vec![cell]);
+        assert_eq!(outs.get("a", "done").image.data_lines(), 0, "image dropped");
     }
 
     #[test]

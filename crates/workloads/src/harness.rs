@@ -23,6 +23,12 @@
 //!
 //! ## Delta recovery judging
 //!
+//! Every verdict goes through one `Checker`, which owns what a verdict
+//! reads besides the image: the execution, a warmed engine pair, the
+//! design, the integrity spec and the recovery window. One checker
+//! serves a lone image, each image of the fused walk and each witness
+//! minimization candidate.
+//!
 //! The images of one crash set differ only in their in-flight cells, so
 //! step 4 is judged per set, not per image (`SetJudge`): the set's base
 //! image is compared against the ground truth once per committed count,
@@ -283,17 +289,17 @@ pub fn crash_check_cfg(
 ) -> Result<CrashCheckOutcome, ConsistencyError> {
     let ex = execute(spec, 0, spec.ops);
     let out = System::new(config.clone(), vec![ex.pm.trace().clone()]).run(crash);
-    check_image(spec, &ex, &out.image, &config, recovery_window)
+    check_image(&ex, &out.image, &config, recovery_window)
 }
 
 /// The checking half of [`crash_check_cfg`]: runs the full recovery
 /// protocol, integrity oracle included, against *one* NVMM image left
 /// by a run under `config` — a simulated run's single filtered journal
-/// or a hand-forged image — for an already-executed workload.
+/// or a hand-forged image — for an already-executed workload, recovering
+/// with the logging mechanism `ex` was executed under.
 ///
-/// Splitting this from the simulation lets a sweep simulate many crash
-/// points and check each image against one execution (see
-/// [`crash_sweep`] and the `table1` binary).
+/// Splitting this from the simulation lets a caller judge images it
+/// simulated or forged itself against one execution.
 ///
 /// # Errors
 ///
@@ -301,37 +307,230 @@ pub fn crash_check_cfg(
 /// when recovery reads a garbled line, a structural invariant fails, or
 /// the recovered bytes deviate from the ground truth folded from `ex`.
 pub fn check_image(
-    spec: &WorkloadSpec,
     ex: &Executed,
     image: &NvmmImage,
     config: &SimConfig,
     recovery_window: u64,
 ) -> Result<CrashCheckOutcome, ConsistencyError> {
-    check_image_inner(
-        spec,
-        ex,
-        image,
-        None,
-        &Checker::new(config.key),
-        &SetJudge::lone(image),
-        config.design,
-        IntegritySpec::from_config(config),
-        recovery_window,
-    )
+    Checker::of(ex, config, recovery_window).check(image, &SetJudge::lone(image), None)
 }
 
-/// What one model-check worker reuses across every image it judges: one
-/// warmed engine pair (clones share the OTP-pad and MAC memos).
-struct Checker {
+/// Everything a verdict reads besides the image: the execution it is
+/// judged against, one warmed engine pair (clones share the OTP-pad and
+/// MAC memos), the design named in errors, the integrity spec of the
+/// full-pass oracle and the recovery window. Every image the harness
+/// judges goes through [`Checker::check`]; a model-check worker keeps
+/// one checker for every image it judges.
+struct Checker<'e> {
+    ex: &'e Executed,
     engine: EncryptionEngine,
     mac_engine: MacEngine,
+    design: Design,
+    integrity: IntegritySpec,
+    recovery_window: u64,
 }
 
-impl Checker {
-    fn new(key: [u8; 16]) -> Self {
+impl<'e> Checker<'e> {
+    fn new(
+        ex: &'e Executed,
+        key: [u8; 16],
+        design: Design,
+        integrity: IntegritySpec,
+        recovery_window: u64,
+    ) -> Self {
         Self {
+            ex,
             engine: EncryptionEngine::new(key),
             mac_engine: MacEngine::new(key),
+            design,
+            integrity,
+            recovery_window,
+        }
+    }
+
+    /// The checker of the images a run under `config` leaves.
+    fn of(ex: &'e Executed, config: &SimConfig, recovery_window: u64) -> Self {
+        let integrity = IntegritySpec::from_config(config);
+        Self::new(ex, config.key, config.design, integrity, recovery_window)
+    }
+
+    /// A recovery view of `image` under this checker's engine and window.
+    fn recovered<'i>(&self, image: &'i NvmmImage) -> RecoveredMemory<'i> {
+        RecoveredMemory::over(image, self.engine.clone()).with_recovery_window(self.recovery_window)
+    }
+
+    /// Judges `image`, an image of the crash set `judge` judges: the
+    /// integrity oracle, recovery, the structure check, then replay
+    /// equality. When the fused walk already judged integrity with a
+    /// warm `DeltaVerifier`, its verdict arrives as `precomputed` and
+    /// the full pass is skipped — the verdict (and so the wrapped error
+    /// string) is bit-identical by the differential suite's guarantee.
+    /// Lone images and minimization candidates pass `None`.
+    fn check(
+        &self,
+        image: &NvmmImage,
+        judge: &SetJudge,
+        precomputed: Option<&Result<(), String>>,
+    ) -> Result<CrashCheckOutcome, ConsistencyError> {
+        let (ex, design) = (self.ex, self.design);
+        // Integrity oracle first: before recovery touches anything, every
+        // cleanly-decrypting line must authenticate against its persisted
+        // MAC, and (under strict) every persisted tree node against its
+        // persisted children.
+        let full;
+        let oracle = match precomputed {
+            Some(v) => v,
+            None => {
+                full =
+                    nvmm_sim::verify_image(image, self.integrity, &self.engine, &self.mac_engine);
+                &full
+            }
+        };
+        if let Err(err) = oracle {
+            ensure!(
+                false,
+                "integrity oracle rejected the image under {design}: {err}"
+            );
+        }
+        let mut mem = self.recovered(image);
+        let report = ex.spec.mechanism.recover(&mut mem, &ex.log);
+        ensure!(
+            report.reads_clean,
+            "recovery read garbled lines {:?} under {design}",
+            mem.garbled_lines()
+        );
+
+        let committed = mem.read_u64(ex.ops_cell);
+        let expected = ex.state_after(committed)?;
+        ex.check_structure(&mut mem, committed)?;
+
+        // Replay equality: recovered bytes must match the ground-truth state
+        // after exactly `committed` operations, on every line that state
+        // defines (the undo log region excepted — its lifecycle differs).
+        judge.judge(self, &mut mem, committed, &expected)?;
+        Ok(CrashCheckOutcome {
+            committed,
+            rolled_back: report.rolled_back,
+            trace_events: ex.pm.trace().len() as u64,
+        })
+    }
+
+    /// The report for a run that completed before its crash: exactly one
+    /// legal image, judged alone.
+    fn completed(&self, image: &NvmmImage) -> ModelCheckReport {
+        let verdict = self.check(image, &SetJudge::lone(image), None);
+        let failed = verdict.is_err();
+        ModelCheckReport {
+            stats: nvmm_sim::EnumStats {
+                groups: 0,
+                groups_pruned: 0,
+                domains: 0,
+                masks_explored: 1,
+                images_unique: 1,
+                images_deduped: 0,
+                exhaustive: true,
+            },
+            images_checked: 1,
+            violations: failed as usize,
+            baseline_violation: failed,
+            minimal: verdict.err().map(|error| MinimalViolation {
+                landed: Vec::new(),
+                error,
+            }),
+            mc_wall_ns: 0,
+            sweep_wall_ns: 0,
+            enumerate_wall_ns: 0,
+            verify_wall_ns: 0,
+        }
+    }
+
+    /// Model-checks `set` within `opts`' bounds: the fused walk on
+    /// `threads` workers enumerates its legal images and judges each one
+    /// it retains in place, with the walk's integrity verdict and one
+    /// judge of the set shared by the workers; a violation is then
+    /// minimized. The report is bit-identical at any worker count.
+    fn check_set(
+        &self,
+        set: &nvmm_sim::CrashSet,
+        opts: &ModelCheckOpts,
+        threads: usize,
+    ) -> ModelCheckReport {
+        let started = Instant::now();
+        let eopts = nvmm_sim::EnumOpts {
+            max_images: opts.max_images,
+            seed: opts.seed,
+        };
+        let judge = SetJudge::new(set);
+        // Each retained image is judged where the walk leaves it, with the
+        // walk's integrity verdict; only a failing image's mask is kept.
+        let (stats, judged, walk_verify_ns) = set.walk_verified(
+            eopts,
+            threads,
+            self.integrity,
+            &self.engine,
+            &self.mac_engine,
+            |mask, image, oracle| {
+                let t0 = Instant::now();
+                let failure = self
+                    .check(image, &judge, Some(oracle))
+                    .err()
+                    .map(|error| (mask.clone(), error));
+                (failure, t0.elapsed().as_nanos() as u64)
+            },
+        );
+        // Both oracles ran inside the walk; their shares, summed over its
+        // workers like the walk's own, make up the verify term.
+        let verify_wall_ns = walk_verify_ns + judged.iter().map(|&(_, ns)| ns).sum::<u64>();
+        let enumerate_wall_ns =
+            (started.elapsed().as_nanos() as u64).saturating_sub(verify_wall_ns);
+        let images_checked = judged.len();
+        // Result 0 is always the all-miss baseline.
+        let baseline_violation = judged.first().is_some_and(|(failure, _)| failure.is_some());
+        let mut violations = 0usize;
+        let mut first_fail: Option<(nvmm_sim::LandMask, ConsistencyError)> = None;
+        for failure in judged.into_iter().filter_map(|(failure, _)| failure) {
+            violations += 1;
+            first_fail.get_or_insert(failure);
+        }
+        let minimal = first_fail.map(|(mask, error)| self.minimize(set, &judge, mask, error));
+        ModelCheckReport {
+            stats,
+            images_checked,
+            violations,
+            baseline_violation,
+            minimal,
+            mc_wall_ns: started.elapsed().as_nanos() as u64,
+            sweep_wall_ns: 0,
+            enumerate_wall_ns,
+            verify_wall_ns,
+        }
+    }
+
+    /// Greedy mask minimization: repeatedly step to a smaller *legal*
+    /// mask (each candidate drops the last landed group of one
+    /// serialization domain) while the image keeps failing, until no step
+    /// fails. Every candidate is an image of `set`, so `judge` (the
+    /// set's) serves them.
+    fn minimize(
+        &self,
+        set: &nvmm_sim::CrashSet,
+        judge: &SetJudge,
+        mut mask: nvmm_sim::LandMask,
+        mut error: ConsistencyError,
+    ) -> MinimalViolation {
+        let mut candidates = Vec::new();
+        loop {
+            set.shrink_candidates_into(&mask, &mut candidates);
+            let failing = candidates.drain(..).find_map(|cand| {
+                let verdict = self.check(&set.image(&cand), judge, None);
+                verdict.err().map(|e| (cand, e))
+            });
+            let Some((cand, e)) = failing else { break };
+            (mask, error) = (cand, e);
+        }
+        MinimalViolation {
+            landed: mask.landed(),
+            error,
         }
     }
 }
@@ -348,7 +547,7 @@ impl Checker {
 /// only on its in-flight and restored lines; the verdict and its error
 /// string equal those of a full compare in ascending line order. Its memo
 /// is keyed by the committed count alone, so one judge serves one
-/// execution, key and recovery window.
+/// [`Checker`].
 struct SetJudge<'s> {
     base: &'s NvmmImage,
     /// Sorted lines whose read can differ between the set's images.
@@ -388,18 +587,15 @@ impl<'s> SetJudge<'s> {
     /// after `committed` ops, memoized by `committed`.
     fn base_verdict(
         &self,
-        ex: &Executed,
+        checker: &Checker,
         committed: u64,
         expected: &LineImage,
-        engine: &EncryptionEngine,
-        recovery_window: u64,
     ) -> Arc<BaseVerdict> {
         if let Some(v) = self.lock().get(&committed) {
             return Arc::clone(v);
         }
-        let log = ex.log_lines();
-        let mut mem =
-            RecoveredMemory::over(self.base, engine.clone()).with_recovery_window(recovery_window);
+        let log = checker.ex.log_lines();
+        let mut mem = checker.recovered(self.base);
         let mut deviating = Vec::new();
         let mut got = [0u8; 64];
         for (line, want) in expected {
@@ -428,14 +624,12 @@ impl<'s> SetJudge<'s> {
     /// smallest; with none, the garbled lines read are reported.
     fn judge(
         &self,
-        ex: &Executed,
+        checker: &Checker,
         mem: &mut RecoveredMemory,
         committed: u64,
         expected: &LineImage,
-        engine: &EncryptionEngine,
-        recovery_window: u64,
     ) -> Result<(), ConsistencyError> {
-        let base = self.base_verdict(ex, committed, expected, engine, recovery_window);
+        let base = self.base_verdict(checker, committed, expected);
         let restored: Vec<LineAddr> = mem.restored_lines().collect();
         let unrestored = |l: &&LineAddr| restored.binary_search(l).is_err();
         let mut deviation = base.deviating.iter().find(unrestored).copied();
@@ -443,7 +637,7 @@ impl<'s> SetJudge<'s> {
         let mut own: Vec<LineAddr> = self.in_flight.iter().chain(&restored).copied().collect();
         own.sort_unstable();
         own.dedup();
-        let log = ex.log_lines();
+        let log = checker.ex.log_lines();
         let mut got = [0u8; 64];
         for line in own {
             if deviation.is_some_and(|d| d < line) {
@@ -478,88 +672,29 @@ impl<'s> SetJudge<'s> {
     }
 }
 
-/// The shared body of [`check_image`] and the model checker: when the
-/// fused walk already judged the image with a warm
-/// `DeltaVerifier`, its verdict arrives as `precomputed`
-/// and the full-pass oracle is skipped — the verdict (and so the
-/// wrapped error string) is bit-identical by the differential suite's
-/// guarantee. Lone images and minimization candidates pass `None` and
-/// take the full pass. `judge` is the judge of the crash set `image`
-/// belongs to.
-#[allow(clippy::too_many_arguments)]
-fn check_image_inner(
-    spec: &WorkloadSpec,
-    ex: &Executed,
-    image: &NvmmImage,
-    precomputed: Option<&Result<(), String>>,
-    checker: &Checker,
-    judge: &SetJudge,
-    design: Design,
-    integrity: IntegritySpec,
-    recovery_window: u64,
-) -> Result<CrashCheckOutcome, ConsistencyError> {
-    let Checker { engine, mac_engine } = checker;
-    // Integrity oracle first: before recovery touches anything, every
-    // cleanly-decrypting line must authenticate against its persisted
-    // MAC, and (under strict) every persisted tree node against its
-    // persisted children.
-    let oracle = match precomputed {
-        Some(v) => v.clone(),
-        None => nvmm_sim::verify_image(image, integrity, engine, mac_engine),
-    };
-    if let Err(err) = oracle {
-        ensure!(
-            false,
-            "integrity oracle rejected the image under {design}: {err}"
-        );
-    }
-    let trace_events = ex.pm.trace().len() as u64;
-    let mut mem =
-        RecoveredMemory::over(image, engine.clone()).with_recovery_window(recovery_window);
-    let report = spec.mechanism.recover(&mut mem, &ex.log);
-    ensure!(
-        report.reads_clean,
-        "recovery read garbled lines {:?} under {design}",
-        mem.garbled_lines()
-    );
-
-    let committed = mem.read_u64(ex.ops_cell);
-    let expected = ex.state_after(committed)?;
-    ex.check_structure(&mut mem, committed)?;
-
-    // Replay equality: recovered bytes must match the ground-truth state
-    // after exactly `committed` operations, on every line that state
-    // defines (the undo log region excepted — its lifecycle differs).
-    judge.judge(ex, &mut mem, committed, &expected, engine, recovery_window)?;
-    Ok(CrashCheckOutcome {
-        committed,
-        rolled_back: report.rolled_back,
-        trace_events,
-    })
-}
-
 /// Sweeps `points` evenly spaced crash points across the post-setup
 /// portion of the trace under `config`, returning the first failure (if
 /// any) with its crash point. The workload executes once; each point is
-/// simulated and its image judged against that one execution.
+/// simulated and its image judged against that one execution, by one
+/// checker (one engine pair) for the whole sweep.
 pub fn crash_sweep(
     spec: &WorkloadSpec,
     config: SimConfig,
     points: u64,
 ) -> Result<Vec<CrashCheckOutcome>, (u64, ConsistencyError)> {
     let ex = execute(spec, 0, spec.ops);
-    let total = ex.pm.trace().len() as u64;
-    let start = ex.setup_events as u64;
+    let checker = Checker::of(&ex, &config, 0);
+    let (start, total) = (ex.setup_events as u64, ex.pm.trace().len() as u64);
     let step = ((total - start) / points.max(1)).max(1);
-    let mut outcomes = Vec::new();
-    let mut k = start;
-    while k < total {
-        let out =
-            System::new(config.clone(), vec![ex.pm.trace().clone()]).run(CrashSpec::AfterEvent(k));
-        outcomes.push(check_image(spec, &ex, &out.image, &config, 0).map_err(|e| (k, e))?);
-        k += step;
-    }
-    Ok(outcomes)
+    (start..total)
+        .step_by(step as usize)
+        .map(|k| {
+            let out = System::new(config.clone(), vec![ex.pm.trace().clone()])
+                .run(CrashSpec::AfterEvent(k));
+            let verdict = checker.check(&out.image, &SetJudge::lone(&out.image), None);
+            verdict.map_err(|e| (k, e))
+        })
+        .collect()
 }
 
 /// Bounds and switches for one adversarial model-check run.
@@ -763,49 +898,15 @@ pub fn model_check_cfg(
             .expect("one report per instant");
     }
     let started = Instant::now();
-    let integrity = IntegritySpec::from_config(&config);
     let ex = execute(spec, 0, spec.ops);
-    let out = System::new(config.clone(), vec![prepared_trace(&ex, opts)]).run(crash);
+    let checker = Checker::of(&ex, &config, opts.recovery_window);
+    let out = System::new(config, vec![prepared_trace(&ex, opts)]).run(crash);
     let mut report = match out.crash_set {
-        Some(set) => check_crash_set(spec, &ex, &set, config.key, config.design, integrity, opts),
-        None => completed_report(check_image(
-            spec,
-            &ex,
-            &out.image,
-            &config,
-            opts.recovery_window,
-        )),
+        Some(set) => checker.check_set(&set, opts, mc_threads()),
+        None => checker.completed(&out.image),
     };
     report.mc_wall_ns = started.elapsed().as_nanos() as u64;
     report
-}
-
-/// The report for a run that completed before its crash: exactly one
-/// legal image, judged by `verdict`.
-fn completed_report(verdict: Result<CrashCheckOutcome, ConsistencyError>) -> ModelCheckReport {
-    let failed = verdict.is_err();
-    ModelCheckReport {
-        stats: nvmm_sim::EnumStats {
-            groups: 0,
-            groups_pruned: 0,
-            domains: 0,
-            masks_explored: 1,
-            images_unique: 1,
-            images_deduped: 0,
-            exhaustive: true,
-        },
-        images_checked: 1,
-        violations: failed as usize,
-        baseline_violation: failed,
-        minimal: verdict.err().map(|error| MinimalViolation {
-            landed: Vec::new(),
-            error,
-        }),
-        mc_wall_ns: 0,
-        sweep_wall_ns: 0,
-        enumerate_wall_ns: 0,
-        verify_wall_ns: 0,
-    }
 }
 
 /// Model-checks `spec` under `config` at every crash instant in
@@ -844,43 +945,27 @@ fn sweep_check(
     inner: usize,
 ) -> Vec<ModelCheckReport> {
     let started = Instant::now();
-    let design = config.design;
-    let integrity = IntegritySpec::from_config(&config);
-    let key = config.key;
     let ex = execute(spec, 0, spec.ops);
     let trace = prepared_trace(&ex, opts);
-    let sweep = System::new(config, vec![trace]).run_crash_sweep(instants);
+    let sweep = System::new(config.clone(), vec![trace]).run_crash_sweep(instants);
     let sweep_wall_ns = started.elapsed().as_nanos() as u64;
     let mut order: Vec<usize> = (0..instants.len()).collect();
     order.sort_by_key(|&i| instants[i]);
     let runs = chunk_ranges(order.len(), outer);
     let checked = run_parallel(outer, &runs, |&(start, end)| {
         let mut cursor = sweep.cursor();
-        let checker = Checker::new(key);
+        let checker = Checker::of(&ex, &config, opts.recovery_window);
         order[start..end]
             .iter()
             .map(|&i| {
                 let started = Instant::now();
                 let mut report = match cursor.crash_set(i) {
-                    Some(set) => check_crash_set_threads(
-                        spec, &ex, &set, &checker, design, integrity, opts, inner,
-                    ),
-                    None => {
-                        let image = sweep
+                    Some(set) => checker.check_set(&set, opts, inner),
+                    None => checker.completed(
+                        sweep
                             .completed_image()
-                            .expect("an instant without a crash set lies after completion");
-                        completed_report(check_image_inner(
-                            spec,
-                            &ex,
-                            image,
-                            None,
-                            &checker,
-                            &SetJudge::lone(image),
-                            design,
-                            integrity,
-                            opts.recovery_window,
-                        ))
-                    }
+                            .expect("an instant without a crash set lies after completion"),
+                    ),
                 };
                 report.mc_wall_ns = started.elapsed().as_nanos() as u64;
                 report.sweep_wall_ns = sweep_wall_ns;
@@ -900,12 +985,12 @@ fn sweep_check(
 
 /// The checking half of [`model_check_cfg`]: verifies an
 /// already-captured crash state against an already-executed workload.
-/// Split out so a sweep can simulate many crash cells in parallel and
-/// replay the enumerated checks afterwards (see the `crash_matrix`
-/// binary). The fused walk runs on [`mc_threads`] workers and each judges
+/// Split out so a caller holding a crash set it captured itself — from
+/// a crash run or a [`nvmm_sim::SweepCursor`] step — can judge it
+/// against one execution. The fused walk runs on [`mc_threads`] workers and each judges
 /// the images its chunk retains in place, sharing one judge of the set;
-/// the report is bit-identical at any worker count.
-#[allow(clippy::too_many_arguments)]
+/// the report is bit-identical at any worker count. `ex` must be the
+/// execution of `spec`: recovery runs its logging mechanism.
 pub fn check_crash_set(
     spec: &WorkloadSpec,
     ex: &Executed,
@@ -915,151 +1000,9 @@ pub fn check_crash_set(
     integrity: IntegritySpec,
     opts: &ModelCheckOpts,
 ) -> ModelCheckReport {
-    let checker = Checker::new(key);
-    check_crash_set_threads(
-        spec,
-        ex,
-        set,
-        &checker,
-        design,
-        integrity,
-        opts,
-        mc_threads(),
-    )
-}
-
-/// [`check_crash_set`] with a caller-owned [`Checker`] and an explicit
-/// worker count for the fused walk, which enumerates and judges.
-#[allow(clippy::too_many_arguments)]
-fn check_crash_set_threads(
-    spec: &WorkloadSpec,
-    ex: &Executed,
-    set: &nvmm_sim::CrashSet,
-    checker: &Checker,
-    design: Design,
-    integrity: IntegritySpec,
-    opts: &ModelCheckOpts,
-    threads: usize,
-) -> ModelCheckReport {
-    let started = Instant::now();
-    let eopts = nvmm_sim::EnumOpts {
-        max_images: opts.max_images,
-        seed: opts.seed,
-    };
-    let judge = SetJudge::new(set);
-    // Each retained image is judged where the walk leaves it, with the
-    // walk's integrity verdict; only a failing image's mask is kept.
-    let (stats, judged, walk_verify_ns) = set.walk_verified(
-        eopts,
-        threads,
-        integrity,
-        &checker.engine,
-        &checker.mac_engine,
-        |mask, image, oracle| {
-            let t0 = Instant::now();
-            let failure = check_image_inner(
-                spec,
-                ex,
-                image,
-                Some(oracle),
-                checker,
-                &judge,
-                design,
-                integrity,
-                opts.recovery_window,
-            )
-            .err()
-            .map(|error| (mask.clone(), error));
-            (failure, t0.elapsed().as_nanos() as u64)
-        },
-    );
-    // Both oracles ran inside the walk; their shares, summed over its
-    // workers like the walk's own, make up the verify term.
-    let verify_wall_ns = walk_verify_ns + judged.iter().map(|&(_, ns)| ns).sum::<u64>();
-    let enumerate_wall_ns = (started.elapsed().as_nanos() as u64).saturating_sub(verify_wall_ns);
-    let images_checked = judged.len();
-    // Result 0 is always the all-miss baseline.
-    let baseline_violation = judged.first().is_some_and(|(failure, _)| failure.is_some());
-    let mut violations = 0usize;
-    let mut first_fail: Option<(nvmm_sim::LandMask, ConsistencyError)> = None;
-    for failure in judged.into_iter().filter_map(|(failure, _)| failure) {
-        violations += 1;
-        first_fail.get_or_insert(failure);
-    }
-    let minimal = first_fail.map(|(mask, error)| {
-        minimize_violation(
-            spec,
-            ex,
-            set,
-            checker,
-            &judge,
-            design,
-            integrity,
-            opts.recovery_window,
-            mask,
-            error,
-        )
-    });
-    ModelCheckReport {
-        stats,
-        images_checked,
-        violations,
-        baseline_violation,
-        minimal,
-        mc_wall_ns: started.elapsed().as_nanos() as u64,
-        sweep_wall_ns: 0,
-        enumerate_wall_ns,
-        verify_wall_ns,
-    }
-}
-
-/// Greedy mask minimization: repeatedly step to a smaller *legal* mask
-/// (each candidate drops the last landed group of one serialization
-/// domain) while the image keeps failing, until no step fails. Every
-/// candidate is an image of `set`, so `judge` (the set's) serves them.
-#[allow(clippy::too_many_arguments)]
-fn minimize_violation(
-    spec: &WorkloadSpec,
-    ex: &Executed,
-    set: &nvmm_sim::CrashSet,
-    checker: &Checker,
-    judge: &SetJudge,
-    design: Design,
-    integrity: IntegritySpec,
-    recovery_window: u64,
-    mut mask: nvmm_sim::LandMask,
-    mut error: ConsistencyError,
-) -> MinimalViolation {
-    let mut candidates = Vec::new();
-    loop {
-        let mut improved = false;
-        set.shrink_candidates_into(&mask, &mut candidates);
-        for cand in candidates.drain(..) {
-            if let Err(e) = check_image_inner(
-                spec,
-                ex,
-                &set.image(&cand),
-                None,
-                checker,
-                judge,
-                design,
-                integrity,
-                recovery_window,
-            ) {
-                mask = cand;
-                error = e;
-                improved = true;
-                break;
-            }
-        }
-        if !improved {
-            break;
-        }
-    }
-    MinimalViolation {
-        landed: mask.landed(),
-        error,
-    }
+    debug_assert_eq!(*spec, ex.spec, "`ex` was executed from another spec");
+    let checker = Checker::new(ex, key, design, integrity, opts.recovery_window);
+    checker.check_set(set, opts, mc_threads())
 }
 
 #[cfg(test)]
@@ -1099,6 +1042,50 @@ mod tests {
         }
     }
 
+    /// One checker judges every point of `crash_sweep`: for Queue,
+    /// B-Tree and RB-Tree under SCA, FCA and the unsafe design, 16
+    /// points each, its whole result — every point's outcome, or the
+    /// first failing point and its error — equals `check_image` over a
+    /// separate `AfterEvent(k)` run per point of the same grid, each
+    /// judged with fresh engines. The unsafe design takes the error path.
+    #[test]
+    fn crash_sweep_matches_per_point_checks() {
+        let points = 16;
+        let mut failures = 0;
+        for kind in [
+            WorkloadKind::Queue,
+            WorkloadKind::BTree,
+            WorkloadKind::RbTree,
+        ] {
+            let spec = WorkloadSpec::smoke(kind).with_ops(4);
+            let ex = execute(&spec, 0, spec.ops);
+            let (start, total) = (ex.setup_events as u64, ex.pm.trace().len() as u64);
+            let step = ((total - start) / points).max(1);
+            for design in [Design::Sca, Design::Fca, Design::UnsafeNoAtomicity] {
+                let cfg = SimConfig::single_core(design);
+                let per_point = || {
+                    let mut outcomes = Vec::new();
+                    let mut k = start;
+                    while k < total {
+                        let out = System::new(cfg.clone(), vec![ex.pm.trace().clone()])
+                            .run(CrashSpec::AfterEvent(k));
+                        outcomes.push(check_image(&ex, &out.image, &cfg, 0).map_err(|e| (k, e))?);
+                        k += step;
+                    }
+                    Ok(outcomes)
+                };
+                let want = per_point();
+                failures += usize::from(want.is_err());
+                assert_eq!(
+                    crash_sweep(&spec, cfg.clone(), points),
+                    want,
+                    "{kind} under {design}"
+                );
+            }
+        }
+        assert!(failures > 0, "no sweep took the error path");
+    }
+
     /// Splitting the sorted instants into cursor runs is invisible in
     /// the reports: `sweep_check` at 1, 2, 3 and 5 runs over unsorted,
     /// duplicated instants (one at time zero, one after completion)
@@ -1132,13 +1119,7 @@ mod tests {
                         Some(set) => {
                             check_crash_set(&spec, &ex, &set, cfg.key, cfg.design, integrity, &opts)
                         }
-                        None => completed_report(check_image(
-                            &spec,
-                            &ex,
-                            &out.image,
-                            &cfg,
-                            opts.recovery_window,
-                        )),
+                        None => Checker::of(&ex, &cfg, opts.recovery_window).completed(&out.image),
                     }
                 })
                 .collect();
@@ -1153,7 +1134,7 @@ mod tests {
 
     /// The judge runs inside the fused walk, in its chunk workers, which
     /// share the set's judge: under SCA + strict, with and without the
-    /// injected tree bug, `check_crash_set_threads` at 1, 2, 3 and 4
+    /// injected tree bug, `Checker::check_set` at 1, 2, 3 and 4
     /// workers gives one report, `minimal` included. A 16-mask sample of
     /// a large legal space repeats fingerprints, so chunks retain images
     /// another chunk retained too. The image, violation and baseline
@@ -1177,8 +1158,7 @@ mod tests {
         let strict = SimConfig::single_core(Design::Sca).with_integrity(IntegrityPolicy::Strict);
         let (mut sets, mut deduped, mut witnesses) = (0, 0, 0);
         for cfg in [strict.clone(), strict.with_tree_bug()] {
-            let integrity = IntegritySpec::from_config(&cfg);
-            let checker = Checker::new(cfg.key);
+            let checker = Checker::of(&ex, &cfg, opts.recovery_window);
             let instants = crash_instants_cfg(&spec, cfg.clone(), &opts, 12);
             let sweep =
                 System::new(cfg.clone(), vec![ex.pm.trace().clone()]).run_crash_sweep(&instants);
@@ -1186,11 +1166,7 @@ mod tests {
             let crash_sets = (0..instants.len()).filter_map(|i| cursor.crash_set(i));
             for set in crash_sets.filter(|set| set.legal_images() > 16) {
                 let reports: Vec<ModelCheckReport> = (1..=4)
-                    .map(|threads| {
-                        check_crash_set_threads(
-                            &spec, &ex, &set, &checker, cfg.design, integrity, &opts, threads,
-                        )
-                    })
+                    .map(|threads| checker.check_set(&set, &opts, threads))
                     .collect();
                 let t = set.crash_time();
                 for (threads, report) in (2..).zip(&reports[1..]) {
@@ -1200,7 +1176,7 @@ mod tests {
                     .enumerate(eopts)
                     .images
                     .iter()
-                    .map(|(_, img)| check_image(&spec, &ex, img, &cfg, opts.recovery_window))
+                    .map(|(_, img)| check_image(&ex, img, &cfg, opts.recovery_window))
                     .collect();
                 assert_eq!(reports[0].images_checked, fresh.len(), "at {t}");
                 assert_eq!(
@@ -1221,26 +1197,23 @@ mod tests {
 
     /// The full compare the set judge replaced, kept as its oracle:
     /// recover a copy of the image and compare every ground-truth line
-    /// outside the log, in ascending line order.
-    #[allow(clippy::too_many_arguments)]
+    /// outside the log, in ascending line order. It reads only the
+    /// checker's inputs, none of its judging.
     fn check_image_full(
-        spec: &WorkloadSpec,
-        ex: &Executed,
+        checker: &Checker,
         image: &NvmmImage,
         oracle: &Result<(), String>,
-        engine: &EncryptionEngine,
-        design: Design,
-        recovery_window: u64,
     ) -> Result<CrashCheckOutcome, ConsistencyError> {
+        let Checker { ex, design, .. } = checker;
         if let Err(err) = oracle {
             ensure!(
                 false,
                 "integrity oracle rejected the image under {design}: {err}"
             );
         }
-        let mut mem = RecoveredMemory::with_engine(image.clone(), engine.clone())
-            .with_recovery_window(recovery_window);
-        let report = spec.mechanism.recover(&mut mem, &ex.log);
+        let mut mem = RecoveredMemory::with_engine(image.clone(), checker.engine.clone())
+            .with_recovery_window(checker.recovery_window);
+        let report = ex.spec.mechanism.recover(&mut mem, &ex.log);
         ensure!(
             report.reads_clean,
             "recovery read garbled lines {:?} under {design}",
@@ -1302,7 +1275,10 @@ mod tests {
         let ex = execute(&WorkloadSpec::smoke(WorkloadKind::Queue).with_ops(1), 0, 1);
         let log = ex.log_lines();
         let lines: Vec<LineAddr> = (log.end - 12..log.end + 36).map(LineAddr).collect();
-        let engine = EncryptionEngine::new([3; 16]);
+        let mut cfg = SimConfig::single_core(Design::Sca);
+        cfg.key = [3; 16];
+        let checker = Checker::of(&ex, &cfg, 0);
+        let engine = &checker.engine;
         // One random line state: data (none, or ciphertext under a
         // counter) and the counter its slot persists; a state garbles
         // with probability `g`.
@@ -1389,7 +1365,7 @@ mod tests {
                     mem.read_u64(l.byte_addr());
                 }
             }
-            let got = judge.judge(&ex, &mut delta, 3, &expected, &engine, 0);
+            let got = judge.judge(&checker, &mut delta, 3, &expected);
             let want = compare_full(&mut full, 3, &expected, &log);
             assert_eq!(got, want, "seed {seed}");
             match want {
@@ -1407,16 +1383,13 @@ mod tests {
     /// What recovery leaves `image` reading: its restored lines, and
     /// its bytes on `lines`.
     fn recovered_reads(
-        spec: &WorkloadSpec,
-        ex: &Executed,
+        checker: &Checker,
         image: &NvmmImage,
-        engine: &EncryptionEngine,
-        recovery_window: u64,
         lines: &[LineAddr],
     ) -> (Vec<LineAddr>, Vec<LineData>) {
-        let mut mem =
-            RecoveredMemory::over(image, engine.clone()).with_recovery_window(recovery_window);
-        spec.mechanism.recover(&mut mem, &ex.log);
+        let mut mem = checker.recovered(image);
+        let ex = checker.ex;
+        ex.spec.mechanism.recover(&mut mem, &ex.log);
         let reads = lines
             .iter()
             .map(|l| {
@@ -1491,7 +1464,7 @@ mod tests {
         let cfg = SimConfig::single_core(Design::Sca);
         let out = System::new(cfg.clone(), vec![full.pm.trace().clone()]).run(CrashSpec::None);
         let short = execute(&spec, 0, 4);
-        let err = check_image(&spec, &short, &out.image, &cfg, 0).unwrap_err();
+        let err = check_image(&short, &out.image, &cfg, 0).unwrap_err();
         assert_eq!(
             err.0,
             format!("recovered op counter {} exceeds issued ops 4", spec.ops)
@@ -1510,7 +1483,7 @@ mod tests {
             let mid = ex.setup_events as u64 + (total - ex.setup_events as u64) / 2;
             for crash in [CrashSpec::None, CrashSpec::AfterEvent(mid)] {
                 let out = System::new(cfg.clone(), vec![ex.pm.trace().clone()]).run(crash);
-                check_image(&spec, &ex, &out.image, &cfg, 0)
+                check_image(&ex, &out.image, &cfg, 0)
                     .unwrap_or_else(|e| panic!("{kind} core 1, {crash:?}: {e}"));
             }
         }
@@ -1533,7 +1506,7 @@ mod tests {
                 for op in [9, 2, 5, 11] {
                     out.image.write_plain(payload(&ex, op), [0xee; 64]);
                 }
-                let err = check_image(&spec, &ex, &out.image, &cfg, 0).unwrap_err();
+                let err = check_image(&ex, &out.image, &cfg, 0).unwrap_err();
                 assert_eq!(
                     err.0,
                     format!(
@@ -1642,7 +1615,7 @@ mod tests {
                     ..ModelCheckOpts::default()
                 };
                 let integrity = IntegritySpec::from_config(cfg);
-                let checker = Checker::new(cfg.key);
+                let checker = Checker::of(&ex, cfg, *window);
                 let engine = &checker.engine;
                 for set in sample_crash_sets(&spec, &ex, cfg, &opts) {
                     let images: Vec<NvmmImage> = set
@@ -1663,7 +1636,7 @@ mod tests {
                     let in_flight = set.in_flight_lines();
                     let reads: Vec<_> = images
                         .iter()
-                        .map(|img| recovered_reads(&spec, &ex, img, engine, *window, &written))
+                        .map(|img| recovered_reads(&checker, img, &written))
                         .collect();
                     let mut restored: Vec<LineAddr> =
                         reads.iter().flat_map(|(r, _)| r.iter().copied()).collect();
@@ -1699,22 +1672,17 @@ mod tests {
                             let truth = Arc::new(variant(truth));
                             judged.truth.lock().insert(c as u64, truth);
                         }
+                        // The warm engines, judging the fresh execution.
+                        let checker = Checker {
+                            ex: &judged,
+                            engine: checker.engine.clone(),
+                            mac_engine: checker.mac_engine.clone(),
+                            ..checker
+                        };
                         let judge = SetJudge::new(&set);
                         for (img, oracle) in images.iter().zip(&oracles) {
-                            let delta = check_image_inner(
-                                &spec,
-                                &judged,
-                                img,
-                                Some(oracle),
-                                &checker,
-                                &judge,
-                                cfg.design,
-                                integrity,
-                                *window,
-                            );
-                            let full = check_image_full(
-                                &spec, &judged, img, oracle, engine, cfg.design, *window,
-                            );
+                            let delta = checker.check(img, &judge, Some(oracle));
+                            let full = check_image_full(&checker, img, oracle);
                             assert_eq!(delta, full, "{kind} under {}", cfg.design);
                             checked += 1;
                             match &full {

@@ -401,7 +401,7 @@ fn incremental_enumeration_matches_eager_on_all_workloads() {
             let fresh: Vec<_> = reference
                 .images
                 .iter()
-                .map(|(_, img)| check_image(&spec, &ex, img, &cfg, 0))
+                .map(|(_, img)| check_image(&ex, img, &cfg, 0))
                 .collect();
             assert_eq!(report.images_checked, fresh.len(), "{kind} at {t}");
             assert_eq!(
@@ -459,7 +459,7 @@ fn model_check_matches_full_pass_recount() {
                     let full: Vec<_> = walk
                         .images
                         .iter()
-                        .map(|(_, img)| check_image(&spec, &ex, img, &cfg, o.recovery_window))
+                        .map(|(_, img)| check_image(&ex, img, &cfg, o.recovery_window))
                         .collect();
                     assert_eq!(rep.stats, walk.stats, "{what}");
                     assert_eq!(rep.images_checked, full.len(), "{what}");
@@ -475,7 +475,7 @@ fn model_check_matches_full_pass_recount() {
                             mask.set(g, true);
                         }
                         assert_eq!(
-                            check_image(&spec, &ex, &set.image(&mask), &cfg, o.recovery_window),
+                            check_image(&ex, &set.image(&mask), &cfg, o.recovery_window),
                             Err(m.error.clone()),
                             "{what}: the witness"
                         );
