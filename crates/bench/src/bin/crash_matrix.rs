@@ -19,9 +19,9 @@
 //! The binary is self-checking: it exits nonzero unless the
 //! counter-atomic designs (FCA, SCA, write-through) and both integrity
 //! designs survive every enumerated image, the unsafe baseline fails
-//! somewhere, and the positive control — SCA with every
-//! `counter_cache_writeback()` stripped — yields at least one
-//! violating image.
+//! somewhere, and the positive control — SCA under
+//! `Fault::MissingCounterWritebacks`, a program that forgets every
+//! `counter_cache_writeback()` — yields at least one violating image.
 //!
 //! Environment knobs, on top of the crate-wide ones:
 //!
@@ -52,7 +52,7 @@
 
 use nvmm_bench::sweep::{SweepCell, SweepRunner};
 use nvmm_bench::{env_u64, print_table, Experiment};
-use nvmm_sim::config::{Design, IntegrityPolicy, SimConfig};
+use nvmm_sim::config::{Design, Fault, IntegrityPolicy, SimConfig};
 use nvmm_sim::system::CrashSpec;
 use nvmm_workloads::{
     crash_instants_cfg, execute, model_check_cfg, model_check_instants_cfg, ModelCheckOpts,
@@ -174,16 +174,9 @@ fn main() {
     // Positive control: an SCA program that forgets its counter-cache
     // write-backs must be caught by enumeration.
     let control_spec = WorkloadSpec::smoke(WorkloadKind::ArraySwap).with_ops(ops);
-    let control_opts = ModelCheckOpts {
-        strip_counter_writebacks: true,
-        ..opts
-    };
-    let control = check_cell(
-        &control_spec,
-        &SimConfig::single_core(Design::Sca),
-        &control_opts,
-        points,
-    );
+    let control_cfg =
+        SimConfig::single_core(Design::Sca).with_fault(Fault::MissingCounterWritebacks);
+    let control = check_cell(&control_spec, &control_cfg, &opts, points);
 
     // Phase 2: one crash-free reference run per cell through the sweep
     // engine (deduplicated, parallel) so the artifact's `cells` carry

@@ -318,6 +318,45 @@ impl PcmTiming {
     }
 }
 
+/// A positive-control bug: a crash-consistency fault injected into an
+/// otherwise correct run, which the crash model checker must flag. The
+/// checker is trusted only because every fault here fails it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Fault {
+    /// The program forgets its `counter_cache_writeback()` calls (the
+    /// paper's Fig. 3(a)): the front end drops every
+    /// [`TraceEvent::CounterCacheWriteback`](crate::trace::TraceEvent)
+    /// unexecuted, still counting it as a processed event, so a data
+    /// line can persist while its counter stays stranded on chip.
+    MissingCounterWritebacks,
+    /// Strict (or pipelined) integrity persists its tree path as plain
+    /// metadata writes at submission time instead of inside the
+    /// counter-atomic pair, and strict skips its root serialization: a
+    /// parent can become durable before the child counter line it
+    /// digests.
+    TreeParentFirst,
+    /// Pipelined integrity drops the root's dependency edge: the root
+    /// persists as a plain metadata write at submission time instead of
+    /// riding (and clamping) the pair, so a crash can leave a root ahead
+    /// of the path it covers (Freij et al., arXiv:2003.04693).
+    DroppedRootDependency,
+    /// Phoenix integrity persists the epoch summary as a plain metadata
+    /// write at submission time instead of inside its pair, so a crash
+    /// can leave a summary claiming counter sums the surviving counter
+    /// lines never reached (arXiv:1911.01922).
+    StaleEpoch,
+}
+
+impl Fault {
+    /// Every fault: the model checker's positive controls.
+    pub const ALL: [Fault; 4] = [
+        Fault::MissingCounterWritebacks,
+        Fault::TreeParentFirst,
+        Fault::DroppedRootDependency,
+        Fault::StaleEpoch,
+    ];
+}
+
 /// The tallest integrity tree a configuration may ask for: level `l`
 /// indexes counter lines by their bits above `3 * l`, and a 64-bit
 /// counter-line index has no bits above `3 * 21`.
@@ -407,27 +446,10 @@ pub struct SimConfig {
     /// `1` (the default) is the paper's single-controller pipeline and
     /// is bit-identical to the pre-sharding simulator.
     pub shards: usize,
-    /// Positive-control bug switch for the crash model checker: when
-    /// true, the strict policy persists tree-path nodes as plain
-    /// metadata writes at submission time — the *parent* can become
-    /// durable before its child leaf's counter-atomic pair drains,
-    /// without any barrier. The model checker must flag the resulting
-    /// parent-without-child images.
-    pub tree_bug_parent_first: bool,
-    /// Positive-control bug switch for the pipelined policy: the root
-    /// node's dependency edge is dropped from the coalesced update —
-    /// the root persists as a plain metadata write at submission time
-    /// instead of riding in (and clamping) the counter-atomic pair. A
-    /// crash can then leave a root ahead of the leaf path it claims to
-    /// cover; the model checker must flag those images.
-    pub tree_bug_drop_dependency: bool,
-    /// Positive-control bug switch for the phoenix policy: the epoch
-    /// summary persists as a plain metadata write at submission time
-    /// instead of inside its counter-atomic pair, so a crash can leave
-    /// a summary claiming counter sums the surviving counter lines
-    /// never reached — a stale-epoch reconstruction the recovery oracle
-    /// must reject.
-    pub phoenix_bug_stale_epoch: bool,
+    /// The positive-control bug this run injects, if any (default
+    /// `None`): a crash-consistency fault the crash model checker must
+    /// catch (see [`Fault`]).
+    pub fault: Option<Fault>,
     /// Under the phoenix policy, every `phoenix_epoch_every`-th
     /// counter-atomic pair on a shard carries an epoch summary of its
     /// counter line (1 = every pair). Ignored by other policies.
@@ -477,9 +499,7 @@ impl SimConfig {
             metadata_write_queue_entries: 16,
             tree_levels: 10,
             shards: 1,
-            tree_bug_parent_first: false,
-            tree_bug_drop_dependency: false,
-            phoenix_bug_stale_epoch: false,
+            fault: None,
             phoenix_epoch_every: 4,
         }
     }
@@ -507,26 +527,16 @@ impl SimConfig {
         self
     }
 
-    /// Enables the injected tree-ordering bug (model-checker positive
-    /// control; see [`SimConfig::tree_bug_parent_first`]).
-    pub fn with_tree_bug(mut self) -> Self {
-        self.tree_bug_parent_first = true;
+    /// Injects `fault`, a positive control for the crash model checker.
+    pub fn with_fault(mut self, fault: Fault) -> Self {
+        self.fault = Some(fault);
         self
     }
 
-    /// Enables the injected dropped-dependency pipeline bug
-    /// (model-checker positive control; see
-    /// [`SimConfig::tree_bug_drop_dependency`]).
-    pub fn with_pipeline_bug(mut self) -> Self {
-        self.tree_bug_drop_dependency = true;
-        self
-    }
-
-    /// Enables the injected stale-epoch phoenix bug (model-checker
-    /// positive control; see [`SimConfig::phoenix_bug_stale_epoch`]).
-    pub fn with_phoenix_bug(mut self) -> Self {
-        self.phoenix_bug_stale_epoch = true;
-        self
+    /// `with_fault(Fault::TreeParentFirst)` under its older name, which
+    /// the benchmark's `mc_bughunt` workload still spells.
+    pub fn with_tree_bug(self) -> Self {
+        self.with_fault(Fault::TreeParentFirst)
     }
 
     /// Selects the number of channel-sharded controllers
@@ -642,9 +652,7 @@ mod tests {
     fn integrity_defaults_off() {
         let c = SimConfig::single_core(Design::Sca);
         assert_eq!(c.integrity, IntegrityPolicy::None);
-        assert!(!c.tree_bug_parent_first);
-        assert!(!c.tree_bug_drop_dependency);
-        assert!(!c.phoenix_bug_stale_epoch);
+        assert_eq!(c.fault, None);
         assert_eq!(c.phoenix_epoch_every, 4);
         assert_eq!(c.metadata_cache.capacity_bytes, 256 * 1024);
         assert_eq!(c.tree_levels, 10);

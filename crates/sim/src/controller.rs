@@ -39,7 +39,7 @@
 
 use crate::addr::{CounterLineAddr, LineAddr, MacLineAddr, NvmmTarget, TreeNodeAddr};
 use crate::cache::SetAssocCache;
-use crate::config::{Design, IntegrityPolicy, SimConfig};
+use crate::config::{Design, Fault, IntegrityPolicy, SimConfig};
 use crate::crashmc::Domain;
 use crate::device::{AccessKind, PcmDevice};
 use crate::integrity::{DigestLine, IntegrityState, MetaKey};
@@ -216,19 +216,9 @@ pub(crate) struct MemoryController {
     counter_lag: FxHashMap<CounterLineAddr, u64>,
     /// The integrity-verification subsystem, when the config enables it.
     integrity: Option<IntegrityState>,
-    /// Fault injection: journal strict-policy tree-path updates as
-    /// independent instantly-guaranteed writes instead of riding the
-    /// counter-atomic pair — the parent-ahead-of-child ordering bug the
-    /// model checker must catch.
-    tree_bug_parent_first: bool,
-    /// Fault injection (pipelined): journal the root node outside the
-    /// pair with an instant guarantee — a dropped dependency in the
-    /// in-cache tracker lets the root outrun the path it digests.
-    tree_bug_drop_dependency: bool,
-    /// Fault injection (phoenix): journal the epoch summary outside its
-    /// pair with an instant guarantee, so a crash can persist a summary
-    /// claiming counter state that never landed.
-    phoenix_bug_stale_epoch: bool,
+    /// The injected positive-control bug, which picks the pair members
+    /// journaled outside their pair (see [`Fault`]).
+    fault: Option<Fault>,
     /// Channel-shard id stamped on every journal record.
     shard_id: usize,
     /// The tree path of the latest integrity-tree update, leaf-most
@@ -269,9 +259,7 @@ impl MemoryController {
             stop_loss: config.stop_loss,
             counter_lag: FxHashMap::default(),
             integrity: IntegrityState::from_config(config),
-            tree_bug_parent_first: config.tree_bug_parent_first,
-            tree_bug_drop_dependency: config.tree_bug_drop_dependency,
-            phoenix_bug_stale_epoch: config.phoenix_bug_stale_epoch,
+            fault: config.fault,
             shard_id,
             path: Vec::new(),
             pair_ops: Vec::new(),
@@ -780,9 +768,12 @@ impl MemoryController {
                 let op = JournalOp::TreeNode { node, digests };
                 // Parent-first escapes the whole path; a dropped
                 // dependency escapes its root.
-                if self.tree_bug_parent_first
-                    || (self.tree_bug_drop_dependency && i + 1 == path.len())
-                {
+                let escapes = match self.fault {
+                    Some(Fault::TreeParentFirst) => true,
+                    Some(Fault::DroppedRootDependency) => i + 1 == path.len(),
+                    _ => false,
+                };
+                if escapes {
                     escaped.push((accepted, op));
                 } else {
                     guaranteed = guaranteed.max(accepted);
@@ -794,7 +785,7 @@ impl MemoryController {
                 if policy.serializes_root() {
                     // Strict: root updates serialize through the
                     // root-update engine.
-                    if !self.tree_bug_parent_first {
+                    if self.fault != Some(Fault::TreeParentFirst) {
                         if integ.root_free > guaranteed {
                             stats.root_update_stalls += 1;
                             stats.root_update_stall += integ.root_free - guaranteed;
@@ -803,7 +794,7 @@ impl MemoryController {
                         guaranteed += self.crypto_latency;
                         integ.root_free = guaranteed;
                     }
-                } else if !self.tree_bug_drop_dependency {
+                } else if self.fault != Some(Fault::DroppedRootDependency) {
                     // Pipelined: in-cache dependency tracking (Freij et
                     // al.) only clamps this pair's guarantee to never run
                     // ahead of the previous pair's — root writes overlap
@@ -824,7 +815,7 @@ impl MemoryController {
             let accepted = self.submit(NvmmTarget::TreeNode(node), t, stats).accepted;
             stats.phoenix_epoch_writes += 1;
             let op = JournalOp::TreeNode { node, digests };
-            if self.phoenix_bug_stale_epoch {
+            if self.fault == Some(Fault::StaleEpoch) {
                 escaped.push((accepted, op));
             } else {
                 guaranteed = guaranteed.max(accepted);
@@ -1244,7 +1235,7 @@ mod tests {
         use crate::config::IntegrityPolicy;
         let cfg = SimConfig::single_core(Design::Sca)
             .with_integrity(IntegrityPolicy::Strict)
-            .with_tree_bug();
+            .with_fault(Fault::TreeParentFirst);
         let spec = IntegritySpec::from_config(&cfg);
         let key = cfg.key;
         let mut c = ShardedController::new(&cfg);
@@ -1386,7 +1377,7 @@ mod tests {
         use crate::config::IntegrityPolicy;
         let cfg = SimConfig::single_core(Design::Sca)
             .with_integrity(IntegrityPolicy::Pipelined)
-            .with_pipeline_bug();
+            .with_fault(Fault::DroppedRootDependency);
         let spec = IntegritySpec::from_config(&cfg);
         let key = cfg.key;
         let mut c = ShardedController::new(&cfg);
@@ -1407,7 +1398,7 @@ mod tests {
         use crate::config::IntegrityPolicy;
         let mut cfg = SimConfig::single_core(Design::Sca)
             .with_integrity(IntegrityPolicy::Phoenix)
-            .with_phoenix_bug();
+            .with_fault(Fault::StaleEpoch);
         cfg.phoenix_epoch_every = 1;
         let spec = IntegritySpec::from_config(&cfg);
         let key = cfg.key;

@@ -78,7 +78,7 @@ pub use attack::{
     expected_vulnerable, run_detection_row, snapshot_pair, synthesize, victim_lines, AttackKind,
     AttackOutcome, MatrixCell, SnapshotPair,
 };
-pub use config::{Design, IntegrityPolicy, SimConfig};
+pub use config::{Design, Fault, IntegrityPolicy, SimConfig};
 pub use crashmc::{CrashSet, CutSchedule, EnumOpts, EnumStats, Enumeration, LandMask};
 pub use device::WearReport;
 pub use integrity::{

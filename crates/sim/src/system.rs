@@ -35,7 +35,7 @@
 
 use crate::addr::LineAddr;
 use crate::cache::SetAssocCache;
-use crate::config::SimConfig;
+use crate::config::{Fault, SimConfig};
 use crate::controller::JournalRecord;
 use crate::crashmc::{CrashCursor, CrashSet};
 use crate::device::WearReport;
@@ -433,6 +433,11 @@ impl FrontEnd {
                 }
                 self.cores[ci].now = issue;
             }
+            // The forgotten write-back runs nothing, but it still counts
+            // as an event, so `CrashSpec::AfterEvent(k)` indexes the
+            // program as written.
+            TraceEvent::CounterCacheWriteback { .. }
+                if cfg.fault == Some(Fault::MissingCounterWritebacks) => {}
             TraceEvent::CounterCacheWriteback { line } => {
                 let core = &mut self.cores[ci];
                 let issue = core.now + cfg.l1.latency;

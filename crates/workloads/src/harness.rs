@@ -697,7 +697,9 @@ pub fn crash_sweep(
         .collect()
 }
 
-/// Bounds and switches for one adversarial model-check run.
+/// Bounds for one adversarial model-check run. An injected
+/// positive-control bug belongs to the configuration
+/// ([`SimConfig::fault`]), not to these options.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ModelCheckOpts {
     /// Landing masks to materialize per crash instant (full `2^k`
@@ -708,10 +710,6 @@ pub struct ModelCheckOpts {
     /// Osiris-style counter-recovery window (0 = disabled), as in
     /// [`crash_check_cfg`].
     pub recovery_window: u64,
-    /// Drop every `counter_cache_writeback()` from the trace before
-    /// simulation — the positive-control bug: an SCA program that
-    /// forgets the flush must yield at least one violating image.
-    pub strip_counter_writebacks: bool,
 }
 
 impl Default for ModelCheckOpts {
@@ -720,25 +718,8 @@ impl Default for ModelCheckOpts {
             max_images: 128,
             seed: 0xadc0_ffee,
             recovery_window: 0,
-            strip_counter_writebacks: false,
         }
     }
-}
-
-/// The workload trace as one model-check run will replay it (with the
-/// counter-cache write-backs stripped when the positive-control switch
-/// is on).
-fn prepared_trace(ex: &Executed, opts: &ModelCheckOpts) -> Trace {
-    let trace = ex.pm.trace().clone();
-    if !opts.strip_counter_writebacks {
-        return trace;
-    }
-    trace
-        .events()
-        .iter()
-        .filter(|e| !matches!(e, nvmm_sim::TraceEvent::CounterCacheWriteback { .. }))
-        .cloned()
-        .collect()
 }
 
 /// Crash instants at which at least one write is observably in flight,
@@ -751,30 +732,23 @@ fn prepared_trace(ex: &Executed, opts: &ModelCheckOpts) -> Trace {
 /// [`model_check_instants_cfg`]. Instants inside the setup phase are
 /// excluded for the same reason crash sweeps skip it: the checkers
 /// deliberately do not model a crash before the structure exists.
+/// `_opts` is unused (an injected bug is `config.fault`); it stays
+/// while the benchmark passes it.
 pub fn crash_instants_cfg(
     spec: &WorkloadSpec,
     config: SimConfig,
-    opts: &ModelCheckOpts,
+    _opts: &ModelCheckOpts,
     limit: usize,
 ) -> Vec<Time> {
     let ex = execute(spec, 0, spec.ops);
-    let trace = prepared_trace(&ex, opts);
+    let trace = ex.pm.trace().clone();
     // The setup boundary as an instant: the core clock right after the
-    // last setup event of the prepared trace (stripping ccwb events
-    // shifts the boundary index).
-    let setup_events = if opts.strip_counter_writebacks {
-        ex.pm.trace().events()[..ex.setup_events]
-            .iter()
-            .filter(|e| !matches!(e, nvmm_sim::TraceEvent::CounterCacheWriteback { .. }))
-            .count()
-    } else {
-        ex.setup_events
-    };
-    let setup_end = if setup_events == 0 {
+    // last setup event.
+    let setup_end = if ex.setup_events == 0 {
         Time::ZERO
     } else {
         System::new(config.clone(), vec![trace.clone()])
-            .run(CrashSpec::AfterEvent(setup_events as u64 - 1))
+            .run(CrashSpec::AfterEvent(ex.setup_events as u64 - 1))
             .crash_time
             .unwrap_or(Time::ZERO)
     };
@@ -900,7 +874,7 @@ pub fn model_check_cfg(
     let started = Instant::now();
     let ex = execute(spec, 0, spec.ops);
     let checker = Checker::of(&ex, &config, opts.recovery_window);
-    let out = System::new(config, vec![prepared_trace(&ex, opts)]).run(crash);
+    let out = System::new(config, vec![ex.pm.trace().clone()]).run(crash);
     let mut report = match out.crash_set {
         Some(set) => checker.check_set(&set, opts, mc_threads()),
         None => checker.completed(&out.image),
@@ -946,8 +920,7 @@ fn sweep_check(
 ) -> Vec<ModelCheckReport> {
     let started = Instant::now();
     let ex = execute(spec, 0, spec.ops);
-    let trace = prepared_trace(&ex, opts);
-    let sweep = System::new(config.clone(), vec![trace]).run_crash_sweep(instants);
+    let sweep = System::new(config.clone(), vec![ex.pm.trace().clone()]).run_crash_sweep(instants);
     let sweep_wall_ns = started.elapsed().as_nanos() as u64;
     let mut order: Vec<usize> = (0..instants.len()).collect();
     order.sort_by_key(|&i| instants[i]);
@@ -1093,7 +1066,7 @@ mod tests {
     /// SCA+strict with and without the injected tree bug.
     #[test]
     fn sweep_check_runs_match_per_instant_checks() {
-        use nvmm_sim::IntegrityPolicy;
+        use nvmm_sim::{Fault, IntegrityPolicy};
         let spec = WorkloadSpec::smoke(WorkloadKind::Queue).with_ops(3);
         let opts = ModelCheckOpts {
             max_images: 16,
@@ -1101,7 +1074,7 @@ mod tests {
         };
         let strict = SimConfig::single_core(Design::Sca).with_integrity(IntegrityPolicy::Strict);
         let mut witnesses = 0;
-        for cfg in [strict.clone(), strict.with_tree_bug()] {
+        for cfg in [strict.clone(), strict.with_fault(Fault::TreeParentFirst)] {
             let integrity = IntegritySpec::from_config(&cfg);
             let mut instants = crash_instants_cfg(&spec, cfg.clone(), &opts, 6);
             assert!(instants.len() >= 3, "too few in-flight instants");
@@ -1142,7 +1115,7 @@ mod tests {
     /// `CrashSet::enumerate`.
     #[test]
     fn in_walk_judge_reports_alike_at_any_worker_count() {
-        use nvmm_sim::IntegrityPolicy;
+        use nvmm_sim::{Fault, IntegrityPolicy};
         let spec = WorkloadSpec::smoke(WorkloadKind::HashTable)
             .with_ops(8)
             .with_payload_lines(24);
@@ -1157,7 +1130,7 @@ mod tests {
         let ex = execute(&spec, 0, spec.ops);
         let strict = SimConfig::single_core(Design::Sca).with_integrity(IntegrityPolicy::Strict);
         let (mut sets, mut deduped, mut witnesses) = (0, 0, 0);
-        for cfg in [strict.clone(), strict.with_tree_bug()] {
+        for cfg in [strict.clone(), strict.with_fault(Fault::TreeParentFirst)] {
             let checker = Checker::of(&ex, &cfg, opts.recovery_window);
             let instants = crash_instants_cfg(&spec, cfg.clone(), &opts, 12);
             let sweep =
@@ -1531,7 +1504,7 @@ mod tests {
         cfg: &SimConfig,
         opts: &ModelCheckOpts,
     ) -> Vec<nvmm_sim::CrashSet> {
-        let trace = prepared_trace(ex, opts);
+        let trace = ex.pm.trace().clone();
         let instants = crash_instants_cfg(spec, cfg.clone(), opts, 8);
         let sweep = System::new(cfg.clone(), vec![trace.clone()]).run_crash_sweep(&instants);
         let mut cursor = sweep.cursor();
@@ -1562,7 +1535,7 @@ mod tests {
     /// garbled-read check whenever its recovery and structure pass.
     #[test]
     fn set_judge_matches_full_sorted_compare() {
-        use nvmm_sim::IntegrityPolicy;
+        use nvmm_sim::{Fault, IntegrityPolicy};
         let mut stop_loss = SimConfig::single_core(Design::Sca);
         stop_loss.stop_loss = Some(4);
         // One-entry write queues keep counter write-backs in flight while
@@ -1574,13 +1547,15 @@ mod tests {
         let configs = [
             (
                 SimConfig::single_core(Design::Sca).with_integrity(IntegrityPolicy::Strict),
-                false,
                 0,
             ),
-            (SimConfig::single_core(Design::Sca), true, 0),
-            (SimConfig::single_core(Design::UnsafeNoAtomicity), false, 0),
-            (stop_loss, false, 4),
-            (narrow_queues, false, 0),
+            (
+                SimConfig::single_core(Design::Sca).with_fault(Fault::MissingCounterWritebacks),
+                0,
+            ),
+            (SimConfig::single_core(Design::UnsafeNoAtomicity), 0),
+            (stop_loss, 4),
+            (narrow_queues, 0),
         ];
         /// A ground truth derived from the true one.
         type Variant<'v> = Box<dyn Fn(&LineImage) -> LineImage + 'v>;
@@ -1607,11 +1582,10 @@ mod tests {
                 .collect();
             let written: Vec<LineAddr> = truths[spec.ops].iter().map(|&(l, _)| l).collect();
             let log = ex.log_lines();
-            for (cfg, strip, window) in &configs {
+            for (cfg, window) in &configs {
                 let opts = ModelCheckOpts {
                     max_images: 64,
                     recovery_window: *window,
-                    strip_counter_writebacks: *strip,
                     ..ModelCheckOpts::default()
                 };
                 let integrity = IntegritySpec::from_config(cfg);

@@ -9,12 +9,12 @@
 
 use nvmm::crypto::mac::MacEngine;
 use nvmm::crypto::EncryptionEngine;
-use nvmm::sim::config::{Design, IntegrityPolicy, SimConfig};
-use nvmm::sim::system::{CrashSpec, System};
+use nvmm::sim::config::{Design, Fault, IntegrityPolicy, SimConfig};
+use nvmm::sim::system::{CrashSpec, RunOutcome, System};
 use nvmm::sim::{EnumOpts, IntegritySpec, LandMask, Time, Trace, TraceEvent};
 use nvmm::workloads::{
     check_crash_set, check_image, crash_instants_cfg, execute, model_check_cfg,
-    model_check_instants_cfg, Executed, ModelCheckOpts, ModelCheckReport, WorkloadKind,
+    model_check_instants_cfg, traces_for_cores, ModelCheckOpts, ModelCheckReport, WorkloadKind,
     WorkloadSpec,
 };
 
@@ -67,12 +67,8 @@ fn safe_designs_have_no_violating_images() {
 #[test]
 fn missing_counter_writeback_yields_violating_images() {
     let spec = WorkloadSpec::smoke(WorkloadKind::ArraySwap).with_ops(4);
-    let o = ModelCheckOpts {
-        strip_counter_writebacks: true,
-        max_images: 32,
-        ..ModelCheckOpts::default()
-    };
-    let sca = SimConfig::single_core(Design::Sca);
+    let o = opts(32);
+    let sca = SimConfig::single_core(Design::Sca).with_fault(Fault::MissingCounterWritebacks);
     let instants = crash_instants_cfg(&spec, sca.clone(), &o, 8);
     assert!(!instants.is_empty());
     let mut violations = 0;
@@ -92,7 +88,7 @@ fn missing_counter_writeback_yields_violating_images() {
     }
     assert!(
         violations >= 1,
-        "stripping every ccwb must produce at least one violating image"
+        "forgetting every ccwb must produce at least one violating image"
     );
     assert!(
         minimal_seen,
@@ -140,11 +136,7 @@ fn model_check_is_deterministic_for_fixed_seed_and_bound() {
         assert_eq!(a, b, "identical inputs must yield identical reports");
     }
     // The violating path is deterministic too (minimization included).
-    let o = ModelCheckOpts {
-        strip_counter_writebacks: true,
-        ..opts(16)
-    };
-    let sca = SimConfig::single_core(Design::Sca);
+    let sca = SimConfig::single_core(Design::Sca).with_fault(Fault::MissingCounterWritebacks);
     let instants = crash_instants_cfg(&spec, sca.clone(), &o, 2);
     for &t in &instants {
         let a = model_check_cfg(&spec, sca.clone(), CrashSpec::AtTime(t), &o);
@@ -229,70 +221,57 @@ fn every_integrity_policy_model_checks_clean_on_all_workloads() {
     }
 }
 
-/// Differential bug table: each policy's characteristic ordering bug —
-/// strict persisting parents before children, pipelined dropping the
-/// root dependency from its pair, phoenix journaling a stale epoch
-/// summary outside the pair — must surface as violating images whose
-/// minimized witness blames the right oracle, on more than one
-/// workload.
+/// Differential bug table, one row per [`Fault`]: SCA forgetting its
+/// counter-cache write-backs, strict persisting parents before
+/// children, pipelined dropping the root dependency from its pair, and
+/// phoenix journaling a stale epoch summary outside the pair must each
+/// surface as violating images whose minimized witness blames the right
+/// oracle, on more than one workload. The `match` is exhaustive, so a
+/// new fault cannot go without a row.
 #[test]
 fn injected_policy_bugs_are_caught_with_blaming_witnesses() {
-    struct Row {
-        name: &'static str,
-        cfg: SimConfig,
-        blame: &'static [&'static str],
-    }
-    let rows = [
-        Row {
-            name: "strict/parent-first",
-            cfg: SimConfig::single_core(Design::Sca)
-                .with_integrity(IntegrityPolicy::Strict)
-                .with_tree_bug(),
-            blame: &["never persisted", "ahead of child"],
-        },
-        Row {
-            name: "pipelined/dropped-dependency",
-            cfg: SimConfig::single_core(Design::Sca)
-                .with_integrity(IntegrityPolicy::Pipelined)
-                .with_pipeline_bug(),
-            blame: &["never persisted", "ahead of child"],
-        },
-        Row {
-            name: "phoenix/stale-epoch",
-            cfg: {
-                let mut c = SimConfig::single_core(Design::Sca)
-                    .with_integrity(IntegrityPolicy::Phoenix)
-                    .with_phoenix_bug();
+    let sca = |policy| SimConfig::single_core(Design::Sca).with_integrity(policy);
+    for fault in Fault::ALL {
+        let (cfg, blame): (SimConfig, &[&str]) = match fault {
+            // The durable op counter decrypts under its stranded
+            // counter line.
+            Fault::MissingCounterWritebacks => {
+                (sca(IntegrityPolicy::None), &["exceeds issued ops"])
+            }
+            Fault::TreeParentFirst => (
+                sca(IntegrityPolicy::Strict),
+                &["never persisted", "ahead of child"],
+            ),
+            Fault::DroppedRootDependency => (
+                sca(IntegrityPolicy::Pipelined),
+                &["never persisted", "ahead of child"],
+            ),
+            Fault::StaleEpoch => {
+                let mut c = sca(IntegrityPolicy::Phoenix);
                 c.phoenix_epoch_every = 1;
-                c
-            },
-            blame: &["stale epoch"],
-        },
-    ];
-    for row in &rows {
+                (c, &["stale epoch"])
+            }
+        };
+        let cfg = cfg.with_fault(fault);
         for kind in [WorkloadKind::ArraySwap, WorkloadKind::Queue] {
             let spec = WorkloadSpec::smoke(kind).with_ops(4);
             let o = opts(32);
-            let instants = crash_instants_cfg(&spec, row.cfg.clone(), &o, 8);
-            assert!(!instants.is_empty(), "{}/{kind}: no instants", row.name);
+            let instants = crash_instants_cfg(&spec, cfg.clone(), &o, 8);
+            assert!(!instants.is_empty(), "{fault:?}/{kind}: no instants");
             let mut violations = 0;
-            let mut blamed = false;
+            let mut witnesses = Vec::new();
             for &t in &instants {
-                let rep = model_check_cfg(&spec, row.cfg.clone(), CrashSpec::AtTime(t), &o);
+                let rep = model_check_cfg(&spec, cfg.clone(), CrashSpec::AtTime(t), &o);
                 violations += rep.violations;
-                if let Some(m) = rep.minimal {
-                    blamed |= row.blame.iter().any(|b| m.error.0.contains(b));
-                }
+                witnesses.extend(rep.minimal.map(|m| m.error.0));
             }
             assert!(
                 violations >= 1,
-                "{}/{kind}: the injected bug produced no violating image",
-                row.name
+                "{fault:?}/{kind}: the injected bug produced no violating image"
             );
             assert!(
-                blamed,
-                "{}/{kind}: no witness blamed the expected oracle ({:?})",
-                row.name, row.blame
+                witnesses.iter().any(|w| blame.iter().any(|b| w.contains(b))),
+                "{fault:?}/{kind}: no witness blamed the expected oracle ({blame:?}): {witnesses:?}"
             );
         }
     }
@@ -308,7 +287,7 @@ fn injected_tree_ordering_bug_is_caught() {
     let spec = WorkloadSpec::smoke(WorkloadKind::ArraySwap).with_ops(4);
     let cfg = SimConfig::single_core(Design::Sca)
         .with_integrity(IntegrityPolicy::Strict)
-        .with_tree_bug();
+        .with_fault(Fault::TreeParentFirst);
     let o = opts(32);
     let instants = crash_instants_cfg(&spec, cfg.clone(), &o, 8);
     assert!(!instants.is_empty());
@@ -415,8 +394,8 @@ fn incremental_enumeration_matches_eager_on_all_workloads() {
 
 /// The harness's verdicts are full-pass verdicts: for Queue and B-Tree
 /// under SCA with strict, phoenix and colocated integrity, with and
-/// without counter-cache write-backs, `model_check_cfg`'s stats, image
-/// count, violation count and baseline verdict equal a recount that
+/// without `Fault::MissingCounterWritebacks`, `model_check_cfg`'s stats,
+/// image count, violation count and baseline verdict equal a recount that
 /// judges every image of the crash set's fused walk with full-pass
 /// `check_image` (fresh engines, the whole integrity oracle), and its
 /// minimized witness is an image `check_image` rejects with the same
@@ -433,19 +412,20 @@ fn model_check_matches_full_pass_recount() {
             IntegrityPolicy::Phoenix,
             IntegrityPolicy::Colocated,
         ] {
-            let cfg = SimConfig::single_core(Design::Sca).with_integrity(policy);
-            let integrity = IntegritySpec::from_config(&cfg);
-            let engine = EncryptionEngine::new(cfg.key);
-            let mac_engine = MacEngine::new(cfg.key);
-            for strip in [false, true] {
-                let o = ModelCheckOpts {
-                    strip_counter_writebacks: strip,
-                    ..opts(16)
+            let plain = SimConfig::single_core(Design::Sca).with_integrity(policy);
+            let integrity = IntegritySpec::from_config(&plain);
+            let engine = EncryptionEngine::new(plain.key);
+            let mac_engine = MacEngine::new(plain.key);
+            let o = opts(16);
+            for fault in [None, Some(Fault::MissingCounterWritebacks)] {
+                let cfg = SimConfig {
+                    fault,
+                    ..plain.clone()
                 };
                 for t in crash_instants_cfg(&spec, cfg.clone(), &o, 3) {
-                    let what = format!("{kind}/{policy:?} strip={strip} at {t}");
+                    let what = format!("{kind}/{policy:?} fault={fault:?} at {t}");
                     let rep = model_check_cfg(&spec, cfg.clone(), CrashSpec::AtTime(t), &o);
-                    let set = System::new(cfg.clone(), vec![prepared_trace(&ex, &o)])
+                    let set = System::new(cfg.clone(), vec![ex.pm.trace().clone()])
                         .run(CrashSpec::AtTime(t))
                         .crash_set
                         .expect("an in-flight instant interrupts the run");
@@ -496,18 +476,133 @@ fn enum_opts(o: &ModelCheckOpts) -> EnumOpts {
     }
 }
 
-/// The workload trace as a model check under `o` replays it: without
-/// counter-cache write-backs when `o` strips them.
-fn prepared_trace(ex: &Executed, o: &ModelCheckOpts) -> Trace {
-    ex.pm
-        .trace()
+/// `trace` without its counter-cache write-backs: the program that
+/// `Fault::MissingCounterWritebacks` replays, spelled out as a trace.
+/// Only an oracle for the fault, which drops the events in the front
+/// end instead.
+fn without_counter_writebacks(trace: &Trace) -> Trace {
+    trace
         .events()
         .iter()
-        .filter(|e| {
-            !(o.strip_counter_writebacks && matches!(e, TraceEvent::CounterCacheWriteback { .. }))
-        })
+        .filter(|e| !matches!(e, TraceEvent::CounterCacheWriteback { .. }))
         .cloned()
         .collect()
+}
+
+/// `crash_instants_cfg` as it was when the fault was a filtered trace,
+/// kept as the oracle for the fault: harvest the plain run of the
+/// filtered trace, with the setup boundary remapped to the filtered
+/// trace's event index.
+fn filtered_trace_instants(spec: &WorkloadSpec, plain: &SimConfig, limit: usize) -> Vec<Time> {
+    let ex = execute(spec, 0, spec.ops);
+    let trace = without_counter_writebacks(ex.pm.trace());
+    let setup_events = ex.pm.trace().events()[..ex.setup_events]
+        .iter()
+        .filter(|e| !matches!(e, TraceEvent::CounterCacheWriteback { .. }))
+        .count();
+    let setup_end = match setup_events {
+        0 => Time::ZERO,
+        n => System::new(plain.clone(), vec![trace.clone()])
+            .run(CrashSpec::AfterEvent(n as u64 - 1))
+            .crash_time
+            .unwrap_or(Time::ZERO),
+    };
+    let out = System::new(plain.clone(), vec![trace]).run(CrashSpec::None);
+    thinned_midpoints(&out, setup_end, limit)
+}
+
+/// The midpoints of `out`'s persist windows at or after `from`, sorted,
+/// deduplicated and thinned by an even stride to at most `limit`, as
+/// `crash_instants_cfg` harvests them.
+fn thinned_midpoints(out: &RunOutcome, from: Time, limit: usize) -> Vec<Time> {
+    let mut mids: Vec<Time> = out
+        .persist_windows
+        .iter()
+        .map(|&(s, g)| Time::from_ps(s.0 + (g.0 - s.0) / 2))
+        .filter(|&m| m >= from)
+        .collect();
+    mids.sort_unstable();
+    mids.dedup();
+    if limit == 0 || mids.len() <= limit {
+        return mids;
+    }
+    (0..limit).map(|i| mids[i * mids.len() / limit]).collect()
+}
+
+/// `Fault::MissingCounterWritebacks` on the trace as written is the
+/// plain configuration on the trace without its counter-cache
+/// write-backs. For all five kinds under SCA and SCA + strict, on 1 and
+/// 2 shards and on 1 and 2 cores, both give every harvested instant the
+/// same crash-set baseline fingerprint and enumeration stats, and the
+/// crash-free runs the same stats and image. The faulted run counts the
+/// events it drops, so its `events_processed` is the written length.
+/// On one core `crash_instants_cfg` harvests exactly the instants of
+/// the filtered trace with its setup boundary remapped, unthinned and
+/// thinned; on two, the instants are the filtered run's own thinned
+/// window midpoints.
+#[test]
+fn missing_counter_writebacks_fault_replays_the_filtered_trace() {
+    let o = opts(32);
+    let eopts = enum_opts(&o);
+    let len = |traces: &[Trace]| traces.iter().map(|t| t.len() as u64).sum::<u64>();
+    for kind in WorkloadKind::ALL {
+        let spec = WorkloadSpec::smoke(kind).with_ops(4);
+        for policy in [IntegrityPolicy::None, IntegrityPolicy::Strict] {
+            for (shards, cores) in [(1, 1), (2, 1), (1, 2), (2, 2)] {
+                let what = format!("{kind}/{policy} on {shards} shards, {cores} cores");
+                let plain = SimConfig::table2(Design::Sca, cores)
+                    .with_integrity(policy)
+                    .with_shards(shards);
+                let faulted = plain.clone().with_fault(Fault::MissingCounterWritebacks);
+                let written = traces_for_cores(&spec, cores);
+                let filtered: Vec<Trace> = written.iter().map(without_counter_writebacks).collect();
+                assert!(len(&filtered) < len(&written), "{what}: nothing to drop");
+                let faulted_end =
+                    System::new(faulted.clone(), written.clone()).run(CrashSpec::None);
+                let plain_end = System::new(plain.clone(), filtered.clone()).run(CrashSpec::None);
+                assert_eq!(faulted_end.events_processed, len(&written), "{what}");
+                assert_eq!(plain_end.events_processed, len(&filtered), "{what}");
+                assert_eq!(faulted_end.stats, plain_end.stats, "{what}");
+                assert_eq!(
+                    faulted_end.image.fingerprint(),
+                    plain_end.image.fingerprint(),
+                    "{what}"
+                );
+                let instants = if cores == 1 {
+                    let harvest = |limit| {
+                        let harvested = crash_instants_cfg(&spec, faulted.clone(), &o, limit);
+                        let oracle = filtered_trace_instants(&spec, &plain, limit);
+                        assert_eq!(harvested, oracle, "{what}: limit {limit}");
+                        harvested
+                    };
+                    // Every post-setup midpoint, then the sample judged.
+                    harvest(0);
+                    harvest(16)
+                } else {
+                    thinned_midpoints(&plain_end, Time::ZERO, 16)
+                };
+                assert!(!instants.is_empty(), "{what}: no instants");
+                let a = System::new(faulted, written).run_crash_sweep(&instants);
+                let b = System::new(plain, filtered).run_crash_sweep(&instants);
+                for (i, t) in instants.iter().enumerate() {
+                    let (x, y) = (a.crash_set(i), b.crash_set(i));
+                    assert_eq!(x.is_some(), y.is_some(), "{what} at {t}");
+                    if let (Some(x), Some(y)) = (x, y) {
+                        assert_eq!(
+                            x.baseline().fingerprint(),
+                            y.baseline().fingerprint(),
+                            "{what} at {t}: baseline"
+                        );
+                        assert_eq!(
+                            x.enumerate(eopts).stats,
+                            y.enumerate(eopts).stats,
+                            "{what} at {t}: enumeration"
+                        );
+                    }
+                }
+            }
+        }
+    }
 }
 
 /// The superseded per-instant path, kept as the oracle for the crash
@@ -521,7 +616,7 @@ fn per_instant_oracle(
     o: &ModelCheckOpts,
 ) -> ModelCheckReport {
     let ex = execute(spec, 0, spec.ops);
-    let out = System::new(cfg.clone(), vec![prepared_trace(&ex, o)]).run(CrashSpec::AtTime(t));
+    let out = System::new(cfg.clone(), vec![ex.pm.trace().clone()]).run(CrashSpec::AtTime(t));
     match out.crash_set {
         Some(set) => check_crash_set(
             spec,
@@ -539,32 +634,31 @@ fn per_instant_oracle(
 /// The one-simulation sweep returns, in the caller's instant
 /// order, exactly the reports of a per-instant simulate-then-check loop
 /// — minimized witnesses included — for every workload under FCA, SCA,
-/// SCA+strict, SCA+strict with the injected tree bug, and SCA without
-/// counter-cache write-backs. The instants are unsorted and duplicated,
-/// and include one at time zero (before any event runs) and one after
-/// the run completes.
+/// SCA+strict, SCA+strict with `Fault::TreeParentFirst`, and SCA with
+/// `Fault::MissingCounterWritebacks`. The instants are unsorted and
+/// duplicated, and include one at time zero (before any event runs) and
+/// one after the run completes.
 #[test]
 fn model_check_instants_matches_sequential_loop() {
     let strict = SimConfig::single_core(Design::Sca).with_integrity(IntegrityPolicy::Strict);
-    let stripped = ModelCheckOpts {
-        strip_counter_writebacks: true,
-        ..opts(16)
-    };
     let rows = [
-        ("FCA", SimConfig::single_core(Design::Fca), opts(16)),
-        ("SCA", SimConfig::single_core(Design::Sca), opts(16)),
-        ("SCA+strict", strict.clone(), opts(16)),
-        ("SCA+strict+tree-bug", strict.with_tree_bug(), opts(16)),
+        ("FCA", SimConfig::single_core(Design::Fca)),
+        ("SCA", SimConfig::single_core(Design::Sca)),
+        ("SCA+strict", strict.clone()),
+        (
+            "SCA+strict+tree-bug",
+            strict.with_fault(Fault::TreeParentFirst),
+        ),
         (
             "SCA w/o ccwb",
-            SimConfig::single_core(Design::Sca),
-            stripped,
+            SimConfig::single_core(Design::Sca).with_fault(Fault::MissingCounterWritebacks),
         ),
     ];
+    let o = &opts(16);
     let mut witnesses = 0;
     for kind in WorkloadKind::ALL {
         let spec = WorkloadSpec::smoke(kind).with_ops(3);
-        for (label, cfg, o) in &rows {
+        for (label, cfg) in &rows {
             let mut instants = crash_instants_cfg(&spec, cfg.clone(), o, 3);
             assert!(!instants.is_empty(), "{kind} under {label}: no instants");
             instants.reverse();

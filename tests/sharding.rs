@@ -21,7 +21,7 @@
 //!    changes a completion outcome (property test).
 
 use nvmm::sim::addr::{LineAddr, ShardMap};
-use nvmm::sim::config::{Design, IntegrityPolicy, SimConfig};
+use nvmm::sim::config::{Design, Fault, IntegrityPolicy, SimConfig};
 use nvmm::sim::integrity::digest64;
 use nvmm::sim::system::{CrashSpec, RunOutcome, System};
 use nvmm::sim::Time;
@@ -231,17 +231,16 @@ fn sharded_safe_designs_have_no_violating_images() {
 }
 
 /// Positive control: the checker must still *find* bugs across shard
-/// boundaries. Stripping counter writebacks under SCA yields violating
-/// images even when counters and data drain through separate shards.
+/// boundaries. Forgetting the counter writebacks under SCA yields
+/// violating images even when counters and data drain through separate
+/// shards.
 #[test]
 fn sharded_checker_still_catches_missing_counter_writebacks() {
     let spec = WorkloadSpec::smoke(WorkloadKind::ArraySwap).with_ops(4);
-    let o = ModelCheckOpts {
-        strip_counter_writebacks: true,
-        max_images: 32,
-        ..ModelCheckOpts::default()
-    };
-    let cfg = SimConfig::single_core(Design::Sca).with_shards(2);
+    let o = opts(32);
+    let cfg = SimConfig::single_core(Design::Sca)
+        .with_shards(2)
+        .with_fault(Fault::MissingCounterWritebacks);
     let instants = crash_instants_cfg(&spec, cfg.clone(), &o, 8);
     assert!(!instants.is_empty());
     let violations: usize = instants

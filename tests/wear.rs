@@ -16,7 +16,7 @@
 //! submission and charge); each row also checks that tally against
 //! `Stats::wear_line_writes`, the independent per-request count.
 
-use nvmm::sim::config::{Design, IntegrityPolicy, SimConfig};
+use nvmm::sim::config::{Design, Fault, IntegrityPolicy, SimConfig};
 use nvmm::sim::integrity::digest64;
 use nvmm::sim::system::{CrashSpec, RunOutcome, System};
 use nvmm::workloads::{traces_for_cores, WorkloadKind, WorkloadSpec};
@@ -53,9 +53,11 @@ fn config(label: &str) -> SimConfig {
         return sca(*policy);
     }
     match label {
-        "sca+strict+tree-bug" => sca(IntegrityPolicy::Strict).with_tree_bug(),
-        "sca+pipelined+pipeline-bug" => sca(IntegrityPolicy::Pipelined).with_pipeline_bug(),
-        "sca+phoenix+phoenix-bug" => sca(IntegrityPolicy::Phoenix).with_phoenix_bug(),
+        "sca+strict+tree-bug" => sca(IntegrityPolicy::Strict).with_fault(Fault::TreeParentFirst),
+        "sca+pipelined+pipeline-bug" => {
+            sca(IntegrityPolicy::Pipelined).with_fault(Fault::DroppedRootDependency)
+        }
+        "sca+phoenix+phoenix-bug" => sca(IntegrityPolicy::Phoenix).with_fault(Fault::StaleEpoch),
         "sca+compress" => compressed(SimConfig::table2(Design::Sca, CORES)),
         "fca+compress" => compressed(SimConfig::table2(Design::Fca, CORES)),
         "sca+colocated+compress" => compressed(sca(IntegrityPolicy::Colocated)),
