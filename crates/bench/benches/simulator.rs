@@ -9,7 +9,7 @@ use nvmm_core::recovery::{recover_undo_log, RecoveredMemory};
 use nvmm_crypto::EncryptionEngine;
 use nvmm_sim::config::{Design, IntegrityPolicy, SimConfig};
 use nvmm_sim::integrity::IntegritySpec;
-use nvmm_sim::system::{CrashSpec, System};
+use nvmm_sim::system::{instant_after_events, CrashSpec, System};
 use nvmm_sim::time::Time;
 use nvmm_workloads::{
     check_crash_set, crash_instants_cfg, execute, traces_for_cores, Executed, ModelCheckOpts,
@@ -97,7 +97,8 @@ fn bench_recovery(c: &mut Criterion) {
     let trace = ex.pm.trace().clone();
     let cfg = SimConfig::single_core(Design::Sca);
     let key = cfg.key;
-    let out = System::new(cfg, vec![trace]).run(CrashSpec::AfterEvent(500));
+    let at = instant_after_events(&cfg, &trace, 501);
+    let out = System::new(cfg, vec![trace]).run(CrashSpec::AtTime(at));
     let mut g = c.benchmark_group("recovery");
     g.sample_size(30);
     // The view borrows the image, so the row times recovery (with a

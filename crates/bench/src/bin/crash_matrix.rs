@@ -10,9 +10,9 @@
 //! observably in flight and the enumerator has real choices. Designs
 //! whose writes persist instantly (write-through co-location, and the
 //! unsafe baseline under light traffic) expose no windows, so those
-//! cells fall back to event-aligned crash points spread across the
-//! post-setup trace; the unsafe baseline's stranded counters are
-//! visible there already. The integrity cells run each image through
+//! cells model-check every post-setup crash state instead, at the run's
+//! breakpoints (`crash_breakpoints`); the unsafe baseline's stranded
+//! counters are visible there. The integrity cells run each image through
 //! the MAC/tree oracle (`verify_image`) on top of the recovery
 //! protocol.
 //!
@@ -29,7 +29,8 @@
 //!   (default 64; exhaustive when the legal space fits). Sampling
 //!   beyond the bound uses `ModelCheckOpts::default().seed`, so a
 //!   fixed bound gives bit-identical results.
-//! * `NVMM_CRASH_POINTS` — crash instants checked per cell (default 6).
+//! * `NVMM_CRASH_POINTS` — in-flight instants checked per cell (default
+//!   6). Breakpoint cells check every breakpoint instead.
 //! * `NVMM_OPS` — transactions per workload (default 6 here; the
 //!   model check simulates each cell once, then checks every instant's
 //!   image set).
@@ -46,16 +47,14 @@
 //! the sweep engine. Wall-clock per cell is nondeterministic and so
 //! lands in the companion `crash_matrix_timing.json`, keeping the main
 //! artifact reproducible: `<design>/sweep_wall_ns` (the cell's one
-//! execution + crash-sweep simulation; 0 for event-aligned fallback
-//! cells, whose per-point simulations stay in `mc_wall_ns`) and
-//! `<design>/mc_wall_ns` (checking, summed over the cell's instants).
+//! execution + crash-sweep simulation) and `<design>/mc_wall_ns`
+//! (checking, summed over the cell's instants).
 
 use nvmm_bench::sweep::{SweepCell, SweepRunner};
 use nvmm_bench::{env_u64, print_table, Experiment};
 use nvmm_sim::config::{Design, Fault, IntegrityPolicy, SimConfig};
-use nvmm_sim::system::CrashSpec;
 use nvmm_workloads::{
-    crash_instants_cfg, execute, model_check_cfg, model_check_instants_cfg, ModelCheckOpts,
+    crash_breakpoints, crash_instants_cfg, model_check_instants_cfg, ModelCheckOpts,
     ModelCheckReport, WorkloadKind, WorkloadSpec,
 };
 use std::collections::BTreeMap;
@@ -88,43 +87,30 @@ impl CellAgg {
             self.in_flight_points += 1;
         }
         self.wall_ns += rep.mc_wall_ns;
+        // Every report of one call carries the same shared sweep time.
+        self.sweep_ns = rep.sweep_wall_ns;
         self.enumerate_ns += rep.enumerate_wall_ns;
         self.verify_ns += rep.verify_wall_ns;
     }
 }
 
 /// Model-checks one cell: window-derived instants when the
-/// configuration exposes any, event-aligned fallback points otherwise.
+/// configuration exposes any, every breakpoint otherwise.
 fn check_cell(
     spec: &WorkloadSpec,
     cfg: &SimConfig,
     opts: &ModelCheckOpts,
     points: usize,
 ) -> CellAgg {
-    let mut agg = CellAgg::default();
-    let instants = crash_instants_cfg(spec, cfg.clone(), opts, points);
+    let mut instants = crash_instants_cfg(spec, cfg.clone(), opts, points);
     if instants.is_empty() {
-        let ex = execute(spec, 0, spec.ops);
-        let total = ex.pm.trace().len() as u64;
-        let start = ex.setup_events as u64;
-        for i in 1..=points as u64 {
-            let k = start + (total - start) * i / (points as u64 + 1);
-            agg.absorb(&model_check_cfg(
-                spec,
-                cfg.clone(),
-                CrashSpec::AfterEvent(k),
-                opts,
-            ));
-        }
-    } else {
-        // The instants fan out over `NVMM_MC_THREADS` workers; reports
-        // come back in instant order, bit-identical to a sequential run.
-        let reports = model_check_instants_cfg(spec, cfg.clone(), &instants, opts);
-        // Every report of one call carries the same shared sweep time.
-        agg.sweep_ns = reports.first().map_or(0, |r| r.sweep_wall_ns);
-        for rep in &reports {
-            agg.absorb(rep);
-        }
+        instants = crash_breakpoints(spec, cfg.clone());
+    }
+    // The instants fan out over `NVMM_MC_THREADS` workers; reports come
+    // back in instant order, bit-identical to a sequential run.
+    let mut agg = CellAgg::default();
+    for rep in &model_check_instants_cfg(spec, cfg.clone(), &instants, opts) {
+        agg.absorb(rep);
     }
     agg
 }

@@ -2,15 +2,17 @@
 //! of where the crash lands in a transaction — an experiment the paper's
 //! infrastructure implies but does not plot.
 //!
-//! For each workload, crashes are swept across the trace under SCA and
-//! recovery is replayed. The report counts how often recovery was a
-//! no-op (disarmed log), how often it rolled a transaction back, and the
-//! backup entries it restored — the cost profile that motivates undo
-//! logging's tiny recovery time (restore at most one transaction's
-//! regions) versus its runtime logging cost.
+//! For each workload, the run under SCA is crashed in every post-setup
+//! crash state (at each breakpoint, where the crash set changes) and
+//! recovery is replayed over its ADR-pessimistic image. The report
+//! counts how often recovery was a no-op (disarmed log), how often it
+//! rolled a transaction back, and the backup entries it restored — the
+//! cost profile that motivates undo logging's tiny recovery time
+//! (restore at most one transaction's regions) versus its runtime
+//! logging cost.
 //!
-//! Each crash point is its own simulation of the workload's one
-//! execution, and recovery replays over the surviving image at once.
+//! One replay finds a run's breakpoints and one paused replay cuts every
+//! crash image.
 //!
 //! A final section prices the *integrity* half of boot: for each
 //! integrity policy, the tree nodes [`recovery_cost`] must recompute
@@ -26,12 +28,12 @@ use nvmm_core::txn::Mechanism;
 use nvmm_crypto::EncryptionEngine;
 use nvmm_sim::config::{Design, IntegrityPolicy, SimConfig};
 use nvmm_sim::integrity::{recovery_cost, IntegritySpec};
-use nvmm_sim::system::{CrashSpec, System};
+use nvmm_sim::system::{breakpoint_images, instant_after_events, CrashSpec, System};
 use nvmm_workloads::{execute, traces_for_cores, WorkloadKind, WorkloadSpec};
 
 fn main() {
-    // Phase 1: crash every workload at evenly spaced post-setup events
-    // under SCA and replay recovery over each crash image.
+    // Phase 1: crash every workload in every post-setup crash state under
+    // SCA and replay recovery over each crash image.
     let cfg = SimConfig::single_core(Design::Sca);
     let engine = EncryptionEngine::new(cfg.key);
     let mut exp = Experiment::new("recovery_cost", "recovery work per crash point (SCA)");
@@ -40,30 +42,21 @@ fn main() {
         for kind in WorkloadKind::ALL {
             let spec = WorkloadSpec::smoke(kind).with_ops(10).with_mechanism(mech);
             let ex = execute(&spec, 0, spec.ops);
-            let total = ex.pm.trace().len() as u64;
-            let start = ex.setup_events as u64;
             let row = format!("{mech}/{}", kind.label());
-            let (mut noop, mut armed, mut restored_total, mut points) = (0u64, 0u64, 0u64, 0u64);
-            for k in (start..total).step_by(((total - start) / 40 + 1) as usize) {
-                let out = System::new(cfg.clone(), vec![ex.pm.trace().clone()])
-                    .run(CrashSpec::AfterEvent(k));
-                let mut mem = RecoveredMemory::over(&out.image, engine.clone());
+            let (mut armed, mut restored_total, mut points) = (0u64, 0u64, 0u64);
+            for (t, image) in breakpoint_images(&cfg, ex.pm.trace(), ex.setup_events) {
+                let mut mem = RecoveredMemory::over(&image, engine.clone());
                 let report = mech.recover(&mut mem, &ex.log);
-                assert!(report.reads_clean, "{row}: garbled recovery at event {k}");
+                assert!(report.reads_clean, "{row}: garbled recovery at {t}");
                 if report.rolled_back {
                     armed += 1;
                     restored_total += report.entries_restored as u64;
-                } else {
-                    noop += 1;
                 }
                 points += 1;
             }
+            let noop = points - armed;
             let armed_frac = armed as f64 / points as f64;
-            let avg_restored = if armed > 0 {
-                restored_total as f64 / armed as f64
-            } else {
-                0.0
-            };
+            let avg_restored = restored_total as f64 / armed.max(1) as f64;
             exp.insert(&row, "armed_fraction", armed_frac);
             exp.insert(&row, "avg_entries_restored", avg_restored);
             rows.push((
@@ -81,9 +74,10 @@ fn main() {
     println!("crash-point-independent work, while the runtime cost (logging +");
     println!("counter writebacks) is paid on every transaction.");
 
-    // Phase 2: the integrity side of boot. Crash one workload at a few
-    // instants under each policy and count the tree nodes recovery must
-    // recompute from each surviving image before reads can be served.
+    // Phase 2: the integrity side of boot. Crash one workload after a few
+    // chosen events under each policy and count the tree nodes recovery
+    // must recompute from each surviving image before reads can be
+    // served.
     let spec = WorkloadSpec::smoke(WorkloadKind::HashTable).with_ops(10);
     let mut integrity_rows = Vec::new();
     let mut boot_mean = Vec::new();
@@ -94,12 +88,12 @@ fn main() {
         let cfg = SimConfig::table2(Design::Sca, 1).with_integrity(policy);
         let ispec = IntegritySpec::from_config(&cfg);
         let traces = traces_for_cores(&spec, 1);
-        let full = System::new(cfg.clone(), traces.clone()).run(CrashSpec::None);
-        let total_events = full.events_processed;
+        let total_events = traces[0].len() as u64;
         let (mut sum, mut max, mut points) = (0u64, 0u64, 0u64);
         let mut k = total_events / 8;
         while k <= total_events {
-            let out = System::new(cfg.clone(), traces.clone()).run(CrashSpec::AfterEvent(k));
+            let at = instant_after_events(&cfg, &traces[0], k as usize + 1);
+            let out = System::new(cfg.clone(), traces.clone()).run(CrashSpec::AtTime(at));
             let nodes = recovery_cost(&out.image, ispec);
             sum += nodes;
             max = max.max(nodes);

@@ -7,7 +7,8 @@
 //! writes needed counter-atomicity.
 
 use nvmm_sim::config::{Design, SimConfig};
-use nvmm_workloads::{crash_sweep, execute, WorkloadKind, WorkloadSpec};
+use nvmm_sim::system::breakpoint_images;
+use nvmm_workloads::{check_images, execute, WorkloadKind, WorkloadSpec};
 
 fn main() {
     println!("== Table 1 — consistency states per transaction stage ==\n");
@@ -28,22 +29,23 @@ fn main() {
         "Commit", "unknown", "unknown", "NECESSARY"
     );
 
-    // Empirical backing: sweep every post-setup crash point of a small
-    // workload under SCA (which enforces counter-atomicity exactly where
-    // the table demands it) — recovery must always land on a consistent
-    // state. (Crashes *inside* setup model a failure before the
-    // structure exists, which the workload checkers deliberately do not
-    // cover — see `Executed::setup_events`.) With one point per
-    // post-setup event, the sweep's step is 1.
+    // Empirical backing: crash a small workload under SCA (which
+    // enforces counter-atomicity exactly where the table demands it) in
+    // every post-setup crash state — at each breakpoint, where the crash
+    // set changes — and recovery must always land on a consistent state.
+    // (Crashes *inside* setup model a failure before the structure
+    // exists, which the workload checkers deliberately do not cover —
+    // see `Executed::setup_events`.)
     let spec = WorkloadSpec::smoke(WorkloadKind::HashTable).with_ops(8);
     let ex = execute(&spec, 0, spec.ops);
-    let swept = (ex.pm.trace().len() - ex.setup_events) as u64;
-    let outcomes = crash_sweep(&spec, SimConfig::single_core(Design::Sca), swept)
-        .unwrap_or_else(|(k, e)| panic!("crash after event {k}: {e}"));
-    let rolled_back = outcomes.iter().filter(|o| o.rolled_back).count();
+    let cfg = SimConfig::single_core(Design::Sca);
+    let images = breakpoint_images(&cfg, ex.pm.trace(), ex.setup_events);
+    let outcomes =
+        check_images(&ex, &images, &cfg, 0).unwrap_or_else(|(t, e)| panic!("crash at {t}: {e}"));
+    let rolled_back = outcomes.iter().filter(|(_, o)| o.rolled_back).count();
+    let n = outcomes.len();
     println!(
-        "\nempirical check: {}/{swept} post-setup crash points recovered consistently under SCA",
-        outcomes.len()
+        "\nempirical check: {n}/{n} post-setup crash breakpoints recovered consistently under SCA"
     );
     println!("({rolled_back} rolled an in-flight transaction back; the rest committed or idle)");
 }

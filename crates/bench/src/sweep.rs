@@ -34,9 +34,8 @@
 //! with [`SweepCell::with_kept_image`].
 //!
 //! Crash experiments do not run here: they need one execution to judge
-//! every crash image against, so they call the workload harness
-//! (`table1` through `crash_sweep`) or build their own crash runs
-//! (`recovery_cost`).
+//! every crash image against, so they sweep that execution's crash
+//! breakpoints themselves (`table1`, `recovery_cost`).
 
 use crate::{env_u64, CellRecord, Experiment};
 use nvmm_sim::config::{Design, SimConfig};

@@ -38,7 +38,7 @@
 //! use nvmm_core::recovery::{recover_undo_log, RecoveredMemory};
 //! use nvmm_core::undo::{Tx, UndoLog};
 //! use nvmm_sim::config::{Design, SimConfig};
-//! use nvmm_sim::system::{CrashSpec, System};
+//! use nvmm_sim::system::{instant_after_events, CrashSpec, System};
 //!
 //! // Functional phase: one transaction moving a value 100 -> 200.
 //! let mut pm = Pmem::for_core(0);
@@ -55,11 +55,12 @@
 //! tx.write_u64(cell, 200);
 //! tx.commit();
 //!
-//! // Timing phase: replay under SCA and crash mid-way.
+//! // Timing phase: replay under SCA and crash mid-way, after event 10.
 //! let (trace, _) = pm.into_parts();
 //! let cfg = SimConfig::single_core(Design::Sca);
 //! let key = cfg.key;
-//! let out = System::new(cfg, vec![trace]).run(CrashSpec::AfterEvent(10));
+//! let t = instant_after_events(&cfg, &trace, 11);
+//! let out = System::new(cfg, vec![trace]).run(CrashSpec::AtTime(t));
 //!
 //! // Recovery: always lands on 100 or 200, never garbage.
 //! let mut mem = RecoveredMemory::new(out.image, key);

@@ -266,10 +266,14 @@ mod tests {
     use crate::pmem::{Pmem, RegionPlanner};
     use crate::undo::Tx;
     use nvmm_sim::config::{Design, SimConfig};
-    use nvmm_sim::system::{CrashSpec, System};
+    use nvmm_sim::system::{breakpoint_images, CrashSpec, System};
+    use nvmm_sim::time::Time;
 
     /// Builds the one-transaction workload trace (init 100, tx to 200);
-    /// returns (trace, log, data addr).
+    /// returns (trace, log, data addr). The initial value persists
+    /// counter-atomically, like the log's format: under SCA a plain
+    /// store has a crash state with the data line durable and its
+    /// counter not, which no recovery can read.
     fn one_tx_trace() -> (nvmm_sim::Trace, UndoLog, ByteAddr) {
         let mut pm = Pmem::for_core(0);
         let mut plan = RegionPlanner::new(pm.region());
@@ -277,9 +281,8 @@ mod tests {
         let data = plan.alloc_lines(1);
         log.format(&mut pm);
 
-        pm.write_u64(data, 100);
+        pm.write_u64_counter_atomic(data, 100);
         pm.clwb(data, 8);
-        pm.counter_cache_writeback(data, 8);
         pm.persist_barrier();
 
         let mut tx = Tx::begin(&mut pm, &log, 0);
@@ -291,26 +294,40 @@ mod tests {
         (trace, log, data)
     }
 
-    /// Runs the one-transaction workload under `design`, crashing after
-    /// `crash_after` events.
-    fn run_and_crash(
-        design: Design,
-        crash_after: Option<u64>,
-    ) -> (RecoveredMemory<'static>, UndoLog, ByteAddr) {
+    /// Runs the one-transaction workload under `design` to completion.
+    fn run_to_end(design: Design) -> (RecoveredMemory<'static>, UndoLog, ByteAddr) {
         let (trace, log, data) = one_tx_trace();
         let cfg = SimConfig::single_core(design);
         let key = cfg.key;
-        let crash = match crash_after {
-            Some(n) => CrashSpec::AfterEvent(n),
-            None => CrashSpec::None,
-        };
-        let out = System::new(cfg, vec![trace]).run(crash);
+        let out = System::new(cfg, vec![trace]).run(CrashSpec::None);
         (RecoveredMemory::new(out.image, key), log, data)
+    }
+
+    /// The one-transaction workload's crash image in every crash state
+    /// under `design`, from time zero, each with its first instant.
+    fn tx_images(design: Design) -> (Vec<(Time, NvmmImage)>, UndoLog, ByteAddr) {
+        let (trace, log, data) = one_tx_trace();
+        let images = breakpoint_images(&SimConfig::single_core(design), &trace, 0);
+        (images, log, data)
+    }
+
+    /// Every crash state of the one-transaction workload under `design`
+    /// ([`tx_images`]), as recovered memories.
+    fn recovered_states(
+        design: Design,
+    ) -> (Vec<(Time, RecoveredMemory<'static>)>, UndoLog, ByteAddr) {
+        let key = SimConfig::single_core(design).key;
+        let (images, log, data) = tx_images(design);
+        let mems = images
+            .into_iter()
+            .map(|(t, image)| (t, RecoveredMemory::new(image, key)))
+            .collect();
+        (mems, log, data)
     }
 
     #[test]
     fn no_crash_recovery_sees_committed_value() {
-        let (mut mem, log, data) = run_and_crash(Design::Sca, None);
+        let (mut mem, log, data) = run_to_end(Design::Sca);
         let report = recover_undo_log(&mut mem, &log);
         assert!(!report.rolled_back, "disarmed log must not roll back");
         assert!(report.reads_clean);
@@ -319,34 +336,35 @@ mod tests {
 
     #[test]
     fn sca_crash_sweep_always_recovers_old_or_new() {
-        // The central crash-consistency property: at *every* crash point,
-        // SCA recovery reads only clean lines and lands on exactly 100
-        // (rolled back) or 200 (committed).
-        let total = one_tx_trace().0.len() as u64;
-        for k in 0..total {
-            let (mut mem, log, data) = run_and_crash(Design::Sca, Some(k));
+        // The central crash-consistency property: in *every* crash state,
+        // SCA recovery reads only clean lines and lands on exactly 0
+        // (nothing persisted yet), 100 (rolled back) or 200 (committed).
+        let (mems, log, data) = recovered_states(Design::Sca);
+        let mut seen = BTreeSet::new();
+        for (t, mut mem) in mems {
             let report = recover_undo_log(&mut mem, &log);
             let v = mem.read_u64(data);
             assert!(
                 report.reads_clean && mem.all_reads_clean(),
-                "crash after event {k}: recovery touched garbled lines {:?}",
+                "crash at {t}: recovery touched garbled lines {:?}",
                 mem.garbled_lines()
             );
             assert!(
                 v == 100 || v == 200 || v == 0,
-                "crash after event {k}: recovered value {v} is neither old nor new"
+                "crash at {t}: recovered value {v} is neither old nor new"
             );
+            seen.insert(v);
         }
+        assert_eq!(seen, BTreeSet::from([0, 100, 200]), "the sweep starts at 0");
     }
 
     #[test]
     fn unsafe_design_garbles_somewhere_in_the_sweep() {
         // The paper's motivation: without counter-atomicity, *some* crash
         // point leaves recovery reading garbage.
-        let total = 40u64;
+        let (mems, log, _) = recovered_states(Design::UnsafeNoAtomicity);
         let mut any_garbled = false;
-        for k in 0..total {
-            let (mut mem, log, _) = run_and_crash(Design::UnsafeNoAtomicity, Some(k));
+        for (_, mut mem) in mems {
             let _ = recover_undo_log(&mut mem, &log);
             if !mem.all_reads_clean() {
                 any_garbled = true;
@@ -361,9 +379,8 @@ mod tests {
 
     #[test]
     fn garbled_bytes_are_not_the_plaintext() {
-        let total = 40u64;
-        for k in 0..total {
-            let (mut mem, log, data) = run_and_crash(Design::UnsafeNoAtomicity, Some(k));
+        let (mems, log, data) = recovered_states(Design::UnsafeNoAtomicity);
+        for (_, mut mem) in mems {
             let _ = recover_undo_log(&mut mem, &log);
             if !mem.all_reads_clean() {
                 // Whatever we read from a garbled location, it is real
@@ -380,24 +397,18 @@ mod tests {
     /// `valid` flag and each restored region.
     #[test]
     fn borrowed_view_recovers_like_owned_and_lists_restores() {
-        let (trace, log, data) = one_tx_trace();
-        let cfg = SimConfig::single_core(Design::Sca);
-        let key = cfg.key;
+        let key = SimConfig::single_core(Design::Sca).key;
+        let (images, log, data) = tx_images(Design::Sca);
         let mut rolled_back = 0;
-        for k in 0..trace.len() as u64 {
-            let out = System::new(cfg.clone(), vec![trace.clone()]).run(CrashSpec::AfterEvent(k));
-            let mut owned = RecoveredMemory::new(out.image.clone(), key);
-            let mut borrowed = RecoveredMemory::over(&out.image, EncryptionEngine::new(key));
+        for (t, image) in images {
+            let mut owned = RecoveredMemory::new(image.clone(), key);
+            let mut borrowed = RecoveredMemory::over(&image, EncryptionEngine::new(key));
             let report = recover_undo_log(&mut borrowed, &log);
-            assert_eq!(
-                recover_undo_log(&mut owned, &log),
-                report,
-                "crash after {k}"
-            );
+            assert_eq!(recover_undo_log(&mut owned, &log), report, "crash at {t}");
             assert_eq!(
                 owned.read_u64(data),
                 borrowed.read_u64(data),
-                "crash after {k}"
+                "crash at {t}"
             );
             let restored: Vec<LineAddr> = borrowed.restored_lines().collect();
             let mut want = Vec::new();
@@ -408,7 +419,7 @@ mod tests {
                     want.push(data.line());
                 }
             }
-            assert_eq!(restored, want, "crash after {k}");
+            assert_eq!(restored, want, "crash at {t}");
         }
         assert!(rolled_back > 0, "no crash point rolled back");
     }
@@ -460,31 +471,28 @@ mod tests {
 
     #[test]
     fn overlay_writes_visible_to_subsequent_reads() {
-        let (mut mem, _, data) = run_and_crash(Design::Sca, None);
+        let (mut mem, _, data) = run_to_end(Design::Sca);
         mem.write(data, &7u64.to_le_bytes());
         assert_eq!(mem.read_u64(data), 7);
     }
 
     #[test]
     fn fca_crash_sweep_never_garbles() {
-        for k in (0..40).step_by(3) {
-            let (mut mem, log, _) = run_and_crash(Design::Fca, Some(k));
+        let (mems, log, _) = recovered_states(Design::Fca);
+        for (t, mut mem) in mems {
             let report = recover_undo_log(&mut mem, &log);
-            assert!(
-                report.reads_clean,
-                "FCA crash after event {k} must stay clean"
-            );
+            assert!(report.reads_clean, "FCA crash at {t} must stay clean");
         }
     }
 
     #[test]
     fn co_located_crash_sweep_never_garbles() {
-        for k in (0..40).step_by(3) {
-            let (mut mem, log, _) = run_and_crash(Design::CoLocated, Some(k));
+        let (mems, log, _) = recovered_states(Design::CoLocated);
+        for (t, mut mem) in mems {
             let report = recover_undo_log(&mut mem, &log);
             assert!(
                 report.reads_clean,
-                "co-located crash after event {k} must stay clean"
+                "co-located crash at {t} must stay clean"
             );
         }
     }

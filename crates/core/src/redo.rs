@@ -215,7 +215,7 @@ mod tests {
     use crate::pmem::RegionPlanner;
     use crate::recovery::RecoveredMemory;
     use nvmm_sim::config::{Design, SimConfig};
-    use nvmm_sim::system::{CrashSpec, System};
+    use nvmm_sim::system::{breakpoint_images, instant_after_events, CrashSpec, System};
     use nvmm_sim::trace::TraceEvent;
 
     fn setup() -> (Pmem, UndoLog, ByteAddr) {
@@ -325,42 +325,43 @@ mod tests {
     /// and the transition point is the valid-flag commit, not the apply.
     #[test]
     fn redo_crash_sweep_recovers_old_or_new_under_sca() {
-        let build = || {
-            let (mut pm, log, data) = setup();
-            pm.write_u64(data, 100);
-            pm.clwb(data, 8);
-            pm.counter_cache_writeback(data, 8);
-            pm.persist_barrier();
-            let mut tx = RedoTx::begin(&mut pm, &log, 0);
-            tx.write_u64(data, 200);
-            tx.commit();
-            (pm, log, data)
-        };
-        let total = build().0.trace().len() as u64;
-        let mut saw_new_before_trace_end = false;
-        for k in 0..total {
-            let (pm, log, data) = build();
-            let (trace, _) = pm.into_parts();
-            let cfg = SimConfig::single_core(Design::Sca);
-            let key = cfg.key;
-            let out = System::new(cfg, vec![trace]).run(CrashSpec::AfterEvent(k));
-            let mut mem = RecoveredMemory::new(out.image, key);
+        // The initial value persists counter-atomically, so the sweep
+        // holds from time zero (see the undo sweep's trace).
+        let (mut pm, log, data) = setup();
+        pm.write_u64_counter_atomic(data, 100);
+        pm.clwb(data, 8);
+        pm.persist_barrier();
+        let mut tx = RedoTx::begin(&mut pm, &log, 0);
+        tx.write_u64(data, 200);
+        tx.commit();
+        let (trace, _) = pm.into_parts();
+        let cfg = SimConfig::single_core(Design::Sca);
+        // The instant the apply's last write-back starts.
+        let apply = trace
+            .events()
+            .iter()
+            .rposition(|e| matches!(e, TraceEvent::Clwb { line } if *line == data.line()))
+            .expect("the apply writes the data back");
+        let applied = instant_after_events(&cfg, &trace, apply);
+        let mut saw_new_before_apply = false;
+        for (t, image) in breakpoint_images(&cfg, &trace, 0) {
+            let mut mem = RecoveredMemory::new(image, cfg.key);
             let report = recover_redo_log(&mut mem, &log);
             assert!(
                 report.reads_clean,
-                "crash after event {k}: recovery read garbled lines"
+                "crash at {t}: recovery read garbled lines"
             );
             let v = mem.read_u64(data);
             assert!(
                 v == 100 || v == 200 || v == 0,
-                "crash after event {k}: recovered {v}, expected old/new/untouched"
+                "crash at {t}: recovered {v}, expected old/new/untouched"
             );
-            if v == 200 && k < total - 1 {
-                saw_new_before_trace_end = true;
+            if v == 200 && t < applied {
+                saw_new_before_apply = true;
             }
         }
         assert!(
-            saw_new_before_trace_end,
+            saw_new_before_apply,
             "the redo commit point must land before the apply completes"
         );
     }
@@ -389,11 +390,12 @@ mod tests {
                 matches!(e, TraceEvent::Write { line, counter_atomic: true, data, .. }
                     if *line == valid_line && data[0] == 1)
             })
-            .expect("arm event exists") as u64;
+            .expect("arm event exists");
         let (trace, _) = pm.into_parts();
         let cfg = SimConfig::single_core(Design::Sca);
         let key = cfg.key;
-        let out = System::new(cfg, vec![trace]).run(CrashSpec::AfterEvent(arm_pos + 2));
+        let t = instant_after_events(&cfg, &trace, arm_pos + 3);
+        let out = System::new(cfg, vec![trace]).run(CrashSpec::AtTime(t));
         let mut mem = RecoveredMemory::new(out.image, key);
         let report = recover_redo_log(&mut mem, &log);
         assert!(report.rolled_back, "armed log must be applied");

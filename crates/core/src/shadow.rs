@@ -113,7 +113,7 @@ mod tests {
     use super::*;
     use crate::pmem::RegionPlanner;
     use nvmm_sim::config::{Design, SimConfig};
-    use nvmm_sim::system::{CrashSpec, System};
+    use nvmm_sim::system::breakpoint_images;
 
     fn setup(size: u64) -> (Pmem, ShadowCell) {
         let mut pm = Pmem::for_core(0);
@@ -161,35 +161,30 @@ mod tests {
         assert_eq!(u64::from_le_bytes(buf), 1);
     }
 
+    /// A formatted 8-byte cell updated to 100, then 200.
+    fn two_updates() -> (Pmem, ShadowCell) {
+        let (mut pm, cell) = setup(8);
+        cell.update(&mut pm, &100u64.to_le_bytes());
+        cell.update(&mut pm, &200u64.to_le_bytes());
+        (pm, cell)
+    }
+
     /// The shadow analog of the crash sweeps: every crash point recovers
     /// either the old or the new version, with clean decryption — under
     /// SCA, because the selector is CounterAtomic.
     #[test]
     fn shadow_crash_sweep_recovers_old_or_new_under_sca() {
-        let build = || {
-            let (mut pm, cell) = setup(8);
-            cell.update(&mut pm, &100u64.to_le_bytes());
-            cell.update(&mut pm, &200u64.to_le_bytes());
-            (pm, cell)
-        };
-        let total = build().0.trace().len() as u64;
-        for k in 0..total {
-            let (pm, cell) = build();
-            let (trace, _) = pm.into_parts();
-            let cfg = SimConfig::single_core(Design::Sca);
-            let key = cfg.key;
-            let out = System::new(cfg, vec![trace]).run(CrashSpec::AfterEvent(k));
-            let mut mem = RecoveredMemory::new(out.image, key);
+        let (pm, cell) = two_updates();
+        let cfg = SimConfig::single_core(Design::Sca);
+        for (t, image) in breakpoint_images(&cfg, pm.trace(), 0) {
+            let mut mem = RecoveredMemory::new(image, cfg.key);
             let mut buf = [0u8; 8];
             cell.recover(&mut mem, &mut buf);
-            assert!(
-                mem.all_reads_clean(),
-                "crash after event {k}: garbled recovery read"
-            );
+            assert!(mem.all_reads_clean(), "crash at {t}: garbled recovery read");
             let v = u64::from_le_bytes(buf);
             assert!(
                 v == 0 || v == 100 || v == 200,
-                "crash after event {k}: recovered {v}, expected a whole version"
+                "crash at {t}: recovered {v}, expected a whole version"
             );
         }
     }
@@ -198,21 +193,11 @@ mod tests {
     /// Fig. 4 head pointer, reproduced with the generalized cell.
     #[test]
     fn shadow_selector_garbles_under_unsafe_design() {
-        let build = || {
-            let (mut pm, cell) = setup(8);
-            cell.update(&mut pm, &100u64.to_le_bytes());
-            cell.update(&mut pm, &200u64.to_le_bytes());
-            (pm, cell)
-        };
-        let total = build().0.trace().len() as u64;
+        let (pm, cell) = two_updates();
+        let cfg = SimConfig::single_core(Design::UnsafeNoAtomicity);
         let mut garbled = false;
-        for k in 0..total {
-            let (pm, cell) = build();
-            let (trace, _) = pm.into_parts();
-            let cfg = SimConfig::single_core(Design::UnsafeNoAtomicity);
-            let key = cfg.key;
-            let out = System::new(cfg, vec![trace]).run(CrashSpec::AfterEvent(k));
-            let mut mem = RecoveredMemory::new(out.image, key);
+        for (_, image) in breakpoint_images(&cfg, pm.trace(), 0) {
+            let mut mem = RecoveredMemory::new(image, cfg.key);
             let mut buf = [0u8; 8];
             cell.recover(&mut mem, &mut buf);
             if !mem.all_reads_clean() {

@@ -9,10 +9,11 @@
 //! the smallest local clock, so controller resources are reserved in
 //! nondecreasing event-start order and the simulation is deterministic.
 //!
-//! Crash injection ([`CrashSpec`]) stops replay at an event count or a
-//! wall-clock instant; the post-crash NVMM image is then exactly what ADR
-//! would leave behind (ready write-queue entries included, everything
-//! else lost).
+//! Crash injection ([`CrashSpec`]) stops replay at an instant; the
+//! post-crash NVMM image is then exactly what ADR would leave behind
+//! (ready write-queue entries included, everything else lost). A crash
+//! "after event `n`" of a one-core program is the instant
+//! [`instant_after_events`] names.
 //!
 //! # Crash sweeps
 //!
@@ -32,6 +33,19 @@
 //! * each shard's journal is append-only while a crash is possible
 //!   (compaction is refused), so the prefix recorded at a pause is
 //!   exactly the journal a separate crash run would end with.
+//!
+//! # Breakpoints
+//!
+//! A crash set changes only where a journal record is submitted or
+//! guaranteed, so a run has finitely many crash states.
+//! [`System::breakpoints`] lists the instants where they change, and one
+//! sweep over them ([`breakpoint_images`] for their crash images) visits
+//! every distinct crash state of the run. A crash at any instant
+//! `t` sees the crash set of the largest breakpoint at or before `t`:
+//! a record journaled after the replay paused at a breakpoint `b` comes
+//! from a step that started at or after `b`, and every submission lies
+//! strictly after its step's start, so it is submitted after `b` and, if
+//! by `t`, is itself a breakpoint in `(b, t]`.
 
 use crate::addr::LineAddr;
 use crate::cache::SetAssocCache;
@@ -52,9 +66,6 @@ use nvmm_crypto::LineData;
 pub enum CrashSpec {
     /// Run every trace to completion.
     None,
-    /// Crash immediately after the `n`-th event (0-based) in global
-    /// replay order has been processed.
-    AfterEvent(u64),
     /// Crash at the first scheduling point at or after this instant.
     AtTime(Time),
 }
@@ -78,9 +89,9 @@ pub struct RunOutcome {
     /// write whose ADR guarantee arrived strictly after its submission,
     /// in submission order. A [`CrashSpec::AtTime`] instant inside one
     /// of these windows observes that write in flight; instants outside
-    /// all of them see a fully determined image. Event-aligned crash
-    /// points ([`CrashSpec::AfterEvent`]) usually skip the windows
-    /// entirely, so adversarial crash-image exploration starts here.
+    /// all of them see a fully determined image. Event-aligned instants
+    /// ([`instant_after_events`]) usually skip the windows entirely, so
+    /// adversarial crash-image exploration starts here.
     pub persist_windows: Vec<(Time, Time)>,
     /// Number of trace events processed before stopping.
     pub events_processed: u64,
@@ -266,12 +277,6 @@ impl FrontEnd {
             if let Some(sampler) = self.sampler.as_mut() {
                 sampler.observe(self.cores[ci].now, &self.stats, controller);
             }
-            if let CrashSpec::AfterEvent(n) = crash {
-                if self.events_processed > n {
-                    crash_time = Some(self.cores[ci].now);
-                    break;
-                }
-            }
             if let Some(batch) = self.journal_batch {
                 if self.events_processed.is_multiple_of(batch) {
                     if let Some(watermark) =
@@ -434,8 +439,8 @@ impl FrontEnd {
                 self.cores[ci].now = issue;
             }
             // The forgotten write-back runs nothing, but it still counts
-            // as an event, so `CrashSpec::AfterEvent(k)` indexes the
-            // program as written.
+            // as an event, so `events_processed` and
+            // `instant_after_events` index the program as written.
             TraceEvent::CounterCacheWriteback { .. }
                 if cfg.fault == Some(Fault::MissingCounterWritebacks) => {}
             TraceEvent::CounterCacheWriteback { line } => {
@@ -568,11 +573,10 @@ impl System {
     /// Panics if journal batching ([`System::with_journal_batch`]) is
     /// combined with a crash spec other than [`CrashSpec::None`].
     pub fn run(mut self, crash: CrashSpec) -> RunOutcome {
-        assert!(
-            self.front.journal_batch.is_none() || crash == CrashSpec::None,
-            "journal batching is completion-only: crash analysis needs the full journal"
-        );
-        let crash_time = self.front.replay(&self.cfg, &mut self.controller, crash);
+        if crash != CrashSpec::None {
+            self.assert_full_journal();
+        }
+        let crash_time = self.replay(crash);
 
         let front = &mut self.front;
         for (i, core) in front.cores.iter().enumerate() {
@@ -633,21 +637,13 @@ impl System {
     /// Panics if journal batching ([`System::with_journal_batch`]) is
     /// enabled: compaction erases the journal prefixes a sweep cuts.
     pub fn run_crash_sweep(mut self, instants: &[Time]) -> CrashSweep {
-        assert!(
-            self.front.journal_batch.is_none(),
-            "journal batching is completion-only: crash analysis needs the full journal"
-        );
+        self.assert_full_journal();
         let mut order: Vec<usize> = (0..instants.len()).collect();
         order.sort_by_key(|&i| instants[i]);
         let mut cuts = vec![None; instants.len()];
         let mut completed = false;
         for i in order {
-            let crash = CrashSpec::AtTime(instants[i]);
-            if self
-                .front
-                .replay(&self.cfg, &mut self.controller, crash)
-                .is_none()
-            {
+            if self.replay(CrashSpec::AtTime(instants[i])).is_none() {
                 completed = true;
                 break;
             }
@@ -661,11 +657,103 @@ impl System {
             completed,
         }
     }
+
+    /// The run's *breakpoints* from `from` on: `from`, then every
+    /// distinct instant after it at which a journal record was submitted
+    /// or guaranteed, ascending. Replays to completion and reads them off
+    /// the journal. A crash at any instant at or after `from` sees the
+    /// crash set of the largest breakpoint at or before it (see the
+    /// module docs), so a [`System::run_crash_sweep`] over the
+    /// breakpoints visits every crash state from `from` on.
+    ///
+    /// # Panics
+    ///
+    /// Panics if journal batching ([`System::with_journal_batch`]) is
+    /// enabled: compaction drops the records breakpoints come from.
+    pub fn breakpoints(mut self, from: Time) -> Vec<Time> {
+        self.assert_full_journal();
+        self.replay(CrashSpec::None);
+        let mut points = vec![from];
+        for rec in self.controller.live_journals().into_iter().flatten() {
+            points.extend([rec.submitted_at, rec.guaranteed_at]);
+        }
+        points.retain(|&t| t >= from);
+        points.sort_unstable();
+        points.dedup();
+        points
+    }
+
+    /// Replays from where the last replay stopped, returning the crash
+    /// instant if `crash` stopped it.
+    fn replay(&mut self, crash: CrashSpec) -> Option<Time> {
+        self.front.replay(&self.cfg, &mut self.controller, crash)
+    }
+
+    fn assert_full_journal(&self) {
+        assert!(
+            self.front.journal_batch.is_none(),
+            "journal batching is completion-only: crash analysis needs the full journal"
+        );
+    }
 }
 
 /// Convenience: replay `traces` under `config` with no crash.
 pub fn run_to_completion(config: SimConfig, traces: Vec<Trace>) -> RunOutcome {
     System::new(config, traces).run(CrashSpec::None)
+}
+
+/// The instant of a crash after the first `n` events of `trace` on a
+/// one-core `config`: the core clock once those events (the whole trace
+/// when `n` exceeds it) have replayed. [`CrashSpec::AtTime`] there leaves
+/// the image a crash right after event `n - 1` would; its replay stops
+/// before any later event that starts after the instant, and it may also
+/// stop before event `n - 1` itself when that event takes no time.
+///
+/// # Panics
+///
+/// Panics if `config` has more than one core.
+pub fn instant_after_events(config: &SimConfig, trace: &Trace, n: usize) -> Time {
+    let prefix = trace.events().iter().take(n).cloned().collect();
+    let mut sys = System::new(config.clone(), vec![prefix]);
+    sys.replay(CrashSpec::None);
+    sys.front.cores[0].now
+}
+
+/// The breakpoints of a one-core run of `trace` under `config` once its
+/// first `setup` events have replayed: [`System::breakpoints`] from
+/// [`instant_after_events`]`(setup)`. A sweep over them visits every
+/// crash state from that instant on.
+///
+/// # Panics
+///
+/// Panics if `config` has more than one core.
+pub fn breakpoints_after(config: &SimConfig, trace: &Trace, setup: usize) -> Vec<Time> {
+    let from = instant_after_events(config, trace, setup);
+    System::new(config.clone(), vec![trace.clone()]).breakpoints(from)
+}
+
+/// Every crash state of a one-core run of `trace` under `config` once
+/// its first `setup` events have replayed, in time order: each
+/// [`breakpoints_after`] instant with the image a crash there leaves
+/// ([`RunOutcome::image`]: its crash set's all-miss baseline, or the
+/// completed image past the end), cut by one paused replay.
+///
+/// # Panics
+///
+/// Panics if `config` has more than one core.
+pub fn breakpoint_images(
+    config: &SimConfig,
+    trace: &Trace,
+    setup: usize,
+) -> Vec<(Time, NvmmImage)> {
+    let points = breakpoints_after(config, trace, setup);
+    let sweep = System::new(config.clone(), vec![trace.clone()]).run_crash_sweep(&points);
+    let mut cursor = sweep.cursor();
+    let mut image = |i| match cursor.crash_set(i) {
+        Some(set) => set.baseline(),
+        None => sweep.completed.clone().expect("the run ended before it"),
+    };
+    (0..points.len()).map(|i| (points[i], image(i))).collect()
 }
 
 #[cfg(test)]
@@ -717,7 +805,8 @@ mod tests {
     fn crash_before_anything_persists_leaves_fresh_nvmm() {
         let cfg = SimConfig::single_core(Design::Sca);
         let key = cfg.key;
-        let out = System::new(cfg, vec![basic_trace()]).run(CrashSpec::AfterEvent(0));
+        let t = instant_after_events(&cfg, &basic_trace(), 1);
+        let out = System::new(cfg, vec![basic_trace()]).run(CrashSpec::AtTime(t));
         let engine = nvmm_crypto::EncryptionEngine::new(key);
         // Only the store to L1 happened: nothing reached NVMM.
         assert_eq!(
@@ -741,7 +830,8 @@ mod tests {
         let cfg = SimConfig::single_core(Design::Sca);
         let key = cfg.key;
         // Crash after the Compute event: clwb accepted, ccwb never ran.
-        let out = System::new(cfg, vec![trace]).run(CrashSpec::AfterEvent(2));
+        let t = instant_after_events(&cfg, &trace, 3);
+        let out = System::new(cfg, vec![trace]).run(CrashSpec::AtTime(t));
         let engine = nvmm_crypto::EncryptionEngine::new(key);
         let r = out.image.read_line(LineAddr(1), &engine);
         assert!(
@@ -752,19 +842,15 @@ mod tests {
 
     #[test]
     fn fca_crash_anywhere_never_garbles() {
-        let key;
-        {
-            let cfg = SimConfig::single_core(Design::Fca);
-            key = cfg.key;
-        }
-        for k in 0..5 {
-            let cfg = SimConfig::single_core(Design::Fca);
-            let out = System::new(cfg, vec![basic_trace()]).run(CrashSpec::AfterEvent(k));
-            let engine = nvmm_crypto::EncryptionEngine::new(key);
-            let r = out.image.read_line(LineAddr(1), &engine);
+        let cfg = SimConfig::single_core(Design::Fca);
+        let engine = nvmm_crypto::EncryptionEngine::new(cfg.key);
+        let images = breakpoint_images(&cfg, &basic_trace(), 0);
+        assert!(images.len() > 2, "the write's submission and guarantee");
+        for (t, image) in images {
+            let r = image.read_line(LineAddr(1), &engine);
             assert!(
                 r.is_clean(),
-                "FCA must never expose a half pair (crash after event {k})"
+                "FCA must never expose a half pair (crash at {t})"
             );
         }
     }

@@ -252,7 +252,7 @@ mod tests {
     use super::*;
     use crate::addr::LineAddr;
     use crate::config::{Design, SimConfig};
-    use crate::system::{run_to_completion, CrashSpec, System};
+    use crate::system::{instant_after_events, run_to_completion, CrashSpec, System};
     use crate::trace::{Trace, TraceEvent};
 
     /// A write-heavy trace: enough distinct lines to miss the counter
@@ -422,7 +422,9 @@ mod tests {
     #[test]
     fn crashed_run_still_closes_timeline() {
         let cfg = telemetry_cfg(Design::Fca, 100);
-        let out = System::new(cfg, vec![busy_trace(40)]).run(CrashSpec::AfterEvent(30));
+        let t = instant_after_events(&cfg, &busy_trace(40), 31);
+        let out = System::new(cfg, vec![busy_trace(40)]).run(CrashSpec::AtTime(t));
+        assert!(out.crash_time.is_some(), "the crash lands mid-run");
         let tl = out.timeline.expect("telemetry enabled");
         assert_eq!(tl.total(|e| e.bytes_written), out.stats.bytes_written);
     }

@@ -21,6 +21,22 @@
 //!    differs): recovery must land on *exactly* the state after the last
 //!    durably committed transaction.
 //!
+//! A check names a garbled read before its symptoms: an op counter that
+//! decrypts garbled, or a structure check that fails after reading
+//! garbled lines, reports those lines rather than the count or the
+//! broken invariant they produce.
+//!
+//! ## Crash points
+//!
+//! A crash is an instant ([`CrashSpec::AtTime`]). A run's crash set
+//! changes only at its *breakpoints*, where a journal record is
+//! submitted or guaranteed, so [`crash_breakpoints`] lists every
+//! post-setup crash state of a run, and [`model_check_instants_cfg`]
+//! over them judges every legal image of each, from one paused replay.
+//! A crash right after a chosen event is the instant
+//! [`instant_after_events`] names. [`crash_instants_cfg`] samples the
+//! instants where a write is in flight.
+//!
 //! ## Delta recovery judging
 //!
 //! Every verdict goes through one `Checker`, which owns what a verdict
@@ -57,7 +73,7 @@ use nvmm_sim::config::{Design, SimConfig};
 use nvmm_sim::integrity::IntegritySpec;
 use nvmm_sim::nvmm::NvmmImage;
 use nvmm_sim::parallel::{chunk_ranges, mc_threads, run_parallel};
-use nvmm_sim::system::{CrashSpec, RunOutcome, System};
+use nvmm_sim::system::{breakpoints_after, instant_after_events, CrashSpec, RunOutcome, System};
 use nvmm_sim::time::Time;
 use nvmm_sim::trace::{Trace, TraceEvent};
 use std::collections::{BTreeMap, BTreeSet};
@@ -265,8 +281,6 @@ pub struct CrashCheckOutcome {
     pub committed: u64,
     /// Whether recovery rolled an in-flight transaction back.
     pub rolled_back: bool,
-    /// Total trace events (useful for sweeping crash points).
-    pub trace_events: u64,
 }
 
 /// Runs the full crash-consistency protocol for one crash point under
@@ -313,6 +327,27 @@ pub fn check_image(
     recovery_window: u64,
 ) -> Result<CrashCheckOutcome, ConsistencyError> {
     Checker::of(ex, config, recovery_window).check(image, &SetJudge::lone(image), None)
+}
+
+/// [`check_image`] over a crash sweep's images (as
+/// [`nvmm_sim::breakpoint_images`] returns them), by one checker for the
+/// whole sweep, so its engine memos stay warm from image to image.
+/// Returns every crash instant's outcome, in order, or the first
+/// failing instant and its error.
+pub fn check_images(
+    ex: &Executed,
+    images: &[(Time, NvmmImage)],
+    config: &SimConfig,
+    recovery_window: u64,
+) -> Result<Vec<(Time, CrashCheckOutcome)>, (Time, ConsistencyError)> {
+    let checker = Checker::of(ex, config, recovery_window);
+    images
+        .iter()
+        .map(|(t, image)| {
+            let verdict = checker.check(image, &SetJudge::lone(image), None);
+            verdict.map(|o| (*t, o)).map_err(|e| (*t, e))
+        })
+        .collect()
 }
 
 /// Everything a verdict reads besides the image: the execution it is
@@ -400,9 +435,16 @@ impl<'e> Checker<'e> {
             mem.garbled_lines()
         );
 
+        // A garbled read is named before its symptoms: the op counter
+        // right after it is read, and the structure check's reads before
+        // its own error.
         let committed = mem.read_u64(ex.ops_cell);
+        ensure_clean_reads(&mem)?;
         let expected = ex.state_after(committed)?;
-        ex.check_structure(&mut mem, committed)?;
+        if let Err(e) = ex.check_structure(&mut mem, committed) {
+            ensure_clean_reads(&mem)?;
+            return Err(e);
+        }
 
         // Replay equality: recovered bytes must match the ground-truth state
         // after exactly `committed` operations, on every line that state
@@ -411,7 +453,6 @@ impl<'e> Checker<'e> {
         Ok(CrashCheckOutcome {
             committed,
             rolled_back: report.rolled_back,
-            trace_events: ex.pm.trace().len() as u64,
         })
     }
 
@@ -533,6 +574,16 @@ impl<'e> Checker<'e> {
             error,
         }
     }
+}
+
+/// Fails with the lines `mem`'s reads found garbled, if any.
+fn ensure_clean_reads(mem: &RecoveredMemory) -> Result<(), ConsistencyError> {
+    ensure!(
+        mem.all_reads_clean(),
+        "checker reads hit garbled lines {:?}",
+        mem.garbled_lines()
+    );
+    Ok(())
 }
 
 /// The replay-equality judge for the images of one crash set.
@@ -672,31 +723,6 @@ impl<'s> SetJudge<'s> {
     }
 }
 
-/// Sweeps `points` evenly spaced crash points across the post-setup
-/// portion of the trace under `config`, returning the first failure (if
-/// any) with its crash point. The workload executes once; each point is
-/// simulated and its image judged against that one execution, by one
-/// checker (one engine pair) for the whole sweep.
-pub fn crash_sweep(
-    spec: &WorkloadSpec,
-    config: SimConfig,
-    points: u64,
-) -> Result<Vec<CrashCheckOutcome>, (u64, ConsistencyError)> {
-    let ex = execute(spec, 0, spec.ops);
-    let checker = Checker::of(&ex, &config, 0);
-    let (start, total) = (ex.setup_events as u64, ex.pm.trace().len() as u64);
-    let step = ((total - start) / points.max(1)).max(1);
-    (start..total)
-        .step_by(step as usize)
-        .map(|k| {
-            let out = System::new(config.clone(), vec![ex.pm.trace().clone()])
-                .run(CrashSpec::AfterEvent(k));
-            let verdict = checker.check(&out.image, &SetJudge::lone(&out.image), None);
-            verdict.map_err(|e| (k, e))
-        })
-        .collect()
-}
-
 /// Bounds for one adversarial model-check run. An injected
 /// positive-control bug belongs to the configuration
 /// ([`SimConfig::fault`]), not to these options.
@@ -722,6 +748,17 @@ impl Default for ModelCheckOpts {
     }
 }
 
+/// The post-setup *breakpoints* of `spec`'s run under `config`
+/// ([`breakpoints_after`] its setup events). Crash sweeps start at the
+/// setup boundary: the checkers deliberately do not model a crash
+/// before the structure exists. A crash set changes only at these
+/// instants, so [`model_check_instants_cfg`] over them judges every
+/// post-setup crash state of the run, each once.
+pub fn crash_breakpoints(spec: &WorkloadSpec, config: SimConfig) -> Vec<Time> {
+    let ex = execute(spec, 0, spec.ops);
+    breakpoints_after(&config, ex.pm.trace(), ex.setup_events)
+}
+
 /// Crash instants at which at least one write is observably in flight,
 /// harvested from a completed (crash-free) run's persist windows under
 /// `config`: the midpoint of each post-setup window, deduplicated and
@@ -730,10 +767,10 @@ impl Default for ModelCheckOpts {
 /// controller pipeline), so these are the instants where adversarial
 /// enumeration actually has choices to explore; feed them to
 /// [`model_check_instants_cfg`]. Instants inside the setup phase are
-/// excluded for the same reason crash sweeps skip it: the checkers
-/// deliberately do not model a crash before the structure exists.
-/// `_opts` is unused (an injected bug is `config.fault`); it stays
-/// while the benchmark passes it.
+/// excluded for the same reason crash sweeps skip it. A design whose
+/// writes never wait in flight yields none; [`crash_breakpoints`]
+/// covers every crash state regardless. `_opts` is unused (an injected
+/// bug is `config.fault`); it stays while the benchmark passes it.
 pub fn crash_instants_cfg(
     spec: &WorkloadSpec,
     config: SimConfig,
@@ -741,18 +778,8 @@ pub fn crash_instants_cfg(
     limit: usize,
 ) -> Vec<Time> {
     let ex = execute(spec, 0, spec.ops);
-    let trace = ex.pm.trace().clone();
-    // The setup boundary as an instant: the core clock right after the
-    // last setup event.
-    let setup_end = if ex.setup_events == 0 {
-        Time::ZERO
-    } else {
-        System::new(config.clone(), vec![trace.clone()])
-            .run(CrashSpec::AfterEvent(ex.setup_events as u64 - 1))
-            .crash_time
-            .unwrap_or(Time::ZERO)
-    };
-    let out = System::new(config, vec![trace]).run(CrashSpec::None);
+    let setup_end = instant_after_events(&config, ex.pm.trace(), ex.setup_events);
+    let out = System::new(config, vec![ex.pm.into_parts().0]).run(CrashSpec::None);
     let mut mids: Vec<Time> = out
         .persist_windows
         .iter()
@@ -802,9 +829,7 @@ pub struct ModelCheckReport {
     /// the in-flight set, one clone of the base image), the fused walk
     /// with both oracles inside it, and witness minimization.
     /// The shared simulation is not included — it is
-    /// [`ModelCheckReport::sweep_wall_ns`] — except on the
-    /// [`CrashSpec::None`] / [`CrashSpec::AfterEvent`] path of
-    /// [`model_check_cfg`], which simulates for this report alone.
+    /// [`ModelCheckReport::sweep_wall_ns`].
     /// Telemetry only: it is deliberately ignored by `PartialEq`, so
     /// determinism assertions comparing two reports still hold.
     pub mc_wall_ns: u64,
@@ -858,29 +883,22 @@ impl ModelCheckReport {
 /// executable: *no* legal image may fail recovery. The image
 /// enumeration and recovery checks within the crash set run on
 /// [`mc_threads`] workers; the report is bit-identical to a
-/// single-threaded run for any worker count. A [`CrashSpec::AtTime`]
-/// crash is the one-instant case of [`model_check_instants_cfg`].
+/// single-threaded run for any worker count. It is the one-instant case
+/// of [`model_check_instants_cfg`]; [`CrashSpec::None`] is an instant
+/// after completion, whose one image is the completed run's.
 pub fn model_check_cfg(
     spec: &WorkloadSpec,
     config: SimConfig,
     crash: CrashSpec,
     opts: &ModelCheckOpts,
 ) -> ModelCheckReport {
-    if let CrashSpec::AtTime(t) = crash {
-        return sweep_check(spec, config, &[t], opts, 1, mc_threads())
-            .pop()
-            .expect("one report per instant");
-    }
-    let started = Instant::now();
-    let ex = execute(spec, 0, spec.ops);
-    let checker = Checker::of(&ex, &config, opts.recovery_window);
-    let out = System::new(config, vec![ex.pm.trace().clone()]).run(crash);
-    let mut report = match out.crash_set {
-        Some(set) => checker.check_set(&set, opts, mc_threads()),
-        None => checker.completed(&out.image),
+    let t = match crash {
+        CrashSpec::AtTime(t) => t,
+        CrashSpec::None => Time(u64::MAX),
     };
-    report.mc_wall_ns = started.elapsed().as_nanos() as u64;
-    report
+    sweep_check(spec, config, &[t], opts, 1, mc_threads())
+        .pop()
+        .expect("one report per instant")
 }
 
 /// Model-checks `spec` under `config` at every crash instant in
@@ -901,8 +919,8 @@ pub fn model_check_instants_cfg(
     sweep_check(spec, config, instants, opts, mc_threads(), 1)
 }
 
-/// The shared body of [`model_check_instants_cfg`] and the
-/// [`CrashSpec::AtTime`] case of [`model_check_cfg`]: one execution,
+/// The shared body of [`model_check_instants_cfg`] and
+/// [`model_check_cfg`]: one execution,
 /// one crash sweep, then the instants, sorted, in up to `outer`
 /// contiguous runs on as many workers, with `inner` workers inside each
 /// crash set. A worker advances one [`nvmm_sim::SweepCursor`] through
@@ -946,14 +964,10 @@ fn sweep_check(
             })
             .collect::<Vec<_>>()
     });
-    let mut reports: Vec<Option<ModelCheckReport>> = vec![None; instants.len()];
-    for (i, report) in checked.into_iter().flatten() {
-        reports[i] = Some(report);
-    }
-    reports
-        .into_iter()
-        .map(|r| r.expect("every instant is checked once"))
-        .collect()
+    // Each instant is checked once: its index restores the caller's order.
+    let mut checked: Vec<_> = checked.into_iter().flatten().collect();
+    checked.sort_unstable_by_key(|&(i, _)| i);
+    checked.into_iter().map(|(_, report)| report).collect()
 }
 
 /// The checking half of [`model_check_cfg`]: verifies an
@@ -1013,50 +1027,6 @@ mod tests {
             assert_eq!(o.committed, 6);
             assert!(!o.rolled_back);
         }
-    }
-
-    /// One checker judges every point of `crash_sweep`: for Queue,
-    /// B-Tree and RB-Tree under SCA, FCA and the unsafe design, 16
-    /// points each, its whole result — every point's outcome, or the
-    /// first failing point and its error — equals `check_image` over a
-    /// separate `AfterEvent(k)` run per point of the same grid, each
-    /// judged with fresh engines. The unsafe design takes the error path.
-    #[test]
-    fn crash_sweep_matches_per_point_checks() {
-        let points = 16;
-        let mut failures = 0;
-        for kind in [
-            WorkloadKind::Queue,
-            WorkloadKind::BTree,
-            WorkloadKind::RbTree,
-        ] {
-            let spec = WorkloadSpec::smoke(kind).with_ops(4);
-            let ex = execute(&spec, 0, spec.ops);
-            let (start, total) = (ex.setup_events as u64, ex.pm.trace().len() as u64);
-            let step = ((total - start) / points).max(1);
-            for design in [Design::Sca, Design::Fca, Design::UnsafeNoAtomicity] {
-                let cfg = SimConfig::single_core(design);
-                let per_point = || {
-                    let mut outcomes = Vec::new();
-                    let mut k = start;
-                    while k < total {
-                        let out = System::new(cfg.clone(), vec![ex.pm.trace().clone()])
-                            .run(CrashSpec::AfterEvent(k));
-                        outcomes.push(check_image(&ex, &out.image, &cfg, 0).map_err(|e| (k, e))?);
-                        k += step;
-                    }
-                    Ok(outcomes)
-                };
-                let want = per_point();
-                failures += usize::from(want.is_err());
-                assert_eq!(
-                    crash_sweep(&spec, cfg.clone(), points),
-                    want,
-                    "{kind} under {design}"
-                );
-            }
-        }
-        assert!(failures > 0, "no sweep took the error path");
     }
 
     /// Splitting the sorted instants into cursor runs is invisible in
@@ -1193,13 +1163,16 @@ mod tests {
             mem.garbled_lines()
         );
         let committed = mem.read_u64(ex.ops_cell);
+        ensure_clean_reads(&mem)?;
         let expected = ex.state_after(committed)?;
-        ex.check_structure(&mut mem, committed)?;
+        if let Err(e) = ex.check_structure(&mut mem, committed) {
+            ensure_clean_reads(&mem)?;
+            return Err(e);
+        }
         compare_full(&mut mem, committed, &expected, &ex.log_lines())?;
         Ok(CrashCheckOutcome {
             committed,
             rolled_back: report.rolled_back,
-            trace_events: ex.pm.trace().len() as u64,
         })
     }
 
@@ -1452,9 +1425,10 @@ mod tests {
             let spec = WorkloadSpec::smoke(kind).with_ops(8);
             let ex = execute(&spec, 1, spec.ops);
             let cfg = SimConfig::single_core(Design::Sca);
-            let total = ex.pm.trace().len() as u64;
-            let mid = ex.setup_events as u64 + (total - ex.setup_events as u64) / 2;
-            for crash in [CrashSpec::None, CrashSpec::AfterEvent(mid)] {
+            let total = ex.pm.trace().len();
+            let mid = ex.setup_events + (total - ex.setup_events) / 2;
+            let at = instant_after_events(&cfg, ex.pm.trace(), mid + 1);
+            for crash in [CrashSpec::None, CrashSpec::AtTime(at)] {
                 let out = System::new(cfg.clone(), vec![ex.pm.trace().clone()]).run(crash);
                 check_image(&ex, &out.image, &cfg, 0)
                     .unwrap_or_else(|e| panic!("{kind} core 1, {crash:?}: {e}"));
@@ -1495,30 +1469,26 @@ mod tests {
     }
 
     /// The crash sets a differential test judges for `cfg`: one per
-    /// in-flight instant (up to eight) and one per evenly spaced
-    /// post-setup event crash (four), so designs without in-flight
-    /// windows contribute their single-image sets too.
+    /// in-flight instant (up to eight) and one after each of four evenly
+    /// spaced post-setup events, so designs without in-flight windows
+    /// contribute their single-image sets too.
     fn sample_crash_sets(
         spec: &WorkloadSpec,
         ex: &Executed,
         cfg: &SimConfig,
         opts: &ModelCheckOpts,
     ) -> Vec<nvmm_sim::CrashSet> {
-        let trace = ex.pm.trace().clone();
-        let instants = crash_instants_cfg(spec, cfg.clone(), opts, 8);
-        let sweep = System::new(cfg.clone(), vec![trace.clone()]).run_crash_sweep(&instants);
-        let mut cursor = sweep.cursor();
-        let mut sets: Vec<_> = (0..instants.len())
-            .filter_map(|i| cursor.crash_set(i))
-            .collect();
-        let (start, total) = (ex.setup_events as u64, trace.len() as u64);
-        sets.extend((1..=4).filter_map(|k| {
+        let trace = ex.pm.trace();
+        let (start, total) = (ex.setup_events, trace.len());
+        let mut instants = crash_instants_cfg(spec, cfg.clone(), opts, 8);
+        instants.extend((1..=4).map(|k| {
             let at = start + (total - start) * k / 5;
-            System::new(cfg.clone(), vec![trace.clone()])
-                .run(CrashSpec::AfterEvent(at))
-                .crash_set
+            instant_after_events(cfg, trace, at + 1)
         }));
-        sets
+        let sweep = System::new(cfg.clone(), vec![trace.clone()]).run_crash_sweep(&instants);
+        (0..instants.len())
+            .filter_map(|i| sweep.crash_set(i))
+            .collect()
     }
 
     /// The delta judge is the full sorted compare: on every enumerated

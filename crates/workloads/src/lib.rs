@@ -37,9 +37,10 @@
 //! let out = run_timed(&spec, Design::Sca, 1);
 //! assert!(out.stats.runtime > nvmm_sim::Time::ZERO);
 //!
-//! // Crash run: recovery after an arbitrary mid-run power failure.
+//! // Crash run: recovery after a power failure 20 µs into the run.
 //! let sca = SimConfig::single_core(Design::Sca);
-//! let outcome = crash_check_cfg(&spec, sca, CrashSpec::AfterEvent(50), 0).unwrap();
+//! let at = nvmm_sim::Time::from_ns(20_000);
+//! let outcome = crash_check_cfg(&spec, sca, CrashSpec::AtTime(at), 0).unwrap();
 //! assert!(outcome.committed <= spec.ops as u64);
 //! ```
 
@@ -58,9 +59,10 @@ mod util;
 
 pub use arrival::{shape_open_loop, ArrivalCurve, ArrivalModel};
 pub use harness::{
-    check_crash_set, check_image, crash_check_cfg, crash_instants_cfg, crash_sweep, execute,
-    model_check_cfg, model_check_instants_cfg, run_timed, traces_for_cores, CrashCheckOutcome,
-    Executed, MinimalViolation, ModelCheckOpts, ModelCheckReport,
+    check_crash_set, check_image, check_images, crash_breakpoints, crash_check_cfg,
+    crash_instants_cfg, execute, model_check_cfg, model_check_instants_cfg, run_timed,
+    traces_for_cores, CrashCheckOutcome, Executed, MinimalViolation, ModelCheckOpts,
+    ModelCheckReport,
 };
 pub use spec::{WorkloadKind, WorkloadSpec};
 pub use util::ConsistencyError;

@@ -10,8 +10,8 @@
 //! ```
 
 use nvmm::sim::config::{Design, SimConfig};
-use nvmm::sim::system::CrashSpec;
-use nvmm::workloads::{crash_check_cfg, run_timed, WorkloadKind, WorkloadSpec};
+use nvmm::sim::system::{instant_after_events, CrashSpec};
+use nvmm::workloads::{crash_check_cfg, execute, run_timed, WorkloadKind, WorkloadSpec};
 use rand::{Rng, SeedableRng};
 
 fn main() {
@@ -22,10 +22,11 @@ fn main() {
     println!("== crash/recover the KV store at random points (SCA) ==");
     let mut rng = rand::rngs::StdRng::seed_from_u64(2026);
     let sca = SimConfig::single_core(Design::Sca);
-    let probe = crash_check_cfg(&spec, sca.clone(), CrashSpec::None, 0).expect("baseline run");
+    let trace = execute(&spec, 0, spec.ops).pm.into_parts().0;
     for _ in 0..10 {
-        let k = rng.gen_range(0..probe.trace_events);
-        let outcome = crash_check_cfg(&spec, sca.clone(), CrashSpec::AfterEvent(k), 0)
+        let k = rng.gen_range(0..trace.len());
+        let at = instant_after_events(&sca, &trace, k + 1);
+        let outcome = crash_check_cfg(&spec, sca.clone(), CrashSpec::AtTime(at), 0)
             .expect("SCA must always recover consistently");
         println!(
             "  crash after event {k:>6}: {} / {} inserts durable{}",

@@ -16,49 +16,44 @@ use nvmm::core::pmem::{Pmem, RegionPlanner};
 use nvmm::core::recovery::RecoveredMemory;
 use nvmm::sim::addr::ByteAddr;
 use nvmm::sim::config::{Design, SimConfig};
-use nvmm::sim::system::{CrashSpec, System};
+use nvmm::sim::system::breakpoint_images;
 
 /// One list node: `item` at +0, `next` at +8 (0 = null).
 const NODE_LINES: u64 = 1;
 
-/// Builds the insertion trace. The head pointer update is annotated
-/// `CounterAtomic` iff `annotate` is true.
-fn build_insertion(annotate: bool) -> (nvmm::sim::Trace, ByteAddr, ByteAddr, u64) {
-    let mut pm = Pmem::for_core(0);
-    let mut plan = RegionPlanner::new(pm.region());
-    let head = plan.alloc_lines(1);
-    let old_node = plan.alloc_lines(NODE_LINES);
-    let new_node = plan.alloc_lines(NODE_LINES);
-
-    // Existing list: head -> old_node(item=1).
-    pm.write_u64(old_node, 1);
-    pm.write_u64(head, old_node.0);
-    pm.clwb(old_node, 16);
-    pm.clwb(head, 8);
-    pm.counter_cache_writeback(old_node, 16);
-    pm.counter_cache_writeback(head, 8);
-    pm.persist_barrier();
-
-    // Step 1+2: create the new node pointing at the current head target.
-    pm.write_u64(new_node, 3); // item
-    pm.write_u64(ByteAddr(new_node.0 + 8), old_node.0); // next
-    pm.clwb(new_node, 16);
-    pm.counter_cache_writeback(new_node, 16);
+/// Inserts `node` (holding `item`) in front of `next` at `head`. The
+/// head pointer update is annotated `CounterAtomic` iff `annotate` is
+/// true.
+fn insert(pm: &mut Pmem, head: ByteAddr, node: ByteAddr, item: u64, next: u64, annotate: bool) {
+    // Step 1+2: create the node pointing at the current head target.
+    pm.write_u64(node, item);
+    pm.write_u64(ByteAddr(node.0 + 8), next);
+    pm.clwb(node, 16);
+    pm.counter_cache_writeback(node, 16);
     pm.persist_barrier();
 
     // Step 3: swing the head. This is the write Fig. 4 shows failing
     // when its counter is lost.
     if annotate {
-        pm.write_u64_counter_atomic(head, new_node.0);
+        pm.write_u64_counter_atomic(head, node.0);
     } else {
-        pm.write_u64(head, new_node.0);
+        pm.write_u64(head, node.0);
     }
     pm.clwb(head, 8);
     pm.persist_barrier();
+}
 
-    let (trace, _) = pm.into_parts();
-    let len = trace.len() as u64;
-    (trace, head, new_node, len)
+/// Builds the trace of two insertions into an empty list, item 1 then
+/// item 3; returns it with the head pointer's address.
+fn build_list(annotate: bool) -> (nvmm::sim::Trace, ByteAddr) {
+    let mut pm = Pmem::for_core(0);
+    let mut plan = RegionPlanner::new(pm.region());
+    let head = plan.alloc_lines(1);
+    let old_node = plan.alloc_lines(NODE_LINES);
+    let new_node = plan.alloc_lines(NODE_LINES);
+    insert(&mut pm, head, old_node, 1, 0, annotate);
+    insert(&mut pm, head, new_node, 3, old_node.0, annotate);
+    (pm.into_parts().0, head)
 }
 
 /// Walks the recovered list from `head`; returns the items seen (bounded).
@@ -77,33 +72,30 @@ fn walk(mem: &mut RecoveredMemory, head: ByteAddr) -> Vec<u64> {
 }
 
 fn run(design: Design, annotate: bool) {
-    let (_, head, _, len) = build_insertion(annotate);
-    let key = SimConfig::single_core(design).key;
+    let (trace, head) = build_list(annotate);
+    let cfg = SimConfig::single_core(design);
     let mut garbled_any = false;
-    let mut worst: Option<(u64, Vec<u64>)> = None;
-    for k in 0..len {
-        let (trace, ..) = build_insertion(annotate);
-        let out =
-            System::new(SimConfig::single_core(design), vec![trace]).run(CrashSpec::AfterEvent(k));
-        let mut mem = RecoveredMemory::new(out.image, key);
+    let mut worst = None;
+    for (t, image) in breakpoint_images(&cfg, &trace, 0) {
+        let mut mem = RecoveredMemory::new(image, cfg.key);
         let items = walk(&mut mem, head);
         if !mem.all_reads_clean() {
             garbled_any = true;
-            worst = Some((k, items));
+            worst = Some((t, items));
         }
     }
     match (annotate, garbled_any) {
         (false, true) => {
-            let (k, items) = worst.unwrap();
+            let (t, items) = worst.unwrap();
             println!(
-                "  plain head update : GARBLED at crash point {k} — walked items {items:?} \
+                "  plain head update : GARBLED in a crash at {t} — walked items {items:?} \
                  (random decryption, Fig. 4's failure)"
             );
         }
         (false, false) => println!("  plain head update : no garbling observed (lucky timing)"),
-        (true, true) => println!("  CounterAtomic head: UNEXPECTED garbling — bug!"),
+        (true, true) => panic!("CounterAtomic head: UNEXPECTED garbling — bug!"),
         (true, false) => {
-            println!("  CounterAtomic head: clean at every crash point — list always walkable")
+            println!("  CounterAtomic head: clean in every crash state — list always walkable")
         }
     }
 }
@@ -115,6 +107,6 @@ fn main() {
     println!("\nDesign: SCA (selective counter-atomicity)");
     run(Design::Sca, false);
     run(Design::Sca, true);
-    println!("\nTakeaway: the head pointer needs exactly one CounterAtomic store;");
+    println!("\nTakeaway: each head swing needs exactly one CounterAtomic store;");
     println!("the node-creation writes never did — that asymmetry is the paper.");
 }

@@ -9,7 +9,7 @@ use nvmm::core::pmem::{Pmem, RegionPlanner};
 use nvmm::core::recovery::{recover_undo_log, RecoveredMemory};
 use nvmm::core::undo::{Tx, UndoLog};
 use nvmm::sim::config::{Design, SimConfig};
-use nvmm::sim::system::{CrashSpec, System};
+use nvmm::sim::system::{instant_after_events, CrashSpec, System};
 
 fn main() {
     // 1. Program against persistent memory (functional phase). The trace
@@ -39,8 +39,8 @@ fn main() {
     let total = trace.len() as u64;
     let cfg = SimConfig::single_core(Design::Sca);
     let key = cfg.key;
-    let crash_at = total / 2;
-    let out = System::new(cfg, vec![trace]).run(CrashSpec::AfterEvent(crash_at));
+    let crash_at = instant_after_events(&cfg, &trace, trace.len() / 2 + 1);
+    let out = System::new(cfg, vec![trace]).run(CrashSpec::AtTime(crash_at));
     println!(
         "simulated {} of {} events, crashed at t={}",
         out.events_processed,

@@ -1,6 +1,6 @@
 //! Undo vs redo logging under crashes: the same transfer transaction run
-//! with both mechanisms, crashed at every point, showing where each
-//! mechanism's durable commit point lands.
+//! with both mechanisms, crashed in every crash state, showing where
+//! each mechanism's durable commit point lands.
 //!
 //! Undo logging commits when the log is *disarmed* (valid = 0 persists);
 //! redo logging commits when the log is *armed* (valid = 1 persists) —
@@ -18,9 +18,11 @@ use nvmm::core::txn::{Mechanism, Txn};
 use nvmm::core::undo::UndoLog;
 use nvmm::sim::addr::ByteAddr;
 use nvmm::sim::config::{Design, SimConfig};
-use nvmm::sim::system::{CrashSpec, System};
+use nvmm::sim::system::{breakpoint_images, instant_after_events};
 
-/// Builds the trace for one 100 → 250 transfer under `mech`.
+/// Builds the trace for one 100 → 250 transfer under `mech`. The
+/// initial balance persists counter-atomically, like the log's format:
+/// recovery reads it in every crash state.
 fn build(mech: Mechanism) -> (nvmm::sim::Trace, UndoLog, ByteAddr) {
     let mut pm = Pmem::for_core(0);
     let mut plan = RegionPlanner::new(pm.region());
@@ -28,9 +30,8 @@ fn build(mech: Mechanism) -> (nvmm::sim::Trace, UndoLog, ByteAddr) {
     let balance = plan.alloc_lines(1);
     log.format(&mut pm);
 
-    pm.write_u64(balance, 100);
+    pm.write_u64_counter_atomic(balance, 100);
     pm.clwb(balance, 8);
-    pm.counter_cache_writeback(balance, 8);
     pm.persist_barrier();
 
     let mut tx = Txn::begin(&mut pm, &log, 0, mech);
@@ -46,36 +47,32 @@ fn main() {
     println!("crash-sweeping one transaction under each mechanism (SCA)\n");
     for mech in Mechanism::ALL {
         let (trace, log, balance) = build(mech);
-        let total = trace.len() as u64;
-        let key = SimConfig::single_core(Design::Sca).key;
+        let cfg = SimConfig::single_core(Design::Sca);
+        let end = instant_after_events(&cfg, &trace, trace.len());
+        let images = breakpoint_images(&cfg, &trace, 0);
         let mut first_committed_at = None;
-        for k in 0..total {
-            let (trace, ..) = build(mech);
-            let out = System::new(SimConfig::single_core(Design::Sca), vec![trace])
-                .run(CrashSpec::AfterEvent(k));
-            let mut mem = RecoveredMemory::new(out.image, key);
+        for (t, image) in &images {
+            let mut mem =
+                RecoveredMemory::over(image, nvmm::crypto::EncryptionEngine::new(cfg.key));
             let report = mech.recover(&mut mem, &log);
-            assert!(
-                report.reads_clean,
-                "{mech}: crash after event {k} garbled recovery"
-            );
+            assert!(report.reads_clean, "{mech}: crash at {t} garbled recovery");
             // 0 = crash before the setup write persisted (fresh memory).
             let v = mem.read_u64(balance);
             assert!(
                 v == 0 || v == 100 || v == 250,
-                "{mech}: inconsistent balance {v} at {k}"
+                "{mech}: inconsistent balance {v} at {t}"
             );
             if v == 250 && first_committed_at.is_none() {
-                first_committed_at = Some(k);
+                first_committed_at = Some(*t);
             }
         }
         let commit_point = first_committed_at.expect("the transfer commits eventually");
         println!(
-            "{mech:>5} logging: consistent at all {total} crash points; \
-             new value durable from event {commit_point} ({}% through the trace)",
-            commit_point * 100 / total
+            "{mech:>5} logging: consistent in all {} crash states; \
+             new value durable from {commit_point} ({}% through the run)",
+            images.len(),
+            commit_point.0 * 100 / end.0
         );
-        let _ = trace;
     }
     println!("\nRedo's commit point lands earlier: the staged log is the truth the");
     println!("moment its valid flag persists, while undo must finish the in-place");

@@ -24,13 +24,15 @@
 //! ```
 //! use nvmm::sim::config::{Design, SimConfig};
 //! use nvmm::sim::system::CrashSpec;
+//! use nvmm::sim::Time;
 //! use nvmm::workloads::{crash_check_cfg, WorkloadKind, WorkloadSpec};
 //!
 //! // Run a persistent hash table under selective counter-atomicity,
-//! // pull the power mid-run, and verify recovery.
+//! // pull the power 30 µs in, and verify recovery.
 //! let spec = WorkloadSpec::smoke(WorkloadKind::HashTable);
 //! let sca = SimConfig::single_core(Design::Sca);
-//! let outcome = crash_check_cfg(&spec, sca, CrashSpec::AfterEvent(120), 0).unwrap();
+//! let crash = CrashSpec::AtTime(Time::from_ns(30_000));
+//! let outcome = crash_check_cfg(&spec, sca, crash, 0).unwrap();
 //! println!("{} transactions survived the crash", outcome.committed);
 //! ```
 //!

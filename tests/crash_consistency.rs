@@ -2,14 +2,21 @@
 //! (full, selective, or by co-location) makes encrypted NVMM crash
 //! consistent; its absence does not.
 //!
-//! These sweep simulated power failures across entire workload traces
-//! and run full recovery — decryption with persisted counters, undo-log
+//! These crash each workload run in every post-setup crash state — at
+//! each breakpoint of the run, where its crash set changes — and run
+//! full recovery — decryption with persisted counters, undo-log
 //! rollback, structural invariants, and replay-equality against the
-//! ground-truth state after the last durable commit.
+//! ground-truth state after the last durable commit. The sweeps
+//! model-check every legal image of each state; the others judge each
+//! state's ADR-pessimistic image.
 
 use nvmm::sim::config::{Design, SimConfig};
-use nvmm::sim::system::CrashSpec;
-use nvmm::workloads::{crash_check_cfg, crash_sweep, execute, WorkloadKind, WorkloadSpec};
+use nvmm::sim::system::{breakpoint_images, CrashSpec};
+use nvmm::sim::Time;
+use nvmm::workloads::{
+    check_images, crash_breakpoints, crash_check_cfg, execute, model_check_instants_cfg,
+    CrashCheckOutcome, MinimalViolation, ModelCheckOpts, WorkloadKind, WorkloadSpec,
+};
 
 /// Designs that must survive every crash point.
 const SAFE_DESIGNS: [Design; 4] = [
@@ -19,13 +26,33 @@ const SAFE_DESIGNS: [Design; 4] = [
     Design::CoLocatedCounterCache,
 ];
 
+/// Model-checks every legal image of every post-setup crash state of
+/// `spec` under `cfg`; returns the first violating state's instant and
+/// minimized witness.
+fn first_violation(spec: &WorkloadSpec, cfg: SimConfig) -> Option<(Time, MinimalViolation)> {
+    let points = crash_breakpoints(spec, cfg.clone());
+    let reports = model_check_instants_cfg(spec, cfg, &points, &ModelCheckOpts::default());
+    points
+        .into_iter()
+        .zip(reports)
+        .find_map(|(t, r)| r.minimal.map(|m| (t, m)))
+}
+
+/// The recovery outcome of every post-setup crash state's
+/// ADR-pessimistic image under `cfg`, in crash-time order.
+fn baseline_outcomes(spec: &WorkloadSpec, cfg: &SimConfig) -> Vec<(Time, CrashCheckOutcome)> {
+    let ex = execute(spec, 0, spec.ops);
+    let images = breakpoint_images(cfg, ex.pm.trace(), ex.setup_events);
+    check_images(&ex, &images, cfg, 0).unwrap_or_else(|(t, e)| panic!("crash at {t}: {e}"))
+}
+
 #[test]
 fn safe_designs_survive_dense_crash_sweeps_on_every_workload() {
     for kind in WorkloadKind::ALL {
         let spec = WorkloadSpec::smoke(kind).with_ops(8);
         for design in SAFE_DESIGNS {
-            if let Err((k, e)) = crash_sweep(&spec, SimConfig::single_core(design), 30) {
-                panic!("{kind} under {design}: crash after event {k} broke consistency: {e}");
+            if let Some((t, m)) = first_violation(&spec, SimConfig::single_core(design)) {
+                panic!("{kind} under {design}: a crash at {t} broke consistency: {m:?}");
             }
         }
     }
@@ -36,25 +63,20 @@ fn unsafe_design_fails_somewhere_on_every_workload() {
     for kind in WorkloadKind::ALL {
         let spec = WorkloadSpec::smoke(kind).with_ops(8);
         assert!(
-            crash_sweep(&spec, SimConfig::single_core(Design::UnsafeNoAtomicity), 40).is_err(),
+            first_violation(&spec, SimConfig::single_core(Design::UnsafeNoAtomicity)).is_some(),
             "{kind}: encryption without counter-atomicity must exhibit the Fig. 4 failure"
         );
     }
 }
 
 #[test]
-fn every_single_event_crash_point_is_safe_under_sca_for_queue() {
-    // Exhaustive (not sampled) sweep on one workload: every event
-    // boundary in the whole trace.
+fn every_crash_state_is_safe_under_sca_for_queue() {
+    // Exhaustive (not sampled) on one workload: the pessimistic image of
+    // every post-setup crash state, which every event-aligned crash
+    // image is.
     let spec = WorkloadSpec::smoke(WorkloadKind::Queue).with_ops(6);
-    let sca = SimConfig::single_core(Design::Sca);
-    let ex = execute(&spec, 0, spec.ops);
-    let total = ex.pm.trace().len() as u64;
-    let start = ex.setup_events as u64;
-    for k in start..total {
-        crash_check_cfg(&spec, sca.clone(), CrashSpec::AfterEvent(k), 0)
-            .unwrap_or_else(|e| panic!("crash after event {k}/{total}: {e}"));
-    }
+    let outcomes = baseline_outcomes(&spec, &SimConfig::single_core(Design::Sca));
+    assert!(outcomes.len() > 100, "only {} crash states", outcomes.len());
 }
 
 #[test]
@@ -73,33 +95,18 @@ fn committed_transactions_are_durable() {
 #[test]
 fn recovered_commit_counts_are_monotonic_in_crash_point() {
     let spec = WorkloadSpec::smoke(WorkloadKind::HashTable).with_ops(8);
-    let sca = SimConfig::single_core(Design::Sca);
-    let ex = execute(&spec, 0, spec.ops);
-    let total = ex.pm.trace().len() as u64;
+    let outcomes = baseline_outcomes(&spec, &SimConfig::single_core(Design::Sca));
     let mut last = 0;
-    let mut k = ex.setup_events as u64;
-    while k < total {
-        let outcome =
-            crash_check_cfg(&spec, sca.clone(), CrashSpec::AfterEvent(k), 0).expect("consistent");
+    for (t, outcome) in &outcomes {
         assert!(
             outcome.committed >= last,
-            "durable commits went backwards ({last} -> {}) at crash point {k}",
+            "durable commits went backwards ({last} -> {}) at {t}",
             outcome.committed
         );
         last = outcome.committed;
-        k += 7;
     }
-    // Crashing after the very last event must see every commit durable.
-    let final_outcome = crash_check_cfg(&spec, sca.clone(), CrashSpec::AfterEvent(total - 1), 0)
-        .expect("consistent");
-    assert!(
-        final_outcome.committed >= last,
-        "monotonicity holds to the end"
-    );
-    assert_eq!(
-        final_outcome.committed, 8,
-        "the final crash point must see every commit"
-    );
+    // The last crash state, every write guaranteed, sees every commit.
+    assert_eq!(last, 8, "the final crash state must see every commit");
 }
 
 #[test]
@@ -124,8 +131,8 @@ fn different_seeds_still_recover() {
         let spec = WorkloadSpec::smoke(WorkloadKind::ArraySwap)
             .with_ops(6)
             .with_seed(seed);
-        if let Err((k, e)) = crash_sweep(&spec, SimConfig::single_core(Design::Sca), 12) {
-            panic!("seed {seed}: crash after event {k}: {e}");
+        if let Some((t, m)) = first_violation(&spec, SimConfig::single_core(Design::Sca)) {
+            panic!("seed {seed}: crash at {t}: {m:?}");
         }
     }
 }
@@ -135,8 +142,8 @@ fn larger_payloads_still_recover() {
     let spec = WorkloadSpec::smoke(WorkloadKind::Queue)
         .with_ops(4)
         .with_payload_lines(8);
-    if let Err((k, e)) = crash_sweep(&spec, SimConfig::single_core(Design::Sca), 15) {
-        panic!("8-line payload: crash after event {k}: {e}");
+    if let Some((t, m)) = first_violation(&spec, SimConfig::single_core(Design::Sca)) {
+        panic!("8-line payload: crash at {t}: {m:?}");
     }
 }
 
@@ -151,8 +158,8 @@ fn redo_logging_is_also_crash_safe_on_every_workload() {
             .with_ops(8)
             .with_mechanism(Mechanism::RedoLog);
         for design in [Design::Sca, Design::Fca] {
-            if let Err((k, e)) = crash_sweep(&spec, SimConfig::single_core(design), 25) {
-                panic!("{kind} redo under {design}: crash after event {k}: {e}");
+            if let Some((t, m)) = first_violation(&spec, SimConfig::single_core(design)) {
+                panic!("{kind} redo under {design}: crash at {t}: {m:?}");
             }
         }
     }
@@ -166,7 +173,7 @@ fn redo_logging_without_atomicity_is_unsafe_too() {
         let spec = WorkloadSpec::smoke(kind)
             .with_ops(8)
             .with_mechanism(Mechanism::RedoLog);
-        if crash_sweep(&spec, SimConfig::single_core(Design::UnsafeNoAtomicity), 40).is_err() {
+        if first_violation(&spec, SimConfig::single_core(Design::UnsafeNoAtomicity)).is_some() {
             failures += 1;
         }
     }
@@ -185,17 +192,10 @@ fn redo_can_roll_forward_past_the_crash_point() {
     let spec = WorkloadSpec::smoke(WorkloadKind::Queue)
         .with_ops(6)
         .with_mechanism(Mechanism::RedoLog);
-    let sca = SimConfig::single_core(Design::Sca);
-    let ex = execute(&spec, 0, spec.ops);
-    let total = ex.pm.trace().len() as u64;
-    let mut rolled_forward = false;
-    for k in (ex.setup_events as u64..total).step_by(3) {
-        let outcome =
-            crash_check_cfg(&spec, sca.clone(), CrashSpec::AfterEvent(k), 0).expect("consistent");
-        if outcome.rolled_back && outcome.committed > 0 {
-            rolled_forward = true;
-        }
-    }
+    let outcomes = baseline_outcomes(&spec, &SimConfig::single_core(Design::Sca));
+    let rolled_forward = outcomes
+        .iter()
+        .any(|(_, o)| o.rolled_back && o.committed > 0);
     assert!(
         rolled_forward,
         "an armed redo log must get applied somewhere in the sweep"

@@ -3,17 +3,21 @@
 //!
 //! The paper's claim is universal: *no* NVMM image ADR can legally
 //! leave behind may fail recovery under a counter-atomic design. The
-//! crash sweeps in `crash_consistency.rs` test one pessimistic image
-//! per crash point; these tests enumerate the whole legal image set at
-//! instants where writes are observably in flight.
+//! sweeps in `crash_consistency.rs` model-check every post-setup crash
+//! state; these tests pin the model checker itself: its verdicts at
+//! instants where writes are observably in flight, its positive
+//! controls, its agreement with full-pass oracles, and the breakpoints
+//! that make a sweep over crash states complete.
 
 use nvmm::crypto::mac::MacEngine;
 use nvmm::crypto::EncryptionEngine;
 use nvmm::sim::config::{Design, Fault, IntegrityPolicy, SimConfig};
-use nvmm::sim::system::{CrashSpec, RunOutcome, System};
-use nvmm::sim::{EnumOpts, IntegritySpec, LandMask, Time, Trace, TraceEvent};
+use nvmm::sim::system::{instant_after_events, CrashSpec, RunOutcome, System};
+use nvmm::sim::{
+    CrashSet, CrashSweep, EnumOpts, EnumStats, IntegritySpec, LandMask, Time, Trace, TraceEvent,
+};
 use nvmm::workloads::{
-    check_crash_set, check_image, crash_instants_cfg, execute, model_check_cfg,
+    check_crash_set, check_image, crash_breakpoints, crash_instants_cfg, execute, model_check_cfg,
     model_check_instants_cfg, traces_for_cores, ModelCheckOpts, ModelCheckReport, WorkloadKind,
     WorkloadSpec,
 };
@@ -98,23 +102,18 @@ fn missing_counter_writeback_yields_violating_images() {
 
 /// The crash-unsafe baseline fails the model check somewhere: encrypted
 /// writes without counter-atomicity strand counters on chip, which the
-/// single-image oracle already sees at event-aligned crash points.
+/// model check sees at the run's breakpoints, where the crash-instant
+/// harvest finds no write in flight.
 #[test]
 fn unsafe_design_fails_model_check() {
     let spec = WorkloadSpec::smoke(WorkloadKind::Queue).with_ops(4);
-    let ex = execute(&spec, 0, spec.ops);
-    let total = ex.pm.trace().len() as u64;
-    let start = ex.setup_events as u64;
     let o = opts(32);
     let cfg = SimConfig::single_core(Design::UnsafeNoAtomicity);
-    let step = ((total - start) / 20).max(1);
-    let mut violations = 0;
-    let mut k = start;
-    while k < total {
-        let rep = model_check_cfg(&spec, cfg.clone(), CrashSpec::AfterEvent(k), &o);
-        violations += rep.violations;
-        k += step;
-    }
+    let points = crash_breakpoints(&spec, cfg.clone());
+    let violations: usize = model_check_instants_cfg(&spec, cfg, &points, &o)
+        .iter()
+        .map(|r| r.violations)
+        .sum();
     assert!(
         violations >= 1,
         "no counter-atomicity must exhibit the Fig. 4 failure under model check"
@@ -233,11 +232,10 @@ fn injected_policy_bugs_are_caught_with_blaming_witnesses() {
     let sca = |policy| SimConfig::single_core(Design::Sca).with_integrity(policy);
     for fault in Fault::ALL {
         let (cfg, blame): (SimConfig, &[&str]) = match fault {
-            // The durable op counter decrypts under its stranded
-            // counter line.
-            Fault::MissingCounterWritebacks => {
-                (sca(IntegrityPolicy::None), &["exceeds issued ops"])
-            }
+            // The durable op counter's line decrypts garbled under its
+            // stranded counter line, which the checker names before the
+            // count it misreads.
+            Fault::MissingCounterWritebacks => (sca(IntegrityPolicy::None), &["garbled"]),
             Fault::TreeParentFirst => (
                 sca(IntegrityPolicy::Strict),
                 &["never persisted", "ahead of child"],
@@ -500,13 +498,7 @@ fn filtered_trace_instants(spec: &WorkloadSpec, plain: &SimConfig, limit: usize)
         .iter()
         .filter(|e| !matches!(e, TraceEvent::CounterCacheWriteback { .. }))
         .count();
-    let setup_end = match setup_events {
-        0 => Time::ZERO,
-        n => System::new(plain.clone(), vec![trace.clone()])
-            .run(CrashSpec::AfterEvent(n as u64 - 1))
-            .crash_time
-            .unwrap_or(Time::ZERO),
-    };
+    let setup_end = instant_after_events(plain, &trace, setup_events);
     let out = System::new(plain.clone(), vec![trace]).run(CrashSpec::None);
     thinned_midpoints(&out, setup_end, limit)
 }
@@ -692,4 +684,181 @@ fn model_check_instants_matches_sequential_loop() {
         witnesses > 0,
         "no violating instant exercised the witnesses"
     );
+}
+
+/// What a crash state shows the model checker: its baseline's
+/// fingerprint, the fingerprints of the images `eopts` enumerates, and
+/// the enumeration's accounting. An instant after completion is the
+/// completed image alone, with no accounting.
+type StateView = (u128, Vec<u128>, Option<EnumStats>);
+
+fn state_view(set: Option<CrashSet>, sweep: &CrashSweep, eopts: EnumOpts) -> StateView {
+    match set {
+        Some(set) => {
+            let e = set.enumerate(eopts);
+            let images = e.images.iter().map(|(_, img)| img.fingerprint()).collect();
+            (set.baseline().fingerprint(), images, Some(e.stats))
+        }
+        None => {
+            let fp = sweep.completed_image().expect("completed").fingerprint();
+            (fp, vec![fp], None)
+        }
+    }
+}
+
+/// Breakpoint completeness: a crash at any post-setup instant sees the
+/// crash set of the largest breakpoint at or before it. For the five
+/// kinds under SCA, FCA and SCA + strict on one and two shards, the
+/// instants are every post-setup scheduling point (the instant after
+/// each event) and each breakpoint with 1 ps either side of it. One
+/// paused replay over them all gives each instant's `AtTime` crash set,
+/// which must equal the breakpoint sweep's set at the largest breakpoint
+/// at or before it in baseline fingerprint, enumerated image
+/// fingerprints and `EnumStats`. An instant the replay never reaches is
+/// the completed image, which must be the breakpoint's one image.
+#[test]
+fn breakpoints_cover_every_crash_instant() {
+    let eopts = enum_opts(&opts(32));
+    let strict = SimConfig::single_core(Design::Sca).with_integrity(IntegrityPolicy::Strict);
+    let configs = [
+        SimConfig::single_core(Design::Sca),
+        SimConfig::single_core(Design::Fca),
+        strict,
+    ];
+    let mut reached_end = 0;
+    for kind in WorkloadKind::ALL {
+        let spec = WorkloadSpec::smoke(kind).with_ops(4);
+        let ex = execute(&spec, 0, spec.ops);
+        let trace = ex.pm.trace();
+        for (cfg, shards) in configs.iter().flat_map(|c| [(c, 1), (c, 2)]) {
+            let cfg = cfg.clone().with_shards(shards);
+            let what = format!(
+                "{kind}/{}/{:?} on {shards} shards",
+                cfg.design, cfg.integrity
+            );
+            let points = crash_breakpoints(&spec, cfg.clone());
+            let mut instants: Vec<Time> = (ex.setup_events..=trace.len())
+                .map(|n| instant_after_events(&cfg, trace, n))
+                .chain(
+                    points
+                        .iter()
+                        .flat_map(|t| [t.0.saturating_sub(1), t.0, t.0 + 1].map(Time)),
+                )
+                .filter(|&t| t >= points[0])
+                .collect();
+            instants.sort_unstable();
+            instants.dedup();
+            let run =
+                |at: &[Time]| System::new(cfg.clone(), vec![trace.clone()]).run_crash_sweep(at);
+            let (sparse, dense) = (run(&points), run(&instants));
+            let mut cursor = sparse.cursor();
+            let states: Vec<StateView> = (0..points.len())
+                .map(|i| state_view(cursor.crash_set(i), &sparse, eopts))
+                .collect();
+            assert!(
+                states.iter().all(|s| s.2.is_some()),
+                "{what}: a breakpoint after the end"
+            );
+            let mut cursor = dense.cursor();
+            for (i, &t) in instants.iter().enumerate() {
+                let b = points.partition_point(|&p| p <= t) - 1;
+                let got = state_view(cursor.crash_set(i), &dense, eopts);
+                let at = format!("{what} at {t} (breakpoint {})", points[b]);
+                if got.2.is_some() {
+                    assert_eq!(got, states[b], "{at}");
+                } else {
+                    reached_end += 1;
+                    assert_eq!((got.0, &got.1), (states[b].0, &states[b].1), "{at}");
+                }
+            }
+        }
+    }
+    assert!(
+        reached_end > 0,
+        "no instant lay past the last scheduling point"
+    );
+}
+
+/// FNV-1a over the instants' picosecond counts.
+fn instants_digest(instants: &[Time]) -> u64 {
+    instants
+        .iter()
+        .flat_map(|t| t.0.to_le_bytes())
+        .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        })
+}
+
+/// Known answers for `crash_instants_cfg`, the benchmark's crash-instant
+/// generator: per row, the count, first and last instant (ps) and the
+/// FNV-1a digest of every post-setup persist-window midpoint, for the
+/// five kinds under SCA + strict and HashTable with
+/// `Fault::TreeParentFirst`. Most of each run's windows lie in setup,
+/// so a moved setup boundary moves the count and the first instant.
+#[test]
+fn crash_instants_match_known_answers() {
+    const KNOWN: [(WorkloadKind, bool, usize, u64, u64, u64); 6] = [
+        (
+            WorkloadKind::ArraySwap,
+            false,
+            288,
+            13_442_500,
+            121_138_500,
+            0x2955_33fc_ff35_e9c7,
+        ),
+        (
+            WorkloadKind::Queue,
+            false,
+            276,
+            1_203_750,
+            101_870_250,
+            0x744a_09f7_1c25_5a37,
+        ),
+        (
+            WorkloadKind::HashTable,
+            false,
+            304,
+            1_431_000,
+            111_536_250,
+            0x2bed_924d_06ad_0866,
+        ),
+        (
+            WorkloadKind::BTree,
+            false,
+            335,
+            1_225_500,
+            110_684_000,
+            0x7a0f_7cbd_ed00_c699,
+        ),
+        (
+            WorkloadKind::RbTree,
+            false,
+            411,
+            1_225_500,
+            120_312_750,
+            0xab41_30e6_cc94_3ad0,
+        ),
+        (
+            WorkloadKind::HashTable,
+            true,
+            452,
+            1_331_000,
+            104_864_250,
+            0x7aec_eb62_c390_d007,
+        ),
+    ];
+    let strict = SimConfig::single_core(Design::Sca).with_integrity(IntegrityPolicy::Strict);
+    for (kind, tree_bug, count, first, last, digest) in KNOWN {
+        let cfg = match tree_bug {
+            true => strict.clone().with_fault(Fault::TreeParentFirst),
+            false => strict.clone(),
+        };
+        let spec = WorkloadSpec::smoke(kind).with_ops(16).with_payload_lines(8);
+        let got = crash_instants_cfg(&spec, cfg, &ModelCheckOpts::default(), 0);
+        let what = format!("{kind}, tree bug {tree_bug}");
+        assert_eq!(got.len(), count, "{what}: count");
+        assert_eq!(got[0].0, first, "{what}: first");
+        assert_eq!(got[count - 1].0, last, "{what}: last");
+        assert_eq!(instants_digest(&got), digest, "{what}: digest");
+    }
 }

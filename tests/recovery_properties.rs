@@ -3,7 +3,7 @@
 //! counter-atomicity must recover a consistent state every time.
 
 use nvmm::sim::config::{Design, SimConfig};
-use nvmm::sim::system::CrashSpec;
+use nvmm::sim::system::{instant_after_events, CrashSpec};
 use nvmm::workloads::{
     crash_check_cfg, crash_instants_cfg, execute, model_check_cfg, ModelCheckOpts, WorkloadKind,
     WorkloadSpec,
@@ -19,6 +19,12 @@ fn crash_point(spec: &WorkloadSpec, frac: f64) -> u64 {
     let total = ex.pm.trace().len() as u64;
     let start = ex.setup_events as u64;
     start + ((total - start) as f64 * frac) as u64
+}
+
+/// A crash right after event `k` (0-based) of `spec`'s run under `cfg`.
+fn after_event(spec: &WorkloadSpec, cfg: &SimConfig, k: u64) -> CrashSpec {
+    let trace = execute(spec, 0, spec.ops).pm.into_parts().0;
+    CrashSpec::AtTime(instant_after_events(cfg, &trace, k as usize + 1))
 }
 
 fn any_kind() -> impl Strategy<Value = WorkloadKind> {
@@ -52,7 +58,7 @@ proptest! {
         // Crash at the chosen fraction of the post-setup trace.
         let k = crash_point(&spec, crash_frac);
         let sca = SimConfig::single_core(Design::Sca);
-        let outcome = crash_check_cfg(&spec, sca, CrashSpec::AfterEvent(k), 0);
+        let outcome = crash_check_cfg(&spec, sca.clone(), after_event(&spec, &sca, k), 0);
         prop_assert!(outcome.is_ok(), "crash after event {}: {}", k, outcome.unwrap_err());
         let outcome = outcome.unwrap();
         prop_assert!(outcome.committed <= 5);
@@ -68,7 +74,7 @@ proptest! {
         let spec = WorkloadSpec::smoke(kind).with_ops(4).with_seed(seed);
         let k = crash_point(&spec, crash_frac);
         let fca = SimConfig::single_core(Design::Fca);
-        let outcome = crash_check_cfg(&spec, fca, CrashSpec::AfterEvent(k), 0);
+        let outcome = crash_check_cfg(&spec, fca.clone(), after_event(&spec, &fca, k), 0);
         prop_assert!(outcome.is_ok(), "crash after event {}: {}", k, outcome.unwrap_err());
     }
 
@@ -81,7 +87,8 @@ proptest! {
         let spec = WorkloadSpec::smoke(kind).with_ops(4);
         let k = crash_point(&spec, crash_frac);
         let co_located = SimConfig::single_core(Design::CoLocated);
-        let outcome = crash_check_cfg(&spec, co_located, CrashSpec::AfterEvent(k), 0);
+        let crash = after_event(&spec, &co_located, k);
+        let outcome = crash_check_cfg(&spec, co_located, crash, 0);
         prop_assert!(outcome.is_ok(), "crash after event {}: {}", k, outcome.unwrap_err());
     }
 }
@@ -156,8 +163,9 @@ fn array_swap_setup_boundary_crash_recovers_co_located() {
     let k = crash_point(&spec, 0.0);
     assert_eq!(k, execute(&spec, 0, spec.ops).setup_events as u64);
     let co_located = SimConfig::single_core(Design::CoLocated);
-    let outcome = crash_check_cfg(&spec, co_located, CrashSpec::AfterEvent(k), 0)
-        .expect("setup-boundary crash must recover");
+    let crash = after_event(&spec, &co_located, k);
+    let outcome =
+        crash_check_cfg(&spec, co_located, crash, 0).expect("setup-boundary crash must recover");
     assert_eq!(outcome.committed, 0, "nothing committed at the boundary");
 }
 
@@ -171,24 +179,23 @@ fn array_swap_setup_boundary_crash_recovers_fca_seed_zero() {
         .with_seed(0);
     let k = crash_point(&spec, 0.0);
     let fca = SimConfig::single_core(Design::Fca);
-    let outcome = crash_check_cfg(&spec, fca, CrashSpec::AfterEvent(k), 0)
-        .expect("setup-boundary crash must recover");
+    let crash = after_event(&spec, &fca, k);
+    let outcome = crash_check_cfg(&spec, fca, crash, 0).expect("setup-boundary crash must recover");
     assert_eq!(outcome.committed, 0);
 }
 
-/// `crash_frac = 1.0` audit: the fraction maps to `AfterEvent(total)`,
-/// which never fires (`events_processed` can only reach `total`), so the
-/// run completes, recovery sees the final image, and every operation is
-/// durably committed. Both `crash_check_cfg` and `crash_sweep` (whose grid
-/// stops strictly before `total`) treat this edge consistently.
+/// `crash_frac = 1.0` audit: the fraction maps to a crash after event
+/// `total`, past the last event, whose instant is the end of the run,
+/// so recovery sees the final image and every operation is durably
+/// committed.
 #[test]
 fn crash_frac_one_is_a_completed_run() {
     let spec = WorkloadSpec::smoke(WorkloadKind::ArraySwap).with_ops(4);
     let total = execute(&spec, 0, spec.ops).pm.trace().len() as u64;
     assert_eq!(crash_point(&spec, 1.0), total);
     let sca = SimConfig::single_core(Design::Sca);
-    let outcome = crash_check_cfg(&spec, sca, CrashSpec::AfterEvent(total), 0)
-        .expect("a completed run must recover");
+    let crash = after_event(&spec, &sca, total);
+    let outcome = crash_check_cfg(&spec, sca, crash, 0).expect("a completed run must recover");
     assert_eq!(
         outcome.committed, spec.ops as u64,
         "every op is durable when no crash fires"

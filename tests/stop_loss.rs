@@ -8,11 +8,15 @@
 //! The punchline: even the `UnsafeNoAtomicity` design — which ignores
 //! every counter-atomicity primitive and fails the ordinary crash sweeps
 //! on all five workloads — becomes fully crash-consistent once stop-loss
-//! bounding and windowed recovery are enabled.
+//! bounding and windowed recovery are enabled: every legal image of
+//! every post-setup crash state recovers.
 
 use nvmm::sim::config::{Design, SimConfig};
-use nvmm::sim::system::CrashSpec;
-use nvmm::workloads::{crash_check_cfg, execute, WorkloadKind, WorkloadSpec};
+use nvmm::sim::system::{instant_after_events, CrashSpec};
+use nvmm::workloads::{
+    crash_breakpoints, execute, model_check_instants_cfg, ModelCheckOpts, ModelCheckReport,
+    WorkloadKind, WorkloadSpec,
+};
 
 const WINDOW: u64 = 4;
 
@@ -22,19 +26,30 @@ fn stop_loss_cfg() -> SimConfig {
     cfg
 }
 
+/// Model-checks every post-setup crash state of `spec` under the
+/// stop-loss design, recovering with a `window`-candidate search; one
+/// report per breakpoint.
+fn model_check_stop_loss(spec: &WorkloadSpec, window: u64) -> Vec<ModelCheckReport> {
+    let points = crash_breakpoints(spec, stop_loss_cfg());
+    let opts = ModelCheckOpts {
+        recovery_window: window,
+        ..ModelCheckOpts::default()
+    };
+    model_check_instants_cfg(spec, stop_loss_cfg(), &points, &opts)
+}
+
 #[test]
 fn stop_loss_makes_the_unsafe_design_crash_safe() {
     for kind in WorkloadKind::ALL {
         let spec = WorkloadSpec::smoke(kind).with_ops(8);
-        let ex = execute(&spec, 0, spec.ops);
-        let total = ex.pm.trace().len() as u64;
-        let start = ex.setup_events as u64;
-        let step = ((total - start) / 25).max(1);
-        let mut k = start;
-        while k < total {
-            crash_check_cfg(&spec, stop_loss_cfg(), CrashSpec::AfterEvent(k), WINDOW)
-                .unwrap_or_else(|e| panic!("{kind}: crash after event {k}: {e}"));
-            k += step;
+        for (i, rep) in model_check_stop_loss(&spec, WINDOW).iter().enumerate() {
+            assert!(
+                rep.clean(),
+                "{kind}: crash state {i}: {} of {} images violate; minimal: {:?}",
+                rep.violations,
+                rep.images_checked,
+                rep.minimal
+            );
         }
     }
 }
@@ -44,17 +59,8 @@ fn without_windowed_recovery_the_same_runs_still_fail() {
     // Stop-loss bounding alone is not enough: recovery must search the
     // window. With window = 0 the sweep must fail somewhere.
     let spec = WorkloadSpec::smoke(WorkloadKind::HashTable).with_ops(8);
-    let ex = execute(&spec, 0, spec.ops);
-    let total = ex.pm.trace().len() as u64;
-    let mut failed = false;
-    for k in (ex.setup_events as u64..total).step_by(5) {
-        if crash_check_cfg(&spec, stop_loss_cfg(), CrashSpec::AfterEvent(k), 0).is_err() {
-            failed = true;
-            break;
-        }
-    }
     assert!(
-        failed,
+        model_check_stop_loss(&spec, 0).iter().any(|r| !r.clean()),
         "bounded lag without candidate search must still garble"
     );
 }
@@ -64,17 +70,8 @@ fn too_small_a_window_fails() {
     // The lag bound is WINDOW; searching fewer candidates must miss some
     // counters. (A window of 1 can only repair a lag of exactly 1.)
     let spec = WorkloadSpec::smoke(WorkloadKind::Queue).with_ops(8);
-    let ex = execute(&spec, 0, spec.ops);
-    let total = ex.pm.trace().len() as u64;
-    let mut failed = false;
-    for k in (ex.setup_events as u64..total).step_by(3) {
-        if crash_check_cfg(&spec, stop_loss_cfg(), CrashSpec::AfterEvent(k), 1).is_err() {
-            failed = true;
-            break;
-        }
-    }
     assert!(
-        failed,
+        model_check_stop_loss(&spec, 1).iter().any(|r| !r.clean()),
         "a 1-candidate window cannot cover a lag bound of {WINDOW}"
     );
 }
@@ -110,11 +107,11 @@ fn recovery_reports_how_many_counters_it_searched() {
     let spec = WorkloadSpec::smoke(WorkloadKind::ArraySwap).with_ops(8);
     let ex = execute(&spec, 0, spec.ops);
     let trace = ex.pm.trace().clone();
-    let total = trace.len() as u64;
     let cfg = stop_loss_cfg();
     let key = cfg.key;
     // Crash late so plenty of lagging counters exist.
-    let out = System::new(cfg, vec![trace]).run(CrashSpec::AfterEvent(total * 3 / 4));
+    let at = instant_after_events(&cfg, &trace, trace.len() * 3 / 4 + 1);
+    let out = System::new(cfg, vec![trace]).run(CrashSpec::AtTime(at));
     let mut mem = RecoveredMemory::new(out.image, key).with_recovery_window(WINDOW);
     let _ = spec.mechanism.recover(&mut mem, &ex.log);
     let committed = mem.read_u64(ex.ops_cell);
