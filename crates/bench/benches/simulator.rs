@@ -1,8 +1,9 @@
 //! Criterion benchmarks for the memory-system simulator itself: how fast
 //! the trace-replay engine executes per design and, on SCA, per
-//! integrity policy (strict also with batched-journal compaction), the
-//! cost of crash recovery, and the host cost of model-checking one crash
-//! set per workload and of building a sweep's crash sets.
+//! integrity policy (strict also with batched-journal compaction), how
+//! fast workloads record their traces, the cost of crash recovery, and
+//! the host cost of model-checking one crash set per workload and of
+//! building a sweep's crash sets.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use nvmm_core::recovery::{recover_undo_log, RecoveredMemory};
@@ -88,6 +89,18 @@ fn bench_trace_generation(c: &mut Criterion) {
             |b, spec| b.iter(|| traces_for_cores(black_box(spec), 1)),
         );
     }
+    // One core of the benchmark's `replay_closed` set-up: the stored
+    // traces of all five kinds at `evaluation_default` x 1000
+    // transactions. Throughput is in events recorded.
+    let specs = WorkloadKind::ALL.map(|kind| WorkloadSpec::evaluation_default(kind).with_ops(1000));
+    let generate = || {
+        specs
+            .each_ref()
+            .map(|spec| traces_for_cores(black_box(spec), 1))
+    };
+    let events = generate().iter().flatten().map(|t| t.len() as u64).sum();
+    g.throughput(Throughput::Elements(events));
+    g.bench_function("evaluation_default x1000/one core", |b| b.iter(generate));
     g.finish();
 }
 

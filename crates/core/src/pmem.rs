@@ -321,9 +321,9 @@ mod tests {
     fn counter_atomic_write_sets_flag() {
         let mut pm = Pmem::for_core(0);
         pm.write_u64_counter_atomic(ByteAddr(0), 1);
-        match pm.trace().events()[0] {
-            TraceEvent::Write { counter_atomic, .. } => assert!(counter_atomic),
-            ref e => panic!("unexpected event {e:?}"),
+        match pm.trace().get(0) {
+            Some(TraceEvent::Write { counter_atomic, .. }) => assert!(counter_atomic),
+            e => panic!("unexpected event {e:?}"),
         }
     }
 
@@ -344,7 +344,6 @@ mod tests {
         pm.clwb(ByteAddr(0), 130); // lines 0, 1, 2
         let clwbs = pm
             .trace()
-            .events()
             .iter()
             .filter(|e| matches!(e, TraceEvent::Clwb { .. }))
             .count();
@@ -358,7 +357,6 @@ mod tests {
         pm.counter_cache_writeback(ByteAddr(0), 16 * 64);
         let ccwbs = pm
             .trace()
-            .events()
             .iter()
             .filter(|e| matches!(e, TraceEvent::CounterCacheWriteback { .. }))
             .count();

@@ -282,7 +282,7 @@ mod tests {
         tx.write_u64(data, 1);
         tx.commit();
         let valid_line = log.valid_addr().line();
-        for ev in pm.trace().events() {
+        for ev in pm.trace().iter() {
             if let TraceEvent::Write {
                 line,
                 counter_atomic,
@@ -290,8 +290,8 @@ mod tests {
             } = ev
             {
                 assert_eq!(
-                    *counter_atomic,
-                    *line == valid_line,
+                    counter_atomic,
+                    line == valid_line,
                     "exactly the valid-flag stores are CounterAtomic"
                 );
             }
@@ -338,9 +338,8 @@ mod tests {
         let cfg = SimConfig::single_core(Design::Sca);
         // The instant the apply's last write-back starts.
         let apply = trace
-            .events()
             .iter()
-            .rposition(|e| matches!(e, TraceEvent::Clwb { line } if *line == data.line()))
+            .rposition(|e| matches!(e, TraceEvent::Clwb { line } if line == data.line()))
             .expect("the apply writes the data back");
         let applied = instant_after_events(&cfg, &trace, apply);
         let mut saw_new_before_apply = false;
@@ -384,11 +383,10 @@ mod tests {
         let valid_line = log.valid_addr().line();
         let arm_pos = pm
             .trace()
-            .events()
             .iter()
             .position(|e| {
                 matches!(e, TraceEvent::Write { line, counter_atomic: true, data, .. }
-                    if *line == valid_line && data[0] == 1)
+                    if line == valid_line && data[0] == 1)
             })
             .expect("arm event exists");
         let (trace, _) = pm.into_parts();

@@ -375,14 +375,14 @@ mod tests {
         tx.write_u64(data, 1);
         tx.commit();
         let valid_line = log.valid_addr().line();
-        for ev in pm.trace().events() {
+        for ev in pm.trace().iter() {
             if let TraceEvent::Write {
                 line,
                 counter_atomic,
                 ..
             } = ev
             {
-                if *line == valid_line {
+                if line == valid_line {
                     assert!(
                         counter_atomic,
                         "every valid-flag store must be CounterAtomic"
@@ -402,7 +402,6 @@ mod tests {
         let valid_line = log.valid_addr().line();
         let plain = pm
             .trace()
-            .events()
             .iter()
             .filter(|e| {
                 matches!(e, TraceEvent::Write { line, counter_atomic: false, .. } if *line != valid_line)
@@ -423,17 +422,18 @@ mod tests {
         tx.log_region(data, 8);
         tx.write_u64(data, 1);
         tx.commit();
-        let events = pm.trace().events();
+        let trace = pm.trace();
         let valid_line = log.valid_addr().line();
-        let first_valid_arm = events
+        let first_valid_arm = trace
             .iter()
             .position(|e| {
                 matches!(e, TraceEvent::Write { line, data, .. }
-                    if *line == valid_line && data[0] == LOG_VALID as u8)
+                    if line == valid_line && data[0] == LOG_VALID as u8)
             })
             .expect("valid flag armed");
-        let barrier_before = events[..first_valid_arm]
+        let barrier_before = trace
             .iter()
+            .take(first_valid_arm)
             .rposition(|e| matches!(e, TraceEvent::PersistBarrier));
         assert!(
             barrier_before.is_some(),
@@ -513,7 +513,6 @@ mod tests {
         tx.commit();
         assert!(pm
             .trace()
-            .events()
             .iter()
             .any(|e| matches!(e, TraceEvent::TxCommit { id: 77 })));
     }

@@ -345,15 +345,25 @@ pub enum Fault {
     /// can leave a summary claiming counter sums the surviving counter
     /// lines never reached (arXiv:1911.01922).
     StaleEpoch,
+    /// The program forgets its `CounterAtomic` annotations (the paper's
+    /// Fig. 4): the front end replays every
+    /// [`TraceEvent::Write`](crate::trace::TraceEvent) as a plain store,
+    /// so under SCA a log entry or commit flag can persist while its
+    /// counter stays on chip. Under FCA, and under strict or pipelined
+    /// integrity, the fault leaves every crash state as it was: they
+    /// make every write counter-atomic whatever its annotation, so only
+    /// the `counter_atomic_writes`/`plain_writes` split moves.
+    MissingCounterAtomic,
 }
 
 impl Fault {
     /// Every fault: the model checker's positive controls.
-    pub const ALL: [Fault; 4] = [
+    pub const ALL: [Fault; 5] = [
         Fault::MissingCounterWritebacks,
         Fault::TreeParentFirst,
         Fault::DroppedRootDependency,
         Fault::StaleEpoch,
+        Fault::MissingCounterAtomic,
     ];
 }
 

@@ -111,12 +111,16 @@ pub(crate) enum JournalOp {
     /// line land as one line-sized write (the colocated policy's
     /// halving of metadata traffic). The two halves are inherently
     /// atomic — one device write — so one journal record carries both.
+    /// Only the colocated policy journals it, so its MAC half is boxed
+    /// and the other variants do not pay for a second line.
     PackedMeta {
         cline: CounterLineAddr,
         counters: CounterLine,
-        macs: MacLine,
+        macs: Box<MacLine>,
     },
 }
+
+const _: () = assert!(std::mem::size_of::<JournalRecord>() <= 136);
 
 impl JournalOp {
     /// Applies this persisted write to an image under construction, op
@@ -147,7 +151,7 @@ impl JournalOp {
                 macs,
             } => {
                 img.write_counter_line(*cline, *counters);
-                img.write_mac_line(MacLineAddr(cline.0), *macs);
+                img.write_mac_line(MacLineAddr(cline.0), **macs);
             }
         }
     }
@@ -452,7 +456,7 @@ impl MemoryController {
                 let op = JournalOp::PackedMeta {
                     cline,
                     counters,
-                    macs,
+                    macs: Box::new(macs),
                 };
                 self.write_plain(op, domain, t, stats)
             }
@@ -751,7 +755,7 @@ impl MemoryController {
             Some(macs) if policy.packed_meta() => JournalOp::PackedMeta {
                 cline,
                 counters,
-                macs,
+                macs: Box::new(macs),
             },
             _ => JournalOp::CounterLine { cline, counters },
         });

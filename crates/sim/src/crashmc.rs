@@ -817,7 +817,7 @@ fn write_cell(img: &mut NvmmImage, key: CellKey, op: &JournalOp) {
             },
         ) => img.write_counter_line(*cline, *counters),
         (CellKey::Mac(_), JournalOp::PackedMeta { cline, macs, .. }) => {
-            img.write_mac_line(MacLineAddr(cline.0), *macs)
+            img.write_mac_line(MacLineAddr(cline.0), **macs)
         }
         (CellKey::Mac(_), JournalOp::MacLine { mline, macs }) => img.write_mac_line(*mline, *macs),
         (CellKey::Tree(_), JournalOp::TreeNode { node, digests }) => {
@@ -1912,7 +1912,7 @@ mod tests {
                         JournalOp::PackedMeta {
                             cline: CounterLineAddr(v % 2),
                             counters: cl,
-                            macs: ml,
+                            macs: Box::new(ml),
                         }
                     }
                 }
@@ -2196,7 +2196,7 @@ mod tests {
             JournalOp::PackedMeta {
                 cline: CounterLineAddr(1),
                 counters,
-                macs,
+                macs: Box::new(macs),
             },
             JournalOp::CounterLine {
                 cline: CounterLineAddr(1),

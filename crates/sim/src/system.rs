@@ -375,6 +375,10 @@ impl FrontEnd {
                 data,
                 counter_atomic,
             } => {
+                // A program that forgot its `CounterAtomic` annotations
+                // stores every line plain.
+                let counter_atomic =
+                    counter_atomic && cfg.fault != Some(Fault::MissingCounterAtomic);
                 // Write-allocate: ensure residency, then update in L1.
                 let in_l1 = self.cores[ci].l1.peek(&line).is_some();
                 let done = if in_l1 {
@@ -410,31 +414,25 @@ impl FrontEnd {
             TraceEvent::Clwb { line } => {
                 let issue = self.cores[ci].now + cfg.l1.latency;
                 let core = &mut self.cores[ci];
-                // Take the newest copy: L1 first, then L2.
-                let newest = core
-                    .l1
-                    .peek(&line)
-                    .copied()
-                    .map(|c| (c, core.l1.is_dirty(&line)))
-                    .or_else(|| {
-                        core.l2
-                            .peek(&line)
-                            .copied()
-                            .map(|c| (c, core.l2.is_dirty(&line)))
-                    });
-                if let Some((cached, dirty)) = newest {
-                    if dirty {
-                        core.l1.clean(&line);
-                        core.l2.clean(&line);
-                        let guaranteed = controller.writeback(
-                            line,
-                            cached.data,
-                            cached.counter_atomic,
-                            issue + cfg.controller_overhead,
-                            &mut self.stats,
-                        );
-                        core.persisted = core.persisted.max(guaranteed);
-                    }
+                // Write back the newest copy (L1's, then L2's) when
+                // either level holds the line dirty: a clean L1 copy
+                // refilled from a dirty L2 one is the same data.
+                if core.l1.is_dirty(&line) || core.l2.is_dirty(&line) {
+                    let cached = *core
+                        .l1
+                        .peek(&line)
+                        .or_else(|| core.l2.peek(&line))
+                        .expect("a dirty line is cached");
+                    core.l1.clean(&line);
+                    core.l2.clean(&line);
+                    let guaranteed = controller.writeback(
+                        line,
+                        cached.data,
+                        cached.counter_atomic,
+                        issue + cfg.controller_overhead,
+                        &mut self.stats,
+                    );
+                    core.persisted = core.persisted.max(guaranteed);
                 }
                 self.cores[ci].now = issue;
             }
@@ -707,16 +705,38 @@ pub fn run_to_completion(config: SimConfig, traces: Vec<Trace>) -> RunOutcome {
 /// when `n` exceeds it) have replayed. [`CrashSpec::AtTime`] there leaves
 /// the image a crash right after event `n - 1` would; its replay stops
 /// before any later event that starts after the instant, and it may also
-/// stop before event `n - 1` itself when that event takes no time.
+/// stop before event `n - 1` itself when that event takes no time. The
+/// one-count case of [`instants_after_events`].
 ///
 /// # Panics
 ///
 /// Panics if `config` has more than one core.
 pub fn instant_after_events(config: &SimConfig, trace: &Trace, n: usize) -> Time {
-    let prefix = trace.events().iter().take(n).cloned().collect();
-    let mut sys = System::new(config.clone(), vec![prefix]);
-    sys.replay(CrashSpec::None);
-    sys.front.cores[0].now
+    instants_after_events(config, trace, &[n])[0]
+}
+
+/// [`instant_after_events`] for every count in `counts`, in the caller's
+/// order, from one replay of `trace`: the replay runs the trace's stream
+/// up to each count in ascending order and reads the core clock there,
+/// then raises the stream's end to the next count. Pausing changes
+/// nothing, because the replay loop has no end-of-stream side effect, so
+/// each instant equals a separate replay of that many events.
+///
+/// # Panics
+///
+/// Panics if `config` has more than one core.
+pub fn instants_after_events(config: &SimConfig, trace: &Trace, counts: &[usize]) -> Vec<Time> {
+    let source = TraceStream::from_trace_prefix(trace.clone(), 0);
+    let mut sys = System::with_sources(config.clone(), vec![source]);
+    let mut order: Vec<usize> = (0..counts.len()).collect();
+    order.sort_by_key(|&i| counts[i]);
+    let mut instants = vec![Time::ZERO; counts.len()];
+    for i in order {
+        sys.front.cores[0].source.raise_end(counts[i]);
+        sys.replay(CrashSpec::None);
+        instants[i] = sys.front.cores[0].now;
+    }
+    instants
 }
 
 /// The breakpoints of a one-core run of `trace` under `config` once its
@@ -916,6 +936,31 @@ mod tests {
             out.stats.barrier_stall > drained.stats.barrier_stall,
             "the barrier after a ccwb must wait for its guarantee"
         );
+    }
+
+    /// `clwb` writes back a line whose only dirty copy sits in L2. With
+    /// an L1 of one line, the read of Y spills X's dirty copy to L2 and
+    /// the read of X refills L1 with a clean copy; the `clwb` must still
+    /// persist X, so the barrier waits for it and recovery reads it.
+    #[test]
+    fn clwb_persists_a_line_dirty_only_in_l2() {
+        let mut cfg = SimConfig::single_core(Design::Sca);
+        cfg.l1.capacity_bytes = 64;
+        cfg.l1.ways = 1;
+        let key = cfg.key;
+        let x = LineAddr(1);
+        let mut t = Trace::new();
+        t.push(write_ev(x.0, 0xaa, false));
+        t.push(TraceEvent::Read { line: LineAddr(2) });
+        t.push(TraceEvent::Read { line: x });
+        t.push(TraceEvent::Clwb { line: x });
+        t.push(TraceEvent::CounterCacheWriteback { line: x });
+        t.push(TraceEvent::PersistBarrier);
+        t.push(TraceEvent::TxCommit { id: 0 });
+        let out = run_to_completion(cfg, vec![t]);
+        assert_eq!(out.stats.nvmm_data_writes, 1, "the clwb persists X");
+        let engine = nvmm_crypto::EncryptionEngine::new(key);
+        assert_eq!(out.image.read_line(x, &engine), LineRead::Clean([0xaa; 64]));
     }
 
     #[test]

@@ -6,6 +6,21 @@
 //! the cache hierarchy and memory controller under a particular design.
 //! Write events carry the full post-write line image so that writebacks,
 //! encryption, and post-crash recovery all operate on real bytes.
+//!
+//! # Storage layout
+//!
+//! [`TraceEvent`] is the value type every producer builds and every
+//! consumer matches: workloads, arrival shaping, generator streams and
+//! the replay loop all speak it, and a `Write` carries its line image
+//! inline. That makes every event 80 bytes, although most carry one
+//! 8-byte operand. A recorded [`Trace`] therefore stores each event as a
+//! 16-byte op (its variant and one operand; a write's op holds the line,
+//! the annotation and the index of its image) and keeps the writes'
+//! 64-byte post-store line images in a second vector, in program order.
+//! Reads decode: [`Trace::iter`] walks the events and [`Trace::get`]
+//! fetches one in O(1). A trace of `n` events and `w` writes takes
+//! `16n + 64w` bytes instead of `80n`. A generator-fed
+//! [`TraceStream`] never stores events, so it decodes nothing.
 
 use crate::addr::LineAddr;
 use crate::time::Time;
@@ -74,17 +89,97 @@ pub enum TraceEvent {
     },
 }
 
+/// One event as a [`Trace`] stores it: the [`TraceEvent`] with a
+/// write's line image replaced by its index into the trace's payloads,
+/// so every event fits in 16 bytes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Op {
+    Read(LineAddr),
+    Write {
+        line: LineAddr,
+        payload: u32,
+        counter_atomic: bool,
+    },
+    Clwb(LineAddr),
+    CounterCacheWriteback(LineAddr),
+    PersistBarrier,
+    Compute(Time),
+    TxCommit(u64),
+    WaitUntil(Time),
+}
+
+const _: () = assert!(std::mem::size_of::<Op>() <= 16);
+
+/// A trace's storage: one [`Op`] per event, and the post-store line
+/// image of its `k`-th write at `payloads[k]`.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+struct Events {
+    ops: Vec<Op>,
+    payloads: Vec<LineData>,
+}
+
+impl Events {
+    fn push(&mut self, ev: TraceEvent) {
+        let op = match ev {
+            TraceEvent::Read { line } => Op::Read(line),
+            TraceEvent::Write {
+                line,
+                data,
+                counter_atomic,
+            } => {
+                let payload =
+                    u32::try_from(self.payloads.len()).expect("a trace holds at most 2^32 writes");
+                self.payloads.push(data);
+                Op::Write {
+                    line,
+                    payload,
+                    counter_atomic,
+                }
+            }
+            TraceEvent::Clwb { line } => Op::Clwb(line),
+            TraceEvent::CounterCacheWriteback { line } => Op::CounterCacheWriteback(line),
+            TraceEvent::PersistBarrier => Op::PersistBarrier,
+            TraceEvent::Compute { duration } => Op::Compute(duration),
+            TraceEvent::TxCommit { id } => Op::TxCommit(id),
+            TraceEvent::WaitUntil { at } => Op::WaitUntil(at),
+        };
+        self.ops.push(op);
+    }
+
+    fn decode(&self, op: Op) -> TraceEvent {
+        match op {
+            Op::Read(line) => TraceEvent::Read { line },
+            Op::Write {
+                line,
+                payload,
+                counter_atomic,
+            } => TraceEvent::Write {
+                line,
+                data: self.payloads[payload as usize],
+                counter_atomic,
+            },
+            Op::Clwb(line) => TraceEvent::Clwb { line },
+            Op::CounterCacheWriteback(line) => TraceEvent::CounterCacheWriteback { line },
+            Op::PersistBarrier => TraceEvent::PersistBarrier,
+            Op::Compute(duration) => TraceEvent::Compute { duration },
+            Op::TxCommit(id) => TraceEvent::TxCommit { id },
+            Op::WaitUntil(at) => TraceEvent::WaitUntil { at },
+        }
+    }
+}
+
 /// A complete program-order trace for one core.
 ///
-/// A recorded trace is a shared immutable value: the events live behind
-/// an [`Arc`], so `clone()` is O(1) and every replay of one recording
-/// reads the same storage. Appending goes through [`Arc::make_mut`],
-/// which copies only when the storage is shared, so building a trace
-/// never copies and a clone that is extended leaves the original as it
-/// was.
-#[derive(Debug, Clone, Default, PartialEq)]
+/// A recorded trace is a shared immutable value: its storage lives
+/// behind an [`Arc`], so `clone()` is O(1) and every replay of one
+/// recording reads the same storage. Appending goes through
+/// [`Arc::make_mut`], which copies only when the storage is shared, so
+/// building a trace never copies and a clone that is extended leaves the
+/// original as it was. Events are stored compactly (see the module
+/// docs) and decoded on read by [`Trace::iter`] and [`Trace::get`].
+#[derive(Clone, Default, PartialEq, Eq)]
 pub struct Trace {
-    events: Arc<Vec<TraceEvent>>,
+    events: Arc<Events>,
 }
 
 impl Trace {
@@ -94,53 +189,71 @@ impl Trace {
     }
 
     /// Appends an event.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the trace already holds 2^32 `Write` events.
     pub fn push(&mut self, ev: TraceEvent) {
         Arc::make_mut(&mut self.events).push(ev);
     }
 
     /// The recorded events in program order.
-    pub fn events(&self) -> &[TraceEvent] {
-        &self.events
+    pub fn iter(&self) -> impl DoubleEndedIterator<Item = TraceEvent> + ExactSizeIterator + '_ {
+        self.events.ops.iter().map(|&op| self.events.decode(op))
+    }
+
+    /// The event at index `i`, or `None` past the end.
+    pub fn get(&self, i: usize) -> Option<TraceEvent> {
+        self.events.ops.get(i).map(|&op| self.events.decode(op))
     }
 
     /// Number of events.
     pub fn len(&self) -> usize {
-        self.events.len()
+        self.events.ops.len()
     }
 
     /// Whether the trace is empty.
     pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
+        self.events.ops.is_empty()
     }
 
     /// Number of `Write` events.
     pub fn write_count(&self) -> u64 {
-        self.events
-            .iter()
-            .filter(|e| matches!(e, TraceEvent::Write { .. }))
-            .count() as u64
+        self.events.payloads.len() as u64
     }
 
     /// Number of committed transactions recorded.
     pub fn tx_count(&self) -> u64 {
         self.events
+            .ops
             .iter()
-            .filter(|e| matches!(e, TraceEvent::TxCommit { .. }))
+            .filter(|op| matches!(op, Op::TxCommit(_)))
             .count() as u64
+    }
+}
+
+/// Prints the decoded events, as a `Vec<TraceEvent>` field would.
+impl std::fmt::Debug for Trace {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let events: Vec<TraceEvent> = self.iter().collect();
+        f.debug_struct("Trace").field("events", &events).finish()
     }
 }
 
 impl Extend<TraceEvent> for Trace {
     fn extend<T: IntoIterator<Item = TraceEvent>>(&mut self, iter: T) {
-        Arc::make_mut(&mut self.events).extend(iter);
+        let events = Arc::make_mut(&mut self.events);
+        for ev in iter {
+            events.push(ev);
+        }
     }
 }
 
 impl FromIterator<TraceEvent> for Trace {
     fn from_iter<T: IntoIterator<Item = TraceEvent>>(iter: T) -> Self {
-        Self {
-            events: Arc::new(iter.into_iter().collect()),
-        }
+        let mut trace = Self::new();
+        trace.extend(iter);
+        trace
     }
 }
 
@@ -159,14 +272,19 @@ pub struct TraceStream {
 }
 
 enum StreamSource {
-    Materialized { trace: Trace, cursor: usize },
+    /// A recorded trace, read up to event `end` (exclusive).
+    Materialized {
+        trace: Trace,
+        cursor: usize,
+        end: usize,
+    },
     Generator(Box<dyn FnMut() -> Option<TraceEvent> + Send>),
 }
 
 impl std::fmt::Debug for TraceStream {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let kind = match &self.source {
-            StreamSource::Materialized { trace, cursor } => {
+            StreamSource::Materialized { trace, cursor, .. } => {
                 format!("materialized {}/{}", cursor, trace.len())
             }
             StreamSource::Generator(_) => "generator".to_string(),
@@ -181,12 +299,40 @@ impl std::fmt::Debug for TraceStream {
 impl TraceStream {
     /// Streams a materialized trace (the closed-loop path).
     pub fn from_trace(trace: Trace) -> Self {
+        let end = trace.len();
+        Self::from_trace_prefix(trace, end)
+    }
+
+    /// Streams the first `end` events of `trace` (all of them when `end`
+    /// exceeds its length); [`TraceStream::raise_end`] streams more.
+    pub(crate) fn from_trace_prefix(trace: Trace, end: usize) -> Self {
+        let end = end.min(trace.len());
         let mut s = Self {
             next: None,
-            source: StreamSource::Materialized { trace, cursor: 0 },
+            source: StreamSource::Materialized {
+                trace,
+                cursor: 0,
+                end,
+            },
         };
         s.advance();
         s
+    }
+
+    /// Lets a stream from [`TraceStream::from_trace_prefix`] run on to
+    /// its trace's first `end` events, resuming where it stopped; an
+    /// `end` below the current one changes nothing. A generator stream
+    /// is left as it is.
+    pub(crate) fn raise_end(&mut self, end: usize) {
+        if let StreamSource::Materialized {
+            trace, end: old, ..
+        } = &mut self.source
+        {
+            *old = end.clamp(*old, trace.len());
+            if self.next.is_none() {
+                self.advance();
+            }
+        }
     }
 
     /// Streams events pulled from `gen` until it returns `None`. The
@@ -203,10 +349,13 @@ impl TraceStream {
 
     fn advance(&mut self) {
         self.next = match &mut self.source {
-            StreamSource::Materialized { trace, cursor } => {
-                let ev = trace.events().get(*cursor).cloned();
-                *cursor += 1;
-                ev
+            StreamSource::Materialized { trace, cursor, end } => {
+                if *cursor < *end {
+                    *cursor += 1;
+                    trace.get(*cursor - 1)
+                } else {
+                    None
+                }
             }
             StreamSource::Generator(gen) => gen(),
         };
@@ -241,6 +390,9 @@ impl From<Trace> for TraceStream {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::array::uniform8;
+    use proptest::collection::vec;
+    use proptest::prelude::*;
 
     fn write(line: u64) -> TraceEvent {
         TraceEvent::Write {
@@ -267,16 +419,20 @@ mod tests {
         let mut original: Trace = (0..4).map(write).collect();
         let mut copy = original.clone();
         assert!(
-            std::ptr::eq(original.events(), copy.events()),
+            Arc::ptr_eq(&original.events, &copy.events),
             "a clone must share the recorded events"
         );
         copy.push(TraceEvent::PersistBarrier);
+        assert!(!Arc::ptr_eq(&original.events, &copy.events));
         assert_eq!(original.len(), 4, "pushing to a clone leaves the original");
         assert_eq!(copy.len(), 5);
-        assert_eq!(copy.events()[..4], *original.events());
+        assert!(copy.iter().take(4).eq(original.iter()));
         original.extend([write(9)]);
         assert_eq!(original.len(), 5);
-        assert_eq!(copy.events()[4], TraceEvent::PersistBarrier);
+        assert_eq!(original.write_count(), 5);
+        assert_eq!(copy.write_count(), 4);
+        assert_eq!(copy.get(4), Some(TraceEvent::PersistBarrier));
+        assert_eq!(original.get(4), Some(write(9)));
     }
 
     #[test]
@@ -293,7 +449,7 @@ mod tests {
         while let Some(ev) = s.pull() {
             seen.push(ev);
         }
-        assert_eq!(seen, t.events());
+        assert!(seen.into_iter().eq(t.iter()));
         assert!(s.is_done());
         assert_eq!(s.pull(), None);
     }
@@ -323,5 +479,87 @@ mod tests {
     fn empty_generator_is_done_immediately() {
         let s = TraceStream::from_generator(|| None);
         assert!(s.is_done());
+    }
+
+    #[test]
+    fn prefix_stream_resumes_when_its_end_is_raised() {
+        let t: Trace = (0..6).map(write).collect();
+        let mut s = TraceStream::from_trace_prefix(t.clone(), 2);
+        let mut seen = Vec::new();
+        for end in [2, 1, 5, 9] {
+            s.raise_end(end);
+            while let Some(ev) = s.pull() {
+                seen.push(ev);
+            }
+            assert_eq!(
+                seen.len(),
+                end.clamp(2, 6),
+                "after raising the end to {end}"
+            );
+        }
+        assert!(seen.into_iter().eq(t.iter()));
+    }
+
+    /// Any event: every variant, operands across the whole `u64` range,
+    /// any line image and either annotation.
+    fn any_event() -> impl Strategy<Value = TraceEvent> {
+        let operand = prop_oneof![Just(0), Just(u64::MAX), any::<u64>()];
+        (0u8..8, operand, uniform8(any::<u64>()), any::<bool>()).prop_map(
+            |(tag, x, words, counter_atomic)| {
+                let mut data = [0; 64];
+                for (chunk, w) in data.chunks_exact_mut(8).zip(words) {
+                    chunk.copy_from_slice(&w.to_le_bytes());
+                }
+                match tag {
+                    0 => TraceEvent::Read { line: LineAddr(x) },
+                    1 => TraceEvent::Write {
+                        line: LineAddr(x),
+                        data,
+                        counter_atomic,
+                    },
+                    2 => TraceEvent::Clwb { line: LineAddr(x) },
+                    3 => TraceEvent::CounterCacheWriteback { line: LineAddr(x) },
+                    4 => TraceEvent::PersistBarrier,
+                    5 => TraceEvent::Compute { duration: Time(x) },
+                    6 => TraceEvent::TxCommit { id: x },
+                    _ => TraceEvent::WaitUntil { at: Time(x) },
+                }
+            },
+        )
+    }
+
+    proptest! {
+        /// A trace reads back exactly the events pushed into it, through
+        /// every reader, and compares and prints as its events.
+        fn trace_reads_back_every_event(events in vec(any_event(), 0..48)) {
+            let t: Trace = events.iter().cloned().collect();
+            prop_assert_eq!(t.len(), events.len());
+            prop_assert_eq!(t.is_empty(), events.is_empty());
+            prop_assert!(t.iter().eq(events.iter().cloned()));
+            prop_assert!(t.iter().rev().eq(events.iter().rev().cloned()));
+            for (i, ev) in events.iter().enumerate() {
+                prop_assert_eq!(t.get(i), Some(ev.clone()));
+            }
+            prop_assert_eq!(t.get(events.len()), None);
+            let mut s = TraceStream::from_trace(t.clone());
+            let mut pulled = Vec::new();
+            while let Some(ev) = s.pull() {
+                pulled.push(ev);
+            }
+            prop_assert_eq!(&pulled, &events);
+            let writes = events.iter().filter(|e| matches!(e, TraceEvent::Write { .. }));
+            prop_assert_eq!(t.write_count(), writes.count() as u64);
+            let commits = events.iter().filter(|e| matches!(e, TraceEvent::TxCommit { .. }));
+            prop_assert_eq!(t.tx_count(), commits.count() as u64);
+            let mut pushed = Trace::new();
+            for ev in &events {
+                pushed.push(ev.clone());
+            }
+            prop_assert!(pushed == t);
+            let mut longer = t.clone();
+            longer.push(TraceEvent::PersistBarrier);
+            prop_assert!(longer != t);
+            prop_assert_eq!(format!("{t:?}"), format!("Trace {{ events: {events:?} }}"));
+        }
     }
 }

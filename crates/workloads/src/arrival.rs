@@ -139,7 +139,7 @@ fn shape_core(trace: Trace, curve: &ArrivalCurve, offset: Time) -> Trace {
     let mut segment: Vec<TraceEvent> = Vec::new();
     let mut arrival = offset;
     let mut k = 0u64;
-    for ev in trace.events() {
+    for ev in trace.iter() {
         match ev {
             TraceEvent::TxCommit { .. } => {
                 arrival += curve.gap(k);
@@ -148,7 +148,7 @@ fn shape_core(trace: Trace, curve: &ArrivalCurve, offset: Time) -> Trace {
                 out.extend(segment.drain(..));
                 out.push(TraceEvent::TxCommit { id: arrival.0 });
             }
-            other => segment.push(other.clone()),
+            other => segment.push(other),
         }
     }
     // Teardown events after the last commit replay unshaped.
@@ -178,10 +178,9 @@ mod tests {
     }
 
     fn arrivals(t: &Trace) -> Vec<Time> {
-        t.events()
-            .iter()
+        t.iter()
             .filter_map(|e| match e {
-                TraceEvent::WaitUntil { at } => Some(*at),
+                TraceEvent::WaitUntil { at } => Some(at),
                 _ => None,
             })
             .collect()
@@ -203,10 +202,10 @@ mod tests {
         );
         // Every commit id equals the preceding gate's instant.
         let mut gate = None;
-        for ev in shaped.events() {
+        for ev in shaped.iter() {
             match ev {
-                TraceEvent::WaitUntil { at } => gate = Some(*at),
-                TraceEvent::TxCommit { id } => assert_eq!(Some(Time(*id)), gate),
+                TraceEvent::WaitUntil { at } => gate = Some(at),
+                TraceEvent::TxCommit { id } => assert_eq!(Some(Time(id)), gate),
                 _ => {}
             }
         }

@@ -12,7 +12,9 @@
 use nvmm::crypto::mac::MacEngine;
 use nvmm::crypto::EncryptionEngine;
 use nvmm::sim::config::{Design, Fault, IntegrityPolicy, SimConfig};
-use nvmm::sim::system::{instant_after_events, CrashSpec, RunOutcome, System};
+use nvmm::sim::system::{
+    breakpoint_images, instant_after_events, instants_after_events, CrashSpec, RunOutcome, System,
+};
 use nvmm::sim::{
     CrashSet, CrashSweep, EnumOpts, EnumStats, IntegritySpec, LandMask, Time, Trace, TraceEvent,
 };
@@ -222,47 +224,75 @@ fn every_integrity_policy_model_checks_clean_on_all_workloads() {
 
 /// Differential bug table, one row per [`Fault`]: SCA forgetting its
 /// counter-cache write-backs, strict persisting parents before
-/// children, pipelined dropping the root dependency from its pair, and
-/// phoenix journaling a stale epoch summary outside the pair must each
-/// surface as violating images whose minimized witness blames the right
-/// oracle, on more than one workload. The `match` is exhaustive, so a
-/// new fault cannot go without a row.
+/// children, pipelined dropping the root dependency from its pair,
+/// phoenix journaling a stale epoch summary outside the pair, and SCA
+/// forgetting its `CounterAtomic` annotations must each surface as
+/// violating images whose minimized witness blames the right oracle, on
+/// more than one workload. Forgotten annotations leave no write waiting
+/// in flight, so `crash_instants_cfg` harvests no instant under them
+/// (the row asserts it); that row sweeps every breakpoint of all five
+/// kinds instead. The `match` is exhaustive, so a new fault cannot go
+/// without a row.
 #[test]
 fn injected_policy_bugs_are_caught_with_blaming_witnesses() {
     let sca = |policy| SimConfig::single_core(Design::Sca).with_integrity(policy);
+    let pair = [WorkloadKind::ArraySwap, WorkloadKind::Queue];
     for fault in Fault::ALL {
-        let (cfg, blame): (SimConfig, &[&str]) = match fault {
+        // The configuration, the blames a witness may carry, the kinds,
+        // and whether the instants are breakpoints or harvested.
+        type Row<'a> = (SimConfig, &'a [&'a str], &'a [WorkloadKind], bool);
+        let (cfg, blame, kinds, breakpoints): Row = match fault {
             // The durable op counter's line decrypts garbled under its
             // stranded counter line, which the checker names before the
             // count it misreads.
-            Fault::MissingCounterWritebacks => (sca(IntegrityPolicy::None), &["garbled"]),
+            Fault::MissingCounterWritebacks => {
+                (sca(IntegrityPolicy::None), &["garbled"], &pair, false)
+            }
             Fault::TreeParentFirst => (
                 sca(IntegrityPolicy::Strict),
                 &["never persisted", "ahead of child"],
+                &pair,
+                false,
             ),
             Fault::DroppedRootDependency => (
                 sca(IntegrityPolicy::Pipelined),
                 &["never persisted", "ahead of child"],
+                &pair,
+                false,
             ),
             Fault::StaleEpoch => {
                 let mut c = sca(IntegrityPolicy::Phoenix);
                 c.phoenix_epoch_every = 1;
-                (c, &["stale epoch"])
+                (c, &["stale epoch"], &pair, false)
             }
+            Fault::MissingCounterAtomic => (
+                sca(IntegrityPolicy::None),
+                &["garbled"],
+                &WorkloadKind::ALL,
+                true,
+            ),
         };
         let cfg = cfg.with_fault(fault);
-        for kind in [WorkloadKind::ArraySwap, WorkloadKind::Queue] {
+        for &kind in kinds {
             let spec = WorkloadSpec::smoke(kind).with_ops(4);
             let o = opts(32);
-            let instants = crash_instants_cfg(&spec, cfg.clone(), &o, 8);
+            let harvested = crash_instants_cfg(&spec, cfg.clone(), &o, 8);
+            let instants = if breakpoints {
+                assert!(
+                    harvested.is_empty(),
+                    "{fault:?}/{kind}: the harvest found an instant"
+                );
+                crash_breakpoints(&spec, cfg.clone())
+            } else {
+                harvested
+            };
             assert!(!instants.is_empty(), "{fault:?}/{kind}: no instants");
-            let mut violations = 0;
-            let mut witnesses = Vec::new();
-            for &t in &instants {
-                let rep = model_check_cfg(&spec, cfg.clone(), CrashSpec::AtTime(t), &o);
-                violations += rep.violations;
-                witnesses.extend(rep.minimal.map(|m| m.error.0));
-            }
+            let reports = model_check_instants_cfg(&spec, cfg.clone(), &instants, &o);
+            let violations: usize = reports.iter().map(|r| r.violations).sum();
+            let witnesses: Vec<String> = reports
+                .into_iter()
+                .filter_map(|r| r.minimal.map(|m| m.error.0))
+                .collect();
             assert!(
                 violations >= 1,
                 "{fault:?}/{kind}: the injected bug produced no violating image"
@@ -272,6 +302,27 @@ fn injected_policy_bugs_are_caught_with_blaming_witnesses() {
                 "{fault:?}/{kind}: no witness blamed the expected oracle ({blame:?}): {witnesses:?}"
             );
         }
+    }
+}
+
+/// Under SCA + strict every write is counter-atomic whatever its
+/// annotation, so forgetting the annotations
+/// (`Fault::MissingCounterAtomic`) leaves every crash state of all five
+/// kinds as it was: the same breakpoints, each with the same image.
+#[test]
+fn missing_counter_atomic_is_moot_under_strict() {
+    let strict = SimConfig::single_core(Design::Sca).with_integrity(IntegrityPolicy::Strict);
+    let faulted = strict.clone().with_fault(Fault::MissingCounterAtomic);
+    for kind in WorkloadKind::ALL {
+        let spec = WorkloadSpec::smoke(kind).with_ops(4);
+        let ex = execute(&spec, 0, spec.ops);
+        let states = |cfg: &SimConfig| -> Vec<(Time, u128)> {
+            breakpoint_images(cfg, ex.pm.trace(), ex.setup_events)
+                .into_iter()
+                .map(|(t, image)| (t, image.fingerprint()))
+                .collect()
+        };
+        assert_eq!(states(&faulted), states(&strict), "{kind}");
     }
 }
 
@@ -480,10 +531,8 @@ fn enum_opts(o: &ModelCheckOpts) -> EnumOpts {
 /// end instead.
 fn without_counter_writebacks(trace: &Trace) -> Trace {
     trace
-        .events()
         .iter()
         .filter(|e| !matches!(e, TraceEvent::CounterCacheWriteback { .. }))
-        .cloned()
         .collect()
 }
 
@@ -494,8 +543,11 @@ fn without_counter_writebacks(trace: &Trace) -> Trace {
 fn filtered_trace_instants(spec: &WorkloadSpec, plain: &SimConfig, limit: usize) -> Vec<Time> {
     let ex = execute(spec, 0, spec.ops);
     let trace = without_counter_writebacks(ex.pm.trace());
-    let setup_events = ex.pm.trace().events()[..ex.setup_events]
+    let setup_events = ex
+        .pm
+        .trace()
         .iter()
+        .take(ex.setup_events)
         .filter(|e| !matches!(e, TraceEvent::CounterCacheWriteback { .. }))
         .count();
     let setup_end = instant_after_events(plain, &trace, setup_events);
@@ -686,6 +738,68 @@ fn model_check_instants_matches_sequential_loop() {
     );
 }
 
+/// `instant_after_events` as it was before one replay served many
+/// counts: replay a copy of the trace's first `n` events to completion.
+/// Kept only as the oracle for `instants_after_events`.
+fn instant_after_prefix(cfg: &SimConfig, trace: &Trace, n: usize) -> Time {
+    let prefix: Trace = trace.iter().take(n).collect();
+    System::new(cfg.clone(), vec![prefix])
+        .run(CrashSpec::None)
+        .stats
+        .runtime
+}
+
+/// One replay paused at many event counts gives each count the instant
+/// a replay of that many events ends at. For the five kinds under SCA,
+/// FCA and SCA + strict on one and two shards, one call serves every
+/// count from 0 to one past the trace's end, in descending order with
+/// the setup count repeated. The prefix replays, each as long as its
+/// count, check every 11th count, the setup count and the four largest
+/// (a replay per count would cost the square of the trace length), and
+/// `instant_after_events`, the one-count case, agrees at the setup
+/// count.
+#[test]
+fn instants_after_events_match_prefix_replays() {
+    let strict = SimConfig::single_core(Design::Sca).with_integrity(IntegrityPolicy::Strict);
+    let configs = [
+        SimConfig::single_core(Design::Sca),
+        SimConfig::single_core(Design::Fca),
+        strict,
+    ];
+    for kind in WorkloadKind::ALL {
+        let spec = WorkloadSpec::smoke(kind).with_ops(4);
+        let ex = execute(&spec, 0, spec.ops);
+        let trace = ex.pm.trace();
+        for (cfg, shards) in configs.iter().flat_map(|c| [(c, 1), (c, 2)]) {
+            let cfg = cfg.clone().with_shards(shards);
+            let what = format!(
+                "{kind}/{}/{:?} on {shards} shards",
+                cfg.design, cfg.integrity
+            );
+            let counts: Vec<usize> = (0..=trace.len() + 1)
+                .rev()
+                .chain([ex.setup_events])
+                .collect();
+            let instants = instants_after_events(&cfg, trace, &counts);
+            assert_eq!(instants.len(), counts.len(), "{what}");
+            for (&n, &t) in counts.iter().zip(&instants) {
+                if n % 11 == 0 || n == ex.setup_events || n + 2 >= trace.len() {
+                    assert_eq!(
+                        t,
+                        instant_after_prefix(&cfg, trace, n),
+                        "{what}: {n} events"
+                    );
+                }
+            }
+            assert_eq!(
+                instant_after_events(&cfg, trace, ex.setup_events),
+                instant_after_prefix(&cfg, trace, ex.setup_events),
+                "{what}: the one-count case"
+            );
+        }
+    }
+}
+
 /// What a crash state shows the model checker: its baseline's
 /// fingerprint, the fingerprints of the images `eopts` enumerates, and
 /// the enumeration's accounting. An instant after completion is the
@@ -737,8 +851,9 @@ fn breakpoints_cover_every_crash_instant() {
                 cfg.design, cfg.integrity
             );
             let points = crash_breakpoints(&spec, cfg.clone());
-            let mut instants: Vec<Time> = (ex.setup_events..=trace.len())
-                .map(|n| instant_after_events(&cfg, trace, n))
+            let counts: Vec<usize> = (ex.setup_events..=trace.len()).collect();
+            let mut instants: Vec<Time> = instants_after_events(&cfg, trace, &counts)
+                .into_iter()
                 .chain(
                     points
                         .iter()
