@@ -2,8 +2,9 @@
 //! the trace-replay engine executes per design and, on SCA, per
 //! integrity policy (strict also with batched-journal compaction), how
 //! fast workloads record their traces, the cost of crash recovery, and
-//! the host cost of model-checking one crash set per workload and of
-//! building a sweep's crash sets.
+//! the host cost of model-checking one crash set per workload, of
+//! building a sweep's crash sets and of discovering a run's crash
+//! instants.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use nvmm_core::recovery::{recover_undo_log, RecoveredMemory};
@@ -13,8 +14,8 @@ use nvmm_sim::integrity::IntegritySpec;
 use nvmm_sim::system::{instant_after_events, CrashSpec, System};
 use nvmm_sim::time::Time;
 use nvmm_workloads::{
-    check_crash_set, crash_instants_cfg, execute, traces_for_cores, Executed, ModelCheckOpts,
-    WorkloadKind, WorkloadSpec,
+    check_crash_set, crash_breakpoints, crash_instants_cfg, execute, traces_for_cores, Executed,
+    ModelCheckOpts, WorkloadKind, WorkloadSpec,
 };
 use std::hint::black_box;
 
@@ -125,17 +126,53 @@ fn bench_recovery(c: &mut Criterion) {
     g.finish();
 }
 
-/// The `mc_*` benchmark shape for `kind`: SCA + strict, `smoke` with 64
-/// transactions of 24 payload lines, executed once, and its 40
-/// in-flight crash instants under default `ModelCheckOpts`.
-fn mc_shape(kind: WorkloadKind) -> (SimConfig, WorkloadSpec, Executed, Vec<Time>) {
+/// The configuration and spec of the `mc_*` benchmark shape for `kind`:
+/// SCA + strict, `smoke` (seed 7) with 64 transactions of 24 payload
+/// lines.
+fn mc_spec(kind: WorkloadKind) -> (SimConfig, WorkloadSpec) {
     let cfg = SimConfig::single_core(Design::Sca).with_integrity(IntegrityPolicy::Strict);
     let spec = WorkloadSpec::smoke(kind)
         .with_ops(64)
         .with_payload_lines(24);
+    (cfg, spec)
+}
+
+/// The `mc_*` benchmark shape for `kind` ([`mc_spec`]), executed once,
+/// and its 40 in-flight crash instants under default `ModelCheckOpts`.
+fn mc_shape(kind: WorkloadKind) -> (SimConfig, WorkloadSpec, Executed, Vec<Time>) {
+    let (cfg, spec) = mc_spec(kind);
     let instants = crash_instants_cfg(&spec, cfg.clone(), &ModelCheckOpts::default(), 40);
     let ex = execute(&spec, 0, spec.ops);
     (cfg, spec, ex, instants)
+}
+
+/// Crash-state discovery on the `mc_*` shape, each row over all five
+/// kinds: `crash_instants_cfg`, the 40 in-flight instants the
+/// benchmark's `mc_*` inputs take, and `crash_breakpoints`, every
+/// post-setup crash state. Both execute each workload and replay it.
+/// Throughput is in instants found.
+fn bench_discovery(c: &mut Criterion) {
+    let shapes = WorkloadKind::ALL.map(mc_spec);
+    let instants = || -> usize {
+        let opts = ModelCheckOpts::default();
+        shapes
+            .iter()
+            .map(|(cfg, spec)| crash_instants_cfg(black_box(spec), cfg.clone(), &opts, 40).len())
+            .sum()
+    };
+    let breakpoints = || -> usize {
+        shapes
+            .iter()
+            .map(|(cfg, spec)| crash_breakpoints(black_box(spec), cfg.clone()).len())
+            .sum()
+    };
+    let mut g = c.benchmark_group("discovery");
+    g.sample_size(10);
+    g.throughput(Throughput::Elements(instants() as u64));
+    g.bench_function("crash_instants_cfg", |b| b.iter(instants));
+    g.throughput(Throughput::Elements(breakpoints() as u64));
+    g.bench_function("crash_breakpoints", |b| b.iter(breakpoints));
+    g.finish();
 }
 
 /// One row per kind: `check_crash_set` — the fused delta walk, judging
@@ -192,6 +229,7 @@ criterion_group!(
     bench_trace_generation,
     bench_recovery,
     bench_model_check,
-    bench_crash_cursor
+    bench_crash_cursor,
+    bench_discovery
 );
 criterion_main!(benches);

@@ -121,15 +121,45 @@ impl DigestLine {
     }
 }
 
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+/// `FNV_PRIME^k` for `k` in `0..=8`: the FNV-1a step over `k` zero
+/// bytes, `h = (h ^ 0) * PRIME` each, is one multiplication by it.
+const FNV_PRIME_POW: [u64; 9] = {
+    let mut pow = [1u64; 9];
+    let mut k = 1;
+    while k < pow.len() {
+        pow[k] = pow[k - 1].wrapping_mul(FNV_PRIME);
+        k += 1;
+    }
+    pow
+};
+
 /// FNV-1a 64 over `bytes`, with 0 remapped to 1 so the all-zero digest
 /// keeps its reserved "never written" meaning in [`DigestLine`] slots.
+///
+/// The value is the byte-serial hash's, bit for bit (persisted tree
+/// nodes and every image fingerprint depend on it), computed a word at
+/// a time: the byte steps run up to each 8-byte word's highest non-zero
+/// byte, and the zero bytes above it are one multiplication by a power
+/// of the prime. A word whose high byte is non-zero pays no extra
+/// multiply. Tree nodes are mostly empty slots and counter lines mostly
+/// zero high bytes, so most of their bytes take no step of their own.
 pub fn digest64(bytes: &[u8]) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET;
-    for &b in bytes {
-        h = (h ^ b as u64).wrapping_mul(PRIME);
+    let step = |h: u64, b: u8| (h ^ u64::from(b)).wrapping_mul(FNV_PRIME);
+    let mut words = bytes.chunks_exact(8);
+    let mut h = FNV_OFFSET;
+    for word in &mut words {
+        let word: [u8; 8] = word.try_into().expect("an 8-byte chunk");
+        // The zero bytes that end the word in hashing order.
+        let zeros = (u64::from_le_bytes(word).leading_zeros() / 8) as usize;
+        h = word[..8 - zeros].iter().fold(h, |h, &b| step(h, b));
+        if zeros > 0 {
+            h = h.wrapping_mul(FNV_PRIME_POW[zeros]);
+        }
     }
+    h = words.remainder().iter().fold(h, |h, &b| step(h, b));
     if h == 0 {
         1
     } else {
@@ -1179,6 +1209,54 @@ mod tests {
         assert_eq!(a, digest64(&[1, 2, 3]));
         assert_ne!(a, digest64(&[1, 2, 4]));
         assert_ne!(digest64(&[]), 0);
+    }
+
+    /// FNV-1a 64 one byte at a time, with `digest64`'s remap of 0: the
+    /// oracle its word-wise form is held to.
+    fn digest64_bytewise(bytes: &[u8]) -> u64 {
+        let h = bytes.iter().fold(FNV_OFFSET, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(FNV_PRIME)
+        });
+        if h == 0 {
+            1
+        } else {
+            h
+        }
+    }
+
+    proptest! {
+        /// The word-wise `digest64` equals the byte-serial FNV-1a on every
+        /// length from 0 to 130 bytes of a stream with random zero runs,
+        /// and on digest lines with 0 to 8 empty slots.
+        fn digest64_matches_the_bytewise_oracle(
+            runs in proptest::collection::vec((any::<bool>(), 1usize..20, any::<u64>()), 1..24),
+            slots in proptest::array::uniform8(prop_oneof![any::<u64>(), 1u64..1 << 20]),
+            empty in 0usize..TREE_ARITY + 1,
+            first_empty in 0usize..TREE_ARITY,
+        ) {
+            let mut bytes = Vec::new();
+            while bytes.len() <= 130 {
+                for &(zero, len, seed) in &runs {
+                    let mut x = seed;
+                    bytes.extend((0..len).map(|_| {
+                        x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+                        if zero { 0 } else { (x >> 56) as u8 }
+                    }));
+                }
+            }
+            for len in 0..=130 {
+                let prefix = &bytes[..len];
+                prop_assert_eq!(digest64(prefix), digest64_bytewise(prefix), "{:?}", prefix);
+            }
+            let mut line = DigestLine::new();
+            for (slot, digest) in slots.into_iter().enumerate() {
+                if (slot + TREE_ARITY - first_empty) % TREE_ARITY >= empty {
+                    line.set(slot, digest);
+                }
+            }
+            let node = line.to_bytes();
+            prop_assert_eq!(digest64(&node), digest64_bytewise(&node), "{:?}", line);
+        }
     }
 
     #[test]

@@ -38,8 +38,9 @@
 //!
 //! A crash set changes only where a journal record is submitted or
 //! guaranteed, so a run has finitely many crash states.
-//! [`System::breakpoints`] lists the instants where they change, and one
-//! sweep over them ([`breakpoint_images`] for their crash images) visits
+//! [`breakpoints_after`] lists the instants where they change, read off
+//! the journal of one replay ([`journal_times_after`]), and one sweep
+//! over them ([`breakpoint_images`] for their crash images) visits
 //! every distinct crash state of the run. A crash at any instant
 //! `t` sees the crash set of the largest breakpoint at or before `t`:
 //! a record journaled after the replay paused at a breakpoint `b` comes
@@ -656,29 +657,19 @@ impl System {
         }
     }
 
-    /// The run's *breakpoints* from `from` on: `from`, then every
-    /// distinct instant after it at which a journal record was submitted
-    /// or guaranteed, ascending. Replays to completion and reads them off
-    /// the journal. A crash at any instant at or after `from` sees the
-    /// crash set of the largest breakpoint at or before it (see the
-    /// module docs), so a [`System::run_crash_sweep`] over the
-    /// breakpoints visits every crash state from `from` on.
-    ///
-    /// # Panics
-    ///
-    /// Panics if journal batching ([`System::with_journal_batch`]) is
-    /// enabled: compaction drops the records breakpoints come from.
-    pub fn breakpoints(mut self, from: Time) -> Vec<Time> {
-        self.assert_full_journal();
+    /// A one-core system over `trace` whose stream ends before its
+    /// first event; [`System::replay_through`] runs it on.
+    fn paused(config: &SimConfig, trace: &Trace) -> Self {
+        let source = TraceStream::from_trace_prefix(trace.clone(), 0);
+        Self::with_sources(config.clone(), vec![source])
+    }
+
+    /// Raises a [`System::paused`] system's stream end to `count` events,
+    /// replays up to it and returns the core clock there.
+    fn replay_through(&mut self, count: usize) -> Time {
+        self.front.cores[0].source.raise_end(count);
         self.replay(CrashSpec::None);
-        let mut points = vec![from];
-        for rec in self.controller.live_journals().into_iter().flatten() {
-            points.extend([rec.submitted_at, rec.guaranteed_at]);
-        }
-        points.retain(|&t| t >= from);
-        points.sort_unstable();
-        points.dedup();
-        points
+        self.front.cores[0].now
     }
 
     /// Replays from where the last replay stopped, returning the crash
@@ -726,30 +717,60 @@ pub fn instant_after_events(config: &SimConfig, trace: &Trace, n: usize) -> Time
 ///
 /// Panics if `config` has more than one core.
 pub fn instants_after_events(config: &SimConfig, trace: &Trace, counts: &[usize]) -> Vec<Time> {
-    let source = TraceStream::from_trace_prefix(trace.clone(), 0);
-    let mut sys = System::with_sources(config.clone(), vec![source]);
+    let mut sys = System::paused(config, trace);
     let mut order: Vec<usize> = (0..counts.len()).collect();
     order.sort_by_key(|&i| counts[i]);
     let mut instants = vec![Time::ZERO; counts.len()];
     for i in order {
-        sys.front.cores[0].source.raise_end(counts[i]);
-        sys.replay(CrashSpec::None);
-        instants[i] = sys.front.cores[0].now;
+        instants[i] = sys.replay_through(counts[i]);
     }
     instants
 }
 
+/// What crash-state discovery needs of a one-core run of `trace` under
+/// `config`, from one replay: the instant after its first `setup` events
+/// ([`instant_after_events`]), read where the replay pauses, and every
+/// journal record's `(submitted_at, guaranteed_at)` once it has resumed
+/// to completion. No completion image is folded.
+///
+/// # Panics
+///
+/// Panics if `config` has more than one core.
+pub fn journal_times_after(
+    config: &SimConfig,
+    trace: &Trace,
+    setup: usize,
+) -> (Time, Vec<(Time, Time)>) {
+    let mut sys = System::paused(config, trace);
+    let from = sys.replay_through(setup);
+    sys.replay_through(trace.len());
+    let records = sys.controller.live_journals().into_iter().flatten();
+    let times = records
+        .map(|rec| (rec.submitted_at, rec.guaranteed_at))
+        .collect();
+    (from, times)
+}
+
 /// The breakpoints of a one-core run of `trace` under `config` once its
-/// first `setup` events have replayed: [`System::breakpoints`] from
-/// [`instant_after_events`]`(setup)`. A sweep over them visits every
-/// crash state from that instant on.
+/// first `setup` events have replayed: the instant after them, then
+/// every distinct instant after it at which a journal record was
+/// submitted or guaranteed, ascending ([`journal_times_after`]). A crash
+/// at any instant at or after the first sees the crash set of the
+/// largest breakpoint at or before it (see the module docs), so a
+/// [`System::run_crash_sweep`] over them visits every crash state from
+/// that instant on.
 ///
 /// # Panics
 ///
 /// Panics if `config` has more than one core.
 pub fn breakpoints_after(config: &SimConfig, trace: &Trace, setup: usize) -> Vec<Time> {
-    let from = instant_after_events(config, trace, setup);
-    System::new(config.clone(), vec![trace.clone()]).breakpoints(from)
+    let (from, times) = journal_times_after(config, trace, setup);
+    let mut points = vec![from];
+    points.extend(times.into_iter().flat_map(|(s, g)| [s, g]));
+    points.retain(|&t| t >= from);
+    points.sort_unstable();
+    points.dedup();
+    points
 }
 
 /// Every crash state of a one-core run of `trace` under `config` once

@@ -12,19 +12,38 @@
 //! [`TraceEvent`] is the value type every producer builds and every
 //! consumer matches: workloads, arrival shaping, generator streams and
 //! the replay loop all speak it, and a `Write` carries its line image
-//! inline. That makes every event 80 bytes, although most carry one
-//! 8-byte operand. A recorded [`Trace`] therefore stores each event as a
-//! 16-byte op (its variant and one operand; a write's op holds the line,
-//! the annotation and the index of its image) and keeps the writes'
-//! 64-byte post-store line images in a second vector, in program order.
-//! Reads decode: [`Trace::iter`] walks the events and [`Trace::get`]
-//! fetches one in O(1). A trace of `n` events and `w` writes takes
-//! `16n + 64w` bytes instead of `80n`. A generator-fed
+//! inline, so every event is 80 bytes. A recorded [`Trace`] stores it in
+//! three parts and decodes on read ([`Trace::iter`] walks the events,
+//! [`Trace::get`] fetches one in O(1)):
+//!
+//! * **One 8-byte op per event**: a 4-bit tag and a 60-bit operand. A
+//!   line, a duration, an instant or a commit id is the operand itself.
+//!   A `Write` packs its line (30 bits), its `CounterAtomic` annotation
+//!   (1 bit) and the index of its line image (29 bits).
+//! * **A side table of 16-byte ops** for the events whose operands do not
+//!   fit: the op's tag says "wide" and its operand indexes the table, so
+//!   any `u64` operand still round-trips. Workload traces never need it:
+//!   core `c`'s region starts at line `c * 2^26`, so the lines of up to
+//!   16 cores fit in 30 bits, and a trace holds far fewer than 2^29
+//!   distinct images.
+//! * **Each distinct post-store line image once.** A store usually
+//!   rewrites a line to a value the trace already holds (a log entry's
+//!   valid flag, a counter, a node a transaction rewrites), so
+//!   [`Trace::push`] looks the image up by a 64-bit hash of its bytes and
+//!   reuses the earlier index only when all 64 bytes match. On a hash
+//!   collision it stores a second copy, which keeps the lookup to one
+//!   entry per hash and never conflates two images.
+//!
+//! A trace of `n` events whose writes leave `d` distinct images takes
+//! `8n + 64d` bytes, plus the hash index of its images. A generator-fed
 //! [`TraceStream`] never stores events, so it decodes nothing.
 
 use crate::addr::LineAddr;
 use crate::time::Time;
+use fxhash::{FxHashMap, FxHasher};
 use nvmm_crypto::LineData;
+use std::collections::hash_map::Entry;
+use std::hash::Hasher;
 use std::sync::Arc;
 
 /// One event in a core's execution trace, in program order.
@@ -89,15 +108,15 @@ pub enum TraceEvent {
     },
 }
 
-/// One event as a [`Trace`] stores it: the [`TraceEvent`] with a
-/// write's line image replaced by its index into the trace's payloads,
-/// so every event fits in 16 bytes.
+/// One event with a write's line image replaced by its index into the
+/// trace's images: the form of the side table, and the unpacked form of
+/// a [`PackedOp`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Op {
     Read(LineAddr),
     Write {
         line: LineAddr,
-        payload: u32,
+        image: u32,
         counter_atomic: bool,
     },
     Clwb(LineAddr),
@@ -110,12 +129,109 @@ enum Op {
 
 const _: () = assert!(std::mem::size_of::<Op>() <= 16);
 
-/// A trace's storage: one [`Op`] per event, and the post-store line
-/// image of its `k`-th write at `payloads[k]`.
+/// An [`Op`] in one word: its tag in the top four bits and a 60-bit
+/// operand below, or the `WIDE` tag and the op's index in the side
+/// table.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct PackedOp(u64);
+
+const _: () = assert!(std::mem::size_of::<PackedOp>() == 8);
+
+const OPERAND_BITS: u32 = 60;
+const OPERAND_MAX: u64 = (1 << OPERAND_BITS) - 1;
+/// A `Write` operand: the line above the annotation bit above the image.
+const WRITE_IMAGE_BITS: u32 = 29;
+const WRITE_LINE_BITS: u32 = OPERAND_BITS - 1 - WRITE_IMAGE_BITS;
+
+const READ: u64 = 0;
+const WRITE: u64 = 1;
+const CLWB: u64 = 2;
+const COUNTER_CACHE_WRITEBACK: u64 = 3;
+const PERSIST_BARRIER: u64 = 4;
+const COMPUTE: u64 = 5;
+const TX_COMMIT: u64 = 6;
+const WAIT_UNTIL: u64 = 7;
+const WIDE: u64 = 8;
+
+impl PackedOp {
+    fn new(tag: u64, operand: u64) -> Option<Self> {
+        (operand <= OPERAND_MAX).then_some(Self(tag << OPERAND_BITS | operand))
+    }
+
+    /// `op` in one word, or `None` if its operands do not fit.
+    fn pack(op: Op) -> Option<Self> {
+        match op {
+            Op::Read(line) => Self::new(READ, line.0),
+            Op::Write {
+                line,
+                image,
+                counter_atomic,
+            } => (line.0 >> WRITE_LINE_BITS == 0 && image >> WRITE_IMAGE_BITS == 0).then(|| {
+                let operand = line.0 << (WRITE_IMAGE_BITS + 1)
+                    | u64::from(counter_atomic) << WRITE_IMAGE_BITS
+                    | u64::from(image);
+                Self(WRITE << OPERAND_BITS | operand)
+            }),
+            Op::Clwb(line) => Self::new(CLWB, line.0),
+            Op::CounterCacheWriteback(line) => Self::new(COUNTER_CACHE_WRITEBACK, line.0),
+            Op::PersistBarrier => Self::new(PERSIST_BARRIER, 0),
+            Op::Compute(duration) => Self::new(COMPUTE, duration.0),
+            Op::TxCommit(id) => Self::new(TX_COMMIT, id),
+            Op::WaitUntil(at) => Self::new(WAIT_UNTIL, at.0),
+        }
+    }
+
+    fn tag(self) -> u64 {
+        self.0 >> OPERAND_BITS
+    }
+
+    fn operand(self) -> u64 {
+        self.0 & OPERAND_MAX
+    }
+
+    /// The op this word holds, reading a wide op from `wide`.
+    fn unpack(self, wide: &[Op]) -> Op {
+        let x = self.operand();
+        match self.tag() {
+            READ => Op::Read(LineAddr(x)),
+            WRITE => Op::Write {
+                line: LineAddr(x >> (WRITE_IMAGE_BITS + 1)),
+                image: (x & ((1 << WRITE_IMAGE_BITS) - 1)) as u32,
+                counter_atomic: x >> WRITE_IMAGE_BITS & 1 == 1,
+            },
+            CLWB => Op::Clwb(LineAddr(x)),
+            COUNTER_CACHE_WRITEBACK => Op::CounterCacheWriteback(LineAddr(x)),
+            PERSIST_BARRIER => Op::PersistBarrier,
+            COMPUTE => Op::Compute(Time(x)),
+            TX_COMMIT => Op::TxCommit(x),
+            WAIT_UNTIL => Op::WaitUntil(Time(x)),
+            _ => wide[x as usize],
+        }
+    }
+}
+
+/// A trace's storage: one [`PackedOp`] per event, the side table of ops
+/// too wide to pack, and each distinct line image once (see the module
+/// docs). Every field is a function of the events pushed, in order, so
+/// two traces are equal exactly when their events are.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 struct Events {
-    ops: Vec<Op>,
-    payloads: Vec<LineData>,
+    ops: Vec<PackedOp>,
+    wide: Vec<Op>,
+    images: Vec<LineData>,
+    /// The index of the first image stored under each image hash.
+    by_hash: FxHashMap<u64, u32>,
+    writes: u64,
+}
+
+/// The 64-bit hash [`Events::intern`] looks images up by: the Fx fold of
+/// its eight words, with the high half folded into the low half, which
+/// the hash map's bucket index reads.
+fn image_hash(data: &LineData) -> u64 {
+    let mut h = FxHasher::default();
+    h.write(data);
+    let h = h.finish();
+    h ^ h >> 32
 }
 
 impl Events {
@@ -127,12 +243,10 @@ impl Events {
                 data,
                 counter_atomic,
             } => {
-                let payload =
-                    u32::try_from(self.payloads.len()).expect("a trace holds at most 2^32 writes");
-                self.payloads.push(data);
+                self.writes += 1;
                 Op::Write {
                     line,
-                    payload,
+                    image: self.intern(image_hash(&data), data),
                     counter_atomic,
                 }
             }
@@ -143,19 +257,41 @@ impl Events {
             TraceEvent::TxCommit { id } => Op::TxCommit(id),
             TraceEvent::WaitUntil { at } => Op::WaitUntil(at),
         };
-        self.ops.push(op);
+        let packed = PackedOp::pack(op).unwrap_or_else(|| {
+            self.wide.push(op);
+            PackedOp(WIDE << OPERAND_BITS | (self.wide.len() - 1) as u64)
+        });
+        self.ops.push(packed);
     }
 
-    fn decode(&self, op: Op) -> TraceEvent {
-        match op {
+    /// The index of `data`, whose hash is `hash`: the image stored first
+    /// under that hash if its bytes equal `data`, else a new copy.
+    fn intern(&mut self, hash: u64, data: LineData) -> u32 {
+        let next = u32::try_from(self.images.len())
+            .expect("a trace holds at most 2^32 distinct line images");
+        match self.by_hash.entry(hash) {
+            Entry::Occupied(first) if self.images[*first.get() as usize] == data => {
+                return *first.get()
+            }
+            Entry::Occupied(_) => {}
+            Entry::Vacant(slot) => {
+                slot.insert(next);
+            }
+        }
+        self.images.push(data);
+        next
+    }
+
+    fn decode(&self, op: PackedOp) -> TraceEvent {
+        match op.unpack(&self.wide) {
             Op::Read(line) => TraceEvent::Read { line },
             Op::Write {
                 line,
-                payload,
+                image,
                 counter_atomic,
             } => TraceEvent::Write {
                 line,
-                data: self.payloads[payload as usize],
+                data: self.images[image as usize],
                 counter_atomic,
             },
             Op::Clwb(line) => TraceEvent::Clwb { line },
@@ -192,7 +328,7 @@ impl Trace {
     ///
     /// # Panics
     ///
-    /// Panics if the trace already holds 2^32 `Write` events.
+    /// Panics if the trace already holds 2^32 distinct line images.
     pub fn push(&mut self, ev: TraceEvent) {
         Arc::make_mut(&mut self.events).push(ev);
     }
@@ -219,15 +355,20 @@ impl Trace {
 
     /// Number of `Write` events.
     pub fn write_count(&self) -> u64 {
-        self.events.payloads.len() as u64
+        self.events.writes
     }
 
     /// Number of committed transactions recorded.
     pub fn tx_count(&self) -> u64 {
+        let wide = &self.events.wide;
         self.events
             .ops
             .iter()
-            .filter(|op| matches!(op, Op::TxCommit(_)))
+            .filter(|op| match op.tag() {
+                TX_COMMIT => true,
+                WIDE => matches!(op.unpack(wide), Op::TxCommit(_)),
+                _ => false,
+            })
             .count() as u64
     }
 }
@@ -442,6 +583,62 @@ mod tests {
     }
 
     #[test]
+    fn repeated_images_are_stored_once() {
+        let image = |fill| TraceEvent::Write {
+            line: LineAddr(3),
+            data: [fill; 64],
+            counter_atomic: fill == 2,
+        };
+        let events = [image(1), image(2), image(1), image(1), image(2), image(3)];
+        let t: Trace = events.iter().cloned().collect();
+        assert_eq!(t.events.images.len(), 3, "one copy per distinct image");
+        assert_eq!(t.write_count(), 6, "every write counts");
+        assert!(t.iter().eq(events));
+    }
+
+    #[test]
+    fn a_hash_collision_stores_a_second_copy() {
+        let mut events = Events::default();
+        let (a, b) = ([1; 64], [2; 64]);
+        assert_eq!(events.intern(7, a), 0);
+        assert_eq!(events.intern(7, b), 1, "same hash, other bytes");
+        assert_eq!(events.intern(7, a), 0, "the first image keeps the hash");
+        assert_eq!(events.intern(7, b), 2, "a colliding image is never reused");
+        assert_eq!(events.intern(8, b), 3);
+        assert_eq!(events.intern(8, b), 3);
+        assert_eq!(events.images, [a, b, b, b]);
+    }
+
+    #[test]
+    fn ops_pack_inline_up_to_their_limits() {
+        let write = |line, image| Op::Write {
+            line: LineAddr(line),
+            image,
+            counter_atomic: true,
+        };
+        let line_max = (1 << WRITE_LINE_BITS) - 1;
+        let image_max = (1 << WRITE_IMAGE_BITS) - 1;
+        for op in [
+            write(line_max, image_max),
+            write(0, 0),
+            Op::Read(LineAddr(OPERAND_MAX)),
+            Op::TxCommit(OPERAND_MAX),
+            Op::PersistBarrier,
+        ] {
+            let packed = PackedOp::pack(op).expect("fits inline");
+            assert_eq!(packed.unpack(&[]), op);
+        }
+        for op in [
+            write(line_max + 1, 0),
+            write(0, image_max + 1),
+            Op::Clwb(LineAddr(OPERAND_MAX + 1)),
+            Op::WaitUntil(Time(u64::MAX)),
+        ] {
+            assert_eq!(PackedOp::pack(op), None, "{op:?} needs the side table");
+        }
+    }
+
+    #[test]
     fn stream_replays_materialized_trace_in_order() {
         let t: Trace = (0..6).map(write).collect();
         let mut s = TraceStream::from_trace(t.clone());
@@ -500,32 +697,46 @@ mod tests {
         assert!(seen.into_iter().eq(t.iter()));
     }
 
-    /// Any event: every variant, operands across the whole `u64` range,
-    /// any line image and either annotation.
+    /// Any event: every variant, operands across the whole `u64` range
+    /// and at and around each inline limit, line images that are random
+    /// or repeat a few fixed ones, and either annotation.
     fn any_event() -> impl Strategy<Value = TraceEvent> {
-        let operand = prop_oneof![Just(0), Just(u64::MAX), any::<u64>()];
-        (0u8..8, operand, uniform8(any::<u64>()), any::<bool>()).prop_map(
-            |(tag, x, words, counter_atomic)| {
-                let mut data = [0; 64];
-                for (chunk, w) in data.chunks_exact_mut(8).zip(words) {
-                    chunk.copy_from_slice(&w.to_le_bytes());
-                }
-                match tag {
-                    0 => TraceEvent::Read { line: LineAddr(x) },
-                    1 => TraceEvent::Write {
-                        line: LineAddr(x),
-                        data,
-                        counter_atomic,
-                    },
-                    2 => TraceEvent::Clwb { line: LineAddr(x) },
-                    3 => TraceEvent::CounterCacheWriteback { line: LineAddr(x) },
-                    4 => TraceEvent::PersistBarrier,
-                    5 => TraceEvent::Compute { duration: Time(x) },
-                    6 => TraceEvent::TxCommit { id: x },
-                    _ => TraceEvent::WaitUntil { at: Time(x) },
-                }
-            },
-        )
+        let operand = prop_oneof![
+            Just(0),
+            Just((1 << 30) - 1),
+            Just(1 << 30),
+            Just((1 << 60) - 1),
+            Just(1 << 60),
+            Just(u64::MAX),
+            any::<u64>(),
+            0u64..64,
+        ];
+        let words = prop_oneof![
+            uniform8(any::<u64>()),
+            Just([0; 8]),
+            Just([u64::MAX; 8]),
+            (0u64..4).prop_map(|w| [w, 0, 0, 0, 0, 0, 0, w << 56]),
+        ];
+        (0u8..8, operand, words, any::<bool>()).prop_map(|(tag, x, words, counter_atomic)| {
+            let mut data = [0; 64];
+            for (chunk, w) in data.chunks_exact_mut(8).zip(words) {
+                chunk.copy_from_slice(&w.to_le_bytes());
+            }
+            match tag {
+                0 => TraceEvent::Read { line: LineAddr(x) },
+                1 => TraceEvent::Write {
+                    line: LineAddr(x),
+                    data,
+                    counter_atomic,
+                },
+                2 => TraceEvent::Clwb { line: LineAddr(x) },
+                3 => TraceEvent::CounterCacheWriteback { line: LineAddr(x) },
+                4 => TraceEvent::PersistBarrier,
+                5 => TraceEvent::Compute { duration: Time(x) },
+                6 => TraceEvent::TxCommit { id: x },
+                _ => TraceEvent::WaitUntil { at: Time(x) },
+            }
+        })
     }
 
     proptest! {
@@ -547,8 +758,18 @@ mod tests {
                 pulled.push(ev);
             }
             prop_assert_eq!(&pulled, &events);
-            let writes = events.iter().filter(|e| matches!(e, TraceEvent::Write { .. }));
-            prop_assert_eq!(t.write_count(), writes.count() as u64);
+            let writes: Vec<LineData> = events
+                .iter()
+                .filter_map(|e| match e {
+                    TraceEvent::Write { data, .. } => Some(*data),
+                    _ => None,
+                })
+                .collect();
+            prop_assert_eq!(t.write_count(), writes.len() as u64);
+            let mut distinct = writes.clone();
+            distinct.sort_unstable();
+            distinct.dedup();
+            prop_assert_eq!(t.events.images.len(), distinct.len());
             let commits = events.iter().filter(|e| matches!(e, TraceEvent::TxCommit { .. }));
             prop_assert_eq!(t.tx_count(), commits.count() as u64);
             let mut pushed = Trace::new();

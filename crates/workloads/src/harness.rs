@@ -34,8 +34,10 @@
 //! post-setup crash state of a run, and [`model_check_instants_cfg`]
 //! over them judges every legal image of each, from one paused replay.
 //! A crash right after a chosen event is the instant
-//! [`instant_after_events`] names. [`crash_instants_cfg`] samples the
-//! instants where a write is in flight.
+//! [`instant_after_events`](nvmm_sim::system::instant_after_events)
+//! names. [`crash_instants_cfg`] samples the instants where a write is
+//! in flight. Both discoveries replay the run once
+//! ([`journal_times_after`]).
 //!
 //! ## Delta recovery judging
 //!
@@ -73,7 +75,7 @@ use nvmm_sim::config::{Design, SimConfig};
 use nvmm_sim::integrity::IntegritySpec;
 use nvmm_sim::nvmm::NvmmImage;
 use nvmm_sim::parallel::{chunk_ranges, mc_threads, run_parallel};
-use nvmm_sim::system::{breakpoints_after, instant_after_events, CrashSpec, RunOutcome, System};
+use nvmm_sim::system::{breakpoints_after, journal_times_after, CrashSpec, RunOutcome, System};
 use nvmm_sim::time::Time;
 use nvmm_sim::trace::{Trace, TraceEvent};
 use std::collections::{BTreeMap, BTreeSet};
@@ -760,14 +762,15 @@ pub fn crash_breakpoints(spec: &WorkloadSpec, config: SimConfig) -> Vec<Time> {
 }
 
 /// Crash instants at which at least one write is observably in flight,
-/// harvested from a completed (crash-free) run's persist windows under
-/// `config`: the midpoint of each post-setup window, deduplicated and
-/// evenly thinned to at most `limit`. Event-aligned crash points almost
-/// always fall outside the in-flight windows (the core clock trails the
-/// controller pipeline), so these are the instants where adversarial
-/// enumeration actually has choices to explore; feed them to
-/// [`model_check_instants_cfg`]. Instants inside the setup phase are
-/// excluded for the same reason crash sweeps skip it. A design whose
+/// harvested from the persist windows (journal records guaranteed after
+/// their submission) of one crash-free replay under `config`
+/// ([`journal_times_after`]): the midpoint of each post-setup window,
+/// deduplicated and evenly thinned to at most `limit`. Event-aligned
+/// crash points almost always fall outside the in-flight windows (the
+/// core clock trails the controller pipeline), so these are the instants
+/// where adversarial enumeration actually has choices to explore; feed
+/// them to [`model_check_instants_cfg`]. Instants inside the setup phase
+/// are excluded for the same reason crash sweeps skip it. A design whose
 /// writes never wait in flight yields none; [`crash_breakpoints`]
 /// covers every crash state regardless. `_opts` is unused (an injected
 /// bug is `config.fault`); it stays while the benchmark passes it.
@@ -778,12 +781,11 @@ pub fn crash_instants_cfg(
     limit: usize,
 ) -> Vec<Time> {
     let ex = execute(spec, 0, spec.ops);
-    let setup_end = instant_after_events(&config, ex.pm.trace(), ex.setup_events);
-    let out = System::new(config, vec![ex.pm.into_parts().0]).run(CrashSpec::None);
-    let mut mids: Vec<Time> = out
-        .persist_windows
-        .iter()
-        .map(|&(s, g)| Time::from_ps(s.0 + (g.0 - s.0) / 2))
+    let (setup_end, times) = journal_times_after(&config, ex.pm.trace(), ex.setup_events);
+    let mut mids: Vec<Time> = times
+        .into_iter()
+        .filter(|&(s, g)| g > s)
+        .map(|(s, g)| Time::from_ps(s.0 + (g.0 - s.0) / 2))
         .filter(|&m| m >= setup_end)
         .collect();
     mids.sort_unstable();
@@ -995,6 +997,7 @@ pub fn check_crash_set(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nvmm_sim::system::instant_after_events;
 
     #[test]
     fn execute_dispatches_all_kinds() {
