@@ -178,7 +178,7 @@ fn bench_discovery(c: &mut Criterion) {
 /// One row per kind: `check_crash_set` — the fused delta walk, judging
 /// the recovery oracle on every retained image in place — on the middle
 /// in-flight crash set of the `mc_*` shape, with default
-/// `ModelCheckOpts`, on `mc_threads()` workers. Throughput is in images
+/// `ModelCheckOpts`, on the calling thread. Throughput is in images
 /// judged.
 fn bench_model_check(c: &mut Criterion) {
     let opts = ModelCheckOpts::default();

@@ -7,25 +7,23 @@
 //! (so the per-image verify oracle does real MAC/tree work), crash
 //! instants are harvested from the run's persist windows, one paused
 //! replay (`System::run_crash_sweep`) yields every instant's crash set,
-//! and each is walked (default `EnumOpts`) on
-//! `NVMM_MC_THREADS` workers and on one. The walk's own images are then
-//! judged twice:
+//! and each is walked once (default `EnumOpts`). Everything runs on the
+//! calling thread, so every timing compares one thread with one thread.
+//! The walk's own images are then judged twice:
 //!
-//! * **delta** — the walk's verdicts, read off a warm `DeltaVerifier`
-//!   per worker; the walk self-reports its verify phase (the dirty-cell
-//!   flushes plus the verdict reads, timed at the flush sites);
+//! * **delta** — the walk's verdicts, read off its warm
+//!   `DeltaVerifier`; the walk self-reports its verify phase (the
+//!   dirty-cell flushes plus the verdict reads, timed at the flush
+//!   sites);
 //! * **full** — `verify_image` re-verifies every retained image
-//!   whole, with one warmed engine pair shared across images and
-//!   workers.
+//!   whole, with one warmed engine pair shared across images.
 //!
 //! A replay adversary rides along: full-pass `verify_image_attack`
 //! judges every image of the walk as a wholesale splice-back against
 //! the completed run's `FreshnessRef`.
 //!
 //! The binary is self-checking: the full-pass verdicts — Ok/Err witness
-//! strings included — must equal the walk's on every image; the walk's
-//! images, fingerprints, accounting and verdicts must be the same on 1
-//! worker and on `NVMM_MC_THREADS` workers; and on a
+//! strings included — must equal the walk's on every image, and on a
 //! sampled subset the walk's incremental fingerprint must equal a
 //! from-scratch recompute. It exits nonzero on any divergence — speed
 //! means nothing if the fast path judges differently. At non-smoke
@@ -37,19 +35,17 @@
 //! * `NVMM_OPS` — transactions per workload (default 16), each writing
 //!   24 cache lines (`PAYLOAD_LINES`).
 //! * `NVMM_CRASH_POINTS` — crash instants per workload (default 5).
-//! * `NVMM_MC_THREADS` — walk and full-pass workers (defaults to
-//!   `NVMM_THREADS`, then available parallelism).
 //!
 //! The artifact (`target/experiments/BENCH_crashmc.json`) records only
 //! deterministic quantities — per workload `points`, `images`, `masks`,
 //! `deduped`, `violations`, and a `verdict_digest` hash over every
-//! integrity and replay verdict string — so it must be byte-identical
-//! across `NVMM_MC_THREADS` settings and to the committed
-//! `results/BENCH_crashmc.json` at defaults (CI compares both). All
-//! wall-clock rows (`delta_ns`, `delta_verify_ns`, `full_verify_ns`,
-//! `verify_speedup` and its geomean, `replay_full_ns`) and the `host`
-//! row (`host_cores`, `workers`) live in the companion
-//! `BENCH_crashmc_timing.json`, which legitimately varies run to run.
+//! integrity and replay verdict string — so at defaults it must be
+//! byte-identical to the committed `results/BENCH_crashmc.json` (CI
+//! compares them). All wall-clock rows (`delta_ns`, `delta_verify_ns`,
+//! `full_verify_ns`, `verify_speedup` and its geomean,
+//! `replay_full_ns`) and the `host` row (`host_cores`) live in the
+//! companion `BENCH_crashmc_timing.json`, which legitimately varies run
+//! to run.
 
 use nvmm_bench::{env_u64, geo_mean, print_table, Experiment};
 use nvmm_crypto::mac::MacEngine;
@@ -59,23 +55,12 @@ use nvmm_sim::integrity::IntegritySpec;
 use nvmm_sim::parallel::host_cores;
 use nvmm_sim::system::{CrashSpec, System};
 use nvmm_sim::{
-    mc_threads, run_parallel, verify_image, verify_image_attack, AttackVerdict, CrashSet, EnumOpts,
-    Enumeration, FreshnessRef, NvmmImage,
+    verify_image, verify_image_attack, AttackVerdict, CrashSet, EnumOpts, Enumeration,
+    FreshnessRef, NvmmImage,
 };
 use nvmm_workloads::{crash_instants_cfg, execute, ModelCheckOpts, WorkloadKind, WorkloadSpec};
 use std::hash::{Hash, Hasher};
 use std::time::Instant;
-
-/// Deterministic accounting of one walk over a workload's crash sets.
-/// Every field is a pure function of the simulated state, so any
-/// divergence between worker counts is a correctness failure.
-#[derive(Debug, PartialEq, Eq)]
-struct WalkAgg {
-    images: u64,
-    masks: u64,
-    deduped: u64,
-    violations: u64,
-}
 
 /// The fused walk over every crash set of one workload: per set, the
 /// retained images and the walk's integrity verdicts, plus the
@@ -87,31 +72,8 @@ struct Walk {
     verdicts: Vec<Vec<Result<(), String>>>,
 }
 
-impl Walk {
-    fn agg(&self) -> WalkAgg {
-        WalkAgg {
-            images: self.sets.iter().map(|en| en.images.len() as u64).sum(),
-            masks: self.sets.iter().map(|en| en.stats.masks_explored).sum(),
-            deduped: self.sets.iter().map(|en| en.stats.images_deduped).sum(),
-            violations: self
-                .verdicts
-                .iter()
-                .flatten()
-                .filter(|v| v.is_err())
-                .count() as u64,
-        }
-    }
-}
-
-fn fingerprints(sets: &[Enumeration]) -> Vec<Vec<u128>> {
-    sets.iter()
-        .map(|en| en.images.iter().map(|(_, img)| img.fingerprint()).collect())
-        .collect()
-}
-
-/// Walks every crash set once with the fused delta walk on `threads`
-/// workers.
-fn run_walk(sets: &[CrashSet], key: [u8; 16], integrity: IntegritySpec, threads: usize) -> Walk {
+/// Walks every crash set once with the fused delta walk.
+fn run_walk(sets: &[CrashSet], key: [u8; 16], integrity: IntegritySpec) -> Walk {
     let engine = EncryptionEngine::new(key);
     let mac_engine = MacEngine::new(key);
     let mut walk = Walk {
@@ -122,13 +84,8 @@ fn run_walk(sets: &[CrashSet], key: [u8; 16], integrity: IntegritySpec, threads:
     };
     let started = Instant::now();
     for set in sets {
-        let (en, vs, verify_ns) = set.enumerate_verified_timed(
-            EnumOpts::default(),
-            threads,
-            integrity,
-            &engine,
-            &mac_engine,
-        );
+        let (en, vs, verify_ns) =
+            set.enumerate_verified_timed(EnumOpts::default(), 1, integrity, &engine, &mac_engine);
         walk.verify_ns += verify_ns;
         walk.sets.push(en);
         walk.verdicts.push(vs);
@@ -137,14 +94,12 @@ fn run_walk(sets: &[CrashSet], key: [u8; 16], integrity: IntegritySpec, threads:
     walk
 }
 
-/// Judges every image of `sets` whole with `judge` on `threads`
-/// workers, with one warmed engine pair shared across images and
-/// workers: wall-clock and verdicts, per set.
-fn full_pass<R: Send>(
+/// Judges every image of `sets` whole with `judge`, with one warmed
+/// engine pair shared across images: wall-clock and verdicts, per set.
+fn full_pass<R>(
     sets: &[Enumeration],
     key: [u8; 16],
-    threads: usize,
-    judge: impl Fn(&NvmmImage, &EncryptionEngine, &MacEngine) -> R + Sync,
+    judge: impl Fn(&NvmmImage, &EncryptionEngine, &MacEngine) -> R,
 ) -> (u64, Vec<Vec<R>>) {
     let engine = EncryptionEngine::new(key);
     let mac_engine = MacEngine::new(key);
@@ -152,9 +107,10 @@ fn full_pass<R: Send>(
     let verdicts = sets
         .iter()
         .map(|en| {
-            run_parallel(threads, &en.images, |(_, img)| {
-                judge(img, &engine, &mac_engine)
-            })
+            en.images
+                .iter()
+                .map(|(_, img)| judge(img, &engine, &mac_engine))
+                .collect()
         })
         .collect();
     (started.elapsed().as_nanos() as u64, verdicts)
@@ -164,7 +120,7 @@ fn full_pass<R: Send>(
 /// integrity Ok/Err strings and replay attack verdicts — so the main
 /// artifact pins the *content* of the verdicts, not just their counts.
 /// `DefaultHasher` hashes with fixed keys, so the digest is stable
-/// across runs and thread counts.
+/// across runs.
 fn verdict_digest(verdicts: &[Vec<Result<(), String>>], replays: &[Vec<AttackVerdict>]) -> u64 {
     let mut h = std::collections::hash_map::DefaultHasher::new();
     for vs in verdicts {
@@ -200,7 +156,6 @@ fn main() {
     // gate; CI smoke shrinks below the gate threshold and self-skips.
     let ops = env_u64("NVMM_OPS", 16) as usize;
     let points = env_u64("NVMM_CRASH_POINTS", 5) as usize;
-    let threads = mc_threads();
     let cfg = SimConfig::single_core(Design::Sca).with_integrity(IntegrityPolicy::Strict);
     let integrity = IntegritySpec::from_config(&cfg);
     let key = cfg.key;
@@ -215,7 +170,6 @@ fn main() {
         "fused delta walk wall-clock per workload, and full-pass verification of its images",
     );
     timing.insert("host", "host_cores", host_cores() as f64);
-    timing.insert("host", "workers", threads as f64);
     let mut failed = false;
     let mut verify_speedups = Vec::new();
     let mut rows = Vec::new();
@@ -247,44 +201,19 @@ fn main() {
             .image;
         let fresh = FreshnessRef::capture(&full, integrity);
 
-        let delta = run_walk(&sets, key, integrity, threads);
-        let delta_t1 = run_walk(&sets, key, integrity, 1);
-        let (full_verify_ns, full_verdicts) = full_pass(&delta.sets, key, threads, |img, e, m| {
+        let delta = run_walk(&sets, key, integrity);
+        let (full_verify_ns, full_verdicts) = full_pass(&delta.sets, key, |img, e, m| {
             verify_image(img, integrity, e, m)
         });
-        let (replay_full_ns, replay_full) = full_pass(&delta.sets, key, threads, |img, e, m| {
+        let (replay_full_ns, replay_full) = full_pass(&delta.sets, key, |img, e, m| {
             verify_image_attack(img, integrity, e, m, &fresh)
         });
 
-        // Equivalence gates: the walk is worker-count invariant, and its
-        // verdicts (witness strings included) equal full-pass
-        // verification of its own images.
-        if fingerprints(&delta_t1.sets) != fingerprints(&delta.sets) {
-            eprintln!(
-                "FAIL: {}: walk images depend on the worker count",
-                kind.label()
-            );
-            failed = true;
-        }
-        if delta.agg() != delta_t1.agg() {
-            eprintln!(
-                "FAIL: {}: walk accounting depends on the worker count ({:?} vs {:?})",
-                kind.label(),
-                delta.agg(),
-                delta_t1.agg()
-            );
-            failed = true;
-        }
+        // Equivalence gate: the walk's verdicts, witness strings
+        // included, equal full-pass verification of its own images.
         if full_verdicts != delta.verdicts {
             eprintln!(
                 "FAIL: {}: integrity verdicts diverge between full-pass and delta verification",
-                kind.label()
-            );
-            failed = true;
-        }
-        if delta.verdicts != delta_t1.verdicts {
-            eprintln!(
-                "FAIL: {}: delta verdicts depend on the worker count",
                 kind.label()
             );
             failed = true;
@@ -310,13 +239,21 @@ fn main() {
         let verify_speedup = full_verify_ns as f64 / delta_verify_ns as f64;
         verify_speedups.push(verify_speedup);
 
-        let agg = delta.agg();
+        let images: usize = delta.sets.iter().map(|en| en.images.len()).sum();
+        let masks: u64 = delta.sets.iter().map(|en| en.stats.masks_explored).sum();
+        let deduped: u64 = delta.sets.iter().map(|en| en.stats.images_deduped).sum();
+        let violations = delta
+            .verdicts
+            .iter()
+            .flatten()
+            .filter(|v| v.is_err())
+            .count();
         let row = kind.label().to_string();
         exp.insert(&row, "points", sets.len() as f64);
-        exp.insert(&row, "images", agg.images as f64);
-        exp.insert(&row, "masks", agg.masks as f64);
-        exp.insert(&row, "deduped", agg.deduped as f64);
-        exp.insert(&row, "violations", agg.violations as f64);
+        exp.insert(&row, "images", images as f64);
+        exp.insert(&row, "masks", masks as f64);
+        exp.insert(&row, "deduped", deduped as f64);
+        exp.insert(&row, "violations", violations as f64);
         exp.insert(
             &row,
             "verdict_digest",
@@ -334,7 +271,7 @@ fn main() {
                 delta_verify_ns as f64 / 1e6,
                 full_verify_ns as f64 / 1e6,
                 verify_speedup,
-                agg.images as f64,
+                images as f64,
             ],
         ));
     }
@@ -353,7 +290,7 @@ fn main() {
         &rows,
     );
     println!(
-        "\ngeomean verify-phase speedup {headline:.2}x over {} workloads ({threads} workers, {} host cores)",
+        "\ngeomean verify-phase speedup {headline:.2}x over {} workloads (one thread, {} host cores)",
         verify_speedups.len(),
         host_cores(),
     );

@@ -17,7 +17,7 @@
 //! | `overhead`  | §6.3.7 — hardware overhead accounting (stdout only) |
 //! | `crash_matrix` | adversarial crash-image model check: five workloads × designs (including SCA+strict / SCA+lazy integrity) over every ADR-legal image (self-checking; no paper figure) |
 //! | `fig_integrity` | integrity-policy cost: runtime and metadata write amplification of mac-only / lazy / strict on top of SCA (self-checking; no paper figure) |
-//! | `fig_mc_perf` | model-checker throughput: the fused delta walk (enumeration plus incremental re-verification) vs full-pass verification of the same images, on one worker and on `NVMM_MC_THREADS` (self-checking; no paper figure) |
+//! | `fig_mc_perf` | model-checker throughput: the fused delta walk (enumeration plus incremental re-verification) vs full-pass verification of the same images, both on one thread (self-checking; no paper figure) |
 //! | `fig_service` | open-loop service throughput and p50/p95/p99/p999 arrival-to-commit tails: steady/burst/diurnal arrival curves over 1–4 controller shards, plus a generator-backed streamed-ingest demo with batched journaling (self-checking; no paper figure) |
 //! | `fig_attack` | adversarial detection matrix — six integrity policies × {replay, counter-rollback, torn-write, split-replay} judged against per-policy freshness anchors, with `mac-only × {replay, counter-rollback}` the only permitted misses — plus each policy's wear report and lifetime estimate (self-checking; no paper figure) |
 //!

@@ -93,13 +93,8 @@
 //! image, one odometer step costs O(ops of the changed group) instead of
 //! O(journal length).
 //!
-//! The walk fans the schedule out across scoped worker threads in
-//! contiguous chunks, each walked by its own overlay and verifier and
-//! deduplicated locally; chunks merge in schedule order, so the result —
-//! retained masks, visitor results, verdicts and stats — is
-//! bit-identical to the sequential walk for any thread count (an image
-//! retained by two chunks is visited in both, and the merge keeps the
-//! first). [`CrashSet::enumerate`]
+//! A crash set is walked on one thread: a model check's workers split
+//! its crash instants, not the masks of one set. [`CrashSet::enumerate`]
 //! materializes every mask's image from scratch with
 //! [`CrashSet::image`]: it is the reference the differential suite holds
 //! the walk against.
@@ -108,7 +103,6 @@ use crate::addr::{CounterLineAddr, LineAddr, MacLineAddr, NvmmTarget, TreeNodeAd
 use crate::controller::{JournalOp, JournalRecord};
 use crate::integrity::{DeltaVerifier, IntegritySpec};
 use crate::nvmm::NvmmImage;
-use crate::parallel::{chunk_ranges, run_parallel};
 use crate::time::Time;
 use fxhash::{FxHashMap, FxHashSet};
 use nvmm_crypto::counter::{data_line_for, CounterSlot, COUNTERS_PER_LINE};
@@ -553,104 +547,82 @@ impl CrashSet {
         }
     }
 
-    /// Walks the legal images within `opts`' bounds over up to `threads`
-    /// workers, judges each against `spec`'s integrity oracle, and hands
-    /// every retained image to `visit` where the walk left it. The model
-    /// checker's one enumeration path.
+    /// Walks the legal images within `opts`' bounds, judges each against
+    /// `spec`'s integrity oracle, and hands every retained image to
+    /// `visit` where the walk left it. The model checker's one
+    /// enumeration path; it runs on the calling thread.
     ///
-    /// Each chunk walks the schedule with a paired `ImageOverlay` and
-    /// `DeltaVerifier`, accumulating the cells each `goto` dirtied into
-    /// a pending set and flushing them into the verifier only when a
-    /// fingerprint is newly retained — most schedule steps land on
-    /// already-seen images whose verdict is never read, so their
-    /// re-checks would be pure waste. The deferral is sound because
-    /// every re-check is a pure function of the *current* image state:
-    /// as long as each cell that changed since the last flush is
-    /// replayed once before the verdict is read, the verifier converges
-    /// to the same state in any flush order. For each image its chunk
-    /// retains, the walk calls `visit(mask, image, verdict)` on the
-    /// overlay's own mask and image — no copy — and keeps the result.
+    /// One `ImageOverlay` walks the schedule beside one `DeltaVerifier`,
+    /// accumulating the cells each `goto` dirtied into a pending set and
+    /// flushing them into the verifier only when a fingerprint is newly
+    /// retained — most schedule steps land on already-seen images whose
+    /// verdict is never read, so their re-checks would be pure waste.
+    /// The deferral is sound because every re-check is a pure function
+    /// of the *current* image state: as long as each cell that changed
+    /// since the last flush is replayed once before the verdict is read,
+    /// the verifier converges to the same state in any flush order. For
+    /// each retained image the walk calls `visit(mask, image, verdict)`
+    /// on the overlay's own mask and image — no copy — and keeps the
+    /// result.
     ///
-    /// Chunks merge in schedule order, keeping an image retained by two
-    /// chunks once, from the first (`visit` ran in both). So the retained
-    /// images and the stats equal [`CrashSet::enumerate`]'s, and the
-    /// returned `i`-th result is `visit` of its `i`-th image — with a
-    /// verdict bit-identical to
+    /// The retained images and the stats equal [`CrashSet::enumerate`]'s,
+    /// and the returned `i`-th result is `visit` of its `i`-th image —
+    /// with a verdict bit-identical to
     /// [`verify_image`](crate::integrity::verify_image) on the
-    /// materialized image — at any `threads`. Result 0 is the all-miss
-    /// corner. The third return is the nanoseconds the walk spent in its
-    /// verify phase (flushing dirty cells into the verifier and reading
-    /// verdicts), summed across worker chunks. Enumeration work —
-    /// schedule decode, overlay `goto`, fingerprint dedupe — and `visit`
-    /// are excluded, so the figure isolates what incremental
-    /// re-verification costs and is directly comparable to a timed
-    /// full-pass verify of the same images. With `threads > 1` the sum is
-    /// aggregate worker time, not wall clock; it belongs in timing
-    /// companions, never in deterministic artifacts.
-    pub fn walk_verified<T: Send>(
+    /// materialized image. Result 0 is the all-miss corner. The third
+    /// return is the wall-clock nanoseconds the walk spent in its verify
+    /// phase (flushing dirty cells into the verifier and reading
+    /// verdicts). Enumeration work — schedule decode, overlay `goto`,
+    /// fingerprint dedupe — and `visit` are excluded, so the figure
+    /// isolates what incremental re-verification costs and is directly
+    /// comparable to a timed full-pass verify of the same images. It
+    /// belongs in timing companions, never in deterministic artifacts.
+    pub fn walk_verified<T>(
         &self,
         opts: EnumOpts,
-        threads: usize,
         spec: IntegritySpec,
         engine: &EncryptionEngine,
         mac_engine: &MacEngine,
-        visit: impl Fn(&LandMask, &NvmmImage, &Result<(), String>) -> T + Sync,
+        mut visit: impl FnMut(&LandMask, &NvmmImage, &Result<(), String>) -> T,
     ) -> (EnumStats, Vec<T>, u64) {
         let sched = self.cut_schedule(opts);
-        let threads = threads.max(1);
-        let chunks = chunk_ranges(sched.n_masks(), threads);
-        let walked: Vec<(Vec<(u128, T)>, u64)> = run_parallel(threads, &chunks, |&(start, end)| {
-            let mut overlay = ImageOverlay::new(self);
-            let mut verifier = DeltaVerifier::new(overlay.image(), spec, engine, mac_engine);
-            let mut local_seen: FxHashSet<u128> = FxHashSet::default();
-            let mut out = Vec::new();
-            let mut cuts = Vec::with_capacity(sched.n_domains());
-            // Cells dirtied since the verifier last synced, deduped
-            // (a cell that toggled five times between retained images
-            // needs exactly one re-check against the current image).
-            let mut pending: Vec<CellKey> = Vec::new();
-            let mut pending_set: FxHashSet<CellKey> = FxHashSet::default();
-            let mut verify_ns: u64 = 0;
-            for i in start..end {
-                sched.cuts_into(i, &mut cuts);
-                overlay.goto(&cuts);
-                for &cell in overlay.dirty() {
-                    // A co-located counter rewrite changes how its data
-                    // line decrypts — same re-check as the data half.
-                    let cell = match cell {
-                        CellKey::Co(l) => CellKey::Data(l),
-                        other => other,
-                    };
-                    if pending_set.insert(cell) {
-                        pending.push(cell);
-                    }
-                }
-                let fp = overlay.image().fingerprint();
-                if local_seen.insert(fp) {
-                    let t0 = Instant::now();
-                    for &cell in &pending {
-                        verifier.changed(overlay.image(), cell);
-                    }
-                    pending.clear();
-                    pending_set.clear();
-                    let verdict = verifier.verdict();
-                    verify_ns += t0.elapsed().as_nanos() as u64;
-                    out.push((fp, visit(overlay.mask(), overlay.image(), &verdict)));
-                }
-            }
-            (out, verify_ns)
-        });
+        let mut overlay = ImageOverlay::new(self);
+        let mut verifier = DeltaVerifier::new(overlay.image(), spec, engine, mac_engine);
         let mut seen: FxHashSet<u128> = FxHashSet::default();
         seen.reserve(self.seen_capacity(opts));
-        let mut kept: Vec<T> = Vec::new();
+        let mut kept = Vec::new();
+        let mut cuts = Vec::with_capacity(sched.n_domains());
+        // Cells dirtied since the verifier last synced, deduped (a cell
+        // that toggled five times between retained images needs exactly
+        // one re-check against the current image).
+        let mut pending: Vec<CellKey> = Vec::new();
+        let mut pending_set: FxHashSet<CellKey> = FxHashSet::default();
         let mut verify_ns: u64 = 0;
-        for (chunk, chunk_ns) in walked {
-            verify_ns += chunk_ns;
-            kept.extend(
-                chunk
-                    .into_iter()
-                    .filter_map(|(fp, visited)| seen.insert(fp).then_some(visited)),
-            );
+        for i in 0..sched.n_masks() {
+            sched.cuts_into(i, &mut cuts);
+            overlay.goto(&cuts);
+            for &cell in overlay.dirty() {
+                // A co-located counter rewrite changes how its data line
+                // decrypts — same re-check as the data half.
+                let cell = match cell {
+                    CellKey::Co(l) => CellKey::Data(l),
+                    other => other,
+                };
+                if pending_set.insert(cell) {
+                    pending.push(cell);
+                }
+            }
+            if seen.insert(overlay.image().fingerprint()) {
+                let t0 = Instant::now();
+                for &cell in &pending {
+                    verifier.changed(overlay.image(), cell);
+                }
+                pending.clear();
+                pending_set.clear();
+                let verdict = verifier.verdict();
+                verify_ns += t0.elapsed().as_nanos() as u64;
+                kept.push(visit(overlay.mask(), overlay.image(), &verdict));
+            }
         }
         (self.stats_for(&sched, kept.len()), kept, verify_ns)
     }
@@ -660,7 +632,12 @@ impl CrashSet {
     /// images and stats), each image's integrity verdict, and the walk's
     /// verify nanoseconds. The model checker judges images in place
     /// instead; this serves the tests and the timing binaries that need
-    /// the images themselves.
+    /// the images themselves. The walk runs on the calling thread;
+    /// `threads` exists only so callers that pass 1 still build.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `threads` is not 1.
     pub fn enumerate_verified_timed(
         &self,
         opts: EnumOpts,
@@ -669,14 +646,14 @@ impl CrashSet {
         engine: &EncryptionEngine,
         mac_engine: &MacEngine,
     ) -> (Enumeration, Vec<Result<(), String>>, u64) {
-        let (stats, walked, verify_ns) = self.walk_verified(
-            opts,
-            threads,
-            spec,
-            engine,
-            mac_engine,
-            |mask, img, verdict| ((mask.clone(), img.clone()), verdict.clone()),
+        assert_eq!(
+            threads, 1,
+            "a crash set is walked on one thread; 1 is the only worker count"
         );
+        let (stats, walked, verify_ns) =
+            self.walk_verified(opts, spec, engine, mac_engine, |mask, img, verdict| {
+                ((mask.clone(), img.clone()), verdict.clone())
+            });
         let (images, verdicts) = walked.into_iter().unzip();
         (Enumeration { images, stats }, verdicts, verify_ns)
     }
@@ -1772,36 +1749,47 @@ mod tests {
         );
     }
 
-    /// Asserts the fused overlay walk, on one worker and on four, agrees
-    /// exactly with the reference materializer: same stats, same masks,
-    /// same fingerprints, in the same order, and every walked
-    /// fingerprint equals a from-scratch recompute.
+    /// Asserts the fused overlay walk agrees exactly with the reference
+    /// materializer: same stats, same masks, same fingerprints, in the
+    /// same order, and every walked fingerprint equals a from-scratch
+    /// recompute.
     fn assert_enumerations_agree(set: &CrashSet, opts: EnumOpts) {
         let key = SimConfig::single_core(Design::Sca).key;
         let (engine, mac_engine) = (EncryptionEngine::new(key), MacEngine::new(key));
         let reference = set.enumerate(opts);
         let t = set.crash_time();
-        for threads in [1, 4] {
-            let (walk, _, _) = set.enumerate_verified_timed(
-                opts,
-                threads,
-                IntegritySpec::disabled(),
-                &engine,
-                &mac_engine,
+        let (walk, _, _) =
+            set.enumerate_verified_timed(opts, 1, IntegritySpec::disabled(), &engine, &mac_engine);
+        assert_eq!(walk.stats, reference.stats, "stats at {t}");
+        assert_eq!(walk.images.len(), reference.images.len());
+        for ((mr, ir), (mw, iw)) in reference.images.iter().zip(&walk.images) {
+            assert_eq!(mr, mw, "masks diverged at {t}");
+            assert_eq!(
+                ir.fingerprint(),
+                iw.fingerprint(),
+                "images diverged for mask {:?} at {t}",
+                mr.landed()
             );
-            assert_eq!(walk.stats, reference.stats, "{threads}-thread stats at {t}");
-            assert_eq!(walk.images.len(), reference.images.len());
-            for ((mr, ir), (mw, iw)) in reference.images.iter().zip(&walk.images) {
-                assert_eq!(mr, mw, "{threads}-thread masks diverged at {t}");
-                assert_eq!(
-                    ir.fingerprint(),
-                    iw.fingerprint(),
-                    "{threads}-thread images diverged for mask {:?} at {t}",
-                    mr.landed()
-                );
-                assert_eq!(iw.fingerprint(), iw.fingerprint_recompute());
-            }
+            assert_eq!(iw.fingerprint(), iw.fingerprint_recompute());
         }
+    }
+
+    /// `enumerate_verified_timed` keeps its worker count only so callers
+    /// that pass 1 still build; any other count is refused rather than
+    /// silently ignored.
+    #[test]
+    #[should_panic(expected = "1 is the only worker count")]
+    fn walk_refuses_worker_threads() {
+        let key = SimConfig::single_core(Design::Sca).key;
+        let (engine, mac_engine) = (EncryptionEngine::new(key), MacEngine::new(key));
+        let (mut c, mut s) = ctl(Design::Fca);
+        c.writeback(LineAddr(1), [1; 64], false, Time::from_ns(10), &mut s);
+        let set = c.crash_set(Time::from_ns(60));
+        let spec = IntegritySpec::disabled();
+        let (one, _, _) =
+            set.enumerate_verified_timed(EnumOpts::default(), 1, spec, &engine, &mac_engine);
+        assert_eq!(one.images.len(), 2, "line absent vs pair landed");
+        let _ = set.enumerate_verified_timed(EnumOpts::default(), 2, spec, &engine, &mac_engine);
     }
 
     #[test]
@@ -1968,8 +1956,8 @@ mod tests {
 
         /// The fused delta-verified walk must reproduce the full-pass
         /// verifier *exactly* — same retained images, same Ok/Err
-        /// verdict strings — across every policy, exhaustive and
-        /// sampled schedules, and thread counts.
+        /// verdict strings — across every policy and both exhaustive
+        /// and sampled schedules.
         #[test]
         fn delta_verdicts_match_full_verifiers_on_random_journals(seed in 0u64..1_000_000) {
             use crate::config::IntegrityPolicy;
@@ -1991,22 +1979,20 @@ mod tests {
                 for opts in [EnumOpts::default(), EnumOpts { max_images: 8, seed }] {
                     for policy in IntegrityPolicy::ALL {
                         let spec = IntegritySpec { policy, levels: 2 };
-                        for threads in [1usize, 4] {
-                            let (en, verdicts, _) = set
-                                .enumerate_verified_timed(opts, threads, spec, &engine, &mac_engine);
-                            let eager = set.enumerate(opts);
-                            prop_assert_eq!(en.images.len(), eager.images.len());
-                            prop_assert_eq!(en.images.len(), verdicts.len());
-                            for (i, (_, img)) in en.images.iter().enumerate() {
-                                prop_assert_eq!(
-                                    img.fingerprint(),
-                                    eager.images[i].1.fingerprint()
-                                );
-                                prop_assert_eq!(
-                                    &verdicts[i],
-                                    &verify_image(img, spec, &engine, &mac_engine)
-                                );
-                            }
+                        let (en, verdicts, _) =
+                            set.enumerate_verified_timed(opts, 1, spec, &engine, &mac_engine);
+                        let eager = set.enumerate(opts);
+                        prop_assert_eq!(en.images.len(), eager.images.len());
+                        prop_assert_eq!(en.images.len(), verdicts.len());
+                        for (i, (_, img)) in en.images.iter().enumerate() {
+                            prop_assert_eq!(
+                                img.fingerprint(),
+                                eager.images[i].1.fingerprint()
+                            );
+                            prop_assert_eq!(
+                                &verdicts[i],
+                                &verify_image(img, spec, &engine, &mac_engine)
+                            );
                         }
                     }
                 }

@@ -5,18 +5,18 @@
 //! independent jobs are pulled off an atomic cursor by up to `threads`
 //! scoped workers and the results are reassembled **by job index**, so
 //! the output vector is bit-identical whatever the thread count or
-//! completion order. The crash model checker reuses it for its two
-//! outer loops — crash instants within one model check, and sampled
-//! masks within one [`crate::crashmc::CrashSet`] — and the bench sweep
-//! engine delegates to it for trace generation and simulation fan-out.
-//! Every job is independent work: a whole simulation, a crash instant or
-//! a sampled mask. A single replay runs on one thread.
+//! completion order. The crash model checker reuses it to split one
+//! model check's crash instants into runs, and the bench sweep engine
+//! delegates to it for trace generation and simulation fan-out. Every
+//! job is independent work: a whole simulation or a run of crash
+//! instants. A single replay, and the walk of a single
+//! [`crate::crashmc::CrashSet`], runs on one thread.
 //!
-//! [`mc_threads`] is the model checker's thread-count knob:
-//! `NVMM_MC_THREADS`, defaulting to `NVMM_THREADS`, defaulting to the
-//! machine's available parallelism ([`host_cores`]). Keeping it separate
-//! from `NVMM_THREADS` lets CI pin the checker while the sweep engine
-//! stays wide (and vice versa).
+//! [`mc_threads`] is the model checker's worker count over crash
+//! instants: `NVMM_MC_THREADS`, defaulting to `NVMM_THREADS`, defaulting
+//! to the machine's available parallelism ([`host_cores`]). Keeping it
+//! separate from `NVMM_THREADS` lets CI pin the checker while the sweep
+//! engine stays wide (and vice versa).
 
 use crate::knob::env_u64;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -77,8 +77,9 @@ pub fn host_cores() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
-/// The model checker's worker count: `NVMM_MC_THREADS` if set, else
-/// `NVMM_THREADS`, else [`host_cores`]. Clamped to at least 1.
+/// The model checker's worker count over crash instants:
+/// `NVMM_MC_THREADS` if set, else `NVMM_THREADS`, else [`host_cores`].
+/// Clamped to at least 1.
 ///
 /// # Panics
 ///

@@ -58,9 +58,9 @@
 //! The model checker judges each image inside the fused walk
 //! ([`nvmm_sim::CrashSet::walk_verified`]), on the walk's own overlay
 //! image and with the walk's integrity verdict, so no image is copied
-//! to be judged; with several workers the judge runs in the walk's chunk
-//! workers, which share the set's judge. Only witness minimization
-//! materializes images, one per candidate mask.
+//! to be judged. A crash set is walked and judged on one thread; a
+//! model check's workers split its crash instants. Only witness
+//! minimization materializes images, one per candidate mask.
 
 use crate::spec::{WorkloadKind, WorkloadSpec};
 use crate::util::{ensure, ConsistencyError};
@@ -78,8 +78,10 @@ use nvmm_sim::parallel::{chunk_ranges, mc_threads, run_parallel};
 use nvmm_sim::system::{breakpoints_after, journal_times_after, CrashSpec, RunOutcome, System};
 use nvmm_sim::time::Time;
 use nvmm_sim::trace::{Trace, TraceEvent};
+use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
 use std::ops::Range;
+use std::rc::Rc;
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::time::Instant;
 
@@ -487,17 +489,11 @@ impl<'e> Checker<'e> {
         }
     }
 
-    /// Model-checks `set` within `opts`' bounds: the fused walk on
-    /// `threads` workers enumerates its legal images and judges each one
-    /// it retains in place, with the walk's integrity verdict and one
-    /// judge of the set shared by the workers; a violation is then
-    /// minimized. The report is bit-identical at any worker count.
-    fn check_set(
-        &self,
-        set: &nvmm_sim::CrashSet,
-        opts: &ModelCheckOpts,
-        threads: usize,
-    ) -> ModelCheckReport {
+    /// Model-checks `set` within `opts`' bounds on the calling thread:
+    /// the fused walk enumerates its legal images and judges each one it
+    /// retains in place, with the walk's integrity verdict and the set's
+    /// one judge; a violation is then minimized.
+    fn check_set(&self, set: &nvmm_sim::CrashSet, opts: &ModelCheckOpts) -> ModelCheckReport {
         let started = Instant::now();
         let eopts = nvmm_sim::EnumOpts {
             max_images: opts.max_images,
@@ -506,9 +502,9 @@ impl<'e> Checker<'e> {
         let judge = SetJudge::new(set);
         // Each retained image is judged where the walk leaves it, with the
         // walk's integrity verdict; only a failing image's mask is kept.
+        let mut judge_ns = 0u64;
         let (stats, judged, walk_verify_ns) = set.walk_verified(
             eopts,
-            threads,
             self.integrity,
             &self.engine,
             &self.mac_engine,
@@ -518,20 +514,21 @@ impl<'e> Checker<'e> {
                     .check(image, &judge, Some(oracle))
                     .err()
                     .map(|error| (mask.clone(), error));
-                (failure, t0.elapsed().as_nanos() as u64)
+                judge_ns += t0.elapsed().as_nanos() as u64;
+                failure
             },
         );
-        // Both oracles ran inside the walk; their shares, summed over its
-        // workers like the walk's own, make up the verify term.
-        let verify_wall_ns = walk_verify_ns + judged.iter().map(|&(_, ns)| ns).sum::<u64>();
+        // Both oracles ran inside the walk; their shares make up the
+        // verify term.
+        let verify_wall_ns = walk_verify_ns + judge_ns;
         let enumerate_wall_ns =
             (started.elapsed().as_nanos() as u64).saturating_sub(verify_wall_ns);
         let images_checked = judged.len();
         // Result 0 is always the all-miss baseline.
-        let baseline_violation = judged.first().is_some_and(|(failure, _)| failure.is_some());
+        let baseline_violation = judged.first().is_some_and(Option::is_some);
         let mut violations = 0usize;
         let mut first_fail: Option<(nvmm_sim::LandMask, ConsistencyError)> = None;
-        for failure in judged.into_iter().filter_map(|(failure, _)| failure) {
+        for failure in judged.into_iter().flatten() {
             violations += 1;
             first_fail.get_or_insert(failure);
         }
@@ -600,12 +597,12 @@ fn ensure_clean_reads(mem: &RecoveredMemory) -> Result<(), ConsistencyError> {
 /// only on its in-flight and restored lines; the verdict and its error
 /// string equal those of a full compare in ascending line order. Its memo
 /// is keyed by the committed count alone, so one judge serves one
-/// [`Checker`].
+/// [`Checker`], on the one thread that walks its set.
 struct SetJudge<'s> {
     base: &'s NvmmImage,
     /// Sorted lines whose read can differ between the set's images.
     in_flight: Vec<LineAddr>,
-    verdicts: Mutex<BTreeMap<u64, Arc<BaseVerdict>>>,
+    verdicts: RefCell<BTreeMap<u64, Rc<BaseVerdict>>>,
 }
 
 /// How the base image reads the ground truth after one committed count,
@@ -632,7 +629,7 @@ impl<'s> SetJudge<'s> {
         Self {
             base,
             in_flight,
-            verdicts: Mutex::new(BTreeMap::new()),
+            verdicts: RefCell::new(BTreeMap::new()),
         }
     }
 
@@ -643,9 +640,9 @@ impl<'s> SetJudge<'s> {
         checker: &Checker,
         committed: u64,
         expected: &LineImage,
-    ) -> Arc<BaseVerdict> {
-        if let Some(v) = self.lock().get(&committed) {
-            return Arc::clone(v);
+    ) -> Rc<BaseVerdict> {
+        if let Some(v) = self.verdicts.borrow().get(&committed) {
+            return Rc::clone(v);
         }
         let log = checker.ex.log_lines();
         let mut mem = checker.recovered(self.base);
@@ -660,15 +657,14 @@ impl<'s> SetJudge<'s> {
                 deviating.push(*line);
             }
         }
-        let verdict = Arc::new(BaseVerdict {
+        let verdict = Rc::new(BaseVerdict {
             deviating,
             garbled: mem.garbled_lines().iter().copied().collect(),
         });
-        Arc::clone(self.lock().entry(committed).or_insert(verdict))
-    }
-
-    fn lock(&self) -> MutexGuard<'_, BTreeMap<u64, Arc<BaseVerdict>>> {
-        self.verdicts.lock().expect("base-verdict memo poisoned")
+        self.verdicts
+            .borrow_mut()
+            .insert(committed, Rc::clone(&verdict));
+        verdict
     }
 
     /// Replay equality for one recovered image of the set: `mem` must
@@ -841,18 +837,16 @@ pub struct ModelCheckReport {
     /// Telemetry only, ignored by `PartialEq`.
     pub sweep_wall_ns: u64,
     /// Wall-clock nanoseconds of the enumeration phase: the fused walk
-    /// (schedule decode, overlay moves, fingerprint dedupe, chunk merge)
-    /// and its judge's set-up, net of [`ModelCheckReport::verify_wall_ns`]
-    /// — the walk minus its oracles. With several workers that subtrahend
-    /// is aggregate worker time, so the difference saturates at 0.
-    /// Telemetry only, ignored by `PartialEq` like
-    /// [`ModelCheckReport::mc_wall_ns`].
+    /// (schedule decode, overlay moves, fingerprint dedupe) and its
+    /// judge's set-up, net of [`ModelCheckReport::verify_wall_ns`] — the
+    /// walk minus its oracles. Telemetry only, ignored by `PartialEq`
+    /// like [`ModelCheckReport::mc_wall_ns`].
     pub enumerate_wall_ns: u64,
-    /// Nanoseconds of the verification phase: the two oracles the fused
-    /// walk runs on each retained image, the delta integrity verifier and
-    /// the recovery judge (recovery replay, structure check and replay
-    /// equality), each timed inside the walk and summed over its workers.
-    /// Witness minimization is not included. Telemetry only, ignored by
+    /// Wall-clock nanoseconds of the verification phase: the two oracles
+    /// the fused walk runs on each retained image, the delta integrity
+    /// verifier and the recovery judge (recovery replay, structure check
+    /// and replay equality), each timed inside the walk. Witness
+    /// minimization is not included. Telemetry only, ignored by
     /// `PartialEq`.
     pub verify_wall_ns: u64,
 }
@@ -882,11 +876,9 @@ impl ModelCheckReport {
 /// ADR-legal post-crash image within `opts`' bounds and runs the full
 /// recovery protocol over each. Where [`crash_check_cfg`] samples the
 /// single pessimistic image, this is the paper's universal claim made
-/// executable: *no* legal image may fail recovery. The image
-/// enumeration and recovery checks within the crash set run on
-/// [`mc_threads`] workers; the report is bit-identical to a
-/// single-threaded run for any worker count. It is the one-instant case
-/// of [`model_check_instants_cfg`]; [`CrashSpec::None`] is an instant
+/// executable: *no* legal image may fail recovery. It is the
+/// one-instant [`model_check_instants_cfg`], so its crash set is walked
+/// and judged on the calling thread; [`CrashSpec::None`] is an instant
 /// after completion, whose one image is the completed run's.
 pub fn model_check_cfg(
     spec: &WorkloadSpec,
@@ -898,7 +890,7 @@ pub fn model_check_cfg(
         CrashSpec::AtTime(t) => t,
         CrashSpec::None => Time(u64::MAX),
     };
-    sweep_check(spec, config, &[t], opts, 1, mc_threads())
+    model_check_instants_cfg(spec, config, &[t], opts)
         .pop()
         .expect("one report per instant")
 }
@@ -908,35 +900,31 @@ pub fn model_check_cfg(
 /// [`System::run_crash_sweep`] replay pauses at every instant, and the
 /// sorted instants split into contiguous runs over [`mc_threads`]
 /// scoped workers, each advancing one crash cursor through its run and
-/// checking each crash set sequentially (inner enumeration worker count
-/// pinned to 1). The reports come back in instant order and are
-/// bit-identical to simulating and checking the instants one by one —
-/// whatever `NVMM_MC_THREADS` says.
+/// walking and judging each crash set on its own thread. The reports
+/// come back in instant order and are bit-identical to simulating and
+/// checking the instants one by one — whatever `NVMM_MC_THREADS` says.
 pub fn model_check_instants_cfg(
     spec: &WorkloadSpec,
     config: SimConfig,
     instants: &[Time],
     opts: &ModelCheckOpts,
 ) -> Vec<ModelCheckReport> {
-    sweep_check(spec, config, instants, opts, mc_threads(), 1)
+    sweep_check(spec, config, instants, opts, mc_threads())
 }
 
-/// The shared body of [`model_check_instants_cfg`] and
-/// [`model_check_cfg`]: one execution,
-/// one crash sweep, then the instants, sorted, in up to `outer`
-/// contiguous runs on as many workers, with `inner` workers inside each
-/// crash set. A worker advances one [`nvmm_sim::SweepCursor`] through
-/// its run, so each crash set costs the journal records new since the
-/// previous instant rather than the whole prefix, and it judges every
-/// image with one [`Checker`]. At most `outer` crash sets are alive at
-/// once; reports come back in the caller's order.
+/// The body of [`model_check_instants_cfg`]: one execution, one crash
+/// sweep, then the instants, sorted, in up to `workers` contiguous runs
+/// on as many threads. A worker advances one [`nvmm_sim::SweepCursor`]
+/// through its run, so each crash set costs the journal records new
+/// since the previous instant rather than the whole prefix, and it
+/// judges every image with one [`Checker`]. At most `workers` crash sets
+/// are alive at once; reports come back in the caller's order.
 fn sweep_check(
     spec: &WorkloadSpec,
     config: SimConfig,
     instants: &[Time],
     opts: &ModelCheckOpts,
-    outer: usize,
-    inner: usize,
+    workers: usize,
 ) -> Vec<ModelCheckReport> {
     let started = Instant::now();
     let ex = execute(spec, 0, spec.ops);
@@ -944,8 +932,8 @@ fn sweep_check(
     let sweep_wall_ns = started.elapsed().as_nanos() as u64;
     let mut order: Vec<usize> = (0..instants.len()).collect();
     order.sort_by_key(|&i| instants[i]);
-    let runs = chunk_ranges(order.len(), outer);
-    let checked = run_parallel(outer, &runs, |&(start, end)| {
+    let runs = chunk_ranges(order.len(), workers);
+    let checked = run_parallel(workers, &runs, |&(start, end)| {
         let mut cursor = sweep.cursor();
         let checker = Checker::of(&ex, &config, opts.recovery_window);
         order[start..end]
@@ -953,7 +941,7 @@ fn sweep_check(
             .map(|&i| {
                 let started = Instant::now();
                 let mut report = match cursor.crash_set(i) {
-                    Some(set) => checker.check_set(&set, opts, inner),
+                    Some(set) => checker.check_set(&set, opts),
                     None => checker.completed(
                         sweep
                             .completed_image()
@@ -976,10 +964,9 @@ fn sweep_check(
 /// already-captured crash state against an already-executed workload.
 /// Split out so a caller holding a crash set it captured itself — from
 /// a crash run or a [`nvmm_sim::SweepCursor`] step — can judge it
-/// against one execution. The fused walk runs on [`mc_threads`] workers and each judges
-/// the images its chunk retains in place, sharing one judge of the set;
-/// the report is bit-identical at any worker count. `ex` must be the
-/// execution of `spec`: recovery runs its logging mechanism.
+/// against one execution. The fused walk and the judge of every image
+/// it retains run on the calling thread. `ex` must be the execution of
+/// `spec`: recovery runs its logging mechanism.
 pub fn check_crash_set(
     spec: &WorkloadSpec,
     ex: &Executed,
@@ -991,7 +978,7 @@ pub fn check_crash_set(
 ) -> ModelCheckReport {
     debug_assert_eq!(*spec, ex.spec, "`ex` was executed from another spec");
     let checker = Checker::new(ex, key, design, integrity, opts.recovery_window);
-    checker.check_set(set, opts, mc_threads())
+    checker.check_set(set, opts)
 }
 
 #[cfg(test)]
@@ -1069,25 +1056,23 @@ mod tests {
                     }
                 })
                 .collect();
-            for outer in [1, 2, 3, 5] {
-                let reports = sweep_check(&spec, cfg.clone(), &instants, &opts, outer, 1);
-                assert_eq!(reports, oracle, "{outer} runs");
+            for workers in [1, 2, 3, 5] {
+                let reports = sweep_check(&spec, cfg.clone(), &instants, &opts, workers);
+                assert_eq!(reports, oracle, "{workers} runs");
             }
             witnesses += oracle.iter().filter(|r| r.minimal.is_some()).count();
         }
         assert!(witnesses > 0, "the tree bug never produced a witness");
     }
 
-    /// The judge runs inside the fused walk, in its chunk workers, which
-    /// share the set's judge: under SCA + strict, with and without the
-    /// injected tree bug, `Checker::check_set` at 1, 2, 3 and 4
-    /// workers gives one report, `minimal` included. A 16-mask sample of
-    /// a large legal space repeats fingerprints, so chunks retain images
-    /// another chunk retained too. The image, violation and baseline
-    /// counts equal a per-image `check_image` recount over the reference
-    /// `CrashSet::enumerate`.
+    /// The judge runs inside the fused walk: under SCA + strict, with
+    /// and without the injected tree bug, `Checker::check_set`'s image,
+    /// violation and baseline counts equal a per-image `check_image`
+    /// recount over the reference `CrashSet::enumerate`. A 16-mask
+    /// sample of a large legal space repeats fingerprints, so the walk
+    /// meets images it already judged.
     #[test]
-    fn in_walk_judge_reports_alike_at_any_worker_count() {
+    fn in_walk_judge_matches_per_image_recount() {
         use nvmm_sim::{Fault, IntegrityPolicy};
         let spec = WorkloadSpec::smoke(WorkloadKind::HashTable)
             .with_ops(8)
@@ -1111,29 +1096,24 @@ mod tests {
             let mut cursor = sweep.cursor();
             let crash_sets = (0..instants.len()).filter_map(|i| cursor.crash_set(i));
             for set in crash_sets.filter(|set| set.legal_images() > 16) {
-                let reports: Vec<ModelCheckReport> = (1..=4)
-                    .map(|threads| checker.check_set(&set, &opts, threads))
-                    .collect();
+                let report = checker.check_set(&set, &opts);
                 let t = set.crash_time();
-                for (threads, report) in (2..).zip(&reports[1..]) {
-                    assert_eq!(*report, reports[0], "{threads} workers at {t}");
-                }
                 let fresh: Vec<_> = set
                     .enumerate(eopts)
                     .images
                     .iter()
                     .map(|(_, img)| check_image(&ex, img, &cfg, opts.recovery_window))
                     .collect();
-                assert_eq!(reports[0].images_checked, fresh.len(), "at {t}");
+                assert_eq!(report.images_checked, fresh.len(), "at {t}");
                 assert_eq!(
-                    reports[0].violations,
+                    report.violations,
                     fresh.iter().filter(|v| v.is_err()).count(),
                     "at {t}"
                 );
-                assert_eq!(reports[0].baseline_violation, fresh[0].is_err(), "at {t}");
+                assert_eq!(report.baseline_violation, fresh[0].is_err(), "at {t}");
                 sets += 1;
-                deduped += reports[0].stats.images_deduped;
-                witnesses += usize::from(reports[0].minimal.is_some());
+                deduped += report.stats.images_deduped;
+                witnesses += usize::from(report.minimal.is_some());
             }
         }
         assert!(sets > 0, "no crash set with a large legal space");
