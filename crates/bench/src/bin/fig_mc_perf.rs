@@ -4,12 +4,12 @@
 //! step dirtied, against full-pass verification of the same images.
 //!
 //! For each of the five workloads under SCA with strict integrity
-//! (so the per-image verify oracle does real MAC/tree work), crash
-//! instants are harvested from the run's persist windows, one paused
-//! replay (`System::run_crash_sweep`) yields every instant's crash set,
-//! and each is walked once (default `EnumOpts`). Everything runs on the
-//! calling thread, so every timing compares one thread with one thread.
-//! The walk's own images are then judged twice:
+//! (so the per-image verify oracle does real MAC/tree work), one replay
+//! of one execution (`CrashSweep::one_core`) yields the crash instants,
+//! harvested from the run's persist windows, and every instant's crash
+//! set, and each set is walked once (default `EnumOpts`). Everything
+//! runs on the calling thread, so every timing compares one thread with
+//! one thread. The walk's own images are then judged twice:
 //!
 //! * **delta** — the walk's verdicts, read off its warm
 //!   `DeltaVerifier`; the walk self-reports its verify phase (the
@@ -20,7 +20,8 @@
 //!
 //! A replay adversary rides along: full-pass `verify_image_attack`
 //! judges every image of the walk as a wholesale splice-back against
-//! the completed run's `FreshnessRef`.
+//! the completed run's `FreshnessRef`, taken from the same sweep's crash
+//! set after completion.
 //!
 //! The binary is self-checking: the full-pass verdicts — Ok/Err witness
 //! strings included — must equal the walk's on every image, and on a
@@ -53,12 +54,11 @@ use nvmm_crypto::EncryptionEngine;
 use nvmm_sim::config::{Design, IntegrityPolicy, SimConfig};
 use nvmm_sim::integrity::IntegritySpec;
 use nvmm_sim::parallel::host_cores;
-use nvmm_sim::system::{CrashSpec, System};
 use nvmm_sim::{
-    verify_image, verify_image_attack, AttackVerdict, CrashSet, EnumOpts, Enumeration,
-    FreshnessRef, NvmmImage,
+    verify_image, verify_image_attack, AttackVerdict, CrashSet, CrashSweep, EnumOpts, Enumeration,
+    FreshnessRef, NvmmImage, Time,
 };
-use nvmm_workloads::{crash_instants_cfg, execute, ModelCheckOpts, WorkloadKind, WorkloadSpec};
+use nvmm_workloads::{execute, WorkloadKind, WorkloadSpec};
 use std::hash::{Hash, Hasher};
 use std::time::Instant;
 
@@ -159,7 +159,6 @@ fn main() {
     let cfg = SimConfig::single_core(Design::Sca).with_integrity(IntegrityPolicy::Strict);
     let integrity = IntegritySpec::from_config(&cfg);
     let key = cfg.key;
-    let mc_opts = ModelCheckOpts::default();
 
     let mut exp = Experiment::new(
         "BENCH_crashmc",
@@ -179,26 +178,23 @@ fn main() {
             .with_ops(ops)
             .with_payload_lines(PAYLOAD_LINES);
         let ex = execute(&spec, 0, spec.ops);
-        let trace = ex.pm.trace().clone();
-        let instants = crash_instants_cfg(&spec, cfg.clone(), &mc_opts, points);
-        // One replay pauses at every (ascending) instant; one cursor
-        // builds their crash sets in order.
-        let sweep = System::new(cfg.clone(), vec![trace.clone()]).run_crash_sweep(&instants);
+        // One replay, never paused, yields the instants
+        // `crash_instants_cfg` harvests; one cursor cuts their crash sets
+        // in ascending order.
+        let (setup_end, sweep) = CrashSweep::one_core(&cfg, ex.pm.trace(), ex.setup_events);
+        let instants = sweep.window_midpoints(setup_end, points);
         let mut cursor = sweep.cursor();
-        let sets: Vec<CrashSet> = (0..instants.len())
-            .filter_map(|i| cursor.crash_set(i))
-            .collect();
+        let sets: Vec<CrashSet> = instants.iter().map(|&t| cursor.crash_set(t)).collect();
         if sets.is_empty() {
             eprintln!("FAIL: {} exposed no in-flight crash sets", kind.label());
             failed = true;
             continue;
         }
-        // The completed run's image anchors the replay adversary: every
-        // enumerated crash image is judged as a wholesale splice-back
-        // against this freshness reference.
-        let full = System::new(cfg.clone(), vec![trace.clone()])
-            .run(CrashSpec::None)
-            .image;
+        // The completed run's image, the crash set after completion,
+        // anchors the replay adversary: every enumerated crash image is
+        // judged as a wholesale splice-back against this freshness
+        // reference.
+        let full = cursor.crash_set(Time(u64::MAX)).baseline();
         let fresh = FreshnessRef::capture(&full, integrity);
 
         let delta = run_walk(&sets, key, integrity);

@@ -11,8 +11,8 @@
 //! (restore at most one transaction's regions) versus its runtime
 //! logging cost.
 //!
-//! One replay finds a run's breakpoints and one paused replay cuts every
-//! crash image.
+//! One replay finds a run's breakpoints and, from the same journals,
+//! cuts every crash image.
 //!
 //! A final section prices the *integrity* half of boot: for each
 //! integrity policy, the tree nodes [`recovery_cost`] must recompute

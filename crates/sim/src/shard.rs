@@ -408,14 +408,8 @@ impl ShardedController {
         self.merged().for_each(|rec| f(rec.submitted_at, rec.shard));
     }
 
-    /// Each shard's live journal length — the per-shard cut a crash
-    /// sweep records when replay pauses at an instant.
-    pub(crate) fn journal_lens(&self) -> Vec<usize> {
-        self.shards.iter().map(|c| c.journal_len()).collect()
-    }
-
     /// Moves every shard's journal out, in shard order, for a crash
-    /// sweep to cut prefixes from.
+    /// sweep to cut by time.
     ///
     /// # Panics
     ///
@@ -547,6 +541,11 @@ mod tests {
         [i as u8; 64]
     }
 
+    /// Each shard's live journal length.
+    fn journal_lens(sharded: &ShardedController) -> Vec<usize> {
+        sharded.shards.iter().map(|c| c.journal_len()).collect()
+    }
+
     /// The keys a journal traversal visits, in order.
     fn keys<'a>(
         records: impl IntoIterator<Item = &'a JournalRecord>,
@@ -667,7 +666,7 @@ mod tests {
             sharded.writeback(LineAddr(i * 4), data(i), i % 2 == 0, t, &mut stats);
             t += Time::from_ns(7);
             if i % 9 == 4 {
-                cuts.push(sharded.journal_lens());
+                cuts.push(journal_lens(&sharded));
             }
         }
         let full: Vec<JournalRecord> = sharded.merged().cloned().collect();
@@ -805,7 +804,7 @@ mod tests {
         ] {
             let w = Time::from_ns(ns);
             compacted.compact_through(w);
-            assert_eq!(compacted.journal_lens(), left, "cut at {w}");
+            assert_eq!(journal_lens(&compacted), left, "cut at {w}");
             assert_eq!(compacted.build_image(), reference, "compaction at {w}");
         }
         assert_eq!(compacted.compacted_records() as usize, total);

@@ -10,9 +10,7 @@
 //! ```
 
 use nvmm::sim::config::{Design, SimConfig};
-use nvmm::workloads::{
-    crash_breakpoints, model_check_instants_cfg, ModelCheckOpts, WorkloadKind, WorkloadSpec,
-};
+use nvmm::workloads::{model_check_breakpoints, ModelCheckOpts, WorkloadKind, WorkloadSpec};
 
 fn main() {
     let designs = [
@@ -35,10 +33,9 @@ fn main() {
         print!("{:<10}", kind.label());
         for design in designs {
             let cfg = SimConfig::single_core(design);
-            let points = crash_breakpoints(&spec, cfg.clone());
-            let reports = model_check_instants_cfg(&spec, cfg, &points, &ModelCheckOpts::default());
-            let cell = match points.iter().zip(&reports).find(|(_, r)| !r.clean()) {
-                None => format!("OK ({} states)", points.len()),
+            let reports = model_check_breakpoints(&spec, cfg, &ModelCheckOpts::default());
+            let cell = match reports.iter().find(|(_, r)| !r.clean()) {
+                None => format!("OK ({} states)", reports.len()),
                 Some((t, _)) => {
                     if design == Design::UnsafeNoAtomicity {
                         unsafe_failures += 1;

@@ -14,8 +14,8 @@ use nvmm::sim::config::{Design, SimConfig};
 use nvmm::sim::system::{breakpoint_images, CrashSpec};
 use nvmm::sim::Time;
 use nvmm::workloads::{
-    check_images, crash_breakpoints, crash_check_cfg, execute, model_check_instants_cfg,
-    CrashCheckOutcome, MinimalViolation, ModelCheckOpts, WorkloadKind, WorkloadSpec,
+    check_images, crash_check_cfg, execute, model_check_breakpoints, CrashCheckOutcome,
+    MinimalViolation, ModelCheckOpts, WorkloadKind, WorkloadSpec,
 };
 
 /// Designs that must survive every crash point.
@@ -30,11 +30,8 @@ const SAFE_DESIGNS: [Design; 4] = [
 /// `spec` under `cfg`; returns the first violating state's instant and
 /// minimized witness.
 fn first_violation(spec: &WorkloadSpec, cfg: SimConfig) -> Option<(Time, MinimalViolation)> {
-    let points = crash_breakpoints(spec, cfg.clone());
-    let reports = model_check_instants_cfg(spec, cfg, &points, &ModelCheckOpts::default());
-    points
+    model_check_breakpoints(spec, cfg, &ModelCheckOpts::default())
         .into_iter()
-        .zip(reports)
         .find_map(|(t, r)| r.minimal.map(|m| (t, m)))
 }
 

@@ -14,8 +14,7 @@
 use nvmm::sim::config::{Design, SimConfig};
 use nvmm::sim::system::{instant_after_events, CrashSpec};
 use nvmm::workloads::{
-    crash_breakpoints, execute, model_check_instants_cfg, ModelCheckOpts, ModelCheckReport,
-    WorkloadKind, WorkloadSpec,
+    execute, model_check_breakpoints, ModelCheckOpts, ModelCheckReport, WorkloadKind, WorkloadSpec,
 };
 
 const WINDOW: u64 = 4;
@@ -30,12 +29,14 @@ fn stop_loss_cfg() -> SimConfig {
 /// stop-loss design, recovering with a `window`-candidate search; one
 /// report per breakpoint.
 fn model_check_stop_loss(spec: &WorkloadSpec, window: u64) -> Vec<ModelCheckReport> {
-    let points = crash_breakpoints(spec, stop_loss_cfg());
     let opts = ModelCheckOpts {
         recovery_window: window,
         ..ModelCheckOpts::default()
     };
-    model_check_instants_cfg(spec, stop_loss_cfg(), &points, &opts)
+    model_check_breakpoints(spec, stop_loss_cfg(), &opts)
+        .into_iter()
+        .map(|(_, report)| report)
+        .collect()
 }
 
 #[test]
