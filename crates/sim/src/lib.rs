@@ -90,8 +90,8 @@ pub use parallel::{mc_threads, run_parallel};
 pub use shard::ShardedController;
 pub use stats::{LatencyHist, Stats};
 pub use system::{
-    breakpoint_images, breakpoints_after, instant_after_events, run_to_completion, CrashSpec,
-    CrashSweep, RunOutcome, SweepCursor, System,
+    breakpoint_images, instant_after_events, run_to_completion, CrashSpec, CrashSweep, RunOutcome,
+    SweepCursor, System,
 };
 pub use telemetry::{EpochSample, Timeline};
 pub use time::Time;
